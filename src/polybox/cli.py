@@ -1,10 +1,11 @@
 """Command-line front end: load JSON objects, run the decision
 procedures, print a report carrying the verdict and its certificate.
 
-Exit codes: 0 when the verdict is true, 1 when false, 2 on errors (bad
-JSON, schema mismatches, violated preconditions). Reports go to stdout
-and are byte-identical for fixed inputs and --seed; timing goes to
-stderr.
+Exit codes: 0 when the verdict is true, 1 when false, 2 on bad input
+(bad JSON, schema mismatches, inexact numbers in exact objects, violated
+preconditions), 3 on an internal error such as a failed self-check.
+Reports go to stdout and are byte-identical for fixed inputs and
+--seed; timing and errors go to stderr.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import json
 import math
 import sys
 import time
+import traceback
 
 from . import serialize as sz
 from .exact import is_rational, rat
@@ -165,7 +167,6 @@ def _cmd_id(args, load: Loader):
         q, W, _ = q_value(F, rep.s)
         result = {"id": sz.scalar_to_json(rep.value),
                   "at": sz._vec_to_json(rep.s),
-                  "upper_bound_only": rep.upper_bound_only,
                   "evaluations": rep.evaluations}
     else:
         s = _point_arg(args.at, F.shape)
@@ -242,7 +243,6 @@ def _cmd_steer(args, load: Loader):
         rep = steering_degree(beta)
         result = {"sd": sz.scalar_to_json(rep.value),
                   "at": sz._vec_to_json(rep.s),
-                  "upper_bound_only": rep.upper_bound_only,
                   "evaluations": rep.evaluations}
         sd = rep.value
     else:
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     ip.add_argument("--space")
     ip.add_argument("--at", help="'barycenter' or ambient coordinates")
     ip.add_argument("--search", action="store_true",
-                    help="minimize over interior base points")
+                    help="minimize over interior base points (exact LP)")
     ip.set_defaults(fn=_cmd_id)
 
     wp = sub.add_parser("witness", help="witness decisions")
@@ -454,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     stp.add_argument("--assemblage", required=True)
     stp.add_argument("--space")
     stp.add_argument("--at")
-    stp.add_argument("--search", action="store_true")
+    stp.add_argument("--search", action="store_true",
+                     help="minimize over interior base points (exact LP)")
     stp.set_defaults(fn=_cmd_steer)
 
     bp = sub.add_parser("bell", help="box locality, CHSH, and the witness bound")
@@ -502,12 +503,13 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         verdict, result, cert, mode = args.fn(args, load)
-    except CliError as e:
+    except (CliError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:  # a crash must not read as a "false" verdict
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     seconds = time.perf_counter() - start
     if result is not None or cert is not None:
         report = {"command": args.command + " " + getattr(args, "action", ""),

@@ -107,32 +107,6 @@ def independent_rows(rows):
     return picked
 
 
-def solve_columns(cols, target):
-    """Coefficients c with sum c_j cols[j] == target, or None.
-
-    cols must be linearly independent; the solution is then unique on
-    the span, and None means target is outside the span.
-    """
-    if not cols:
-        return () if is_zero(target) else None
-    aug = [list(col) + [t] for col, t in zip(zip(*cols), target)]
-    red, pivots = _rref(aug)
-    n = len(cols)
-    if n in pivots:
-        return None
-    sol = [R0] * n
-    for r, c in enumerate(pivots):
-        sol[c] = red[r][n]
-    # independence of cols makes every column a pivot; verify anyway
-    if len(pivots) != n:
-        acc = zeros(len(target))
-        for cf, col in zip(sol, cols):
-            acc = vec_add(acc, vec_scale(cf, col))
-        if acc != tuple(rat(t) for t in target):
-            return None
-    return tuple(sol)
-
-
 def invert(m):
     """Inverse of a square rational matrix; raises on singular input."""
     n = len(m)
@@ -142,20 +116,3 @@ def invert(m):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(red[i][n:]) for i in range(n))
-
-
-def nullspace(rows):
-    """Basis of {x : rows @ x = 0} as a tuple of vectors."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    red, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [R0] * ncols
-        v[f] = R1
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(tuple(v))
-    return tuple(basis)

@@ -7,9 +7,6 @@ the nonzero columns of the pivot row, in place. Every optimal solve
 asserts strong duality (primal optimum == dual value) in exact
 arithmetic; infeasible solves return a verified Farkas certificate and
 unbounded solves a verified improving ray.
-
-LpBuilder is the work-horse used by the other modules; lp_solve is a
-flat convenience wrapper over it.
 """
 from __future__ import annotations
 
@@ -324,35 +321,3 @@ class LpBuilder:
         for v, kind in enumerate(self._vars):
             if kind == "nonneg" and x[v] < 0:
                 raise AssertionError("simplex produced negative variable")
-
-
-def lp_solve(objective, constraints, nonneg=None, sense="min"):
-    """Flat interface: objective is a coefficient vector; constraints are
-    (coeffs, relation, rhs) triples with relation in {'==','<=','>='};
-    nonneg is a per-variable flag list (default: all nonneg)."""
-    n = len(objective)
-    if nonneg is None:
-        nonneg = [True] * n
-    if len(nonneg) != n:
-        raise ValueError("nonneg flag list does not match objective length")
-    b = LpBuilder()
-    for flag in nonneg:
-        b.var(nonneg=flag)
-    for coeffs, rel, rhs in constraints:
-        if len(coeffs) != n:
-            raise ValueError("constraint dimension mismatch")
-        row = {v: c for v, c in enumerate(coeffs) if rat(c) != 0}
-        if rel == "==":
-            b.add_eq(row, rhs)
-        elif rel == "<=":
-            b.add_le(row, rhs)
-        elif rel == ">=":
-            b.add_ge(row, rhs)
-        else:
-            raise ValueError(f"unknown relation {rel!r}")
-    obj = {v: c for v, c in enumerate(objective) if rat(c) != 0}
-    if sense == "min":
-        return b.minimize(obj)
-    if sense == "max":
-        return b.maximize(obj)
-    raise ValueError(f"unknown sense {sense!r}")

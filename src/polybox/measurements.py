@@ -8,7 +8,6 @@ linear extension.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import linalg as la
@@ -113,17 +112,8 @@ def identity_collection(shape: PolySimplex) -> MeasurementCollection:
 
 
 def coin_toss(shape: PolySimplex, s) -> MeasurementCollection:
-    """The constant collection F_s(x) ≡ s."""
-    space = shape.as_state_space()
-    if not space.is_state(s):
-        raise ValueError("coin_toss target is not a state of the polysimplex")
-    eff = {}
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            c = shape.coords(s, i, j)
-            eff[(i, j)] = (c,) * len(space.vertices)
-    # caller's space may be a different instance with identical data
-    return MeasurementCollection(space, shape, eff)
+    """The constant collection F_s(x) ≡ s on S itself."""
+    return coin_toss_on(shape.as_state_space(), shape, s)
 
 
 def coin_toss_on(space: StateSpace, shape: PolySimplex, s) -> MeasurementCollection:
@@ -167,51 +157,76 @@ class JointMeasurement:
         return True
 
 
-def is_compatible(F: MeasurementCollection, want_joint=True):
-    """Joint-measurement LP: F is compatible iff there are effects
-    g_{n_0,…,n_k} ≥ 0 on K with Σ_n g_n = 1_K whose marginals reproduce
-    every f^i_j. Returns (bool, JointMeasurement | None).
+def _joint_lp(F: MeasurementCollection, mixing=None):
+    """The joint-measurement LP of (1−λ)F + λF_s, without an objective.
 
-    Variables are the g values at the basis vertices of K, so linearity
-    is built in; positivity at the remaining vertices becomes inequality
-    rows through the basis expansion.
+    Variables are the joint effects g_n at the basis vertices of K, so
+    linearity is built in; positivity at every vertex becomes inequality
+    rows through the basis expansion. `mixing` is None for λ = 0, a state
+    s for λ ∈ [0, 1] at that fixed s, or "free" for t = λs variable too
+    (see `scaled_state_vars`): the mixture is linear in (λ, t), so the
+    least λ over all s is one LP. Returns (lp, g, lam, t): g is keyed by
+    (outcome, basis index); lam and t are None when not variables.
     """
     space = F.space
     shape = F.shape
     outcomes = shape.outcome_list()
     D = space.rank
-    exp_rows = [space.expand(v) for v in space.vertices]
+    free = mixing == "free"
 
     lp = LpBuilder()
-    var = {}
-    for n in outcomes:
-        for a in range(D):
-            var[(n, a)] = lp.var(nonneg=False)
+    lam = t = None
+    if mixing is not None:
+        lam = lp.var(nonneg=True)
+        lp.add_le({lam: R1}, R1)
+    g = {(n, a): lp.var(nonneg=False) for n in outcomes for a in range(D)}
+    if free:
+        t = scaled_state_vars(lp, lam, shape)
     # positivity of each g_n at each vertex
+    exp_rows = [space.expand(v) for v in space.vertices]
     for n in outcomes:
-        for t, row in enumerate(exp_rows):
-            lp.add_ge({var[(n, a)]: row[a] for a in range(D) if row[a] != 0}, R0)
+        for row in exp_rows:
+            lp.add_ge({g[(n, a)]: row[a] for a in range(D) if row[a] != 0}, R0)
     # marginals at basis vertices (hence everywhere): drop last outcome per input
     for i, l in enumerate(shape.shape):
         for j in range(l):
             vals = F.effects[(i, j)]
-            for a, t in enumerate(space.basis_idx):
-                lp.add_eq({var[(n, a)]: R1 for n in outcomes if n[i] == j}, vals[t])
+            c = R0 if mixing is None or free else shape.coords(mixing, i, j)
+            for a, x in enumerate(space.basis_idx):
+                # Σ_{n_i=j} g_n(x) + λ f^i_j(x) − t^i_j = f^i_j(x), with
+                # t^i_j = λ s^i_j at fixed s
+                row = {g[(n, a)]: R1 for n in outcomes if n[i] == j}
+                if lam is not None and vals[x] != c:
+                    row[lam] = vals[x] - c
+                if free:
+                    row[t[shape._offset[i] + j]] = -R1
+                lp.add_eq(row, vals[x])
     # total normalization at basis vertices
-    for a, t in enumerate(space.basis_idx):
-        lp.add_eq({var[(n, a)]: R1 for n in outcomes}, R1)
+    for a in range(D):
+        lp.add_eq({g[(n, a)]: R1 for n in outcomes}, R1)
+    return lp, g, lam, t
 
+
+def is_compatible(F: MeasurementCollection, want_joint=True):
+    """Joint-measurement LP: F is compatible iff there are effects
+    g_{n_0,…,n_k} ≥ 0 on K with Σ_n g_n = 1_K whose marginals reproduce
+    every f^i_j. Returns (bool, JointMeasurement | None).
+    """
+    lp, g, _lam, _t = _joint_lp(F)
     res = lp.minimize({})
     if res.status != OPTIMAL:
         return False, None
     if not want_joint:
         return True, None
+    space = F.space
+    D = space.rank
+    exp_rows = [space.expand(v) for v in space.vertices]
     table = {}
-    for n in outcomes:
-        basis_vals = [res[var[(n, a)]] for a in range(D)]
+    for n in F.shape.outcomes():
+        basis_vals = [res[g[(n, a)]] for a in range(D)]
         table[n] = tuple(sum(row[a] * basis_vals[a] for a in range(D))
                          for row in exp_rows)
-    joint = JointMeasurement(space, shape, table)
+    joint = JointMeasurement(space, F.shape, table)
     joint.check(F)
     return True, joint
 
@@ -230,101 +245,70 @@ def id_degree_at(F: MeasurementCollection, s, cross_check=False):
 
     q, _w, lam = q_value(F, s)
     if cross_check:
-        lam2 = _primal_id_lp(F, s)
-        if lam2 != lam:
-            raise AssertionError(f"primal {lam2} != dual {lam}")
+        lp, _g, lam_var, _t = _joint_lp(F, s)
+        res = lp.minimize({lam_var: R1})
+        if res.status != OPTIMAL:
+            raise AssertionError("mixing LP infeasible at λ=1; coin toss must be compatible")
+        if res.objective != lam:
+            raise AssertionError(f"primal {res.objective} != dual {lam}")
     return lam
 
 
-def _primal_id_lp(F: MeasurementCollection, s):
-    """min λ ∈ [0,1] s.t. (1−λ)F + λF_s admits a joint measurement;
-    the mixing is linear in λ so this is a single LP."""
-    space = F.space
-    shape = F.shape
-    outcomes = shape.outcome_list()
-    D = space.rank
-    exp_rows = [space.expand(v) for v in space.vertices]
-
-    lp = LpBuilder()
-    lam = lp.var(nonneg=True)
-    var = {}
-    for n in outcomes:
-        for a in range(D):
-            var[(n, a)] = lp.var(nonneg=False)
-    lp.add_le({lam: R1}, R1)
-    for n in outcomes:
-        for t, row in enumerate(exp_rows):
-            lp.add_ge({var[(n, a)]: row[a] for a in range(D) if row[a] != 0}, R0)
+def scaled_state_vars(lp: LpBuilder, lam, shape: PolySimplex):
+    """Variables t ≥ 0, one per ambient coordinate (block entry (i, j))
+    of S, with Σ_j t^i_j = λ for every input: t = λs for a state s."""
+    t = lp.vars(shape.ambient_dim, nonneg=True)
     for i, l in enumerate(shape.shape):
-        for j in range(l):
-            vals = F.effects[(i, j)]
-            c = shape.coords(s, i, j)
-            for a, t in enumerate(space.basis_idx):
-                # marginal row: Σ_{n_i=j} g_n(x_t) + λ(f^i_j(x_t) − c) = f^i_j(x_t)
-                row = {var[(n, a)]: R1 for n in outcomes if n[i] == j}
-                if vals[t] != c:
-                    row[lam] = vals[t] - c
-                lp.add_eq(row, vals[t])
-    for a, t in enumerate(space.basis_idx):
-        lp.add_eq({var[(n, a)]: R1 for n in outcomes}, R1)
-
-    res = lp.minimize({lam: R1})
-    if res.status != OPTIMAL:
-        raise AssertionError("mixing LP infeasible at λ=1; coin toss must be compatible")
-    return res.objective
+        off = shape._offset[i]
+        row = {t[off + j]: R1 for j in range(l + 1)}
+        row[lam] = -R1
+        lp.add_eq(row, R0)
+    return t
 
 
 @dataclass
-class IdSearchReport:
+class DegreeReport:
+    """A degree, an interior base point s attaining it, and the number
+    of LP solves spent."""
     value: object
     s: tuple
-    upper_bound_only: bool
     evaluations: int
 
 
-def id_degree(F: MeasurementCollection, tol=rat(1, 10**9), max_rounds=200):
-    """ID(F) = inf over interior s of ID_s(F), approached by coordinate
-    descent from the barycenter with shrinking steps. The result is an
-    upper bound on the infimum; the report says so explicitly.
-    """
-    shape = F.shape
-    if shape.k == 0:
-        return IdSearchReport(R0, shape.barycenter(), False, 0)
-    compat, _ = is_compatible(F, want_joint=False)
-    if compat:
-        return IdSearchReport(R0, shape.barycenter(), False, 0)
+def least_mixing(lp: LpBuilder, lam, t, shape: PolySimplex) -> DegreeReport:
+    """The least λ of a mixing LP whose variables t = λs come from
+    `scaled_state_vars`, and an interior s attaining it.
 
-    s = list(shape.barycenter())
-    best = id_degree_at(F, tuple(s))
-    evals = 1
-    step = rat(1, 4)
-    for _ in range(max_rounds):
-        improved = False
-        for i, l in enumerate(shape.shape):
-            off = shape._offset[i]
-            for j in range(l + 1):
-                for sign in (1, -1):
-                    t = step if sign > 0 else -step
-                    cand = list(s)
-                    # move block i towards (or away from) corner j, renormalized
-                    blk = [cand[off + jj] for jj in range(l + 1)]
-                    newblk = [(R1 - t) * b for b in blk]
-                    newblk[j] += t
-                    if any(b <= 0 for b in newblk):
-                        continue
-                    for jj in range(l + 1):
-                        cand[off + jj] = newblk[jj]
-                    val = id_degree_at(F, tuple(cand))
-                    evals += 1
-                    if val < best - tol:
-                        best = val
-                        s = cand
-                        improved = True
-        if not improved:
-            step = step / 2
-            if step < tol:
-                break
-    return IdSearchReport(best, tuple(s), True, evals)
+    The first LP may stop at a boundary s, so a second LP fixes λ = λ*
+    and maximizes μ ≤ every t^i_j; s = t/λ*. λ* = 0 returns the
+    barycenter. Raises AssertionError when no optimum is interior.
+    """
+    res = lp.minimize({lam: R1})
+    if res.status != OPTIMAL:
+        raise AssertionError("mixing LP infeasible at λ=1")
+    lam_star = res.objective
+    if lam_star == 0:
+        return DegreeReport(R0, shape.barycenter(), 1)
+    lp.add_eq({lam: R1}, lam_star)
+    mu = lp.var(nonneg=True)
+    for v in t:
+        lp.add_le({mu: R1, v: -R1}, R0)
+    res = lp.maximize({mu: R1})
+    if res.status != OPTIMAL or res.objective == 0:
+        raise AssertionError(f"no interior base point attains the least mixing {lam_star}")
+    return DegreeReport(lam_star, tuple(res[v] / lam_star for v in t), 2)
+
+
+def id_degree(F: MeasurementCollection) -> DegreeReport:
+    """ID(F) = inf over interior s of ID_s(F), exactly: the least λ of
+    `_joint_lp(F, "free")` with an interior s from `least_mixing`,
+    re-checked against the witness dual at that s."""
+    lp, _g, lam, t = _joint_lp(F, "free")
+    rep = least_mixing(lp, lam, t, F.shape)
+    at = id_degree_at(F, rep.s)
+    if at != rep.value:
+        raise AssertionError(f"least mixing {rep.value} != ID_s {at} at its s")
+    return rep
 
 
 def random_collection(space: StateSpace, shape, rng, bias=None):

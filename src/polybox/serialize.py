@@ -2,9 +2,11 @@
 
 Exact rationals render as "p" or "p/q" strings; floats render as JSON
 numbers (repr round-trips exactly). Loading accepts either form per
-entry, so exact files stay exact and float files stay float. Every
-loader runs through the same constructors as the in-memory API, so a
-malformed file fails with the usual validation errors.
+entry, so exact files stay exact and float files stay float; the exact
+objects (spaces, measurements, witnesses, assemblages) refuse a
+non-integral float with a ValueError. Every loader runs through the
+same constructors as the in-memory API, so a malformed file fails with
+the usual validation errors.
 """
 from __future__ import annotations
 
@@ -38,6 +40,16 @@ def scalar_from_json(v):
     raise ValueError(f"expected a number or 'p/q' string, got {v!r}")
 
 
+def _exact_from_json(v):
+    """An exact rational; a non-integral float is bad input."""
+    x = scalar_from_json(v)
+    if isinstance(x, float):
+        if not x.is_integer():
+            raise ValueError(f"exact value expected (a 'p/q' string), got {v!r}")
+        return rat(x)
+    return x
+
+
 def _vec_to_json(v):
     return [scalar_to_json(c) for c in v]
 
@@ -45,7 +57,7 @@ def _vec_to_json(v):
 def _vec_from_json(v):
     if not isinstance(v, list):
         raise ValueError(f"expected a list of numbers, got {v!r}")
-    return tuple(scalar_from_json(c) for c in v)
+    return tuple(_exact_from_json(c) for c in v)
 
 
 def _key_to_json(key):
@@ -212,7 +224,7 @@ def assemblage_from_json(obj, space: StateSpace | None = None) -> Assemblage:
         _require(obj, "space")
         space = resolve_space(obj["space"])
     shape = _shape_field(obj)
-    p = {_key_from_json(k, 2): scalar_from_json(v) for k, v in obj["p"].items()}
+    p = {_key_from_json(k, 2): _exact_from_json(v) for k, v in obj["p"].items()}
     subs = {_key_from_json(k, 2): _vec_from_json(v)
             for k, v in obj["sub_states"].items()}
     return Assemblage(shape, space, _vec_from_json(obj["x"]), p, subs)
@@ -298,9 +310,3 @@ def load_any(obj):
 def dumps(obj) -> str:
     """Deterministic rendering: sorted keys, two-space indent."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def load_path(path):
-    """Parse a JSON file; decode errors keep their line/column info."""
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

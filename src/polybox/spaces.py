@@ -98,12 +98,6 @@ class StateSpace:
             acc = la.vec_add(acc, v)
         return la.vec_scale(rat(1, len(self.vertices)), acc)
 
-    def functional_values(self, f):
-        return tuple(la.dot(la.vec(f), v) for v in self.vertices)
-
-    def is_effect(self, f) -> bool:
-        return all(R0 <= t <= R1 for t in self.functional_values(f))
-
     def canonical_functional(self, values):
         """Ambient representative in span V(K) of the functional taking
         the given values on the vertices; None if no functional does."""

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from . import linalg as la
 from .exact import R0, R1, rat
 from .lp import OPTIMAL, LpBuilder
-from .measurements import MeasurementCollection
+from .measurements import (DegreeReport, MeasurementCollection, least_mixing,
+                           scaled_state_vars)
 from .polysimplex import PolySimplex
 from .spaces import StateSpace, max_tensor_member
 
@@ -143,37 +144,71 @@ class LhsModel:
         return True
 
 
-def is_separable(beta: Assemblage):
-    """β separable ⟺ β = Σ_n s_n ⊗ α_n with α_n ∈ V(K)+ (LP).
-    Returns (bool, LhsModel | None)."""
+def _lhs_lp(beta: Assemblage, mixing=None):
+    """The hidden-state LP of (1−λ)β + λ s⊗x, without an objective:
+    the tensor equals Σ_n s_n ⊗ α_n with α_n ∈ V(K)+, each α_n a
+    nonnegative combination of K's vertices.
+
+    `mixing` is None for λ = 0, a state s for λ ∈ [0, 1] at that fixed
+    s, or "free" for t = λs variable too, as in `measurements._joint_lp`;
+    ambient coordinate r of S is block entry (i, j). Returns
+    (lp, avar, lam, t); lam and t are None when not variables.
+    """
     shape = beta.shape
     space = beta.space
     tensor = beta.to_tensor()
     outcomes = shape.outcome_list()
     nvert = len(space.vertices)
+    free = mixing == "free"
 
     lp = LpBuilder()
+    lam = t = None
+    if mixing is not None:
+        lam = lp.var(nonneg=True)
+        lp.add_le({lam: R1}, R1)
     avar = {n: lp.vars(nvert, nonneg=True) for n in outcomes}
+    if free:
+        t = scaled_state_vars(lp, lam, shape)
+    elif mixing is not None:
+        trivial = la.outer(mixing, beta.x)
     verts = [shape.vertex(n) for n in outcomes]
     for r in range(shape.ambient_dim):
         for c in range(space.dim):
             row = {}
             for n, sv in zip(outcomes, verts):
                 if sv[r]:
-                    for t, kv in enumerate(space.vertices):
+                    for v, kv in enumerate(space.vertices):
                         if kv[c]:
-                            col = avar[n][t]
+                            col = avar[n][v]
                             row[col] = row.get(col, R0) + sv[r] * kv[c]
+            # λ·tensor − t_r·x_c, with t_r = λ s_r at fixed s
+            if free:
+                if tensor[r][c]:
+                    row[lam] = tensor[r][c]
+                if beta.x[c]:
+                    row[t[r]] = -beta.x[c]
+            elif mixing is not None:
+                diff = tensor[r][c] - trivial[r][c]
+                if diff:
+                    row[lam] = diff
             lp.add_eq(row, tensor[r][c])
+    return lp, avar, lam, t
+
+
+def is_separable(beta: Assemblage):
+    """β separable ⟺ β = Σ_n s_n ⊗ α_n with α_n ∈ V(K)+ (LP).
+    Returns (bool, LhsModel | None)."""
+    space = beta.space
+    lp, avar, _lam, _t = _lhs_lp(beta)
     res = lp.minimize({})
     if res.status != OPTIMAL:
         return False, None
     weights = {}
     states = {}
-    for n in outcomes:
+    for n, cols in avar.items():
         vec = la.zeros(space.dim)
-        for t, kv in enumerate(space.vertices):
-            c = res[avar[n][t]]
+        for col, kv in zip(cols, space.vertices):
+            c = res[col]
             if c:
                 vec = la.vec_add(vec, la.vec_scale(c, kv))
         q = la.dot(space.unit, vec)
@@ -187,83 +222,25 @@ def is_separable(beta: Assemblage):
 def steering_degree_at(beta: Assemblage, s):
     """SD_s(β) = min λ with (1−λ)β + λ s⊗x separable; a single LP since
     the mixing is linear in λ."""
-    shape = beta.shape
-    space = beta.space
-    if not shape.as_state_space().is_state(s):
+    if not beta.shape.as_state_space().is_state(s):
         raise ValueError("mixing target must be a state of the polysimplex")
-    tensor = beta.to_tensor()
-    trivial = la.outer(s, beta.x)
-    outcomes = shape.outcome_list()
-    nvert = len(space.vertices)
-
-    lp = LpBuilder()
-    lam = lp.var(nonneg=True)
-    lp.add_le({lam: R1}, R1)
-    avar = {n: lp.vars(nvert, nonneg=True) for n in outcomes}
-    verts = [shape.vertex(n) for n in outcomes]
-    for r in range(shape.ambient_dim):
-        for c in range(space.dim):
-            row = {}
-            for n, sv in zip(outcomes, verts):
-                if sv[r]:
-                    for t, kv in enumerate(space.vertices):
-                        if kv[c]:
-                            col = avar[n][t]
-                            row[col] = row.get(col, R0) + sv[r] * kv[c]
-            diff = tensor[r][c] - trivial[r][c]
-            if diff:
-                row[lam] = diff
-            lp.add_eq(row, tensor[r][c])
+    lp, _avar, lam, _t = _lhs_lp(beta, s)
     res = lp.minimize({lam: R1})
     if res.status != OPTIMAL:
         raise AssertionError("steering LP infeasible at λ=1: s⊗x is separable")
     return res.objective
 
 
-@dataclass
-class SdSearchReport:
-    value: object
-    s: tuple
-    upper_bound_only: bool
-    evaluations: int
-
-
-def steering_degree(beta: Assemblage, tol=rat(1, 10**9), max_rounds=200):
-    """SD(β) approached by coordinate descent over s from the barycenter;
-    an upper bound on the infimum, like the ID search."""
-    shape = beta.shape
-    s = list(shape.barycenter())
-    best = steering_degree_at(beta, tuple(s))
-    evals = 1
-    if best == 0:
-        return SdSearchReport(R0, tuple(s), False, evals)
-    step = rat(1, 4)
-    for _ in range(max_rounds):
-        improved = False
-        for i, l in enumerate(shape.shape):
-            off = shape._offset[i]
-            for j in range(l + 1):
-                for sign in (1, -1):
-                    t = step if sign > 0 else -step
-                    cand = list(s)
-                    blk = [cand[off + jj] for jj in range(l + 1)]
-                    newblk = [(R1 - t) * b for b in blk]
-                    newblk[j] += t
-                    if any(b <= 0 for b in newblk):
-                        continue
-                    for jj in range(l + 1):
-                        cand[off + jj] = newblk[jj]
-                    val = steering_degree_at(beta, tuple(cand))
-                    evals += 1
-                    if val < best - tol:
-                        best = val
-                        s = cand
-                        improved = True
-        if not improved:
-            step = step / 2
-            if step < tol:
-                break
-    return SdSearchReport(best, tuple(s), True, evals)
+def steering_degree(beta: Assemblage) -> DegreeReport:
+    """SD(β) = inf over interior s of SD_s(β), exactly: the least λ of
+    `_lhs_lp(beta, "free")` with an interior s from `least_mixing`,
+    re-checked by `steering_degree_at` at that s."""
+    lp, _avar, lam, t = _lhs_lp(beta, "free")
+    rep = least_mixing(lp, lam, t, beta.shape)
+    at = steering_degree_at(beta, rep.s)
+    if at != rep.value:
+        raise AssertionError(f"least mixing {rep.value} != SD_s {at} at its s")
+    return rep
 
 
 def self_dual_state(space: StateSpace, iso):

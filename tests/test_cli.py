@@ -42,6 +42,9 @@ def files(tmp_path_factory):
     out["ybox"] = put("ybox.json", sz.box_to_json(Box.from_tensor(SQ, SQ, y)))
     phi = cc_channel(StochasticMatrix([(rat(1, 4), rat(3, 4)), (R1, rat(0))]))
     out["channel"] = put("channel.json", sz.channel_to_json(phi))
+    halves = sz.measurement_to_json(ident)
+    halves["effects"]["0,0"] = halves["effects"]["0,1"] = [0.5] * 4
+    out["float"] = put("float.json", halves)
     bad = d / "malformed.json"
     bad.write_text('{"shape": [1, 1], "effects": {\n  broken\n}')
     out["malformed"] = str(bad)
@@ -98,6 +101,8 @@ class TestCompat:
                            "--search")
         assert code == 0
         assert rep["result"]["id"] == "1/2"
+        assert set(rep["result"]) == {"id", "at", "evaluations"}
+        assert rep["result"]["evaluations"] == 2
 
 
 class TestWitness:
@@ -216,6 +221,19 @@ class TestErrors:
         code, _rep, err = run(capsys, "compat", "check", "--meas",
                               files["missing"])
         assert code == 2
+
+    def test_float_in_exact_input(self, capsys, files):
+        code, rep, err = run(capsys, "compat", "check", "--meas", files["float"])
+        assert code == 2 and rep is None
+        assert "error:" in err and "0.5" in err
+
+    def test_internal_error(self, capsys, files, monkeypatch):
+        def fail(*_args, **_kwargs):
+            raise AssertionError("simplex strong duality violated")
+        monkeypatch.setattr(cli, "is_compatible", fail)
+        code, rep, err = run(capsys, "compat", "check", "--meas", files["ident"])
+        assert code == 3 and rep is None
+        assert "internal error: AssertionError: simplex strong duality violated" in err
 
     def test_seeded_runs_identical(self, capsys, files):
         code1 = cli.main(["--seed", "7", "id", "compute", "--meas",

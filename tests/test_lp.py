@@ -5,7 +5,7 @@ import random
 import pytest
 
 from polybox.exact import R0, R1, approx_eq, format_rat, is_rational, parse_rat, rat
-from polybox.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBuilder, lp_solve
+from polybox.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBuilder
 
 
 class TestRationals:
@@ -175,7 +175,3 @@ class TestSimplex:
                     1 + abs(ref.fun))
             seen.add(res.status)
         assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-
-    def test_lp_solve_wrapper(self):
-        res = lp_solve([1], [([1], ">=", 2)], sense="min")
-        assert res.status == OPTIMAL and res.objective == 2

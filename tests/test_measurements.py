@@ -1,12 +1,13 @@
 """Measurement collections, the joint LP, and incompatibility degrees."""
 
+import itertools
 import random
 
 import pytest
 
 from polybox import linalg as la
 from polybox.exact import R0, R1, rat
-from polybox.measurements import (IdSearchReport, coin_toss, coin_toss_on,
+from polybox.measurements import (DegreeReport, coin_toss, coin_toss_on,
                                   from_functionals, id_degree, id_degree_at,
                                   identity_collection, is_compatible,
                                   make_collection, random_collection)
@@ -159,8 +160,8 @@ class TestDegrees:
         F = coin_toss(SQ, SQ.barycenter())
         assert id_degree_at(F, SQ.barycenter()) == R0
         rep = id_degree(F)
-        assert isinstance(rep, IdSearchReport)
-        assert rep.value == R0 and not rep.upper_bound_only
+        assert isinstance(rep, DegreeReport)
+        assert rep.value == R0 and rep.evaluations == 1
 
     def test_search_on_identity(self):
         rep = id_degree(identity_collection(SQ))
@@ -197,3 +198,41 @@ class TestDegrees:
         tgt = PolySimplex((1, 1, 1)).as_state_space()
         for v in sp.vertices:
             assert tgt.is_state(F.apply(v))
+
+
+def block_grid(shape):
+    """Interior states of S whose block entries all lie in {1/4, 1/2, 3/4}."""
+    vals = (rat(1, 4), rat(1, 2), rat(3, 4))
+    blocks = [[b for b in itertools.product(vals, repeat=l + 1) if sum(b) == 1]
+              for l in shape.shape]
+    return [tuple(itertools.chain(*bs)) for bs in itertools.product(*blocks)]
+
+
+class TestSingleLpDegree:
+    """id_degree is the least mixing weight over all interior s, found by
+    one LP (two when F is incompatible)."""
+
+    def check_report(self, F, rep):
+        assert F.shape.interior(rep.s)
+        assert id_degree_at(F, rep.s) == rep.value
+        for s in block_grid(F.shape):
+            assert rep.value <= id_degree_at(F, s)
+        ok, _ = is_compatible(F.mix(coin_toss_on(F.space, F.shape, rep.s), rep.value),
+                              want_joint=False)
+        assert ok
+        compatible, _ = is_compatible(F, want_joint=False)
+        assert rep.evaluations == (1 if compatible else 2)
+
+    @pytest.mark.parametrize("shape, value", [((1, 1), rat(1, 2)), ((1, 1, 1), rat(2, 3)),
+                                              ((2, 1), rat(1, 2)), ((2, 2), rat(1, 2))])
+    def test_identity(self, shape, value):
+        F = identity_collection(PolySimplex(shape))
+        rep = id_degree(F)
+        assert rep.value == value
+        self.check_report(F, rep)
+
+    @pytest.mark.parametrize("bias", [rat(1, 2), rat(3, 4), rat(15, 16)])
+    def test_random_square(self, bias):
+        # seed 20 gives a compatible draw at bias 1/2, incompatible ones above
+        F = random_collection(square_space(), SQ, random.Random(20), bias=bias)
+        self.check_report(F, id_degree(F))

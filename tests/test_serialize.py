@@ -113,6 +113,27 @@ class TestObjects:
         assert back.p == beta.p
         assert back.sub_states == beta.sub_states
 
+    def test_exact_objects_refuse_inexact_floats(self):
+        sp = square_space()
+        y = self_dual_state(sp, square_self_dual_iso())
+        F = identity_collection(SQ)
+        _q, W, _lam = q_value(F, SQ.barycenter())
+        beta = assemblage_from(F, y, sp)
+        cases = [(sz.measurement_from_json, sz.measurement_to_json(F), "effects", "0,0"),
+                 (sz.witness_from_json, sz.witness_to_json(W), "vertices", "0,0"),
+                 (sz.assemblage_from_json, sz.assemblage_to_json(beta), "sub_states", "0,0")]
+        for load, obj, field, key in cases:
+            whole = json.loads(json.dumps(obj))
+            whole[field][key] = [float(sz.scalar_from_json(c)) for c in obj[field][key]]
+            assert load(whole) is not None  # integral floats are exact
+            obj[field][key] = [0.1] + obj[field][key][1:]
+            with pytest.raises(ValueError, match="0.1"):
+                load(obj)
+        obj = sz.assemblage_to_json(beta)
+        obj["p"]["0,0"] = 0.5
+        with pytest.raises(ValueError, match="0.5"):
+            sz.assemblage_from_json(obj)
+
     def test_box_exact_and_float(self):
         rng = random.Random(9)
         box = random_ns_box(SQ, SQ, rng)

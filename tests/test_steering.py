@@ -6,7 +6,7 @@ import pytest
 
 from polybox import linalg as la
 from polybox.exact import R0, R1, rat
-from polybox.measurements import (id_degree_at, identity_collection,
+from polybox.measurements import (id_degree, id_degree_at, identity_collection,
                                   random_collection)
 from polybox.polysimplex import PolySimplex, square_space
 from polybox.spaces import max_tensor_member
@@ -120,8 +120,7 @@ class TestSeparability:
     def test_search_on_separable(self):
         rng = random.Random(11)
         rep = steering_degree(product_assemblage(rng))
-        assert rep.value == R0
-        assert not rep.upper_bound_only
+        assert rep.value == R0 and rep.evaluations == 1
 
 
 class TestSelfDual:
@@ -162,6 +161,24 @@ class TestSelfDual:
                         y[r][c] += wi / tot * a[r] * b[c]
             beta = assemblage_from(F, la.mat(y), sp)
             assert steering_degree_at(beta, s) <= id_degree_at(F, s)
+
+    @pytest.mark.parametrize("bias", [None, rat(1, 2), rat(3, 4), rat(15, 16)])
+    def test_search_degrees_agree_on_self_dual(self, bias):
+        # bias None is the identity pair; seed 20 is compatible at bias 1/2
+        sp = square_space()
+        if bias is None:
+            F = identity_collection(SQ)
+        else:
+            F = random_collection(sp, (1, 1), random.Random(20), bias=bias)
+        beta = assemblage_from(F, self_dual_square(), sp)
+        rep = steering_degree(beta)
+        assert rep.value == id_degree(F).value
+        assert SQ.interior(rep.s)
+        assert steering_degree_at(beta, rep.s) == rep.value
+        ok, _ = is_separable(beta.mix_with_trivial(rep.s, rep.value))
+        assert ok
+        separable, _ = is_separable(beta)
+        assert rep.evaluations == (1 if separable else 2)
 
     def test_iso_validation(self):
         sp = square_space()
