@@ -164,7 +164,7 @@ def _cmd_id(args, load: Loader):
     F = load.measurement(args.meas, space=load.space(args.space))
     if args.search:
         rep = id_degree(F)
-        q, W, _ = q_value(F, rep.s)
+        W = rep.witness
         result = {"id": sz.scalar_to_json(rep.value),
                   "at": sz._vec_to_json(rep.s),
                   "evaluations": rep.evaluations}

@@ -33,6 +33,15 @@ def vec_scale(c, a):
     return tuple(c * x for x in a)
 
 
+def combine(coeffs, vectors):
+    """Σ c·v over paired coefficients and vectors, zero terms skipped."""
+    out = zeros(len(vectors[0]))
+    for c, v in zip(coeffs, vectors, strict=True):
+        if c:
+            out = vec_add(out, vec_scale(c, v))
+    return out
+
+
 def dot(a, b):
     s = R0
     for x, y in zip(a, b, strict=True):

@@ -7,6 +7,15 @@ the nonzero columns of the pivot row, in place. Every optimal solve
 asserts strong duality (primal optimum == dual value) in exact
 arithmetic; infeasible solves return a verified Farkas certificate and
 unbounded solves a verified improving ray.
+
+Cone-valued unknowns are written with a small row vocabulary: a vector
+unknown is a list of variables, one per coordinate; `vec_expr` turns a
+linear combination of such vectors into one expression {var: coeff} per
+coordinate, and `LpBuilder.add_rows` adds one row per row m of a matrix,
+Σ_a m[a]·expr[a] (==, <= or >=) rhs. With the tables on `StateSpace`,
+`facet_rows` makes basis coordinates lie in V(K)+ and `vertex_rows`
+makes basis values of an effect positive on K; `linalg.combine` reads a
+vector back from a solution.
 """
 from __future__ import annotations
 
@@ -77,6 +86,18 @@ def _run_simplex(tab, basis, allowed):
         basis[leave] = enter
 
 
+def vec_expr(terms):
+    """Σ c·cols over terms (c, cols), where cols holds one variable per
+    coordinate: one linear expression {var: coeff} per coordinate."""
+    terms = list(terms)
+    expr = [{} for _ in terms[0][1]]
+    for c, cols in terms:
+        if c:
+            for e, v in zip(expr, cols, strict=True):
+                e[v] = e.get(v, R0) + c
+    return expr
+
+
 class LpBuilder:
     """Incremental LP: nonneg/free variables, ==, <=, >= rows."""
 
@@ -100,6 +121,21 @@ class LpBuilder:
     def add_ge(self, coeffs, rhs):
         self._rows.append(({v: -rat(c) for v, c in coeffs.items()},
                            -rat(rhs), "le"))
+
+    def add_rows(self, matrix, expr, kind, rhs):
+        """One row Σ_a m[a]·expr[a] (kind "eq", "le" or "ge") per matrix
+        row m, in order; rhs is a scalar or one value per row. Each row
+        goes through add_eq/add_le/add_ge like a hand-written one.
+        Vanishing coefficients are dropped, but an empty row is added."""
+        add = getattr(self, "add_" + kind)
+        per_row = isinstance(rhs, (list, tuple))
+        for r, m in enumerate(matrix):
+            row = {}
+            for ma, e in zip(m, expr, strict=True):
+                if ma:
+                    for v, c in e.items():
+                        row[v] = row.get(v, R0) + ma * c
+            add({v: c for v, c in row.items() if c}, rhs[r] if per_row else rhs)
 
     def minimize(self, coeffs):
         return self._solve({v: rat(c) for v, c in coeffs.items()}, R1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .exact import R0, R1, rat
-from .lp import OPTIMAL, LpBuilder
+from .lp import OPTIMAL, LpBuilder, vec_expr
 from .polysimplex import PolySimplex
 from .spaces import StateSpace
 
@@ -165,8 +165,8 @@ def _joint_lp(F: MeasurementCollection, mixing=None):
     rows through the basis expansion. `mixing` is None for λ = 0, a state
     s for λ ∈ [0, 1] at that fixed s, or "free" for t = λs variable too
     (see `scaled_state_vars`): the mixture is linear in (λ, t), so the
-    least λ over all s is one LP. Returns (lp, g, lam, t): g is keyed by
-    (outcome, basis index); lam and t are None when not variables.
+    least λ over all s is one LP. Returns (lp, g, lam, t): g[n] holds the
+    variables of g_n; lam and t are None when not variables.
     """
     space = F.space
     shape = F.shape
@@ -179,14 +179,11 @@ def _joint_lp(F: MeasurementCollection, mixing=None):
     if mixing is not None:
         lam = lp.var(nonneg=True)
         lp.add_le({lam: R1}, R1)
-    g = {(n, a): lp.var(nonneg=False) for n in outcomes for a in range(D)}
+    g = {n: lp.vars(D, nonneg=False) for n in outcomes}
     if free:
         t = scaled_state_vars(lp, lam, shape)
-    # positivity of each g_n at each vertex
-    exp_rows = [space.expand(v) for v in space.vertices]
     for n in outcomes:
-        for row in exp_rows:
-            lp.add_ge({g[(n, a)]: row[a] for a in range(D) if row[a] != 0}, R0)
+        lp.add_rows(space.vertex_rows, vec_expr([(R1, g[n])]), "ge", R0)
     # marginals at basis vertices (hence everywhere): drop last outcome per input
     for i, l in enumerate(shape.shape):
         for j in range(l):
@@ -195,7 +192,7 @@ def _joint_lp(F: MeasurementCollection, mixing=None):
             for a, x in enumerate(space.basis_idx):
                 # Σ_{n_i=j} g_n(x) + λ f^i_j(x) − t^i_j = f^i_j(x), with
                 # t^i_j = λ s^i_j at fixed s
-                row = {g[(n, a)]: R1 for n in outcomes if n[i] == j}
+                row = {g[n][a]: R1 for n in outcomes if n[i] == j}
                 if lam is not None and vals[x] != c:
                     row[lam] = vals[x] - c
                 if free:
@@ -203,7 +200,7 @@ def _joint_lp(F: MeasurementCollection, mixing=None):
                 lp.add_eq(row, vals[x])
     # total normalization at basis vertices
     for a in range(D):
-        lp.add_eq({g[(n, a)]: R1 for n in outcomes}, R1)
+        lp.add_eq({g[n][a]: R1 for n in outcomes}, R1)
     return lp, g, lam, t
 
 
@@ -218,15 +215,9 @@ def is_compatible(F: MeasurementCollection, want_joint=True):
         return False, None
     if not want_joint:
         return True, None
-    space = F.space
-    D = space.rank
-    exp_rows = [space.expand(v) for v in space.vertices]
-    table = {}
-    for n in F.shape.outcomes():
-        basis_vals = [res[g[(n, a)]] for a in range(D)]
-        table[n] = tuple(sum(row[a] * basis_vals[a] for a in range(D))
-                         for row in exp_rows)
-    joint = JointMeasurement(space, F.shape, table)
+    table = {n: la.mat_vec(F.space.vertex_rows, [res[v] for v in g[n]])
+             for n in F.shape.outcomes()}
+    joint = JointMeasurement(F.space, F.shape, table)
     joint.check(F)
     return True, joint
 
@@ -268,11 +259,13 @@ def scaled_state_vars(lp: LpBuilder, lam, shape: PolySimplex):
 
 @dataclass
 class DegreeReport:
-    """A degree, an interior base point s attaining it, and the number
-    of LP solves spent."""
+    """A degree, an interior base point s attaining it, the number of LP
+    solves spent and, for ID(F), the q_s-minimizing witness at s that
+    certifies the value."""
     value: object
     s: tuple
     evaluations: int
+    witness: object = None
 
 
 def least_mixing(lp: LpBuilder, lam, t, shape: PolySimplex) -> DegreeReport:
@@ -302,10 +295,13 @@ def least_mixing(lp: LpBuilder, lam, t, shape: PolySimplex) -> DegreeReport:
 def id_degree(F: MeasurementCollection) -> DegreeReport:
     """ID(F) = inf over interior s of ID_s(F), exactly: the least λ of
     `_joint_lp(F, "free")` with an interior s from `least_mixing`,
-    re-checked against the witness dual at that s."""
+    re-checked against the witness dual q_s at that s, whose witness the
+    report keeps."""
+    from .witnesses import q_value
+
     lp, _g, lam, t = _joint_lp(F, "free")
     rep = least_mixing(lp, lam, t, F.shape)
-    at = id_degree_at(F, rep.s)
+    _q, rep.witness, at = q_value(F, rep.s)
     if at != rep.value:
         raise AssertionError(f"least mixing {rep.value} != ID_s {at} at its s")
     return rep

@@ -12,7 +12,7 @@ from functools import cached_property
 
 from . import linalg as la
 from .exact import R0, R1, rat
-from .lp import OPTIMAL, LpBuilder
+from .lp import OPTIMAL, LpBuilder, vec_expr
 
 
 class StateSpace:
@@ -75,10 +75,19 @@ class StateSpace:
         psi = la.vec(psi)
         sub = tuple(psi[r] for r in self._coord_idx)
         c = la.mat_vec(self._coord_inv, sub)
-        acc = la.zeros(self.dim)
-        for cf, b in zip(c, self.basis):
-            acc = la.vec_add(acc, la.vec_scale(cf, b))
-        return c if acc == psi else None
+        return c if la.combine(c, self.basis) == psi else None
+
+    @cached_property
+    def facet_rows(self):
+        """⟨g, b_a⟩ per facet g and basis vertex b_a: a vector with basis
+        coordinates c lies in V(K)+ iff facet_rows·c ≥ 0."""
+        return tuple(tuple(la.dot(g, b) for b in self.basis) for g in self.facets)
+
+    @cached_property
+    def vertex_rows(self):
+        """expand(v) per vertex v: an effect given by its values y at the
+        basis vertices is positive on K iff vertex_rows·y ≥ 0."""
+        return tuple(self.expand(v) for v in self.vertices)
 
     def in_span(self, psi) -> bool:
         return self.expand(psi) is not None
@@ -105,10 +114,7 @@ class StateSpace:
         if len(values) != len(self.vertices):
             raise ValueError("one value per vertex required")
         y = tuple(values[i] for i in self.basis_idx)
-        a = la.mat_vec(self._gram_inv, y)
-        r = la.zeros(self.dim)
-        for cf, b in zip(a, self.basis):
-            r = la.vec_add(r, la.vec_scale(cf, b))
+        r = la.combine(la.mat_vec(self._gram_inv, y), self.basis)
         for v, t in zip(self.vertices, values):
             if la.dot(r, v) != t:
                 return None
@@ -133,13 +139,7 @@ class StateSpace:
     def dual_basis(self):
         """Canonical representatives of the basis dual to the vertex
         basis (rows of gram_inv recombined)."""
-        out = []
-        for row in self._gram_inv:
-            r = la.zeros(self.dim)
-            for cf, b in zip(row, self.basis):
-                r = la.vec_add(r, la.vec_scale(cf, b))
-            out.append(r)
-        return tuple(out)
+        return tuple(la.combine(row, self.basis) for row in self._gram_inv)
 
 
 def linear_map_from_vertex_images(space, images, codomain_dim=None):
@@ -194,9 +194,7 @@ def membership(space, psi) -> bool:
         raise ValueError("dimension mismatch")
     b = LpBuilder()
     w = b.vars(len(space.vertices))
-    for p in range(space.dim):
-        b.add_eq({w[i]: v[p] for i, v in enumerate(space.vertices)
-                  if v[p] != 0}, psi[p])
+    b.add_rows(la.transpose(space.vertices), vec_expr([(R1, w)]), "eq", psi)
     b.add_eq({wi: R1 for wi in w}, R1)
     return b.minimize({}).status == OPTIMAL
 
@@ -216,24 +214,14 @@ def base_norm(space, psi, with_decomposition=False):
     n = len(space.vertices)
     c = b.vars(n)
     d = b.vars(n)
-    for p in range(space.dim):
-        coeffs = {}
-        for i, v in enumerate(space.vertices):
-            if v[p] != 0:
-                coeffs[c[i]] = v[p]
-                coeffs[d[i]] = -v[p]
-        b.add_eq(coeffs, psi[p])
+    b.add_rows(la.transpose(space.vertices), vec_expr([(R1, c), (-R1, d)]), "eq", psi)
     res = b.minimize({i: R1 for i in c + d})
     if res.status != OPTIMAL:
         raise ValueError("psi outside span V(K)")
     if not with_decomposition:
         return res.objective
-    pos = la.zeros(space.dim)
-    neg = la.zeros(space.dim)
-    for i, v in enumerate(space.vertices):
-        pos = la.vec_add(pos, la.vec_scale(res[c[i]], v))
-        neg = la.vec_add(neg, la.vec_scale(res[d[i]], v))
-    return res.objective, pos, neg
+    return (res.objective, la.combine([res[i] for i in c], space.vertices),
+            la.combine([res[i] for i in d], space.vertices))
 
 
 def max_effect_value(space, psi):
@@ -244,8 +232,7 @@ def max_effect_value(space, psi):
         raise ValueError("psi outside span V(K)")
     b = LpBuilder()
     t = b.vars(space.rank, nonneg=False)
-    for v in space.vertices:
-        expn = space.expand(v)
+    for expn in space.vertex_rows:
         row = {t[a]: cf for a, cf in enumerate(expn) if cf != 0}
         b.add_ge(row, R0)
         b.add_le(row, R1)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .exact import R0, R1, rat
-from .lp import OPTIMAL, LpBuilder
+from .lp import OPTIMAL, LpBuilder, vec_expr
 from .measurements import (DegreeReport, MeasurementCollection, least_mixing,
                            scaled_state_vars)
 from .polysimplex import PolySimplex
@@ -158,7 +158,6 @@ def _lhs_lp(beta: Assemblage, mixing=None):
     space = beta.space
     tensor = beta.to_tensor()
     outcomes = shape.outcome_list()
-    nvert = len(space.vertices)
     free = mixing == "free"
 
     lp = LpBuilder()
@@ -166,32 +165,22 @@ def _lhs_lp(beta: Assemblage, mixing=None):
     if mixing is not None:
         lam = lp.var(nonneg=True)
         lp.add_le({lam: R1}, R1)
-    avar = {n: lp.vars(nvert, nonneg=True) for n in outcomes}
+    avar = {n: lp.vars(len(space.vertices), nonneg=True) for n in outcomes}
     if free:
         t = scaled_state_vars(lp, lam, shape)
-    elif mixing is not None:
-        trivial = la.outer(mixing, beta.x)
     verts = [shape.vertex(n) for n in outcomes]
     for r in range(shape.ambient_dim):
-        for c in range(space.dim):
-            row = {}
-            for n, sv in zip(outcomes, verts):
-                if sv[r]:
-                    for v, kv in enumerate(space.vertices):
-                        if kv[c]:
-                            col = avar[n][v]
-                            row[col] = row.get(col, R0) + sv[r] * kv[c]
-            # λ·tensor − t_r·x_c, with t_r = λ s_r at fixed s
-            if free:
-                if tensor[r][c]:
-                    row[lam] = tensor[r][c]
-                if beta.x[c]:
-                    row[t[r]] = -beta.x[c]
-            elif mixing is not None:
-                diff = tensor[r][c] - trivial[r][c]
-                if diff:
-                    row[lam] = diff
-            lp.add_eq(row, tensor[r][c])
+        # row r of Σ_n s_n ⊗ α_n over K's vertices, then the columns of
+        # λ·tensor and −t_r·x, with t_r = λ s_r at fixed s
+        expr = vec_expr([(sv[r], avar[n]) for n, sv in zip(outcomes, verts)])
+        cols = list(space.vertices)
+        if free:
+            cols += [tensor[r], la.vec_scale(-R1, beta.x)]
+            expr += [{lam: R1}, {t[r]: R1}]
+        elif mixing is not None:
+            cols.append(la.vec_sub(tensor[r], la.vec_scale(mixing[r], beta.x)))
+            expr.append({lam: R1})
+        lp.add_rows(la.transpose(cols), expr, "eq", tensor[r])
     return lp, avar, lam, t
 
 
@@ -206,11 +195,7 @@ def is_separable(beta: Assemblage):
     weights = {}
     states = {}
     for n, cols in avar.items():
-        vec = la.zeros(space.dim)
-        for col, kv in zip(cols, space.vertices):
-            c = res[col]
-            if c:
-                vec = la.vec_add(vec, la.vec_scale(c, kv))
+        vec = la.combine([res[c] for c in cols], space.vertices)
         q = la.dot(space.unit, vec)
         weights[n] = q
         states[n] = tuple(la.vec_scale(1 / q, vec)) if q else beta.x
@@ -302,9 +287,7 @@ def map_from_spanning_pairs(domain_vecs, images, codomain_dim):
     d = len(domain_vecs[0])
     q = [[R0] * d for _ in range(codomain_dim)]
     for a, ia in enumerate(idx):
-        dual = la.zeros(d)
-        for b in range(len(rows)):
-            dual = la.vec_add(dual, la.vec_scale(ginv[a][b], rows[b]))
+        dual = la.combine(ginv[a], rows)
         img = images[ia]
         for r in range(codomain_dim):
             if img[r]:

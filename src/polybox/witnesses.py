@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .exact import R0, R1, rat
-from .lp import OPTIMAL, LpBuilder
+from .lp import OPTIMAL, LpBuilder, vec_expr
 from .measurements import MeasurementCollection, make_collection
 from .polysimplex import PolySimplex, map_trace
 from .spaces import StateSpace, base_norm, linear_map_from_vertex_images
@@ -132,75 +132,60 @@ class EtbDecomposition:
         return True
 
 
+def _etb_lp(W: WitnessMap, translate):
+    """Solve w_n + v = Σ_i ψ^i_{n_i} with each ψ^i_j a nonnegative
+    combination of K's vertices; v = 0, or with `translate` a free vector
+    of span V(K) (basis coordinates) with ⟨1_K, v⟩ = 0. Returns ψ by
+    (i, j), or v when `translate`; None when infeasible."""
+    space = W.space
+    lp = LpBuilder()
+    cvar = lp.vars(space.rank, nonneg=False) if translate else []
+    beta = {(i, j): lp.vars(len(space.vertices), nonneg=True)
+            for i, l in enumerate(W.shape.shape) for j in range(l + 1)}
+    cols, shift = list(space.vertices), []
+    if translate:
+        lp.add_eq({c: R1 for c in cvar}, R0)  # ⟨1_K, v⟩ = Σ_a c_a
+        cols += [la.vec_scale(-R1, b) for b in space.basis]
+        shift = vec_expr([(R1, cvar)])
+    m = la.transpose(cols)
+    for n in W.shape.outcomes():
+        expr = vec_expr([(R1, beta[(i, ni)]) for i, ni in enumerate(n)])
+        lp.add_rows(m, expr + shift, "eq", W.vertex_images[n])
+    res = lp.minimize({})
+    if res.status != OPTIMAL:
+        return None
+    if translate:
+        return la.combine([res[c] for c in cvar], space.basis)
+    return {key: la.combine([res[c] for c in vs], space.vertices)
+            for key, vs in beta.items()}
+
+
 def is_etb(W: WitnessMap):
     """LP feasibility for the vertex-sum factorization; returns
     (bool, EtbDecomposition | None)."""
-    space = W.space
-    shape = W.shape
-    nvert = len(space.vertices)
-    lp = LpBuilder()
-    beta = {}
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            beta[(i, j)] = lp.vars(nvert, nonneg=True)
-    for n in shape.outcomes():
-        target = W.vertex_images[n]
-        for c in range(space.dim):
-            row = {}
-            for i, ni in enumerate(n):
-                for t, v in enumerate(space.vertices):
-                    if v[c]:
-                        key = beta[(i, ni)][t]
-                        row[key] = row.get(key, R0) + v[c]
-            lp.add_eq(row, target[c])
-    res = lp.minimize({})
-    if res.status != OPTIMAL:
+    psi = _etb_lp(W, translate=False)
+    if psi is None:
         return False, None
-    psi = {}
-    for (i, j), cols in beta.items():
-        coeffs = [res[c] for c in cols]
-        vec = la.zeros(space.dim)
-        for t, v in enumerate(space.vertices):
-            if coeffs[t]:
-                vec = la.vec_add(vec, la.vec_scale(coeffs[t], v))
-        psi[(i, j)] = tuple(vec)
     dec = EtbDecomposition(psi)
     dec.check(W)
     return True, dec
 
 
-def trace_pairing(F: MeasurementCollection, W: WitnessMap):
-    """Tr FW = Σ_i Σ_j ⟨f^i_j, w^i_j⟩ − k⟨1_K, w_top⟩ where w^i_j is the
-    image at the top index with entry i replaced by j."""
+def trace_pairing(F: MeasurementCollection, W: WitnessMap, base=None):
+    """Tr FW = Σ_i Σ_j ⟨f^i_j, w^i_j⟩ − k⟨1_K, w_base⟩ where w^i_j is the
+    image at `base` (default the top index) with entry i replaced by j;
+    the value is the same for every base (basis independence)."""
     shape = W.shape
     if F.shape != shape:
         raise ValueError("collection and witness have different shapes")
-    k = shape.k
-    total = R0
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            idx = list(shape.top)
-            idx[i] = j
-            w_ij = W.vertex_images[tuple(idx)]
-            total += F.effect_value(i, j, w_ij)
-    total -= k * la.dot(F.space.unit, W.top_image)
-    return total
-
-
-def trace_pairing_rebased(F: MeasurementCollection, W: WitnessMap, base):
-    """Same trace through the dual bases anchored at an arbitrary vertex;
-    equals trace_pairing for every base (basis independence)."""
-    shape = W.shape
-    base = tuple(base)
-    k = shape.k
+    base = shape.top if base is None else tuple(base)
     total = R0
     for i, l in enumerate(shape.shape):
         for j in range(l + 1):
             idx = list(base)
             idx[i] = j
             total += F.effect_value(i, j, W.vertex_images[tuple(idx)])
-    total -= k * la.dot(F.space.unit, W.vertex_images[base])
-    return total
+    return total - shape.k * la.dot(F.space.unit, W.vertex_images[base])
 
 
 def map_trace_pairing(F: MeasurementCollection, W: WitnessMap):
@@ -218,35 +203,6 @@ class WitnessDecision:
     translated_etb: EtbDecomposition | None
 
 
-def _collection_lp_vars(lp, space: StateSpace, shape: PolySimplex):
-    """Free variables f^i_j(b_a) at basis vertices with effect-validity
-    rows; returns the variable table."""
-    D = space.rank
-    exp_rows = [space.expand(v) for v in space.vertices]
-    phi = {}
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            phi[(i, j)] = lp.vars(D, nonneg=False)
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            for row in exp_rows:
-                lp.add_ge({phi[(i, j)][a]: row[a] for a in range(D) if row[a]}, R0)
-        for a in range(D):
-            lp.add_eq({phi[(i, j)][a]: R1 for j in range(l + 1)}, R1)
-    return phi
-
-
-def _collection_from_lp(space, shape, phi, res):
-    exp_rows = [space.expand(v) for v in space.vertices]
-    D = space.rank
-    eff = {}
-    for key, cols in phi.items():
-        basis_vals = [res[c] for c in cols]
-        eff[key] = tuple(sum(row[a] * basis_vals[a] for a in range(D))
-                         for row in exp_rows)
-    return make_collection(space, shape, eff)
-
-
 def is_witness(W: WitnessMap) -> WitnessDecision:
     """W detects incompatibility iff min over collections of Tr FW is
     negative. Both sides of the duality run: the minimizing-F LP and the
@@ -254,28 +210,36 @@ def is_witness(W: WitnessMap) -> WitnessDecision:
     """
     space = W.space
     shape = W.shape
-    D = space.rank
 
+    # f^i_j by its values at the basis vertices, positive on K, Σ_j f^i_j = 1_K
     lp = LpBuilder()
-    phi = _collection_lp_vars(lp, space, shape)
+    phi = {(i, j): lp.vars(space.rank, nonneg=False)
+           for i, l in enumerate(shape.shape) for j in range(l + 1)}
     objective = {}
     for i, l in enumerate(shape.shape):
         for j in range(l + 1):
+            lp.add_rows(space.vertex_rows, vec_expr([(R1, phi[(i, j)])]), "ge", R0)
             idx = list(shape.top)
             idx[i] = j
             coeffs = space.expand(W.vertex_images[tuple(idx)])
-            for a in range(D):
-                if coeffs[a]:
-                    key = phi[(i, j)][a]
-                    objective[key] = objective.get(key, R0) + coeffs[a]
+            objective.update((v, c) for v, c in zip(phi[(i, j)], coeffs) if c)
+        for row in vec_expr([(R1, phi[(i, j)]) for j in range(l + 1)]):
+            lp.add_eq(row, R1)
     res = lp.minimize(objective)
     if res.status != OPTIMAL:
         raise AssertionError("minimizing-F LP must be bounded and feasible")
-    k = shape.k
-    min_value = res.objective - k * la.dot(space.unit, W.top_image)
-    minimizer = _collection_from_lp(space, shape, phi, res)
+    min_value = res.objective - shape.k * la.dot(space.unit, W.top_image)
+    minimizer = make_collection(space, shape, {
+        key: la.mat_vec(space.vertex_rows, [res[c] for c in cols])
+        for key, cols in phi.items()})
 
-    translation, etb = _etb_translation(W)
+    # the dual side: v with ⟨1_K, v⟩ = 0 such that W + L_v is ETB
+    translation = _etb_lp(W, translate=True)
+    etb = None
+    if translation is not None:
+        ok, etb = is_etb(W.translate(translation))
+        if not ok:
+            raise AssertionError("translation LP produced a non-ETB shift")
 
     witness = min_value < 0
     if witness == (translation is not None):
@@ -284,45 +248,64 @@ def is_witness(W: WitnessMap) -> WitnessDecision:
     return WitnessDecision(witness, min_value, minimizer, translation, etb)
 
 
-def _etb_translation(W: WitnessMap):
-    """Find v with ⟨1_K, v⟩ = 0 such that W + L_v is ETB, or None."""
-    space = W.space
-    shape = W.shape
+def _witness_lp(F, states, image_rows=None):
+    """LP over witness maps in chart coordinates: basis coordinates of
+    w_top and of each edge image W(e^i_j), j < l_i. Every vertex image
+    w_n gets facet rows (w_n ∈ V(K)+), then when `states` a unit row
+    (w_n ∈ K), then whatever rows `image_rows(lp, n, w_n)` adds. Returns
+    (lp, top, edges)."""
+    shape = F.shape
+    space = F.space
     D = space.rank
-    nvert = len(space.vertices)
     lp = LpBuilder()
-    cvar = lp.vars(D, nonneg=False)
-    beta = {}
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            beta[(i, j)] = lp.vars(nvert, nonneg=True)
-    lp.add_eq({c: R1 for c in cvar}, R0)  # ⟨1_K, v⟩ = Σ_a c_a
-    basis = space.basis
+    top = lp.vars(D, nonneg=False)
+    edges = {(i, j): lp.vars(D, nonneg=False)
+             for i, l in enumerate(shape.shape) for j in range(l)}
+    for n in shape.outcome_list():
+        img = vec_expr([(R1, top)] + [(R1, edges[(i, ni)]) for i, ni in enumerate(n)
+                                      if ni < shape.shape[i]])
+        lp.add_rows(space.facet_rows, img, "ge", R0)
+        if states:
+            lp.add_rows([(R1,) * D], img, "eq", R1)
+        if image_rows:
+            image_rows(lp, n, img)
+    return lp, top, edges
+
+
+def _chart_images(shape: PolySimplex, top, edges):
+    """Vertex images w_n = w_top + Σ_{i: n_i < l_i} W(e^i_{n_i}) of the map
+    with top image `top` and edge images `edges[(i, j)]`."""
+    images = {}
     for n in shape.outcomes():
-        target = W.vertex_images[n]
-        for c in range(space.dim):
-            row = {}
-            for i, ni in enumerate(n):
-                for t, v in enumerate(space.vertices):
-                    if v[c]:
-                        key = beta[(i, ni)][t]
-                        row[key] = row.get(key, R0) + v[c]
-            for a in range(D):
-                if basis[a][c]:
-                    row[cvar[a]] = row.get(cvar[a], R0) - basis[a][c]
-            lp.add_eq(row, target[c])
-    res = lp.minimize({})
+        img = top
+        for i, ni in enumerate(n):
+            if ni < shape.shape[i]:
+                img = la.vec_add(img, edges[(i, ni)])
+        images[n] = tuple(img)
+    return images
+
+
+def _solved_chart(space, res, top, edges):
+    """The top and edge images whose basis coordinates an LP solved."""
+    def vec(cols):
+        return la.combine([res[c] for c in cols], space.basis)
+    return vec(top), {key: vec(cols) for key, cols in edges.items()}
+
+
+def _min_trace_witness(F, lp, top, edges):
+    """Minimize Tr FW = ⟨1_K, w_top⟩ + Σ_{i,j<l_i} ⟨f^i_j, W(e^i_j)⟩
+    (using Σ_j f^i_j = 1_K) over an LP from `_witness_lp`; returns the
+    minimum and a minimizing WitnessMap."""
+    space = F.space
+    objective = dict.fromkeys(top, R1)
+    for key, cols in edges.items():
+        vals = F.effects[key]
+        objective.update((c, vals[x]) for c, x in zip(cols, space.basis_idx) if vals[x])
+    res = lp.minimize(objective)
     if res.status != OPTIMAL:
-        return None, None
-    v = la.zeros(space.dim)
-    for a in range(D):
-        if res[cvar[a]]:
-            v = la.vec_add(v, la.vec_scale(res[cvar[a]], basis[a]))
-    shifted = W.translate(v)
-    ok, dec = is_etb(shifted)
-    if not ok:
-        raise AssertionError("translation LP produced a non-ETB shift")
-    return tuple(v), dec
+        raise AssertionError("witness LP must be bounded for a polytopic space")
+    images = _chart_images(F.shape, *_solved_chart(space, res, top, edges))
+    return res.objective, make_witness_map(F.shape, space, images)
 
 
 def q_value(F: MeasurementCollection, s):
@@ -333,117 +316,15 @@ def q_value(F: MeasurementCollection, s):
     space = F.space
     if not shape.interior(s):
         raise ValueError("q_value needs a strictly interior s")
-    lp, ctop, evars = _witness_lp_core(F, constrain="cone")
-    # W(s) ∈ K: facet rows plus normalization
-    s_coeffs = {(i, j): shape.coords(s, i, j)
-                for i, l in enumerate(shape.shape) for j in range(l)}
-    _add_point_rows(lp, F, ctop, evars, s_coeffs, normalize=True)
-    objective = _trace_objective(F, ctop, evars)
-    res = lp.minimize(objective)
-    if res.status != OPTIMAL:
-        raise AssertionError("q LP must be bounded for a polytopic space")
-    q = res.objective
-    W = _witness_from_lp(F, ctop, evars, res)
+    lp, top, edges = _witness_lp(F, states=False)
+    # W(s) ∈ K, with W(s) = w_top + Σ_{i,j<l_i} s^i_j W(e^i_j)
+    point = vec_expr([(R1, top)] + [(shape.coords(s, i, j), cols)
+                                    for (i, j), cols in edges.items()])
+    lp.add_rows(space.facet_rows, point, "ge", R0)
+    lp.add_rows([(R1,) * space.rank], point, "eq", R1)
+    q, W = _min_trace_witness(F, lp, top, edges)
     lam = (-q) / (R1 - q) if q <= 0 else R0
     return q, W, lam
-
-
-def _witness_lp_core(F, constrain):
-    """Variables: basis coordinates of w_top and of each edge image;
-    rows: every vertex image in V(K)+ (facets), or in K when
-    constrain == 'state'."""
-    shape = F.shape
-    space = F.space
-    D = space.rank
-    lp = LpBuilder()
-    ctop = lp.vars(D, nonneg=False)
-    evars = {}
-    for i, l in enumerate(shape.shape):
-        for j in range(l):
-            evars[(i, j)] = lp.vars(D, nonneg=False)
-    fb = [[la.dot(f, b) for b in space.basis] for f in space.facets]
-    for n in shape.outcome_list():
-        terms = [evars[(i, ni)] for i, ni in enumerate(n)
-                 if ni < shape.shape[i]]
-        for frow in fb:
-            row = {}
-            for a in range(D):
-                if frow[a]:
-                    row[ctop[a]] = row.get(ctop[a], R0) + frow[a]
-                    for cols in terms:
-                        row[cols[a]] = row.get(cols[a], R0) + frow[a]
-            lp.add_ge(row, R0)
-        if constrain == "state":
-            row = {ctop[a]: R1 for a in range(D)}
-            for cols in terms:
-                for a in range(D):
-                    row[cols[a]] = row.get(cols[a], R0) + R1
-            lp.add_eq(row, R1)
-    return lp, ctop, evars
-
-
-def _add_point_rows(lp, F, ctop, evars, s_coeffs, normalize):
-    """Constrain W(s) ∈ K for s given by its dual-basis coefficients."""
-    space = F.space
-    D = space.rank
-    fb = [[la.dot(f, b) for b in space.basis] for f in space.facets]
-    for frow in fb:
-        row = {}
-        for a in range(D):
-            if frow[a]:
-                row[ctop[a]] = row.get(ctop[a], R0) + frow[a]
-                for key, c in s_coeffs.items():
-                    if c:
-                        col = evars[key][a]
-                        row[col] = row.get(col, R0) + c * frow[a]
-        lp.add_ge(row, R0)
-    if normalize:
-        row = {ctop[a]: R1 for a in range(D)}
-        for key, c in s_coeffs.items():
-            if c:
-                for a in range(D):
-                    col = evars[key][a]
-                    row[col] = row.get(col, R0) + c
-        lp.add_eq(row, R1)
-
-
-def _trace_objective(F, ctop, evars):
-    """Tr FW = ⟨1_K, w_top⟩ + Σ_{i,j<l_i} ⟨f^i_j, W(e^i_j)⟩ in the basis
-    coordinates (uses Σ_j f^i_j = 1_K)."""
-    space = F.space
-    D = space.rank
-    objective = {ctop[a]: R1 for a in range(D)}
-    for (i, j), cols in evars.items():
-        for a in range(D):
-            val = F.effects[(i, j)][space.basis_idx[a]]
-            if val:
-                objective[cols[a]] = objective.get(cols[a], R0) + val
-    return objective
-
-
-def _witness_from_lp(F, ctop, evars, res):
-    space = F.space
-    shape = F.shape
-    D = space.rank
-
-    def vec_of(cols):
-        v = la.zeros(space.dim)
-        for a in range(D):
-            c = res[cols[a]]
-            if c:
-                v = la.vec_add(v, la.vec_scale(c, space.basis[a]))
-        return tuple(v)
-
-    w_top = vec_of(ctop)
-    eimg = {key: vec_of(cols) for key, cols in evars.items()}
-    images = {}
-    for n in shape.outcomes():
-        img = w_top
-        for i, ni in enumerate(n):
-            if ni < shape.shape[i]:
-                img = la.vec_add(img, eimg[(i, ni)])
-        images[n] = tuple(img)
-    return make_witness_map(shape, space, images)
 
 
 def two_outcome_witness_criterion(W: WitnessMap) -> bool:
@@ -506,24 +387,12 @@ def maximal_incompatibility_certificate(F: MeasurementCollection) -> MaximalRepo
     F is maximally incompatible iff the optimum is −k. On success the
     orthogonality relations ⟨f^i_j, w_(n_i=j)⟩ = 0 are verified too."""
     shape = F.shape
-    lp, ctop, evars = _witness_lp_core(F, constrain="state")
-    objective = _trace_objective(F, ctop, evars)
-    res = lp.minimize(objective)
-    if res.status != OPTIMAL:
-        raise AssertionError("state-image LP must be bounded")
-    value = res.objective
-    k = shape.k
-    W = _witness_from_lp(F, ctop, evars, res)
-    if value != -k:
+    lp, top, edges = _witness_lp(F, states=True)
+    value, W = _min_trace_witness(F, lp, top, edges)
+    if value != -shape.k:
         return MaximalReport(False, value, None, None)
-    ortho = True
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            for n in shape.outcomes():
-                if n[i] != j:
-                    continue
-                if F.effect_value(i, j, W.vertex_images[n]) != 0:
-                    ortho = False
+    ortho = all(F.effect_value(i, n[i], W.vertex_images[n]) == 0
+                for i in range(shape.k + 1) for n in shape.outcomes())
     return MaximalReport(True, value, W, ortho)
 
 
@@ -543,65 +412,20 @@ def retraction_check(F: MeasurementCollection) -> RetractionReport:
     space = F.space
     if any(l != 1 for l in shape.shape):
         raise ValueError("retraction test applies to hypercube shapes only")
-    D = space.rank
-    lp = LpBuilder()
-    ctop = lp.vars(D, nonneg=False)
-    evars = {i: lp.vars(D, nonneg=False) for i in range(shape.k + 1)}
-    fb = [[la.dot(f, b) for b in space.basis] for f in space.facets]
+    effects = [[F.effects[(i, 0)][x] for x in space.basis_idx]
+               for i in range(shape.k + 1)]
 
-    def image_cols(n):
-        return [evars[i] for i, ni in enumerate(n) if ni == 0]
-
-    for n in shape.outcome_list():
-        terms = image_cols(n)
-        for frow in fb:
-            row = {}
-            for a in range(D):
-                if frow[a]:
-                    row[ctop[a]] = row.get(ctop[a], R0) + frow[a]
-                    for cols in terms:
-                        row[cols[a]] = row.get(cols[a], R0) + frow[a]
-            lp.add_ge(row, R0)
-        row = {ctop[a]: R1 for a in range(D)}
-        for cols in terms:
-            for a in range(D):
-                row[cols[a]] = row.get(cols[a], R0) + R1
-        lp.add_eq(row, R1)
+    def section_rows(lp, n, img):
         # F(σ_n) = s_n: effect i hits outcome n_i with certainty
-        for i in range(shape.k + 1):
-            vals = F.effects[(i, 0)]
-            brow = {}
-            for a in range(D):
-                v = vals[space.basis_idx[a]]
-                if v:
-                    brow[ctop[a]] = brow.get(ctop[a], R0) + v
-                    for cols in terms:
-                        brow[cols[a]] = brow.get(cols[a], R0) + v
-            lp.add_eq(brow, R1 if n[i] == 0 else R0)
+        lp.add_rows(effects, img, "eq", [R1 if ni == 0 else R0 for ni in n])
+
+    lp, top, edges = _witness_lp(F, states=True, image_rows=section_rows)
     res = lp.minimize({})
     if res.status != OPTIMAL:
         return RetractionReport(False, None, None, None)
-
-    def vec_of(cols):
-        v = la.zeros(space.dim)
-        for a in range(D):
-            c = res[cols[a]]
-            if c:
-                v = la.vec_add(v, la.vec_scale(c, space.basis[a]))
-        return tuple(v)
-
-    w_top = vec_of(ctop)
-    eimg = {i: vec_of(evars[i]) for i in evars}
-    images = {}
-    for n in shape.outcomes():
-        img = w_top
-        for i, ni in enumerate(n):
-            if ni == 0:
-                img = la.vec_add(img, eimg[i])
-        images[n] = tuple(img)
-    sspace = shape.as_state_space()
+    images = _chart_images(shape, *_solved_chart(space, res, top, edges))
     smat = linear_map_from_vertex_images(
-        sspace, [images[n] for n in shape.outcomes()], space.dim)
+        shape.as_state_space(), [images[n] for n in shape.outcomes()], space.dim)
     proj = la.mat_mul(smat, F.as_map_matrix())
     return RetractionReport(True, images, smat, proj)
 
@@ -611,27 +435,15 @@ def random_witness_map(shape: PolySimplex, space: StateSpace, rng,
     """Random valid witness map: random chart images shifted into the
     cone along an interior direction. Small slack tends to produce
     witnesses, large slack ETB maps."""
-    D = space.rank
     xbar = space.interior_point()
 
     def rand_vec():
-        v = la.zeros(space.dim)
-        for b in space.basis:
-            c = rat(rng.randrange(-8, 9), 4)
-            if c:
-                v = la.vec_add(v, la.vec_scale(c, b))
-        return v
+        return la.combine([rat(rng.randrange(-8, 9), 4) for _ in space.basis], space.basis)
 
     w_top = rand_vec()
-    eimg = {(i, j): rand_vec()
-            for i, l in enumerate(shape.shape) for j in range(l)}
-    images = {}
-    for n in shape.outcomes():
-        img = w_top
-        for i, ni in enumerate(n):
-            if ni < shape.shape[i]:
-                img = la.vec_add(img, eimg[(i, ni)])
-        images[n] = tuple(img)
+    images = _chart_images(shape, w_top, {(i, j): rand_vec()
+                                          for i, l in enumerate(shape.shape)
+                                          for j in range(l)})
     need = R0
     for img in images.values():
         for f in space.facets:

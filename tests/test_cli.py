@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from polybox import cli
+from polybox import cli, witnesses
 from polybox import serialize as sz
 from polybox.bell import Box, deterministic_box, pr_box
 from polybox.channels import StochasticMatrix, cc_channel
@@ -103,6 +103,18 @@ class TestCompat:
         assert rep["result"]["id"] == "1/2"
         assert set(rep["result"]) == {"id", "at", "evaluations"}
         assert rep["result"]["evaluations"] == 2
+
+    def test_id_search_solves_the_certificate_lp_once(self, capsys, files, monkeypatch):
+        calls = []
+
+        def counted(F, s):
+            calls.append(s)
+            return q_value(F, s)
+        monkeypatch.setattr(witnesses, "q_value", counted)
+        monkeypatch.setattr(cli, "q_value", counted)
+        code, rep, _ = run(capsys, "id", "compute", "--meas", files["ident"], "--search")
+        assert code == 0 and rep["certificate"]["trace"] == "-1"
+        assert len(calls) == 1
 
 
 class TestWitness:

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from polybox.exact import R0, R1, approx_eq, format_rat, is_rational, parse_rat, rat
-from polybox.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBuilder
+from polybox.linalg import combine
+from polybox.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBuilder, vec_expr
 
 
 class TestRationals:
@@ -36,6 +37,55 @@ class TestRationals:
     def test_approx_eq(self):
         assert approx_eq(1.0, 1.0 + 1e-12)
         assert not approx_eq(1.0, 1.01)
+
+
+class TestRowVocabulary:
+    def test_vec_expr_sums_terms_per_coordinate(self):
+        # 2·(x0, x1) − (x2, x3) + 0·(x4, x5) + (x0, x3)
+        expr = vec_expr([(2, [0, 1]), (-1, [2, 3]), (0, [4, 5]), (1, [0, 3])])
+        assert expr == [{0: 3, 2: -1}, {1: 2, 3: 0}]
+
+    def test_vec_expr_needs_equal_lengths(self):
+        with pytest.raises(ValueError):
+            vec_expr([(1, [0, 1]), (1, [2])])
+
+    @pytest.mark.parametrize("kind", ["eq", "le", "ge"])
+    def test_add_rows_matches_hand_written_rows(self, kind):
+        # rows of [[1, 2], [0, -1], [3, 0]]·(x + 2y) with x = (v0, v1), y = (v2, v3)
+        expr = vec_expr([(1, [0, 1]), (2, [2, 3])])
+        matrix = [[1, 2], [0, -1], [3, 0]]
+        want = [{0: 1, 2: 2, 1: 2, 3: 4}, {1: -1, 3: -2}, {0: 3, 2: 6}]
+        for rhs, rhs_rows in ((rat(5), [rat(5)] * 3), ((1, 2, 3), [1, 2, 3])):
+            b, hand = LpBuilder(), LpBuilder()
+            b.vars(4)
+            hand.vars(4)
+            b.add_rows(matrix, expr, kind, rhs)
+            for row, r in zip(want, rhs_rows):
+                getattr(hand, "add_" + kind)(row, r)
+            assert b._rows == hand._rows
+
+    def test_add_rows_drops_zero_coefficients_keeps_empty_rows(self):
+        # (1, -1)·((x), (x + 2y)) = −2y; (0, 0)·… is an empty row
+        expr = [{0: R1}, {0: R1, 1: rat(2)}]
+        b = LpBuilder()
+        b.vars(2)
+        b.add_rows([[1, -1], [0, 0]], expr, "eq", [rat(-4), R0])
+        assert b._rows == [({1: rat(-2)}, rat(-4), "eq"), ({}, R0, "eq")]
+        res = b.minimize({0: R1})
+        assert res.status == OPTIMAL and (res[0], res[1]) == (0, 2)
+
+    def test_add_rows_rejects_a_short_matrix_row(self):
+        b = LpBuilder()
+        b.vars(2)
+        with pytest.raises(ValueError):
+            b.add_rows([[1]], vec_expr([(1, [0, 1])]), "ge", R0)
+
+    def test_combine(self):
+        vs = [(R1, R0, rat(2)), (R0, R1, R1)]
+        assert combine([rat(3), rat(-1, 2)], vs) == (rat(3), rat(-1, 2), rat(11, 2))
+        assert combine([R0, R0], vs) == (R0, R0, R0)
+        with pytest.raises(ValueError):
+            combine([R1], vs)
 
 
 class TestSimplex:

@@ -13,6 +13,7 @@ from polybox.measurements import (DegreeReport, coin_toss, coin_toss_on,
                                   make_collection, random_collection)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
 from polybox.spaces import simplex_space
+from polybox.witnesses import q_value, trace_pairing
 
 SQ = PolySimplex((1, 1))
 
@@ -236,3 +237,11 @@ class TestSingleLpDegree:
         # seed 20 gives a compatible draw at bias 1/2, incompatible ones above
         F = random_collection(square_space(), SQ, random.Random(20), bias=bias)
         self.check_report(F, id_degree(F))
+
+    @pytest.mark.parametrize("bias", [None, rat(15, 16)])
+    def test_report_keeps_the_certifying_witness(self, bias):
+        F = random_collection(square_space(), SQ, random.Random(20), bias=bias)
+        rep = id_degree(F)
+        q, W, lam = q_value(F, rep.s)
+        assert rep.witness.vertex_images == W.vertex_images
+        assert trace_pairing(F, rep.witness) == q and lam == rep.value

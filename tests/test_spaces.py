@@ -6,7 +6,8 @@ import pytest
 
 from polybox import linalg as la
 from polybox.exact import R0, R1, rat
-from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
+from polybox.polysimplex import (PolySimplex, hypercube_space, polysimplex_space,
+                                 square_space)
 from polybox.spaces import (StateSpace, base_norm, chi, dual_pairing_positivity,
                             linear_map_from_vertex_images, max_effect_value,
                             max_tensor_member, membership,
@@ -87,6 +88,33 @@ class TestRepresentations:
             g = space.canonical_functional(vals)
             assert g is not None
             assert [la.dot(g, v) for v in space.vertices] == vals
+
+
+class TestConeTables:
+    TABLE_SPACES = [square_space(), hypercube_space(3), polysimplex_space((2, 1)),
+                    simplex_space(2)]
+
+    def test_facet_rows_decide_the_cone(self):
+        rng = random.Random(5)
+        for space in self.TABLE_SPACES:
+            seen = set()
+            for _ in range(40):
+                c = [rat(rng.randrange(-1, 6), 2) for _ in space.basis]
+                psi = la.combine(c, space.basis)
+                inside = all(x >= 0 for x in la.mat_vec(space.facet_rows, c))
+                assert inside == space.in_cone(psi)
+                seen.add(inside)
+            assert seen == {True, False}
+
+    def test_vertex_rows_give_effect_values(self):
+        rng = random.Random(6)
+        for space in self.TABLE_SPACES:
+            for _ in range(10):
+                g = random_span_vector(space, rng)
+                vals = [la.dot(g, v) for v in space.vertices]
+                f = space.canonical_functional(vals)
+                y = [la.dot(f, b) for b in space.basis]
+                assert la.mat_vec(space.vertex_rows, y) == tuple(vals)
 
 
 class TestBaseNorm:

@@ -14,7 +14,6 @@ from polybox.witnesses import (WitnessValidationError, is_etb, is_witness,
                                maximal_incompatibility_certificate, q_value,
                                random_witness_map, retraction_check,
                                square_extremality, trace_pairing,
-                               trace_pairing_rebased,
                                two_outcome_witness_criterion)
 
 SQ = PolySimplex((1, 1))
@@ -81,6 +80,10 @@ class TestTracePairing:
         W = square_witness()
         with pytest.raises(ValueError):
             trace_pairing(F, W)
+        cube = identity_collection(PolySimplex((1, 1, 1)))
+        for base in SQ.outcomes():
+            with pytest.raises(ValueError):
+                trace_pairing(cube, W, base=base)
 
     def test_base_independence(self):
         rng = random.Random(9)
@@ -89,7 +92,7 @@ class TestTracePairing:
             W = random_witness_map(SQ, sp, rng)
             ref = trace_pairing(F, W)
             for base in SQ.outcomes():
-                assert trace_pairing_rebased(F, W, base) == ref
+                assert trace_pairing(F, W, base=base) == ref
             assert map_trace_pairing(F, W) == ref
 
     def test_linearity_in_the_witness(self):
