@@ -9,10 +9,8 @@ dense complex matrices are float-mode only.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from . import linalg as la
 from .exact import R0, R1, TOL, approx_eq, is_rational, rat
 from .measurements import MeasurementCollection, make_collection
 from .polysimplex import PolySimplex, polysimplex_space

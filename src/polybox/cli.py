@@ -372,7 +372,7 @@ def _cmd_qubit(args, load: Loader):
     if args.action == "feasible":
         feasible, g = joint_povm_feasible(A, B)
         cert = {}
-        if feasible and g is not None:
+        if feasible:
             cert["joint_effect"] = [[float(g[r, c].real), float(g[r, c].imag)]
                                     for r in range(2) for c in range(2)]
         else:

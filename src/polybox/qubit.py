@@ -1,12 +1,14 @@
 """Qubit backend: pairs of two-outcome measurements on the quantum
-state space of C², joint-POVM feasibility by cyclic projections, the
-incompatibility degree via bisection, and the extremal witness family
-whose optimum certifies the 1−1/√2 maximum.
+state space of C², joint measurability by the closed-form coexistence
+criterion of Yu, Liu, Li & Oh (Busch's in the unbiased case) with a
+verified joint effect, the incompatibility degree as the root of that
+criterion along the smearing, and the extremal witness family whose
+optimum certifies the 1−1/√2 maximum.
 
 Everything here is float mode. Two-outcome measurements are stored by
 their first effect; Hermitian 2×2 matrices are handled in the Pauli
-parametrization (t, x, y, z) ↦ t·I + x·σx + y·σy + z·σz, where the PSD
-projection is closed-form.
+parametrization (t, x, y, z) ↦ t·I + x·σx + y·σy + z·σz, whose
+eigenvalues t ± ‖(x,y,z)‖ are closed-form.
 """
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .exact import TOL
 
 SQRT2 = math.sqrt(2.0)
 QUBIT_MAX_ID = 1.0 - 1.0 / SQRT2
@@ -23,6 +27,17 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 _PAULI = (_SX, _SY, _SZ)
+
+#: rounding guard of the coexistence inequality: commuting pairs that
+#: include a sharp effect sit exactly on its boundary
+_COEXIST_GUARD = 1e-12
+#: bracket width of the golden-section joint-effect search and of the
+#: bisection in qubit_id
+_SEARCH_WIDTH = 1e-12
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: witness_q's coarse grid (≥ _WITNESS_GRID³ points) and refinement rounds
+_WITNESS_GRID = 16
+_WITNESS_ROUNDS = 40
 
 
 class QubitEffect:
@@ -81,23 +96,6 @@ def _pmat(p):
     return np.array([[t + z, x - 1j * y], [x + 1j * y, t - z]], dtype=complex)
 
 
-def _psd_clip(p):
-    """Projection onto the PSD cone in Frobenius metric: eigenvalues
-    t ± r clipped at 0, where r = ‖(x,y,z)‖."""
-    t = p[0]
-    r = math.sqrt(p[1] * p[1] + p[2] * p[2] + p[3] * p[3])
-    if t >= r:
-        return p
-    lam = t + r
-    if lam <= 0.0:
-        return np.zeros(4)
-    half = 0.5 * lam
-    if r == 0.0:
-        return np.array([half, 0.0, 0.0, 0.0])
-    scale = half / r
-    return np.array([half, p[1] * scale, p[2] * scale, p[3] * scale])
-
-
 def _psd_dist(p):
     """Frobenius distance to the PSD cone: ‖clipped negative part‖, via
     the eigenvalues t ± ‖(x,y,z)‖."""
@@ -111,69 +109,86 @@ def _psd_dist(p):
     return math.sqrt(d2)
 
 
-def joint_povm_feasible(A: QubitEffect, B: QubitEffect, tol=1e-10,
-                        plateau=1e-7, max_sweeps=100000):
-    """Feasibility of 0 ⪯ G, G ⪯ A, G ⪯ B, A+B−I ⪯ G by Dykstra's
-    cyclic projections in the Pauli parametrization. Returns
-    (bool, G matrix | None). Feasible when the worst constraint
-    violation drops below tol; infeasible when the residual plateaus
-    above the infeasibility threshold."""
-    a = _pvec(A.matrix())
-    b = _pvec(B.matrix())
-    iden = np.array([1.0, 0.0, 0.0, 0.0])
-    # G ⪰ lo_k and G ⪯ up_k, each projected by shifting into the cone
-    lows = (np.zeros(4), a + b - iden)
-    ups = (a, b)
+def _focal(x, m):
+    """F(x, m) = ½[√((1+x)²−|m|²) + √((1−x)²−|m|²)] of the effect
+    ½[(1+x)I + m·σ], and x²/F², taken as 0 for a sharp projector
+    (x = 0, F = 0). F ≥ |x| for every effect; the min keeps rounding
+    from pushing the ratio above 1."""
+    m2 = float(np.dot(m, m))
+    f = 0.5 * (math.sqrt(max((1.0 + x) ** 2 - m2, 0.0))
+               + math.sqrt(max((1.0 - x) ** 2 - m2, 0.0)))
+    return f, (min(x * x / (f * f), 1.0) if f > 0.0 else 0.0)
 
-    def residual(g):
-        worst = 0.0
-        for lo in lows:
-            worst = max(worst, _psd_dist(g - lo))
-        for up in ups:
-            worst = max(worst, _psd_dist(up - g))
-        return worst
 
-    g = _psd_clip(0.5 * (a + b - iden) + 0.25 * iden)
-    corr = [np.zeros(4) for _ in range(4)]
-    best = math.inf
-    best_sweep = 0
-    window = 250
-    for sweep in range(1, max_sweeps + 1):
-        for k in range(4):
-            y = g + corr[k]
-            if k < 2:
-                proj = lows[k] + _psd_clip(y - lows[k])
-            else:
-                up = ups[k - 2]
-                proj = up - _psd_clip(up - y)
-            corr[k] = y - proj
-            g = proj
-        res = residual(g)
-        if res < tol:
-            _witness_cross_check(A, B, expect_feasible=True)
-            return True, _pmat(g)
-        if res < best - 1e-15:
-            best = res
-            best_sweep = sweep
-        elif sweep - best_sweep > window:
-            break
-    if best > plateau:
+def _coexistent(A: QubitEffect, B: QubitEffect) -> bool:
+    """Joint measurability of (A, I−A) and (B, I−B) in closed form (Yu,
+    Liu, Li & Oh, PRA 81 062116 (2010); Busch, PRD 33 2253 (1986) in
+    the unbiased case). With A = ½[(1+x)I + m·σ], B = ½[(1+y)I + n·σ]:
+    coexistent iff (1 − F_x² − F_y²)(1 − x²/F_x² − y²/F_y²) ≤
+    (m·n − xy)²."""
+    x, m = 2.0 * A.alpha - 1.0, 2.0 * A.bloch
+    y, n = 2.0 * B.alpha - 1.0, 2.0 * B.bloch
+    fx, rx = _focal(x, m)
+    fy, ry = _focal(y, n)
+    lhs = (1.0 - fx * fx - fy * fy) * (1.0 - rx - ry)
+    return lhs <= (float(np.dot(m, n)) - x * y) ** 2 + _COEXIST_GUARD
+
+
+def _golden_max(f):
+    """(argmax, max) of a concave f on [−1, 1] by golden-section search
+    down to a bracket of _SEARCH_WIDTH."""
+    lo, hi = -1.0, 1.0
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > _SEARCH_WIDTH:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def joint_povm_feasible(A: QubitEffect, B: QubitEffect):
+    """Joint measurability of (A, I−A) and (B, I−B) by `_coexistent`.
+    Returns (bool, G matrix | None). G = g₀I + g·σ is a joint effect iff
+    g₀ lies in [max(|g|, α+β−1+|g−a−b|), min(α−|g−a|, β−|g−b|)]; the
+    width of that window is concave in g, and projecting g onto the
+    plane spanned by a and b shortens all four distances, so nested
+    golden-section searches maximize the width in that plane, and g₀ is
+    the window's midpoint there. G, A−G, B−G and I−A−B+G are re-verified
+    by their smallest eigenvalues; a failed check raises AssertionError."""
+    if not _coexistent(A, B):
         return False, None
-    # plateaued in the gray zone: a strictly positive floor after a long
-    # stall still certifies an empty intersection
-    if best > 10.0 * tol:
-        return False, None
-    _witness_cross_check(A, B, expect_feasible=True)
+    alpha, beta = A.alpha, B.alpha
+    basis = np.linalg.svd(np.column_stack([A.bloch, B.bloch]))[0][:, :2]
+    a1, a2 = basis.T @ A.bloch
+    b1, b2 = basis.T @ B.bloch
+    top = alpha + beta - 1.0
+
+    def window(u, v):
+        """Width and midpoint of the g₀ window at g = u·e₁ + v·e₂."""
+        hi = min(alpha - math.hypot(u - a1, v - a2),
+                 beta - math.hypot(u - b1, v - b2))
+        lo = max(math.hypot(u, v), top + math.hypot(u - a1 - b1, v - a2 - b2))
+        return hi - lo, 0.5 * (hi + lo)
+
+    def best_v(u):
+        return _golden_max(lambda v: window(u, v)[0])
+
+    u = _golden_max(lambda u: best_v(u)[1])[0]
+    v = best_v(u)[0]
+    g = np.concatenate(([window(u, v)[1]], basis @ (u, v)))
+    a, b = _pvec(A.matrix()), _pvec(B.matrix())
+    elements = (g, a - g, b - g, _pvec(_I2) - a - b + g)
+    # smallest eigenvalue t − ‖(x,y,z)‖ of each POVM element
+    if min(p[0] - np.linalg.norm(p[1:]) for p in elements) < -TOL:
+        raise AssertionError("joint effect search failed for a pair "
+                             "the coexistence criterion accepts")
     return True, _pmat(g)
-
-
-def _witness_cross_check(A, B, expect_feasible):
-    """A coarse scan of the witness family must not certify
-    incompatibility for a pair declared feasible."""
-    q = _witness_scan(A, B, n_r=5, n_dir=6)
-    if expect_feasible and q < -1e-6:
-        raise AssertionError("joint POVM found for a pair with a negative "
-                             "witness value")
 
 
 def _sqrt_rho(r, direction):
@@ -205,8 +220,6 @@ def _value_at_rho(a_mat, b_mat, r, direction):
     return 1.0 - n1 - n2, u, v
 
 
-_DIRS = None
-
 
 def _direction_grid(n_dir):
     dirs = []
@@ -220,19 +233,6 @@ def _direction_grid(n_dir):
     dirs.append(np.array([0.0, 0.0, 1.0]))
     dirs.append(np.array([0.0, 0.0, -1.0]))
     return dirs
-
-
-def _witness_scan(A, B, n_r, n_dir):
-    a_mat, b_mat = A.matrix(), B.matrix()
-    best = math.inf
-    r_max = 1.0 - 2e-8
-    for direction in _direction_grid(n_dir):
-        for ir in range(n_r):
-            r = r_max * ir / (n_r - 1) if n_r > 1 else 0.0
-            val, _, _ = _value_at_rho(a_mat, b_mat, r, direction)
-            if val < best:
-                best = val
-    return best
 
 
 @dataclass
@@ -291,10 +291,10 @@ class QubitWitnessReport:
     id_lower_bound: float
 
 
-def witness_q(A: QubitEffect, B: QubitEffect, s=(0.5, 0.5), n_grid=16,
-              refine_rounds=40) -> QubitWitnessReport:
+def witness_q(A: QubitEffect, B: QubitEffect,
+              s=(0.5, 0.5)) -> QubitWitnessReport:
     """Minimize Tr FW over the extremal family (ρ, basis axes) with
-    W(s) a state: coarse grid of ≥ n_grid³ parameter points, then local
+    W(s) a state: coarse grid of ≥ _WITNESS_GRID³ parameter points, then local
     refinement in ρ. Returns q̂ ≥ q_s(F), an upper bound on the true
     minimum, hence −q̂/(1−q̂) lower-bounds the incompatibility degree."""
     a_mat, b_mat = A.matrix(), B.matrix()
@@ -313,15 +313,15 @@ def witness_q(A: QubitEffect, B: QubitEffect, s=(0.5, 0.5), n_grid=16,
         return scaled, u, v
 
     best = (math.inf, None, None, None, None)
-    for direction in _direction_grid(n_grid):
-        for ir in range(n_grid):
-            r = r_max * ir / (n_grid - 1)
+    for direction in _direction_grid(_WITNESS_GRID):
+        for ir in range(_WITNESS_GRID):
+            r = r_max * ir / (_WITNESS_GRID - 1)
             val, u, v = evaluate(r, direction)
             if val < best[0]:
                 best = (val, r, direction, u, v)
     val, r, direction, u, v = best
-    step = r_max / n_grid
-    for _ in range(refine_rounds):
+    step = r_max / _WITNESS_GRID
+    for _ in range(_WITNESS_ROUNDS):
         improved = False
         for dr in (-step, step):
             rr = min(max(r + dr, 0.0), r_max)
@@ -396,27 +396,22 @@ class QubitIdReport:
     iterations: int
 
 
-def qubit_id(A: QubitEffect, B: QubitEffect, s=(0.5, 0.5), xtol=1e-8,
-             max_iter=60) -> QubitIdReport:
-    """ID_s by bisection over λ of joint feasibility for the smeared
-    pair ((1−λ)A + λ·s₀·I, (1−λ)B + λ·s₁·I), together with the witness
-    dual lower bound."""
+def qubit_id(A: QubitEffect, B: QubitEffect, s=(0.5, 0.5)) -> QubitIdReport:
+    """ID_s: the least λ at which the smeared pair ((1−λ)A + λ·s₀·I,
+    (1−λ)B + λ·s₁·I) is coexistent, bisected on `_coexistent` down to a
+    bracket of _SEARCH_WIDTH, together with the witness dual lower
+    bound."""
     p, q = float(s[0]), float(s[1])
     if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
         raise ValueError("s must be interior: coordinates in (0,1)")
-
-    def feasible(lam):
-        ok, _ = joint_povm_feasible(A.smear(lam, p), B.smear(lam, q))
-        return ok
-
     wit = witness_q(A, B, (p, q))
-    if feasible(0.0):
+    if _coexistent(A, B):
         return QubitIdReport(0.0, wit.q_hat, wit.id_lower_bound, wit.params, 0)
     lo, hi = 0.0, 1.0
     iters = 0
-    while hi - lo > xtol and iters < max_iter:
+    while hi - lo > _SEARCH_WIDTH:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        if _coexistent(A.smear(mid, p), B.smear(mid, q)):
             hi = mid
         else:
             lo = mid

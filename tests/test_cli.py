@@ -215,6 +215,17 @@ class TestChannelQubit:
         assert code == 0
         assert "joint_effect" in rep["certificate"]
 
+    def test_qubit_feasible_near_boundary(self, capsys):
+        # compatible with a margin of 8e-5; once reported incompatible
+        code, rep, _ = run(capsys, "qubit", "feasible",
+                           "--a", "0.4768245647467665,-0.14663048544088603,"
+                                  "0.3567951667291718,-0.004179718339504759",
+                           "--b", "0.2816009058355796,0.07114195206043553,"
+                                  "-0.17201185243931785,0.21108745148764524")
+        assert code == 0
+        assert rep["result"]["feasible"] is True
+        assert "joint_effect" in rep["certificate"]
+
     def test_qubit_id(self, capsys):
         code, rep, _ = run(capsys, "qubit", "id", "--mub")
         assert code == 0

@@ -1,0 +1,47 @@
+"""Every name a polybox module imports is read somewhere in that module.
+
+A small AST check in place of a linter: an import binds names, and each
+bound name must occur as a `Name` load or as the base of an attribute
+access. `__init__.py` only re-exports, so it is exempt.
+"""
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "polybox"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    """(bound name, line) for every import in the module, at any depth."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out.append((alias.asname or alias.name.split(".")[0], node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out.append((alias.asname or alias.name, node.lineno))
+    return out
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(name, line) for name, line in imported_names(tree) if name not in read]
+
+
+def test_scan_finds_modules():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detects_unused_import():
+    src = "import itertools\nfrom x import a as b, c\nimport os.path\nc(os.path.sep)\n"
+    assert unused_imports(src) == [("itertools", 1), ("b", 2)]

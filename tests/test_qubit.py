@@ -13,8 +13,39 @@ from polybox.qubit import (QUBIT_MAX_ID, QubitEffect, born_box, holder_check,
                            trace_pairing_qubit, tsirelson_box, witness_q)
 
 
+#: the 36th pair that demo row 3's loop draws from random.Random(0):
+#: compatible, with a joint effect whose POVM elements all have smallest
+#: eigenvalue ≥ 8e-5
+REGRESSION_PAIR = (
+    QubitEffect(0.4768245647467665, (-0.14663048544088603, 0.3567951667291718,
+                                     -0.004179718339504759)),
+    QubitEffect(0.2816009058355796, (0.07114195206043553, -0.17201185243931785,
+                                     0.21108745148764524)))
+
+
 def psd(m, tol=1e-8):
     return float(np.linalg.eigvalsh(m).min()) >= -tol
+
+
+def is_joint_effect(g, a, b, tol=1e-9):
+    am, bm = a.matrix(), b.matrix()
+    return all(psd(m, tol) for m in (g, am - g, bm - g, np.eye(2) - am - bm + g))
+
+
+def unbiased(rng, r_min=0.0):
+    """½(I + m·σ) with r_min ≤ |m| ≤ 1, and its m."""
+    z, ph = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)
+    r = rng.uniform(r_min, 1.0)
+    rho = math.sqrt(1.0 - z * z)
+    m = np.array([rho * math.cos(ph), rho * math.sin(ph), z]) * r
+    return QubitEffect(0.5, m / 2.0), m
+
+
+def biased(rng):
+    """αI + a·σ with α ≠ ½ in general and ‖a‖ near its bound min(α, 1−α)."""
+    alpha = rng.uniform(0.2, 0.8)
+    m = unbiased(rng, 0.85)[1]
+    return QubitEffect(alpha, m * min(alpha, 1.0 - alpha))
 
 
 class TestQubitEffect:
@@ -61,12 +92,85 @@ class TestFeasibility:
 
     def test_smearing_crosses_threshold(self):
         a, b = mub_pair()
-        lam_over = QUBIT_MAX_ID + 0.02
-        lam_under = QUBIT_MAX_ID - 0.02
-        ok, _ = joint_povm_feasible(a.smear(lam_over, 0.5), b.smear(lam_over, 0.5))
+        for margin in (0.02, 1e-6):
+            lam_over = QUBIT_MAX_ID + margin
+            lam_under = QUBIT_MAX_ID - margin
+            over = a.smear(lam_over, 0.5), b.smear(lam_over, 0.5)
+            ok, g = joint_povm_feasible(*over)
+            assert ok
+            assert is_joint_effect(g, *over)
+            ok, _ = joint_povm_feasible(a.smear(lam_under, 0.5), b.smear(lam_under, 0.5))
+            assert not ok
+
+    def test_regression_pair_compatible(self):
+        a, b = REGRESSION_PAIR
+        ok, g = joint_povm_feasible(a, b)
         assert ok
-        ok, _ = joint_povm_feasible(a.smear(lam_under, 0.5), b.smear(lam_under, 0.5))
-        assert not ok
+        assert is_joint_effect(g, a, b, tol=0.0)
+        assert qubit_id(a, b).value == 0.0
+
+
+class TestCoexistenceCriterion:
+    def test_unbiased_pairs_match_busch(self):
+        rng = random.Random(23)
+        verdicts = set()
+        for _ in range(200):
+            (a, m_a), (b, m_b) = unbiased(rng, 0.5), unbiased(rng, 0.5)
+            busch = np.linalg.norm(m_a + m_b) + np.linalg.norm(m_a - m_b)
+            if abs(busch - 2.0) < 1e-9:
+                continue
+            ok, g = joint_povm_feasible(a, b)
+            assert ok == (busch <= 2.0)
+            assert not ok or is_joint_effect(g, a, b)
+            verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("b, commutes", [
+        (QubitEffect.sharp((0, 0, 1)), True),
+        (QubitEffect.sharp((0, 0, -1)), True),
+        (QubitEffect.sharp((1, 0, 0)), False),
+        (QubitEffect.sharp((0, 1, 0)), False),
+        (QubitEffect.sharp((1e-3, 0, 1)), False),
+        (QubitEffect(0.7, (0.0, 0.0, -0.3)), True),
+        (QubitEffect(0.3, (0.0, 0.0, 0.1)), True),
+        (QubitEffect(0.6, (0.1, 0.0, 0.3)), False),
+        (QubitEffect(0.4, (0.0, 0.0, 0.0)), True),
+        (QubitEffect(1.0, (0.0, 0.0, 0.0)), True),
+    ], ids=["same", "opposite", "orthogonal-x", "orthogonal-y", "tilted",
+            "biased-commuting", "biased-commuting-2", "biased-tilted", "trivial",
+            "identity"])
+    def test_sharp_coexists_iff_commutes(self, b, commutes):
+        a = QubitEffect.sharp((0, 0, 1))
+        for first, second in ((a, b), (b, a)):
+            ok, g = joint_povm_feasible(first, second)
+            assert ok == commutes
+            assert not ok or is_joint_effect(g, first, second)
+
+    def test_biased_pairs_come_with_joint_effect(self):
+        rng = random.Random(29)
+        verdicts = set()
+        for _ in range(80):
+            a, b = biased(rng), biased(rng)
+            ok, g = joint_povm_feasible(a, b)
+            verdicts.add(ok)
+            if ok:
+                assert is_joint_effect(g, a, b)
+            else:
+                assert g is None
+        assert verdicts == {True, False}
+
+    def test_value_meets_dual_bound_at_barycenter(self):
+        rng = random.Random(31)
+        pairs = [(QubitEffect.sharp(unbiased(rng)[1]), QubitEffect.sharp(unbiased(rng)[1]))
+                 for _ in range(4)]
+        pairs += [(unbiased(rng, 0.9)[0], unbiased(rng, 0.9)[0]) for _ in range(4)]
+        incompatible = 0
+        for a, b in pairs:
+            rep = qubit_id(a, b)
+            assert abs(rep.value - rep.dual_bound) <= 1e-9
+            assert rep.value <= QUBIT_MAX_ID + 1e-9
+            incompatible += rep.value > 0.0
+        assert incompatible >= 5
 
 
 class TestWitness:

@@ -6,8 +6,7 @@ import pytest
 
 from polybox import linalg as la
 from polybox.exact import R0, R1, rat
-from polybox.polysimplex import (PolySimplex, hypercube_space, polysimplex_space,
-                                 square_space)
+from polybox.polysimplex import hypercube_space, polysimplex_space, square_space
 from polybox.spaces import (StateSpace, base_norm, chi, dual_pairing_positivity,
                             linear_map_from_vertex_images, max_effect_value,
                             max_tensor_member, membership,
