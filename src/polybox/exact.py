@@ -1,8 +1,10 @@
 """Exact rational scalars.
 
-gmpy2.mpq is used when available (roughly an order of magnitude faster
-than fractions.Fraction on the pivot-heavy LPs); plain Fraction is the
-fallback so the package still works without gmpy2.
+gmpy2.mpq is used when available; plain Fraction is the fallback so
+the package still works without gmpy2. The simplex in lp.py pivots on
+Python integers with one common denominator, so the scalar type
+matters only where its results are read back and everywhere outside the
+simplex (building LPs, exact linear algebra, certificate checks).
 """
 from __future__ import annotations
 
@@ -57,10 +59,6 @@ def format_rat(q) -> str:
     q = rat(q)
     f = Fraction(q.numerator, q.denominator)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def parse_rat(s: str):
-    return rat(s)
 
 
 def approx_eq(a, b, tol=TOL) -> bool:

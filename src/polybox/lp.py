@@ -1,12 +1,32 @@
 """Exact-rational linear programming.
 
-Dense two-phase simplex with Bland's anti-cycling rule. Phase 1 starts
-each `<=` row with a nonnegative rhs on its own slack, so only `==` rows
-and sign-flipped rows get an artificial variable; a pivot updates only
-the nonzero columns of the pivot row, in place. Every optimal solve
-asserts strong duality (primal optimum == dual value) in exact
-arithmetic; infeasible solves return a verified Farkas certificate and
-unbounded solves a verified improving ray.
+Two-phase simplex with Bland's anti-cycling rule on an integer tableau.
+Each row is scaled once by the LCM s_r of its denominators, and its
+slack or artificial is rescaled with it so that it keeps a unit
+coefficient; the start basis is then the identity. The tableau is a
+matrix T of integers, each row stored as a dict of its nonzero
+entries, with one common positive denominator d (true entries T/d;
+d = 1 at the start). A pivot on p = T[r][c] sets
+T_i <- (p*T_i - T_i[c]*T_r) / d for every row i != r, then d <- p
+(fraction-free pivoting: Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math.
+Comp. 22, 1968). The division is exact by Sylvester's identity: for the
+current basis B of the start tableau T0, T = ±det(B)·B⁻¹·T0 and
+d = ±det(B), so every entry is a minor of the integer matrix T0. When
+p = d a row changes only in the pivot row's nonzero columns. A pivot
+that drives an artificial out of the basis can have p < 0; T and d are
+then negated, so that the signs of T are the true signs. Bland's rule
+needs only signs and cross-multiplied ratio comparisons, and positive
+row and column scalings change neither, so it picks the same pivots as
+on the rational tableau. Rationals appear only when the result is read
+back: x = T/d, and duals and Farkas multipliers undo each row's scaling.
+
+Phase 1 starts each `<=` row with a nonnegative rhs on its own slack, so
+only `==` rows and sign-flipped rows get an artificial; the artificial
+of row r costs 1/s_r, which is 1 per unit of the caller's row. Every
+optimal solve asserts strong duality (primal optimum == dual value) in
+exact arithmetic; infeasible solves return a verified Farkas
+certificate and unbounded solves a verified improving ray. Each result
+carries an `LpStats` record of the solve's size and work.
 
 Cone-valued unknowns are written with a small row vocabulary: a vector
 unknown is a list of variables, one per coordinate; `vec_expr` turns a
@@ -19,6 +39,7 @@ vector back from a solution.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exact import R0, R1, rat
@@ -26,6 +47,17 @@ from .exact import R0, R1, rat
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
+
+
+@dataclass(frozen=True)
+class LpStats:
+    """Size of one solve and the work it took."""
+    rows: int           # constraint rows
+    columns: int        # tableau columns: variables, slacks, artificials
+    split_columns: int  # of those, the two columns of each free variable
+    phase1_pivots: int  # including pivots that drive artificials out
+    phase2_pivots: int
+    bits: int           # largest bit length of |T| or d in the final tableau
 
 
 @dataclass
@@ -36,54 +68,94 @@ class LpResult:
     duals: tuple | None = None   # one multiplier per constraint row
     farkas: tuple | None = None  # row multipliers certifying infeasibility
     ray: tuple | None = None     # improving ray certifying unboundedness
+    stats: LpStats | None = None
 
     def __getitem__(self, var):
         return self.x[var]
 
 
-def _pivot(tab, r, c):
-    row = tab[r]
-    inv = 1 / row[c]
-    if inv != 1:
-        row = [a * inv for a in row]
-        tab[r] = row
-    nonzero = [(j, b) for j, b in enumerate(row) if b]
-    for i, other in enumerate(tab):
-        if i != r:
-            f = other[c]
-            if f:
-                for j, b in nonzero:
-                    other[j] -= f * b
+class _Tableau:
+    """Integer simplex tableau with one common denominator d > 0. Row i is
+    a dict {column: integer} of its nonzero entries, whose true values are
+    integer / d; column `rhs` holds the right-hand side. The last row
+    holds the reduced costs (its rhs cell is −objective value), and
+    basis[i] is the column basic in row i."""
 
+    def __init__(self, rows, basis, rhs):
+        self.rows = rows
+        self.basis = basis
+        self.rhs = rhs
+        self.d = 1
+        self.pivots = 0
 
-def _run_simplex(tab, basis, allowed):
-    """Bland's rule over the columns in `allowed`. Objective is the last
-    row (reduced costs, rhs cell = -objective value). Returns 'optimal'
-    or ('unbounded', entering_column)."""
-    nrows = len(tab) - 1
-    while True:
-        obj = tab[-1]
-        enter = -1
-        for j in allowed:
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal", -1
-        leave = -1
-        best = None
-        for i in range(nrows):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded", enter
-        _pivot(tab, leave, enter)
-        basis[leave] = enter
+    def pivot(self, r, c):
+        """Fraction-free pivot on p = rows[r][c]: every other row becomes
+        (p·row − row[c]·rows[r]) // d, an exact division, and d becomes p.
+        The pivot row itself is unchanged."""
+        rows, d = self.rows, self.d
+        pr = rows[r]
+        p = pr[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row.get(c)
+            if p == d:
+                # (d·a − f·b)/d = a − f·b/d: only the pivot row's columns
+                # change, in place, and d divides f·b
+                if f:
+                    for j, b in pr.items():
+                        v = row.get(j, 0) - f * b // d
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
+            elif f:
+                # p·a is divisible by d wherever the pivot row is zero
+                new = {j: p * a // d for j, a in row.items() if j not in pr}
+                for j, b in pr.items():
+                    v = p * row.get(j, 0) - f * b
+                    if v:
+                        new[j] = v // d
+                rows[i] = new
+            else:
+                rows[i] = {j: p * a // d for j, a in row.items()}
+        if p < 0:
+            # only a drive-out pivot can be negative; negate T and d so
+            # that sign tests on T read the true signs
+            for i, row in enumerate(rows):
+                rows[i] = {j: -a for j, a in row.items()}
+            p = -p
+        self.d = p
+        self.basis[r] = c
+        self.pivots += 1
+
+    def run(self, limit):
+        """Bland's rule over the columns below `limit`. Returns -1 at an
+        optimum, or the entering column when no row limits it (unbounded)."""
+        rows, basis, rhs = self.rows, self.basis, self.rhs
+        while True:
+            enter = min((j for j, v in rows[-1].items() if v < 0 and j < limit),
+                        default=-1)
+            if enter < 0:
+                return -1
+            # least ratio rhs/a over a > 0 (d cancels), by cross-multiplying
+            leave, num, den = -1, 0, 1
+            for i in range(len(rows) - 1):
+                row = rows[i]
+                a = row.get(enter, 0)
+                if a > 0:
+                    b = row.get(rhs, 0)
+                    ratio, best = b * den, num * a
+                    if leave < 0 or ratio < best or (
+                            ratio == best and basis[i] < basis[leave]):
+                        leave, num, den = i, b, a
+            if leave < 0:
+                return enter
+            self.pivot(leave, enter)
+
+    def bits(self):
+        big = max((abs(a) for row in self.rows for a in row.values()), default=0)
+        return max(big, self.d).bit_length()
 
 
 def vec_expr(terms):
@@ -148,7 +220,8 @@ class LpBuilder:
 
     def _solve(self, cost, sense):
         # column layout: per-variable columns, then one slack per <= row,
-        # then one artificial per row that cannot start on its slack.
+        # then one artificial per row that cannot start on its slack (an
+        # == row, or a row negated for its negative rhs), then the rhs.
         col_of = []
         ncols = 0
         for kind in self._vars:
@@ -158,36 +231,14 @@ class LpBuilder:
             else:
                 col_of.append((ncols, ncols + 1))
                 ncols += 2
+        nsplit = ncols - self._vars.count("nonneg")
         slack_col = {}
         for r, (_, _, kind) in enumerate(self._rows):
             if kind == "le":
                 slack_col[r] = ncols
                 ncols += 1
-
-        rows = []
-        flipped = []
-        for r, (coeffs, rhs, kind) in enumerate(self._rows):
-            row = [R0] * ncols
-            for v, c in coeffs.items():
-                c = rat(c)
-                cols = col_of[v]
-                row[cols[0]] += c
-                if len(cols) == 2:
-                    row[cols[1]] -= c
-            if kind == "le":
-                row[slack_col[r]] = R1
-            if rhs < 0:
-                row = [-a for a in row]
-                rhs = -rhs
-                flipped.append(True)
-            else:
-                flipped.append(False)
-            row.append(rhs)
-            rows.append(row)
-
-        # phase 1: an unflipped <= row starts on its slack; every other
-        # row starts on an artificial, which alone carries phase-1 cost.
         art0 = ncols
+        flipped = [rhs < 0 for _, rhs, _ in self._rows]
         start = []
         for r, (_, _, kind) in enumerate(self._rows):
             if kind == "le" and not flipped[r]:
@@ -195,90 +246,123 @@ class LpBuilder:
             else:
                 start.append(ncols)
                 ncols += 1
-        tab = []
-        obj = [R0] * (ncols + 1)
-        for row, s in zip(rows, start):
-            full = row[:-1] + [R0] * (ncols - art0) + [row[-1]]
+        rhs_col = ncols
+
+        # row r times scale[r], the LCM of its denominators, and negated
+        # when flipped; its slack and artificial keep unit coefficients.
+        # Phase 1: an artificial costs 1/scale[r] (1 per unit of the
+        # caller's row), and the objective row is cleared to integers by
+        # the LCM of those scales, p1_scale.
+        rows = []
+        scale = []
+        for r, (coeffs, rhs, kind) in enumerate(self._rows):
+            coeffs = [(v, rat(c)) for v, c in coeffs.items()]
+            s = math.lcm(rhs.denominator, *(c.denominator for _, c in coeffs))
+            sign = -1 if flipped[r] else 1
+            row = {}
+            for v, c in coeffs:
+                if c:
+                    a = sign * c.numerator * (s // c.denominator)
+                    cols = col_of[v]
+                    row[cols[0]] = a
+                    if len(cols) == 2:
+                        row[cols[1]] = -a
+            if kind == "le":
+                row[slack_col[r]] = sign
+            row[start[r]] = 1
+            if rhs:
+                row[rhs_col] = sign * rhs.numerator * (s // rhs.denominator)
+            rows.append(row)
+            scale.append(s)
+        p1_scale = math.lcm(*(scale[r] for r, s in enumerate(start) if s >= art0))
+        obj = {}
+        for r, s in enumerate(start):
             if s >= art0:
-                full[s] = R1
-                for j, a in enumerate(full):
-                    if a and j != s:
-                        obj[j] -= a
-            tab.append(full)
-        tab.append(obj)
-        basis = list(start)
-        allowed = range(art0)
-        _run_simplex(tab, basis, allowed)
-        if -tab[-1][-1] != 0:
-            return self._extract_farkas(tab, flipped, start, art0)
+                w = p1_scale // scale[r]
+                for j, a in rows[r].items():
+                    if j != s:
+                        obj[j] = obj.get(j, 0) - w * a
+        rows.append({j: a for j, a in obj.items() if a})
+        T = _Tableau(rows, list(start), rhs_col)
+        T.run(art0)
+        if T.rows[-1].get(rhs_col):
+            return self._extract_farkas(T, flipped, start, art0, scale, p1_scale,
+                                        self._stats(T, ncols, nsplit, T.pivots, 0))
 
-        self._drive_out_artificials(tab, basis, art0)
-        dropped = set()
-        keep = []
-        for i in range(len(basis)):
-            if basis[i] >= art0:
-                dropped.add(i)
-            else:
-                keep.append(i)
+        self._drive_out_artificials(T, art0)
+        phase1 = T.pivots
+        dropped = {i for i, b in enumerate(T.basis) if b >= art0}
         if dropped:
-            newtab = [tab[i] for i in keep] + [tab[-1]]
-            basis = [basis[i] for i in keep]
-            tab = newtab
+            keep = [i for i in range(len(T.basis)) if i not in dropped]
+            T.rows = [T.rows[i] for i in keep] + [T.rows[-1]]
+            T.basis = [T.basis[i] for i in keep]
 
-        # phase 2
-        ncost = [R0] * (ncols + 1)
+        # phase 2: the cost row cleared to integers by the LCM of its
+        # denominators, cost_scale, and put on the tableau's denominator
+        cost_scale = math.lcm(*(c.denominator for c in cost.values()))
+        ncost = {}
         for v, c in cost.items():
-            cols = col_of[v]
-            ncost[cols[0]] += c
-            if len(cols) == 2:
-                ncost[cols[1]] -= c
-        obj = list(ncost)
-        for i, b in enumerate(basis):
-            cb = ncost[b]
+            if c:
+                a = c.numerator * (cost_scale // c.denominator)
+                cols = col_of[v]
+                ncost[cols[0]] = a
+                if len(cols) == 2:
+                    ncost[cols[1]] = -a
+        obj = {j: T.d * a for j, a in ncost.items()}
+        for row, b in zip(T.rows, T.basis):
+            cb = ncost.get(b)
             if cb:
-                obj = [a - cb * t for a, t in zip(obj, tab[i])]
-        tab[-1] = obj
-        status, enter = _run_simplex(tab, basis, allowed)
-        if status == "unbounded":
-            return self._extract_ray(tab, basis, enter, col_of, cost, sense)
-        return self._extract_optimal(
-            tab, basis, col_of, cost, sense, flipped, start, dropped)
+                for j, t in row.items():
+                    obj[j] = obj.get(j, 0) - cb * t
+        T.rows[-1] = {j: a for j, a in obj.items() if a}
+        enter = T.run(art0)
+        stats = self._stats(T, ncols, nsplit, phase1, T.pivots - phase1)
+        if enter >= 0:
+            # a slack column is scaled by its row's scale; others by 1
+            enter_scale = next((scale[r] for r, j in slack_col.items()
+                                if j == enter), 1)
+            return self._extract_ray(T, enter, enter_scale, col_of, cost, stats)
+        return self._extract_optimal(T, col_of, cost, sense, flipped, start,
+                                     dropped, scale, cost_scale, stats)
 
-    def _drive_out_artificials(self, tab, basis, art0):
-        for i in range(len(basis)):
-            if basis[i] >= art0:
-                enter = next((j for j in range(art0) if tab[i][j] != 0), None)
+    def _stats(self, T, ncols, nsplit, phase1, phase2):
+        return LpStats(rows=len(self._rows), columns=ncols, split_columns=nsplit,
+                       phase1_pivots=phase1, phase2_pivots=phase2, bits=T.bits())
+
+    @staticmethod
+    def _drive_out_artificials(T, art0):
+        for i in range(len(T.basis)):
+            if T.basis[i] >= art0:
+                enter = min((j for j in T.rows[i] if j < art0), default=None)
                 if enter is not None:
-                    _pivot(tab, i, enter)
-                    basis[i] = enter
+                    T.pivot(i, enter)
 
-    def _public_x(self, tab, basis, col_of):
-        colval = {}
-        for i, b in enumerate(basis):
-            colval[b] = tab[i][-1]
+    @staticmethod
+    def _public_x(T, col_of):
+        colval = {b: row.get(T.rhs, 0) for row, b in zip(T.rows, T.basis)}
         out = []
         for cols in col_of:
-            v = colval.get(cols[0], R0)
+            v = colval.get(cols[0], 0)
             if len(cols) == 2:
-                v = v - colval.get(cols[1], R0)
-            out.append(v)
+                v -= colval.get(cols[1], 0)
+            out.append(rat(v, T.d))
         return tuple(out)
 
-    def _extract_optimal(self, tab, basis, col_of, cost, sense,
-                         flipped, start, dropped):
-        x = self._public_x(tab, basis, col_of)
+    def _extract_optimal(self, T, col_of, cost, sense, flipped, start,
+                         dropped, scale, cost_scale, stats):
+        x = self._public_x(T, col_of)
         value = sum((c * x[v] for v, c in cost.items()), R0)
-        # duals from reduced costs under each row's starting unit column
-        obj = tab[-1]
+        # duals from reduced costs under each row's starting unit column,
+        # unscaled: y_r = −scale[r]·obj[s] / (d·cost_scale)
+        obj = T.rows[-1]
+        den = T.d * cost_scale
         duals = []
         for r, s in enumerate(start):
             if r in dropped:
                 duals.append(R0)
                 continue
-            y = -obj[s]
-            if flipped[r]:
-                y = -y
-            duals.append(y)
+            y = -scale[r] * obj.get(s, 0)
+            duals.append(rat(-y if flipped[r] else y, den))
         # exact self-checks: primal feasibility and strong duality
         self._check_primal(x)
         dualval = sum((y * rhs for y, (_, rhs, _) in zip(duals, self._rows)),
@@ -286,18 +370,17 @@ class LpBuilder:
         if dualval != value:
             raise AssertionError("simplex strong duality violated")
         return LpResult(OPTIMAL, objective=sense * value, x=x,
-                        duals=tuple(sense * y for y in duals))
+                        duals=tuple(sense * y for y in duals), stats=stats)
 
-    def _extract_farkas(self, tab, flipped, start, art0):
+    def _extract_farkas(self, T, flipped, start, art0, scale, p1_scale, stats):
         # phase-1 duals: the starting column's phase-1 cost (1 for an
-        # artificial, 0 for a slack) minus its reduced cost
-        obj = tab[-1]
+        # artificial, 0 for a slack) minus its reduced cost, unscaled
+        obj = T.rows[-1]
+        den = T.d * p1_scale
         y = []
         for r, s in enumerate(start):
-            yr = (R1 if s >= art0 else R0) - obj[s]
-            if flipped[r]:
-                yr = -yr
-            y.append(yr)
+            yr = (den if s >= art0 else 0) - scale[r] * obj.get(s, 0)
+            y.append(rat(-yr if flipped[r] else yr, den))
         # verify: y^T A <= 0 on nonneg columns, == 0 on free vars,
         # slack rows give y_r <= 0 on '<=' rows, and y^T b > 0.
         comb = {}
@@ -316,21 +399,21 @@ class LpBuilder:
                 raise AssertionError("Farkas certificate failed")
         if not total > 0:
             raise AssertionError("Farkas certificate not separating")
-        return LpResult(INFEASIBLE, farkas=tuple(y))
+        return LpResult(INFEASIBLE, farkas=tuple(y), stats=stats)
 
-    def _extract_ray(self, tab, basis, enter, col_of, cost, sense):
-        ncols = len(tab[0]) - 1
-        d = {enter: R1}
-        for i, b in enumerate(basis):
-            t = tab[i][enter]
-            if t:
-                d[b] = d.get(b, R0) - t
+    def _extract_ray(self, T, enter, enter_scale, col_of, cost, stats):
+        # direction: one unit of the entering column (in the caller's
+        # units), basic columns moving by −(true entry)·enter_scale
+        num = {enter: T.d}
+        for row, b in zip(T.rows, T.basis):
+            if enter in row:
+                num[b] = -row[enter] * enter_scale
         ray = []
         for cols in col_of:
-            v = d.get(cols[0], R0)
+            v = num.get(cols[0], 0)
             if len(cols) == 2:
-                v = v - d.get(cols[1], R0)
-            ray.append(v)
+                v -= num.get(cols[1], 0)
+            ray.append(rat(v, T.d))
         ray = tuple(ray)
         # verify the ray: homogeneous feasibility and strict improvement
         drop = sum((c * ray[v] for v, c in cost.items()), R0)
@@ -345,7 +428,7 @@ class LpBuilder:
         for v, kind in enumerate(self._vars):
             if kind == "nonneg" and ray[v] < 0:
                 raise AssertionError("unboundedness ray goes negative")
-        return LpResult(UNBOUNDED, ray=ray)
+        return LpResult(UNBOUNDED, ray=ray, stats=stats)
 
     def _check_primal(self, x):
         for coeffs, rhs, kind in self._rows:

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from polybox.exact import R0, R1, approx_eq, format_rat, is_rational, parse_rat, rat
+from polybox import lp
+from polybox.exact import R0, R1, approx_eq, format_rat, is_rational, rat
 from polybox.linalg import combine
-from polybox.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBuilder, vec_expr
+from polybox.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBuilder, LpStats, vec_expr
 
 
 class TestRationals:
@@ -25,7 +26,7 @@ class TestRationals:
         rng = random.Random(0)
         for _ in range(100):
             q = rat(rng.randrange(-50, 51), rng.randrange(1, 17))
-            assert parse_rat(format_rat(q)) == q
+            assert rat(format_rat(q)) == q
         assert format_rat(rat(4, 2)) == "2"
         assert format_rat(rat(-3, 6)) == "-1/2"
 
@@ -183,45 +184,180 @@ class TestSimplex:
         assert res.duals == (rat(-2), rat(-1))
 
     def test_random_lps_against_highs(self):
-        # independent solver on seeded random LPs mixing ==, <=, >= rows
-        # with rhs of both signs and nonneg/free variables
-        linprog = pytest.importorskip("scipy.optimize").linprog
-        highs_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
-        rng = random.Random(11)
+        # integer coefficients in -3..3
+        _cross_check_highs(random.Random(11), lambda rng: rng.randrange(-3, 4),
+                           lambda rng: rng.randrange(-4, 5))
+
+    def test_rational_lps_against_highs(self):
+        # rational coefficients with denominators up to 12, so that every
+        # row is scaled to integers by its own factor
+        _cross_check_highs(random.Random(12),
+                           lambda rng: rat(rng.randrange(-6, 7), rng.randrange(1, 13)),
+                           lambda rng: rat(rng.randrange(-8, 9), rng.randrange(1, 13)))
+
+    def test_row_scaling_invariance(self):
+        # c times a <= row with rhs >= 0 (a row that starts on its slack)
+        # changes no pivot: status, x and objective stay, that row's dual
+        # or Farkas multiplier is divided by c, the others stay, and a ray
+        # keeps its direction
+        rng = random.Random(5)
         seen = set()
-        for _ in range(150):
-            n = rng.randrange(2, 6)
+        for _ in range(80):
+            n = rng.randrange(2, 5)
             free = [rng.random() < 0.3 for _ in range(n)]
-            b = LpBuilder()
-            xs = [b.var(nonneg=not f) for f in free]
-            a_eq, b_eq, a_ub, b_ub = [], [], [], []
-            for _ in range(rng.randrange(1, 6)):
-                row = [rng.randrange(-3, 4) for _ in range(n)]
-                rhs = rng.randrange(-4, 5)
-                coeffs = {xs[i]: c for i, c in enumerate(row) if c}
-                kind = rng.choice(("==", "<=", ">="))
-                if kind == "==":
-                    b.add_eq(coeffs, rhs)
-                    a_eq.append(row)
-                    b_eq.append(rhs)
-                elif kind == "<=":
-                    b.add_le(coeffs, rhs)
-                    a_ub.append(row)
-                    b_ub.append(rhs)
-                else:
-                    b.add_ge(coeffs, rhs)
-                    a_ub.append([-c for c in row])
-                    b_ub.append(-rhs)
-            cost = [rng.randrange(-3, 4) for _ in range(n)]
-            res = b.minimize({xs[i]: c for i, c in enumerate(cost) if c})
-            ref = linprog(cost, A_ub=a_ub or None, b_ub=b_ub or None,
-                          A_eq=a_eq or None, b_eq=b_eq or None,
-                          bounds=[(None, None) if f else (0, None)
-                                  for f in free],
-                          method="highs")
-            assert res.status == highs_status.get(ref.status), ref.message
-            if res.status == OPTIMAL:
-                assert abs(float(res.objective) - ref.fun) <= 1e-7 * (
-                    1 + abs(ref.fun))
-            seen.add(res.status)
+            rows = []
+            for _ in range(rng.randrange(1, 5)):
+                coeffs = {i: rat(rng.randrange(-6, 7), rng.randrange(1, 13))
+                          for i in range(n)}
+                rows.append((rng.choice(("eq", "le", "ge")), coeffs,
+                             rat(rng.randrange(-8, 9), rng.randrange(1, 13))))
+            k = rng.randrange(len(rows) + 1)
+            rows.insert(k, ("le", {i: rat(rng.randrange(-6, 7), rng.randrange(1, 13))
+                                   for i in range(n)}, rat(rng.randrange(0, 9), 4)))
+            cost = {i: rat(rng.randrange(-3, 4), rng.randrange(1, 5)) for i in range(n)}
+            c = rat(rng.randrange(1, 13), rng.randrange(1, 13))
+            results = []
+            for factor in (R1, c):
+                b = LpBuilder()
+                for f in free:
+                    b.var(nonneg=not f)
+                for r, (kind, coeffs, rhs) in enumerate(rows):
+                    m = factor if r == k else R1
+                    getattr(b, "add_" + kind)({i: m * a for i, a in coeffs.items()}, m * rhs)
+                results.append(b.minimize(cost))
+            base, scaled = results
+            assert scaled.status == base.status
+            seen.add(base.status)
+            if base.status == OPTIMAL:
+                assert (scaled.x, scaled.objective) == (base.x, base.objective)
+                mult, mult_scaled = base.duals, scaled.duals
+            elif base.status == INFEASIBLE:
+                mult, mult_scaled = base.farkas, scaled.farkas
+            else:
+                # the same direction; the length changes when row k's slack
+                # enters, because that slack is measured in units of row k
+                t = next(b / a for a, b in zip(base.ray, scaled.ray) if a)
+                assert t > 0 and scaled.ray == tuple(t * a for a in base.ray)
+                continue
+            assert mult_scaled[k] == mult[k] / c
+            assert mult_scaled[:k] + mult_scaled[k + 1:] == mult[:k] + mult[k + 1:]
         assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+    def test_redundant_equality_negative_drive_out_pivot(self, monkeypatch):
+        # row 3 = −row 1. Phase 1 ends with row 2's artificial basic at
+        # zero, and the first nonzero entry of its row is negative, so
+        # driving it out pivots on p < 0; the tableau is then negated to
+        # keep its denominator positive.
+        pivots = []
+        pivot = lp._Tableau.pivot
+
+        def record(T, r, c):
+            pivots.append(T.rows[r][c])
+            pivot(T, r, c)
+            assert T.d > 0
+
+        monkeypatch.setattr(lp._Tableau, "pivot", record)
+        b = LpBuilder()
+        x, y = b.var(), b.var()
+        b.add_eq({x: -1, y: -2}, -2)
+        b.add_eq({x: 1, y: -1}, -1)
+        b.add_eq({x: 1, y: 2}, 2)
+        res = b.minimize({x: 1, y: 1})
+        assert pivots[-1] < 0
+        assert res.status == OPTIMAL and res.objective == 1
+        assert (res[x], res[y]) == (0, 1)
+        assert res.duals == (rat(-2, 3), rat(1, 3), R0)
+        assert (res.stats.phase1_pivots, res.stats.phase2_pivots) == (3, 0)
+
+    def test_unbounded_ray_through_a_scaled_slack(self):
+        # min −y st −3x/4 + 2y <= 1/2, −x/4 + y <= 2: after two pivots the
+        # slack of row 1 enters and no row limits it. The ray is one unit
+        # of that slack in the caller's units; row 1 is scaled by 4 in the
+        # tableau, so read in tableau units it would be (1, 1/4).
+        b = LpBuilder()
+        x, y = b.var(), b.var()
+        b.add_le({x: rat(-3, 4), y: 2}, rat(1, 2))
+        b.add_le({x: rat(-1, 4), y: 1}, 2)
+        res = b.minimize({y: -1})
+        assert res.status == UNBOUNDED and res.ray == (4, 1)
+        assert res.stats.phase2_pivots == 2
+
+    def test_stats_record_size_and_pivots(self):
+        # max x+y st x+2y<=4, 3x+y<=6: both rows start on their slacks, so
+        # no phase-1 pivot; x enters on row 2 (p = 3), then y on row 1
+        # (p = 5). The final tableau has d = 5 and largest entry 14, the
+        # objective row's rhs cell (14/5).
+        b = LpBuilder()
+        x, y = b.var(), b.var()
+        b.add_le({x: 1, y: 2}, 4)
+        b.add_le({x: 3, y: 1}, 6)
+        assert b.maximize({x: 1, y: 1}).stats == LpStats(
+            rows=2, columns=4, split_columns=0, phase1_pivots=0,
+            phase2_pivots=2, bits=4)
+        # a free variable takes two columns and the == row an artificial:
+        # two phase-1 pivots reach x = 4/9, then one phase-2 pivot x = 0
+        b = LpBuilder()
+        x, y = b.var(), b.var(nonneg=False)
+        b.add_eq({x: rat(1, 2), y: rat(2, 3)}, rat(5, 6))
+        b.add_le({x: rat(3, 4)}, rat(1, 3))
+        res = b.minimize({x: R1, y: rat(1, 5)})
+        assert (res[x], res[y], res.objective) == (0, rat(5, 4), rat(1, 4))
+        assert res.stats == LpStats(rows=2, columns=5, split_columns=2,
+                                    phase1_pivots=2, phase2_pivots=1, bits=6)
+        b.add_ge({x: 1}, 1)
+        res = b.minimize({})
+        assert res.status == INFEASIBLE
+        assert (res.stats.rows, res.stats.columns) == (3, 7)
+
+
+def _cross_check_highs(rng, coeff, rhs_draw):
+    """Status and objective against scipy's HiGHS on 150 seeded random LPs
+    mixing ==, <=, >= rows with rhs of both signs and nonneg/free
+    variables; every optimum's duals must also be dual feasible."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    highs_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    seen = set()
+    for _ in range(150):
+        n = rng.randrange(2, 6)
+        free = [rng.random() < 0.3 for _ in range(n)]
+        b = LpBuilder()
+        xs = [b.var(nonneg=not f) for f in free]
+        a_eq, b_eq, a_ub, b_ub = [], [], [], []
+        for _ in range(rng.randrange(1, 6)):
+            row = [coeff(rng) for _ in range(n)]
+            rhs = rhs_draw(rng)
+            coeffs = {xs[i]: c for i, c in enumerate(row) if c}
+            kind = rng.choice(("==", "<=", ">="))
+            if kind == "==":
+                b.add_eq(coeffs, rhs)
+                a_eq.append(row)
+                b_eq.append(rhs)
+            elif kind == "<=":
+                b.add_le(coeffs, rhs)
+                a_ub.append(row)
+                b_ub.append(rhs)
+            else:
+                b.add_ge(coeffs, rhs)
+                a_ub.append([-c for c in row])
+                b_ub.append(-rhs)
+        cost = [rng.randrange(-3, 4) for _ in range(n)]
+        res = b.minimize({xs[i]: c for i, c in enumerate(cost) if c})
+        ref = linprog(cost, A_ub=[[float(c) for c in row] for row in a_ub] or None,
+                      b_ub=[float(c) for c in b_ub] or None,
+                      A_eq=[[float(c) for c in row] for row in a_eq] or None,
+                      b_eq=[float(c) for c in b_eq] or None,
+                      bounds=[(None, None) if f else (0, None) for f in free],
+                      method="highs")
+        assert res.status == highs_status.get(ref.status), ref.message
+        if res.status == OPTIMAL:
+            assert abs(float(res.objective) - ref.fun) <= 1e-7 * (1 + abs(ref.fun))
+            # dual feasibility of the stored rows: y <= 0 on <= rows, and
+            # reduced costs c - yA >= 0 (== 0 on free variables)
+            for y, (coeffs, _, kind) in zip(res.duals, b._rows):
+                assert kind == "eq" or y <= 0
+            for i, f in enumerate(free):
+                red = cost[i] - sum(y * rat(coeffs.get(xs[i], 0))
+                                    for y, (coeffs, _, _) in zip(res.duals, b._rows))
+                assert red == 0 if f else red >= 0
+        seen.add(res.status)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
