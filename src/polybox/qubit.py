@@ -9,6 +9,13 @@ Everything here is float mode. Two-outcome measurements are stored by
 their first effect; Hermitian 2×2 matrices are handled in the Pauli
 parametrization (t, x, y, z) ↦ t·I + x·σx + y·σy + z·σz, whose
 eigenvalues t ± ‖(x,y,z)‖ are closed-form.
+
+The witness family is evaluated in the same closed form: with
+ρ^{1/2} = cI + d n̂·σ, the vector h(E)_a = Tr[E ρ^{1/2} σ_a ρ^{1/2}]
+is 2[(c²−d²)e + 2cd·e₀n̂ + 2d²(n̂·e)n̂] for E = e₀I + e·σ. witness_q
+evaluates its whole grid as one numpy batch, refines the best grid
+point by a local search on plain floats until the step falls below
+_WITNESS_STEP_STOP, and re-checks the result by 2×2 matrix products.
 """
 from __future__ import annotations
 
@@ -35,9 +42,23 @@ _COEXIST_GUARD = 1e-12
 #: bisection in qubit_id
 _SEARCH_WIDTH = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: witness_q's coarse grid (≥ _WITNESS_GRID³ points) and refinement rounds
+#: witness_q's grid: _WITNESS_GRID radii in [0, _R_MAX] times
+#: _WITNESS_GRID² + 2 directions
 _WITNESS_GRID = 16
-_WITNESS_ROUNDS = 40
+_R_MAX = 1.0 - 2e-8
+#: witness_q's local search stops when its step falls below this. The
+#: round count is only a termination guard: on seeded `random_effect`
+#: pairs the search took at most 1,150 rounds at the barycenter (2,000
+#: pairs) and 13,365 at four other s (4,000 pairs), where it can creep
+#: towards a point with h(A+B−I) = 0
+_WITNESS_STEP_STOP = 1e-12
+_WITNESS_ROUND_GUARD = 100_000
+#: agreement required of witness_q's closed form with the matrix route,
+#: and of qubit_id's primal value with its dual bound at the barycenter,
+#: where the witness family is tight
+_CROSS_CHECK_TOL = 1e-9
+#: slack of the incompatibility bound at the Tsirelson box
+_BOUND_TOL = 1e-6
 
 
 class QubitEffect:
@@ -94,19 +115,6 @@ def _pvec(m):
 def _pmat(p):
     t, x, y, z = p
     return np.array([[t + z, x - 1j * y], [x + 1j * y, t - z]], dtype=complex)
-
-
-def _psd_dist(p):
-    """Frobenius distance to the PSD cone: ‖clipped negative part‖, via
-    the eigenvalues t ± ‖(x,y,z)‖."""
-    t = p[0]
-    r = math.sqrt(p[1] * p[1] + p[2] * p[2] + p[3] * p[3])
-    lo = t - r
-    if lo >= 0.0:
-        return 0.0
-    hi = t + r
-    d2 = lo * lo + (hi * hi if hi < 0.0 else 0.0)
-    return math.sqrt(d2)
 
 
 def _focal(x, m):
@@ -191,48 +199,93 @@ def joint_povm_feasible(A: QubitEffect, B: QubitEffect):
     return True, _pmat(g)
 
 
+def _sqrt_rho_terms(r):
+    """c, d of ρ^{1/2} = cI + d n̂·σ for ρ = ½(I + r n̂·σ):
+    c, d = ½(√((1+r)/2) ± √((1−r)/2)). r is a float or an array."""
+    hi = ((1.0 + r) / 2.0) ** 0.5
+    lo = ((1.0 - r) / 2.0) ** 0.5
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+
 def _sqrt_rho(r, direction):
-    """ρ^{1/2} for ρ = ½(I + r n̂·σ), in Pauli components."""
-    hi = math.sqrt((1.0 + r) / 2.0)
-    lo = math.sqrt((1.0 - r) / 2.0)
-    c = 0.5 * (hi + lo)
-    d = 0.5 * (hi - lo)
+    """ρ^{1/2} for ρ = ½(I + r n̂·σ), as a matrix."""
+    c, d = _sqrt_rho_terms(r)
     return c * _I2 + d * (direction[0] * _SX + direction[1] * _SY
                           + direction[2] * _SZ)
 
 
-def _h_vector(sq, e_mat):
-    """h(E)_a = Tr[E ρ^{1/2} σ_a ρ^{1/2}] as a real 3-vector."""
-    s = sq @ e_mat @ sq
-    return 2.0 * _pvec(s)[1:]
+def _h(c, d, n, e0, e):
+    """h(E)_a = Tr[E ρ^{1/2} σ_a ρ^{1/2}] for E = e₀I + e·σ, in closed
+    form: h(E) = 2[(c²−d²)e + 2cd·e₀n̂ + 2d²(n̂·e)n̂], as three
+    components. c, d and the components of n̂ are floats, or arrays
+    that broadcast."""
+    k = c * c - d * d
+    a = 2.0 * c * d * e0 + 2.0 * d * d * (n[0] * e[0] + n[1] * e[1]
+                                          + n[2] * e[2])
+    return (2.0 * (k * e[0] + a * n[0]), 2.0 * (k * e[1] + a * n[1]),
+            2.0 * (k * e[2] + a * n[2]))
 
 
-def _value_at_rho(a_mat, b_mat, r, direction):
-    """min over orthonormal-basis angles of Tr FW for fixed ρ, with the
-    two optimal Bloch axes: Tr FW = 1 + h(A+B−I)·u + h(A−B)·v."""
-    sq = _sqrt_rho(r, direction)
-    h1 = _h_vector(sq, a_mat + b_mat - _I2)
-    h2 = _h_vector(sq, a_mat - b_mat)
-    n1 = float(np.linalg.norm(h1))
-    n2 = float(np.linalg.norm(h2))
-    u = -h1 / n1 if n1 > 1e-15 else np.array([0.0, 0.0, 1.0])
-    v = -h2 / n2 if n2 > 1e-15 else np.array([1.0, 0.0, 0.0])
-    return 1.0 - n1 - n2, u, v
+def _pair_terms(A: QubitEffect, B: QubitEffect):
+    """(e₀, e) of A+B−I and of A−B, in Python floats."""
+    return ((A.alpha + B.alpha - 1.0, (A.bloch + B.bloch).tolist()),
+            (A.alpha - B.alpha, (A.bloch - B.bloch).tolist()))
 
 
+def _value(pair, s, r, n):
+    """The witness value at one point (r, n̂) on plain floats, with its
+    Bloch axes u, v. With h₁ = h(A+B−I) and h₂ = h(A−B), Tr FW = 1 +
+    h₁·u + h₂·v is least at u = −ĥ₁, v = −ĥ₂, where it is 1 − ‖h₁‖ −
+    ‖h₂‖. Off the barycenter (s not None) it is divided by τ = Tr W(s)
+    = 1 + r n̂·((p+q−1)u + (p−q)v), which makes W(s) a state. W(s) is a
+    positive combination of the four vertex images, so for interior s
+    it never leaves the cone. `_grid_values` is the same evaluator on
+    arrays."""
+    c, d = _sqrt_rho_terms(r)
+    h1, h2 = (_h(c, d, n, e0, e) for e0, e in pair)
+    n1 = math.sqrt(h1[0] * h1[0] + h1[1] * h1[1] + h1[2] * h1[2])
+    n2 = math.sqrt(h2[0] * h2[0] + h2[1] * h2[1] + h2[2] * h2[2])
+    u = (-h1[0] / n1, -h1[1] / n1, -h1[2] / n1) if n1 > 1e-15 else (0.0, 0.0, 1.0)
+    v = (-h2[0] / n2, -h2[1] / n2, -h2[2] / n2) if n2 > 1e-15 else (1.0, 0.0, 0.0)
+    val = 1.0 - n1 - n2
+    if s is not None:
+        x = [(s[0] + s[1] - 1.0) * u[i] + (s[0] - s[1]) * v[i] for i in range(3)]
+        val /= 1.0 + r * (n[0] * x[0] + n[1] * x[1] + n[2] * x[2])
+    return val, u, v
 
-def _direction_grid(n_dir):
-    dirs = []
-    for i in range(n_dir):
-        th = math.pi * (i + 0.5) / n_dir
-        for k in range(n_dir):
-            ph = 2.0 * math.pi * k / n_dir
-            dirs.append(np.array([math.sin(th) * math.cos(ph),
-                                  math.sin(th) * math.sin(ph),
-                                  math.cos(th)]))
-    dirs.append(np.array([0.0, 0.0, 1.0]))
-    dirs.append(np.array([0.0, 0.0, -1.0]))
-    return dirs
+
+def _witness_grid():
+    """witness_q's grid: _WITNESS_GRID² directions, θ-major, then the two
+    poles, as an (N, 3) array, and _WITNESS_GRID radii in [0, _R_MAX]."""
+    i = np.arange(_WITNESS_GRID)
+    th = np.pi * (i + 0.5) / _WITNESS_GRID
+    ph = 2.0 * np.pi * i / _WITNESS_GRID
+    dirs = np.stack([np.outer(np.sin(th), np.cos(ph)),
+                     np.outer(np.sin(th), np.sin(ph)),
+                     np.outer(np.cos(th), np.ones(_WITNESS_GRID))], axis=-1)
+    dirs = np.concatenate([dirs.reshape(-1, 3), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    return dirs, _R_MAX * i / (_WITNESS_GRID - 1)
+
+
+_GRID_DIRECTIONS, _GRID_RADII = _witness_grid()
+
+
+def _grid_values(pair, s):
+    """`_value` on the whole grid as one batch: an array of values,
+    directions × radii."""
+    n = _GRID_DIRECTIONS.T[:, :, None]
+    c, d = _sqrt_rho_terms(_GRID_RADII)
+    h1, h2 = (np.array(_h(c, d, n, e0, e)) for e0, e in pair)
+    n1 = np.sqrt(h1[0] * h1[0] + h1[1] * h1[1] + h1[2] * h1[2])
+    n2 = np.sqrt(h2[0] * h2[0] + h2[1] * h2[1] + h2[2] * h2[2])
+    val = 1.0 - n1 - n2
+    if s is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.where(n1 > 1e-15, -h1 / n1, np.reshape((0.0, 0.0, 1.0), (3, 1, 1)))
+            v = np.where(n2 > 1e-15, -h2 / n2, np.reshape((1.0, 0.0, 0.0), (3, 1, 1)))
+        x = (s[0] + s[1] - 1.0) * u + (s[0] - s[1]) * v
+        val /= 1.0 + _GRID_RADII * (n[0] * x[0] + n[1] * x[1] + n[2] * x[2])
+    return val
 
 
 @dataclass
@@ -291,75 +344,69 @@ class QubitWitnessReport:
     id_lower_bound: float
 
 
+def _is_barycenter(p, q):
+    return abs(p - 0.5) < 1e-15 and abs(q - 0.5) < 1e-15
+
+
 def witness_q(A: QubitEffect, B: QubitEffect,
               s=(0.5, 0.5)) -> QubitWitnessReport:
     """Minimize Tr FW over the extremal family (ρ, basis axes) with
-    W(s) a state: coarse grid of ≥ _WITNESS_GRID³ parameter points, then local
-    refinement in ρ. Returns q̂ ≥ q_s(F), an upper bound on the true
-    minimum, hence −q̂/(1−q̂) lower-bounds the incompatibility degree."""
-    a_mat, b_mat = A.matrix(), B.matrix()
+    W(s) a state. Every point is evaluated in closed Pauli form
+    (`_value`): the whole grid of _WITNESS_GRID radii times
+    _WITNESS_GRID² + 2 directions as one numpy batch, then a local
+    search in ρ on plain floats from the grid's best point, whose step
+    halves whenever no move improves, down to _WITNESS_STEP_STOP (a
+    search still running after _WITNESS_ROUND_GUARD rounds raises
+    AssertionError). The result is re-checked by the matrix route:
+    `trace_pairing_qubit` on the returned parameters, divided by τ =
+    Tr W(s), must give q̂ within _CROSS_CHECK_TOL. Returns q̂ ≥ q_s(F), an upper bound on the
+    true minimum, hence −q̂/(1−q̂) lower-bounds the incompatibility
+    degree."""
     p_s, q_s = float(s[0]), float(s[1])
     if not (0.0 < p_s < 1.0 and 0.0 < q_s < 1.0):
         raise ValueError("s must be interior: coordinates in (0,1)")
-    at_bar = abs(p_s - 0.5) < 1e-15 and abs(q_s - 0.5) < 1e-15
-    r_max = 1.0 - 2e-8
-
-    def evaluate(r, direction):
-        val, u, v = _value_at_rho(a_mat, b_mat, r, direction)
-        if at_bar:
-            return val, u, v
-        params = QubitWitnessParams(r, tuple(direction), tuple(u), tuple(v))
-        scaled = _normalized_value(a_mat, b_mat, params, p_s, q_s)
-        return scaled, u, v
-
-    best = (math.inf, None, None, None, None)
-    for direction in _direction_grid(_WITNESS_GRID):
-        for ir in range(_WITNESS_GRID):
-            r = r_max * ir / (_WITNESS_GRID - 1)
-            val, u, v = evaluate(r, direction)
-            if val < best[0]:
-                best = (val, r, direction, u, v)
-    val, r, direction, u, v = best
-    step = r_max / _WITNESS_GRID
-    for _ in range(_WITNESS_ROUNDS):
+    s_off = None if _is_barycenter(p_s, q_s) else (p_s, q_s)
+    pair = _pair_terms(A, B)
+    grid = _grid_values(pair, s_off)
+    i_dir, i_r = np.unravel_index(np.argmin(grid), grid.shape)
+    r, n = float(_GRID_RADII[i_r]), tuple(_GRID_DIRECTIONS[i_dir].tolist())
+    best = _value(pair, s_off, r, n)
+    step = _R_MAX / _WITNESS_GRID
+    for _ in range(_WITNESS_ROUND_GUARD):
         improved = False
         for dr in (-step, step):
-            rr = min(max(r + dr, 0.0), r_max)
-            cand, cu, cv = evaluate(rr, direction)
-            if cand < val - 1e-15:
-                val, r, u, v = cand, rr, cu, cv
-                improved = True
+            rr = min(max(r + dr, 0.0), _R_MAX)
+            cand = _value(pair, s_off, rr, n)
+            if cand[0] < best[0] - 1e-15:
+                best, r, improved = cand, rr, True
         for axis in range(3):
             for dd in (-step, step):
-                nd = np.asarray(direction, dtype=float).copy()
+                nd = list(n)
                 nd[axis] += dd
-                nd = nd / np.linalg.norm(nd)
-                cand, cu, cv = evaluate(r, nd)
-                if cand < val - 1e-15:
-                    val, direction, u, v = cand, nd, cu, cv
-                    improved = True
+                norm = math.sqrt(nd[0] * nd[0] + nd[1] * nd[1] + nd[2] * nd[2])
+                nd = (nd[0] / norm, nd[1] / norm, nd[2] / norm)
+                cand = _value(pair, s_off, r, nd)
+                if cand[0] < best[0] - 1e-15:
+                    best, n, improved = cand, nd, True
         if not improved:
             step *= 0.5
-            if step < 1e-12:
+            if step < _WITNESS_STEP_STOP:
                 break
-    params = QubitWitnessParams(float(r), tuple(np.asarray(direction)),
-                                tuple(u), tuple(v))
+    else:
+        raise AssertionError("witness_q's local search did not converge "
+                             f"in {_WITNESS_ROUND_GUARD} rounds")
+    val, u, v = best
+    params = QubitWitnessParams(r, n, u, v)
     params.check()
+    w = params.vertex_images()
+    tau = np.trace(p_s * q_s * w[(0, 0)] + p_s * (1 - q_s) * w[(0, 1)]
+                   + (1 - p_s) * q_s * w[(1, 0)]
+                   + (1 - p_s) * (1 - q_s) * w[(1, 1)]).real
+    if abs(trace_pairing_qubit(A, B, params) / tau - val) > _CROSS_CHECK_TOL:
+        raise AssertionError("closed-form witness value disagrees with the "
+                             "matrix trace pairing")
     bound = -val / (1.0 - val) if val < 0.0 else 0.0
     return QubitWitnessReport(float(val), params, float(bound))
-
-
-def _normalized_value(a_mat, b_mat, params: QubitWitnessParams, p, q):
-    """Tr FW with W rescaled so that W(s) is a state; +inf when W(s)
-    leaves the cone. W(s) = ρ + (p+q−1)Q(u) + (p−q)Q(v)."""
-    w = params.vertex_images()
-    ws = (p * q * w[(0, 0)] + p * (1 - q) * w[(0, 1)]
-          + (1 - p) * q * w[(1, 0)] + (1 - p) * (1 - q) * w[(1, 1)])
-    pv = _pvec(ws)
-    tau = 2.0 * pv[0]
-    if tau <= 1e-12 or _psd_dist(pv) > 1e-12:
-        return math.inf
-    return _trace_pairing_mats(a_mat, b_mat, w) / tau
 
 
 def holder_check(A: QubitEffect, B: QubitEffect, params: QubitWitnessParams,
@@ -400,24 +447,30 @@ def qubit_id(A: QubitEffect, B: QubitEffect, s=(0.5, 0.5)) -> QubitIdReport:
     """ID_s: the least λ at which the smeared pair ((1−λ)A + λ·s₀·I,
     (1−λ)B + λ·s₁·I) is coexistent, bisected on `_coexistent` down to a
     bracket of _SEARCH_WIDTH, together with the witness dual lower
-    bound."""
+    bound. At the barycenter, where the witness family is tight, the two
+    must agree within _CROSS_CHECK_TOL; elsewhere the bound must not
+    exceed the value by more than 1e-6. A failed check raises
+    AssertionError."""
     p, q = float(s[0]), float(s[1])
     if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
         raise ValueError("s must be interior: coordinates in (0,1)")
     wit = witness_q(A, B, (p, q))
-    if _coexistent(A, B):
-        return QubitIdReport(0.0, wit.q_hat, wit.id_lower_bound, wit.params, 0)
-    lo, hi = 0.0, 1.0
-    iters = 0
-    while hi - lo > _SEARCH_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if _coexistent(A.smear(mid, p), B.smear(mid, q)):
-            hi = mid
-        else:
-            lo = mid
-        iters += 1
-    value = 0.5 * (lo + hi)
-    if wit.id_lower_bound > value + 1e-6:
+    value, iters = 0.0, 0
+    if not _coexistent(A, B):
+        lo, hi = 0.0, 1.0
+        while hi - lo > _SEARCH_WIDTH:
+            mid = 0.5 * (lo + hi)
+            if _coexistent(A.smear(mid, p), B.smear(mid, q)):
+                hi = mid
+            else:
+                lo = mid
+            iters += 1
+        value = 0.5 * (lo + hi)
+    if _is_barycenter(p, q):
+        if abs(value - wit.id_lower_bound) > _CROSS_CHECK_TOL:
+            raise AssertionError("dual bound misses the primal bisection "
+                                 "value at the barycenter")
+    elif wit.id_lower_bound > value + 1e-6:
         raise AssertionError("dual bound exceeds the primal bisection value")
     return QubitIdReport(value, wit.q_hat, wit.id_lower_bound, wit.params, iters)
 
@@ -487,19 +540,21 @@ class QubitBoundReport:
     equality_gap: float
 
 
-def qubit_bound_report(tol=1e-6) -> QubitBoundReport:
+def qubit_bound_report() -> QubitBoundReport:
     """The incompatibility bound at the Tsirelson box: LHS =
     ⟨μ_{0,1,0}, γ⟩ = ½(1−√2) meets the equality value ½q̂ of the sharp
-    MUB pair."""
+    MUB pair. The MUB witness also passes `holder_check`, the Hölder
+    step of the bound."""
     from .bell import chsh_witness
     box = tsirelson_box()
     mu = chsh_witness(0, 1, 0)
     lhs = float(mu.value(box))
     a, b = mub_pair()
     wit = witness_q(a, b)
+    holder_check(a, b, wit.params)
     rhs = 1.0 * wit.q_hat
     gap = abs(lhs - 0.5 * wit.q_hat)
-    if lhs < rhs - tol:
+    if lhs < rhs - _BOUND_TOL:
         raise AssertionError("incompatibility bound violated at the "
                              "Tsirelson box")
     return QubitBoundReport(lhs, wit.q_hat, rhs, True, gap)

@@ -6,10 +6,11 @@ import random
 import numpy as np
 import pytest
 
+from polybox import qubit
 from polybox.bell import bell_value, chsh_witness
-from polybox.qubit import (QUBIT_MAX_ID, QubitEffect, born_box, holder_check,
-                           joint_povm_feasible, max_entangled_state, mub_pair,
-                           qubit_bound_report, qubit_id, random_effect,
+from polybox.qubit import (QUBIT_MAX_ID, QubitEffect, QubitWitnessParams, born_box,
+                           holder_check, joint_povm_feasible, max_entangled_state,
+                           mub_pair, qubit_bound_report, qubit_id, random_effect,
                            trace_pairing_qubit, tsirelson_box, witness_q)
 
 
@@ -21,6 +22,23 @@ REGRESSION_PAIR = (
                                      -0.004179718339504759)),
     QubitEffect(0.2816009058355796, (0.07114195206043553, -0.17201185243931785,
                                      0.21108745148764524)))
+
+#: the 38th pair that demo row 3's loop draws from random.Random(3), i.e.
+#: at --seed 0: incompatible, with ID 0.0708308; a 16³ witness grid with
+#: 40 refinement rounds left its dual bound 1.5e-5 short of that
+ROW3_PAIR_38 = (
+    QubitEffect(0.4840382476753442, (0.2123637518928114, -0.2513048105642849,
+                                     -0.18746331345314593)),
+    QubitEffect(0.524245928386944, (0.12058849380289001, 0.3510127143660734,
+                                    -0.11514900690042464)))
+
+SIGMAS = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def pauli_matrix(t, vec):
+    return t * np.eye(2, dtype=complex) + sum(c * s for c, s in zip(vec, SIGMAS))
 
 
 def psd(m, tol=1e-8):
@@ -164,6 +182,7 @@ class TestCoexistenceCriterion:
         pairs = [(QubitEffect.sharp(unbiased(rng)[1]), QubitEffect.sharp(unbiased(rng)[1]))
                  for _ in range(4)]
         pairs += [(unbiased(rng, 0.9)[0], unbiased(rng, 0.9)[0]) for _ in range(4)]
+        pairs.append(ROW3_PAIR_38)
         incompatible = 0
         for a, b in pairs:
             rep = qubit_id(a, b)
@@ -195,6 +214,78 @@ class TestWitness:
         a, b = mub_pair()
         with pytest.raises(ValueError):
             witness_q(a, b, s=(1.0, 0.5))
+
+
+class TestWitnessEvaluator:
+    """The closed Pauli form of witness_q's evaluator against the matrix
+    route."""
+
+    PAIRS = (mub_pair(), ROW3_PAIR_38,
+             (QubitEffect(0.3, (0.1, -0.2, 0.05)), QubitEffect(0.7, (0.0, 0.1, 0.25))),
+             (QubitEffect(0.5, (0.0, 0.0, 0.0)), QubitEffect(0.5, (0.0, 0.0, 0.0))))
+
+    @staticmethod
+    def directions(rng, count):
+        dirs = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+        for _ in range(count):
+            n = np.array([rng.gauss(0.0, 1.0) for _ in range(3)])
+            dirs.append(tuple(n / np.linalg.norm(n)))
+        return dirs
+
+    def test_h_matches_matrix_sandwich(self):
+        rng = random.Random(41)
+        for r in (0.0, 0.35, 0.9, qubit._R_MAX):
+            for n in self.directions(rng, 4):
+                # √M = (M + √det M·I)/√(Tr M + 2√det M) for a 2×2 M ≥ 0,
+                # independent of the closed form's c and d
+                rho = pauli_matrix(0.5, 0.5 * r * np.array(n))
+                root_det = math.sqrt(np.linalg.det(rho).real)
+                sq = (rho + root_det * np.eye(2)) / math.sqrt(1.0 + 2.0 * root_det)
+                c, d = qubit._sqrt_rho_terms(r)
+                for _ in range(3):
+                    e0, e = rng.uniform(-1.0, 1.0), [rng.uniform(-1.0, 1.0) for _ in range(3)]
+                    want = [np.trace(pauli_matrix(e0, e) @ sq @ s @ sq).real for s in SIGMAS]
+                    got = qubit._h(c, d, n, e0, e)
+                    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("s", [None, (0.25, 0.35)], ids=["barycenter", "s"])
+    def test_grid_batch_matches_pointwise(self, s):
+        for a, b in self.PAIRS:
+            pair = qubit._pair_terms(a, b)
+            batch = qubit._grid_values(pair, s)
+            points = np.array([[qubit._value(pair, s, float(r), tuple(n))[0]
+                                for r in qubit._GRID_RADII]
+                               for n in qubit._GRID_DIRECTIONS.tolist()])
+            assert batch.shape == points.shape == (qubit._WITNESS_GRID ** 2 + 2,
+                                                   qubit._WITNESS_GRID)
+            assert np.allclose(batch, points, rtol=0.0, atol=1e-14)
+            assert abs(batch.min() - points.min()) <= 1e-15
+            assert abs(points.flat[np.argmin(batch)] - points.min()) <= 1e-15
+
+    @pytest.mark.parametrize("s", [(0.5, 0.5), (0.25, 0.35)])
+    def test_value_matches_matrix_route(self, s):
+        p, q = s
+        rng = random.Random(43)
+        for a, b in self.PAIRS:
+            pair = qubit._pair_terms(a, b)
+            for r in (0.0, 0.5, 0.95, qubit._R_MAX):
+                for n in self.directions(rng, 3):
+                    val, u, v = qubit._value(pair, None if s == (0.5, 0.5) else s, r, n)
+                    params = QubitWitnessParams(r, n, u, v)
+                    w = params.vertex_images()
+                    ws = (p * q * w[(0, 0)] + p * (1 - q) * w[(0, 1)]
+                          + (1 - p) * q * w[(1, 0)] + (1 - p) * (1 - q) * w[(1, 1)])
+                    # W(s) is a positive combination of PSD vertex images:
+                    # it stays in the cone, even at r = r_max
+                    assert np.linalg.eigvalsh(ws).min() >= -1e-12
+                    tau = np.trace(ws).real
+                    want = trace_pairing_qubit(a, b, params) / tau
+                    assert abs(val - want) <= 1e-12
+
+    def test_round_guard_raises(self, monkeypatch):
+        monkeypatch.setattr(qubit, "_WITNESS_ROUND_GUARD", 5)
+        with pytest.raises(AssertionError, match="did not converge"):
+            witness_q(*mub_pair())
 
 
 class TestIdDegree:
