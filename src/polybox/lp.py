@@ -23,8 +23,12 @@ back: x = T/d, and duals and Farkas multipliers undo each row's scaling.
 Phase 1 starts each `<=` row with a nonnegative rhs on its own slack, so
 only `==` rows and sign-flipped rows get an artificial; the artificial
 of row r costs 1/s_r, which is 1 per unit of the caller's row. Every
-optimal solve asserts strong duality (primal optimum == dual value) in
-exact arithmetic; infeasible solves return a verified Farkas
+optimal solve checks primal feasibility and strong duality (primal
+optimum == dual value) in exact arithmetic. The primal check runs in
+integers: with x = X/d, each caller row r, scaled by s_r to integer
+coefficients a_v, must satisfy Σ a_v·X_v == (or <=) s_r·rhs·d, and X_v
+>= 0 for every nonnegative variable; this is the rational test times
+s_r·d > 0. Infeasible solves return a verified Farkas
 certificate and unbounded solves a verified improving ray. Each result
 carries an `LpStats` record of the solve's size and work.
 
@@ -253,27 +257,32 @@ class LpBuilder:
         # Phase 1: an artificial costs 1/scale[r] (1 per unit of the
         # caller's row), and the objective row is cleared to integers by
         # the LCM of those scales, p1_scale.
+        # int_rows keeps each caller row times scale[r], unflipped, as
+        # ([(var, integer coefficient)], integer rhs, kind) for the primal
+        # check; pivots mutate the tableau rows, never these.
         rows = []
         scale = []
+        int_rows = []
         for r, (coeffs, rhs, kind) in enumerate(self._rows):
             coeffs = [(v, rat(c)) for v, c in coeffs.items()]
             s = math.lcm(rhs.denominator, *(c.denominator for _, c in coeffs))
             sign = -1 if flipped[r] else 1
+            irow = [(v, c.numerator * (s // c.denominator)) for v, c in coeffs if c]
+            b = rhs.numerator * (s // rhs.denominator)
             row = {}
-            for v, c in coeffs:
-                if c:
-                    a = sign * c.numerator * (s // c.denominator)
-                    cols = col_of[v]
-                    row[cols[0]] = a
-                    if len(cols) == 2:
-                        row[cols[1]] = -a
+            for v, a in irow:
+                cols = col_of[v]
+                row[cols[0]] = sign * a
+                if len(cols) == 2:
+                    row[cols[1]] = -sign * a
             if kind == "le":
                 row[slack_col[r]] = sign
             row[start[r]] = 1
-            if rhs:
-                row[rhs_col] = sign * rhs.numerator * (s // rhs.denominator)
+            if b:
+                row[rhs_col] = sign * b
             rows.append(row)
             scale.append(s)
+            int_rows.append((irow, b, kind))
         p1_scale = math.lcm(*(scale[r] for r, s in enumerate(start) if s >= art0))
         obj = {}
         for r, s in enumerate(start):
@@ -323,7 +332,7 @@ class LpBuilder:
                                 if j == enter), 1)
             return self._extract_ray(T, enter, enter_scale, col_of, cost, stats)
         return self._extract_optimal(T, col_of, cost, sense, flipped, start,
-                                     dropped, scale, cost_scale, stats)
+                                     dropped, scale, cost_scale, int_rows, stats)
 
     def _stats(self, T, ncols, nsplit, phase1, phase2):
         return LpStats(rows=len(self._rows), columns=ncols, split_columns=nsplit,
@@ -339,18 +348,22 @@ class LpBuilder:
 
     @staticmethod
     def _public_x(T, col_of):
+        """Integer numerators X of the caller's variables: x = X / T.d."""
         colval = {b: row.get(T.rhs, 0) for row, b in zip(T.rows, T.basis)}
         out = []
         for cols in col_of:
             v = colval.get(cols[0], 0)
             if len(cols) == 2:
                 v -= colval.get(cols[1], 0)
-            out.append(rat(v, T.d))
+            out.append(v)
         return tuple(out)
 
     def _extract_optimal(self, T, col_of, cost, sense, flipped, start,
-                         dropped, scale, cost_scale, stats):
-        x = self._public_x(T, col_of)
+                         dropped, scale, cost_scale, int_rows, stats):
+        X = self._public_x(T, col_of)
+        # exact self-checks: primal feasibility here, strong duality below
+        self._check_primal(X, T.d, int_rows)
+        x = tuple(rat(v, T.d) for v in X)
         value = sum((c * x[v] for v, c in cost.items()), R0)
         # duals from reduced costs under each row's starting unit column,
         # unscaled: y_r = −scale[r]·obj[s] / (d·cost_scale)
@@ -363,8 +376,6 @@ class LpBuilder:
                 continue
             y = -scale[r] * obj.get(s, 0)
             duals.append(rat(-y if flipped[r] else y, den))
-        # exact self-checks: primal feasibility and strong duality
-        self._check_primal(x)
         dualval = sum((y * rhs for y, (_, rhs, _) in zip(duals, self._rows)),
                       R0)
         if dualval != value:
@@ -430,13 +441,15 @@ class LpBuilder:
                 raise AssertionError("unboundedness ray goes negative")
         return LpResult(UNBOUNDED, ray=ray, stats=stats)
 
-    def _check_primal(self, x):
-        for coeffs, rhs, kind in self._rows:
-            s = sum((rat(c) * x[v] for v, c in coeffs.items()), R0)
-            if kind == "eq" and s != rhs:
+    def _check_primal(self, X, d, int_rows):
+        """x = X/d satisfies every caller row, each checked times
+        s_r·d > 0 on its integer row, and every nonneg bound."""
+        for irow, b, kind in int_rows:
+            s = sum(a * X[v] for v, a in irow)
+            if kind == "eq" and s != b * d:
                 raise AssertionError("simplex produced infeasible point")
-            if kind == "le" and s > rhs:
+            if kind == "le" and s > b * d:
                 raise AssertionError("simplex produced infeasible point")
         for v, kind in enumerate(self._vars):
-            if kind == "nonneg" and x[v] < 0:
+            if kind == "nonneg" and X[v] < 0:
                 raise AssertionError("simplex produced negative variable")

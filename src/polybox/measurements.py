@@ -31,17 +31,22 @@ class MeasurementCollection:
         self._validate()
 
     def _validate(self):
+        """Check the table and keep each effect's canonical functional,
+        which the consistency check computes anyway."""
         n = len(self.space.vertices)
         want = {(i, j) for i, l in enumerate(self.shape.shape) for j in range(l + 1)}
         if set(self.effects) != want:
             raise ValueError("effect table does not match the outcome shape")
+        self._functionals = {}
         for key, vals in self.effects.items():
             if len(vals) != n:
                 raise ValueError(f"effect {key} has {len(vals)} values, expected {n}")
             if any(v < 0 for v in vals):
                 raise ValueError(f"effect {key} is negative on a vertex")
-            if self.space.canonical_functional(vals) is None:
+            f = self.space.canonical_functional(vals)
+            if f is None:
                 raise ValueError(f"effect {key} values are not affinely consistent")
+            self._functionals[key] = f
         for i, l in enumerate(self.shape.shape):
             for t in range(n):
                 tot = sum(self.effects[(i, j)][t] for j in range(l + 1))
@@ -49,8 +54,9 @@ class MeasurementCollection:
                     raise ValueError(f"input {i} does not sum to the unit at vertex {t}")
 
     def effect(self, i, j):
-        """Canonical ambient functional of f^i_j (vanishes off span V(K))."""
-        return self.space.canonical_functional(self.effects[(i, j)])
+        """Canonical ambient functional of f^i_j (vanishes off span V(K)),
+        as computed once by validation; `effects` is never mutated."""
+        return self._functionals[(i, j)]
 
     def effect_value(self, i, j, x):
         """f^i_j(x) for any x in span V(K)."""

@@ -116,13 +116,12 @@ class PolySimplex:
         return all(self.coords(s, i, j) > 0
                    for i, l in enumerate(self.shape) for j in range(l + 1))
 
-    def as_state_space(self, label=None) -> StateSpace:
-        if label is None:
-            label = _default_label(self.shape)
-        verts = [self.vertex(n) for n in self.outcomes()]
-        facets = [self.m(i, j) for i, l in enumerate(self.shape)
-                  for j in range(l + 1)]
-        return StateSpace(label, verts, self.unit(), facets)
+    def as_state_space(self) -> StateSpace:
+        """S as a StateSpace: the one space shared by every PolySimplex of
+        this shape, `polysimplex_space(self.shape)`, so its cached tables
+        (basis, Gram inverse, facet and vertex rows, span projector) are
+        computed once per shape."""
+        return polysimplex_space(self.shape)
 
     def dual_bases(self, base=None) -> DualBases:
         if base is None:
@@ -175,10 +174,16 @@ def _default_label(shape):
 
 @lru_cache(maxsize=None)
 def _cached_space(shape):
-    return PolySimplex(shape).as_state_space()
+    P = PolySimplex(shape)
+    verts = [P.vertex(n) for n in P.outcomes()]
+    facets = [P.m(i, j) for i, l in enumerate(shape) for j in range(l + 1)]
+    return StateSpace(_default_label(shape), verts, P.unit(), facets)
 
 
 def polysimplex_space(shape) -> StateSpace:
+    """The state space of a polysimplex shape: vertices in outcome order,
+    facets m^i_j in block order. Built once per shape and shared; nothing
+    mutates a StateSpace after construction."""
     return _cached_space(tuple(int(l) for l in shape))
 
 

@@ -536,7 +536,6 @@ class QubitBoundReport:
     lhs: float
     q_hat: float
     rhs: float
-    holds: bool
     equality_gap: float
 
 
@@ -557,4 +556,4 @@ def qubit_bound_report() -> QubitBoundReport:
     if lhs < rhs - _BOUND_TOL:
         raise AssertionError("incompatibility bound violated at the "
                              "Tsirelson box")
-    return QubitBoundReport(lhs, wit.q_hat, rhs, True, gap)
+    return QubitBoundReport(lhs, wit.q_hat, rhs, gap)

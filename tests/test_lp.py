@@ -153,6 +153,33 @@ class TestSimplex:
         assert res.duals is not None
         assert sum(d * r for d, r in zip(res.duals, (4, 6))) == res.objective
 
+    @pytest.mark.parametrize("case", ["eq", "le", "nonneg"])
+    def test_primal_check_catches_a_perturbed_numerator(self, monkeypatch, case):
+        # the check runs on the integer numerators X of x = X/d against
+        # each row scaled by its LCM; one wrong numerator must fail it
+        b = LpBuilder()
+        x, y, z = b.var(), b.var(), b.var()
+        if case == "le":
+            b.add_le({x: rat(2, 3), y: rat(1, 5)}, 1)
+            cost, bump, msg = {x: -1}, (x, 1), "infeasible point"
+        else:
+            b.add_eq({x: rat(1, 2), y: rat(1, 3)}, 1)
+            cost, bump, msg = {x: 1, y: 1}, (x, 1), "infeasible point"
+            if case == "nonneg":
+                # z is in no row, so only its sign bound can fail
+                bump, msg = (z, -1), "negative variable"
+        assert b.minimize(cost).status == OPTIMAL
+        public_x = LpBuilder._public_x
+
+        def perturbed(T, col_of):
+            X = list(public_x(T, col_of))
+            X[bump[0]] += bump[1]
+            return tuple(X)
+
+        monkeypatch.setattr(LpBuilder, "_public_x", staticmethod(perturbed))
+        with pytest.raises(AssertionError, match=msg):
+            b.minimize(cost)
+
     def test_random_lps_against_feasible_construction(self):
         # build LPs with a known feasible point; optimum must not exceed it
         rng = random.Random(3)

@@ -96,6 +96,24 @@ class TestBasics:
         for v in F.space.vertices:
             assert tuple(la.mat_vec(m, v)) == F.apply(v)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 1, 1), (2, 1), (2,)])
+    def test_effects_kept_from_validation(self, shape):
+        # bias pulls H towards the identity collection through `mix`
+        rng = random.Random(11)
+        P = PolySimplex(shape)
+        space = polysimplex_space(shape)
+        ident = identity_collection(P)
+        F = random_collection(space, (1, 1), rng)
+        G = random_collection(space, (1, 1), rng)
+        H = random_collection(space, shape, rng, bias=rat(1, 2))
+        collections = [ident, F, G, H, F.mix(G, rat(1, 3)), ident.mix(H, rat(3, 4)),
+                       coin_toss(P, P.barycenter()),
+                       from_functionals(space, (1, 1), {k: F.effect(*k) for k in F.effects})]
+        for C in collections:
+            assert C.space is space
+            for (i, j), vals in C.effects.items():
+                assert C.effect(i, j) == space.canonical_functional(vals)
+
     def test_mix_interpolates(self):
         F = identity_collection(SQ)
         G = coin_toss(SQ, SQ.barycenter())

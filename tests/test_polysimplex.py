@@ -91,6 +91,12 @@ class TestStateSpace:
         assert list(space.facets) == want
         assert space.unit == s.unit()
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_space_per_shape(self, shape):
+        space = PolySimplex(shape).as_state_space()
+        assert space is polysimplex_space(shape)
+        assert PolySimplex(list(shape)).as_state_space() is space
+
     def test_cached(self):
         assert polysimplex_space((1, 1)) is square_space()
         assert hypercube_space(2) is square_space()
