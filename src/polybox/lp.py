@@ -37,9 +37,11 @@ unknown is a list of variables, one per coordinate; `vec_expr` turns a
 linear combination of such vectors into one expression {var: coeff} per
 coordinate, and `LpBuilder.add_rows` adds one row per row m of a matrix,
 Σ_a m[a]·expr[a] (==, <= or >=) rhs. With the tables on `StateSpace`,
-`facet_rows` makes basis coordinates lie in V(K)+ and `vertex_rows`
-makes basis values of an effect positive on K; `linalg.combine` reads a
-vector back from a solution.
+`facet_rows` makes basis coordinates lie in V(K)+; an effect positive
+on K is a list of nonnegative facet weights, whose values at the basis
+vertices are `transpose(facet_rows)` times the weights and at every
+vertex `facet_values` times them; `linalg.combine` and
+`linalg.mat_vec` read a vector back from a solution.
 """
 from __future__ import annotations
 

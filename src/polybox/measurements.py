@@ -166,18 +166,20 @@ class JointMeasurement:
 def _joint_lp(F: MeasurementCollection, mixing=None):
     """The joint-measurement LP of (1−λ)F + λF_s, without an objective.
 
-    Variables are the joint effects g_n at the basis vertices of K, so
-    linearity is built in; positivity at every vertex becomes inequality
-    rows through the basis expansion. `mixing` is None for λ = 0, a state
-    s for λ ∈ [0, 1] at that fixed s, or "free" for t = λs variable too
+    Each joint effect is a nonnegative facet combination
+    g_n = Σ_f c_{n,f} g_f, so it is positive on K by construction: this
+    is exact because K's facet functionals generate A(K)+ (Minkowski–Weyl;
+    for a polysimplex they are the m^i_j). Only the marginal and
+    normalization rows at the basis vertices remain, where g_n takes the
+    values Σ_f c_{n,f}⟨g_f, x_a⟩. `mixing` is None for λ = 0, a state s
+    for λ ∈ [0, 1] at that fixed s, or "free" for t = λs variable too
     (see `scaled_state_vars`): the mixture is linear in (λ, t), so the
-    least λ over all s is one LP. Returns (lp, g, lam, t): g[n] holds the
-    variables of g_n; lam and t are None when not variables.
+    least λ over all s is one LP. Returns (lp, c, lam, t): c[n] holds the
+    facet weights of g_n; lam and t are None when not variables.
     """
     space = F.space
     shape = F.shape
     outcomes = shape.outcome_list()
-    D = space.rank
     free = mixing == "free"
 
     lp = LpBuilder()
@@ -185,29 +187,30 @@ def _joint_lp(F: MeasurementCollection, mixing=None):
     if mixing is not None:
         lam = lp.var(nonneg=True)
         lp.add_le({lam: R1}, R1)
-    g = {n: lp.vars(D, nonneg=False) for n in outcomes}
+    c = {n: lp.vars(len(space.facets)) for n in outcomes}
     if free:
         t = scaled_state_vars(lp, lam, shape)
-    for n in outcomes:
-        lp.add_rows(space.vertex_rows, vec_expr([(R1, g[n])]), "ge", R0)
     # marginals at basis vertices (hence everywhere): drop last outcome per input
     for i, l in enumerate(shape.shape):
         for j in range(l):
-            vals = F.effects[(i, j)]
-            c = R0 if mixing is None or free else shape.coords(mixing, i, j)
-            for a, x in enumerate(space.basis_idx):
-                # Σ_{n_i=j} g_n(x) + λ f^i_j(x) − t^i_j = f^i_j(x), with
-                # t^i_j = λ s^i_j at fixed s
-                row = {g[n][a]: R1 for n in outcomes if n[i] == j}
-                if lam is not None and vals[x] != c:
-                    row[lam] = vals[x] - c
-                if free:
-                    row[t[shape._offset[i] + j]] = -R1
-                lp.add_eq(row, vals[x])
+            # Σ_{n_i=j} g_n(x_a) + λ f^i_j(x_a) − t^i_j = f^i_j(x_a) over the
+            # facet columns, then the columns of λ and t, with t^i_j = λ s^i_j
+            # at fixed s
+            vals = [F.effects[(i, j)][x] for x in space.basis_idx]
+            expr = vec_expr([(R1, c[n]) for n in outcomes if n[i] == j])
+            cols = list(space.facet_rows)
+            if free:
+                cols += [vals, (-R1,) * space.rank]
+                expr += [{lam: R1}, {t[shape._offset[i] + j]: R1}]
+            elif mixing is not None:
+                s_ij = shape.coords(mixing, i, j)
+                cols.append([v - s_ij for v in vals])
+                expr.append({lam: R1})
+            lp.add_rows(la.transpose(cols), expr, "eq", vals)
     # total normalization at basis vertices
-    for a in range(D):
-        lp.add_eq({g[n][a]: R1 for n in outcomes}, R1)
-    return lp, g, lam, t
+    lp.add_rows(la.transpose(space.facet_rows), vec_expr([(R1, c[n]) for n in outcomes]),
+                "eq", R1)
+    return lp, c, lam, t
 
 
 def is_compatible(F: MeasurementCollection, want_joint=True):
@@ -215,13 +218,13 @@ def is_compatible(F: MeasurementCollection, want_joint=True):
     g_{n_0,…,n_k} ≥ 0 on K with Σ_n g_n = 1_K whose marginals reproduce
     every f^i_j. Returns (bool, JointMeasurement | None).
     """
-    lp, g, _lam, _t = _joint_lp(F)
+    lp, c, _lam, _t = _joint_lp(F)
     res = lp.minimize({})
     if res.status != OPTIMAL:
         return False, None
     if not want_joint:
         return True, None
-    table = {n: la.mat_vec(F.space.vertex_rows, [res[v] for v in g[n]])
+    table = {n: la.mat_vec(F.space.facet_values, [res[v] for v in c[n]])
              for n in F.shape.outcomes()}
     joint = JointMeasurement(F.space, F.shape, table)
     joint.check(F)
@@ -242,7 +245,7 @@ def id_degree_at(F: MeasurementCollection, s, cross_check=False):
 
     q, _w, lam = q_value(F, s)
     if cross_check:
-        lp, _g, lam_var, _t = _joint_lp(F, s)
+        lp, _c, lam_var, _t = _joint_lp(F, s)
         res = lp.minimize({lam_var: R1})
         if res.status != OPTIMAL:
             raise AssertionError("mixing LP infeasible at λ=1; coin toss must be compatible")
@@ -305,7 +308,7 @@ def id_degree(F: MeasurementCollection) -> DegreeReport:
     report keeps."""
     from .witnesses import q_value
 
-    lp, _g, lam, t = _joint_lp(F, "free")
+    lp, _c, lam, t = _joint_lp(F, "free")
     rep = least_mixing(lp, lam, t, F.shape)
     _q, rep.witness, at = q_value(F, rep.s)
     if at != rep.value:

@@ -84,10 +84,11 @@ class StateSpace:
         return tuple(tuple(la.dot(g, b) for b in self.basis) for g in self.facets)
 
     @cached_property
-    def vertex_rows(self):
-        """expand(v) per vertex v: an effect given by its values y at the
-        basis vertices is positive on K iff vertex_rows·y ≥ 0."""
-        return tuple(self.expand(v) for v in self.vertices)
+    def facet_values(self):
+        """⟨g, v⟩ per vertex v and facet g: the effect Σ_g c_g·g takes the
+        values facet_values·c on the vertices. Its rows at the basis
+        vertices are the transpose of facet_rows."""
+        return tuple(tuple(la.dot(g, v) for g in self.facets) for v in self.vertices)
 
     def in_span(self, psi) -> bool:
         return self.expand(psi) is not None
@@ -225,18 +226,17 @@ def base_norm(space, psi, with_decomposition=False):
 
 
 def max_effect_value(space, psi):
-    """max_{f ∈ E(K)} ⟨f, psi⟩ (used for base-norm duality)."""
+    """max_{f ∈ E(K)} ⟨f, psi⟩ (used for base-norm duality): f and 1 − f
+    are nonnegative facet combinations, which requires the facets to
+    generate A(K)+."""
     psi = la.vec(psi)
-    coeffs = space.expand(psi)
-    if coeffs is None:
+    if not space.in_span(psi):
         raise ValueError("psi outside span V(K)")
     b = LpBuilder()
-    t = b.vars(space.rank, nonneg=False)
-    for expn in space.vertex_rows:
-        row = {t[a]: cf for a, cf in enumerate(expn) if cf != 0}
-        b.add_ge(row, R0)
-        b.add_le(row, R1)
-    res = b.maximize({t[a]: cf for a, cf in enumerate(coeffs) if cf != 0})
+    c = b.vars(len(space.facets))
+    d = b.vars(len(space.facets))
+    b.add_rows(la.transpose(space.facet_rows), vec_expr([(R1, c), (R1, d)]), "eq", R1)
+    res = b.maximize(dict(zip(c, la.mat_vec(space.facets, psi))))
     return res.objective
 
 

@@ -211,26 +211,27 @@ def is_witness(W: WitnessMap) -> WitnessDecision:
     space = W.space
     shape = W.shape
 
-    # f^i_j by its values at the basis vertices, positive on K, Σ_j f^i_j = 1_K
+    # f^i_j as a nonnegative facet combination (so positive on K), with
+    # Σ_j f^i_j = 1_K at the basis vertices; ⟨f^i_j, w⟩ pairs its facet
+    # weights with the facet values ⟨g, w⟩
     lp = LpBuilder()
-    phi = {(i, j): lp.vars(space.rank, nonneg=False)
+    phi = {(i, j): lp.vars(len(space.facets))
            for i, l in enumerate(shape.shape) for j in range(l + 1)}
     objective = {}
     for i, l in enumerate(shape.shape):
         for j in range(l + 1):
-            lp.add_rows(space.vertex_rows, vec_expr([(R1, phi[(i, j)])]), "ge", R0)
             idx = list(shape.top)
             idx[i] = j
-            coeffs = space.expand(W.vertex_images[tuple(idx)])
-            objective.update((v, c) for v, c in zip(phi[(i, j)], coeffs) if c)
-        for row in vec_expr([(R1, phi[(i, j)]) for j in range(l + 1)]):
-            lp.add_eq(row, R1)
+            pairs = la.mat_vec(space.facets, W.vertex_images[tuple(idx)])
+            objective.update((v, p) for v, p in zip(phi[(i, j)], pairs) if p)
+        lp.add_rows(la.transpose(space.facet_rows),
+                    vec_expr([(R1, phi[(i, j)]) for j in range(l + 1)]), "eq", R1)
     res = lp.minimize(objective)
     if res.status != OPTIMAL:
         raise AssertionError("minimizing-F LP must be bounded and feasible")
     min_value = res.objective - shape.k * la.dot(space.unit, W.top_image)
     minimizer = make_collection(space, shape, {
-        key: la.mat_vec(space.vertex_rows, [res[c] for c in cols])
+        key: la.mat_vec(space.facet_values, [res[c] for c in cols])
         for key, cols in phi.items()})
 
     # the dual side: v with ⟨1_K, v⟩ = 0 such that W + L_v is ETB

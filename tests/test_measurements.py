@@ -263,3 +263,46 @@ class TestSingleLpDegree:
         q, W, lam = q_value(F, rep.s)
         assert rep.witness.vertex_images == W.vertex_images
         assert trace_pairing(F, rep.witness) == q and lam == rep.value
+
+
+SHAPES = [(1, 1), (1, 1, 1), (2, 1)]
+
+
+class TestMixingModes:
+    """Each `mixing` mode of the joint LP against the witness dual: the
+    fixed-s LP through `id_degree_at(..., cross_check=True)` off the
+    barycenter, and the free-s LP through `id_degree`."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("bias", [None, rat(3, 4), rat(15, 16)])
+    def test_cross_check_off_barycenter(self, shape, bias):
+        P = PolySimplex(shape)
+        F = random_collection(polysimplex_space(shape), P, random.Random(31), bias=bias)
+        grid = [s for s in block_grid(P) if s != P.barycenter()]
+        values = {id_degree_at(F, s, cross_check=True)
+                  for s in random.Random(32).sample(grid, 3)}
+        assert (values == {R0}) == (bias is None)
+
+    @pytest.mark.parametrize("shape", SHAPES[1:])
+    @pytest.mark.parametrize("bias", [None, rat(3, 4)])
+    def test_search_agrees_with_fixed_s(self, shape, bias):
+        P = PolySimplex(shape)
+        F = random_collection(polysimplex_space(shape), P, random.Random(33), bias=bias)
+        rep = id_degree(F)
+        assert P.interior(rep.s)
+        assert id_degree_at(F, rep.s, cross_check=True) == rep.value
+        assert (rep.value == R0) == (bias is None)
+
+
+class TestFourCube:
+    """The 4-cube identity collection: 16 joint outcomes over 8 facets."""
+
+    P4 = PolySimplex((1, 1, 1, 1))
+
+    def test_identity_incompatible(self):
+        ok, joint = is_compatible(identity_collection(self.P4))
+        assert not ok and joint is None
+
+    def test_identity_degree_cross_checked(self):
+        F = identity_collection(self.P4)
+        assert id_degree_at(F, self.P4.barycenter(), cross_check=True) == rat(3, 4)

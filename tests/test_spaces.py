@@ -6,6 +6,7 @@ import pytest
 
 from polybox import linalg as la
 from polybox.exact import R0, R1, rat
+from polybox.lp import OPTIMAL, LpBuilder, vec_expr
 from polybox.polysimplex import hypercube_space, polysimplex_space, square_space
 from polybox.spaces import (StateSpace, base_norm, chi, dual_pairing_positivity,
                             linear_map_from_vertex_images, max_effect_value,
@@ -105,15 +106,51 @@ class TestConeTables:
                 seen.add(inside)
             assert seen == {True, False}
 
-    def test_vertex_rows_give_effect_values(self):
+    def test_facet_values_give_effect_values(self):
         rng = random.Random(6)
         for space in self.TABLE_SPACES:
+            basis_rows = [space.facet_values[x] for x in space.basis_idx]
+            assert tuple(basis_rows) == la.transpose(space.facet_rows)
             for _ in range(10):
-                g = random_span_vector(space, rng)
-                vals = [la.dot(g, v) for v in space.vertices]
-                f = space.canonical_functional(vals)
-                y = [la.dot(f, b) for b in space.basis]
-                assert la.mat_vec(space.vertex_rows, y) == tuple(vals)
+                c = [rat(rng.randrange(0, 7), 3) for _ in space.facets]
+                f = la.combine(c, space.facets)
+                want = tuple(la.dot(f, v) for v in space.vertices)
+                assert la.mat_vec(space.facet_values, c) == want
+
+    @staticmethod
+    def facet_combination(space, facets, vals):
+        """Nonnegative weights on `facets` whose combination takes the
+        values `vals` on the vertices of `space`, or None."""
+        lp = LpBuilder()
+        c = lp.vars(len(facets))
+        cols = [[la.dot(g, v) for v in space.vertices] for g in facets]
+        lp.add_rows(la.transpose(cols), vec_expr([(R1, c)]), "eq", vals)
+        res = lp.minimize({})
+        return [res[v] for v in c] if res.status == OPTIMAL else None
+
+    @pytest.mark.parametrize("space", TABLE_SPACES, ids=lambda sp: sp.label)
+    def test_facets_generate_positive_effects(self, space):
+        # the joint-measurement, minimizing-F and effect LPs write effects
+        # positive on K as nonnegative facet combinations; that is exact
+        # only when the facets generate A(K)+. Effects here are random
+        # span functionals shifted to vanish at some vertex.
+        rng = random.Random(7)
+        for _ in range(15):
+            g = random_span_vector(space, rng)
+            low = min(la.dot(g, v) for v in space.vertices)
+            vals = [la.dot(g, v) - low for v in space.vertices]
+            c = self.facet_combination(space, space.facets, vals)
+            assert c is not None
+            assert la.mat_vec(space.facet_values, c) == tuple(vals)
+
+    @pytest.mark.parametrize("space", TABLE_SPACES, ids=lambda sp: sp.label)
+    def test_no_facet_is_redundant(self, space):
+        # each facet is an extreme ray of A(K)+: with it dropped the rest
+        # no longer generate it
+        for k, g in enumerate(space.facets):
+            rest = space.facets[:k] + space.facets[k + 1:]
+            vals = [la.dot(g, v) for v in space.vertices]
+            assert self.facet_combination(space, rest, vals) is None
 
 
 class TestBaseNorm:
