@@ -1,13 +1,20 @@
 """Exact rational scalars.
 
 gmpy2.mpq is used when available; plain Fraction is the fallback so
-the package still works without gmpy2. The simplex in lp.py pivots on
-Python integers with one common denominator, so the scalar type
-matters only where its results are read back and everywhere outside the
-simplex (building LPs, exact linear algebra, certificate checks).
+the package still works without gmpy2. This is the only module that
+imports either. The hot exact kernels do not add or multiply rationals:
+the simplex in lp.py pivots on integers with one common denominator,
+LP rows are stored as integers from the moment they are added, and
+linalg's dot, combine, mat_vec and mat_mul sum integer numerators over
+one denominator (`numerators` below). They read `.numerator` and `.denominator` and build each
+result with `rat(num, den)`, so they work on either backend. The scalar
+type still matters where rationals are combined one at a time: the
+elimination in linalg (rank, invert), vec_add/vec_sub/vec_scale,
+validation sums and comparisons, and reading results back.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 try:
@@ -48,6 +55,17 @@ def rat(num, den=None):
             raise TypeError(f"refusing to coerce non-integral float {num!r}")
         return _mpq(int(num))
     raise TypeError(f"cannot make a rational from {type(num).__name__}")
+
+
+def numerators(xs):
+    """(nums, den) with xs[t] == nums[t] / den for every t: den is the
+    LCM of the entries' denominators and nums are integers. xs is a
+    sequence of rationals or ints."""
+    dens = [x.denominator for x in xs]
+    den = math.lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in xs], 1
+    return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
 def is_rational(x) -> bool:

@@ -1,12 +1,28 @@
 """Dense exact linear algebra over rational tuples.
 
 Vectors are tuples of rationals, matrices are tuples of row tuples.
-Everything is Gaussian elimination with first-nonzero pivoting; there
-are no stability concerns in exact arithmetic.
+The kernels `dot`, `combine`, `mat_vec` and `mat_mul` never add two
+rationals: they put each vector's entries on the LCM of its
+denominators (`exact.numerators`), sum integer numerators, and build
+one normalised rational per output entry with `rat(num, den)` (the
+fraction-free idea of Bareiss, Math. Comp. 22, 1968, which `lp.py`
+uses for the simplex). Results are the same rationals as a
+term-by-term sum; only `.numerator`, `.denominator` and `rat` are used,
+so any backend of `exact` works. `vec_add`, `vec_sub` and `vec_scale`
+work entry by entry and skip zero entries. Every kernel returns exact
+rationals, never bare ints, and raises ValueError on vectors of unequal
+length.
+
+Elimination (`rank`, `independent_rows`, `invert`) is Gaussian with
+first-nonzero pivoting; there are no stability concerns in exact
+arithmetic.
 """
 from __future__ import annotations
 
-from .exact import R0, R1, rat
+import math
+from operator import mul
+
+from .exact import R0, R1, numerators, rat
 
 
 def vec(xs):
@@ -21,32 +37,62 @@ def zeros(n):
     return (R0,) * n
 
 
+def _ratio(num, den):
+    return rat(num, den) if num else R0
+
+
+def _same_length(a, b):
+    if len(a) != len(b):
+        raise ValueError(f"vectors of length {len(a)} and {len(b)}")
+
+
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    """a + b; an entry with a zero side is the other side, unchanged."""
+    _same_length(a, b)
+    return tuple(rat(x + y) if x and y else rat(x or y) for x, y in zip(a, b))
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    """a − b; an entry with a zero side is the other side (negated)."""
+    _same_length(a, b)
+    return tuple(rat(x - y) if x and y else rat(x) if x else -rat(y)
+                 for x, y in zip(a, b))
 
 
 def vec_scale(c, a):
-    return tuple(c * x for x in a)
+    return tuple(rat(c * x) if x else R0 for x in a)
 
 
 def combine(coeffs, vectors):
-    """Σ c·v over paired coefficients and vectors, zero terms skipped."""
-    out = zeros(len(vectors[0]))
-    for c, v in zip(coeffs, vectors, strict=True):
-        if c:
-            out = vec_add(out, vec_scale(c, v))
-    return out
+    """Σ c·v over paired coefficients and vectors, zero terms skipped:
+    integer numerators of the coefficients (over their LCM) times those
+    of the vectors (over the LCM of theirs), summed per coordinate."""
+    n = len(vectors[0])
+    terms = [(c, v) for c, v in zip(coeffs, vectors, strict=True) if c]
+    if not terms:
+        return zeros(n)
+    cnums, cden = numerators([c for c, _ in terms])
+    vnums = []
+    for _, v in terms:
+        if len(v) != n:
+            raise ValueError(f"vectors of length {n} and {len(v)}")
+        vnums.append(numerators(v))
+    vden = math.lcm(*(d for _, d in vnums))
+    acc = [0] * n
+    for w, (nums, d) in zip(cnums, vnums):
+        w *= vden // d
+        for t, x in enumerate(nums):
+            if x:
+                acc[t] += w * x
+    den = cden * vden
+    return tuple(_ratio(x, den) for x in acc)
 
 
 def dot(a, b):
-    s = R0
-    for x, y in zip(a, b, strict=True):
-        s += x * y
-    return s
+    _same_length(a, b)
+    na, da = numerators(a)
+    nb, db = numerators(b)
+    return _ratio(sum(map(mul, na, nb)), da * db)
 
 
 def is_zero(a) -> bool:
@@ -54,7 +100,14 @@ def is_zero(a) -> bool:
 
 
 def mat_vec(m, v):
-    return tuple(dot(row, v) for row in m)
+    """m·v: v's numerators are taken once, each row's once."""
+    nv, dv = numerators(v)
+    out = []
+    for row in m:
+        _same_length(row, v)
+        nr, dr = numerators(row)
+        out.append(_ratio(sum(map(mul, nr, nv)), dr * dv))
+    return tuple(out)
 
 
 def transpose(m):
@@ -62,8 +115,15 @@ def transpose(m):
 
 
 def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+    """a·b with the numerators of every row of a and column of b taken
+    once."""
+    cols = [numerators(c) for c in transpose(b)]
+    out = []
+    for ra in a:
+        _same_length(ra, b)
+        nr, dr = numerators(ra)
+        out.append(tuple(_ratio(sum(map(mul, nr, nc)), dr * dc) for nc, dc in cols))
+    return tuple(out)
 
 
 def outer(a, b):

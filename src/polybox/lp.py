@@ -1,12 +1,14 @@
 """Exact-rational linear programming.
 
 Two-phase simplex with Bland's anti-cycling rule on an integer tableau.
-Each row is scaled once by the LCM s_r of its denominators, and its
-slack or artificial is rescaled with it so that it keeps a unit
-coefficient; the start basis is then the identity. The tableau is a
-matrix T of integers, each row stored as a dict of its nonzero
-entries, with one common positive denominator d (true entries T/d;
-d = 1 at the start). A pivot on p = T[r][c] sets
+Rows are integers from the moment `add_eq`, `add_le`, `add_ge` or
+`add_rows` stores them: the caller's row times the LCM s_r of its
+reduced denominators, kept with s_r. The tableau takes these rows as
+they are, and each row's slack or artificial is rescaled with it so
+that it keeps a unit coefficient; the start basis is then the
+identity. The tableau is a matrix T of integers, each row stored as a
+dict of its nonzero entries, with one common positive denominator d
+(true entries T/d; d = 1 at the start). A pivot on p = T[r][c] sets
 T_i <- (p*T_i - T_i[c]*T_r) / d for every row i != r, then d <- p
 (fraction-free pivoting: Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math.
 Comp. 22, 1968). The division is exact by Sylvester's identity: for the
@@ -19,6 +21,7 @@ needs only signs and cross-multiplied ratio comparisons, and positive
 row and column scalings change neither, so it picks the same pivots as
 on the rational tableau. Rationals appear only when the result is read
 back: x = T/d, and duals and Farkas multipliers undo each row's scaling.
+A coefficient a of a stored row reads as the rational a/s_r.
 
 Phase 1 starts each `<=` row with a nonnegative rhs on its own slack, so
 only `==` rows and sign-flipped rows get an artificial; the artificial
@@ -28,9 +31,12 @@ optimum == dual value) in exact arithmetic. The primal check runs in
 integers: with x = X/d, each caller row r, scaled by s_r to integer
 coefficients a_v, must satisfy Σ a_v·X_v == (or <=) s_r·rhs·d, and X_v
 >= 0 for every nonnegative variable; this is the rational test times
-s_r·d > 0. Infeasible solves return a verified Farkas
-certificate and unbounded solves a verified improving ray. Each result
-carries an `LpStats` record of the solve's size and work.
+s_r·d > 0. Infeasible solves return a verified Farkas certificate and
+unbounded solves a verified improving ray. The strong-duality and
+Farkas checks sum y_r·row_r as integer numerators over one common
+denominator, and the ray check reads each row's sign on the ray's
+numerators. Each result carries an `LpStats` record of the solve's
+size and work.
 
 Cone-valued unknowns are written with a small row vocabulary: a vector
 unknown is a list of variables, one per coordinate; `vec_expr` turns a
@@ -48,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import R0, R1, rat
+from .exact import R0, R1, numerators, rat
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -171,17 +177,32 @@ def vec_expr(terms):
     expr = [{} for _ in terms[0][1]]
     for c, cols in terms:
         if c:
+            c = rat(c)
             for e, v in zip(expr, cols, strict=True):
-                e[v] = e.get(v, R0) + c
+                e[v] = e[v] + c if v in e else c
     return expr
 
 
+def _int_expr(coeffs):
+    """({var: int}, den) with coeffs == ints / den, den the LCM of the
+    nonzero coefficients' denominators; zero coefficients dropped."""
+    coeffs = [(v, rat(c)) for v, c in coeffs.items() if c]
+    den = math.lcm(*(c.denominator for _, c in coeffs))
+    return {v: c.numerator * (den // c.denominator) for v, c in coeffs}, den
+
+
 class LpBuilder:
-    """Incremental LP: nonneg/free variables, ==, <=, >= rows."""
+    """Incremental LP: nonneg/free variables, ==, <=, >= rows.
+
+    Each row is stored in integers from the moment it is added, as
+    (coeffs {var: int}, int rhs, s_r, kind) with kind "eq" or "le": the
+    caller's row is (coeffs, rhs) / s_r, where s_r is the LCM of its
+    nonzero coefficients' and its rhs's reduced denominators. A ">=" row
+    is stored negated, and zero coefficients are dropped."""
 
     def __init__(self):
         self._vars = []            # "nonneg" | "free"
-        self._rows = []            # (coeffs dict, rhs, kind)
+        self._rows = []            # (int coeffs dict, int rhs, s_r, kind)
 
     def var(self, nonneg=True) -> int:
         self._vars.append("nonneg" if nonneg else "free")
@@ -190,30 +211,57 @@ class LpBuilder:
     def vars(self, n, nonneg=True):
         return [self.var(nonneg) for _ in range(n)]
 
-    def add_eq(self, coeffs, rhs):
-        self._rows.append((dict(coeffs), rat(rhs), "eq"))
+    def add_eq(self, coeffs, rhs, den=None):
+        """Σ_v c_v·x_v == rhs for coeffs {v: c_v}. With den, the c_v are
+        integers standing for c_v/den (how add_rows passes its sums)."""
+        self._add(coeffs, den, rhs, 1, "eq")
 
-    def add_le(self, coeffs, rhs):
-        self._rows.append((dict(coeffs), rat(rhs), "le"))
+    def add_le(self, coeffs, rhs, den=None):
+        """Σ_v c_v·x_v <= rhs; den as in add_eq."""
+        self._add(coeffs, den, rhs, 1, "le")
 
-    def add_ge(self, coeffs, rhs):
-        self._rows.append(({v: -rat(c) for v, c in coeffs.items()},
-                           -rat(rhs), "le"))
+    def add_ge(self, coeffs, rhs, den=None):
+        """Σ_v c_v·x_v >= rhs, stored negated as a <= row; den as in add_eq."""
+        self._add(coeffs, den, rhs, -1, "le")
 
     def add_rows(self, matrix, expr, kind, rhs):
         """One row Σ_a m[a]·expr[a] (kind "eq", "le" or "ge") per matrix
         row m, in order; rhs is a scalar or one value per row. Each row
-        goes through add_eq/add_le/add_ge like a hand-written one.
-        Vanishing coefficients are dropped, but an empty row is added."""
+        goes through add_eq/add_le/add_ge and is stored like the
+        hand-written row with the same rational coefficients, but its
+        coefficients are summed as integer numerators over one
+        denominator, never as rationals. Vanishing coefficients are
+        dropped, but an empty row is added."""
         add = getattr(self, "add_" + kind)
+        ints = [_int_expr(e) for e in expr]
         per_row = isinstance(rhs, (list, tuple))
         for r, m in enumerate(matrix):
+            if len(m) != len(ints):
+                raise ValueError(f"matrix row of length {len(m)} for "
+                                 f"{len(ints)} expressions")
+            nums, den = numerators(m)
+            lcm = math.lcm(*(d for x, (_, d) in zip(nums, ints) if x))
             row = {}
-            for ma, e in zip(m, expr, strict=True):
-                if ma:
-                    for v, c in e.items():
-                        row[v] = row.get(v, R0) + ma * c
-            add({v: c for v, c in row.items() if c}, rhs[r] if per_row else rhs)
+            for x, (e, d) in zip(nums, ints):
+                if x:
+                    w = x * (lcm // d)
+                    for v, a in e.items():
+                        row[v] = row.get(v, 0) + w * a
+            add({v: a for v, a in row.items() if a}, rhs[r] if per_row else rhs,
+                den * lcm)
+
+    def _add(self, coeffs, den, rhs, sign, kind):
+        """Store the row (coeffs / den) (kind) rhs, times sign, on the LCM
+        s_r of its reduced denominators: with g = gcd(den, coeffs), the
+        coefficients' reduced denominators have LCM den / g."""
+        if den is None:
+            coeffs, den = _int_expr(coeffs)
+        rhs = rat(rhs)
+        g = math.gcd(den, *coeffs.values())
+        s = math.lcm(den // g, rhs.denominator)
+        f = sign * (s // (den // g))
+        self._rows.append(({v: a // g * f for v, a in coeffs.items()},
+                           sign * rhs.numerator * (s // rhs.denominator), s, kind))
 
     def minimize(self, coeffs):
         return self._solve({v: rat(c) for v, c in coeffs.items()}, R1)
@@ -239,14 +287,14 @@ class LpBuilder:
                 ncols += 2
         nsplit = ncols - self._vars.count("nonneg")
         slack_col = {}
-        for r, (_, _, kind) in enumerate(self._rows):
+        for r, (_, _, _, kind) in enumerate(self._rows):
             if kind == "le":
                 slack_col[r] = ncols
                 ncols += 1
         art0 = ncols
-        flipped = [rhs < 0 for _, rhs, _ in self._rows]
+        flipped = [b < 0 for _, b, _, _ in self._rows]
         start = []
-        for r, (_, _, kind) in enumerate(self._rows):
+        for r, (_, _, _, kind) in enumerate(self._rows):
             if kind == "le" and not flipped[r]:
                 start.append(slack_col[r])
             else:
@@ -254,25 +302,17 @@ class LpBuilder:
                 ncols += 1
         rhs_col = ncols
 
-        # row r times scale[r], the LCM of its denominators, and negated
-        # when flipped; its slack and artificial keep unit coefficients.
-        # Phase 1: an artificial costs 1/scale[r] (1 per unit of the
-        # caller's row), and the objective row is cleared to integers by
-        # the LCM of those scales, p1_scale.
-        # int_rows keeps each caller row times scale[r], unflipped, as
-        # ([(var, integer coefficient)], integer rhs, kind) for the primal
-        # check; pivots mutate the tableau rows, never these.
+        # row r is the stored integer row, which is the caller's row
+        # times scale[r] = s_r, negated when flipped; its slack and
+        # artificial keep unit coefficients. Phase 1: an artificial costs
+        # 1/scale[r] (1 per unit of the caller's row), and the objective
+        # row is cleared to integers by the LCM of those scales, p1_scale.
         rows = []
         scale = []
-        int_rows = []
-        for r, (coeffs, rhs, kind) in enumerate(self._rows):
-            coeffs = [(v, rat(c)) for v, c in coeffs.items()]
-            s = math.lcm(rhs.denominator, *(c.denominator for _, c in coeffs))
+        for r, (coeffs, b, s, kind) in enumerate(self._rows):
             sign = -1 if flipped[r] else 1
-            irow = [(v, c.numerator * (s // c.denominator)) for v, c in coeffs if c]
-            b = rhs.numerator * (s // rhs.denominator)
             row = {}
-            for v, a in irow:
+            for v, a in coeffs.items():
                 cols = col_of[v]
                 row[cols[0]] = sign * a
                 if len(cols) == 2:
@@ -284,7 +324,6 @@ class LpBuilder:
                 row[rhs_col] = sign * b
             rows.append(row)
             scale.append(s)
-            int_rows.append((irow, b, kind))
         p1_scale = math.lcm(*(scale[r] for r, s in enumerate(start) if s >= art0))
         obj = {}
         for r, s in enumerate(start):
@@ -334,7 +373,7 @@ class LpBuilder:
                                 if j == enter), 1)
             return self._extract_ray(T, enter, enter_scale, col_of, cost, stats)
         return self._extract_optimal(T, col_of, cost, sense, flipped, start,
-                                     dropped, scale, cost_scale, int_rows, stats)
+                                     dropped, scale, cost_scale, stats)
 
     def _stats(self, T, ncols, nsplit, phase1, phase2):
         return LpStats(rows=len(self._rows), columns=ncols, split_columns=nsplit,
@@ -361,12 +400,13 @@ class LpBuilder:
         return tuple(out)
 
     def _extract_optimal(self, T, col_of, cost, sense, flipped, start,
-                         dropped, scale, cost_scale, int_rows, stats):
+                         dropped, scale, cost_scale, stats):
         X = self._public_x(T, col_of)
         # exact self-checks: primal feasibility here, strong duality below
-        self._check_primal(X, T.d, int_rows)
+        self._check_primal(X, T.d)
         x = tuple(rat(v, T.d) for v in X)
-        value = sum((c * x[v] for v, c in cost.items()), R0)
+        value = rat(sum(c.numerator * (cost_scale // c.denominator) * X[v]
+                        for v, c in cost.items()), cost_scale * T.d)
         # duals from reduced costs under each row's starting unit column,
         # unscaled: y_r = −scale[r]·obj[s] / (d·cost_scale)
         obj = T.rows[-1]
@@ -378,9 +418,8 @@ class LpBuilder:
                 continue
             y = -scale[r] * obj.get(s, 0)
             duals.append(rat(-y if flipped[r] else y, den))
-        dualval = sum((y * rhs for y, (_, rhs, _) in zip(duals, self._rows)),
-                      R0)
-        if dualval != value:
+        _, total, den = self._combine_rows(duals)
+        if rat(total, den) != value:
             raise AssertionError("simplex strong duality violated")
         return LpResult(OPTIMAL, objective=sense * value, x=x,
                         duals=tuple(sense * y for y in duals), stats=stats)
@@ -396,14 +435,10 @@ class LpBuilder:
             y.append(rat(-yr if flipped[r] else yr, den))
         # verify: y^T A <= 0 on nonneg columns, == 0 on free vars,
         # slack rows give y_r <= 0 on '<=' rows, and y^T b > 0.
-        comb = {}
-        total = R0
-        for yr, (coeffs, rhs, kind) in zip(y, self._rows):
+        for yr, (_, _, _, kind) in zip(y, self._rows):
             if kind == "le" and yr > 0:
                 raise AssertionError("Farkas certificate sign check failed")
-            for v, c in coeffs.items():
-                comb[v] = comb.get(v, R0) + yr * rat(c)
-            total += yr * rhs
+        comb, total, _ = self._combine_rows(y)
         for v, s in comb.items():
             if self._vars[v] == "free":
                 if s != 0:
@@ -429,11 +464,14 @@ class LpBuilder:
             ray.append(rat(v, T.d))
         ray = tuple(ray)
         # verify the ray: homogeneous feasibility and strict improvement
-        drop = sum((c * ray[v] for v, c in cost.items()), R0)
-        if not drop < 0:
+        # signs read on integer numerators: the denominators of the
+        # ray, of the cost and each row's s_r are positive
+        nums, _ = numerators(ray)
+        cnums, _ = numerators(list(cost.values()))
+        if not sum(c * nums[v] for v, c in zip(cost, cnums)) < 0:
             raise AssertionError("unboundedness ray does not improve")
-        for coeffs, _, kind in self._rows:
-            s = sum((rat(c) * ray[v] for v, c in coeffs.items()), R0)
+        for coeffs, _, _, kind in self._rows:
+            s = sum(a * nums[v] for v, a in coeffs.items())
             if kind == "eq" and s != 0:
                 raise AssertionError("unboundedness ray leaves equalities")
             if kind == "le" and s > 0:
@@ -443,11 +481,27 @@ class LpBuilder:
                 raise AssertionError("unboundedness ray goes negative")
         return LpResult(UNBOUNDED, ray=ray, stats=stats)
 
-    def _check_primal(self, X, d, int_rows):
+    def _combine_rows(self, y):
+        """Σ_r y_r·(row r) for one rational y_r per caller row, as integer
+        numerators over one positive denominator: (coefficient numerators
+        {var: int}, numerator of Σ_r y_r·rhs_r, denominator)."""
+        Y, dy = numerators(y)
+        lcm = math.lcm(*(s for _, _, s, _ in self._rows))
+        comb = {}
+        total = 0
+        for yr, (coeffs, b, s, _) in zip(Y, self._rows):
+            if yr:
+                w = yr * (lcm // s)
+                for v, a in coeffs.items():
+                    comb[v] = comb.get(v, 0) + w * a
+                total += w * b
+        return comb, total, dy * lcm
+
+    def _check_primal(self, X, d):
         """x = X/d satisfies every caller row, each checked times
         s_r·d > 0 on its integer row, and every nonneg bound."""
-        for irow, b, kind in int_rows:
-            s = sum(a * X[v] for v, a in irow)
+        for coeffs, b, _, kind in self._rows:
+            s = sum(a * X[v] for v, a in coeffs.items())
             if kind == "eq" and s != b * d:
                 raise AssertionError("simplex produced infeasible point")
             if kind == "le" and s > b * d:

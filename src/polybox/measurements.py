@@ -60,9 +60,8 @@ class MeasurementCollection:
 
     def effect_value(self, i, j, x):
         """f^i_j(x) for any x in span V(K)."""
-        coeffs = self.space.expand(x)
         vals = self.effects[(i, j)]
-        return sum(c * vals[t] for c, t in zip(coeffs, self.space.basis_idx))
+        return la.dot(self.space.expand(x), [vals[t] for t in self.space.basis_idx])
 
     def apply(self, x):
         """F(x) as an ambient vector of the polysimplex."""

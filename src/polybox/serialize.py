@@ -17,7 +17,7 @@ from .channels import ChoiMatrix
 from .exact import format_rat, is_rational, rat
 from .measurements import MeasurementCollection, make_collection
 from .polysimplex import PolySimplex, polysimplex_space
-from .spaces import StateSpace
+from .spaces import StateSpace, check_facets_generate
 from .steering import Assemblage
 from .witnesses import WitnessMap, make_witness_map
 
@@ -102,6 +102,7 @@ def space_from_json(obj) -> StateSpace:
                        [_vec_from_json(f) for f in obj["facets"]])
     if "dim" in obj and int(obj["dim"]) != space.dim:
         raise ValueError(f"declared dim {obj['dim']} != actual {space.dim}")
+    check_facets_generate(space)
     return space
 
 
@@ -143,10 +144,6 @@ def resolve_space(ref) -> StateSpace:
 
 
 # -- polysimplex shapes -------------------------------------------------
-
-def shape_to_json(shape: PolySimplex) -> dict:
-    return {"shape": list(shape.shape)}
-
 
 def shape_from_json(obj) -> PolySimplex:
     if isinstance(obj, list):
@@ -297,14 +294,6 @@ def detect_kind(obj) -> str:
             return loader.__name__.removesuffix("_from_json")
     raise ValueError("object matches no known schema "
                      "(space / shape / measurement / witness / assemblage / box / channel)")
-
-
-def load_any(obj):
-    kind = detect_kind(obj)
-    for marker, loader in _LOADERS:
-        if loader.__name__.removesuffix("_from_json") == kind:
-            return loader(obj)
-    raise AssertionError(kind)
 
 
 def dumps(obj) -> str:

@@ -7,6 +7,7 @@ family in polysimplex.py) supply them analytically.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -240,6 +241,51 @@ def max_effect_value(space, psi):
     return res.objective
 
 
+def check_facets_generate(space: StateSpace):
+    """Raise ValueError unless the facets generate A(K)+, which the joint
+    LP, is_witness, in_cone and the witness LPs all assume. In basis
+    coordinates c the facets' H-description of K is P = {Σ_a c_a = 1,
+    facet_rows·c ≥ 0}, and they generate A(K)+ iff P = K (Farkas). K ⊆ P
+    holds by construction; P ⊆ K is checked exactly:
+    - rank([1; facet_rows]) = rank, so P has basic points, and no
+      nonzero c with facet_rows·c ≥ 0 has Σ_a c_a ≤ 0 (one LP), so P
+      is bounded (its recession cone is {0}); then P is the hull of its
+      basic points, and
+    - every basic point (rank − 1 independent facets tight, all facets
+      ≥ 0) is one of the given vertices.
+    Built-in spaces are analytic and skip this; JSON spaces run it."""
+    D = space.rank
+    rows = space.facet_rows
+    ones = (R1,) * D
+    if la.rank([ones, *rows]) < D:
+        raise ValueError("facets leave a line through the state space: "
+                         "they do not generate the positive effects")
+    lp = LpBuilder()
+    c = lp.vars(D, nonneg=False)
+    expr = vec_expr([(R1, c)])
+    lp.add_rows(rows, expr, "ge", R0)
+    lp.add_rows([ones], expr, "le", R0)
+    # Σ_g ⟨g, c⟩ − Σ_a c_a ≥ 0 on that cone, and 0 only at c = 0
+    weight = {v: sum((g[a] for g in rows), R0) - R1 for a, v in enumerate(c)}
+    lp.add_le(weight, R1)
+    if lp.maximize(weight).objective != 0:
+        raise ValueError("facets admit a nonzero direction of unit value <= 0 "
+                         "(K unbounded): they do not generate the positive effects")
+    vertices = set(space.vertices)
+    for tight in itertools.combinations(rows, D - 1):
+        try:
+            inv = la.invert([ones, *tight])
+        except ValueError:
+            continue
+        point = tuple(r[0] for r in inv)
+        if all(la.dot(g, point) >= 0 for g in rows):
+            x = la.combine(point, space.basis)
+            if x not in vertices:
+                raise ValueError(f"facets admit the point ({', '.join(map(str, x))}), "
+                                 "which is not a vertex: they do not generate "
+                                 "the positive effects")
+
+
 @dataclass(frozen=True)
 class ChiElement:
     """χ_K = Σ_i x_i ⊗ e_i, stored as the ambient matrix Σ x_i ẽ_iᵀ with
@@ -259,19 +305,6 @@ class ChiElement:
 
 def chi(space) -> ChiElement:
     return ChiElement(space, space.span_projector)
-
-
-def dual_pairing_positivity(t_images, space, space2) -> bool:
-    """Tr(T·S) ≥ 0 for S over the separable generators f'⊗φ, i.e. every
-    facet effect of space2 is nonnegative on every vertex image."""
-    m = linear_map_from_vertex_images(space, t_images, space2.dim)
-    if m is None:
-        raise ValueError("vertex images are not affinely consistent")
-    for g in space2.facets:
-        for v in space.vertices:
-            if la.dot(g, la.mat_vec(m, v)) < 0:
-                return False
-    return True
 
 
 def separable_decomposition(tensor, gens_left, gens_right):

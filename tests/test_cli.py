@@ -71,6 +71,17 @@ class TestSpace:
         assert code == 0
         assert all(rep["certificate"].values())
 
+    def test_facets_that_do_not_generate_exit_2(self, capsys, tmp_path):
+        obj = sz.space_to_json(square_space())
+        path = tmp_path / "square-minus-facet.json"
+        path.write_text(sz.dumps({**obj, "facets": obj["facets"][1:]}))
+        code, rep, err = run(capsys, "space", "validate", "--space", str(path))
+        assert code == 2 and rep is None
+        assert "do not generate" in err
+        path.write_text(sz.dumps(obj))
+        code, rep, _ = run(capsys, "space", "validate", "--space", str(path))
+        assert code == 0
+
     def test_unknown_label(self, capsys):
         code, _rep, err = run(capsys, "space", "info", "--space", "dodecahedron")
         assert code == 2

@@ -1,4 +1,5 @@
-"""Every name a polybox module imports is read somewhere in that module.
+"""Every name a polybox module imports is read somewhere in that module,
+and only exact.py imports `fractions`.
 
 A small AST check in place of a linter: an import binds names, and each
 bound name must occur as a `Name` load or as the base of an attribute
@@ -45,3 +46,29 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     src = "import itertools\nfrom x import a as b, c\nimport os.path\nc(os.path.sep)\n"
     assert unused_imports(src) == [("itertools", 1), ("b", 2)]
+
+
+def imported_modules(tree):
+    """Top-level module name of every import in the module, at any depth."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_scalar_backend_stays_in_exact(path):
+    # exact.py alone picks the scalar type (gmpy2 mpq or Fraction); every
+    # other module works through rat, Rational and .numerator/.denominator
+    if path.name != "exact.py":
+        assert "fractions" not in imported_modules(ast.parse(path.read_text()))
+
+
+def test_detects_fractions_import():
+    src = "def f():\n    from fractions import Fraction\n    return Fraction\n"
+    assert "fractions" in imported_modules(ast.parse(src))
+    assert "fractions" in imported_modules(ast.parse("import fractions as fr\n"))
+    assert "fractions" not in imported_modules(ast.parse("from .exact import rat\n"))

@@ -1,0 +1,144 @@
+"""Integer-numerator kernels in linalg and LpBuilder rows, against a
+term-by-term Fraction reference computed here."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from polybox import linalg as la
+from polybox.exact import Rational, numerators, rat
+from polybox.lp import LpBuilder
+
+
+def draw(rng):
+    """A scalar of mixed kind: zero, an int, a small or a large fraction,
+    as an exact rational or as a bare int."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice([0, rat(0)])
+    if kind == 1:
+        return rng.randrange(-9, 10)
+    if kind == 2:
+        return rat(rng.randrange(-9, 10))
+    if kind == 3:
+        return rat(rng.randrange(-20, 21), rng.randrange(1, 13))
+    if kind == 4:
+        return rat(rng.randrange(-10**30, 10**30), rng.randrange(1, 10**25))
+    return rat(rng.randrange(-5, 6), rng.choice([7, 49, 343, 2**40, 3**30]))
+
+
+def vector(rng, n):
+    return tuple(draw(rng) for _ in range(n))
+
+
+def F(x):
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def ref_dot(a, b):
+    return sum((F(x) * F(y) for x, y in zip(a, b)), Fraction(0))
+
+
+def exact_tuple(got, want):
+    """Every entry an exact rational (never an int) equal to the reference."""
+    assert all(type(x) is Rational for x in got)
+    assert [F(x) for x in got] == list(want)
+
+
+def is_integer(a):
+    """An integer numerator: an int (or the backend's integer), not a
+    rational."""
+    return not isinstance(a, Rational) and a == int(a)
+
+
+@pytest.mark.parametrize("n", (0, 1, 3, 6))
+def test_dot_and_vector_sums(n):
+    rng = random.Random(n)
+    for _ in range(40):
+        a, b = vector(rng, n), vector(rng, n)
+        d = la.dot(a, b)
+        assert type(d) is Rational and F(d) == ref_dot(a, b)
+        exact_tuple(la.vec_add(a, b), [F(x) + F(y) for x, y in zip(a, b)])
+        exact_tuple(la.vec_sub(a, b), [F(x) - F(y) for x, y in zip(a, b)])
+
+
+@pytest.mark.parametrize("n", (1, 3, 6))
+def test_combine_and_mat_vec(n):
+    rng = random.Random(1000 + n)
+    for _ in range(40):
+        combine_and_mat_vec(rng, n)
+
+
+def combine_and_mat_vec(rng, n):
+    vectors = [vector(rng, n) for _ in range(rng.randrange(1, 5))]
+    coeffs = [draw(rng) for _ in vectors]
+    want = [sum((F(c) * F(v[t]) for c, v in zip(coeffs, vectors)), Fraction(0))
+            for t in range(n)]
+    exact_tuple(la.combine(coeffs, vectors), want)
+    exact_tuple(la.combine([0] * len(vectors), vectors), [0] * n)
+    m = [vector(rng, n) for _ in range(rng.randrange(0, 4))]
+    v = vector(rng, n)
+    exact_tuple(la.mat_vec(m, v), [ref_dot(row, v) for row in m])
+    b = [vector(rng, 2) for _ in range(n)]
+    got = la.mat_mul(m, b)
+    assert [[F(x) for x in row] for row in got] == \
+        [[ref_dot(row, [r[c] for r in b]) for c in range(2)] for row in m]
+    assert all(type(x) is Rational for row in got for x in row)
+
+
+def test_unequal_lengths_raise():
+    a, b = (rat(1), rat(2)), (rat(1),)
+    for call in (lambda: la.dot(a, b), lambda: la.vec_add(a, b),
+                 lambda: la.vec_sub(a, b), lambda: la.mat_vec([a], b),
+                 lambda: la.mat_vec([b, a], b), lambda: la.combine([1, 2], [a, b]),
+                 lambda: la.combine([1], [a, a]), lambda: la.mat_mul([a], [b])):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_numerators():
+    nums, den = numerators((rat(1, 6), rat(-3, 4), 5, rat(0)))
+    assert (nums, den) == ([2, -9, 60, 0], 12)
+    assert numerators(()) == ([], 1)
+
+
+def test_add_rows_against_fraction_rows():
+    rng = random.Random(2000)
+    for _ in range(60):
+        add_rows_against_fraction_rows(rng)
+
+
+def add_rows_against_fraction_rows(rng):
+    # each stored row (coeffs, rhs, s, kind), read as coeffs/s and rhs/s,
+    # is the Fraction sum Σ_a m[a]·expr[a], negated for ">="; s is the
+    # LCM of the row's reduced denominators and zero coefficients are gone
+    nvars, width = rng.randrange(1, 6), rng.randrange(1, 5)
+    expr = [{v: draw(rng) for v in rng.sample(range(nvars), rng.randrange(0, nvars + 1))}
+            for _ in range(width)]
+    matrix = [[draw(rng) for _ in range(width)] for _ in range(rng.randrange(1, 5))]
+    kind = rng.choice(["eq", "le", "ge"])
+    rhs = [draw(rng) for _ in matrix]
+    if rng.randrange(2):
+        rhs = [rhs[0]] * len(matrix)
+        b_rhs = rhs[0]
+    else:
+        b_rhs = rhs
+    b = LpBuilder()
+    b.vars(nvars)
+    b.add_rows(matrix, expr, kind, b_rhs)
+    assert len(b._rows) == len(matrix)
+    sign = -1 if kind == "ge" else 1
+    for m, r, (coeffs, brhs, s, stored) in zip(matrix, rhs, b._rows):
+        want = {}
+        for ma, e in zip(m, expr):
+            for v, c in e.items():
+                want[v] = want.get(v, Fraction(0)) + F(ma) * F(c)
+        want = {v: sign * c for v, c in want.items() if c}
+        want_rhs = sign * F(r)
+        assert stored == ("le" if kind == "ge" else kind)
+        assert {v: Fraction(a, s) for v, a in coeffs.items()} == want
+        assert Fraction(brhs, s) == want_rhs
+        assert all(is_integer(a) and a for a in coeffs.values()) and is_integer(brhs)
+        assert s == math.lcm(want_rhs.denominator, *(c.denominator for c in want.values()))

@@ -10,6 +10,13 @@ from polybox.linalg import combine
 from polybox.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBuilder, LpStats, vec_expr
 
 
+def rational_rows(b):
+    """A builder's stored rows read back as rationals: (coeffs, rhs, kind),
+    each stored integer over the row's LCM s_r."""
+    return [({v: rat(a, s) for v, a in coeffs.items()}, rat(rhs, s), kind)
+            for coeffs, rhs, s, kind in b._rows]
+
+
 class TestRationals:
     def test_rat_forms(self):
         assert rat(1, 2) + rat(1, 2) == R1
@@ -71,7 +78,8 @@ class TestRowVocabulary:
         b = LpBuilder()
         b.vars(2)
         b.add_rows([[1, -1], [0, 0]], expr, "eq", [rat(-4), R0])
-        assert b._rows == [({1: rat(-2)}, rat(-4), "eq"), ({}, R0, "eq")]
+        assert rational_rows(b) == [({1: rat(-2)}, rat(-4), "eq"), ({}, R0, "eq")]
+        assert b._rows == [({1: -2}, -4, 1, "eq"), ({}, 0, 1, "eq")]
         res = b.minimize({0: R1})
         assert res.status == OPTIMAL and (res[0], res[1]) == (0, 2)
 
@@ -367,6 +375,12 @@ def _cross_check_highs(rng, coeff, rhs_draw):
                 b.add_ge(coeffs, rhs)
                 a_ub.append([-c for c in row])
                 b_ub.append(-rhs)
+        # the stored rows, read back as rationals, are the rows HiGHS gets
+        rows = rational_rows(b)
+        for kind, a_rows, b_rows in (("eq", a_eq, b_eq), ("le", a_ub, b_ub)):
+            assert [([coeffs.get(x, R0) for x in xs], rhs)
+                    for coeffs, rhs, k in rows if k == kind] == \
+                [([rat(c) for c in row], rat(r)) for row, r in zip(a_rows, b_rows)]
         cost = [rng.randrange(-3, 4) for _ in range(n)]
         res = b.minimize({xs[i]: c for i, c in enumerate(cost) if c})
         ref = linprog(cost, A_ub=[[float(c) for c in row] for row in a_ub] or None,
@@ -380,11 +394,11 @@ def _cross_check_highs(rng, coeff, rhs_draw):
             assert abs(float(res.objective) - ref.fun) <= 1e-7 * (1 + abs(ref.fun))
             # dual feasibility of the stored rows: y <= 0 on <= rows, and
             # reduced costs c - yA >= 0 (== 0 on free variables)
-            for y, (coeffs, _, kind) in zip(res.duals, b._rows):
+            for y, (coeffs, _, kind) in zip(res.duals, rows):
                 assert kind == "eq" or y <= 0
             for i, f in enumerate(free):
-                red = cost[i] - sum(y * rat(coeffs.get(xs[i], 0))
-                                    for y, (coeffs, _, _) in zip(res.duals, b._rows))
+                red = cost[i] - sum(y * coeffs.get(xs[i], 0)
+                                    for y, (coeffs, _, _) in zip(res.duals, rows))
                 assert red == 0 if f else red >= 0
         seen.add(res.status)
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}

@@ -8,7 +8,7 @@ from polybox import linalg as la
 from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL, LpBuilder, vec_expr
 from polybox.polysimplex import hypercube_space, polysimplex_space, square_space
-from polybox.spaces import (StateSpace, base_norm, chi, dual_pairing_positivity,
+from polybox.spaces import (StateSpace, base_norm, chi,
                             linear_map_from_vertex_images, max_effect_value,
                             max_tensor_member, membership,
                             separable_decomposition, simplex_space,
@@ -218,13 +218,6 @@ class TestLinearMaps:
         p = sq.span_projector
         inv = span_inverse(p, sq)
         assert la.mat_mul(inv, p) == p
-
-    def test_dual_pairing_positivity(self):
-        sq = square_space()
-        # the identity map is positive; its negation is not
-        assert dual_pairing_positivity(list(sq.vertices), sq, sq)
-        neg = [tuple(la.vec_scale(-1, v)) for v in sq.vertices]
-        assert not dual_pairing_positivity(neg, sq, sq)
 
 
 class TestTensors:

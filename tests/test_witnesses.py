@@ -1,5 +1,6 @@
 """Witness maps: validation, trace pairing, duality, special criteria."""
 
+import itertools
 import random
 
 import pytest
@@ -47,6 +48,61 @@ class TestConstruction:
         with pytest.raises(WitnessValidationError) as err:
             make_witness_map(SQ, sp, images)
         assert err.value.code == "CONSISTENCY_VIOLATION"
+
+    @pytest.mark.parametrize("shape", [PolySimplex((1, 1, 1)), PolySimplex((2, 1))],
+                             ids=["cube:3", "(2,1)"])
+    def test_chart_check_catches_each_single_image(self, shape):
+        # valid maps pass; moving any one vertex image inside the cone
+        # (the top image, an edge image or any other) breaks additivity
+        rng = random.Random(8)
+        for sp in (square_space(), simplex_space(2)):
+            for _ in range(3):
+                images = random_witness_map(shape, sp, rng).vertex_images
+                make_witness_map(shape, sp, images)
+                for n in shape.outcomes():
+                    step = la.vec_scale(rat(rng.randrange(1, 5), 3), sp.interior_point())
+                    bad = dict(images)
+                    bad[n] = la.vec_add(images[n], step)
+                    with pytest.raises(WitnessValidationError) as err:
+                        make_witness_map(shape, sp, bad)
+                    assert err.value.code == "CONSISTENCY_VIOLATION"
+
+    def test_chart_check_agrees_with_exchange_equations(self):
+        # tables with every image shifted by c_n·v: c_n affine in the
+        # chart (a consistent table) or arbitrary; the chart check must
+        # accept exactly the tables where every pairwise exchange
+        # equation w_n + w_n' == w_(n_i<->n'_i) holds
+        rng = random.Random(9)
+        sp = square_space()
+        v = sp.interior_point()
+        seen = set()
+        for shape in (PolySimplex((1, 1, 1)), PolySimplex((2, 1))):
+            outs = shape.outcome_list()
+            for _ in range(20):
+                images = random_witness_map(shape, sp, rng).vertex_images
+                if rng.randrange(2):
+                    w = {(i, j): rng.randrange(3) for i, l in enumerate(shape.shape)
+                         for j in range(l + 1)}
+                    c = {n: sum(w[(i, ni)] for i, ni in enumerate(n)) for n in outs}
+                else:
+                    c = {n: rng.randrange(3) for n in outs}
+                table = {n: la.vec_add(images[n], la.vec_scale(c[n], v)) for n in outs}
+                exchange = True
+                for n, m in itertools.combinations(outs, 2):
+                    for i in range(shape.k + 1):
+                        a = n[:i] + (m[i],) + n[i + 1:]
+                        b = m[:i] + (n[i],) + m[i + 1:]
+                        if la.vec_add(table[n], table[m]) != la.vec_add(table[a], table[b]):
+                            exchange = False
+                try:
+                    make_witness_map(shape, sp, table)
+                    accepted = True
+                except WitnessValidationError as err:
+                    assert err.code == "CONSISTENCY_VIOLATION"
+                    accepted = False
+                assert accepted == exchange
+                seen.add(accepted)
+        assert seen == {True, False}
 
     def test_cone_violation(self):
         sp = square_space()
