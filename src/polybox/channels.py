@@ -359,13 +359,21 @@ def _local_decomposition(box, model, dims):
 
 
 def _check_local_decomposition(decomposition, T: StochasticMatrix):
+    """Σ w·(ta ⊗ tb) == T entry by entry. The product's entry at input
+    (ia, ib), output (ja, jb) is ta(ja, ia)·tb(jb, ib), flattened as in
+    `StochasticMatrix.tensor`; only the nonzero factors are visited, a
+    single 1 per row for deterministic channels."""
     n_in, n_out = T.n_inputs, T.n_outputs
     acc = [[R0] * n_out for _ in range(n_in)]
     for w, ta, tb in decomposition:
-        prod = ta.tensor(tb)
-        for i in range(n_in):
-            for j in range(n_out):
-                acc[i][j] += w * prod(j, i)
+        for ia, ra in enumerate(ta.rows):
+            for ib, rb in enumerate(tb.rows):
+                row = acc[ia * tb.n_inputs + ib]
+                for ja, va in enumerate(ra):
+                    if va:
+                        for jb, vb in enumerate(rb):
+                            if vb:
+                                row[ja * tb.n_outputs + jb] += w * va * vb
     if any(acc[i][j] != T(j, i) for i in range(n_in) for j in range(n_out)):
         raise AssertionError("local decomposition does not reproduce the channel")
 

@@ -10,6 +10,7 @@ Reports go to stdout and are byte-identical for fixed inputs and
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -496,9 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged
+    and returns a fresh namespace on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     load = Loader()
     start = time.perf_counter()
     try:

@@ -43,11 +43,17 @@ unknown is a list of variables, one per coordinate; `vec_expr` turns a
 linear combination of such vectors into one expression {var: coeff} per
 coordinate, and `LpBuilder.add_rows` adds one row per row m of a matrix,
 Σ_a m[a]·expr[a] (==, <= or >=) rhs. With the tables on `StateSpace`,
-`facet_rows` makes basis coordinates lie in V(K)+; an effect positive
-on K is a list of nonnegative facet weights, whose values at the basis
-vertices are `transpose(facet_rows)` times the weights and at every
-vertex `facet_values` times them; `linalg.combine` and
-`linalg.mat_vec` read a vector back from a solution.
+`facet_rows` makes basis coordinates lie in V(K)+. A family of vectors
+that must all lie in V(K)+, and that is a sum of one term per input
+(the vertex images of an affine map on a polysimplex), gets its facet
+rows per input, not per member: a nonnegative slack per facet and
+input bounds that input's smallest facet value, and the matrix
+[facet_rows | ±I] applied to (vector, slacks) writes the rows (see
+`witnesses._witness_lp`). An effect positive on K is a list of
+nonnegative facet weights, whose values at the basis vertices are
+`transpose(facet_rows)` times the weights and at every vertex
+`facet_values` times them; `linalg.combine` and `linalg.mat_vec` read a
+vector back from a solution.
 """
 from __future__ import annotations
 
@@ -433,20 +439,7 @@ class LpBuilder:
         for r, s in enumerate(start):
             yr = (den if s >= art0 else 0) - scale[r] * obj.get(s, 0)
             y.append(rat(-yr if flipped[r] else yr, den))
-        # verify: y^T A <= 0 on nonneg columns, == 0 on free vars,
-        # slack rows give y_r <= 0 on '<=' rows, and y^T b > 0.
-        for yr, (_, _, _, kind) in zip(y, self._rows):
-            if kind == "le" and yr > 0:
-                raise AssertionError("Farkas certificate sign check failed")
-        comb, total, _ = self._combine_rows(y)
-        for v, s in comb.items():
-            if self._vars[v] == "free":
-                if s != 0:
-                    raise AssertionError("Farkas certificate failed on free var")
-            elif s > 0:
-                raise AssertionError("Farkas certificate failed")
-        if not total > 0:
-            raise AssertionError("Farkas certificate not separating")
+        self._check_farkas(y)
         return LpResult(INFEASIBLE, farkas=tuple(y), stats=stats)
 
     def _extract_ray(self, T, enter, enter_scale, col_of, cost, stats):
@@ -496,6 +489,23 @@ class LpBuilder:
                     comb[v] = comb.get(v, 0) + w * a
                 total += w * b
         return comb, total, dy * lcm
+
+    def _check_farkas(self, y):
+        """y (one rational per caller row) certifies infeasibility:
+        y_r <= 0 on every '<=' row, y^T A <= 0 on nonneg variables and
+        == 0 on free ones, and y^T b > 0."""
+        for yr, (_, _, _, kind) in zip(y, self._rows, strict=True):
+            if kind == "le" and yr > 0:
+                raise AssertionError("Farkas certificate sign check failed")
+        comb, total, _ = self._combine_rows(y)
+        for v, s in comb.items():
+            if self._vars[v] == "free":
+                if s != 0:
+                    raise AssertionError("Farkas certificate failed on free var")
+            elif s > 0:
+                raise AssertionError("Farkas certificate failed")
+        if not total > 0:
+            raise AssertionError("Farkas certificate not separating")
 
     def _check_primal(self, X, d):
         """x = X/d satisfies every caller row, each checked times

@@ -250,27 +250,46 @@ def is_witness(W: WitnessMap) -> WitnessDecision:
     return WitnessDecision(witness, min_value, minimizer, translation, etb)
 
 
-def _witness_lp(F, states, image_rows=None):
+def _witness_lp(F, states):
     """LP over witness maps in chart coordinates: basis coordinates of
-    w_top and of each edge image W(e^i_j), j < l_i. Every vertex image
-    w_n gets facet rows (w_n ∈ V(K)+), then when `states` a unit row
-    (w_n ∈ K), then whatever rows `image_rows(lp, n, w_n)` adds. Returns
-    (lp, top, edges)."""
+    w_top and of each edge image W(e^i_j), j < l_i. Returns (lp, top,
+    edges).
+
+    W is affine on S, so for a facet g of K each vertex value splits into
+    one term per input: ⟨g, w_n⟩ = ⟨g, w_top⟩ + Σ_i ⟨g, W(e^i_{n_i})⟩,
+    with W(e^i_{l_i}) = 0. Every w_n lies in V(K)+ iff, for every g,
+    ⟨g, w_top⟩ + Σ_i min(0, min_j ⟨g, W(e^i_j)⟩) ≥ 0. A nonnegative
+    variable u_{g,i} per facet and input bounds each minimum from below:
+    rows ⟨g, W(e^i_j)⟩ + u_{g,i} ≥ 0 for j < l_i and ⟨g, w_top⟩ − Σ_i
+    u_{g,i} ≥ 0, that is 1 + Σ_i l_i rows per facet where one block per
+    vertex would take Π_i (l_i + 1). The feasible (w_top, edges) are the
+    same. With `states` every w_n is moreover in K, which is affine in
+    n: ⟨1_K, w_top⟩ = 1 and ⟨1_K, W(e^i_j)⟩ = 0."""
     shape = F.shape
     space = F.space
     D = space.rank
+    nf = len(space.facet_rows)
     lp = LpBuilder()
     top = lp.vars(D, nonneg=False)
     edges = {(i, j): lp.vars(D, nonneg=False)
              for i, l in enumerate(shape.shape) for j in range(l)}
-    for n in shape.outcome_list():
-        img = vec_expr([(R1, top)] + [(R1, edges[(i, ni)]) for i, ni in enumerate(n)
-                                      if ni < shape.shape[i]])
-        lp.add_rows(space.facet_rows, img, "ge", R0)
-        if states:
-            lp.add_rows([(R1,) * D], img, "eq", R1)
-        if image_rows:
-            image_rows(lp, n, img)
+    u = [lp.vars(nf) for _ in shape.shape]  # u[i][g] = u_{g,i} >= 0
+
+    def bordered(sign):
+        # [facet_rows | sign·I]: row g on (vector, u) is ⟨g, vector⟩ + sign·u_g
+        return [list(row) + [sign if h == g else R0 for h in range(nf)]
+                for g, row in enumerate(space.facet_rows)]
+
+    plus = bordered(R1)
+    for (i, _), cols in edges.items():
+        lp.add_rows(plus, vec_expr([(R1, cols)]) + vec_expr([(R1, u[i])]), "ge", R0)
+    lp.add_rows(bordered(-R1), vec_expr([(R1, top)]) + vec_expr([(R1, ui) for ui in u]),
+                "ge", R0)
+    if states:
+        unit = [(R1,) * D]
+        lp.add_rows(unit, vec_expr([(R1, top)]), "eq", R1)
+        for cols in edges.values():
+            lp.add_rows(unit, vec_expr([(R1, cols)]), "eq", R0)
     return lp, top, edges
 
 
@@ -313,16 +332,20 @@ def _min_trace_witness(F, lp, top, edges):
 def q_value(F: MeasurementCollection, s):
     """q_s(F) = min Tr FW over W ∈ A(S,V(K)+) with W(s) ∈ K, and the
     incompatibility degree ID_s = −q/(1−q) for q ≤ 0 (else 0). Returns
-    (q, minimizing WitnessMap, ID_s)."""
+    (q, minimizing WitnessMap, ID_s).
+
+    The LP is `_witness_lp`'s per-input facet rows plus one unit row
+    ⟨1_K, W(s)⟩ = 1. W(s) needs no facet rows: s is a convex combination
+    of the vertices of S, so W(s) is the same combination of the vertex
+    images and lies in V(K)+ with them."""
     shape = F.shape
     space = F.space
     if not shape.interior(s):
         raise ValueError("q_value needs a strictly interior s")
     lp, top, edges = _witness_lp(F, states=False)
-    # W(s) ∈ K, with W(s) = w_top + Σ_{i,j<l_i} s^i_j W(e^i_j)
+    # ⟨1_K, W(s)⟩ = 1, with W(s) = w_top + Σ_{i,j<l_i} s^i_j W(e^i_j)
     point = vec_expr([(R1, top)] + [(shape.coords(s, i, j), cols)
                                     for (i, j), cols in edges.items()])
-    lp.add_rows(space.facet_rows, point, "ge", R0)
     lp.add_rows([(R1,) * space.rank], point, "eq", R1)
     q, W = _min_trace_witness(F, lp, top, edges)
     lam = (-q) / (R1 - q) if q <= 0 else R0
@@ -387,7 +410,10 @@ class MaximalReport:
 def maximal_incompatibility_certificate(F: MeasurementCollection) -> MaximalReport:
     """Search W ∈ A(S,K) (all vertex images states) minimizing Tr FW;
     F is maximally incompatible iff the optimum is −k. On success the
-    orthogonality relations ⟨f^i_j, w_(n_i=j)⟩ = 0 are verified too."""
+    orthogonality relations ⟨f^i_j, w_(n_i=j)⟩ = 0 are verified too.
+    The LP is `_witness_lp` with `states`: the vertex images' facet
+    values are bounded per input, and their unit values, affine in the
+    vertex, are fixed on w_top and the edge images."""
     shape = F.shape
     lp, top, edges = _witness_lp(F, states=True)
     value, W = _min_trace_witness(F, lp, top, edges)
@@ -408,20 +434,24 @@ class RetractionReport:
 
 def retraction_check(F: MeasurementCollection) -> RetractionReport:
     """Look for a section S' ∈ A(□_{k+1}, K) with F∘S' = id: an LP on the
-    images of the cube vertices. On success also returns P = S'∘F, an
-    affine projection of K onto a hypercube slice."""
+    chart images of S' (`_witness_lp` with `states`, so every vertex
+    image is a state). F∘S' = id is affine in the vertex, so its rows
+    are written at w_top and at each edge image, not at every vertex. On
+    success also returns P = S'∘F, an affine projection of K onto a
+    hypercube slice."""
     shape = F.shape
     space = F.space
     if any(l != 1 for l in shape.shape):
         raise ValueError("retraction test applies to hypercube shapes only")
     effects = [[F.effects[(i, 0)][x] for x in space.basis_idx]
                for i in range(shape.k + 1)]
-
-    def section_rows(lp, n, img):
-        # F(σ_n) = s_n: effect i hits outcome n_i with certainty
-        lp.add_rows(effects, img, "eq", [R1 if ni == 0 else R0 for ni in n])
-
-    lp, top, edges = _witness_lp(F, states=True, image_rows=section_rows)
+    lp, top, edges = _witness_lp(F, states=True)
+    # F(σ_n) = s_n at every vertex n, affine in n: F(σ_top) = s_top, whose
+    # 0-outcome probabilities all vanish, and F(σ(e^i_0)) = e_i
+    lp.add_rows(effects, vec_expr([(R1, top)]), "eq", R0)
+    for (i, _), cols in edges.items():
+        lp.add_rows(effects, vec_expr([(R1, cols)]), "eq",
+                    [R1 if a == i else R0 for a in range(shape.k + 1)])
     res = lp.minimize({})
     if res.status != OPTIMAL:
         return RetractionReport(False, None, None, None)

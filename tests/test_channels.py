@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from polybox.bell import pr_box, random_ns_box
-from polybox.channels import (ChoiMatrix, StochasticMatrix, box_to_causal_channel,
+from polybox.channels import (ChoiMatrix, StochasticMatrix, _bipartite_joint_matrix,
+                              _check_local_decomposition, box_to_causal_channel,
                               cc_channel, channel_projection,
                               channel_space_max_incompatibility,
                               point_from_stochastic, retraction_R, section_S,
@@ -146,6 +147,29 @@ class TestCausalChannel:
         rep = box_to_causal_channel(box)
         assert rep.local_decomposition is not None
         assert sum(w for w, _ta, _tb in rep.local_decomposition) == R1
+
+    def test_local_decomposition_check_matches_tensor_sum(self):
+        # the check sums only the single 1 of each product row; it must
+        # agree with Σ w·(ta ⊗ tb) over every entry, and catch a wrong term
+        rng = random.Random(11)
+        box = random_ns_box(PolySimplex((2, 1)), PolySimplex((1, 1, 1)), rng,
+                            pr_weight=False)
+        dec = box_to_causal_channel(box).local_decomposition
+        T, _dims = _bipartite_joint_matrix(box)
+        acc = [[R0] * T.n_outputs for _ in range(T.n_inputs)]
+        for w, ta, tb in dec:
+            prod = ta.tensor(tb)
+            for i in range(T.n_inputs):
+                for j in range(T.n_outputs):
+                    acc[i][j] += w * prod(j, i)
+        assert acc == [list(row) for row in T.rows]
+        _check_local_decomposition(dec, T)
+        r, (w, ta, tb) = next((r, t) for r, t in enumerate(dec) if t[0])
+        out = [row.index(R1) for row in tb.rows]
+        out[0] = 1 - out[0]
+        moved = StochasticMatrix.deterministic(tb.n_inputs, tb.n_outputs, out)
+        with pytest.raises(AssertionError):
+            _check_local_decomposition(dec[:r] + [(w, ta, moved)] + dec[r + 1:], T)
 
     def test_asymmetric_scenario(self):
         rng = random.Random(9)

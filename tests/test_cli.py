@@ -278,3 +278,31 @@ class TestErrors:
         out2 = capsys.readouterr().out
         assert code1 == code2
         assert out1 == out2
+
+    def test_parser_built_once_and_calls_share_no_state(self, capsys, files,
+                                                         monkeypatch):
+        # main builds its parser once per process; each call must still
+        # see only its own arguments and inputs
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        try:
+            code, rep, _ = run(capsys, "--seed", "7", "id", "compute", "--meas",
+                               files["ident"], "--search")
+            assert code == 0 and "evaluations" in rep["result"]
+            assert list(rep["inputs"]) == [files["ident"]]
+            code, rep, _ = run(capsys, "space", "info", "--space", "square")
+            assert code == 0 and rep["command"] == "space info"
+            assert rep["inputs"] == {}
+            code, rep, _ = run(capsys, "id", "compute", "--meas", files["ident"])
+            assert code == 0 and "evaluations" not in rep["result"]
+            assert rep["result"]["id"] == "1/2"
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1

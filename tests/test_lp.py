@@ -135,6 +135,27 @@ class TestSimplex:
         assert res.status == INFEASIBLE
         assert res.farkas is not None
 
+    def test_farkas_check_rejects_made_up_multipliers(self):
+        # rows x <= 1 and x >= 2 (stored as -x <= -2): y = (-1, -1) sums
+        # them to 0 <= -1 and certifies infeasibility
+        b = LpBuilder()
+        x = b.var()
+        b.add_le({x: 1}, 1)
+        b.add_ge({x: 1}, 2)
+        b._check_farkas(b.minimize({}).farkas)
+        b._check_farkas((-R1, -R1))
+        # y = (-1, 0) passes the signs and y^T A <= 0, but y^T b < 0
+        with pytest.raises(AssertionError, match="not separating"):
+            b._check_farkas((-R1, R0))
+        # the feasible -x <= 1: y = (1,) gives y^T A = -1 <= 0 and
+        # y^T b = 1 > 0, and only its sign on a '<=' row gives it away
+        f = LpBuilder()
+        x = f.var()
+        f.add_ge({x: 1}, -1)
+        assert f.minimize({}).status == OPTIMAL
+        with pytest.raises(AssertionError, match="sign check"):
+            f._check_farkas((R1,))
+
     def test_unbounded_with_ray(self):
         b = LpBuilder()
         x = b.var()

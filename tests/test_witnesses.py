@@ -7,11 +7,14 @@ import pytest
 
 from polybox import linalg as la
 from polybox.exact import R0, R1, rat
-from polybox.measurements import coin_toss, identity_collection, random_collection
+from polybox.lp import OPTIMAL, LpBuilder, vec_expr
+from polybox.measurements import (MeasurementCollection, coin_toss, identity_collection,
+                                  random_collection)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
 from polybox.spaces import simplex_space
-from polybox.witnesses import (WitnessValidationError, is_etb, is_witness,
-                               make_witness_map, map_trace_pairing,
+from polybox.witnesses import (WitnessValidationError, _min_trace_witness,
+                               is_etb, is_witness, make_witness_map,
+                               map_trace_pairing,
                                maximal_incompatibility_certificate, q_value,
                                random_witness_map, retraction_check,
                                square_extremality, trace_pairing,
@@ -326,3 +329,105 @@ class TestSquareExtremality:
         W = random_witness_map(sh, square_space(), rng)
         with pytest.raises(ValueError):
             square_extremality(W)
+
+
+def per_vertex_lp(F, states):
+    """Reference witness LP with one block of rows per polysimplex vertex
+    n: w_n ∈ V(K)+ and, with `states`, ⟨1_K, w_n⟩ = 1. Returns (lp, top,
+    edges, images), images[n] the expressions of w_n."""
+    space = F.space
+    lp = LpBuilder()
+    top = lp.vars(space.rank, nonneg=False)
+    edges = {(i, j): lp.vars(space.rank, nonneg=False)
+             for i, l in enumerate(F.shape.shape) for j in range(l)}
+    images = {}
+    for n in F.shape.outcomes():
+        img = vec_expr([(R1, top)] + [(R1, edges[(i, ni)]) for i, ni in enumerate(n)
+                                      if ni < F.shape.shape[i]])
+        lp.add_rows(space.facet_rows, img, "ge", R0)
+        if states:
+            lp.add_rows([(R1,) * space.rank], img, "eq", R1)
+        images[n] = img
+    return lp, top, edges, images
+
+
+def per_vertex_q(F, s):
+    """q_s(F) with W(s) ∈ K written as facet rows and the unit row."""
+    lp, top, edges, _ = per_vertex_lp(F, states=False)
+    point = vec_expr([(R1, top)] + [(F.shape.coords(s, i, j), cols)
+                                    for (i, j), cols in edges.items()])
+    lp.add_rows(F.space.facet_rows, point, "ge", R0)
+    lp.add_rows([(R1,) * F.space.rank], point, "eq", R1)
+    return _min_trace_witness(F, lp, top, edges)[0]
+
+
+def per_vertex_maximal_value(F):
+    lp, top, edges, _ = per_vertex_lp(F, states=True)
+    return _min_trace_witness(F, lp, top, edges)[0]
+
+
+def per_vertex_retraction(F):
+    """Whether a section exists, with F(σ_n) = s_n written at every vertex."""
+    lp, _top, _edges, images = per_vertex_lp(F, states=True)
+    effects = [[F.effects[(i, 0)][x] for x in F.space.basis_idx]
+               for i in range(F.shape.k + 1)]
+    for n, img in images.items():
+        lp.add_rows(effects, img, "eq", [R1 if ni == 0 else R0 for ni in n])
+    return lp.minimize({}).status == OPTIMAL
+
+
+def seeded_collections(shape, seed):
+    """Identity (as is and with input 0's outcomes cycled), coin toss and
+    random collections of `shape`, on the polysimplex itself (pulled
+    towards the identity) and on the square."""
+    rng = random.Random(seed)
+    own = polysimplex_space(shape.shape)
+    ident = identity_collection(shape)
+    l0 = shape.shape[0]
+    cycled = MeasurementCollection(own, shape, {
+        (i, j): ident.effects[(i, (j + 1) % (l0 + 1) if i == 0 else j)]
+        for i, l in enumerate(shape.shape) for j in range(l + 1)})
+    out = [ident, cycled, coin_toss(shape, shape.barycenter())]
+    for bias in (None, rat(1, 2), rat(3, 4)):
+        out.append(random_collection(own, shape, rng, bias=bias))
+    out.append(random_collection(square_space(), shape, rng))
+    return out
+
+
+class TestPerInputWitnessLp:
+    """`_witness_lp` bounds each facet value per input, not per vertex;
+    the per-vertex reference above must give the same optima."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 1, 1), (1, 1, 1, 1), (2, 1), (2, 2)],
+                             ids=str)
+    def test_matches_per_vertex_reference(self, shape):
+        shape = PolySimplex(shape)
+        hypercube = all(l == 1 for l in shape.shape)
+        for F in seeded_collections(shape, seed=sum(shape.shape) * 7 + shape.k):
+            s = shape.barycenter()
+            q, W, lam = q_value(F, s)
+            assert q == per_vertex_q(F, s)
+            make_witness_map(shape, F.space, W.vertex_images)
+            assert trace_pairing(F, W) == q
+            assert lam == ((-q) / (R1 - q) if q <= 0 else R0)
+            rep = maximal_incompatibility_certificate(F)
+            assert rep.value == per_vertex_maximal_value(F)
+            assert rep.maximal == (rep.value == -shape.k)
+            if rep.maximal:
+                make_witness_map(shape, F.space, rep.witness.vertex_images)
+                assert trace_pairing(F, rep.witness) == rep.value
+            if hypercube:
+                assert retraction_check(F).is_retraction == per_vertex_retraction(F)
+
+    def test_identity_five_cube(self):
+        shape = PolySimplex((1, 1, 1, 1, 1))
+        F = identity_collection(shape)
+        q, W, lam = q_value(F, shape.barycenter())
+        assert q == -4 and lam == rat(4, 5)
+        assert trace_pairing(F, W) == q
+        rep = maximal_incompatibility_certificate(F)
+        assert rep.maximal and rep.value == -4 and rep.orthogonal
+        ret = retraction_check(F)
+        assert ret.is_retraction
+        for n in shape.outcomes():
+            assert F.apply(ret.section_images[n]) == shape.vertex(n)
