@@ -86,14 +86,6 @@ class Box:
                     elif not self._eq(ref, marg):
                         raise ValueError(f"signalling to B at input {ib}, outcome {jb}")
 
-    def marginal_a(self, ia, ja):
-        lb = self.shape_b.shape[0]
-        return sum(self.probs[(ia, 0, ja, jb)] for jb in range(lb + 1))
-
-    def marginal_b(self, ib, jb):
-        la_ = self.shape_a.shape[0]
-        return sum(self.probs[(0, ib, ja, jb)] for ja in range(la_ + 1))
-
     def tensor(self):
         """γ as an ambient matrix over V(S_A) ⊗ V(S_B): the coordinate at
         (m^{i_a}_{j_a}, m^{i_b}_{j_b}) is the probability itself."""
@@ -152,19 +144,31 @@ class LhvModel:
 
 def is_local(box: Box):
     """LP over products of deterministic strategies; exact boxes only.
-    Returns (bool, LhvModel | None)."""
+    Returns (bool, LhvModel | None).
+
+    Both Σ w_(na,nb) s_na ⊗ s_nb and the box tensor lie in span V(S_A) ⊗
+    span V(S_B) (a no-signalling box is in the affine hull of the
+    deterministic ones), so they are equal iff they agree at the
+    coordinates coord_idx(S_A) × coord_idx(S_B): one row per such key,
+    9 on the 2222 box where the table has 16 entries. Σ w = 1 is the
+    pairing of both sides with 1 ⊗ 1 and needs no row. `LhvModel.check`
+    re-checks every entry."""
     if box.mode != "exact":
         raise ValueError("locality decision needs exact probabilities")
     outs_a = box.shape_a.outcome_list()
     outs_b = box.shape_b.outcome_list()
+    coords_a = set(box.shape_a.as_state_space().coord_idx)
+    coords_b = set(box.shape_b.as_state_space().coord_idx)
     lp = LpBuilder()
     w = {(na, nb): lp.var(nonneg=True) for na in outs_a for nb in outs_b}
     for key in box._keys():
         ia, ib, ja, jb = key
+        if box.shape_a._offset[ia] + ja not in coords_a or \
+                box.shape_b._offset[ib] + jb not in coords_b:
+            continue
         row = {w[(na, nb)]: R1 for na in outs_a for nb in outs_b
                if na[ia] == ja and nb[ib] == jb}
         lp.add_eq(row, box.probs[key])
-    lp.add_eq({v: R1 for v in w.values()}, R1)
     res = lp.minimize({})
     if res.status != OPTIMAL:
         return False, None
@@ -276,16 +280,19 @@ def pr_box() -> Box:
     return Box(P, P, probs)
 
 
-def deterministic_box(shape_a: PolySimplex, shape_b: PolySimplex, na, nb) -> Box:
-    na = tuple(na)
-    nb = tuple(nb)
+def _deterministic_probs(shape_a: PolySimplex, shape_b: PolySimplex, na, nb):
+    """The table of the box that answers na[i_a] to i_a and nb[i_b] to i_b."""
     probs = {}
     for ia, la_ in enumerate(shape_a.shape):
         for ib, lb in enumerate(shape_b.shape):
             for ja in range(la_ + 1):
                 for jb in range(lb + 1):
                     probs[(ia, ib, ja, jb)] = R1 if (na[ia] == ja and nb[ib] == jb) else R0
-    return Box(shape_a, shape_b, probs)
+    return probs
+
+
+def deterministic_box(shape_a: PolySimplex, shape_b: PolySimplex, na, nb) -> Box:
+    return Box(shape_a, shape_b, _deterministic_probs(shape_a, shape_b, tuple(na), tuple(nb)))
 
 
 def _pr_variant_probs(alpha, beta, gamma):
@@ -331,7 +338,7 @@ def random_ns_box(shape_a: PolySimplex, shape_b: PolySimplex, rng,
     for _ in range(rng.randrange(2, 6)):
         na = tuple(rng.randrange(0, l + 1) for l in shape_a.shape)
         nb = tuple(rng.randrange(0, l + 1) for l in shape_b.shape)
-        parts.append(deterministic_box(shape_a, shape_b, na, nb).probs)
+        parts.append(_deterministic_probs(shape_a, shape_b, na, nb))
     if pr_weight and all(l == 1 for l in shape_a.shape) and \
             all(l == 1 for l in shape_b.shape):
         for _ in range(rng.randrange(0, 3)):

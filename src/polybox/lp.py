@@ -53,7 +53,14 @@ input bounds that input's smallest facet value, and the matrix
 nonnegative facet weights, whose values at the basis vertices are
 `transpose(facet_rows)` times the weights and at every vertex
 `facet_values` times them; `linalg.combine` and `linalg.mat_vec` read a
-vector back from a solution.
+vector back from a solution. An equation between two vectors of span
+V(K) is written only at the coordinates `StateSpace.coord_idx`, which
+determine a vector of the span, and one between two elements of span
+V(S) ⊗ span V(K) only at coord_idx(S) × coord_idx(K) (`bell.is_local`,
+`steering._lhs_lp`); an equation that is affine in the vertex of a
+polysimplex is written only at the chart vertices, the top and the top
+with one entry changed (`witnesses._etb_lp`, `retraction_check`). The
+exact re-check of each certificate still reads every coordinate.
 """
 from __future__ import annotations
 

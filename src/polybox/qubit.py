@@ -53,6 +53,9 @@ _R_MAX = 1.0 - 2e-8
 #: towards a point with h(A+B−I) = 0
 _WITNESS_STEP_STOP = 1e-12
 _WITNESS_ROUND_GUARD = 100_000
+#: radius at which the Bloch-vector search starts after a polar search
+#: that ended at r = 0
+_BLOCH_START = 1e-3
 #: agreement required of witness_q's closed form with the matrix route,
 #: and of qubit_id's primal value with its dual bound at the barycenter,
 #: where the witness family is tight
@@ -348,6 +351,50 @@ def _is_barycenter(p, q):
     return abs(p - 0.5) < 1e-15 and abs(q - 0.5) < 1e-15
 
 
+def _polar(x, n):
+    """(r, n̂) of the Bloch vector x; n̂ = n at x = 0, where it has no
+    effect."""
+    r = math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    return r, ((x[0] / r, x[1] / r, x[2] / r) if r > 0.0 else n)
+
+
+def _bloch_search(pair, s, n, at_center):
+    """witness_q's local search continued in the Bloch vector x = r·n̂ of
+    ρ, from x = _BLOCH_START·n̂: each round moves each coordinate of x by
+    ∓step (moves that leave the ball r ≤ _R_MAX refused), and the step
+    halves as in witness_q. Near r = 0, where n̂ hardly matters, (r, n̂)
+    is badly conditioned and the polar search can stop at r = 0 itself;
+    in x every direction stays reachable. The value is smooth in x, so
+    r = 0 is a local minimum when no point ±_BLOCH_START·e_a is below
+    its value `at_center`; then (as for every sharp pair, whose optimum
+    is ρ = I/2) there is no search and the result is None. Else returns
+    (value triple, r, n̂)."""
+    if all(_value(pair, s, _BLOCH_START, tuple(sign * (a == b) for b in range(3)))[0]
+           >= at_center - 1e-15 for a in range(3) for sign in (1.0, -1.0)):
+        return None
+    x = [_BLOCH_START * c for c in n]
+    best = _value(pair, s, *_polar(x, n))
+    step = _R_MAX / _WITNESS_GRID
+    for _ in range(_WITNESS_ROUND_GUARD):
+        improved = False
+        for axis in range(3):
+            for dd in (-step, step):
+                xd = list(x)
+                xd[axis] += dd
+                rr, nd = _polar(xd, n)
+                if rr > _R_MAX:
+                    continue
+                cand = _value(pair, s, rr, nd)
+                if cand[0] < best[0] - 1e-15:
+                    best, x, improved = cand, xd, True
+        if not improved:
+            step *= 0.5
+            if step < _WITNESS_STEP_STOP:
+                return (best, *_polar(x, n))
+    raise AssertionError("witness_q's Bloch-vector search did not converge "
+                         f"in {_WITNESS_ROUND_GUARD} rounds")
+
+
 def witness_q(A: QubitEffect, B: QubitEffect,
               s=(0.5, 0.5)) -> QubitWitnessReport:
     """Minimize Tr FW over the extremal family (ρ, basis axes) with
@@ -357,7 +404,9 @@ def witness_q(A: QubitEffect, B: QubitEffect,
     search in ρ on plain floats from the grid's best point, whose step
     halves whenever no move improves, down to _WITNESS_STEP_STOP (a
     search still running after _WITNESS_ROUND_GUARD rounds raises
-    AssertionError). The result is re-checked by the matrix route:
+    AssertionError). When that search ends at r = 0, where n̂ has no
+    effect, `_bloch_search` continues it and the lower value is kept.
+    The result is re-checked by the matrix route:
     `trace_pairing_qubit` on the returned parameters, divided by τ =
     Tr W(s), must give q̂ within _CROSS_CHECK_TOL. Returns q̂ ≥ q_s(F), an upper bound on the
     true minimum, hence −q̂/(1−q̂) lower-bounds the incompatibility
@@ -395,6 +444,10 @@ def witness_q(A: QubitEffect, B: QubitEffect,
     else:
         raise AssertionError("witness_q's local search did not converge "
                              f"in {_WITNESS_ROUND_GUARD} rounds")
+    if r == 0.0:
+        cand = _bloch_search(pair, s_off, n, best[0])
+        if cand is not None and cand[0][0] < best[0]:
+            best, r, n = cand
     val, u, v = best
     params = QubitWitnessParams(r, n, u, v)
     params.check()

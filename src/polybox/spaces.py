@@ -4,16 +4,56 @@ A StateSpace carries the vertices of K (V-rep), the facet effects
 generating A(K)+ (H-rep) and the unit functional. Both representations
 are required; the built-in constructors (simplex, and the polysimplex
 family in polysimplex.py) supply them analytically.
+
+Membership tests run on integers. Each space caches one integer table
+(`int_table`): integer vectors z spanning the orthogonal complement of
+span V(K) (its linear relations), and the integer numerators of the
+facets and of the unit. With psi = P/D (P the integer numerators of
+psi, D > 0), psi ∈ span V(K) iff z·P = 0 for every z, psi ∈ V(K)+ iff
+moreover g·P ≥ 0 for every facet g, and psi ∈ K iff moreover u·P =
+D·u_den: sign tests on integer dot products, with no rational built.
+`max_tensor_member` tests a matrix the same way, row and column at a
+time.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import linalg as la
-from .exact import R0, R1, rat
+from .exact import R0, R1, numerators, rat
 from .lp import OPTIMAL, LpBuilder, vec_expr
+
+
+class IntTable(NamedTuple):
+    """Integer forms of a space's linear data, each vector sparse: a
+    tuple of (coordinate, nonzero integer) pairs. `relations` span the
+    orthogonal complement of span V(K); `facets` are the facets' integer
+    numerators (a positive multiple of each facet); the unit is
+    `unit`/`unit_den`."""
+    relations: tuple
+    facets: tuple
+    unit: tuple
+    unit_den: int
+
+
+def _sparse(nums):
+    return tuple((t, x) for t, x in enumerate(nums) if x)
+
+
+def _idot(sparse, nums):
+    """Σ_t c_t·nums[t] over a sparse integer vector."""
+    return sum(c * nums[t] for t, c in sparse)
+
+
+def _icombine(sparse, rows):
+    """Σ_t c_t·rows[t] over a sparse integer vector: an integer row."""
+    acc = [0] * len(rows[0])
+    for t, c in sparse:
+        acc = [a + c * x for a, x in zip(acc, rows[t])]
+    return acc
 
 
 class StateSpace:
@@ -56,13 +96,19 @@ class StateSpace:
         return len(self.basis_idx)
 
     @cached_property
-    def _coord_idx(self):
+    def coord_idx(self):
+        """Ambient coordinates that determine a vector of span V(K): the
+        first `rank` coordinates, greedily, on which the basis is
+        independent. Two vectors of the span that agree there are equal,
+        and so are two elements of span V(K_A) ⊗ span V(K_B) that agree
+        on coord_idx(K_A) × coord_idx(K_B); the tensor LPs write rows
+        there only."""
         cols = [[v[i] for v in self.basis] for i in range(self.dim)]
         return tuple(la.independent_rows(cols))
 
     @cached_property
     def _coord_inv(self):
-        m = tuple(tuple(v[r] for v in self.basis) for r in self._coord_idx)
+        m = tuple(tuple(v[r] for v in self.basis) for r in self.coord_idx)
         return la.invert(m)
 
     @cached_property
@@ -70,11 +116,37 @@ class StateSpace:
         g = tuple(tuple(la.dot(a, b) for b in self.basis) for a in self.basis)
         return la.invert(g)
 
+    @cached_property
+    def int_table(self) -> IntTable:
+        """The integer table of the module docstring. The relations come
+        from the reduced row echelon form of the vertex matrix: one per
+        non-pivot coordinate f, z_f = 1 and z_p = −R[r][f] at the pivot
+        coordinate p of row r, scaled to integers."""
+        red, pivots = la._rref(self.vertices)
+        relations = []
+        for f in range(self.dim):
+            if f in pivots:
+                continue
+            z = [R0] * self.dim
+            z[f] = R1
+            for row, p in zip(red, pivots):
+                z[p] = -row[f]
+            relations.append(_sparse(numerators(z)[0]))
+        unit, unit_den = numerators(self.unit)
+        return IntTable(tuple(relations),
+                        tuple(_sparse(numerators(g)[0]) for g in self.facets),
+                        _sparse(unit), unit_den)
+
+    def _numerators(self, psi):
+        """(P, D) with psi = P/D, or None when psi has another length."""
+        psi = la.vec(psi)
+        return numerators(psi) if len(psi) == self.dim else None
+
     def expand(self, psi):
         """Coefficients of psi over the vertex basis, or None if psi is
         outside span V(K)."""
         psi = la.vec(psi)
-        sub = tuple(psi[r] for r in self._coord_idx)
+        sub = tuple(psi[r] for r in self.coord_idx)
         c = la.mat_vec(self._coord_inv, sub)
         return c if la.combine(c, self.basis) == psi else None
 
@@ -91,17 +163,33 @@ class StateSpace:
         vertices are the transpose of facet_rows."""
         return tuple(tuple(la.dot(g, v) for g in self.facets) for v in self.vertices)
 
+    def _in_span(self, P):
+        return all(_idot(z, P) == 0 for z in self.int_table.relations)
+
+    def _in_cone(self, P):
+        return self._in_span(P) and all(_idot(g, P) >= 0 for g in self.int_table.facets)
+
     def in_span(self, psi) -> bool:
-        return self.expand(psi) is not None
+        """psi ∈ span V(K): z·P = 0 for every relation z."""
+        nd = self._numerators(psi)
+        return nd is not None and self._in_span(nd[0])
 
     def in_cone(self, psi) -> bool:
-        """psi ∈ V(K)+ (span membership plus all facet pairings ≥ 0)."""
-        if self.expand(psi) is None:
-            return False
-        return all(la.dot(g, psi) >= 0 for g in self.facets)
+        """psi ∈ V(K)+: z·P = 0 for every relation z and g·P ≥ 0 for every
+        facet g, on the integer numerators P of psi (exact, since the
+        facets generate A(K)+). A vector of another length is not in the
+        cone."""
+        nd = self._numerators(psi)
+        return nd is not None and self._in_cone(nd[0])
 
     def is_state(self, psi) -> bool:
-        return self.in_cone(psi) and la.dot(self.unit, psi) == 1
+        """psi ∈ K: in the cone, and u·P = D·u_den for psi = P/D."""
+        nd = self._numerators(psi)
+        if nd is None:
+            return False
+        P, D = nd
+        t = self.int_table
+        return self._in_cone(P) and _idot(t.unit, P) == D * t.unit_den
 
     def interior_point(self):
         acc = la.zeros(self.dim)
@@ -226,21 +314,6 @@ def base_norm(space, psi, with_decomposition=False):
             la.combine([res[i] for i in d], space.vertices))
 
 
-def max_effect_value(space, psi):
-    """max_{f ∈ E(K)} ⟨f, psi⟩ (used for base-norm duality): f and 1 − f
-    are nonnegative facet combinations, which requires the facets to
-    generate A(K)+."""
-    psi = la.vec(psi)
-    if not space.in_span(psi):
-        raise ValueError("psi outside span V(K)")
-    b = LpBuilder()
-    c = b.vars(len(space.facets))
-    d = b.vars(len(space.facets))
-    b.add_rows(la.transpose(space.facet_rows), vec_expr([(R1, c), (R1, d)]), "eq", R1)
-    res = b.maximize(dict(zip(c, la.mat_vec(space.facets, psi))))
-    return res.objective
-
-
 def check_facets_generate(space: StateSpace):
     """Raise ValueError unless the facets generate A(K)+, which the joint
     LP, is_witness, in_cone and the witness LPs all assume. In basis
@@ -334,20 +407,31 @@ def separable_decomposition(tensor, gens_left, gens_right):
 
 def max_tensor_member(tensor, space_a, space_b, normalized=True) -> bool:
     """tensor ∈ K_A ⊗̂ K_B: lies in span⊗span, pairs nonnegatively with
-    all facet⊗facet generators, and (optionally) has unit pairing 1."""
+    all facet⊗facet generators, and (optionally) has unit pairing 1.
+
+    Runs on the tensor's integer numerators M over one denominator D > 0
+    (a dim_A × dim_B matrix, raising ValueError on another shape). M lies
+    in span⊗span iff every column lies in span V(K_A) and every row in
+    span V(K_B): z_aᵀM = 0 and M z_b = 0 for the relations of each
+    space. The generators pair as gᵀMh ≥ 0, and the unit pairing is
+    u_aᵀM u_b = D·u_den_A·u_den_B."""
     m = la.mat(tensor)
-    pa = space_a.span_projector
-    pb = space_b.span_projector
-    if la.mat_mul(pa, la.mat_mul(m, la.transpose(pb))) != m:
+    if len(m) != space_a.dim or any(len(row) != space_b.dim for row in m):
+        raise ValueError("tensor shape does not match the two spaces")
+    db = space_b.dim
+    flat, D = numerators([x for row in m for x in row])
+    M = [flat[r * db:(r + 1) * db] for r in range(space_a.dim)]
+    ta, tb = space_a.int_table, space_b.int_table
+    if any(any(_icombine(z, M)) for z in ta.relations):
         return False
-    for g in space_a.facets:
-        gm = la.mat_vec(la.transpose(m), g)
-        for h in space_b.facets:
-            if la.dot(gm, h) < 0:
-                return False
-    if normalized:
-        if la.dot(space_a.unit, la.mat_vec(m, space_b.unit)) != 1:
+    if any(_idot(z, row) for z in tb.relations for row in M):
+        return False
+    for g in ta.facets:
+        gm = _icombine(g, M)
+        if any(_idot(h, gm) < 0 for h in tb.facets):
             return False
+    if normalized:
+        return _idot(tb.unit, _icombine(ta.unit, M)) == D * ta.unit_den * tb.unit_den
     return True
 
 

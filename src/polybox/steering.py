@@ -108,21 +108,6 @@ def assemblage_from(F: MeasurementCollection, y, space_b: StateSpace) -> Assembl
     return Assemblage(shape, space_b, tuple(x), p, subs)
 
 
-def assemblage_from_tensor(shape: PolySimplex, space: StateSpace, beta) -> Assemblage:
-    """Read {p, x_{j|i}} off a tensor in S ⊗̂ K: pairing with m^i_j ⊗ ·."""
-    # pairing with 1_S ⊗ · gives the barycenter; with m^i_j ⊗ · the parts
-    x = la.mat_vec(la.transpose(beta), shape.unit())
-    p = {}
-    subs = {}
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            phi = la.mat_vec(la.transpose(beta), shape.m(i, j))
-            pij = la.dot(space.unit, phi)
-            p[(i, j)] = pij
-            subs[(i, j)] = tuple(la.vec_scale(1 / pij, phi)) if pij else tuple(x)
-    return Assemblage(shape, space, tuple(x), p, subs)
-
-
 @dataclass
 class LhsModel:
     """Hidden-state model: weights q(λ) over deterministic responses
@@ -151,14 +136,19 @@ def _lhs_lp(beta: Assemblage, mixing=None):
 
     `mixing` is None for λ = 0, a state s for λ ∈ [0, 1] at that fixed
     s, or "free" for t = λs variable too, as in `measurements._joint_lp`;
-    ambient coordinate r of S is block entry (i, j). Returns
-    (lp, avar, lam, t); lam and t are None when not variables.
+    ambient coordinate r of S is block entry (i, j). Every term lies in
+    span V(S) ⊗ span V(K) (in "free" mode t lies in span V(S) by the
+    `scaled_state_vars` rows), so the rows are written only at the
+    coordinates coord_idx(S) × coord_idx(K): 9 on the square where the
+    tensor has 16 entries. `LhsModel.check` re-checks every entry.
+    Returns (lp, avar, lam, t); lam and t are None when not variables.
     """
     shape = beta.shape
     space = beta.space
     tensor = beta.to_tensor()
     outcomes = shape.outcome_list()
     free = mixing == "free"
+    kc = space.coord_idx
 
     lp = LpBuilder()
     lam = t = None
@@ -169,7 +159,7 @@ def _lhs_lp(beta: Assemblage, mixing=None):
     if free:
         t = scaled_state_vars(lp, lam, shape)
     verts = [shape.vertex(n) for n in outcomes]
-    for r in range(shape.ambient_dim):
+    for r in shape.as_state_space().coord_idx:
         # row r of Σ_n s_n ⊗ α_n over K's vertices, then the columns of
         # λ·tensor and −t_r·x, with t_r = λ s_r at fixed s
         expr = vec_expr([(sv[r], avar[n]) for n, sv in zip(outcomes, verts)])
@@ -180,7 +170,8 @@ def _lhs_lp(beta: Assemblage, mixing=None):
         elif mixing is not None:
             cols.append(la.vec_sub(tensor[r], la.vec_scale(mixing[r], beta.x)))
             expr.append({lam: R1})
-        lp.add_rows(la.transpose(cols), expr, "eq", tensor[r])
+        m = la.transpose(cols)
+        lp.add_rows([m[c] for c in kc], expr, "eq", [tensor[r][c] for c in kc])
     return lp, avar, lam, t
 
 

@@ -137,21 +137,35 @@ def _etb_lp(W: WitnessMap, translate):
     """Solve w_n + v = Σ_i ψ^i_{n_i} with each ψ^i_j a nonnegative
     combination of K's vertices; v = 0, or with `translate` a free vector
     of span V(K) (basis coordinates) with ⟨1_K, v⟩ = 0. Returns ψ by
-    (i, j), or v when `translate`; None when infeasible."""
+    (i, j), or v when `translate`; None when infeasible.
+
+    Both sides are additive in the chart at the top vertex: the images
+    of a witness map obey the exchange equations (kept by `translate`
+    and `scale`), and so do Σ_i ψ^i_{n_i} and the constant v. The rows
+    are therefore written only at the chart vertices, top and top with
+    one entry changed, and, every term lying in span V(K), only at the
+    coordinates coord_idx(K): 9 on the square where the images have 16
+    entries. `EtbDecomposition.check` re-checks every vertex."""
     space = W.space
+    shape = W.shape
+    kc = space.coord_idx
     lp = LpBuilder()
     cvar = lp.vars(space.rank, nonneg=False) if translate else []
     beta = {(i, j): lp.vars(len(space.vertices), nonneg=True)
-            for i, l in enumerate(W.shape.shape) for j in range(l + 1)}
+            for i, l in enumerate(shape.shape) for j in range(l + 1)}
     cols, shift = list(space.vertices), []
     if translate:
         lp.add_eq({c: R1 for c in cvar}, R0)  # ⟨1_K, v⟩ = Σ_a c_a
         cols += [la.vec_scale(-R1, b) for b in space.basis]
         shift = vec_expr([(R1, cvar)])
     m = la.transpose(cols)
-    for n in W.shape.outcomes():
+    m = [m[c] for c in kc]
+    for n in shape.outcomes():
+        if sum(ni != ti for ni, ti in zip(n, shape.top)) > 1:
+            continue
         expr = vec_expr([(R1, beta[(i, ni)]) for i, ni in enumerate(n)])
-        lp.add_rows(m, expr + shift, "eq", W.vertex_images[n])
+        img = W.vertex_images[n]
+        lp.add_rows(m, expr + shift, "eq", [img[c] for c in kc])
     res = lp.minimize({})
     if res.status != OPTIMAL:
         return None

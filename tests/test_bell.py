@@ -5,11 +5,12 @@ import random
 import pytest
 
 from polybox import linalg as la
-from polybox.bell import (BellWitness, Box, all_chsh_witnesses, bell_id_bound_check,
-                          bell_value, box_from, chsh_witness, deterministic_box,
-                          is_local, pr_box, random_ns_box,
+from polybox.bell import (BellWitness, Box, _embedded_pr_probs, all_chsh_witnesses,
+                          bell_id_bound_check, bell_value, box_from, chsh_witness,
+                          deterministic_box, is_local, pr_box, random_ns_box,
                           square_equality_construction)
 from polybox.exact import R0, R1, rat
+from polybox.lp import OPTIMAL, LpBuilder
 from polybox.measurements import coin_toss, identity_collection, random_collection
 from polybox.polysimplex import PolySimplex, square_space
 from polybox.steering import self_dual_state, square_self_dual_iso
@@ -60,8 +61,11 @@ class TestBox:
         box = pr_box()
         for i in (0, 1):
             for j in (0, 1):
-                assert box.marginal_a(i, j) == rat(1, 2)
-                assert box.marginal_b(i, j) == rat(1, 2)
+                for other in (0, 1):
+                    assert box.probs[(i, other, j, 0)] + box.probs[(i, other, j, 1)] \
+                        == rat(1, 2)
+                    assert box.probs[(other, i, 0, j)] + box.probs[(other, i, 1, j)] \
+                        == rat(1, 2)
 
     def test_tensor_round_trip(self):
         rng = random.Random(3)
@@ -203,3 +207,86 @@ class TestBound:
             con = square_equality_construction(fa, idx=(1, 0, 1))
             assert con.holds
             assert con.lhs == con.q / 2
+
+
+def ambient_is_local(box):
+    """The ambient form of the locality LP: one row per table entry and
+    the normalization row."""
+    outs_a = box.shape_a.outcome_list()
+    outs_b = box.shape_b.outcome_list()
+    lp = LpBuilder()
+    w = {(na, nb): lp.var(nonneg=True) for na in outs_a for nb in outs_b}
+    for key in box._keys():
+        ia, ib, ja, jb = key
+        lp.add_eq({w[(na, nb)]: R1 for na in outs_a for nb in outs_b
+                   if na[ia] == ja and nb[ib] == jb}, box.probs[key])
+    lp.add_eq({v: R1 for v in w.values()}, R1)
+    return lp.minimize({}).status == OPTIMAL
+
+
+def seeded_boxes(shape_a, shape_b, rng, count):
+    """random_ns_box draws, and on binary shapes the same mixed with a PR
+    variant so that both verdicts occur."""
+    A, B = PolySimplex(shape_a), PolySimplex(shape_b)
+    boxes = [random_ns_box(A, B, rng) for _ in range(count)]
+    if all(l == 1 for l in shape_a + shape_b):
+        for box in boxes[:count // 2]:
+            t = rat(rng.randrange(1, 4), 4)
+            pr = _embedded_pr_probs(A, B, (0, 1), (0, 1), (1, 0, rng.randrange(2)))
+            boxes.append(Box(A, B, {k: (1 - t) * v + t * pr[k] for k, v in box.probs.items()}))
+    return boxes
+
+
+class TestLocalityOnIndependentCoordinates:
+    SHAPES = [((1, 1), (1, 1)), ((1, 1, 1), (1, 1)), ((2, 1), (1, 1)), ((2,), (1, 1)),
+              ((2,), (2,))]
+
+    @pytest.mark.parametrize("shape_a, shape_b", SHAPES, ids=str)
+    def test_verdicts_match_ambient_rows(self, shape_a, shape_b):
+        rng = random.Random(str((shape_a, shape_b)))
+        seen = set()
+        for box in seeded_boxes(shape_a, shape_b, rng, 8):
+            ok, model = is_local(box)
+            assert ok == ambient_is_local(box)
+            assert ok == (model is not None)
+            seen.add(ok)
+        if shape_a in ((1, 1), (1, 1, 1)):
+            assert seen == {True, False}
+
+    def test_square_rows(self, solved_rows):
+        for box in (pr_box(), deterministic_box(P, P, (0, 1), (1, 0))):
+            is_local(box)
+            ambient_is_local(box)
+        assert solved_rows == [9, 17, 9, 17]
+
+
+def deterministic_parts_random_ns_box(shape_a, shape_b, rng, pr_weight=True):
+    """random_ns_box with each deterministic part read off a validated
+    deterministic_box."""
+    parts = []
+    for _ in range(rng.randrange(2, 6)):
+        na = tuple(rng.randrange(0, l + 1) for l in shape_a.shape)
+        nb = tuple(rng.randrange(0, l + 1) for l in shape_b.shape)
+        parts.append(deterministic_box(shape_a, shape_b, na, nb).probs)
+    if pr_weight and all(l == 1 for l in shape_a.shape + shape_b.shape):
+        for _ in range(rng.randrange(0, 3)):
+            ia_pair = tuple(sorted(rng.sample(range(shape_a.k + 1), 2)))
+            ib_pair = tuple(sorted(rng.sample(range(shape_b.k + 1), 2)))
+            variant = (rng.randrange(2), rng.randrange(2), rng.randrange(2))
+            parts.append(_embedded_pr_probs(shape_a, shape_b, ia_pair, ib_pair, variant))
+    weights = [rat(rng.randrange(1, 10)) for _ in parts]
+    tot = sum(weights)
+    probs = {}
+    for w, part in zip(weights, parts):
+        for k, v in part.items():
+            probs[k] = probs.get(k, R0) + (w / tot) * v
+    return probs
+
+
+@pytest.mark.parametrize("shape_a, shape_b", TestLocalityOnIndependentCoordinates.SHAPES,
+                         ids=str)
+def test_random_ns_box_matches_validated_parts(shape_a, shape_b):
+    A, B = PolySimplex(shape_a), PolySimplex(shape_b)
+    for seed in range(20):
+        box = random_ns_box(A, B, random.Random(seed))
+        assert box.probs == deterministic_parts_random_ns_box(A, B, random.Random(seed))

@@ -72,3 +72,67 @@ def test_detects_fractions_import():
     assert "fractions" in imported_modules(ast.parse(src))
     assert "fractions" in imported_modules(ast.parse("import fractions as fr\n"))
     assert "fractions" not in imported_modules(ast.parse("from .exact import rat\n"))
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+#: module-level functions that only tests call, kept until each one is
+#: wired into a named cross-check or deleted with its tests
+UNREAD_ALLOWED = {
+    ("channels.py", "channel_projection"),
+    ("channels.py", "point_from_stochastic"),
+    ("channels.py", "unitary_choi"),
+    ("serialize.py", "detect_kind"),
+    ("spaces.py", "membership"),
+    ("witnesses.py", "map_trace_pairing"),
+}
+
+
+def names_read(tree):
+    """Every name read as a `Name` load or as the attribute of a load."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def exported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unread_functions(modules, readers, exported):
+    """(file name, function) for each module-level function of `modules`
+    that no source in `readers` reads and `exported` does not list."""
+    read = set()
+    for source in readers:
+        read |= names_read(ast.parse(source))
+    out = set()
+    for name, source in modules:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and node.name not in read \
+                    and node.name not in exported:
+                out.add((name, node.name))
+    return out
+
+
+def test_every_function_is_read_or_exported():
+    sources = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    assert len(sources) > len(MODULES)
+    unread = unread_functions([(p.name, p.read_text()) for p in MODULES],
+                              [p.read_text() for p in sources], exported_names())
+    assert unread == UNREAD_ALLOWED
+
+
+def test_detects_unread_function():
+    module = "def used():\n    pass\n\ndef unused():\n    pass\n\ndef public():\n    pass\n"
+    reader = "import m\nm.used()\n"
+    assert unread_functions([("m.py", module)], [module, reader], {"public"}) == \
+        {("m.py", "unused")}

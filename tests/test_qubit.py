@@ -32,6 +32,26 @@ ROW3_PAIR_38 = (
     QubitEffect(0.524245928386944, (0.12058849380289001, 0.3510127143660734,
                                     -0.11514900690042464)))
 
+#: three unsharp pairs of the `qubit-pairs` benchmark workload
+#: (perfbench/workloads.py), seed 1311 item 332, seed 5112 item 2405 and
+#: seed 14324 item 1619, with the bisection's q̂ to 1e-7: witness_q's
+#: polar search ends at r = 0 on each, at q̂ = −0.1138048, −0.0993717
+#: and −0.2921146
+STALL_PAIRS = (
+    ((QubitEffect(0.506778516787895, (0.13767908898072795, -0.1454044272379637,
+                                      -0.2862958670744545)),
+      QubitEffect(0.49414171688695285, (0.4490488230106437, -0.025730511357397595,
+                                        -0.161428669857507))), -0.1139499),
+    ((QubitEffect(0.5012675413844563, (0.0010278564187551729, -0.39269624658330565,
+                                       0.0272465779485542)),
+      QubitEffect(0.49941180358774695, (0.24770374920147095, 0.06539574148180602,
+                                        0.28738765589324355))), -0.0993755),
+    ((QubitEffect(0.5107809552507083, (-0.1715764451567668, -0.33969058621649517,
+                                       -0.22798957766220185)),
+      QubitEffect(0.4967988257870313, (0.2673324840234304, -0.306166201483631,
+                                        0.23542690958249254))), -0.2922918))
+STALL_IDS = ["1311-332", "5112-2405", "14324-1619"]
+
 SIGMAS = (np.array([[0, 1], [1, 0]], dtype=complex),
           np.array([[0, -1j], [1j, 0]], dtype=complex),
           np.array([[1, 0], [0, -1]], dtype=complex))
@@ -286,6 +306,43 @@ class TestWitnessEvaluator:
         monkeypatch.setattr(qubit, "_WITNESS_ROUND_GUARD", 5)
         with pytest.raises(AssertionError, match="did not converge"):
             witness_q(*mub_pair())
+
+
+class TestPolarStall:
+    """witness_q continues in the Bloch vector when its polar search ends
+    at r = 0."""
+
+    @pytest.mark.parametrize("pair, q_hat", STALL_PAIRS, ids=STALL_IDS)
+    def test_stalled_pairs_meet_the_bisection_value(self, pair, q_hat):
+        rep = qubit_id(*pair)
+        assert abs(rep.value - rep.dual_bound) <= 1e-9
+        assert abs(rep.q_hat - q_hat) <= 1e-7
+        assert rep.params.r > 0.0
+
+    @pytest.mark.parametrize("pair, q_hat", STALL_PAIRS, ids=STALL_IDS)
+    def test_polar_search_alone_stalls(self, pair, q_hat, monkeypatch):
+        def no_bloch_search(pair, s, n, at_center):
+            return None
+
+        monkeypatch.setattr(qubit, "_bloch_search", no_bloch_search)
+        rep = witness_q(*pair)
+        assert rep.params.r == 0.0
+        assert rep.q_hat > q_hat + 1e-6
+        with pytest.raises(AssertionError, match="dual bound misses"):
+            qubit_id(*pair)
+
+
+    def test_no_search_when_the_center_is_optimal(self):
+        # sharp pairs have their optimum at ρ = I/2: the polar search ends
+        # at r = 0 and the Bloch search is not run
+        rng = random.Random(37)
+        pairs = [mub_pair()] + [(random_effect(rng, sharp=True), random_effect(rng, sharp=True))
+                                for _ in range(6)]
+        for a, b in pairs:
+            rep = witness_q(a, b)
+            assert rep.params.r == 0.0
+            pair = qubit._pair_terms(a, b)
+            assert qubit._bloch_search(pair, None, rep.params.direction, rep.q_hat) is None
 
 
 class TestIdDegree:

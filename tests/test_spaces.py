@@ -9,7 +9,7 @@ from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL, LpBuilder, vec_expr
 from polybox.polysimplex import hypercube_space, polysimplex_space, square_space
 from polybox.spaces import (StateSpace, base_norm, chi,
-                            linear_map_from_vertex_images, max_effect_value,
+                            linear_map_from_vertex_images,
                             max_tensor_member, membership,
                             separable_decomposition, simplex_space,
                             span_inverse)
@@ -153,6 +153,16 @@ class TestConeTables:
             assert self.facet_combination(space, rest, vals) is None
 
 
+def max_effect_value(space, psi):
+    """max_{f ∈ E(K)} ⟨f, psi⟩ by one LP: f and 1 − f are nonnegative
+    facet combinations (the facets generate A(K)+)."""
+    b = LpBuilder()
+    c = b.vars(len(space.facets))
+    d = b.vars(len(space.facets))
+    b.add_rows(la.transpose(space.facet_rows), vec_expr([(R1, c), (R1, d)]), "eq", R1)
+    return b.maximize(dict(zip(c, la.mat_vec(space.facets, psi)))).objective
+
+
 class TestBaseNorm:
     def test_states_have_norm_one(self):
         rng = random.Random(2)
@@ -262,3 +272,170 @@ class TestTensors:
         sq = square_space()
         w = separable_decomposition(pr_box().tensor(), sq.vertices, sq.vertices)
         assert w is None
+
+
+# ----- reference forms of the integer membership tests -----
+
+def expand_in_span(space, psi):
+    return space.expand(psi) is not None
+
+
+def expand_in_cone(space, psi):
+    """The basis-expansion form: psi is in span V(K) and every facet
+    pairs nonnegatively with it."""
+    return expand_in_span(space, psi) and all(la.dot(g, psi) >= 0 for g in space.facets)
+
+
+def expand_is_state(space, psi):
+    return expand_in_cone(space, psi) and la.dot(space.unit, psi) == 1
+
+
+def projector_max_tensor_member(tensor, space_a, space_b, normalized=True):
+    """The projector form: P_A m P_Bᵀ == m, then every facet pair and the
+    unit pairing in rationals."""
+    m = la.mat(tensor)
+    pa, pb = space_a.span_projector, space_b.span_projector
+    if la.mat_mul(pa, la.mat_mul(m, la.transpose(pb))) != m:
+        return False
+    for g in space_a.facets:
+        gm = la.mat_vec(la.transpose(m), g)
+        if any(la.dot(gm, h) < 0 for h in space_b.facets):
+            return False
+    return not normalized or la.dot(space_a.unit, la.mat_vec(m, space_b.unit)) == 1
+
+
+def membership_probes(space, rng):
+    """Vertices, states on faces and inside, scaled and negated states,
+    span vectors with negative facet values, and each of these moved off
+    the span by a small step along one ambient coordinate."""
+    pts = list(space.vertices) + [la.zeros(space.dim), space.interior_point()]
+    for _ in range(12):
+        w = [rat(rng.randrange(0, 3)) for _ in space.vertices]
+        w[rng.randrange(len(w))] += 1
+        x = la.vec_scale(1 / sum(w), la.combine(w, space.vertices))
+        pts += [x, la.vec_scale(rat(rng.randrange(2, 5), 3), x), la.vec_scale(-1, x)]
+        pts.append(random_span_vector(space, rng))
+    for p in list(pts[:10]):
+        for t in range(space.dim):
+            step = [R0] * space.dim
+            step[t] = rat(rng.choice([-1, 1]), rng.randrange(1, 50))
+            pts.append(la.vec_add(p, step))
+    return pts
+
+
+class TestIntegerMembership:
+    def test_relations_span_the_orthogonal_complement(self, state_space):
+        space = state_space
+        rels = space.int_table.relations
+        assert len(rels) == space.dim - space.rank
+        dense = [[R0] * space.dim for _ in rels]
+        for row, z in zip(dense, rels):
+            for t, c in z:
+                assert isinstance(c, int) and c != 0
+                row[t] = rat(c)
+        for z in dense:
+            assert all(la.dot(z, v) == 0 for v in space.vertices)
+        if dense:
+            assert la.rank(dense) == len(dense)
+
+    def test_agrees_with_basis_expansion(self, state_space):
+        space = state_space
+        rng = random.Random(41)
+        seen = set()
+        for psi in membership_probes(space, rng):
+            verdicts = (space.in_span(psi), space.in_cone(psi), space.is_state(psi))
+            assert verdicts == (expand_in_span(space, psi), expand_in_cone(space, psi),
+                                expand_is_state(space, psi))
+            seen.add(verdicts)
+        want = {(True, True, True), (True, True, False), (True, False, False)}
+        if space.dim > space.rank:
+            want.add((False, False, False))
+        assert seen == want
+
+    def test_other_lengths_and_floats(self, state_space):
+        space = state_space
+        x = space.vertices[0]
+        assert not space.in_span(x + (R0,)) and not space.in_cone(x[:-1])
+        assert not space.is_state(x + (R0,))
+        with pytest.raises(TypeError):
+            space.in_cone((0.5,) * space.dim)
+
+
+def tensor_probes(sa, sb, rng):
+    """Product and mixed separable states, the same unnormalised, tensors
+    with a negative facet pair, and each moved off span⊗span at one
+    entry."""
+    out = []
+    for _ in range(6):
+        terms = [(rat(rng.randrange(1, 4)), random_state(sa, rng), random_state(sb, rng))
+                 for _ in range(rng.randrange(1, 3))]
+        tot = sum(w for w, _, _ in terms)
+        t = [[R0] * sb.dim for _ in range(sa.dim)]
+        for w, x, y in terms:
+            for r in range(sa.dim):
+                for c in range(sb.dim):
+                    t[r][c] += w / tot * x[r] * y[c]
+        t = la.mat(t)
+        out += [t, la.mat([la.vec_scale(rat(3, 2), row) for row in t]),
+                la.outer(random_span_vector(sa, rng), random_state(sb, rng))]
+        moved = [list(row) for row in t]
+        moved[rng.randrange(sa.dim)][rng.randrange(sb.dim)] += rat(1, rng.randrange(2, 9))
+        out.append(la.mat(moved))
+        # off the span on one side only: columns, or rows, leave it
+        for off_a, off_b in ((off_span(sa), random_state(sb, rng)),
+                             (random_state(sa, rng), off_span(sb))):
+            if off_a is not None and off_b is not None:
+                out.append(la.mat([[v + a * b for v, b in zip(row, off_b)]
+                                   for row, a in zip(t, off_a)]))
+    return out
+
+
+def off_span(space):
+    """A vector outside span V(K) (a relation), or None when the span is
+    the whole ambient space."""
+    rels = space.int_table.relations
+    if not rels:
+        return None
+    z = [R0] * space.dim
+    for t, c in rels[0]:
+        z[t] = rat(c, 7)
+    return tuple(z)
+
+
+class TestIntegerTensorMembership:
+    def test_agrees_with_projector_form(self, state_space):
+        rng = random.Random(43)
+        seen = set()
+        for sb in (state_space, square_space()):
+            for t in tensor_probes(state_space, sb, rng):
+                for normalized in (True, False):
+                    got = max_tensor_member(t, state_space, sb, normalized)
+                    assert got == projector_max_tensor_member(t, state_space, sb, normalized)
+                    seen.add((normalized, got))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_entangled_states(self):
+        from polybox.bell import pr_box, random_ns_box
+        from polybox.polysimplex import PolySimplex
+        from polybox.steering import self_dual_state, square_self_dual_iso
+        sq = square_space()
+        y = self_dual_state(sq, square_self_dual_iso())
+        P = PolySimplex((1, 1))
+        rng = random.Random(44)
+        tensors = [y, pr_box().tensor()] + [random_ns_box(P, P, rng).tensor() for _ in range(8)]
+        # 2·PR − uniform: normalised and no-signalling, so in span⊗span,
+        # with entries −1/4 (negative facet pairs)
+        bad = la.mat([[2 * v - rat(1, 4) for v in row] for row in pr_box().tensor()])
+        tensors.append(bad)
+        for t in tensors:
+            for normalized in (True, False):
+                assert max_tensor_member(t, sq, sq, normalized) == \
+                    projector_max_tensor_member(t, sq, sq, normalized)
+        assert max_tensor_member(y, sq, sq) and not max_tensor_member(bad, sq, sq)
+        p = sq.span_projector
+        assert la.mat_mul(p, la.mat_mul(bad, p)) == bad
+
+    def test_shape_mismatch_raises(self):
+        sq = square_space()
+        with pytest.raises(ValueError):
+            max_tensor_member(la.outer(sq.vertices[0], sq.vertices[0][:3]), sq, sq)

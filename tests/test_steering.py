@@ -6,12 +6,12 @@ import pytest
 
 from polybox import linalg as la
 from polybox.exact import R0, R1, rat
+from polybox.lp import OPTIMAL, LpBuilder, vec_expr
 from polybox.measurements import (id_degree, id_degree_at, identity_collection,
-                                  random_collection)
+                                  least_mixing, random_collection, scaled_state_vars)
 from polybox.polysimplex import PolySimplex, square_space
 from polybox.spaces import max_tensor_member
-from polybox.steering import (Assemblage, assemblage_from,
-                              assemblage_from_tensor, is_separable,
+from polybox.steering import (Assemblage, _lhs_lp, assemblage_from, is_separable,
                               map_from_spanning_pairs, self_dual_state,
                               square_self_dual_iso, steering_degree,
                               steering_degree_at)
@@ -56,9 +56,12 @@ class TestAssemblage:
             Assemblage(beta.shape, beta.space, beta.x, beta.p, bad_subs)
 
     def test_tensor_round_trip(self):
+        # β ∈ S ⊗̂ K, and pairing with m^i_j ⊗ · (the identity collection
+        # on S) reads it back
         rng = random.Random(3)
         for beta in [identity_assemblage(), product_assemblage(rng)]:
-            back = assemblage_from_tensor(beta.shape, beta.space, beta.to_tensor())
+            back = assemblage_from(identity_collection(beta.shape), beta.to_tensor(),
+                                   beta.space)
             assert back.x == beta.x
             assert back.p == beta.p
             for k, v in beta.sub_states.items():
@@ -195,3 +198,124 @@ class TestSelfDual:
         both = (R1, R1)
         with pytest.raises(ValueError):
             map_from_spanning_pairs([e1, e2, both], [e1, e2, (R0, R0)], 2)
+
+
+def ambient_lhs_lp(beta, mixing=None):
+    """The ambient form of the hidden-state LP: one row per entry of the
+    tensor, every ambient coordinate of S times every one of K."""
+    shape, space = beta.shape, beta.space
+    tensor = beta.to_tensor()
+    outcomes = shape.outcome_list()
+    free = mixing == "free"
+    lp = LpBuilder()
+    lam = t = None
+    if mixing is not None:
+        lam = lp.var(nonneg=True)
+        lp.add_le({lam: R1}, R1)
+    avar = {n: lp.vars(len(space.vertices), nonneg=True) for n in outcomes}
+    if free:
+        t = scaled_state_vars(lp, lam, shape)
+    verts = [shape.vertex(n) for n in outcomes]
+    for r in range(shape.ambient_dim):
+        expr = vec_expr([(sv[r], avar[n]) for n, sv in zip(outcomes, verts)])
+        cols = list(space.vertices)
+        if free:
+            cols += [tensor[r], la.vec_scale(-R1, beta.x)]
+            expr += [{lam: R1}, {t[r]: R1}]
+        elif mixing is not None:
+            cols.append(la.vec_sub(tensor[r], la.vec_scale(mixing[r], beta.x)))
+            expr.append({lam: R1})
+        lp.add_rows(la.transpose(cols), expr, "eq", tensor[r])
+    return lp, lam, t
+
+
+def affine_relations(space):
+    """Vectors c with Σ_v c_v v = 0 over K's vertices (so Σ_v c_v = 0)."""
+    red, pivots = la._rref(la.transpose(space.vertices))
+    out = []
+    for f in range(len(space.vertices)):
+        if f not in pivots:
+            c = [R0] * len(space.vertices)
+            c[f] = R1
+            for row, p in zip(red, pivots):
+                c[p] = -row[f]
+            out.append(c)
+    return out
+
+
+def partition_assemblage(shape, space, rng):
+    """x = the vertex average. Input i writes x = Σ_v w^i_v v with its own
+    weights (uniform plus a random affine relation among the vertices,
+    pushed up to or halfway to a zero weight), splits the vertices into
+    l_i + 1 random nonempty groups, and takes p(j|i) = the weight of
+    group j and x_{j|i} its normalised part. Different weights per input
+    can steer (the self-dual identity assemblage of the square is one
+    such); on a simplex there are no relations and every draw is
+    separable."""
+    verts = space.vertices
+    n = len(verts)
+    rels = affine_relations(space)
+    x = la.vec_scale(rat(1, n), la.combine([R1] * n, verts))
+    p, subs = {}, {}
+    for i, l in enumerate(shape.shape):
+        w = [rat(1, n)] * n
+        if rels:
+            d = la.combine([rat(rng.randrange(-2, 3)) for _ in rels], rels)
+            neg = [-wv / dv for wv, dv in zip(w, d) if dv < 0]
+            if neg:
+                w = la.vec_add(w, la.vec_scale(min(neg) * rng.choice([1, rat(1, 2)]), d))
+        order = list(range(n))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, n), l))
+        for j, (a, b) in enumerate(zip([0] + cuts, cuts + [n])):
+            group = order[a:b]
+            pij = sum((w[v] for v in group), R0)
+            p[(i, j)] = pij
+            part = la.combine([w[v] for v in group], [verts[v] for v in group])
+            subs[(i, j)] = la.vec_scale(1 / pij, part) if pij else x
+    return Assemblage(shape, space, x, p, subs)
+
+
+def value_or_error(f):
+    """f(), or the message of the AssertionError it raises: `least_mixing`
+    raises, naming λ*, when no interior s attains the least mixing, which
+    some of these draws on poly:2,1 and the pentagon hit."""
+    try:
+        return f()
+    except AssertionError as e:
+        return str(e)
+
+
+class TestHiddenStateLpOnIndependentCoordinates:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1)], ids=str)
+    def test_matches_ambient_rows(self, state_space, shape):
+        P = PolySimplex(shape)
+        rng = random.Random(str((state_space.label, shape)))
+        # the barycenter, and block entry j weighted j + 1
+        points = [P.barycenter(), tuple(rat(j + 1, (l + 1) * (l + 2) // 2)
+                                        for l in shape for j in range(l + 1))]
+        seen = set()
+        for _ in range(5):
+            beta = partition_assemblage(P, state_space, rng)
+            ok, _model = is_separable(beta)
+            ref, _lam, _t = ambient_lhs_lp(beta)
+            assert ok == (ref.minimize({}).status == OPTIMAL)
+            seen.add(ok)
+            for s in points:
+                ref, lam, _t = ambient_lhs_lp(beta, s)
+                assert steering_degree_at(beta, s) == ref.minimize({lam: R1}).objective
+            ref, lam, t = ambient_lhs_lp(beta, "free")
+            assert value_or_error(lambda: steering_degree(beta).value) == \
+                value_or_error(lambda: least_mixing(ref, lam, t, P).value)
+        if state_space.label in ("square", "pentagon"):
+            assert seen == {True, False}
+
+    def test_square_rows(self):
+        beta = identity_assemblage()
+        s = SQ.barycenter()
+        assert _lhs_lp(beta)[0].minimize({}).stats.rows == 9
+        assert ambient_lhs_lp(beta)[0].minimize({}).stats.rows == 16
+        lp, _avar, lam, _t = _lhs_lp(beta, s)
+        assert lp.minimize({lam: R1}).stats.rows == 10
+        ref, lam, _t = ambient_lhs_lp(beta, s)
+        assert ref.minimize({lam: R1}).stats.rows == 17

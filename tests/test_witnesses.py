@@ -12,7 +12,7 @@ from polybox.measurements import (MeasurementCollection, coin_toss, identity_col
                                   random_collection)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
 from polybox.spaces import simplex_space
-from polybox.witnesses import (WitnessValidationError, _min_trace_witness,
+from polybox.witnesses import (WitnessValidationError, _etb_lp, _min_trace_witness,
                                is_etb, is_witness, make_witness_map,
                                map_trace_pairing,
                                maximal_incompatibility_certificate, q_value,
@@ -431,3 +431,83 @@ class TestPerInputWitnessLp:
         assert ret.is_retraction
         for n in shape.outcomes():
             assert F.apply(ret.section_images[n]) == shape.vertex(n)
+
+
+def ambient_etb_lp(W, translate):
+    """The ambient form of the ETB LP: rows at every vertex of S and every
+    ambient coordinate of K. Returns the solved LpResult."""
+    space = W.space
+    lp = LpBuilder()
+    cvar = lp.vars(space.rank, nonneg=False) if translate else []
+    beta = {(i, j): lp.vars(len(space.vertices), nonneg=True)
+            for i, l in enumerate(W.shape.shape) for j in range(l + 1)}
+    cols, shift = list(space.vertices), []
+    if translate:
+        lp.add_eq({c: R1 for c in cvar}, R0)
+        cols += [la.vec_scale(-R1, b) for b in space.basis]
+        shift = vec_expr([(R1, cvar)])
+    m = la.transpose(cols)
+    for n in W.shape.outcomes():
+        expr = vec_expr([(R1, beta[(i, ni)]) for i, ni in enumerate(n)])
+        lp.add_rows(m, expr + shift, "eq", W.vertex_images[n])
+    return lp.minimize({})
+
+
+def facet_collection(shape, space, rng):
+    """Input i measures the normalised facet g_i/max_v g_i(v) (outcome 0)
+    against its complement (outcome l_i), the outcomes between never
+    firing; distinct facets per input where there are enough. Usually
+    incompatible off the simplex."""
+    n = len(space.facets)
+    picks = rng.sample(range(n), shape.k + 1) if n > shape.k else \
+        [rng.randrange(n) for _ in shape.shape]
+    effects = {}
+    for i, (l, g) in enumerate(zip(shape.shape, picks)):
+        vals = [la.dot(space.facets[g], v) for v in space.vertices]
+        top = max(vals)
+        for j in range(l + 1):
+            effects[(i, j)] = [v / top if j == 0 else 1 - v / top if j == l else R0
+                               for v in vals]
+    return MeasurementCollection(space, shape, effects)
+
+
+def etb_probes(shape, space, rng):
+    """Seeded witness maps (small and large slack) and q_s-minimizers of
+    facet collections (witnesses when q < 0), each also scaled and
+    shifted along the interior point, so that both ETB verdicts occur."""
+    maps = [random_witness_map(shape, space, rng) for _ in range(3)]
+    for _ in range(3):
+        maps.append(q_value(facet_collection(shape, space, rng), shape.barycenter())[1])
+    out = []
+    for W in maps:
+        out += [W, W.scale(rat(rng.randrange(1, 5), 2)),
+                W.translate(la.vec_scale(rat(rng.randrange(1, 9), 8), space.interior_point()))]
+    return out
+
+
+class TestEtbLpOnChartVertices:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 1, 1)], ids=str)
+    def test_matches_ambient_rows(self, state_space, shape):
+        P = PolySimplex(shape)
+        rng = random.Random(str((state_space.label, shape)))
+        seen = set()
+        for W in etb_probes(P, state_space, rng):
+            ok, dec = is_etb(W)
+            assert ok == (ambient_etb_lp(W, False).status == OPTIMAL)
+            assert ok == (dec is not None)
+            shifts = _etb_lp(W, translate=True) is not None
+            assert shifts == (ambient_etb_lp(W, True).status == OPTIMAL)
+            witness = is_witness(W)
+            assert witness.is_witness == (not shifts)
+            seen.add((ok, shifts))
+        if state_space.label != "delta:2":
+            assert (False, False) in seen and (True, True) in seen
+
+    def test_square_rows(self, solved_rows):
+        W = square_witness()
+        del solved_rows[:]
+        _etb_lp(W, translate=False)
+        _etb_lp(W, translate=True)
+        ambient_etb_lp(W, False)
+        ambient_etb_lp(W, True)
+        assert solved_rows == [9, 10, 16, 17]
