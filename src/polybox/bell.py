@@ -7,6 +7,7 @@ reduce to separability of that tensor.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -177,10 +178,11 @@ def is_local(box: Box):
     return True, model
 
 
-@dataclass
+@dataclass(frozen=True)
 class BellWitness:
     """Element μ ∈ A(S_A)⊗A(S_B), nonnegative on product states, stored
-    as the coefficient matrix against the coordinate effects."""
+    as the coefficient matrix against the coordinate effects. Frozen:
+    `chsh_witness` hands out shared instances."""
     idx: tuple
     tensor: tuple
     shape_a: PolySimplex
@@ -200,7 +202,7 @@ class BellWitness:
                                          "product vertex")
                     if best is None or val > best:
                         best = val
-            self.norm_max = best
+            object.__setattr__(self, "norm_max", best)
 
     def value(self, box: Box):
         """⟨μ, γ⟩ summed coordinate-wise against the box tensor."""
@@ -220,9 +222,11 @@ class BellWitness:
                    if self.tensor[r][c])
 
 
+@functools.cache
 def chsh_witness(i, j, k) -> BellWitness:
     """μ_{i,j,k} = m^i_{1−j}⊗1 + (m^{1−i}_k − m^i_{1−j})⊗m^0_0
-    + (m^{1−i}_{1−k} − m^i_{1−j})⊗m^1_0 on the square pair."""
+    + (m^{1−i}_{1−k} − m^i_{1−j})⊗m^1_0 on the square pair, built once
+    per (i, j, k)."""
     if not all(v in (0, 1) for v in (i, j, k)):
         raise ValueError("indices must be 0 or 1")
     P = PolySimplex((1, 1))

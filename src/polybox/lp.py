@@ -1,13 +1,13 @@
 """Exact-rational linear programming.
 
-Two-phase simplex with Bland's anti-cycling rule on an integer tableau.
-Rows are integers from the moment `add_eq`, `add_le`, `add_ge` or
-`add_rows` stores them: the caller's row times the LCM s_r of its
-reduced denominators, kept with s_r. The tableau takes these rows as
-they are, and each row's slack or artificial is rescaled with it so
-that it keeps a unit coefficient; the start basis is then the
-identity. The tableau is a matrix T of integers, each row stored as a
-dict of its nonzero entries, with one common positive denominator d
+Two-phase simplex on an integer tableau, with Dantzig pricing and
+Bland's rule on stalls. Rows are integers from the moment `add_eq`,
+`add_le`, `add_ge` or `add_rows` stores them: the caller's row times the
+LCM s_r of its reduced denominators, kept with s_r. The tableau takes
+these rows as they are, and each row's slack or artificial is rescaled
+with it so that it keeps a unit coefficient; the start basis is then
+the identity. The tableau is a matrix T of integers, each row stored as
+a dict of its nonzero entries, with one common positive denominator d
 (true entries T/d; d = 1 at the start). A pivot on p = T[r][c] sets
 T_i <- (p*T_i - T_i[c]*T_r) / d for every row i != r, then d <- p
 (fraction-free pivoting: Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math.
@@ -16,27 +16,52 @@ current basis B of the start tableau T0, T = ±det(B)·B⁻¹·T0 and
 d = ±det(B), so every entry is a minor of the integer matrix T0. When
 p = d a row changes only in the pivot row's nonzero columns. A pivot
 that drives an artificial out of the basis can have p < 0; T and d are
-then negated, so that the signs of T are the true signs. Bland's rule
-needs only signs and cross-multiplied ratio comparisons, and positive
-row and column scalings change neither, so it picks the same pivots as
-on the rational tableau. Rationals appear only when the result is read
-back: x = T/d, and duals and Farkas multipliers undo each row's scaling.
-A coefficient a of a stored row reads as the rational a/s_r.
+then negated, so that the signs of T are the true signs. Rationals
+appear only when the result is read back: x = T/d, and duals and Farkas
+multipliers undo each row's scaling. A coefficient a of a stored row
+reads as the rational a/s_r.
+
+Pricing: the entering column is the one of most negative reduced cost,
+the least index on ties (Dantzig). Every entry of the cost row is a
+true reduced cost times d and the cost's integer scale, so the integers
+compare directly, and the choice is the one on the rational tableau of
+the stored rows; a slack's reduced cost is in units of its stored row,
+so storing a row at another scale can change the path, never the
+optimum value. After a degenerate pivot (ratio 0) the least-index
+column with negative reduced cost enters instead (Bland), until the
+next nondegenerate pivot. The leaving row is the least ratio, the
+least basic column on ties, in both rules. The solve ends: a cycle
+never moves the point, so all its pivots are degenerate, and from its
+second pass on each of them would be a Bland pivot, which cannot cycle
+(Bland, Math. Oper. Res. 2, 1977).
 
 Phase 1 starts each `<=` row with a nonnegative rhs on its own slack, so
 only `==` rows and sign-flipped rows get an artificial; the artificial
 of row r costs 1/s_r, which is 1 per unit of the caller's row. Every
-optimal solve checks primal feasibility and strong duality (primal
-optimum == dual value) in exact arithmetic. The primal check runs in
-integers: with x = X/d, each caller row r, scaled by s_r to integer
-coefficients a_v, must satisfy Σ a_v·X_v == (or <=) s_r·rhs·d, and X_v
->= 0 for every nonnegative variable; this is the rational test times
-s_r·d > 0. Infeasible solves return a verified Farkas certificate and
-unbounded solves a verified improving ray. The strong-duality and
-Farkas checks sum y_r·row_r as integer numerators over one common
-denominator, and the ray check reads each row's sign on the ray's
-numerators. Each result carries an `LpStats` record of the solve's
-size and work.
+optimal solve checks primal feasibility, dual feasibility and strong
+duality (primal optimum == dual value) in exact arithmetic. The primal
+check runs in integers: with x = X/d, each caller row r, scaled by s_r
+to integer coefficients a_v, must satisfy Σ a_v·X_v == (or <=)
+s_r·rhs·d, and X_v >= 0 for every nonnegative variable; this is the
+rational test times s_r·d > 0. The dual check asks y_r <= 0 on `<=`
+rows (min form) and c_v − (Aᵀy)_v >= 0 on nonnegative variables, == 0
+on free ones. Infeasible solves return a verified Farkas certificate and
+unbounded solves a verified improving ray. The dual and Farkas checks
+sum y_r·row_r as integer numerators over one common denominator, and
+the ray check reads each row's sign on the ray's numerators. Each
+result carries an `LpStats` record of the solve's size and work.
+
+`minimize((c1, c2))` finds the least c2·x among the minimizers of
+c1·x on the same tableau: after phase 2 it appends the reduced-cost row
+r2 of c2 below r1, the final one of c1, and continues with only columns
+of r1_j = 0 eligible, so r1 and the c1 value stay fixed. The result
+keeps c1's objective and duals y1; c2·x is certified by θ = max(0, max
+over r1_j > 0 of −r2_j/r1_j), which makes r2 + θ·r1 >= 0, and y = y2 +
+θ·y1, which is checked dual feasible for c2 + θ·c1 with y·b equal to
+its value at x. With c1·x certified optimal by y1, any feasible x' with
+c1·x' = c1·x has c2·x' >= c2·x. A ray found in the second stage
+improves c2 and keeps c1·x. `LpStats.phase2_pivots` counts the pivots
+of both stages.
 
 Cone-valued unknowns are written with a small row vocabulary: a vector
 unknown is a list of variables, one per coordinate; `vec_expr` turns a
@@ -102,9 +127,10 @@ class LpResult:
 class _Tableau:
     """Integer simplex tableau with one common denominator d > 0. Row i is
     a dict {column: integer} of its nonzero entries, whose true values are
-    integer / d; column `rhs` holds the right-hand side. The last row
-    holds the reduced costs (its rhs cell is −objective value), and
-    basis[i] is the column basic in row i."""
+    integer / d; column `rhs` holds the right-hand side. basis[i] is the
+    column basic in row i < len(basis); the rows after those hold reduced
+    costs (their rhs cell is −objective value), the last row those that
+    are priced: one cost row, or two in a second stage."""
 
     def __init__(self, rows, basis, rhs):
         self.rows = rows
@@ -154,18 +180,27 @@ class _Tableau:
         self.basis[r] = c
         self.pivots += 1
 
-    def run(self, limit):
-        """Bland's rule over the columns below `limit`. Returns -1 at an
-        optimum, or the entering column when no row limits it (unbounded)."""
+    def run(self, limit, lex=False):
+        """Pivot over the columns below `limit` until no reduced cost is
+        negative. Dantzig's rule picks the entering column, the most
+        negative reduced cost and the least index on ties, except after a
+        degenerate pivot (ratio 0), when Bland's least index does until
+        the next nondegenerate pivot. With `lex`, only columns whose entry
+        in the row above the cost row (the first objective's reduced
+        costs) is 0 may enter. Returns -1 at an optimum, or the entering
+        column when no row limits it (unbounded)."""
         rows, basis, rhs = self.rows, self.basis, self.rhs
+        stalled = False
         while True:
-            enter = min((j for j, v in rows[-1].items() if v < 0 and j < limit),
-                        default=-1)
-            if enter < 0:
+            first = rows[-2] if lex else ()
+            cands = [(v, j) for j, v in rows[-1].items()
+                     if v < 0 and j < limit and j not in first]
+            if not cands:
                 return -1
+            enter = min(j for _, j in cands) if stalled else min(cands)[1]
             # least ratio rhs/a over a > 0 (d cancels), by cross-multiplying
             leave, num, den = -1, 0, 1
-            for i in range(len(rows) - 1):
+            for i in range(len(basis)):
                 row = rows[i]
                 a = row.get(enter, 0)
                 if a > 0:
@@ -176,6 +211,7 @@ class _Tableau:
                         leave, num, den = i, b, a
             if leave < 0:
                 return enter
+            stalled = num == 0
             self.pivot(leave, enter)
 
     def bits(self):
@@ -277,15 +313,21 @@ class LpBuilder:
                            sign * rhs.numerator * (s // rhs.denominator), s, kind))
 
     def minimize(self, coeffs):
+        """min coeffs·x for coeffs {var: c}. For a pair (c1, c2) of such
+        dicts, x is the least c2·x among the minimizers of c1·x, found on
+        the same tableau; `objective` and `duals` are those of c1."""
+        if isinstance(coeffs, tuple):
+            first, then = coeffs
+            return self._solve({v: rat(c) for v, c in first.items()}, R1,
+                               {v: rat(c) for v, c in then.items()})
         return self._solve({v: rat(c) for v, c in coeffs.items()}, R1)
 
     def maximize(self, coeffs):
-        res = self._solve({v: -rat(c) for v, c in coeffs.items()}, -R1)
-        return res
+        return self._solve({v: -rat(c) for v, c in coeffs.items()}, -R1)
 
     # ----- internals -----
 
-    def _solve(self, cost, sense):
+    def _solve(self, cost, sense, then=None):
         # column layout: per-variable columns, then one slack per <= row,
         # then one artificial per row that cannot start on its slack (an
         # == row, or a row negated for its negative rhs), then the rhs.
@@ -360,8 +402,46 @@ class LpBuilder:
             T.rows = [T.rows[i] for i in keep] + [T.rows[-1]]
             T.basis = [T.basis[i] for i in keep]
 
-        # phase 2: the cost row cleared to integers by the LCM of its
-        # denominators, cost_scale, and put on the tableau's denominator
+        # phase 2 on the cost row; with `then`, a second stage on its own
+        # row below it, where only columns of zero first reduced cost enter
+        T.rows[-1], cost_scale = self._cost_row(T, cost, col_of)
+        enter = T.run(art0)
+        second = enter < 0 and then is not None
+        if second:
+            row, then_scale = self._cost_row(T, then, col_of)
+            T.rows.append(row)
+            enter = T.run(art0, lex=True)
+        stats = self._stats(T, ncols, nsplit, phase1, T.pivots - phase1)
+        if enter >= 0:
+            # a slack column is scaled by its row's scale; others by 1
+            enter_scale = next((scale[r] for r, j in slack_col.items()
+                                if j == enter), 1)
+            improve, fixed = (then, cost) if second else (cost, None)
+            return self._extract_ray(T, enter, enter_scale, col_of, improve, stats,
+                                     fixed)
+        first = T.rows[len(T.basis)]
+        y1 = self._duals(T, first, cost_scale, flipped, start, dropped, scale)
+        res = self._extract_optimal(T, col_of, cost, sense, y1, cost_scale, stats)
+        if second:
+            # the second stage pivots only where first is 0, so first keeps
+            # its true values and y1 its meaning
+            y2 = self._duals(T, T.rows[-1], then_scale, flipped, start, dropped,
+                             scale)
+            theta = max((rat(-T.rows[-1].get(j, 0) * cost_scale, a * then_scale)
+                         for j, a in first.items() if j < art0 and a > 0),
+                        default=R0)
+            self._check_then(res.x, cost, y1, then, y2, max(theta, R0))
+        return res
+
+    def _stats(self, T, ncols, nsplit, phase1, phase2):
+        return LpStats(rows=len(self._rows), columns=ncols, split_columns=nsplit,
+                       phase1_pivots=phase1, phase2_pivots=phase2, bits=T.bits())
+
+    @staticmethod
+    def _cost_row(T, cost, col_of):
+        """The reduced costs of `cost` on T's basis, as a tableau row over
+        T.d, and cost_scale: the row is cleared to integers by the LCM
+        cost_scale of the cost's denominators."""
         cost_scale = math.lcm(*(c.denominator for c in cost.values()))
         ncost = {}
         for v, c in cost.items():
@@ -377,20 +457,22 @@ class LpBuilder:
             if cb:
                 for j, t in row.items():
                     obj[j] = obj.get(j, 0) - cb * t
-        T.rows[-1] = {j: a for j, a in obj.items() if a}
-        enter = T.run(art0)
-        stats = self._stats(T, ncols, nsplit, phase1, T.pivots - phase1)
-        if enter >= 0:
-            # a slack column is scaled by its row's scale; others by 1
-            enter_scale = next((scale[r] for r, j in slack_col.items()
-                                if j == enter), 1)
-            return self._extract_ray(T, enter, enter_scale, col_of, cost, stats)
-        return self._extract_optimal(T, col_of, cost, sense, flipped, start,
-                                     dropped, scale, cost_scale, stats)
+        return {j: a for j, a in obj.items() if a}, cost_scale
 
-    def _stats(self, T, ncols, nsplit, phase1, phase2):
-        return LpStats(rows=len(self._rows), columns=ncols, split_columns=nsplit,
-                       phase1_pivots=phase1, phase2_pivots=phase2, bits=T.bits())
+    @staticmethod
+    def _duals(T, obj, cost_scale, flipped, start, dropped, scale):
+        """Min-form duals from the reduced costs `obj` under each row's
+        starting unit column, unscaled: y_r = −scale[r]·obj[s] /
+        (d·cost_scale), negated on flipped rows, 0 on dropped rows."""
+        den = T.d * cost_scale
+        duals = []
+        for r, s in enumerate(start):
+            if r in dropped:
+                duals.append(R0)
+                continue
+            y = -scale[r] * obj.get(s, 0)
+            duals.append(rat(-y if flipped[r] else y, den))
+        return duals
 
     @staticmethod
     def _drive_out_artificials(T, art0):
@@ -412,30 +494,28 @@ class LpBuilder:
             out.append(v)
         return tuple(out)
 
-    def _extract_optimal(self, T, col_of, cost, sense, flipped, start,
-                         dropped, scale, cost_scale, stats):
+    def _extract_optimal(self, T, col_of, cost, sense, duals, cost_scale, stats):
         X = self._public_x(T, col_of)
-        # exact self-checks: primal feasibility here, strong duality below
+        # exact self-checks: primal feasibility, then dual feasibility and
+        # strong duality of the min-form duals
         self._check_primal(X, T.d)
         x = tuple(rat(v, T.d) for v in X)
         value = rat(sum(c.numerator * (cost_scale // c.denominator) * X[v]
                         for v, c in cost.items()), cost_scale * T.d)
-        # duals from reduced costs under each row's starting unit column,
-        # unscaled: y_r = −scale[r]·obj[s] / (d·cost_scale)
-        obj = T.rows[-1]
-        den = T.d * cost_scale
-        duals = []
-        for r, s in enumerate(start):
-            if r in dropped:
-                duals.append(R0)
-                continue
-            y = -scale[r] * obj.get(s, 0)
-            duals.append(rat(-y if flipped[r] else y, den))
-        _, total, den = self._combine_rows(duals)
-        if rat(total, den) != value:
-            raise AssertionError("simplex strong duality violated")
+        self._check_dual(duals, cost, value)
         return LpResult(OPTIMAL, objective=sense * value, x=x,
                         duals=tuple(sense * y for y in duals), stats=stats)
+
+    def _check_then(self, x, cost, y1, then, y2, theta):
+        """x is the least then·x among the minimizers of cost·x, given that
+        y1 certifies cost·x optimal: y = y2 + θ·y1 must be dual feasible
+        for then + θ·cost with y·b equal to its value at x. Any feasible x'
+        with cost·x' = cost·x then has then·x' >= then·x."""
+        mixed = dict(then)
+        for v, c in cost.items():
+            mixed[v] = mixed.get(v, R0) + theta * c
+        y = [b + theta * a for a, b in zip(y1, y2)]
+        self._check_dual(y, mixed, sum((c * x[v] for v, c in mixed.items()), R0))
 
     def _extract_farkas(self, T, flipped, start, art0, scale, p1_scale, stats):
         # phase-1 duals: the starting column's phase-1 cost (1 for an
@@ -449,9 +529,10 @@ class LpBuilder:
         self._check_farkas(y)
         return LpResult(INFEASIBLE, farkas=tuple(y), stats=stats)
 
-    def _extract_ray(self, T, enter, enter_scale, col_of, cost, stats):
+    def _extract_ray(self, T, enter, enter_scale, col_of, cost, stats, keep=None):
         # direction: one unit of the entering column (in the caller's
-        # units), basic columns moving by −(true entry)·enter_scale
+        # units), basic columns moving by −(true entry)·enter_scale; in a
+        # second stage it improves `then` and must keep the first cost
         num = {enter: T.d}
         for row, b in zip(T.rows, T.basis):
             if enter in row:
@@ -470,6 +551,10 @@ class LpBuilder:
         cnums, _ = numerators(list(cost.values()))
         if not sum(c * nums[v] for v, c in zip(cost, cnums)) < 0:
             raise AssertionError("unboundedness ray does not improve")
+        if keep is not None:
+            knums, _ = numerators(list(keep.values()))
+            if sum(c * nums[v] for v, c in zip(keep, knums)) != 0:
+                raise AssertionError("unboundedness ray moves the first objective")
         for coeffs, _, _, kind in self._rows:
             s = sum(a * nums[v] for v, a in coeffs.items())
             if kind == "eq" and s != 0:
@@ -513,6 +598,27 @@ class LpBuilder:
                 raise AssertionError("Farkas certificate failed")
         if not total > 0:
             raise AssertionError("Farkas certificate not separating")
+
+    def _check_dual(self, y, cost, value):
+        """y (one rational per caller row) is an optimal dual of min
+        cost·x whose value is `value`: y_r <= 0 on every '<=' row,
+        c_v − (A^T y)_v >= 0 on nonneg variables and == 0 on free ones,
+        and y^T b == value. The reduced costs are read times the positive
+        denominators of cost and of A^T y."""
+        for yr, (_, _, _, kind) in zip(y, self._rows, strict=True):
+            if kind == "le" and yr > 0:
+                raise AssertionError("dual sign check failed")
+        comb, total, den = self._combine_rows(y)
+        if rat(total, den) != value:
+            raise AssertionError("simplex strong duality violated")
+        cnum, cden = _int_expr(cost)
+        for v in cnum.keys() | comb.keys():
+            red = cnum.get(v, 0) * den - comb.get(v, 0) * cden
+            if self._vars[v] == "free":
+                if red != 0:
+                    raise AssertionError("dual infeasible on a free variable")
+            elif red < 0:
+                raise AssertionError("dual infeasible: negative reduced cost")
 
     def _check_primal(self, X, d):
         """x = X/d satisfies every caller row, each checked times

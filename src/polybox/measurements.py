@@ -268,8 +268,8 @@ def scaled_state_vars(lp: LpBuilder, lam, shape: PolySimplex):
 @dataclass
 class DegreeReport:
     """A degree, an interior base point s attaining it, the number of LP
-    solves spent and, for ID(F), the q_s-minimizing witness at s that
-    certifies the value."""
+    solves spent (one) and, for ID(F), the q_s-minimizing witness at s
+    that certifies the value."""
     value: object
     s: tuple
     evaluations: int
@@ -280,24 +280,23 @@ def least_mixing(lp: LpBuilder, lam, t, shape: PolySimplex) -> DegreeReport:
     """The least λ of a mixing LP whose variables t = λs come from
     `scaled_state_vars`, and an interior s attaining it.
 
-    The first LP may stop at a boundary s, so a second LP fixes λ = λ*
-    and maximizes μ ≤ every t^i_j; s = t/λ*. λ* = 0 returns the
-    barycenter. Raises AssertionError when no optimum is interior.
+    One solve: least λ, then, among its minimizers, the greatest μ ≤
+    every t^i_j, so that s = t/λ* is interior when some optimum is.
+    λ* = 0 returns the barycenter. Raises AssertionError when no optimum
+    is interior (μ* = 0).
     """
-    res = lp.minimize({lam: R1})
+    mu = lp.var(nonneg=True)
+    for v in t:
+        lp.add_le({mu: R1, v: -R1}, R0)
+    res = lp.minimize(({lam: R1}, {mu: -R1}))
     if res.status != OPTIMAL:
         raise AssertionError("mixing LP infeasible at λ=1")
     lam_star = res.objective
     if lam_star == 0:
         return DegreeReport(R0, shape.barycenter(), 1)
-    lp.add_eq({lam: R1}, lam_star)
-    mu = lp.var(nonneg=True)
-    for v in t:
-        lp.add_le({mu: R1, v: -R1}, R0)
-    res = lp.maximize({mu: R1})
-    if res.status != OPTIMAL or res.objective == 0:
+    if res[mu] == 0:
         raise AssertionError(f"no interior base point attains the least mixing {lam_star}")
-    return DegreeReport(lam_star, tuple(res[v] / lam_star for v in t), 2)
+    return DegreeReport(lam_star, tuple(res[v] / lam_star for v in t), 1)
 
 
 def id_degree(F: MeasurementCollection) -> DegreeReport:

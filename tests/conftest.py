@@ -45,8 +45,8 @@ def solved_rows(monkeypatch):
     rows = []
     solve = LpBuilder._solve
 
-    def recording(self, cost, sense):
-        res = solve(self, cost, sense)
+    def recording(self, *args):
+        res = solve(self, *args)
         rows.append(res.stats.rows)
         return res
 

@@ -1,5 +1,7 @@
 """No-signalling boxes, locality, CHSH witnesses, the incompatibility bound."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -122,6 +124,14 @@ class TestChsh:
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             chsh_witness(0, 2, 0)
+
+    def test_witnesses_are_built_once(self):
+        for i, j, k in itertools.product((0, 1), repeat=3):
+            mu = chsh_witness(i, j, k)
+            assert chsh_witness(i, j, k) is mu
+            assert mu == chsh_witness.__wrapped__(i, j, k)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mu.norm_max = R0
 
     def test_norms_are_one(self):
         for mu in all_chsh_witnesses():

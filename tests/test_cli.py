@@ -113,7 +113,7 @@ class TestCompat:
         assert code == 0
         assert rep["result"]["id"] == "1/2"
         assert set(rep["result"]) == {"id", "at", "evaluations"}
-        assert rep["result"]["evaluations"] == 2
+        assert rep["result"]["evaluations"] == 1
 
     def test_id_search_solves_the_certificate_lp_once(self, capsys, files, monkeypatch):
         calls = []

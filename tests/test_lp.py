@@ -156,6 +156,37 @@ class TestSimplex:
         with pytest.raises(AssertionError, match="sign check"):
             f._check_farkas((R1,))
 
+    def test_dual_check_rejects_made_up_duals(self):
+        # min x + 2y st x + y >= 2 (stored -x - y <= -2), x <= 1: optimum
+        # (1, 1) of value 3 with duals (-2, -1)
+        b = LpBuilder()
+        x, y = b.var(), b.var()
+        b.add_ge({x: 1, y: 1}, 2)
+        b.add_le({x: 1}, 1)
+        cost = {x: R1, y: rat(2)}
+        res = b.minimize(cost)
+        b._check_dual(res.duals, cost, res.objective)
+        with pytest.raises(AssertionError, match="strong duality"):
+            b._check_dual((rat(-2), -R1), cost, rat(4))
+        # y = (-3, 0) prices the feasible, not optimal, point (0, 3) at
+        # its value 6: strong duality holds, the reduced costs (-2, -1) fail
+        with pytest.raises(AssertionError, match="negative reduced cost"):
+            b._check_dual((rat(-3), R0), cost, rat(6))
+        # y = (0, 1) leaves reduced costs (0, 2) >= 0 and y^T b = 1; only
+        # its sign on a '<=' row gives it away
+        with pytest.raises(AssertionError, match="sign check"):
+            b._check_dual((R0, R1), cost, R1)
+        # min x st x - z == 0 (z free), x <= 1: y = (1, 0) leaves x a zero
+        # reduced cost and y^T b = 0, but z the reduced cost 1
+        f = LpBuilder()
+        x, z = f.var(), f.var(nonneg=False)
+        f.add_eq({x: 1, z: -1}, 0)
+        f.add_le({x: 1}, 1)
+        res = f.minimize({x: R1})
+        assert res.objective == 0 and res.duals == (R0, R0)
+        with pytest.raises(AssertionError, match="free variable"):
+            f._check_dual((R1, R0), {x: R1}, R0)
+
     def test_unbounded_with_ray(self):
         b = LpBuilder()
         x = b.var()
@@ -323,7 +354,7 @@ class TestSimplex:
         assert res.status == OPTIMAL and res.objective == 1
         assert (res[x], res[y]) == (0, 1)
         assert res.duals == (rat(-2, 3), rat(1, 3), R0)
-        assert (res.stats.phase1_pivots, res.stats.phase2_pivots) == (3, 0)
+        assert (res.stats.phase1_pivots, res.stats.phase2_pivots) == (2, 0)
 
     def test_unbounded_ray_through_a_scaled_slack(self):
         # min −y st −3x/4 + 2y <= 1/2, −x/4 + y <= 2: after two pivots the
@@ -351,7 +382,8 @@ class TestSimplex:
             rows=2, columns=4, split_columns=0, phase1_pivots=0,
             phase2_pivots=2, bits=4)
         # a free variable takes two columns and the == row an artificial:
-        # two phase-1 pivots reach x = 4/9, then one phase-2 pivot x = 0
+        # the positive column of y has the most negative phase-1 reduced
+        # cost, and its one pivot reaches the optimum x = 0
         b = LpBuilder()
         x, y = b.var(), b.var(nonneg=False)
         b.add_eq({x: rat(1, 2), y: rat(2, 3)}, rat(5, 6))
@@ -359,20 +391,112 @@ class TestSimplex:
         res = b.minimize({x: R1, y: rat(1, 5)})
         assert (res[x], res[y], res.objective) == (0, rat(5, 4), rat(1, 4))
         assert res.stats == LpStats(rows=2, columns=5, split_columns=2,
-                                    phase1_pivots=2, phase2_pivots=1, bits=6)
+                                    phase1_pivots=1, phase2_pivots=0, bits=6)
         b.add_ge({x: 1}, 1)
         res = b.minimize({})
         assert res.status == INFEASIBLE
         assert (res.stats.rows, res.stats.columns) == (3, 7)
 
 
+def record_pricing(monkeypatch):
+    """Per pivot: the negative reduced costs {column: entry} before it,
+    the entering column and whether the pivot is degenerate (ratio 0).
+    The solves recorded must have no artificial columns."""
+    steps = []
+    pivot = lp._Tableau.pivot
+
+    def record(T, r, c):
+        neg = {j: v for j, v in T.rows[-1].items() if v < 0 and j != T.rhs}
+        steps.append((neg, c, not T.rows[r].get(T.rhs)))
+        pivot(T, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", record)
+    return steps
+
+
+class TestPricing:
+    def test_dantzig_pricing_with_bland_on_stalls(self, monkeypatch):
+        # min -2x - 5y - 5z st 2x - y + 3z <= 0, -2x + 2y - 2z <= 0: the
+        # first pivot (y, most negative, least index on the tie with z) is
+        # degenerate, so Bland's least index picks the next one, x
+        steps = record_pricing(monkeypatch)
+        b = LpBuilder()
+        x, y, z = b.vars(3)
+        b.add_le({x: 2, y: -1, z: 3}, 0)
+        b.add_le({x: -2, y: 2, z: -2}, 0)
+        res = b.minimize({x: -2, y: -5, z: -5})
+        assert res.status == OPTIMAL and res.objective == 0
+        stalled, differ = False, set()
+        for neg, enter, degenerate in steps:
+            least = min(neg)
+            most = min(neg, key=lambda j: (neg[j], j))
+            assert enter == (least if stalled else most)
+            if least != most:
+                differ.add(stalled)
+            stalled = degenerate
+        # both rules decided a pivot on which they disagree
+        assert differ == {False, True}
+
+    def test_degenerate_textbook_lps(self, monkeypatch):
+        # Beale (1955) and Chvátal (Linear Programming, 1983, ch. 3): both
+        # start with a degenerate pivot, and with their textbook choice of
+        # leaving row Dantzig's rule alone cycles on them
+        steps = record_pricing(monkeypatch)
+        b = LpBuilder()
+        x = b.vars(4)
+        b.add_le({x[0]: rat(1, 4), x[1]: -8, x[2]: -1, x[3]: 9}, 0)
+        b.add_le({x[0]: rat(1, 2), x[1]: -12, x[2]: rat(-1, 2), x[3]: 3}, 0)
+        b.add_le({x[2]: 1}, 1)
+        res = b.minimize({x[0]: rat(-3, 4), x[1]: 20, x[2]: rat(-1, 2), x[3]: 6})
+        assert res.status == OPTIMAL and res.objective == rat(-5, 4)
+        assert steps[0][2]
+        steps.clear()
+        b = LpBuilder()
+        x = b.vars(4)
+        b.add_le({x[0]: rat(1, 2), x[1]: rat(-11, 2), x[2]: rat(-5, 2), x[3]: 9}, 0)
+        b.add_le({x[0]: rat(1, 2), x[1]: rat(-3, 2), x[2]: rat(-1, 2), x[3]: 1}, 0)
+        b.add_le({x[0]: 1}, 1)
+        res = b.maximize({x[0]: 10, x[1]: -57, x[2]: -9, x[3]: -24})
+        assert res.status == OPTIMAL and res.objective == 1
+        assert steps[0][2]
+
+    def test_second_objective_picks_the_least_among_minimizers(self):
+        # min x + y st x + y >= 1, x <= 2/3: every point of the segment
+        # x + y = 1, 0 <= x <= 2/3 is optimal; then -x picks x = 2/3
+        b = LpBuilder()
+        x, y = b.var(), b.var()
+        b.add_ge({x: 1, y: 1}, 1)
+        b.add_le({x: 1}, rat(2, 3))
+        first = b.minimize({x: 1, y: 1})
+        res = b.minimize(({x: 1, y: 1}, {x: -1}))
+        assert res.status == OPTIMAL and res.objective == 1
+        assert (res[x], res[y]) == (rat(2, 3), rat(1, 3))
+        assert res.duals == first.duals
+        res = b.minimize(({x: 1, y: 1}, {x: 1}))
+        assert (res[x], res[y]) == (0, 1)
+
+    def test_second_objective_unbounded_on_the_optimal_face(self):
+        # min y st y >= 1: x is free to grow, and then -x has no minimum;
+        # the ray raises x and keeps y
+        b = LpBuilder()
+        x, y = b.var(), b.var()
+        b.add_ge({y: 1}, 1)
+        assert b.minimize({y: 1}).status == OPTIMAL
+        res = b.minimize(({y: 1}, {x: -1}))
+        assert res.status == UNBOUNDED and res.ray == (1, 0)
+
+
 def _cross_check_highs(rng, coeff, rhs_draw):
     """Status and objective against scipy's HiGHS on 150 seeded random LPs
     mixing ==, <=, >= rows with rhs of both signs and nonneg/free
-    variables; every optimum's duals must also be dual feasible."""
+    variables; every optimum's duals must also be dual feasible. At each
+    optimum a second cost, drawn from its own generator, is minimized
+    among the minimizers, against HiGHS on the LP with the row
+    cost·x == the first optimum added."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     highs_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
-    seen = set()
+    then_rng = random.Random(0)
+    seen, seen_then = set(), set()
     for _ in range(150):
         n = rng.randrange(2, 6)
         free = [rng.random() < 0.3 for _ in range(n)]
@@ -421,5 +545,21 @@ def _cross_check_highs(rng, coeff, rhs_draw):
                 red = cost[i] - sum(y * coeffs.get(xs[i], 0)
                                     for y, (coeffs, _, _) in zip(res.duals, rows))
                 assert red == 0 if f else red >= 0
+            then = [then_rng.randrange(-3, 4) for _ in range(n)]
+            lex = b.minimize(({xs[i]: c for i, c in enumerate(cost) if c},
+                              {xs[i]: c for i, c in enumerate(then) if c}))
+            ref = linprog(then, A_ub=[[float(c) for c in row] for row in a_ub] or None,
+                          b_ub=[float(c) for c in b_ub] or None,
+                          A_eq=[[float(c) for c in row] for row in a_eq + [cost]],
+                          b_eq=[float(c) for c in b_eq + [res.objective]],
+                          bounds=[(None, None) if f else (0, None) for f in free],
+                          method="highs")
+            assert lex.status == highs_status.get(ref.status), ref.message
+            if lex.status == OPTIMAL:
+                assert (lex.objective, lex.duals) == (res.objective, res.duals)
+                value = sum(c * v for c, v in zip(then, lex.x))
+                assert abs(float(value) - ref.fun) <= 1e-7 * (1 + abs(ref.fun))
+            seen_then.add(lex.status)
         seen.add(res.status)
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert OPTIMAL in seen_then

@@ -7,11 +7,13 @@ import pytest
 
 from polybox import linalg as la
 from polybox.exact import R0, R1, rat
-from polybox.measurements import (DegreeReport, coin_toss, coin_toss_on,
+from polybox.lp import OPTIMAL
+from polybox.measurements import (DegreeReport, _joint_lp, coin_toss, coin_toss_on,
                                   from_functionals, id_degree, id_degree_at,
-                                  identity_collection, is_compatible,
+                                  identity_collection, is_compatible, least_mixing,
                                   make_collection, random_collection)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
+from polybox.serialize import builtin_space
 from polybox.spaces import simplex_space
 from polybox.witnesses import q_value, trace_pairing
 
@@ -229,7 +231,7 @@ def block_grid(shape):
 
 class TestSingleLpDegree:
     """id_degree is the least mixing weight over all interior s, found by
-    one LP (two when F is incompatible)."""
+    one LP solve."""
 
     def check_report(self, F, rep):
         assert F.shape.interior(rep.s)
@@ -239,8 +241,7 @@ class TestSingleLpDegree:
         ok, _ = is_compatible(F.mix(coin_toss_on(F.space, F.shape, rep.s), rep.value),
                               want_joint=False)
         assert ok
-        compatible, _ = is_compatible(F, want_joint=False)
-        assert rep.evaluations == (1 if compatible else 2)
+        assert rep.evaluations == 1
 
     @pytest.mark.parametrize("shape, value", [((1, 1), rat(1, 2)), ((1, 1, 1), rat(2, 3)),
                                               ((2, 1), rat(1, 2)), ((2, 2), rat(1, 2))])
@@ -263,6 +264,36 @@ class TestSingleLpDegree:
         q, W, lam = q_value(F, rep.s)
         assert rep.witness.vertex_images == W.vertex_images
         assert trace_pairing(F, rep.witness) == q and lam == rep.value
+
+
+def two_lp_least_mixing(lp, lam, t, shape):
+    """The two-solve form of `least_mixing`: the least λ*, then, with
+    λ = λ* added, a second LP that maximizes μ ≤ every t^i_j."""
+    res = lp.minimize({lam: R1})
+    if res.status != OPTIMAL:
+        raise AssertionError("mixing LP infeasible at λ=1")
+    lam_star = res.objective
+    if lam_star == 0:
+        return DegreeReport(R0, shape.barycenter(), 1)
+    lp.add_eq({lam: R1}, lam_star)
+    mu = lp.var(nonneg=True)
+    for v in t:
+        lp.add_le({mu: R1, v: -R1}, R0)
+    res = lp.maximize({mu: R1})
+    if res.status != OPTIMAL or res.objective == 0:
+        raise AssertionError(f"no interior base point attains the least mixing {lam_star}")
+    return DegreeReport(lam_star, tuple(res[v] / lam_star for v in t), 2)
+
+
+def mixing_outcome(search, build):
+    """(λ*, smallest entry of s) of search(*build()), or the message of
+    the AssertionError it raises. The smallest entry of s is μ*/λ*, so
+    two searches that agree on it found the same greatest μ."""
+    try:
+        rep = search(*build())
+    except AssertionError as e:
+        return str(e)
+    return rep.value, min(rep.s)
 
 
 SHAPES = [(1, 1), (1, 1, 1), (2, 1)]
@@ -292,6 +323,30 @@ class TestMixingModes:
         assert P.interior(rep.s)
         assert id_degree_at(F, rep.s, cross_check=True) == rep.value
         assert (rep.value == R0) == (bias is None)
+
+
+class TestOneSolveLeastMixing:
+    """`least_mixing`'s single solve (least λ, then greatest μ among its
+    minimizers) against the two-solve reference."""
+
+    @pytest.mark.parametrize("space, shape", [("square", (1, 1)), ("poly:2,1", (2, 1)),
+                                              ("cube:3", (1, 1, 1))])
+    def test_matches_two_solves(self, space, shape):
+        P = PolySimplex(shape)
+        sp = builtin_space(space)
+        rng = random.Random(str((space, shape)))
+        seen = set()
+        for bias in (None, rat(1, 2), rat(3, 4), rat(7, 8), rat(15, 16), rat(31, 32)):
+            F = random_collection(sp, P, rng, bias=bias)
+
+            def build():
+                lp, _c, lam, t = _joint_lp(F, "free")
+                return lp, lam, t, P
+
+            got = mixing_outcome(least_mixing, build)
+            assert got == mixing_outcome(two_lp_least_mixing, build)
+            seen.add(got[0] > 0)
+        assert seen == {False, True}
 
 
 class TestFourCube:

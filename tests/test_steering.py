@@ -15,6 +15,7 @@ from polybox.steering import (Assemblage, _lhs_lp, assemblage_from, is_separable
                               map_from_spanning_pairs, self_dual_state,
                               square_self_dual_iso, steering_degree,
                               steering_degree_at)
+from test_measurements import mixing_outcome, two_lp_least_mixing
 
 SQ = PolySimplex((1, 1))
 
@@ -180,8 +181,7 @@ class TestSelfDual:
         assert steering_degree_at(beta, rep.s) == rep.value
         ok, _ = is_separable(beta.mix_with_trivial(rep.s, rep.value))
         assert ok
-        separable, _ = is_separable(beta)
-        assert rep.evaluations == (1 if separable else 2)
+        assert rep.evaluations == 1
 
     def test_iso_validation(self):
         sp = square_space()
@@ -286,6 +286,11 @@ def value_or_error(f):
         return str(e)
 
 
+#: vertex-split draws per (space, shape) on which `least_mixing` raises
+BOUNDARY_DRAWS = {("poly:2,1", (1, 1)): 1, ("poly:2,1", (2, 1)): 1,
+                  ("pentagon", (1, 1)): 1, ("pentagon", (2, 1)): 2}
+
+
 class TestHiddenStateLpOnIndependentCoordinates:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1)], ids=str)
     def test_matches_ambient_rows(self, state_space, shape):
@@ -294,7 +299,7 @@ class TestHiddenStateLpOnIndependentCoordinates:
         # the barycenter, and block entry j weighted j + 1
         points = [P.barycenter(), tuple(rat(j + 1, (l + 1) * (l + 2) // 2)
                                         for l in shape for j in range(l + 1))]
-        seen = set()
+        seen, boundary = set(), 0
         for _ in range(5):
             beta = partition_assemblage(P, state_space, rng)
             ok, _model = is_separable(beta)
@@ -307,8 +312,18 @@ class TestHiddenStateLpOnIndependentCoordinates:
             ref, lam, t = ambient_lhs_lp(beta, "free")
             assert value_or_error(lambda: steering_degree(beta).value) == \
                 value_or_error(lambda: least_mixing(ref, lam, t, P).value)
+
+            def build():
+                lp, _avar, lam, t = _lhs_lp(beta, "free")
+                return lp, lam, t, P
+
+            got = mixing_outcome(least_mixing, build)
+            assert got == mixing_outcome(two_lp_least_mixing, build)
+            boundary += isinstance(got, str)
         if state_space.label in ("square", "pentagon"):
             assert seen == {True, False}
+        # draws whose least mixing is attained only at a boundary s
+        assert boundary == BOUNDARY_DRAWS.get((state_space.label, shape), 0)
 
     def test_square_rows(self):
         beta = identity_assemblage()
