@@ -165,17 +165,17 @@ def _cmd_id(args, load: Loader):
     F = load.measurement(args.meas, space=load.space(args.space))
     if args.search:
         rep = id_degree(F)
-        W = rep.witness
+        W, trace = rep.witness, rep.q
         result = {"id": sz.scalar_to_json(rep.value),
                   "at": sz._vec_to_json(rep.s),
                   "evaluations": rep.evaluations}
     else:
         s = _point_arg(args.at, F.shape)
         q, W, lam = q_value(F, s)
+        trace = trace_pairing(F, W)
         result = {"id": sz.scalar_to_json(lam), "at": sz._vec_to_json(s),
                   "q": sz.scalar_to_json(q)}
-    cert = {"witness": sz.witness_to_json(W),
-            "trace": sz.scalar_to_json(trace_pairing(F, W))}
+    cert = {"witness": sz.witness_to_json(W), "trace": sz.scalar_to_json(trace)}
     return True, result, cert, "exact"
 
 

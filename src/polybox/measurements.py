@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .exact import R0, R1, rat
-from .lp import OPTIMAL, LpBuilder, vec_expr
+from .lp import OPTIMAL, LpBuilder, LpResult, vec_expr
 from .polysimplex import PolySimplex
 from .spaces import StateSpace
 
@@ -268,12 +268,18 @@ def scaled_state_vars(lp: LpBuilder, lam, shape: PolySimplex):
 @dataclass
 class DegreeReport:
     """A degree, an interior base point s attaining it, the number of LP
-    solves spent (one) and, for ID(F), the q_s-minimizing witness at s
-    that certifies the value."""
+    solves spent (one), the `LpResult` of that solve, and the exact
+    certificate read off it. For ID(F), `witness` is a witness map W
+    with ⟨1_K, W(s)⟩ = 1 and `q` = Tr FW = q_s(F), so that ID = −q/(1−q)
+    is a lower bound the LP's least λ meets. For SD(β), `model` is an
+    LHS model of (1−λ)β + λ s⊗x at the reported λ and s."""
     value: object
     s: tuple
     evaluations: int
+    solve: LpResult | None = None
     witness: object = None
+    q: object = None
+    model: object = None
 
 
 def least_mixing(lp: LpBuilder, lam, t, shape: PolySimplex) -> DegreeReport:
@@ -283,7 +289,9 @@ def least_mixing(lp: LpBuilder, lam, t, shape: PolySimplex) -> DegreeReport:
     One solve: least λ, then, among its minimizers, the greatest μ ≤
     every t^i_j, so that s = t/λ* is interior when some optimum is.
     λ* = 0 returns the barycenter. Raises AssertionError when no optimum
-    is interior (μ* = 0).
+    is interior (μ* = 0). The report's `solve` is the LpResult, whose
+    primal x and first-stage duals (those of λ) callers read their
+    certificates from.
     """
     mu = lp.var(nonneg=True)
     for v in t:
@@ -293,24 +301,72 @@ def least_mixing(lp: LpBuilder, lam, t, shape: PolySimplex) -> DegreeReport:
         raise AssertionError("mixing LP infeasible at λ=1")
     lam_star = res.objective
     if lam_star == 0:
-        return DegreeReport(R0, shape.barycenter(), 1)
+        return DegreeReport(R0, shape.barycenter(), 1, res)
     if res[mu] == 0:
         raise AssertionError(f"no interior base point attains the least mixing {lam_star}")
-    return DegreeReport(lam_star, tuple(res[v] / lam_star for v in t), 1)
+    return DegreeReport(lam_star, tuple(res[v] / lam_star for v in t), 1, res)
+
+
+def _dual_witness(F: MeasurementCollection, duals, s):
+    """The witness map read off the duals of `_joint_lp(F, "free")` as
+    solved by `least_mixing`, normalized so that ⟨1_K, W(s)⟩ = 1, and q =
+    Tr FW. Raises AssertionError unless it is a witness map.
+
+    After the λ ≤ 1 row and the k+1 `scaled_state_vars` rows come the
+    marginal rows y_{i,j,a} (rank rows per (i, j < l_i), one per basis
+    vertex b_a), then the normalization rows z_a. Set w_n = −Σ_a (z_a +
+    Σ_{i: n_i<l_i} y_{i,n_i,a}) b_a. The column of facet weight c_{n,f}
+    meets exactly the rows of w_n, with coefficients ⟨g_f, b_a⟩, so its
+    dual sign condition reads ⟨g_f, w_n⟩ ≥ 0: each w_n lies in V(K)+.
+    The map is affine in the chart at the top vertex by construction.
+    """
+    from .witnesses import (WitnessValidationError, _chart_images, make_witness_map,
+                            trace_pairing)
+
+    shape, space = F.shape, F.space
+    rows = iter(duals[1 + len(shape.shape):])
+
+    def block():
+        return [-next(rows) for _ in range(space.rank)]
+
+    edges = {(i, j): block() for i, l in enumerate(shape.shape) for j in range(l)}
+    top = block()
+    # every b_a is a vertex, so ⟨1_K, Σ_a c_a b_a⟩ = Σ_a c_a
+    norm = sum(top) + sum(shape.coords(s, i, j) * sum(e) for (i, j), e in edges.items())
+    if norm <= 0:
+        raise AssertionError(f"dual witness has ⟨1_K, W(s)⟩ = {norm}")
+
+    def vec(c):
+        return la.combine([a / norm for a in c], space.basis)
+
+    images = _chart_images(shape, vec(top), {key: vec(e) for key, e in edges.items()})
+    try:
+        W = make_witness_map(shape, space, images)
+    except WitnessValidationError as e:
+        raise AssertionError(f"dual witness rejected: {e}") from None
+    return W, trace_pairing(F, W)
 
 
 def id_degree(F: MeasurementCollection) -> DegreeReport:
-    """ID(F) = inf over interior s of ID_s(F), exactly: the least λ of
-    `_joint_lp(F, "free")` with an interior s from `least_mixing`,
-    re-checked against the witness dual q_s at that s, whose witness the
-    report keeps."""
-    from .witnesses import q_value
-
+    """ID(F) = inf over interior s of ID_s(F), exactly: the least λ* of
+    `_joint_lp(F, "free")` with an interior s from `least_mixing`. When
+    λ* > 0 the certificate comes from the same solve: the witness W of
+    `_dual_witness`, which must satisfy −q/(1−q) = λ* for q = Tr FW, so
+    that ID_s(F) ≥ λ* at the returned s. When λ* = 0 it is the witness
+    of q_s at the barycenter, whose ID_s must be 0."""
     lp, _c, lam, t = _joint_lp(F, "free")
     rep = least_mixing(lp, lam, t, F.shape)
-    _q, rep.witness, at = q_value(F, rep.s)
-    if at != rep.value:
-        raise AssertionError(f"least mixing {rep.value} != ID_s {at} at its s")
+    if rep.value == 0:
+        from .witnesses import q_value
+
+        rep.q, rep.witness, at = q_value(F, rep.s)
+        if at != 0:
+            raise AssertionError(f"least mixing 0 != ID_s {at} at its s")
+        return rep
+    rep.witness, rep.q = _dual_witness(F, rep.solve.duals, rep.s)
+    if rep.q >= 0 or -rep.q / (R1 - rep.q) != rep.value:
+        raise AssertionError(f"least mixing {rep.value} != −q/(1−q) of its dual "
+                             f"witness, q = {rep.q}")
     return rep
 
 

@@ -145,13 +145,6 @@ def resolve_space(ref) -> StateSpace:
 
 # -- polysimplex shapes -------------------------------------------------
 
-def shape_from_json(obj) -> PolySimplex:
-    if isinstance(obj, list):
-        return PolySimplex(obj)
-    _require(obj, "shape")
-    return PolySimplex(obj["shape"])
-
-
 def _shape_field(obj, key="shape") -> PolySimplex:
     _require(obj, key)
     return PolySimplex(obj[key])
@@ -271,29 +264,6 @@ def channel_from_json(obj) -> ChoiMatrix:
             raise ValueError(f"choi entry {idx} is not a [re, im] pair")
         x[idx // n, idx % n] = complex(float(pair[0]), float(pair[1]))
     return ChoiMatrix(d_a, d_ap, dense=x)
-
-
-# -- top-level dispatch -----------------------------------------------------
-
-_LOADERS = [
-    ("unit", space_from_json),
-    ("effects", measurement_from_json),
-    ("sub_states", assemblage_from_json),
-    ("choi", channel_from_json),
-    ("shape_a", box_from_json),
-    ("vertices", witness_from_json),
-    ("shape", shape_from_json),
-]
-
-
-def detect_kind(obj) -> str:
-    if not isinstance(obj, dict):
-        raise ValueError("top-level JSON value must be an object")
-    for marker, loader in _LOADERS:
-        if marker in obj:
-            return loader.__name__.removesuffix("_from_json")
-    raise ValueError("object matches no known schema "
-                     "(space / shape / measurement / witness / assemblage / box / channel)")
 
 
 def dumps(obj) -> str:

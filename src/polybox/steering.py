@@ -175,14 +175,11 @@ def _lhs_lp(beta: Assemblage, mixing=None):
     return lp, avar, lam, t
 
 
-def is_separable(beta: Assemblage):
-    """β separable ⟺ β = Σ_n s_n ⊗ α_n with α_n ∈ V(K)+ (LP).
-    Returns (bool, LhsModel | None)."""
+def _lhs_model(res, avar, beta: Assemblage) -> LhsModel:
+    """The LHS model whose unnormalized hidden states α_n = Σ_v a_{n,v} v
+    are read off the solved `_lhs_lp` variables avar: q(n) = ⟨1_K, α_n⟩
+    and x_n = α_n/q(n) (β's average when q(n) = 0)."""
     space = beta.space
-    lp, avar, _lam, _t = _lhs_lp(beta)
-    res = lp.minimize({})
-    if res.status != OPTIMAL:
-        return False, None
     weights = {}
     states = {}
     for n, cols in avar.items():
@@ -190,7 +187,17 @@ def is_separable(beta: Assemblage):
         q = la.dot(space.unit, vec)
         weights[n] = q
         states[n] = tuple(la.vec_scale(1 / q, vec)) if q else beta.x
-    model = LhsModel(weights, states)
+    return LhsModel(weights, states)
+
+
+def is_separable(beta: Assemblage):
+    """β separable ⟺ β = Σ_n s_n ⊗ α_n with α_n ∈ V(K)+ (LP).
+    Returns (bool, LhsModel | None)."""
+    lp, avar, _lam, _t = _lhs_lp(beta)
+    res = lp.minimize({})
+    if res.status != OPTIMAL:
+        return False, None
+    model = _lhs_model(res, avar, beta)
     model.check(beta)
     return True, model
 
@@ -208,14 +215,15 @@ def steering_degree_at(beta: Assemblage, s):
 
 
 def steering_degree(beta: Assemblage) -> DegreeReport:
-    """SD(β) = inf over interior s of SD_s(β), exactly: the least λ of
-    `_lhs_lp(beta, "free")` with an interior s from `least_mixing`,
-    re-checked by `steering_degree_at` at that s."""
-    lp, _avar, lam, t = _lhs_lp(beta, "free")
+    """SD(β) = inf over interior s of SD_s(β), exactly: the least λ* of
+    `_lhs_lp(beta, "free")` with an interior s from `least_mixing`. The
+    same solve's α_n give the report's `model`, an LHS model that must
+    pass `LhsModel.check` against (1−λ*)β + λ* s⊗x on every coordinate,
+    so that SD_s(β) ≤ λ* at the returned s."""
+    lp, avar, lam, t = _lhs_lp(beta, "free")
     rep = least_mixing(lp, lam, t, beta.shape)
-    at = steering_degree_at(beta, rep.s)
-    if at != rep.value:
-        raise AssertionError(f"least mixing {rep.value} != SD_s {at} at its s")
+    rep.model = _lhs_model(rep.solve, avar, beta)
+    rep.model.check(beta.mix_with_trivial(rep.s, rep.value))
     return rep
 
 

@@ -4,14 +4,15 @@ import json
 
 import pytest
 
-from polybox import cli, witnesses
+from polybox import cli, steering, witnesses
 from polybox import serialize as sz
 from polybox.bell import Box, deterministic_box, pr_box
 from polybox.channels import StochasticMatrix, cc_channel
 from polybox.exact import R1, rat
 from polybox.measurements import coin_toss, identity_collection
 from polybox.polysimplex import PolySimplex, square_space
-from polybox.steering import assemblage_from, self_dual_state, square_self_dual_iso
+from polybox.steering import (assemblage_from, self_dual_state, square_self_dual_iso,
+                              steering_degree_at)
 from polybox.witnesses import q_value
 
 SQ = PolySimplex((1, 1))
@@ -115,7 +116,9 @@ class TestCompat:
         assert set(rep["result"]) == {"id", "at", "evaluations"}
         assert rep["result"]["evaluations"] == 1
 
-    def test_id_search_solves_the_certificate_lp_once(self, capsys, files, monkeypatch):
+    def test_id_search_solves_the_certificate_lp_once(self, capsys, files, monkeypatch,
+                                                      solved_rows):
+        # the witness is read off the search LP's duals: no q_value re-solve
         calls = []
 
         def counted(F, s):
@@ -125,7 +128,7 @@ class TestCompat:
         monkeypatch.setattr(cli, "q_value", counted)
         code, rep, _ = run(capsys, "id", "compute", "--meas", files["ident"], "--search")
         assert code == 0 and rep["certificate"]["trace"] == "-1"
-        assert len(calls) == 1
+        assert calls == [] and len(solved_rows) == 1
 
 
 class TestWitness:
@@ -162,6 +165,20 @@ class TestSteerBellBox:
                            files["assemblage"], "--at", "barycenter")
         assert code == 0
         assert rep["result"]["sd"] == "1/2"
+
+    def test_sd_search_solves_one_lp(self, capsys, files, monkeypatch, solved_rows):
+        # the LHS model is read off the search LP's primal: no fixed-s re-solve
+        calls = []
+
+        def counted(beta, s):
+            calls.append(s)
+            return steering_degree_at(beta, s)
+        monkeypatch.setattr(steering, "steering_degree_at", counted)
+        monkeypatch.setattr(cli, "steering_degree_at", counted)
+        code, rep, _ = run(capsys, "steer", "sd", "--assemblage", files["assemblage"],
+                           "--search")
+        assert code == 0 and rep["result"]["sd"] == "1/2"
+        assert calls == [] and len(solved_rows) == 1
 
     def test_bell_check(self, capsys, files):
         code, rep, _ = run(capsys, "bell", "check", "--box", files["pr"])

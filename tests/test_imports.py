@@ -76,27 +76,48 @@ def test_detects_fractions_import():
 
 PERFBENCH = SRC.parents[1] / "perfbench"
 
-#: module-level functions that only tests call, kept until each one is
+#: functions and methods that only tests call, kept until each one is
 #: wired into a named cross-check or deleted with its tests
 UNREAD_ALLOWED = {
+    ("bell.py", "Box.from_tensor"),
     ("channels.py", "channel_projection"),
     ("channels.py", "point_from_stochastic"),
     ("channels.py", "unitary_choi"),
-    ("serialize.py", "detect_kind"),
+    ("polysimplex.py", "PolySimplex.flip_automorphism"),
+    ("polysimplex.py", "PolySimplex.j_map"),
+    ("polysimplex.py", "PolySimplex.n_vertices"),
+    ("qubit.py", "QubitEffect.complement"),
     ("spaces.py", "membership"),
+    ("witnesses.py", "WitnessMap.image"),
     ("witnesses.py", "map_trace_pairing"),
 }
 
 
 def names_read(tree):
-    """Every name read as a `Name` load or as the attribute of a load."""
+    """Every name read as a `Name` load or as the attribute of a load,
+    and every name a `getattr` call spells out: its literal second
+    argument, or, for `getattr(x, "prefix" + ...)`, the prefix followed
+    by "*" (every name with that prefix is read)."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "getattr" and len(node.args) >= 2:
+            arg = node.args[1]
+            if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add):
+                arg, star = arg.left, "*"
+            else:
+                star = ""
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                out.add(arg.value + star)
     return out
+
+
+def is_read(name, read):
+    return name in read or any(r.endswith("*") and name.startswith(r[:-1]) for r in read)
 
 
 def exported_names():
@@ -109,17 +130,25 @@ def exported_names():
 
 
 def unread_functions(modules, readers, exported):
-    """(file name, function) for each module-level function of `modules`
-    that no source in `readers` reads and `exported` does not list."""
+    """(file name, name) for each module-level function of `modules` that
+    no source in `readers` reads and `exported` does not list, and
+    (file name, "Class.method") for each method of a module-level class
+    that no reader reads; dunder methods are called by Python itself."""
     read = set()
     for source in readers:
         read |= names_read(ast.parse(source))
     out = set()
     for name, source in modules:
         for node in ast.parse(source).body:
-            if isinstance(node, ast.FunctionDef) and node.name not in read \
+            if isinstance(node, ast.FunctionDef) and not is_read(node.name, read) \
                     and node.name not in exported:
                 out.add((name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and not item.name.startswith("__") \
+                            and not is_read(item.name, read):
+                        out.add((name, f"{node.name}.{item.name}"))
     return out
 
 
@@ -136,3 +165,16 @@ def test_detects_unread_function():
     reader = "import m\nm.used()\n"
     assert unread_functions([("m.py", module)], [module, reader], {"public"}) == \
         {("m.py", "unused")}
+
+
+def test_detects_unread_method():
+    module = ("class A:\n"
+              "    def __init__(self):\n        self.used()\n"
+              "    def used(self):\n        pass\n"
+              "    def unused(self):\n        pass\n"
+              "    def add_eq(self):\n        pass\n"
+              "    def run(self, kind):\n        return getattr(self, 'add_' + kind)\n"
+              "    def named(self):\n        pass\n")
+    reader = "import m\nm.A().run('eq')\ngetattr(m.A(), 'named')\n"
+    assert unread_functions([("m.py", module)], [module, reader], {"A"}) == \
+        {("m.py", "A.unused")}

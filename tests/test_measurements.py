@@ -6,16 +6,17 @@ import random
 import pytest
 
 from polybox import linalg as la
+from polybox import measurements
 from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL
-from polybox.measurements import (DegreeReport, _joint_lp, coin_toss, coin_toss_on,
-                                  from_functionals, id_degree, id_degree_at,
+from polybox.measurements import (DegreeReport, _dual_witness, _joint_lp, coin_toss,
+                                  coin_toss_on, from_functionals, id_degree, id_degree_at,
                                   identity_collection, is_compatible, least_mixing,
                                   make_collection, random_collection)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
 from polybox.serialize import builtin_space
 from polybox.spaces import simplex_space
-from polybox.witnesses import q_value, trace_pairing
+from polybox.witnesses import make_witness_map, q_value, trace_pairing
 
 SQ = PolySimplex((1, 1))
 
@@ -264,6 +265,72 @@ class TestSingleLpDegree:
         q, W, lam = q_value(F, rep.s)
         assert rep.witness.vertex_images == W.vertex_images
         assert trace_pairing(F, rep.witness) == q and lam == rep.value
+
+
+class TestDualWitness:
+    """id_degree reads its witness off the duals of its one solve: a
+    witness map with ⟨1_K, W(s)⟩ = 1 whose trace is q_s(F) at the
+    reported s, so −q/(1−q) certifies the least mixing from below."""
+
+    @staticmethod
+    def collections(shape, n_random):
+        P = PolySimplex(shape)
+        rng = random.Random(str(("dual witness", shape)))
+        out = [identity_collection(P)]
+        for bias in (rat(3, 4), rat(15, 16), rat(9, 10))[:n_random]:
+            out.append(random_collection(polysimplex_space(shape), P, rng, bias=bias))
+        return out
+
+    @pytest.mark.parametrize("shape, n_random", [((1, 1), 3), ((1, 1, 1), 3), ((2, 1), 3),
+                                                 ((2, 2), 2), ((1, 1, 1, 1), 1)], ids=str)
+    def test_read_back_witness_certifies_the_degree(self, shape, n_random):
+        for F in self.collections(shape, n_random):
+            rep = id_degree(F)
+            assert rep.value > 0 and rep.evaluations == 1
+            W = rep.witness
+            assert make_witness_map(F.shape, F.space, W.vertex_images).vertex_images == \
+                W.vertex_images
+            assert la.dot(F.space.unit, W.apply(rep.s)) == R1
+            assert trace_pairing(F, W) == rep.q
+            q, _W, lam = q_value(F, rep.s)
+            assert rep.q == q and lam == rep.value
+            assert -q / (R1 - q) == rep.value
+
+    def test_reads_the_solve_of_the_report(self):
+        # the witness is a function of the returned duals alone
+        F = identity_collection(PolySimplex((2, 1)))
+        rep = id_degree(F)
+        W, q = _dual_witness(F, rep.solve.duals, rep.s)
+        assert W.vertex_images == rep.witness.vertex_images and q == rep.q == -1
+
+    def test_wrong_duals_are_not_a_witness(self):
+        F = identity_collection(SQ)
+        y = id_degree(F).solve.duals
+        # negated, W(s) has unit value −1 before normalization
+        with pytest.raises(AssertionError, match="⟨1_K, W"):
+            _dual_witness(F, [-v for v in y], F.shape.barycenter())
+        # one marginal multiplier moved leaves an image outside V(K)+
+        moved = list(y)
+        moved[4] += rat(1, 2)
+        with pytest.raises(AssertionError, match="NOT_POSITIVE"):
+            _dual_witness(F, moved, F.shape.barycenter())
+
+    def test_a_witness_that_misses_the_value_raises(self, monkeypatch):
+        read = measurements._dual_witness
+
+        def halved(F, duals, s):
+            W, q = read(F, duals, s)
+            return W.scale(rat(1, 2)), q / 2
+        monkeypatch.setattr(measurements, "_dual_witness", halved)
+        with pytest.raises(AssertionError, match="dual witness"):
+            id_degree(identity_collection(SQ))
+
+    def test_compatible_keeps_the_barycenter_witness(self):
+        F = coin_toss(SQ, SQ.barycenter())
+        rep = id_degree(F)
+        q, W, _lam = q_value(F, SQ.barycenter())
+        assert rep.value == R0 and rep.q == q >= 0
+        assert rep.witness.vertex_images == W.vertex_images
 
 
 def two_lp_least_mixing(lp, lam, t, shape):

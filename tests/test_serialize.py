@@ -101,8 +101,10 @@ class TestSpaces:
 
 class TestObjects:
     def test_shape(self):
-        assert sz.shape_from_json({"shape": [1, 1]}).shape == (1, 1)
-        assert sz.shape_from_json([2, 1]).shape == (2, 1)
+        assert sz._shape_field({"shape": [1, 1]}).shape == (1, 1)
+        assert sz._shape_field({"shape_a": [2, 1]}, "shape_a").shape == (2, 1)
+        with pytest.raises(ValueError):
+            sz._shape_field({"shape_b": [1, 1]})
 
     def test_measurement(self):
         rng = random.Random(5)
@@ -194,25 +196,6 @@ class TestObjects:
 
 
 class TestDispatch:
-    def test_detect_kind(self):
-        rng = random.Random(11)
-        cases = [
-            (sz.space_to_json(square_space()), "space"),
-            ({"shape": [1, 1]}, "shape"),
-            (sz.measurement_to_json(identity_collection(SQ)), "measurement"),
-            (sz.witness_to_json(random_witness_map(SQ, square_space(), rng)),
-             "witness"),
-            (sz.box_to_json(pr_box()), "box"),
-            (sz.channel_to_json(cc_channel(StochasticMatrix([(R1, R0)]))),
-             "channel"),
-        ]
-        for obj, kind in cases:
-            assert sz.detect_kind(obj) == kind
-        with pytest.raises(ValueError):
-            sz.detect_kind({"title": "nope"})
-        with pytest.raises(ValueError):
-            sz.detect_kind([1, 2])
-
     def test_dumps_deterministic(self):
         obj = sz.box_to_json(pr_box())
         a = sz.dumps(obj)

@@ -8,7 +8,8 @@ from polybox import linalg as la
 from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL, LpBuilder, vec_expr
 from polybox.polysimplex import hypercube_space, polysimplex_space, square_space
-from polybox.spaces import (StateSpace, base_norm, chi,
+from polybox.serialize import builtin_space
+from polybox.spaces import (StateSpace, base_norm, check_facets_generate, chi,
                             linear_map_from_vertex_images,
                             max_tensor_member, membership,
                             separable_decomposition, simplex_space,
@@ -151,6 +152,13 @@ class TestConeTables:
             rest = space.facets[:k] + space.facets[k + 1:]
             vals = [la.dot(g, v) for v in space.vertices]
             assert self.facet_combination(space, rest, vals) is None
+
+
+@pytest.mark.parametrize("label", ["square", "cube:3", "cube:4", "delta:2", "delta:3",
+                                   "poly:2,1", "poly:2,2"])
+def test_builtin_facets_generate(label):
+    # built-in spaces skip the check on construction; JSON spaces run it
+    check_facets_generate(builtin_space(label))
 
 
 def max_effect_value(space, psi):

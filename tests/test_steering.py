@@ -5,6 +5,8 @@ import random
 import pytest
 
 from polybox import linalg as la
+from polybox import serialize as sz
+from polybox import steering
 from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL, LpBuilder, vec_expr
 from polybox.measurements import (id_degree, id_degree_at, identity_collection,
@@ -15,6 +17,7 @@ from polybox.steering import (Assemblage, _lhs_lp, assemblage_from, is_separable
                               map_from_spanning_pairs, self_dual_state,
                               square_self_dual_iso, steering_degree,
                               steering_degree_at)
+from conftest import pentagon_json
 from test_measurements import mixing_outcome, two_lp_least_mixing
 
 SQ = PolySimplex((1, 1))
@@ -334,3 +337,54 @@ class TestHiddenStateLpOnIndependentCoordinates:
         assert lp.minimize({lam: R1}).stats.rows == 10
         ref, lam, _t = ambient_lhs_lp(beta, s)
         assert ref.minimize({lam: R1}).stats.rows == 17
+
+
+class TestSearchModel:
+    """steering_degree reads an LHS model of (1−λ*)β + λ* s⊗x off the
+    primal of its one solve, and checks it on every coordinate."""
+
+    CASES = {"square": [(1, 1), (2, 1)], "poly:2,1": [(1, 1), (1, 1, 1)],
+             "pentagon": [(1, 1), (2, 1)]}
+
+    @pytest.mark.parametrize("label", list(CASES))
+    def test_model_of_the_mixture(self, label):
+        if label == "pentagon":
+            space = sz.space_from_json(pentagon_json())
+        else:
+            space = sz.builtin_space(label)
+        values = []
+        for shape in self.CASES[label]:
+            P = PolySimplex(shape)
+            rng = random.Random(str(("search model", label, shape)))
+            for _ in range(8):
+                beta = partition_assemblage(P, space, rng)
+                rep = value_or_error(lambda: steering_degree(beta))
+                if isinstance(rep, str):  # attained only at a boundary s
+                    continue
+                assert rep.model.check(beta.mix_with_trivial(rep.s, rep.value))
+                assert steering_degree_at(beta, rep.s) == rep.value
+                assert rep.evaluations == 1
+                values.append(rep.value)
+        assert len(values) >= 12
+        # these pentagon draws are all separable; the others also steer
+        assert any(values) == (label != "pentagon")
+
+    def test_identity_on_self_dual(self):
+        beta = identity_assemblage()
+        rep = steering_degree(beta)
+        assert rep.value == rat(1, 2)
+        assert rep.model.check(beta.mix_with_trivial(rep.s, rep.value))
+        with pytest.raises(AssertionError):
+            rep.model.check(beta.mix_with_trivial(rep.s, rat(1, 3)))
+
+    def test_a_model_that_misses_the_mixture_raises(self, monkeypatch):
+        read = steering._lhs_model
+
+        def moved(res, avar, beta):
+            model = read(res, avar, beta)
+            n = next(n for n, q in model.weights.items() if q)
+            model.weights[n] *= 2
+            return model
+        monkeypatch.setattr(steering, "_lhs_model", moved)
+        with pytest.raises(AssertionError, match="LHS model misses"):
+            steering_degree(identity_assemblage())
