@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from . import linalg as la
 from .exact import R0, R1, TOL, approx_eq, is_rational, rat
-from .lp import OPTIMAL, LpBuilder
-from .measurements import MeasurementCollection, identity_collection
+from .lp import OPTIMAL
+from .measurements import MeasurementCollection, identity_collection, tensor_lp
 from .polysimplex import PolySimplex, square_space
 from .spaces import max_tensor_member, span_inverse
 from .witnesses import q_value
@@ -144,36 +144,30 @@ class LhvModel:
 
 
 def is_local(box: Box):
-    """LP over products of deterministic strategies; exact boxes only.
-    Returns (bool, LhvModel | None).
+    """Locality LP, exact boxes only: the `tensor_lp` of γ = Σ_na s_na ⊗
+    c_na over S_A, with each c_na a nonnegative combination of S_B's
+    vertices s_nb, whose weights are those of the products of
+    deterministic strategies (na, nb). Returns (bool, LhvModel | None).
 
-    Both Σ w_(na,nb) s_na ⊗ s_nb and the box tensor lie in span V(S_A) ⊗
-    span V(S_B) (a no-signalling box is in the affine hull of the
-    deterministic ones), so they are equal iff they agree at the
-    coordinates coord_idx(S_A) × coord_idx(S_B): one row per such key,
-    9 on the 2222 box where the table has 16 entries. Σ w = 1 is the
-    pairing of both sides with 1 ⊗ 1 and needs no row. `LhvModel.check`
-    re-checks every entry."""
+    A no-signalling box lies in span V(S_A) ⊗ span V(S_B), so the chart
+    rows of S_A are written only at the coordinates coord_idx(S_B): 9
+    rows on the 2222 box where the table has 16 entries. Σ w = 1 is the
+    normalization block paired with 1_{S_B}. `LhvModel.check` re-checks
+    every entry."""
     if box.mode != "exact":
         raise ValueError("locality decision needs exact probabilities")
-    outs_a = box.shape_a.outcome_list()
-    outs_b = box.shape_b.outcome_list()
-    coords_a = set(box.shape_a.as_state_space().coord_idx)
-    coords_b = set(box.shape_b.as_state_space().coord_idx)
-    lp = LpBuilder()
-    w = {(na, nb): lp.var(nonneg=True) for na in outs_a for nb in outs_b}
-    for key in box._keys():
-        ia, ib, ja, jb = key
-        if box.shape_a._offset[ia] + ja not in coords_a or \
-                box.shape_b._offset[ib] + jb not in coords_b:
-            continue
-        row = {w[(na, nb)]: R1 for na in outs_a for nb in outs_b
-               if na[ia] == ja and nb[ib] == jb}
-        lp.add_eq(row, box.probs[key])
+    space_b = box.shape_b.as_state_space()
+    cb = space_b.coord_idx
+    gens = [[v[c] for v in space_b.vertices] for c in cb]
+    rows = [[row[c] for c in cb] for row in box.tensor()]
+    lp, w, _lam, _t = tensor_lp(box.shape_a, gens, rows)
     res = lp.minimize({})
     if res.status != OPTIMAL:
         return False, None
-    model = LhvModel({k: res[v] for k, v in w.items() if res[v]})
+    # S_B's vertices are stored in outcome order
+    outs_b = box.shape_b.outcome_list()
+    model = LhvModel({(na, nb): res[x] for na, cols in w.items()
+                      for nb, x in zip(outs_b, cols) if res[x]})
     model.check(box)
     return True, model
 

@@ -80,9 +80,13 @@ nonnegative facet weights, whose values at the basis vertices are
 `facet_values` times them; `linalg.combine` and `linalg.mat_vec` read a
 vector back from a solution. An equation between two vectors of span
 V(K) is written only at the coordinates `StateSpace.coord_idx`, which
-determine a vector of the span, and one between two elements of span
-V(S) ⊗ span V(K) only at coord_idx(S) × coord_idx(K) (`bell.is_local`,
-`steering._lhs_lp`); an equation that is affine in the vertex of a
+determine a vector of the span. An equation T = Σ_n s_n ⊗ c_n between
+elements of span V(S) ⊗ V, over the vertices s_n of a polysimplex S,
+is written by `measurements.tensor_lp` in S's chart: one block of rows
+per functional of the basis {1_S, m^i_j : j < l_i} of A(S), each block
+in the coordinates of V its caller chooses (the basis vertices for the
+joint LP, coord_idx(K) for `steering._lhs_lp`, coord_idx(S_B) for
+`bell.is_local`). An equation that is affine in the vertex of a
 polysimplex is written only at the chart vertices, the top and the top
 with one entry changed (`witnesses._etb_lp`, `retraction_check`). The
 exact re-check of each certificate still reads every coordinate.

@@ -1,5 +1,7 @@
 """Measurement collections F = (f^0,…,f^k) on a polytopic state space,
-the joint-measurement LP, coin tosses, and incompatibility degrees.
+the joint-measurement LP, coin tosses, and incompatibility degrees;
+`tensor_lp`, the one LP builder of the joint-measurement, hidden-state
+and locality LPs.
 
 A collection is an affine map K → S into a polysimplex, stored by the
 effect values f^i_j(x) on the vertices x of K. Values at the basis
@@ -60,8 +62,7 @@ class MeasurementCollection:
 
     def effect_value(self, i, j, x):
         """f^i_j(x) for any x in span V(K)."""
-        vals = self.effects[(i, j)]
-        return la.dot(self.space.expand(x), [vals[t] for t in self.space.basis_idx])
+        return la.dot(self.effect(i, j), x)
 
     def apply(self, x):
         """F(x) as an ambient vector of the polysimplex."""
@@ -162,22 +163,26 @@ class JointMeasurement:
         return True
 
 
-def _joint_lp(F: MeasurementCollection, mixing=None):
-    """The joint-measurement LP of (1−λ)F + λF_s, without an objective.
+def tensor_lp(shape: PolySimplex, gens, rows, mixing=None):
+    """The LP "(1−λ)T + λ s⊗T̄ = Σ_n s_n ⊗ c_n" over the vertices s_n of
+    S, without an objective: each unknown c_n is a nonnegative combination
+    of the columns of `gens`, so it lies in the cone they generate.
 
-    Each joint effect is a nonnegative facet combination
-    g_n = Σ_f c_{n,f} g_f, so it is positive on K by construction: this
-    is exact because K's facet functionals generate A(K)+ (Minkowski–Weyl;
-    for a polysimplex they are the m^i_j). Only the marginal and
-    normalization rows at the basis vertices remain, where g_n takes the
-    values Σ_f c_{n,f}⟨g_f, x_a⟩. `mixing` is None for λ = 0, a state s
-    for λ ∈ [0, 1] at that fixed s, or "free" for t = λs variable too
-    (see `scaled_state_vars`): the mixture is linear in (λ, t), so the
-    least λ over all s is one LP. Returns (lp, c, lam, t): c[n] holds the
-    facet weights of g_n; lam and t are None when not variables.
+    T lies in span V(S) ⊗ V, and rows[r] is its row at ambient coordinate
+    r = (i, j) of S, written in the coordinates of `gens` (one per row of
+    gens). The rows are written in S's chart: the functionals 1_S and
+    m^i_j (j < l_i) form a basis of A(S), so pairing both sides with
+    each of them is the whole equation. m^i_j gives one block per (i, j <
+    l_i), Σ_{n_i=j} c_n + λ(T^i_j − s^i_j T̄) = T^i_j; 1_S gives the
+    normalization block Σ_n c_n = T̄ = Σ_j T^0_j, with no λ term as
+    Σ_j s^i_j = 1.
+
+    `mixing` is None for λ = 0, a state s for λ ∈ [0, 1] at that fixed
+    s, or "free" for t = λs variable too (see `scaled_state_vars`): the
+    mixture is linear in (λ, t), so the least λ over all s is one LP.
+    Returns (lp, v, lam, t): v[n] holds the weights of c_n on the columns
+    of gens; lam and t are None when not variables.
     """
-    space = F.space
-    shape = F.shape
     outcomes = shape.outcome_list()
     free = mixing == "free"
 
@@ -186,30 +191,45 @@ def _joint_lp(F: MeasurementCollection, mixing=None):
     if mixing is not None:
         lam = lp.var(nonneg=True)
         lp.add_le({lam: R1}, R1)
-    c = {n: lp.vars(len(space.facets)) for n in outcomes}
+    v = {n: lp.vars(len(gens[0])) for n in outcomes}
     if free:
         t = scaled_state_vars(lp, lam, shape)
-    # marginals at basis vertices (hence everywhere): drop last outcome per input
+    gcols = la.transpose(gens)
+    tbar = la.combine([R1] * (shape.shape[0] + 1), rows[:shape.shape[0] + 1])
     for i, l in enumerate(shape.shape):
         for j in range(l):
-            # Σ_{n_i=j} g_n(x_a) + λ f^i_j(x_a) − t^i_j = f^i_j(x_a) over the
-            # facet columns, then the columns of λ and t, with t^i_j = λ s^i_j
-            # at fixed s
-            vals = [F.effects[(i, j)][x] for x in space.basis_idx]
-            expr = vec_expr([(R1, c[n]) for n in outcomes if n[i] == j])
-            cols = list(space.facet_rows)
+            # Σ_{n_i=j} c_n over the gens columns, then the columns of λ
+            # and t, with t^i_j = λ s^i_j at fixed s
+            r = shape._offset[i] + j
+            expr = vec_expr([(R1, v[n]) for n in outcomes if n[i] == j])
+            cols = list(gcols)
             if free:
-                cols += [vals, (-R1,) * space.rank]
-                expr += [{lam: R1}, {t[shape._offset[i] + j]: R1}]
+                cols += [rows[r], la.vec_scale(-R1, tbar)]
+                expr += [{lam: R1}, {t[r]: R1}]
             elif mixing is not None:
-                s_ij = shape.coords(mixing, i, j)
-                cols.append([v - s_ij for v in vals])
+                cols.append(la.vec_sub(rows[r],
+                                       la.vec_scale(shape.coords(mixing, i, j), tbar)))
                 expr.append({lam: R1})
-            lp.add_rows(la.transpose(cols), expr, "eq", vals)
-    # total normalization at basis vertices
-    lp.add_rows(la.transpose(space.facet_rows), vec_expr([(R1, c[n]) for n in outcomes]),
-                "eq", R1)
-    return lp, c, lam, t
+            lp.add_rows(la.transpose(cols), expr, "eq", rows[r])
+    lp.add_rows(gens, vec_expr([(R1, v[n]) for n in outcomes]), "eq", tbar)
+    return lp, v, lam, t
+
+
+def _joint_lp(F: MeasurementCollection, mixing=None):
+    """The joint-measurement LP of (1−λ)F + λF_s: the `tensor_lp` of F's
+    tensor Σ_{i,j} e_{ij} ⊗ f^i_j, written at the basis vertices, whose
+    unknowns are the joint effects g_n. Each g_n = Σ_f c_{n,f} g_f is a
+    nonnegative facet combination, so it is positive on K by
+    construction: this is exact because K's facet functionals generate
+    A(K)+ (Minkowski–Weyl; for a polysimplex they are the m^i_j). Its
+    values at the basis vertices are `transpose(facet_rows)` times the
+    weights, and T̄ = 1_K there. Returns (lp, c, lam, t) of `tensor_lp`:
+    c[n] holds the facet weights of g_n.
+    """
+    space = F.space
+    rows = [[F.effects[(i, j)][a] for a in space.basis_idx]
+            for i, l in enumerate(F.shape.shape) for j in range(l + 1)]
+    return tensor_lp(F.shape, la.transpose(space.facet_rows), rows, mixing)
 
 
 def is_compatible(F: MeasurementCollection, want_joint=True):

@@ -58,12 +58,6 @@ class PolySimplex:
     def outcome_list(self):
         return list(self.outcomes())
 
-    def n_vertices(self):
-        out = 1
-        for l in self.shape:
-            out *= l + 1
-        return out
-
     def _check_index(self, i, j, allow_top=True):
         if not 0 <= i <= self.k:
             raise IndexError(f"input index {i} out of range")

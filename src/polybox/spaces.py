@@ -100,16 +100,10 @@ class StateSpace:
         """Ambient coordinates that determine a vector of span V(K): the
         first `rank` coordinates, greedily, on which the basis is
         independent. Two vectors of the span that agree there are equal,
-        and so are two elements of span V(K_A) ⊗ span V(K_B) that agree
-        on coord_idx(K_A) × coord_idx(K_B); the tensor LPs write rows
-        there only."""
+        so the LPs write equations between them there only
+        (`steering._lhs_lp`, `bell.is_local`, `witnesses._etb_lp`)."""
         cols = [[v[i] for v in self.basis] for i in range(self.dim)]
         return tuple(la.independent_rows(cols))
-
-    @cached_property
-    def _coord_inv(self):
-        m = tuple(tuple(v[r] for v in self.basis) for r in self.coord_idx)
-        return la.invert(m)
 
     @cached_property
     def _gram_inv(self):
@@ -141,14 +135,6 @@ class StateSpace:
         """(P, D) with psi = P/D, or None when psi has another length."""
         psi = la.vec(psi)
         return numerators(psi) if len(psi) == self.dim else None
-
-    def expand(self, psi):
-        """Coefficients of psi over the vertex basis, or None if psi is
-        outside span V(K)."""
-        psi = la.vec(psi)
-        sub = tuple(psi[r] for r in self.coord_idx)
-        c = la.mat_vec(self._coord_inv, sub)
-        return c if la.combine(c, self.basis) == psi else None
 
     @cached_property
     def facet_rows(self):

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .exact import R0, R1, rat
-from .lp import OPTIMAL, LpBuilder, vec_expr
-from .measurements import (DegreeReport, MeasurementCollection, least_mixing,
-                           scaled_state_vars)
+from .lp import OPTIMAL
+from .measurements import DegreeReport, MeasurementCollection, least_mixing, tensor_lp
 from .polysimplex import PolySimplex
 from .spaces import StateSpace, max_tensor_member
 
@@ -130,49 +129,18 @@ class LhsModel:
 
 
 def _lhs_lp(beta: Assemblage, mixing=None):
-    """The hidden-state LP of (1−λ)β + λ s⊗x, without an objective:
-    the tensor equals Σ_n s_n ⊗ α_n with α_n ∈ V(K)+, each α_n a
-    nonnegative combination of K's vertices.
-
-    `mixing` is None for λ = 0, a state s for λ ∈ [0, 1] at that fixed
-    s, or "free" for t = λs variable too, as in `measurements._joint_lp`;
-    ambient coordinate r of S is block entry (i, j). Every term lies in
-    span V(S) ⊗ span V(K) (in "free" mode t lies in span V(S) by the
-    `scaled_state_vars` rows), so the rows are written only at the
-    coordinates coord_idx(S) × coord_idx(K): 9 on the square where the
+    """The hidden-state LP of (1−λ)β + λ s⊗x: the `tensor_lp` of β =
+    Σ_n s_n ⊗ α_n with each α_n a nonnegative combination of K's
+    vertices, so α_n ∈ V(K)+; `mixing` as there, and T̄ = x. Every term
+    lies in span V(S) ⊗ span V(K), so the chart rows of S are written
+    only at the coordinates coord_idx(K): 9 rows on the square where the
     tensor has 16 entries. `LhsModel.check` re-checks every entry.
-    Returns (lp, avar, lam, t); lam and t are None when not variables.
+    Returns (lp, avar, lam, t); avar[n] holds the vertex weights of α_n.
     """
-    shape = beta.shape
-    space = beta.space
-    tensor = beta.to_tensor()
-    outcomes = shape.outcome_list()
-    free = mixing == "free"
-    kc = space.coord_idx
-
-    lp = LpBuilder()
-    lam = t = None
-    if mixing is not None:
-        lam = lp.var(nonneg=True)
-        lp.add_le({lam: R1}, R1)
-    avar = {n: lp.vars(len(space.vertices), nonneg=True) for n in outcomes}
-    if free:
-        t = scaled_state_vars(lp, lam, shape)
-    verts = [shape.vertex(n) for n in outcomes]
-    for r in shape.as_state_space().coord_idx:
-        # row r of Σ_n s_n ⊗ α_n over K's vertices, then the columns of
-        # λ·tensor and −t_r·x, with t_r = λ s_r at fixed s
-        expr = vec_expr([(sv[r], avar[n]) for n, sv in zip(outcomes, verts)])
-        cols = list(space.vertices)
-        if free:
-            cols += [tensor[r], la.vec_scale(-R1, beta.x)]
-            expr += [{lam: R1}, {t[r]: R1}]
-        elif mixing is not None:
-            cols.append(la.vec_sub(tensor[r], la.vec_scale(mixing[r], beta.x)))
-            expr.append({lam: R1})
-        m = la.transpose(cols)
-        lp.add_rows([m[c] for c in kc], expr, "eq", [tensor[r][c] for c in kc])
-    return lp, avar, lam, t
+    kc = beta.space.coord_idx
+    gens = [[v[c] for v in beta.space.vertices] for c in kc]
+    rows = [[row[c] for c in kc] for row in beta.to_tensor()]
+    return tensor_lp(beta.shape, gens, rows, mixing)
 
 
 def _lhs_model(res, avar, beta: Assemblage) -> LhsModel:

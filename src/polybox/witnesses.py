@@ -36,9 +36,6 @@ class WitnessMap:
         self.vertex_images = {tuple(n): tuple(rat(c) for c in img)
                               for n, img in vertex_images.items()}
 
-    def image(self, n):
-        return self.vertex_images[tuple(n)]
-
     @property
     def top_image(self):
         return self.vertex_images[self.shape.top]

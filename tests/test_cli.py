@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, report shape, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -66,6 +70,15 @@ class TestSpace:
         assert code == 0
         assert rep["verdict"] is True
         assert len(rep["result"]["vertices"]) == 4
+
+    def test_runs_as_module(self):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "polybox", "space", "info",
+                               "--space", "square"], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verdict"] is True
 
     def test_validate(self, capsys):
         code, rep, _ = run(capsys, "space", "validate", "--space", "cube:3")

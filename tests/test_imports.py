@@ -85,10 +85,8 @@ UNREAD_ALLOWED = {
     ("channels.py", "unitary_choi"),
     ("polysimplex.py", "PolySimplex.flip_automorphism"),
     ("polysimplex.py", "PolySimplex.j_map"),
-    ("polysimplex.py", "PolySimplex.n_vertices"),
     ("qubit.py", "QubitEffect.complement"),
     ("spaces.py", "membership"),
-    ("witnesses.py", "WitnessMap.image"),
     ("witnesses.py", "map_trace_pairing"),
 }
 

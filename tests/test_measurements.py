@@ -8,11 +8,11 @@ import pytest
 from polybox import linalg as la
 from polybox import measurements
 from polybox.exact import R0, R1, rat
-from polybox.lp import OPTIMAL
+from polybox.lp import OPTIMAL, LpBuilder, vec_expr
 from polybox.measurements import (DegreeReport, _dual_witness, _joint_lp, coin_toss,
                                   coin_toss_on, from_functionals, id_degree, id_degree_at,
                                   identity_collection, is_compatible, least_mixing,
-                                  make_collection, random_collection)
+                                  make_collection, random_collection, scaled_state_vars)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
 from polybox.serialize import builtin_space
 from polybox.spaces import simplex_space
@@ -414,6 +414,58 @@ class TestOneSolveLeastMixing:
             assert got == mixing_outcome(two_lp_least_mixing, build)
             seen.add(got[0] > 0)
         assert seen == {False, True}
+
+
+def facet_joint_lp(F, mixing=None):
+    """The joint LP written by hand: per (i, j < l_i) the marginal rows
+    at the basis vertices over the facet columns, then the columns of λ
+    and t, and last the normalization rows Σ_n g_n(b_a) = 1."""
+    space, shape = F.space, F.shape
+    outcomes = shape.outcome_list()
+    free = mixing == "free"
+    lp = LpBuilder()
+    lam = t = None
+    if mixing is not None:
+        lam = lp.var(nonneg=True)
+        lp.add_le({lam: R1}, R1)
+    c = {n: lp.vars(len(space.facets)) for n in outcomes}
+    if free:
+        t = scaled_state_vars(lp, lam, shape)
+    for i, l in enumerate(shape.shape):
+        for j in range(l):
+            vals = [F.effects[(i, j)][x] for x in space.basis_idx]
+            expr = vec_expr([(R1, c[n]) for n in outcomes if n[i] == j])
+            cols = list(space.facet_rows)
+            if free:
+                cols += [vals, (-R1,) * space.rank]
+                expr += [{lam: R1}, {t[shape._offset[i] + j]: R1}]
+            elif mixing is not None:
+                s_ij = shape.coords(mixing, i, j)
+                cols.append([v - s_ij for v in vals])
+                expr.append({lam: R1})
+            lp.add_rows(la.transpose(cols), expr, "eq", vals)
+    lp.add_rows(la.transpose(space.facet_rows), vec_expr([(R1, c[n]) for n in outcomes]),
+                "eq", R1)
+    return lp
+
+
+class TestJointLpIsATensorLp:
+    """`_joint_lp` goes through `tensor_lp` and stores the same variables
+    and rows, in the same order, as the hand-written facet-weight LP:
+    `_dual_witness` reads its duals by position."""
+
+    @pytest.mark.parametrize("space", ["square", "poly:2,1", "delta:2"])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 1, 1)], ids=str)
+    def test_same_rows_in_every_mode(self, space, shape):
+        P = PolySimplex(shape)
+        sp = builtin_space(space)
+        rng = random.Random(str(("joint rows", space, shape)))
+        for bias in (None, rat(3, 4)):
+            F = random_collection(sp, P, rng, bias=bias)
+            for mixing in (None, P.barycenter(), "free"):
+                lp = _joint_lp(F, mixing)[0]
+                ref = facet_joint_lp(F, mixing)
+                assert (lp._vars, lp._rows) == (ref._vars, ref._rows)
 
 
 class TestFourCube:

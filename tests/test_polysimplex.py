@@ -22,7 +22,6 @@ class TestShape:
         assert s.k == 1
         assert s.dim == 3
         assert s.ambient_dim == 5
-        assert s.n_vertices() == 6
         assert len(s.outcome_list()) == 6
 
     def test_index_checks(self):
@@ -135,7 +134,7 @@ class TestJMap:
     def test_columns_are_vertices(self):
         s = PolySimplex((2, 1))
         matrix, order = s.j_map()
-        assert len(order) == s.n_vertices()
+        assert len(order) == len(s.outcome_list())
         for t, n in enumerate(order):
             delta = [R0] * len(order)
             delta[t] = R1

@@ -284,8 +284,18 @@ class TestTensors:
 
 # ----- reference forms of the integer membership tests -----
 
+def expand(space, psi):
+    """Coefficients of psi over the vertex basis, or None if psi is
+    outside span V(K): solved at the coordinates coord_idx(K), then
+    recombined and compared on every coordinate."""
+    psi = la.vec(psi)
+    m = tuple(tuple(v[r] for v in space.basis) for r in space.coord_idx)
+    c = la.mat_vec(la.invert(m), tuple(psi[r] for r in space.coord_idx))
+    return c if la.combine(c, space.basis) == psi else None
+
+
 def expand_in_span(space, psi):
-    return space.expand(psi) is not None
+    return expand(space, psi) is not None
 
 
 def expand_in_cone(space, psi):

@@ -119,7 +119,7 @@ class TestConstruction:
         for sp in SPACES:
             W = random_witness_map(SQ, sp, rng)
             for n in SQ.outcomes():
-                assert W.apply(SQ.vertex(n)) == W.image(n)
+                assert W.apply(SQ.vertex(n)) == W.vertex_images[n]
 
     def test_scale_and_translate(self):
         rng = random.Random(4)
@@ -128,9 +128,9 @@ class TestConstruction:
         doubled = W.scale(2)
         shifted = W.translate(sp.interior_point())
         for n in SQ.outcomes():
-            assert doubled.image(n) == tuple(la.vec_scale(2, W.image(n)))
-            assert shifted.image(n) == tuple(
-                la.vec_add(W.image(n), sp.interior_point()))
+            assert doubled.vertex_images[n] == tuple(la.vec_scale(2, W.vertex_images[n]))
+            assert shifted.vertex_images[n] == tuple(
+                la.vec_add(W.vertex_images[n], sp.interior_point()))
 
 
 class TestTracePairing:
