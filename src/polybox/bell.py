@@ -134,6 +134,9 @@ class LhvModel:
     weights: dict
 
     def check(self, box: Box):
+        for key, w in self.weights.items():
+            if w < 0:
+                raise AssertionError(f"LHV weight of {key} is negative")
         for key in box._keys():
             ia, ib, ja, jb = key
             tot = sum(w for (na, nb), w in self.weights.items()

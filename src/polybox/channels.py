@@ -316,7 +316,7 @@ def box_to_causal_channel(box) -> CausalChannelReport:
     if box.mode == "exact":
         local, model = is_local(box)
         if local:
-            decomposition = _local_decomposition(box, model, dims)
+            decomposition = _local_decomposition(model, dims)
             _check_local_decomposition(decomposition, T)
     return CausalChannelReport(choi, dims, box, recovered, psd, tp, causal,
                                decomposition)
@@ -345,7 +345,7 @@ def _is_causal(T: StochasticMatrix, dims) -> bool:
     return True
 
 
-def _local_decomposition(box, model, dims):
+def _local_decomposition(model, dims):
     """Convex combination of product deterministic c-c channels from
     the LHV weights; certifies membership in the minimal tensor
     product of the two local channel spaces."""

@@ -143,7 +143,7 @@ class JointMeasurement:
     shape: PolySimplex
     table: dict
 
-    def check(self, F: MeasurementCollection, strict=True):
+    def check(self, F: MeasurementCollection):
         """Verify positivity, normalization and the marginal identities
         against F. Returns True or raises."""
         n = len(self.space.vertices)
@@ -235,14 +235,20 @@ def _joint_lp(F: MeasurementCollection, mixing=None):
 def is_compatible(F: MeasurementCollection, want_joint=True):
     """Joint-measurement LP: F is compatible iff there are effects
     g_{n_0,…,n_k} ≥ 0 on K with Σ_n g_n = 1_K whose marginals reproduce
-    every f^i_j. Returns (bool, JointMeasurement | None).
+    every f^i_j. Returns (True, JointMeasurement) or (False, WitnessMap),
+    from one solve: the witness is `_dual_witness` of the Farkas
+    multipliers, with ⟨1_K, W(s̄)⟩ = 1 at the barycenter s̄ and Tr FW < 0.
+    With `want_joint` False the second entry is None.
     """
     lp, c, _lam, _t = _joint_lp(F)
     res = lp.minimize({})
-    if res.status != OPTIMAL:
-        return False, None
     if not want_joint:
-        return True, None
+        return res.status == OPTIMAL, None
+    if res.status != OPTIMAL:
+        W, trace = _dual_witness(F, res.farkas, F.shape.barycenter())
+        if trace >= 0:
+            raise AssertionError(f"Farkas witness has Tr FW = {trace}")
+        return False, W
     table = {n: la.mat_vec(F.space.facet_values, [res[v] for v in c[n]])
              for n in F.shape.outcomes()}
     joint = JointMeasurement(F.space, F.shape, table)
@@ -328,23 +334,24 @@ def least_mixing(lp: LpBuilder, lam, t, shape: PolySimplex) -> DegreeReport:
 
 
 def _dual_witness(F: MeasurementCollection, duals, s):
-    """The witness map read off the duals of `_joint_lp(F, "free")` as
-    solved by `least_mixing`, normalized so that ⟨1_K, W(s)⟩ = 1, and q =
-    Tr FW. Raises AssertionError unless it is a witness map.
+    """The witness map read off the multipliers of `_joint_lp`'s chart
+    rows (Farkas at λ = 0, or the free LP's first-stage duals), normalized
+    so that ⟨1_K, W(s)⟩ = 1, and its Tr FW. Raises AssertionError unless
+    it is a witness map.
 
-    After the λ ≤ 1 row and the k+1 `scaled_state_vars` rows come the
-    marginal rows y_{i,j,a} (rank rows per (i, j < l_i), one per basis
-    vertex b_a), then the normalization rows z_a. Set w_n = −Σ_a (z_a +
-    Σ_{i: n_i<l_i} y_{i,n_i,a}) b_a. The column of facet weight c_{n,f}
-    meets exactly the rows of w_n, with coefficients ⟨g_f, b_a⟩, so its
-    dual sign condition reads ⟨g_f, w_n⟩ ≥ 0: each w_n lies in V(K)+.
-    The map is affine in the chart at the top vertex by construction.
+    The chart rows are the marginal rows y_{i,j,a} (rank rows per (i,
+    j < l_i), one per basis vertex b_a), then the normalization rows
+    z_a. Set w_n = −Σ_a (z_a + Σ_{i: n_i<l_i} y_{i,n_i,a}) b_a. The
+    column of facet weight c_{n,f} meets exactly the rows of w_n, with
+    coefficients ⟨g_f, b_a⟩, so its sign condition reads ⟨g_f, w_n⟩ ≥ 0:
+    each w_n lies in V(K)+. The map is affine in the chart at the top
+    vertex by construction.
     """
     from .witnesses import (WitnessValidationError, _chart_images, make_witness_map,
                             trace_pairing)
 
     shape, space = F.shape, F.space
-    rows = iter(duals[1 + len(shape.shape):])
+    rows = iter(duals)
 
     def block():
         return [-next(rows) for _ in range(space.rank)]
@@ -383,7 +390,7 @@ def id_degree(F: MeasurementCollection) -> DegreeReport:
         if at != 0:
             raise AssertionError(f"least mixing 0 != ID_s {at} at its s")
         return rep
-    rep.witness, rep.q = _dual_witness(F, rep.solve.duals, rep.s)
+    rep.witness, rep.q = _dual_witness(F, rep.solve.duals[len(F.shape.shape) + 1:], rep.s)
     if rep.q >= 0 or -rep.q / (R1 - rep.q) != rep.value:
         raise AssertionError(f"least mixing {rep.value} != −q/(1−q) of its dual "
                              f"witness, q = {rep.q}")

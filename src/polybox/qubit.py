@@ -462,8 +462,7 @@ def witness_q(A: QubitEffect, B: QubitEffect,
     return QubitWitnessReport(float(val), params, float(bound))
 
 
-def holder_check(A: QubitEffect, B: QubitEffect, params: QubitWitnessParams,
-                 tol=1e-9):
+def holder_check(params: QubitWitnessParams, tol=1e-9):
     """½‖W(e⁰₀)‖₁ ≤ c and ½‖W(e¹₀)‖₁ ≤ d with c = √(1−|⟨x₀₁|x₁₁⟩|²),
     d = √(1−|⟨x₁₀|x₁₁⟩|²) and c² + d² = 1."""
     w = params.vertex_images()
@@ -603,7 +602,7 @@ def qubit_bound_report() -> QubitBoundReport:
     lhs = float(mu.value(box))
     a, b = mub_pair()
     wit = witness_q(a, b)
-    holder_check(a, b, wit.params)
+    holder_check(wit.params)
     rhs = 1.0 * wit.q_hat
     gap = abs(lhs - 0.5 * wit.q_hat)
     if lhs < rhs - _BOUND_TOL:

@@ -115,6 +115,11 @@ class LhsModel:
     states: dict
 
     def check(self, beta: Assemblage):
+        for lam, q in self.weights.items():
+            if q < 0:
+                raise AssertionError(f"LHS weight of {lam} is negative")
+            if not beta.space.is_state(self.states[lam]):
+                raise AssertionError(f"hidden state of {lam} is not in K")
         shape = beta.shape
         for i, l in enumerate(shape.shape):
             for j in range(l + 1):

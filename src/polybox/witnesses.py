@@ -117,10 +117,13 @@ def make_witness_map(shape: PolySimplex, space: StateSpace, vertex_images) -> Wi
 @dataclass
 class EtbDecomposition:
     """ψ^i_j ∈ V(K)+ with w_n = Σ_i ψ^i_{n_i}: the map factors through
-    a classical simplex (measure-and-prepare form)."""
+    a classical simplex (measure-and-prepare form). `check` tests both."""
     psi: dict
 
     def check(self, W: WitnessMap):
+        for key, p in self.psi.items():
+            if not W.space.in_cone(p):
+                raise AssertionError(f"factor ψ{key} is not in the state cone")
         for n in W.shape.outcomes():
             tot = la.zeros(W.space.dim)
             for i, ni in enumerate(n):
@@ -130,44 +133,33 @@ class EtbDecomposition:
         return True
 
 
-def _etb_lp(W: WitnessMap, translate):
-    """Solve w_n + v = Σ_i ψ^i_{n_i} with each ψ^i_j a nonnegative
-    combination of K's vertices; v = 0, or with `translate` a free vector
-    of span V(K) (basis coordinates) with ⟨1_K, v⟩ = 0. Returns ψ by
-    (i, j), or v when `translate`; None when infeasible.
+def _etb_lp(W: WitnessMap):
+    """Solve w_n = Σ_i ψ^i_{n_i} with each ψ^i_j a nonnegative
+    combination of K's vertices; returns ψ by (i, j), or None.
 
-    Both sides are additive in the chart at the top vertex: the images
-    of a witness map obey the exchange equations (kept by `translate`
-    and `scale`), and so do Σ_i ψ^i_{n_i} and the constant v. The rows
-    are therefore written only at the chart vertices, top and top with
-    one entry changed, and, every term lying in span V(K), only at the
-    coordinates coord_idx(K): 9 on the square where the images have 16
-    entries. `EtbDecomposition.check` re-checks every vertex."""
+    Both sides are additive in the chart at the top vertex (the exchange
+    equations), so the rows are written only at the chart vertices, top
+    and top with one entry changed, and, every term lying in span V(K),
+    only at the coordinates coord_idx(K): 9 on the square where the
+    images have 16 entries. `EtbDecomposition.check` re-checks every
+    vertex."""
     space = W.space
     shape = W.shape
     kc = space.coord_idx
     lp = LpBuilder()
-    cvar = lp.vars(space.rank, nonneg=False) if translate else []
     beta = {(i, j): lp.vars(len(space.vertices), nonneg=True)
             for i, l in enumerate(shape.shape) for j in range(l + 1)}
-    cols, shift = list(space.vertices), []
-    if translate:
-        lp.add_eq({c: R1 for c in cvar}, R0)  # ⟨1_K, v⟩ = Σ_a c_a
-        cols += [la.vec_scale(-R1, b) for b in space.basis]
-        shift = vec_expr([(R1, cvar)])
-    m = la.transpose(cols)
+    m = la.transpose(space.vertices)
     m = [m[c] for c in kc]
     for n in shape.outcomes():
         if sum(ni != ti for ni, ti in zip(n, shape.top)) > 1:
             continue
         expr = vec_expr([(R1, beta[(i, ni)]) for i, ni in enumerate(n)])
         img = W.vertex_images[n]
-        lp.add_rows(m, expr + shift, "eq", [img[c] for c in kc])
+        lp.add_rows(m, expr, "eq", [img[c] for c in kc])
     res = lp.minimize({})
     if res.status != OPTIMAL:
         return None
-    if translate:
-        return la.combine([res[c] for c in cvar], space.basis)
     return {key: la.combine([res[c] for c in vs], space.vertices)
             for key, vs in beta.items()}
 
@@ -175,7 +167,7 @@ def _etb_lp(W: WitnessMap, translate):
 def is_etb(W: WitnessMap):
     """LP feasibility for the vertex-sum factorization; returns
     (bool, EtbDecomposition | None)."""
-    psi = _etb_lp(W, translate=False)
+    psi = _etb_lp(W)
     if psi is None:
         return False, None
     dec = EtbDecomposition(psi)
@@ -216,25 +208,29 @@ class WitnessDecision:
 
 
 def is_witness(W: WitnessMap) -> WitnessDecision:
-    """W detects incompatibility iff min over collections of Tr FW is
-    negative. Both sides of the duality run: the minimizing-F LP and the
-    ETB-translation feasibility; their verdicts must be complementary.
-    """
+    """W detects incompatibility iff min over collections F of Tr FW is
+    negative. One LP: each f^i_j a nonnegative facet combination with
+    Σ_j f^i_j = 1_K at the basis vertices (`rank` rows per input i).
+    When min ≥ 0 its duals give v with ⟨1_K, v⟩ = 0 and W + L_v ETB:
+    input i's duals y_{i,a} give v_i = Σ_a y_{i,a} b_a, and the dual sign
+    conditions put ψ^i_j = w^i_j − v_i in V(K)+ (w^i_j the image at the
+    top with entry i set to j). With min·x̄ taken off v_0, v = k·w_top −
+    Σ_i v_i has ⟨1_K, v⟩ = 0 by strong duality, and W + L_v = Σ_i
+    ψ^i_{n_i} as W is additive in the chart; both are re-checked."""
     space = W.space
     shape = W.shape
 
-    # f^i_j as a nonnegative facet combination (so positive on K), with
-    # Σ_j f^i_j = 1_K at the basis vertices; ⟨f^i_j, w⟩ pairs its facet
-    # weights with the facet values ⟨g, w⟩
     lp = LpBuilder()
     phi = {(i, j): lp.vars(len(space.facets))
            for i, l in enumerate(shape.shape) for j in range(l + 1)}
+    chart = {}
     objective = {}
     for i, l in enumerate(shape.shape):
         for j in range(l + 1):
             idx = list(shape.top)
             idx[i] = j
-            pairs = la.mat_vec(space.facets, W.vertex_images[tuple(idx)])
+            chart[(i, j)] = W.vertex_images[tuple(idx)]
+            pairs = la.mat_vec(space.facets, chart[(i, j)])
             objective.update((v, p) for v, p in zip(phi[(i, j)], pairs) if p)
         lp.add_rows(la.transpose(space.facet_rows),
                     vec_expr([(R1, phi[(i, j)]) for j in range(l + 1)]), "eq", R1)
@@ -245,20 +241,20 @@ def is_witness(W: WitnessMap) -> WitnessDecision:
     minimizer = make_collection(space, shape, {
         key: la.mat_vec(space.facet_values, [res[c] for c in cols])
         for key, cols in phi.items()})
+    if min_value < 0:
+        return WitnessDecision(True, min_value, minimizer, None, None)
 
-    # the dual side: v with ⟨1_K, v⟩ = 0 such that W + L_v is ETB
-    translation = _etb_lp(W, translate=True)
-    etb = None
-    if translation is not None:
-        ok, etb = is_etb(W.translate(translation))
-        if not ok:
-            raise AssertionError("translation LP produced a non-ETB shift")
-
-    witness = min_value < 0
-    if witness == (translation is not None):
-        raise AssertionError("duality violated: witness test and translation "
-                             "test must be complementary")
-    return WitnessDecision(witness, min_value, minimizer, translation, etb)
+    D = space.rank
+    v_in = [la.combine(res.duals[i * D:(i + 1) * D], space.basis)
+            for i in range(shape.k + 1)]
+    v_in[0] = la.vec_sub(v_in[0], la.vec_scale(min_value, space.interior_point()))
+    psi = {(i, j): la.vec_sub(img, v_in[i]) for (i, j), img in chart.items()}
+    v = la.combine([shape.k] + [-R1] * len(v_in), [W.top_image, *v_in])
+    if la.dot(space.unit, v) != 0:
+        raise AssertionError(f"dual translation has ⟨1_K, v⟩ = {la.dot(space.unit, v)}")
+    etb = EtbDecomposition(psi)
+    etb.check(W.translate(v))
+    return WitnessDecision(False, min_value, minimizer, tuple(v), etb)
 
 
 def _witness_lp(F, states):
@@ -473,8 +469,7 @@ def retraction_check(F: MeasurementCollection) -> RetractionReport:
     return RetractionReport(True, images, smat, proj)
 
 
-def random_witness_map(shape: PolySimplex, space: StateSpace, rng,
-                       slack_choices=(0, 0, 1, 4)) -> WitnessMap:
+def random_witness_map(shape: PolySimplex, space: StateSpace, rng) -> WitnessMap:
     """Random valid witness map: random chart images shifted into the
     cone along an interior direction. Small slack tends to produce
     witnesses, large slack ETB maps."""
@@ -495,7 +490,7 @@ def random_witness_map(shape: PolySimplex, space: StateSpace, rng,
                 bound = -val / la.dot(f, xbar)
                 if bound > need:
                     need = bound
-    extra = rat(rng.choice(slack_choices), 2)
+    extra = rat(rng.choice((0, 0, 1, 4)), 2)
     shift = la.vec_scale(need + extra, xbar)
     images = {n: tuple(la.vec_add(img, shift)) for n, img in images.items()}
     return make_witness_map(shape, space, images)

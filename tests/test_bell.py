@@ -7,9 +7,9 @@ import random
 import pytest
 
 from polybox import linalg as la
-from polybox.bell import (BellWitness, Box, _embedded_pr_probs, all_chsh_witnesses,
-                          bell_id_bound_check, bell_value, box_from, chsh_witness,
-                          deterministic_box, is_local, pr_box, random_ns_box,
+from polybox.bell import (BellWitness, Box, LhvModel, _embedded_pr_probs,
+                          all_chsh_witnesses, bell_id_bound_check, bell_value, box_from,
+                          chsh_witness, deterministic_box, is_local, pr_box, random_ns_box,
                           square_equality_construction)
 from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL, LpBuilder
@@ -92,6 +92,16 @@ class TestLocality:
         ok, model = is_local(box)
         assert ok
         assert model.check(box)
+
+    def test_negative_weights_rejected(self):
+        # +1 on na = 00 and 11, −1 on 01 and 10 (nb = 00) leaves every
+        # marginal of the deterministic box unchanged
+        box = deterministic_box(P, P, (0, 0), (0, 0))
+        nb = (0, 0)
+        doctored = LhvModel({((0, 0), nb): rat(2), ((1, 1), nb): R1,
+                             ((0, 1), nb): -R1, ((1, 0), nb): -R1})
+        with pytest.raises(AssertionError, match="negative"):
+            doctored.check(box)
 
     def test_pr_is_not_local(self):
         ok, model = is_local(pr_box())

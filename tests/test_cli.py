@@ -57,6 +57,19 @@ def files(tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def q_value_calls(monkeypatch):
+    """The base points of every `q_value` call, from the CLI or the library."""
+    calls = []
+
+    def counted(F, s):
+        calls.append(s)
+        return q_value(F, s)
+    monkeypatch.setattr(witnesses, "q_value", counted)
+    monkeypatch.setattr(cli, "q_value", counted)
+    return calls
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -107,8 +120,14 @@ class TestCompat:
         code, rep, _ = run(capsys, "compat", "check", "--meas", files["ident"])
         assert code == 1
         assert rep["verdict"] is False
-        assert rep["certificate"]["q"] == "-1"
-        assert "witness" in rep["certificate"]
+        assert set(rep["certificate"]) == {"witness", "trace"}
+        assert rep["certificate"]["trace"] == "-1"
+
+    def test_incompatible_solves_one_lp(self, capsys, files, q_value_calls, solved_rows):
+        # the witness is read off the joint LP's Farkas multipliers
+        code, rep, _ = run(capsys, "compat", "check", "--meas", files["ident"])
+        assert code == 1 and rep["certificate"]["trace"] == "-1"
+        assert q_value_calls == [] and len(solved_rows) == 1
 
     def test_compatible(self, capsys, files):
         code, rep, _ = run(capsys, "compat", "check", "--meas", files["coin"])
@@ -129,19 +148,12 @@ class TestCompat:
         assert set(rep["result"]) == {"id", "at", "evaluations"}
         assert rep["result"]["evaluations"] == 1
 
-    def test_id_search_solves_the_certificate_lp_once(self, capsys, files, monkeypatch,
+    def test_id_search_solves_the_certificate_lp_once(self, capsys, files, q_value_calls,
                                                       solved_rows):
         # the witness is read off the search LP's duals: no q_value re-solve
-        calls = []
-
-        def counted(F, s):
-            calls.append(s)
-            return q_value(F, s)
-        monkeypatch.setattr(witnesses, "q_value", counted)
-        monkeypatch.setattr(cli, "q_value", counted)
         code, rep, _ = run(capsys, "id", "compute", "--meas", files["ident"], "--search")
         assert code == 0 and rep["certificate"]["trace"] == "-1"
-        assert calls == [] and len(solved_rows) == 1
+        assert q_value_calls == [] and len(solved_rows) == 1
 
 
 class TestWitness:
@@ -285,6 +297,14 @@ class TestErrors:
         code, _rep, err = run(capsys, "compat", "check", "--meas",
                               files["missing"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [("witness", "maximal"), ("witness", "test"),
+                                      ("bell", "check"), ("bell", "bound"),
+                                      ("channel", "retract")], ids=" ".join)
+    def test_missing_input_option(self, capsys, argv):
+        code, rep, err = run(capsys, *argv)
+        assert code == 2 and rep is None
+        assert "error: an input file option is missing" in err
 
     def test_float_in_exact_input(self, capsys, files):
         code, rep, err = run(capsys, "compat", "check", "--meas", files["float"])

@@ -176,3 +176,48 @@ def test_detects_unread_method():
     reader = "import m\nm.A().run('eq')\ngetattr(m.A(), 'named')\n"
     assert unread_functions([("m.py", module)], [module, reader], {"A"}) == \
         {("m.py", "A.unused")}
+
+
+#: parameters a handler must take for its shared call signature
+UNREAD_PARAMS_ALLOWED = {
+    ("cli.py", "_cmd_qubit", "load"),
+    ("cli.py", "_cmd_demo", "load"),
+    ("demo.py", "_row_gbit", "rng"),
+    ("demo.py", "_row_hypercubes", "rng"),
+    ("demo.py", "_row_chsh", "rng"),
+}
+
+
+def unread_params(name, source):
+    """(file name, function, parameter) for each parameter, other than
+    self and cls, that its function's body never reads as a `Name` load,
+    nested functions included; functions at any depth are scanned."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out |= {(name, node.name, p) for p in params
+                if p not in ("self", "cls") and p not in read}
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = set()
+    for p in MODULES:
+        unread |= unread_params(p.name, p.read_text())
+    assert unread == UNREAD_PARAMS_ALLOWED
+
+
+def test_detects_unread_parameter():
+    module = ("def f(a, b, *args, c=1, **kw):\n    return a + kw['x']\n"
+              "class A:\n    def m(self, x, y=2):\n"
+              "        def inner(z):\n            return x\n        return inner\n"
+              "    @classmethod\n    def make(cls, n):\n        return n\n")
+    assert unread_params("m.py", module) == {
+        ("m.py", "f", "b"), ("m.py", "f", "args"), ("m.py", "f", "c"),
+        ("m.py", "m", "y"), ("m.py", "inner", "z")}

@@ -129,8 +129,13 @@ class TestBasics:
 
 class TestCompatibility:
     def test_identity_on_square_incompatible(self):
-        ok, joint = is_compatible(identity_collection(SQ))
-        assert not ok and joint is None
+        # the Farkas witness of the identity pair is demo row 1's: Tr FW = −1
+        F = identity_collection(SQ)
+        ok, W = is_compatible(F)
+        assert not ok
+        assert la.dot(F.space.unit, W.bar_image()) == R1
+        assert trace_pairing(F, W) == -1
+        assert is_compatible(F, want_joint=False) == (False, None)
 
     def test_coin_toss_compatible(self):
         ok, joint = is_compatible(coin_toss(SQ, SQ.barycenter()))
@@ -300,18 +305,19 @@ class TestDualWitness:
         # the witness is a function of the returned duals alone
         F = identity_collection(PolySimplex((2, 1)))
         rep = id_degree(F)
-        W, q = _dual_witness(F, rep.solve.duals, rep.s)
+        W, q = _dual_witness(F, rep.solve.duals[len(F.shape.shape) + 1:], rep.s)
         assert W.vertex_images == rep.witness.vertex_images and q == rep.q == -1
 
     def test_wrong_duals_are_not_a_witness(self):
         F = identity_collection(SQ)
-        y = id_degree(F).solve.duals
+        # the chart rows' duals, past the λ ≤ 1 and scaled_state_vars rows
+        y = id_degree(F).solve.duals[3:]
         # negated, W(s) has unit value −1 before normalization
         with pytest.raises(AssertionError, match="⟨1_K, W"):
             _dual_witness(F, [-v for v in y], F.shape.barycenter())
         # one marginal multiplier moved leaves an image outside V(K)+
         moved = list(y)
-        moved[4] += rat(1, 2)
+        moved[1] += rat(1, 2)
         with pytest.raises(AssertionError, match="NOT_POSITIVE"):
             _dual_witness(F, moved, F.shape.barycenter())
 
@@ -474,8 +480,11 @@ class TestFourCube:
     P4 = PolySimplex((1, 1, 1, 1))
 
     def test_identity_incompatible(self):
-        ok, joint = is_compatible(identity_collection(self.P4))
-        assert not ok and joint is None
+        F = identity_collection(self.P4)
+        ok, W = is_compatible(F)
+        assert not ok
+        assert la.dot(F.space.unit, W.bar_image()) == R1
+        assert q_value(F, self.P4.barycenter())[0] <= trace_pairing(F, W) < 0
 
     def test_identity_degree_cross_checked(self):
         F = identity_collection(self.P4)

@@ -221,7 +221,7 @@ class TestWitness:
         assert rep.params.check()
         got = trace_pairing_qubit(a, b, rep.params)
         assert abs(got - rep.q_hat) <= 1e-9
-        c, d = holder_check(a, b, rep.params)
+        c, d = holder_check(rep.params)
         assert abs(c * c + d * d - 1.0) <= 1e-9
 
     def test_trivial_pair_not_detected(self):

@@ -103,6 +103,18 @@ class TestSeparability:
         assert model.check(beta)
         assert steering_degree_at(beta, SQ.barycenter()) == R0
 
+    def test_hidden_state_outside_k_rejected(self):
+        # halving a hidden state and doubling its weight keeps every
+        # component q(n)·x_n, but x_n/2 is not a state
+        beta = product_assemblage(random.Random(7))
+        ok, model = is_separable(beta)
+        assert ok
+        lam = next(n for n, q in model.weights.items() if q)
+        model.weights[lam] *= 2
+        model.states[lam] = la.vec_scale(rat(1, 2), model.states[lam])
+        with pytest.raises(AssertionError, match="not in K"):
+            model.check(beta)
+
     def test_identity_on_self_dual_steers(self):
         beta = identity_assemblage()
         ok, model = is_separable(beta)

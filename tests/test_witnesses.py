@@ -1,24 +1,28 @@
 """Witness maps: validation, trace pairing, duality, special criteria."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from polybox import linalg as la
+from polybox import serialize as sz
 from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL, LpBuilder, vec_expr
 from polybox.measurements import (MeasurementCollection, coin_toss, identity_collection,
-                                  random_collection)
+                                  is_compatible, random_collection)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
 from polybox.spaces import simplex_space
-from polybox.witnesses import (WitnessValidationError, _etb_lp, _min_trace_witness,
-                               is_etb, is_witness, make_witness_map,
+from polybox.witnesses import (EtbDecomposition, WitnessValidationError, _etb_lp,
+                               _min_trace_witness, is_etb, is_witness, make_witness_map,
                                map_trace_pairing,
                                maximal_incompatibility_certificate, q_value,
                                random_witness_map, retraction_check,
                                square_extremality, trace_pairing,
                                two_outcome_witness_criterion)
+
+from conftest import pentagon_json
 
 SQ = PolySimplex((1, 1))
 SPACES = [simplex_space(2), square_space(), polysimplex_space((2, 1))]
@@ -26,6 +30,16 @@ SPACES = [simplex_space(2), square_space(), polysimplex_space((2, 1))]
 
 def constant_map(shape, space, v):
     return {n: tuple(v) for n in shape.outcomes()}
+
+
+def square_etb_map():
+    """The map w_n = ψ^0_{n_0} + ψ^1_{n_1} with ψ^i_j = x_{2i+j}/2 on the
+    square: ETB by construction."""
+    sp = square_space()
+    psi = {(i, j): la.vec_scale(rat(1, 2), sp.vertices[2 * i + j])
+           for i in range(2) for j in range(2)}
+    images = {n: tuple(la.vec_add(psi[(0, n[0])], psi[(1, n[1])])) for n in SQ.outcomes()}
+    return make_witness_map(SQ, sp, images)
 
 
 def square_witness():
@@ -204,14 +218,7 @@ class TestWitnessDuality:
         assert not ok
 
     def test_explicit_etb_map(self):
-        sp = square_space()
-        psi = {(0, 0): la.vec_scale(rat(1, 2), sp.vertices[0]),
-               (0, 1): la.vec_scale(rat(1, 2), sp.vertices[1]),
-               (1, 0): la.vec_scale(rat(1, 2), sp.vertices[2]),
-               (1, 1): la.vec_scale(rat(1, 2), sp.vertices[3])}
-        images = {n: tuple(la.vec_add(psi[(0, n[0])], psi[(1, n[1])]))
-                  for n in SQ.outcomes()}
-        W = make_witness_map(SQ, sp, images)
+        W = square_etb_map()
         ok, dec = is_etb(W)
         assert ok
         assert dec.check(W)
@@ -495,10 +502,8 @@ class TestEtbLpOnChartVertices:
             ok, dec = is_etb(W)
             assert ok == (ambient_etb_lp(W, False).status == OPTIMAL)
             assert ok == (dec is not None)
-            shifts = _etb_lp(W, translate=True) is not None
+            shifts = not is_witness(W).is_witness
             assert shifts == (ambient_etb_lp(W, True).status == OPTIMAL)
-            witness = is_witness(W)
-            assert witness.is_witness == (not shifts)
             seen.add((ok, shifts))
         if state_space.label != "delta:2":
             assert (False, False) in seen and (True, True) in seen
@@ -506,8 +511,102 @@ class TestEtbLpOnChartVertices:
     def test_square_rows(self, solved_rows):
         W = square_witness()
         del solved_rows[:]
-        _etb_lp(W, translate=False)
-        _etb_lp(W, translate=True)
+        _etb_lp(W)
         ambient_etb_lp(W, False)
         ambient_etb_lp(W, True)
-        assert solved_rows == [9, 10, 16, 17]
+        assert solved_rows == [9, 16, 17]
+
+
+def etb_map():
+    """`square_etb_map` shifted by x_0/3: a non-witness whose minimum is
+    positive, 1/3."""
+    W = square_etb_map()
+    return W.translate(la.vec_scale(rat(1, 3), W.space.vertices[0]))
+
+
+class TestWitnessDecisionIsOneLp:
+    """`is_witness` solves only the minimizing-F LP; a non-witness gets
+    its ETB translation from that LP's duals, checked in the call."""
+
+    def test_one_solve_either_way(self, solved_rows):
+        W, V = square_witness(), etb_map()
+        del solved_rows[:]
+        assert is_witness(W).is_witness
+        assert len(solved_rows) == 1
+        dec = is_witness(V)
+        assert not dec.is_witness and dec.min_value == rat(1, 3)
+        assert len(solved_rows) == 2
+        assert la.dot(V.space.unit, dec.translation) == R0
+        assert dec.translated_etb.check(V.translate(dec.translation))
+
+    @pytest.mark.parametrize("doctor", ["move v_1", "negate"])
+    def test_doctored_duals_raise(self, monkeypatch, doctor):
+        V = etb_map()
+        D = V.space.rank
+        solve = LpBuilder.minimize
+
+        def doctored(self, coeffs):
+            res = solve(self, coeffs)
+            y = list(res.duals)
+            if doctor == "negate":
+                y = [-c for c in y]
+            else:
+                y[D] += rat(1, 2)  # v_1 moves by b_0/2
+            return dataclasses.replace(res, duals=tuple(y))
+
+        assert not is_witness(V).is_witness
+        monkeypatch.setattr(LpBuilder, "minimize", doctored)
+        with pytest.raises(AssertionError, match="⟨1_K, v⟩"):
+            is_witness(V)
+
+    def test_cone_check_catches_a_factor_outside(self):
+        V = etb_map()
+        dec = is_witness(V)
+        psi = dict(dec.translated_etb.psi)
+        # the sums at every vertex stay, one factor leaves V(K)+
+        shift = la.vec_scale(rat(-1, 2), V.space.vertices[3])
+        psi[(0, 0)] = la.vec_add(psi[(0, 0)], shift)
+        psi[(0, 1)] = la.vec_add(psi[(0, 1)], shift)
+        psi[(1, 0)] = la.vec_sub(psi[(1, 0)], shift)
+        psi[(1, 1)] = la.vec_sub(psi[(1, 1)], shift)
+        assert not all(V.space.in_cone(p) for p in psi.values())
+        with pytest.raises(AssertionError, match="not in the state cone"):
+            EtbDecomposition(psi).check(V.translate(dec.translation))
+
+
+class TestFarkasWitness:
+    """`is_compatible` reads a witness off its Farkas multipliers; "own"
+    is the polysimplex S itself."""
+
+    @pytest.mark.parametrize("space", ["own", "square", "poly:2,1", "pentagon"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 1, 1), (2, 1), (2, 2), (1, 1, 1, 1)],
+                             ids=str)
+    def test_certifies_incompatibility(self, space, shape):
+        P = PolySimplex(shape)
+        if space == "own":
+            sp = polysimplex_space(shape)
+        elif space == "pentagon":
+            sp = sz.space_from_json(pentagon_json())
+        else:
+            sp = sz.builtin_space(space)
+        rng = random.Random(str(("farkas", space, shape)))
+        cands = [identity_collection(P)] if space == "own" else []
+        for _ in range(3):
+            if space == "own":
+                cands.append(random_collection(sp, P, rng, bias=rat(3, 4)))
+            else:
+                cands.append(facet_collection(P, sp, rng))
+        sbar = P.barycenter()
+        found = 0
+        for F in cands:
+            ok, W = is_compatible(F)
+            if ok:
+                continue
+            found += 1
+            assert make_witness_map(P, sp, W.vertex_images).vertex_images == W.vertex_images
+            assert la.dot(sp.unit, W.apply(sbar)) == R1
+            trace = trace_pairing(F, W)
+            assert trace < 0
+            assert is_witness(W).is_witness
+            assert q_value(F, sbar)[0] <= trace
+        assert found
