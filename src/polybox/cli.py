@@ -19,7 +19,7 @@ import time
 import traceback
 
 from . import serialize as sz
-from .exact import is_rational, rat
+from .exact import HAVE_GMPY2, is_rational, rat
 from .measurements import id_degree, is_compatible
 from .polysimplex import PolySimplex
 from .witnesses import (is_etb, is_witness, maximal_incompatibility_certificate,
@@ -517,6 +517,7 @@ def main(argv=None) -> int:
         report = {"command": args.command + " " + getattr(args, "action", ""),
                   "inputs": load.digests,
                   "mode": mode,
+                  "backend": "gmpy2" if HAVE_GMPY2 else "fractions",
                   "verdict": verdict,
                   "result": result,
                   "certificate": cert}

@@ -4,10 +4,13 @@ gmpy2.mpq is used when available; plain Fraction is the fallback so
 the package still works without gmpy2. This is the only module that
 imports either. The hot exact kernels do not add or multiply rationals:
 the simplex in lp.py pivots on integers with one common denominator,
-LP rows are stored as integers from the moment they are added, and
-linalg's dot, combine, mat_vec and mat_mul sum integer numerators over
-one denominator (`numerators` below). They read `.numerator` and `.denominator` and build each
-result with `rat(num, den)`, so they work on either backend. The scalar
+LP row coefficients are stored as integers from the moment they are
+added (each row scaled by its coefficients' denominators only; the
+rhs's denominators are cleared by one common factor on the tableau's
+rhs column), and linalg's dot, combine, mat_vec and mat_mul sum
+integer numerators over one denominator (`numerators` below). They
+read `.numerator` and `.denominator` and build each result with
+`rat(num, den)`, so they work on either backend. The scalar
 type still matters where rationals are combined one at a time: the
 elimination in linalg (rank, invert), vec_add/vec_sub/vec_scale,
 validation sums and comparisons, and reading results back.

@@ -1,14 +1,23 @@
 """Exact-rational linear programming.
 
 Two-phase simplex on an integer tableau, with Dantzig pricing and
-Bland's rule on stalls. Rows are integers from the moment `add_eq`,
-`add_le`, `add_ge` or `add_rows` stores them: the caller's row times the
-LCM s_r of its reduced denominators, kept with s_r. The tableau takes
-these rows as they are, and each row's slack or artificial is rescaled
-with it so that it keeps a unit coefficient; the start basis is then
-the identity. The tableau is a matrix T of integers, each row stored as
-a dict of its nonzero entries, with one common positive denominator d
-(true entries T/d; d = 1 at the start). A pivot on p = T[r][c] sets
+Bland's rule on stalls. A row's coefficients are integers from the
+moment `add_eq`, `add_le`, `add_ge` or `add_rows` stores it: the
+caller's row times the LCM s_r of its coefficients' reduced
+denominators, kept with s_r. The rhs's denominator stays out of s_r:
+the stored rhs is the caller's rhs times s_r, exact and possibly
+fractional. The tableau takes the coefficients as they are, and each
+row's slack or artificial is rescaled with it so that it keeps a unit
+coefficient; the start basis is then the identity. The rhs column is
+cleared to integers as one column, by the LCM D of the stored rhs's
+denominators. In the LPs of the paper the matrix comes from K's facets
+and vertices and the data (effect values, box probabilities, assemblage
+entries) sits in the rhs; a row scale that took in the rhs would carry
+the data's denominators into every minor below, while D scales only
+the rhs column. The tableau is a matrix T of integers, each row stored
+as a dict of its nonzero entries, with one common positive denominator
+d (true entries T/d, and T/(d·D) in the rhs column; d = 1 at the
+start). A pivot on p = T[r][c] sets
 T_i <- (p*T_i - T_i[c]*T_r) / d for every row i != r, then d <- p
 (fraction-free pivoting: Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math.
 Comp. 22, 1968). The division is exact by Sylvester's identity: for the
@@ -17,9 +26,9 @@ d = ±det(B), so every entry is a minor of the integer matrix T0. When
 p = d a row changes only in the pivot row's nonzero columns. A pivot
 that drives an artificial out of the basis can have p < 0; T and d are
 then negated, so that the signs of T are the true signs. Rationals
-appear only when the result is read back: x = T/d, and duals and Farkas
-multipliers undo each row's scaling. A coefficient a of a stored row
-reads as the rational a/s_r.
+appear only when the result is read back: x = T/(d·D), and duals and
+Farkas multipliers undo each row's scaling. A coefficient a of a stored
+row reads as the rational a/s_r.
 
 Pricing: the entering column is the one of most negative reduced cost,
 the least index on ties (Dantzig). Every entry of the cost row is a
@@ -27,9 +36,10 @@ true reduced cost times d and the cost's integer scale, so the integers
 compare directly, and the choice is the one on the rational tableau of
 the stored rows; a slack's reduced cost is in units of its stored row,
 so storing a row at another scale can change the path, never the
-optimum value. After a degenerate pivot (ratio 0) the least-index
-column with negative reduced cost enters instead (Bland), until the
-next nondegenerate pivot. The leaving row is the least ratio, the
+optimum value. The ratio test compares entries of the one rhs column,
+so D changes no pivot. After a degenerate pivot (ratio 0) the
+least-index column with negative reduced cost enters instead (Bland),
+until the next nondegenerate pivot. The leaving row is the least ratio, the
 least basic column on ties, in both rules. The solve ends: a cycle
 never moves the point, so all its pivots are degenerate, and from its
 second pass on each of them would be a Bland pivot, which cannot cycle
@@ -40,14 +50,15 @@ only `==` rows and sign-flipped rows get an artificial; the artificial
 of row r costs 1/s_r, which is 1 per unit of the caller's row. Every
 optimal solve checks primal feasibility, dual feasibility and strong
 duality (primal optimum == dual value) in exact arithmetic. The primal
-check runs in integers: with x = X/d, each caller row r, scaled by s_r
-to integer coefficients a_v, must satisfy Σ a_v·X_v == (or <=)
-s_r·rhs·d, and X_v >= 0 for every nonnegative variable; this is the
-rational test times s_r·d > 0. The dual check asks y_r <= 0 on `<=`
-rows (min form) and c_v − (Aᵀy)_v >= 0 on nonnegative variables, == 0
-on free ones. Infeasible solves return a verified Farkas certificate and
+check runs in integers: with x = X/(d·D), each caller row r, scaled by
+s_r to integer coefficients a_v, must satisfy Σ a_v·X_v == (or <=)
+D·s_r·rhs·d, an integer, and X_v >= 0 for every nonnegative variable;
+this is the rational test times s_r·d·D > 0. The dual check asks
+y_r <= 0 on `<=` rows (min form) and c_v − (Aᵀy)_v >= 0 on nonnegative
+variables, == 0 on free ones. Infeasible solves return a verified Farkas certificate and
 unbounded solves a verified improving ray. The dual and Farkas checks
 sum y_r·row_r as integer numerators over one common denominator, and
+the strong-duality total Σ y_r·rhs_r over that denominator times D;
 the ray check reads each row's sign on the ray's numerators. Each
 result carries an `LpStats` record of the solve's size and work.
 
@@ -134,12 +145,15 @@ class _Tableau:
     integer / d; column `rhs` holds the right-hand side. basis[i] is the
     column basic in row i < len(basis); the rows after those hold reduced
     costs (their rhs cell is −objective value), the last row those that
-    are priced: one cost row, or two in a second stage."""
+    are priced: one cost row, or two in a second stage. The rhs column is
+    scaled by one more positive integer, rhs_scale = D, which clears the
+    stored rows' rhs denominators: the point it holds is x = T/(d·D)."""
 
-    def __init__(self, rows, basis, rhs):
+    def __init__(self, rows, basis, rhs, rhs_scale):
         self.rows = rows
         self.basis = basis
         self.rhs = rhs
+        self.rhs_scale = rhs_scale
         self.d = 1
         self.pivots = 0
 
@@ -247,11 +261,13 @@ def _int_expr(coeffs):
 class LpBuilder:
     """Incremental LP: nonneg/free variables, ==, <=, >= rows.
 
-    Each row is stored in integers from the moment it is added, as
-    (coeffs {var: int}, int rhs, s_r, kind) with kind "eq" or "le": the
-    caller's row is (coeffs, rhs) / s_r, where s_r is the LCM of its
-    nonzero coefficients' and its rhs's reduced denominators. A ">=" row
-    is stored negated, and zero coefficients are dropped."""
+    Each row is stored as (coeffs {var: int}, rhs, s_r, kind) with kind
+    "eq" or "le": the caller's row is (coeffs, rhs) / s_r, where s_r is
+    the LCM of its nonzero coefficients' reduced denominators. The rhs,
+    the caller's rhs times s_r, stays exact: an int when s_r clears the
+    rhs's denominator, else a rational. The solve clears all the rhs's
+    denominators at once, by one factor D on the tableau's rhs column. A
+    ">=" row is stored negated, and zero coefficients are dropped."""
 
     def __init__(self):
         self._vars = []            # "nonneg" | "free"
@@ -305,16 +321,18 @@ class LpBuilder:
 
     def _add(self, coeffs, den, rhs, sign, kind):
         """Store the row (coeffs / den) (kind) rhs, times sign, on the LCM
-        s_r of its reduced denominators: with g = gcd(den, coeffs), the
-        coefficients' reduced denominators have LCM den / g."""
+        s_r of its coefficients' reduced denominators, which is den / g
+        for g = gcd(den, coeffs). The rhs's denominator stays out of s_r:
+        the stored rhs is sign·rhs·s_r, an int when s_r clears rhs's
+        denominator q, else that rational."""
         if den is None:
             coeffs, den = _int_expr(coeffs)
         rhs = rat(rhs)
         g = math.gcd(den, *coeffs.values())
-        s = math.lcm(den // g, rhs.denominator)
-        f = sign * (s // (den // g))
-        self._rows.append(({v: a // g * f for v, a in coeffs.items()},
-                           sign * rhs.numerator * (s // rhs.denominator), s, kind))
+        s = den // g
+        b, q = sign * rhs.numerator * s, rhs.denominator
+        b = rat(b, q) if b % q else b // q
+        self._rows.append(({v: sign * (a // g) for v, a in coeffs.items()}, b, s, kind))
 
     def minimize(self, coeffs):
         """min coeffs·x for coeffs {var: c}. For a pair (c1, c2) of such
@@ -352,6 +370,7 @@ class LpBuilder:
                 ncols += 1
         art0 = ncols
         flipped = [b < 0 for _, b, _, _ in self._rows]
+        rhs_scale = math.lcm(*(b.denominator for _, b, _, _ in self._rows))
         start = []
         for r, (_, _, _, kind) in enumerate(self._rows):
             if kind == "le" and not flipped[r]:
@@ -361,11 +380,13 @@ class LpBuilder:
                 ncols += 1
         rhs_col = ncols
 
-        # row r is the stored integer row, which is the caller's row
-        # times scale[r] = s_r, negated when flipped; its slack and
-        # artificial keep unit coefficients. Phase 1: an artificial costs
-        # 1/scale[r] (1 per unit of the caller's row), and the objective
-        # row is cleared to integers by the LCM of those scales, p1_scale.
+        # row r is the stored row, which is the caller's row times
+        # scale[r] = s_r, negated when flipped, with its rhs times the one
+        # common rhs_scale that clears every stored rhs to an integer; its
+        # slack and artificial keep unit coefficients. Phase 1: an
+        # artificial costs 1/scale[r] (1 per unit of the caller's row), and
+        # the objective row is cleared to integers by the LCM of those
+        # scales, p1_scale.
         rows = []
         scale = []
         for r, (coeffs, b, s, kind) in enumerate(self._rows):
@@ -380,7 +401,7 @@ class LpBuilder:
                 row[slack_col[r]] = sign
             row[start[r]] = 1
             if b:
-                row[rhs_col] = sign * b
+                row[rhs_col] = sign * b.numerator * (rhs_scale // b.denominator)
             rows.append(row)
             scale.append(s)
         p1_scale = math.lcm(*(scale[r] for r, s in enumerate(start) if s >= art0))
@@ -392,7 +413,7 @@ class LpBuilder:
                     if j != s:
                         obj[j] = obj.get(j, 0) - w * a
         rows.append({j: a for j, a in obj.items() if a})
-        T = _Tableau(rows, list(start), rhs_col)
+        T = _Tableau(rows, list(start), rhs_col, rhs_scale)
         T.run(art0)
         if T.rows[-1].get(rhs_col):
             return self._extract_farkas(T, flipped, start, art0, scale, p1_scale,
@@ -488,7 +509,8 @@ class LpBuilder:
 
     @staticmethod
     def _public_x(T, col_of):
-        """Integer numerators X of the caller's variables: x = X / T.d."""
+        """Integer numerators X of the caller's variables: x = X / (T.d·D),
+        with D = T.rhs_scale."""
         colval = {b: row.get(T.rhs, 0) for row, b in zip(T.rows, T.basis)}
         out = []
         for cols in col_of:
@@ -502,10 +524,11 @@ class LpBuilder:
         X = self._public_x(T, col_of)
         # exact self-checks: primal feasibility, then dual feasibility and
         # strong duality of the min-form duals
-        self._check_primal(X, T.d)
-        x = tuple(rat(v, T.d) for v in X)
+        self._check_primal(X, T.d, T.rhs_scale)
+        den = T.d * T.rhs_scale
+        x = tuple(rat(v, den) for v in X)
         value = rat(sum(c.numerator * (cost_scale // c.denominator) * X[v]
-                        for v, c in cost.items()), cost_scale * T.d)
+                        for v, c in cost.items()), cost_scale * den)
         self._check_dual(duals, cost, value)
         return LpResult(OPTIMAL, objective=sense * value, x=x,
                         duals=tuple(sense * y for y in duals), stats=stats)
@@ -572,10 +595,13 @@ class LpBuilder:
 
     def _combine_rows(self, y):
         """Σ_r y_r·(row r) for one rational y_r per caller row, as integer
-        numerators over one positive denominator: (coefficient numerators
-        {var: int}, numerator of Σ_r y_r·rhs_r, denominator)."""
+        numerators over positive denominators: (coefficient numerators
+        {var: int}, their denominator, numerator of Σ_r y_r·rhs_r, its
+        denominator). The rhs sum's denominator has one more factor, the
+        LCM D of the stored rhs's denominators."""
         Y, dy = numerators(y)
         lcm = math.lcm(*(s for _, _, s, _ in self._rows))
+        D = math.lcm(*(b.denominator for _, b, _, _ in self._rows))
         comb = {}
         total = 0
         for yr, (coeffs, b, s, _) in zip(Y, self._rows):
@@ -583,8 +609,9 @@ class LpBuilder:
                 w = yr * (lcm // s)
                 for v, a in coeffs.items():
                     comb[v] = comb.get(v, 0) + w * a
-                total += w * b
-        return comb, total, dy * lcm
+                if b:
+                    total += w * b.numerator * (D // b.denominator)
+        return comb, dy * lcm, total, dy * lcm * D
 
     def _check_farkas(self, y):
         """y (one rational per caller row) certifies infeasibility:
@@ -593,7 +620,7 @@ class LpBuilder:
         for yr, (_, _, _, kind) in zip(y, self._rows, strict=True):
             if kind == "le" and yr > 0:
                 raise AssertionError("Farkas certificate sign check failed")
-        comb, total, _ = self._combine_rows(y)
+        comb, _, total, _ = self._combine_rows(y)
         for v, s in comb.items():
             if self._vars[v] == "free":
                 if s != 0:
@@ -612,8 +639,8 @@ class LpBuilder:
         for yr, (_, _, _, kind) in zip(y, self._rows, strict=True):
             if kind == "le" and yr > 0:
                 raise AssertionError("dual sign check failed")
-        comb, total, den = self._combine_rows(y)
-        if rat(total, den) != value:
+        comb, den, total, total_den = self._combine_rows(y)
+        if rat(total, total_den) != value:
             raise AssertionError("simplex strong duality violated")
         cnum, cden = _int_expr(cost)
         for v in cnum.keys() | comb.keys():
@@ -624,14 +651,16 @@ class LpBuilder:
             elif red < 0:
                 raise AssertionError("dual infeasible: negative reduced cost")
 
-    def _check_primal(self, X, d):
-        """x = X/d satisfies every caller row, each checked times
-        s_r·d > 0 on its integer row, and every nonneg bound."""
+    def _check_primal(self, X, d, D):
+        """x = X/(d·D) satisfies every caller row, each checked times
+        s_r·d·D > 0 on its integer coefficients against the integer
+        D·(stored rhs)·d, and every nonneg bound."""
         for coeffs, b, _, kind in self._rows:
             s = sum(a * X[v] for v, a in coeffs.items())
-            if kind == "eq" and s != b * d:
+            rhs = b.numerator * (D // b.denominator) * d
+            if kind == "eq" and s != rhs:
                 raise AssertionError("simplex produced infeasible point")
-            if kind == "le" and s > b * d:
+            if kind == "le" and s > rhs:
                 raise AssertionError("simplex produced infeasible point")
         for v, kind in enumerate(self._vars):
             if kind == "nonneg" and X[v] < 0:

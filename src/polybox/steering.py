@@ -61,22 +61,6 @@ class Assemblage:
                      for r, row in enumerate(t)]
         return la.mat(t)
 
-    def mix_with_trivial(self, s, lam):
-        """(1−λ)β + λ s⊗x as a new assemblage."""
-        lam = rat(lam)
-        shape = self.shape
-        p = {}
-        subs = {}
-        for i, l in enumerate(shape.shape):
-            for j in range(l + 1):
-                pij = (R1 - lam) * self.p[(i, j)] + lam * shape.coords(s, i, j)
-                vec = la.vec_add(
-                    la.vec_scale((R1 - lam) * self.p[(i, j)], self.sub_states[(i, j)]),
-                    la.vec_scale(lam * shape.coords(s, i, j), self.x))
-                p[(i, j)] = pij
-                subs[(i, j)] = tuple(la.vec_scale(1 / pij, vec)) if pij else self.x
-        return Assemblage(shape, self.space, self.x, p, subs)
-
     def __repr__(self):
         return f"Assemblage({self.shape.shape} ⊗ {self.space.label})"
 
@@ -114,20 +98,27 @@ class LhsModel:
     weights: dict
     states: dict
 
-    def check(self, beta: Assemblage):
+    def check(self, beta: Assemblage, mixing=None):
+        """The model reproduces β, or with mixing = (s, μ) the mixture
+        (1−μ)β + μ s⊗x: on every coordinate, Σ_{n_i=j} q(n)·x_n equals
+        (1−μ)p(j|i)x_{j|i} + μ s^i_j x for each (i, j)."""
         for lam, q in self.weights.items():
             if q < 0:
                 raise AssertionError(f"LHS weight of {lam} is negative")
             if not beta.space.is_state(self.states[lam]):
                 raise AssertionError(f"hidden state of {lam} is not in K")
         shape = beta.shape
+        s, mu = mixing if mixing is not None else (None, R0)
         for i, l in enumerate(shape.shape):
             for j in range(l + 1):
                 acc = la.zeros(beta.space.dim)
                 for lam, q in self.weights.items():
                     if lam[i] == j and q:
                         acc = la.vec_add(acc, la.vec_scale(q, self.states[lam]))
-                want = la.vec_scale(beta.p[(i, j)], beta.sub_states[(i, j)])
+                want = la.vec_scale((R1 - mu) * beta.p[(i, j)], beta.sub_states[(i, j)])
+                if mu:
+                    want = la.vec_add(want,
+                                      la.vec_scale(mu * shape.coords(s, i, j), beta.x))
                 if tuple(acc) != tuple(want):
                     raise AssertionError(f"LHS model misses component ({i},{j})")
         return True
@@ -196,7 +187,7 @@ def steering_degree(beta: Assemblage) -> DegreeReport:
     lp, avar, lam, t = _lhs_lp(beta, "free")
     rep = least_mixing(lp, lam, t, beta.shape)
     rep.model = _lhs_model(rep.solve, avar, beta)
-    rep.model.check(beta.mix_with_trivial(rep.s, rep.value))
+    rep.model.check(beta, (rep.s, rep.value))
     return rep
 
 

@@ -12,7 +12,7 @@ from polybox import cli, steering, witnesses
 from polybox import serialize as sz
 from polybox.bell import Box, deterministic_box, pr_box
 from polybox.channels import StochasticMatrix, cc_channel
-from polybox.exact import R1, rat
+from polybox.exact import HAVE_GMPY2, R1, rat
 from polybox.measurements import coin_toss, identity_collection
 from polybox.polysimplex import PolySimplex, square_space
 from polybox.steering import (assemblage_from, self_dual_state, square_self_dual_iso,
@@ -347,6 +347,7 @@ class TestErrors:
                                files["ident"], "--search")
             assert code == 0 and "evaluations" in rep["result"]
             assert list(rep["inputs"]) == [files["ident"]]
+            assert rep["backend"] == ("gmpy2" if HAVE_GMPY2 else "fractions")
             code, rep, _ = run(capsys, "space", "info", "--space", "square")
             assert code == 0 and rep["command"] == "space info"
             assert rep["inputs"] == {}

@@ -113,7 +113,8 @@ def test_add_rows_against_fraction_rows():
 def add_rows_against_fraction_rows(rng):
     # each stored row (coeffs, rhs, s, kind), read as coeffs/s and rhs/s,
     # is the Fraction sum Σ_a m[a]·expr[a], negated for ">="; s is the
-    # LCM of the row's reduced denominators and zero coefficients are gone
+    # LCM of the row's coefficients' reduced denominators, the rhs stays
+    # out of it, and zero coefficients are gone
     nvars, width = rng.randrange(1, 6), rng.randrange(1, 5)
     expr = [{v: draw(rng) for v in rng.sample(range(nvars), rng.randrange(0, nvars + 1))}
             for _ in range(width)]
@@ -140,5 +141,7 @@ def add_rows_against_fraction_rows(rng):
         assert stored == ("le" if kind == "ge" else kind)
         assert {v: Fraction(a, s) for v, a in coeffs.items()} == want
         assert Fraction(brhs, s) == want_rhs
-        assert all(is_integer(a) and a for a in coeffs.values()) and is_integer(brhs)
-        assert s == math.lcm(want_rhs.denominator, *(c.denominator for c in want.values()))
+        assert all(is_integer(a) and a for a in coeffs.values())
+        # the stored rhs is an int when s clears it, else the exact rational
+        assert is_integer(brhs) == (F(brhs).denominator == 1)
+        assert s == math.lcm(*(c.denominator for c in want.values()))

@@ -4,15 +4,17 @@ import random
 
 import pytest
 
-from polybox import lp
+from polybox import lp, measurements
 from polybox.exact import R0, R1, approx_eq, format_rat, is_rational, rat
 from polybox.linalg import combine
 from polybox.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBuilder, LpStats, vec_expr
+from polybox.polysimplex import PolySimplex
 
 
 def rational_rows(b):
     """A builder's stored rows read back as rationals: (coeffs, rhs, kind),
-    each stored integer over the row's LCM s_r."""
+    the integer coefficients and the exact rhs each over the row's scale
+    s_r, the LCM of its coefficients' denominators."""
     return [({v: rat(a, s) for v, a in coeffs.items()}, rat(rhs, s), kind)
             for coeffs, rhs, s, kind in b._rows]
 
@@ -82,6 +84,16 @@ class TestRowVocabulary:
         assert b._rows == [({1: -2}, -4, 1, "eq"), ({}, 0, 1, "eq")]
         res = b.minimize({0: R1})
         assert res.status == OPTIMAL and (res[0], res[1]) == (0, 2)
+
+    def test_row_scale_ignores_the_rhs(self):
+        # s_r clears only the coefficients; the fractional rhs stays exact
+        # in the stored row, and the rhs column's one scale clears it
+        b = LpBuilder()
+        x, y = b.vars(2)
+        b.add_eq({x: 1, y: 1}, rat(1, 7))
+        assert b._rows == [({x: 1, y: 1}, rat(1, 7), 1, "eq")]
+        res = b.minimize({x: R1})
+        assert (res[x], res[y], res.stats.bits) == (0, rat(1, 7), 1)
 
     def test_add_rows_rejects_a_short_matrix_row(self):
         b = LpBuilder()
@@ -274,6 +286,11 @@ class TestSimplex:
         # integer coefficients in -3..3
         _cross_check_highs(random.Random(11), lambda rng: rng.randrange(-3, 4),
                            lambda rng: rng.randrange(-4, 5))
+        # the same coefficients with rhs of both signs and denominators up
+        # to 999: every s_r is 1, and one rhs scale D > 1 clears them all
+        _cross_check_highs(random.Random(13), lambda rng: rng.randrange(-3, 4),
+                           lambda rng: rat(rng.randrange(-999, 1000),
+                                           rng.randrange(1, 1000)))
 
     def test_rational_lps_against_highs(self):
         # rational coefficients with denominators up to 12, so that every
@@ -369,6 +386,20 @@ class TestSimplex:
         assert res.status == UNBOUNDED and res.ray == (4, 1)
         assert res.stats.phase2_pivots == 2
 
+    @pytest.mark.parametrize("seed, pivots", [(0, 17), (1, 19), (2, 15), (3, 17)])
+    def test_joint_lp_tableau_stays_at_the_matrix_size(self, seed, pivots):
+        # the 3-cube joint LP's matrix comes from K's facets and its data,
+        # a seeded bias-15/16 collection, sits in the rhs only; with rows
+        # scaled by their coefficients alone the final tableau stays small
+        # (83-99 bits when the rhs denominators entered each row's scale)
+        P = PolySimplex((1, 1, 1))
+        F = measurements.random_collection(P.as_state_space(), P, random.Random(seed),
+                                           bias=rat(15, 16))
+        res = measurements._joint_lp(F)[0].minimize({})
+        assert res.status == INFEASIBLE
+        assert (res.stats.phase1_pivots, res.stats.phase2_pivots) == (pivots, 0)
+        assert res.stats.bits <= 24
+
     def test_stats_record_size_and_pivots(self):
         # max x+y st x+2y<=4, 3x+y<=6: both rows start on their slacks, so
         # no phase-1 pivot; x enters on row 2 (p = 3), then y on row 1
@@ -383,7 +414,9 @@ class TestSimplex:
             phase2_pivots=2, bits=4)
         # a free variable takes two columns and the == row an artificial:
         # the positive column of y has the most negative phase-1 reduced
-        # cost, and its one pivot reaches the optimum x = 0
+        # cost, and its one pivot reaches the optimum x = 0. The <= row is
+        # stored as 3x <= 4/3 (s_r = 4 clears only its coefficient), and
+        # the rhs column's one scale D = 3 clears its rhs
         b = LpBuilder()
         x, y = b.var(), b.var(nonneg=False)
         b.add_eq({x: rat(1, 2), y: rat(2, 3)}, rat(5, 6))
@@ -391,7 +424,7 @@ class TestSimplex:
         res = b.minimize({x: R1, y: rat(1, 5)})
         assert (res[x], res[y], res.objective) == (0, rat(5, 4), rat(1, 4))
         assert res.stats == LpStats(rows=2, columns=5, split_columns=2,
-                                    phase1_pivots=1, phase2_pivots=0, bits=6)
+                                    phase1_pivots=1, phase2_pivots=0, bits=5)
         b.add_ge({x: 1}, 1)
         res = b.minimize({})
         assert res.status == INFEASIBLE

@@ -27,6 +27,22 @@ def self_dual_square():
     return self_dual_state(square_space(), square_self_dual_iso())
 
 
+def mix_with_trivial(beta, s, lam):
+    """(1−λ)β + λ s⊗x as a new assemblage: the reference mixture."""
+    lam = rat(lam)
+    p = {}
+    subs = {}
+    for i, l in enumerate(beta.shape.shape):
+        for j in range(l + 1):
+            pij = (R1 - lam) * beta.p[(i, j)] + lam * beta.shape.coords(s, i, j)
+            vec = la.vec_add(
+                la.vec_scale((R1 - lam) * beta.p[(i, j)], beta.sub_states[(i, j)]),
+                la.vec_scale(lam * beta.shape.coords(s, i, j), beta.x))
+            p[(i, j)] = pij
+            subs[(i, j)] = tuple(la.vec_scale(1 / pij, vec)) if pij else beta.x
+    return Assemblage(beta.shape, beta.space, beta.x, p, subs)
+
+
 def identity_assemblage():
     F = identity_collection(SQ)
     return assemblage_from(F, self_dual_square(), square_space())
@@ -125,10 +141,10 @@ class TestSeparability:
         beta = identity_assemblage()
         s = SQ.barycenter()
         lam = steering_degree_at(beta, s)
-        ok, model = is_separable(beta.mix_with_trivial(s, lam))
+        ok, model = is_separable(mix_with_trivial(beta, s, lam))
         assert ok
-        assert model.check(beta.mix_with_trivial(s, lam))
-        ok, _ = is_separable(beta.mix_with_trivial(s, lam - rat(1, 50)))
+        assert model.check(mix_with_trivial(beta, s, lam))
+        ok, _ = is_separable(mix_with_trivial(beta, s, lam - rat(1, 50)))
         assert not ok
 
     def test_non_state_target_rejected(self):
@@ -194,7 +210,7 @@ class TestSelfDual:
         assert rep.value == id_degree(F).value
         assert SQ.interior(rep.s)
         assert steering_degree_at(beta, rep.s) == rep.value
-        ok, _ = is_separable(beta.mix_with_trivial(rep.s, rep.value))
+        ok, _ = is_separable(mix_with_trivial(beta, rep.s, rep.value))
         assert ok
         assert rep.evaluations == 1
 
@@ -373,7 +389,9 @@ class TestSearchModel:
                 rep = value_or_error(lambda: steering_degree(beta))
                 if isinstance(rep, str):  # attained only at a boundary s
                     continue
-                assert rep.model.check(beta.mix_with_trivial(rep.s, rep.value))
+                # the check on (β, (s, λ*)) is the check on the mixture
+                assert rep.model.check(beta, (rep.s, rep.value))
+                assert rep.model.check(mix_with_trivial(beta, rep.s, rep.value))
                 assert steering_degree_at(beta, rep.s) == rep.value
                 assert rep.evaluations == 1
                 values.append(rep.value)
@@ -385,9 +403,11 @@ class TestSearchModel:
         beta = identity_assemblage()
         rep = steering_degree(beta)
         assert rep.value == rat(1, 2)
-        assert rep.model.check(beta.mix_with_trivial(rep.s, rep.value))
+        assert rep.model.check(mix_with_trivial(beta, rep.s, rep.value))
         with pytest.raises(AssertionError):
-            rep.model.check(beta.mix_with_trivial(rep.s, rat(1, 3)))
+            rep.model.check(mix_with_trivial(beta, rep.s, rat(1, 3)))
+        with pytest.raises(AssertionError, match="misses component"):
+            rep.model.check(beta, (rep.s, rat(1, 3)))
 
     def test_a_model_that_misses_the_mixture_raises(self, monkeypatch):
         read = steering._lhs_model
