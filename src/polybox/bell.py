@@ -28,7 +28,7 @@ class Box:
     the polysimplex shapes.
     """
 
-    def __init__(self, shape_a: PolySimplex, shape_b: PolySimplex, probs, tol=TOL):
+    def __init__(self, shape_a: PolySimplex, shape_b: PolySimplex, probs):
         self.shape_a = shape_a
         self.shape_b = shape_b
         exact = all(is_rational(v) for v in probs.values())
@@ -37,7 +37,6 @@ class Box:
             self.probs = {k: rat(v) for k, v in probs.items()}
         else:
             self.probs = {k: float(v) for k, v in probs.items()}
-        self.tol = tol
         self._validate()
 
     def _keys(self):
@@ -50,13 +49,13 @@ class Box:
     def _eq(self, a, b):
         if self.mode == "exact":
             return a == b
-        return approx_eq(a, b, self.tol)
+        return approx_eq(a, b)
 
     def _validate(self):
         want = set(self._keys())
         if set(self.probs) != want:
             raise ValueError("probability table does not match the shapes")
-        zero = R0 if self.mode == "exact" else -self.tol
+        zero = R0 if self.mode == "exact" else -TOL
         for k, v in self.probs.items():
             if v < zero:
                 raise ValueError(f"negative probability at {k}")
@@ -96,17 +95,6 @@ class Box:
         for (ia, ib, ja, jb), v in self.probs.items():
             t[self.shape_a._offset[ia] + ja][self.shape_b._offset[ib] + jb] = v
         return la.mat(t) if self.mode == "exact" else tuple(tuple(r) for r in t)
-
-    @classmethod
-    def from_tensor(cls, shape_a: PolySimplex, shape_b: PolySimplex, tensor, tol=TOL):
-        probs = {}
-        for ia, la_ in enumerate(shape_a.shape):
-            for ib, lb in enumerate(shape_b.shape):
-                for ja in range(la_ + 1):
-                    for jb in range(lb + 1):
-                        probs[(ia, ib, ja, jb)] = \
-                            tensor[shape_a._offset[ia] + ja][shape_b._offset[ib] + jb]
-        return cls(shape_a, shape_b, probs, tol)
 
     def __repr__(self):
         return f"Box({self.shape_a.shape}|{self.shape_b.shape}, {self.mode})"
@@ -202,17 +190,14 @@ class BellWitness:
             object.__setattr__(self, "norm_max", best)
 
     def value(self, box: Box):
-        """⟨μ, γ⟩ summed coordinate-wise against the box tensor."""
+        """⟨μ, γ⟩ against the box tensor."""
         if (box.shape_a.shape, box.shape_b.shape) != \
                 (self.shape_a.shape, self.shape_b.shape):
             raise ValueError("box scenario does not match the witness")
-        t = box.tensor()
-        return sum(self.tensor[r][c] * t[r][c]
-                   for r in range(len(self.tensor))
-                   for c in range(len(self.tensor[0]))
-                   if self.tensor[r][c])
+        return self.pair_tensor(box.tensor())
 
     def pair_tensor(self, gamma):
+        """⟨μ, γ⟩ summed coordinate-wise over μ's nonzero entries."""
         return sum(self.tensor[r][c] * gamma[r][c]
                    for r in range(len(self.tensor))
                    for c in range(len(self.tensor[0]))
@@ -264,7 +249,7 @@ def bell_value(box: Box):
     if box.mode == "exact":
         if b != ident:
             raise AssertionError("Bell identity violated")
-    elif not approx_eq(float(b), float(ident), box.tol):
+    elif not approx_eq(float(b), float(ident)):
         raise AssertionError("Bell identity violated")
     return b
 
@@ -331,17 +316,16 @@ def _embedded_pr_probs(shape_a, shape_b, ia_pair, ib_pair, variant):
     return probs
 
 
-def random_ns_box(shape_a: PolySimplex, shape_b: PolySimplex, rng,
-                  pr_weight=True) -> Box:
+def random_ns_box(shape_a: PolySimplex, shape_b: PolySimplex, rng) -> Box:
     """Random no-signalling box: a rational mixture of deterministic
-    product boxes, optionally with embedded PR-type components."""
+    product boxes, on binary shapes with up to two embedded PR-type
+    components."""
     parts = []
     for _ in range(rng.randrange(2, 6)):
         na = tuple(rng.randrange(0, l + 1) for l in shape_a.shape)
         nb = tuple(rng.randrange(0, l + 1) for l in shape_b.shape)
         parts.append(_deterministic_probs(shape_a, shape_b, na, nb))
-    if pr_weight and all(l == 1 for l in shape_a.shape) and \
-            all(l == 1 for l in shape_b.shape):
+    if all(l == 1 for l in shape_a.shape + shape_b.shape):
         for _ in range(rng.randrange(0, 3)):
             ia_pair = tuple(sorted(rng.sample(range(shape_a.k + 1), 2)))
             ib_pair = tuple(sorted(rng.sample(range(shape_b.k + 1), 2)))
@@ -407,11 +391,10 @@ class EqualityConstruction:
     self_dual_route: bool
 
 
-def square_equality_construction(F_A: MeasurementCollection,
-                                 idx=(0, 1, 0)) -> EqualityConstruction:
+def square_equality_construction(F_A: MeasurementCollection) -> EqualityConstruction:
     """Realize the Bell-bound equality case on the square: from a
     minimizer W of the q LP at s̄ build y = ½·(W∘Ψ⁻¹ ⊗ id)(χ) (Ψ the
-    vertex↔effect matching behind μ_idx), so that with F_B = id,
+    vertex↔effect matching behind μ_{0,1,0}), so that with F_B = id,
     ⟨μ, (F_A⊗F_B)(y)⟩ = ½ q_{s̄}(F_A) exactly. When possible the same
     box is re-expressed with y = the self-dual composite state and the
     correction moved into F_B."""
@@ -423,7 +406,7 @@ def square_equality_construction(F_A: MeasurementCollection,
     from .steering import self_dual_state, square_self_dual_iso
     s = F_A.shape.barycenter()
     q, W, _lam = q_value(F_A, s)
-    mu = chsh_witness(*idx)
+    mu = chsh_witness(0, 1, 0)
     X = sq.span_projector
     # Ψ: V(S_A) → A(S_B) with ⟨Ψ(s), s'⟩ = ⟨μ, s⊗s'⟩, canonically X μᵀ X
     Qpsi = la.mat_mul(X, la.mat_mul(la.transpose(mu.tensor), X))

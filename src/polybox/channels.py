@@ -21,7 +21,7 @@ class StochasticMatrix:
     """Rows T(·|i): conditional distributions over outputs; the
     identification with polysimplex points is literal row-wise."""
 
-    def __init__(self, rows, tol=TOL):
+    def __init__(self, rows):
         rows = tuple(tuple(v for v in r) for r in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("rows must be non-empty and rectangular")
@@ -31,14 +31,13 @@ class StochasticMatrix:
         else:
             rows = tuple(tuple(float(v) for v in r) for r in rows)
         self.rows = rows
-        self.tol = tol
-        zero = R0 if self.exact else -tol
+        zero = R0 if self.exact else -TOL
         one = R1 if self.exact else 1.0
         for i, r in enumerate(rows):
             if any(v < zero for v in r):
                 raise ValueError(f"negative entry in row {i}")
             tot = sum(r)
-            ok = tot == one if self.exact else approx_eq(tot, 1.0, tol)
+            ok = tot == one if self.exact else approx_eq(tot, 1.0)
             if not ok:
                 raise ValueError(f"row {i} does not sum to 1")
 
@@ -62,15 +61,6 @@ class StochasticMatrix:
                                for j in range(n_outputs))
                          for i in range(n_inputs)))
 
-    def tensor(self, other: "StochasticMatrix") -> "StochasticMatrix":
-        """Joint device: input (i, i') and output (j, j') flattened
-        row-major."""
-        rows = []
-        for ra in self.rows:
-            for rb in other.rows:
-                rows.append(tuple(va * vb for va in ra for vb in rb))
-        return StochasticMatrix(rows)
-
     def __eq__(self, other):
         return isinstance(other, StochasticMatrix) and self.rows == other.rows
 
@@ -82,14 +72,13 @@ class ChoiMatrix:
     """Choi matrix of a channel A → A', indices ordered A'⊗A: the basis
     vector |j⟩_{A'}|i⟩_A sits at position j·d_a + i. Diagonal matrices
     are stored exactly by their diagonal; anything else is a dense
-    complex matrix in float mode."""
+    complex matrix in float mode, checked to within TOL."""
 
-    def __init__(self, d_a, d_ap, diagonal=None, dense=None, tol=1e-9):
+    def __init__(self, d_a, d_ap, diagonal=None, dense=None):
         if (diagonal is None) == (dense is None):
             raise ValueError("exactly one of diagonal/dense must be given")
         self.d_a = d_a
         self.d_ap = d_ap
-        self.tol = tol
         n = d_a * d_ap
         if diagonal is not None:
             diagonal = tuple(diagonal)
@@ -107,7 +96,7 @@ class ChoiMatrix:
             m = np.asarray(dense, dtype=complex)
             if m.shape != (n, n):
                 raise ValueError(f"dense Choi must be {n}x{n}")
-            if np.max(np.abs(m - m.conj().T)) > tol * (1.0 + np.max(np.abs(m))):
+            if np.max(np.abs(m - m.conj().T)) > TOL * (1.0 + np.max(np.abs(m))):
                 raise ValueError("Choi matrix must be Hermitian")
             self.exact = False
             self.diagonal = None
@@ -126,11 +115,11 @@ class ChoiMatrix:
         if self.diagonal is not None:
             if self.exact:
                 return all(v >= 0 for v in self.diagonal)
-            return all(v >= -self.tol for v in self.diagonal)
+            return all(v >= -TOL for v in self.diagonal)
         import numpy as np
         w = np.linalg.eigvalsh(self.dense)
         scale = max(1.0, float(np.max(np.abs(self.dense))))
-        return bool(w.min() >= -self.tol * scale)
+        return bool(w.min() >= -TOL * scale)
 
     def trace_out_output(self):
         """Tr_{A'} X as a d_a×d_a matrix; equals I_A iff trace-preserving."""
@@ -151,7 +140,7 @@ class ChoiMatrix:
                        for a in range(self.d_a) for b in range(self.d_a))
         import numpy as np
         return bool(np.max(np.abs(np.asarray(t, dtype=complex)
-                                  - np.eye(self.d_a))) <= self.tol)
+                                  - np.eye(self.d_a))) <= TOL)
 
     def as_dense(self):
         import numpy as np
@@ -175,22 +164,6 @@ def cc_channel(T: StochasticMatrix) -> ChoiMatrix:
     return ChoiMatrix(d_a, d_ap, diagonal=diag)
 
 
-def unitary_choi(u) -> ChoiMatrix:
-    """Choi matrix of σ ↦ UσU† (float mode)."""
-    import numpy as np
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    if u.shape != (d, d) or np.max(np.abs(u @ u.conj().T - np.eye(d))) > 1e-9:
-        raise ValueError("not a unitary matrix")
-    x = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for ip in range(d):
-            for j in range(d):
-                for jp in range(d):
-                    x[j * d + i, jp * d + ip] = u[j, i] * np.conj(u[jp, ip])
-    return ChoiMatrix(d, d, dense=x)
-
-
 def stochastic_from_point(shape: PolySimplex, s) -> StochasticMatrix:
     """The polysimplex point as a padded stochastic matrix:
     T(j|i) = m^i_j(s) for j ≤ l_i and 0 above. Coordinates are read
@@ -202,20 +175,6 @@ def stochastic_from_point(shape: PolySimplex, s) -> StochasticMatrix:
         row = [s[off + j] if j <= l else R0 for j in range(n_out)]
         rows.append(row)
     return StochasticMatrix(rows)
-
-
-def point_from_stochastic(shape: PolySimplex, T: StochasticMatrix):
-    """Inverse of stochastic_from_point; padding entries must vanish."""
-    if T.n_inputs != shape.k + 1 or T.n_outputs != max(shape.shape) + 1:
-        raise ValueError("matrix dimensions do not match the shape")
-    out = []
-    for i, l in enumerate(shape.shape):
-        for j in range(T.n_outputs):
-            if j <= l:
-                out.append(T(j, i))
-            elif T(j, i) != 0:
-                raise ValueError(f"entry T({j}|{i}) must be 0 for this shape")
-    return tuple(out)
 
 
 def retraction_R(phi: ChoiMatrix, shape: PolySimplex | None = None):
@@ -237,15 +196,6 @@ def retraction_R(phi: ChoiMatrix, shape: PolySimplex | None = None):
 def section_S(shape: PolySimplex, s) -> ChoiMatrix:
     """The c-c channel with T = T_s; a right inverse of retraction_R."""
     return cc_channel(stochastic_from_point(shape, s))
-
-
-def channel_projection(phi: ChoiMatrix, shape: PolySimplex | None = None) -> ChoiMatrix:
-    """P = S∘R: projects any channel onto the c-c channels with the
-    same input/output statistics; idempotent."""
-    if shape is None:
-        shape = PolySimplex((phi.d_ap - 1,) * phi.d_a)
-    s = retraction_R(phi, shape)
-    return section_S(shape, s)
 
 
 @dataclass
@@ -360,9 +310,10 @@ def _local_decomposition(model, dims):
 
 def _check_local_decomposition(decomposition, T: StochasticMatrix):
     """Σ w·(ta ⊗ tb) == T entry by entry. The product's entry at input
-    (ia, ib), output (ja, jb) is ta(ja, ia)·tb(jb, ib), flattened as in
-    `StochasticMatrix.tensor`; only the nonzero factors are visited, a
-    single 1 per row for deterministic channels."""
+    (ia, ib), output (ja, jb) is ta(ja, ia)·tb(jb, ib), at input
+    ia·n_B + ib and output ja·m_B + jb for tb's n_B inputs and m_B
+    outputs; only the nonzero factors are visited, a single 1 per row for
+    deterministic channels."""
     n_in, n_out = T.n_inputs, T.n_outputs
     acc = [[R0] * n_out for _ in range(n_in)]
     for w, ta, tb in decomposition:
@@ -390,16 +341,6 @@ class ChannelCollectionReport:
     id_value: object
     certificate: object
     section: object
-
-    def effect_value(self, phi: ChoiMatrix, i, j):
-        """Value of the (i,j) effect on a channel: f^i_j(R(Φ))."""
-        if j not in (0, 1):
-            raise ValueError("two-outcome measurements: j must be 0 or 1")
-        p = phi.diag_entry(0, i)
-        return p if j == 0 else (R1 if phi.exact else 1.0) - p
-
-    def point(self, phi: ChoiMatrix):
-        return retraction_R(phi, self.shape)
 
 
 def channel_space_max_incompatibility(d_a, d_ap) -> ChannelCollectionReport:

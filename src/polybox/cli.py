@@ -199,14 +199,14 @@ def _cmd_witness(args, load: Loader):
                 for k, v in sorted(d.translated_etb.psi.items())}
         return d.is_witness, {"is_witness": d.is_witness}, cert, "exact"
     if args.action == "etb":
-        etb, decomp = is_etb(W)
-        cert = {}
+        etb, found = is_etb(W)
         if etb:
-            cert["factorization"] = {",".join(map(str, k)): sz._vec_to_json(v)
-                                     for k, v in sorted(decomp.psi.items())}
+            cert = {"factorization": {",".join(map(str, k)): sz._vec_to_json(v)
+                                      for k, v in sorted(found.psi.items())}}
         else:
-            d = is_witness(W)
-            cert["min_trace"] = sz.scalar_to_json(d.min_value)
+            cert = {"refutation": {",".join(map(str, k)): sz._vec_to_json(v)
+                                   for k, v in sorted(found.phi.items())},
+                    "pairing": sz.scalar_to_json(found.pairing(W))}
         return etb, {"is_etb": etb}, cert, "exact"
     if args.action == "extremal":
         ext = square_extremality(W)

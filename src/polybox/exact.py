@@ -34,7 +34,7 @@ Rational = type(_mpq(0))
 R0 = _mpq(0)
 R1 = _mpq(1)
 
-#: default tolerance for float-mode comparisons (qubit module, Choi floats).
+#: tolerance of every float-mode comparison (boxes, channels, qubit effects).
 TOL = 1e-9
 
 
@@ -82,8 +82,8 @@ def format_rat(q) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def approx_eq(a, b, tol=TOL) -> bool:
-    """Relative-absolute comparison |a−b| ≤ tol·(1+|a|+|b|)."""
+def approx_eq(a, b) -> bool:
+    """Relative-absolute comparison |a−b| ≤ TOL·(1+|a|+|b|)."""
     a = float(a)
     b = float(b)
-    return abs(a - b) <= tol * (1.0 + abs(a) + abs(b))
+    return abs(a - b) <= TOL * (1.0 + abs(a) + abs(b))

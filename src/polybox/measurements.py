@@ -64,14 +64,6 @@ class MeasurementCollection:
         """f^i_j(x) for any x in span V(K)."""
         return la.dot(self.effect(i, j), x)
 
-    def apply(self, x):
-        """F(x) as an ambient vector of the polysimplex."""
-        out = []
-        for i, l in enumerate(self.shape.shape):
-            for j in range(l + 1):
-                out.append(self.effect_value(i, j, x))
-        return tuple(out)
-
     def as_map_matrix(self):
         """Ambient matrix of F: V(K) → V(S), rows = canonical effects."""
         return la.mat([self.effect(i, j)

@@ -3,28 +3,17 @@ multi-outcome box devices.
 
 Ambient coordinates concatenate the (l_i+1)-dimensional simplex blocks,
 so the coordinate projections m^i_j are literally coordinate reads; the
-canonical dual bases provide the minimal chart.
+chart at the top vertex (1_S and the m^i_j with j < l_i, against the
+top vertex and the edges e^i_j) is the minimal one.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg as la
 from .exact import R0, R1, rat
 from .spaces import StateSpace
-
-
-@dataclass(frozen=True)
-class DualBases:
-    """Biorthogonal bases of A(S) and V(S) anchored at a vertex: the
-    effect basis is (1_S, m^i_j for j ≠ base_i), the vector basis is
-    (s_base, e^i_j for j ≠ base_i), with ⟨f_p, x_q⟩ = δ_pq."""
-    base: tuple
-    effects: tuple
-    vectors: tuple
-    labels: tuple
 
 
 class PolySimplex:
@@ -58,11 +47,10 @@ class PolySimplex:
     def outcome_list(self):
         return list(self.outcomes())
 
-    def _check_index(self, i, j, allow_top=True):
+    def _check_index(self, i, j):
         if not 0 <= i <= self.k:
             raise IndexError(f"input index {i} out of range")
-        hi = self.shape[i] if allow_top else self.shape[i] - 1
-        if not 0 <= j <= hi:
+        if not 0 <= j <= self.shape[i]:
             raise IndexError(f"outcome index {j} out of range for input {i}")
 
     def vertex(self, n):
@@ -117,46 +105,6 @@ class PolySimplex:
         computed once per shape."""
         return polysimplex_space(self.shape)
 
-    def dual_bases(self, base=None) -> DualBases:
-        if base is None:
-            base = self.top
-        base = tuple(base)
-        effects = [self.unit()]
-        vectors = [self.vertex(base)]
-        labels = [("unit", None, None)]
-        for i, l in enumerate(self.shape):
-            for j in range(l + 1):
-                if j == base[i]:
-                    continue
-                idx = list(base)
-                idx[i] = j
-                effects.append(self.m(i, j))
-                vectors.append(la.vec_sub(self.vertex(idx), self.vertex(base)))
-                labels.append(("pair", i, j))
-        return DualBases(base, tuple(effects), tuple(vectors), tuple(labels))
-
-    def j_map(self):
-        """The affine surjection J: Δ_L → S, δ_{n_0,…,n_k} ↦ s_{n_0,…,n_k}.
-        Returns (matrix, outcome order); column t is the vertex for
-        outcome order[t]."""
-        order = self.outcome_list()
-        cols = [self.vertex(n) for n in order]
-        matrix = la.transpose(la.mat(cols))
-        return matrix, order
-
-    def flip_automorphism(self):
-        """U(s_{n_0,…,n_k}) = s_{1−n_0,…,1−n_k} on hypercubes, as an
-        ambient matrix (per-block coordinate swap)."""
-        if any(l != 1 for l in self.shape):
-            raise ValueError("flip automorphism is defined on hypercubes only")
-        d = self.ambient_dim
-        u = [[R0] * d for _ in range(d)]
-        for i in range(self.k + 1):
-            o = self._offset[i]
-            u[o][o + 1] = R1
-            u[o + 1][o] = R1
-        return la.mat(u)
-
 
 def _default_label(shape):
     if all(l == 1 for l in shape):
@@ -190,13 +138,3 @@ def hypercube_space(m) -> StateSpace:
     if m < 1:
         raise ValueError("hypercube needs at least one input")
     return polysimplex_space((1,) * m)
-
-
-def map_trace(matrix, shape: PolySimplex):
-    """Trace of a linear map V(S) → V(S) restricted to span V(S),
-    Tr T = Σ_i ⟨f_i, T x_i⟩ over any dual basis pair."""
-    db = shape.dual_bases()
-    total = R0
-    for f, x in zip(db.effects, db.vectors):
-        total += la.dot(f, la.mat_vec(matrix, x))
-    return total

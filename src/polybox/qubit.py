@@ -1,9 +1,10 @@
 """Qubit backend: pairs of two-outcome measurements on the quantum
 state space of C², joint measurability by the closed-form coexistence
 criterion of Yu, Liu, Li & Oh (Busch's in the unbiased case) with a
-verified joint effect, the incompatibility degree as the root of that
-criterion along the smearing, and the extremal witness family whose
-optimum certifies the 1−1/√2 maximum.
+verified joint effect, the incompatibility degree at the barycenter
+s̄ = (½, ½) as the root of that criterion along the smearing towards
+I/2, and the extremal witness family whose optimum at s̄ certifies the
+1−1/√2 maximum.
 
 Everything here is float mode. Two-outcome measurements are stored by
 their first effect; Hermitian 2×2 matrices are handled in the Pauli
@@ -47,18 +48,16 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _WITNESS_GRID = 16
 _R_MAX = 1.0 - 2e-8
 #: witness_q's local search stops when its step falls below this. The
-#: round count is only a termination guard: on seeded `random_effect`
-#: pairs the search took at most 1,150 rounds at the barycenter (2,000
-#: pairs) and 13,365 at four other s (4,000 pairs), where it can creep
-#: towards a point with h(A+B−I) = 0
+#: round count is only a termination guard: on 2,000 seeded
+#: `random_effect` pairs the search took at most 1,150 rounds
 _WITNESS_STEP_STOP = 1e-12
 _WITNESS_ROUND_GUARD = 100_000
 #: radius at which the Bloch-vector search starts after a polar search
 #: that ended at r = 0
 _BLOCH_START = 1e-3
 #: agreement required of witness_q's closed form with the matrix route,
-#: and of qubit_id's primal value with its dual bound at the barycenter,
-#: where the witness family is tight
+#: and of qubit_id's primal value with its dual bound: the witness family
+#: is tight at the barycenter
 _CROSS_CHECK_TOL = 1e-9
 #: slack of the incompatibility bound at the Tsirelson box
 _BOUND_TOL = 1e-6
@@ -67,13 +66,13 @@ _BOUND_TOL = 1e-6
 class QubitEffect:
     """αI + a·σ with 0 ≤ effect ≤ I, i.e. ‖a‖ ≤ min(α, 1−α)."""
 
-    def __init__(self, alpha, bloch, tol=1e-9):
+    def __init__(self, alpha, bloch):
         self.alpha = float(alpha)
         self.bloch = np.asarray(bloch, dtype=float)
         if self.bloch.shape != (3,):
             raise ValueError("bloch part must be a 3-vector")
         r = float(np.linalg.norm(self.bloch))
-        if r > min(self.alpha, 1.0 - self.alpha) + tol:
+        if r > min(self.alpha, 1.0 - self.alpha) + TOL:
             raise ValueError("not an effect: need ‖a‖ ≤ min(α, 1−α)")
 
     @classmethod
@@ -94,12 +93,9 @@ class QubitEffect:
             m = m + c * s
         return m
 
-    def complement(self) -> "QubitEffect":
-        return QubitEffect(1.0 - self.alpha, -self.bloch)
-
-    def smear(self, lam, c) -> "QubitEffect":
-        """(1−λ)·effect + λ·c·I."""
-        return QubitEffect((1.0 - lam) * self.alpha + lam * c,
+    def smear(self, lam) -> "QubitEffect":
+        """(1−λ)·effect + λ·I/2."""
+        return QubitEffect((1.0 - lam) * self.alpha + lam * 0.5,
                            (1.0 - lam) * self.bloch)
 
     def __repr__(self):
@@ -235,26 +231,19 @@ def _pair_terms(A: QubitEffect, B: QubitEffect):
             (A.alpha - B.alpha, (A.bloch - B.bloch).tolist()))
 
 
-def _value(pair, s, r, n):
+def _value(pair, r, n):
     """The witness value at one point (r, n̂) on plain floats, with its
     Bloch axes u, v. With h₁ = h(A+B−I) and h₂ = h(A−B), Tr FW = 1 +
     h₁·u + h₂·v is least at u = −ĥ₁, v = −ĥ₂, where it is 1 − ‖h₁‖ −
-    ‖h₂‖. Off the barycenter (s not None) it is divided by τ = Tr W(s)
-    = 1 + r n̂·((p+q−1)u + (p−q)v), which makes W(s) a state. W(s) is a
-    positive combination of the four vertex images, so for interior s
-    it never leaves the cone. `_grid_values` is the same evaluator on
-    arrays."""
+    ‖h₂‖. W(s̄) = ρ is a state for every point. `_grid_values` is the
+    same evaluator on arrays."""
     c, d = _sqrt_rho_terms(r)
     h1, h2 = (_h(c, d, n, e0, e) for e0, e in pair)
     n1 = math.sqrt(h1[0] * h1[0] + h1[1] * h1[1] + h1[2] * h1[2])
     n2 = math.sqrt(h2[0] * h2[0] + h2[1] * h2[1] + h2[2] * h2[2])
     u = (-h1[0] / n1, -h1[1] / n1, -h1[2] / n1) if n1 > 1e-15 else (0.0, 0.0, 1.0)
     v = (-h2[0] / n2, -h2[1] / n2, -h2[2] / n2) if n2 > 1e-15 else (1.0, 0.0, 0.0)
-    val = 1.0 - n1 - n2
-    if s is not None:
-        x = [(s[0] + s[1] - 1.0) * u[i] + (s[0] - s[1]) * v[i] for i in range(3)]
-        val /= 1.0 + r * (n[0] * x[0] + n[1] * x[1] + n[2] * x[2])
-    return val, u, v
+    return 1.0 - n1 - n2, u, v
 
 
 def _witness_grid():
@@ -273,7 +262,7 @@ def _witness_grid():
 _GRID_DIRECTIONS, _GRID_RADII = _witness_grid()
 
 
-def _grid_values(pair, s):
+def _grid_values(pair):
     """`_value` on the whole grid as one batch: an array of values,
     directions × radii."""
     n = _GRID_DIRECTIONS.T[:, :, None]
@@ -281,14 +270,7 @@ def _grid_values(pair, s):
     h1, h2 = (np.array(_h(c, d, n, e0, e)) for e0, e in pair)
     n1 = np.sqrt(h1[0] * h1[0] + h1[1] * h1[1] + h1[2] * h1[2])
     n2 = np.sqrt(h2[0] * h2[0] + h2[1] * h2[1] + h2[2] * h2[2])
-    val = 1.0 - n1 - n2
-    if s is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(n1 > 1e-15, -h1 / n1, np.reshape((0.0, 0.0, 1.0), (3, 1, 1)))
-            v = np.where(n2 > 1e-15, -h2 / n2, np.reshape((1.0, 0.0, 0.0), (3, 1, 1)))
-        x = (s[0] + s[1] - 1.0) * u + (s[0] - s[1]) * v
-        val /= 1.0 + _GRID_RADII * (n[0] * x[0] + n[1] * x[1] + n[2] * x[2])
-    return val
+    return 1.0 - n1 - n2
 
 
 @dataclass
@@ -316,12 +298,12 @@ class QubitWitnessParams:
         return {(0, 0): sandwich(self.u, +1.0), (1, 1): sandwich(self.u, -1.0),
                 (0, 1): sandwich(self.v, +1.0), (1, 0): sandwich(self.v, -1.0)}
 
-    def check(self, tol=1e-9):
+    def check(self):
         w = self.vertex_images()
         rho2 = 2.0 * self.rho()
         for pair in (((0, 0), (1, 1)), ((0, 1), (1, 0))):
             s = w[pair[0]] + w[pair[1]]
-            if np.max(np.abs(s - rho2)) > tol:
+            if np.max(np.abs(s - rho2)) > TOL:
                 raise AssertionError("vertex images do not sum to 2ρ")
         return True
 
@@ -347,10 +329,6 @@ class QubitWitnessReport:
     id_lower_bound: float
 
 
-def _is_barycenter(p, q):
-    return abs(p - 0.5) < 1e-15 and abs(q - 0.5) < 1e-15
-
-
 def _polar(x, n):
     """(r, n̂) of the Bloch vector x; n̂ = n at x = 0, where it has no
     effect."""
@@ -358,7 +336,7 @@ def _polar(x, n):
     return r, ((x[0] / r, x[1] / r, x[2] / r) if r > 0.0 else n)
 
 
-def _bloch_search(pair, s, n, at_center):
+def _bloch_search(pair, n, at_center):
     """witness_q's local search continued in the Bloch vector x = r·n̂ of
     ρ, from x = _BLOCH_START·n̂: each round moves each coordinate of x by
     ∓step (moves that leave the ball r ≤ _R_MAX refused), and the step
@@ -369,11 +347,11 @@ def _bloch_search(pair, s, n, at_center):
     its value `at_center`; then (as for every sharp pair, whose optimum
     is ρ = I/2) there is no search and the result is None. Else returns
     (value triple, r, n̂)."""
-    if all(_value(pair, s, _BLOCH_START, tuple(sign * (a == b) for b in range(3)))[0]
+    if all(_value(pair, _BLOCH_START, tuple(sign * (a == b) for b in range(3)))[0]
            >= at_center - 1e-15 for a in range(3) for sign in (1.0, -1.0)):
         return None
     x = [_BLOCH_START * c for c in n]
-    best = _value(pair, s, *_polar(x, n))
+    best = _value(pair, *_polar(x, n))
     step = _R_MAX / _WITNESS_GRID
     for _ in range(_WITNESS_ROUND_GUARD):
         improved = False
@@ -384,7 +362,7 @@ def _bloch_search(pair, s, n, at_center):
                 rr, nd = _polar(xd, n)
                 if rr > _R_MAX:
                     continue
-                cand = _value(pair, s, rr, nd)
+                cand = _value(pair, rr, nd)
                 if cand[0] < best[0] - 1e-15:
                     best, x, improved = cand, xd, True
         if not improved:
@@ -395,37 +373,32 @@ def _bloch_search(pair, s, n, at_center):
                          f"in {_WITNESS_ROUND_GUARD} rounds")
 
 
-def witness_q(A: QubitEffect, B: QubitEffect,
-              s=(0.5, 0.5)) -> QubitWitnessReport:
-    """Minimize Tr FW over the extremal family (ρ, basis axes) with
-    W(s) a state. Every point is evaluated in closed Pauli form
-    (`_value`): the whole grid of _WITNESS_GRID radii times
+def witness_q(A: QubitEffect, B: QubitEffect) -> QubitWitnessReport:
+    """Minimize Tr FW over the extremal family (ρ, basis axes), whose
+    image W(s̄) = ρ of the barycenter is a state. Every point is
+    evaluated in closed Pauli form (`_value`): the whole grid of
+    _WITNESS_GRID radii times
     _WITNESS_GRID² + 2 directions as one numpy batch, then a local
     search in ρ on plain floats from the grid's best point, whose step
     halves whenever no move improves, down to _WITNESS_STEP_STOP (a
     search still running after _WITNESS_ROUND_GUARD rounds raises
     AssertionError). When that search ends at r = 0, where n̂ has no
     effect, `_bloch_search` continues it and the lower value is kept.
-    The result is re-checked by the matrix route:
-    `trace_pairing_qubit` on the returned parameters, divided by τ =
-    Tr W(s), must give q̂ within _CROSS_CHECK_TOL. Returns q̂ ≥ q_s(F), an upper bound on the
-    true minimum, hence −q̂/(1−q̂) lower-bounds the incompatibility
-    degree."""
-    p_s, q_s = float(s[0]), float(s[1])
-    if not (0.0 < p_s < 1.0 and 0.0 < q_s < 1.0):
-        raise ValueError("s must be interior: coordinates in (0,1)")
-    s_off = None if _is_barycenter(p_s, q_s) else (p_s, q_s)
+    The result is re-checked by the matrix route: `params.check()`, and
+    `trace_pairing_qubit` on the returned parameters must give q̂ within
+    _CROSS_CHECK_TOL. Returns q̂ ≥ q_s̄(F), an upper bound on the true
+    minimum, hence −q̂/(1−q̂) lower-bounds the incompatibility degree."""
     pair = _pair_terms(A, B)
-    grid = _grid_values(pair, s_off)
+    grid = _grid_values(pair)
     i_dir, i_r = np.unravel_index(np.argmin(grid), grid.shape)
     r, n = float(_GRID_RADII[i_r]), tuple(_GRID_DIRECTIONS[i_dir].tolist())
-    best = _value(pair, s_off, r, n)
+    best = _value(pair, r, n)
     step = _R_MAX / _WITNESS_GRID
     for _ in range(_WITNESS_ROUND_GUARD):
         improved = False
         for dr in (-step, step):
             rr = min(max(r + dr, 0.0), _R_MAX)
-            cand = _value(pair, s_off, rr, n)
+            cand = _value(pair, rr, n)
             if cand[0] < best[0] - 1e-15:
                 best, r, improved = cand, rr, True
         for axis in range(3):
@@ -434,7 +407,7 @@ def witness_q(A: QubitEffect, B: QubitEffect,
                 nd[axis] += dd
                 norm = math.sqrt(nd[0] * nd[0] + nd[1] * nd[1] + nd[2] * nd[2])
                 nd = (nd[0] / norm, nd[1] / norm, nd[2] / norm)
-                cand = _value(pair, s_off, r, nd)
+                cand = _value(pair, r, nd)
                 if cand[0] < best[0] - 1e-15:
                     best, n, improved = cand, nd, True
         if not improved:
@@ -445,24 +418,20 @@ def witness_q(A: QubitEffect, B: QubitEffect,
         raise AssertionError("witness_q's local search did not converge "
                              f"in {_WITNESS_ROUND_GUARD} rounds")
     if r == 0.0:
-        cand = _bloch_search(pair, s_off, n, best[0])
+        cand = _bloch_search(pair, n, best[0])
         if cand is not None and cand[0][0] < best[0]:
             best, r, n = cand
     val, u, v = best
     params = QubitWitnessParams(r, n, u, v)
     params.check()
-    w = params.vertex_images()
-    tau = np.trace(p_s * q_s * w[(0, 0)] + p_s * (1 - q_s) * w[(0, 1)]
-                   + (1 - p_s) * q_s * w[(1, 0)]
-                   + (1 - p_s) * (1 - q_s) * w[(1, 1)]).real
-    if abs(trace_pairing_qubit(A, B, params) / tau - val) > _CROSS_CHECK_TOL:
+    if abs(trace_pairing_qubit(A, B, params) - val) > _CROSS_CHECK_TOL:
         raise AssertionError("closed-form witness value disagrees with the "
                              "matrix trace pairing")
     bound = -val / (1.0 - val) if val < 0.0 else 0.0
     return QubitWitnessReport(float(val), params, float(bound))
 
 
-def holder_check(params: QubitWitnessParams, tol=1e-9):
+def holder_check(params: QubitWitnessParams):
     """½‖W(e⁰₀)‖₁ ≤ c and ½‖W(e¹₀)‖₁ ≤ d with c = √(1−|⟨x₀₁|x₁₁⟩|²),
     d = √(1−|⟨x₁₀|x₁₁⟩|²) and c² + d² = 1."""
     w = params.vertex_images()
@@ -471,7 +440,7 @@ def holder_check(params: QubitWitnessParams, tol=1e-9):
     # overlap of Bloch-axis pure states: |⟨m|n⟩|² = (1 + m̂·n̂)/2
     c = math.sqrt(1.0 - (1.0 + float(np.dot(v, -u))) / 2.0)
     d = math.sqrt(1.0 - (1.0 + float(np.dot(-v, -u))) / 2.0)
-    if abs(c * c + d * d - 1.0) > tol:
+    if abs(c * c + d * d - 1.0) > TOL:
         raise AssertionError("c² + d² must equal 1")
 
     def tnorm(m):
@@ -481,7 +450,7 @@ def holder_check(params: QubitWitnessParams, tol=1e-9):
 
     e00 = w[(0, 1)] - w[(1, 1)]
     e10 = w[(1, 0)] - w[(1, 1)]
-    if 0.5 * tnorm(e00) > c + tol or 0.5 * tnorm(e10) > d + tol:
+    if 0.5 * tnorm(e00) > c + TOL or 0.5 * tnorm(e10) > d + TOL:
         raise AssertionError("Hölder step violated")
     return c, d
 
@@ -495,35 +464,28 @@ class QubitIdReport:
     iterations: int
 
 
-def qubit_id(A: QubitEffect, B: QubitEffect, s=(0.5, 0.5)) -> QubitIdReport:
-    """ID_s: the least λ at which the smeared pair ((1−λ)A + λ·s₀·I,
-    (1−λ)B + λ·s₁·I) is coexistent, bisected on `_coexistent` down to a
-    bracket of _SEARCH_WIDTH, together with the witness dual lower
-    bound. At the barycenter, where the witness family is tight, the two
-    must agree within _CROSS_CHECK_TOL; elsewhere the bound must not
-    exceed the value by more than 1e-6. A failed check raises
-    AssertionError."""
-    p, q = float(s[0]), float(s[1])
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        raise ValueError("s must be interior: coordinates in (0,1)")
-    wit = witness_q(A, B, (p, q))
+def qubit_id(A: QubitEffect, B: QubitEffect) -> QubitIdReport:
+    """ID_s̄ at the barycenter: the least λ at which the smeared pair
+    ((1−λ)A + λI/2, (1−λ)B + λI/2) is coexistent, bisected on
+    `_coexistent` down to a bracket of _SEARCH_WIDTH, together with the
+    witness dual lower bound. The witness family is tight at the
+    barycenter, so the two must agree within _CROSS_CHECK_TOL; a failed
+    check raises AssertionError."""
+    wit = witness_q(A, B)
     value, iters = 0.0, 0
     if not _coexistent(A, B):
         lo, hi = 0.0, 1.0
         while hi - lo > _SEARCH_WIDTH:
             mid = 0.5 * (lo + hi)
-            if _coexistent(A.smear(mid, p), B.smear(mid, q)):
+            if _coexistent(A.smear(mid), B.smear(mid)):
                 hi = mid
             else:
                 lo = mid
             iters += 1
         value = 0.5 * (lo + hi)
-    if _is_barycenter(p, q):
-        if abs(value - wit.id_lower_bound) > _CROSS_CHECK_TOL:
-            raise AssertionError("dual bound misses the primal bisection "
-                                 "value at the barycenter")
-    elif wit.id_lower_bound > value + 1e-6:
-        raise AssertionError("dual bound exceeds the primal bisection value")
+    if abs(value - wit.id_lower_bound) > _CROSS_CHECK_TOL:
+        raise AssertionError("dual bound misses the primal bisection "
+                             "value at the barycenter")
     return QubitIdReport(value, wit.q_hat, wit.id_lower_bound, wit.params, iters)
 
 
@@ -571,15 +533,12 @@ def max_entangled_state():
     return np.outer(psi, psi.conj())
 
 
-def tsirelson_box(effects_a=None, effects_b=None):
-    """Born box of the maximally entangled state; the default angles
-    (0, π/2 | −π/4, π/4) attain 𝔹 = 2√2."""
-    if effects_a is None:
-        effects_a = (QubitEffect.sharp_angle(0.0),
-                     QubitEffect.sharp_angle(math.pi / 2.0))
-    if effects_b is None:
-        effects_b = (QubitEffect.sharp_angle(-math.pi / 4.0),
-                     QubitEffect.sharp_angle(math.pi / 4.0))
+def tsirelson_box():
+    """Born box of the maximally entangled state at the angles
+    (0, π/2 | −π/4, π/4), which attain 𝔹 = 2√2."""
+    effects_a = (QubitEffect.sharp_angle(0.0), QubitEffect.sharp_angle(math.pi / 2.0))
+    effects_b = (QubitEffect.sharp_angle(-math.pi / 4.0),
+                 QubitEffect.sharp_angle(math.pi / 4.0))
     return born_box(effects_a, effects_b, max_entangled_state())
 
 

@@ -261,28 +261,14 @@ def span_inverse(m, space):
     return la.mat(out)
 
 
-# ----- cone membership and norms -----
+# ----- the base norm and the facet check -----
 
-def membership(space, psi) -> bool:
-    """psi ∈ K, decided by LP over convex combinations of vertices."""
-    psi = la.vec(psi)
-    if len(psi) != space.dim:
-        raise ValueError("dimension mismatch")
-    b = LpBuilder()
-    w = b.vars(len(space.vertices))
-    b.add_rows(la.transpose(space.vertices), vec_expr([(R1, w)]), "eq", psi)
-    b.add_eq({wi: R1 for wi in w}, R1)
-    return b.minimize({}).status == OPTIMAL
-
-
-def base_norm(space, psi, with_decomposition=False):
+def base_norm(space, psi):
     """inf{a+b : psi = a·x − b·y, x,y ∈ K} via the vertex LP."""
     psi = la.vec(psi)
     if len(psi) != space.dim:
         raise ValueError("dimension mismatch")
     if la.is_zero(psi):
-        if with_decomposition:
-            return R0, la.zeros(space.dim), la.zeros(space.dim)
         return R0
     if not space.in_span(psi):
         raise ValueError("psi outside span V(K)")
@@ -294,10 +280,7 @@ def base_norm(space, psi, with_decomposition=False):
     res = b.minimize({i: R1 for i in c + d})
     if res.status != OPTIMAL:
         raise ValueError("psi outside span V(K)")
-    if not with_decomposition:
-        return res.objective
-    return (res.objective, la.combine([res[i] for i in c], space.vertices),
-            la.combine([res[i] for i in d], space.vertices))
+    return res.objective
 
 
 def check_facets_generate(space: StateSpace):
@@ -391,9 +374,9 @@ def separable_decomposition(tensor, gens_left, gens_right):
     return {(a, c): res[v] for (a, c), v in lam.items()}
 
 
-def max_tensor_member(tensor, space_a, space_b, normalized=True) -> bool:
+def max_tensor_member(tensor, space_a, space_b) -> bool:
     """tensor ∈ K_A ⊗̂ K_B: lies in span⊗span, pairs nonnegatively with
-    all facet⊗facet generators, and (optionally) has unit pairing 1.
+    all facet⊗facet generators, and has unit pairing 1.
 
     Runs on the tensor's integer numerators M over one denominator D > 0
     (a dim_A × dim_B matrix, raising ValueError on another shape). M lies
@@ -416,9 +399,7 @@ def max_tensor_member(tensor, space_a, space_b, normalized=True) -> bool:
         gm = _icombine(g, M)
         if any(_idot(h, gm) < 0 for h in tb.facets):
             return False
-    if normalized:
-        return _idot(tb.unit, _icombine(ta.unit, M)) == D * ta.unit_den * tb.unit_den
-    return True
+    return _idot(tb.unit, _icombine(ta.unit, M)) == D * ta.unit_den * tb.unit_den
 
 
 def simplex_space(m) -> StateSpace:

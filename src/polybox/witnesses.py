@@ -15,7 +15,7 @@ from . import linalg as la
 from .exact import R0, R1, rat
 from .lp import OPTIMAL, LpBuilder, vec_expr
 from .measurements import MeasurementCollection, make_collection
-from .polysimplex import PolySimplex, map_trace
+from .polysimplex import PolySimplex
 from .spaces import StateSpace, base_norm, linear_map_from_vertex_images
 
 
@@ -133,16 +133,48 @@ class EtbDecomposition:
         return True
 
 
+@dataclass
+class EtbRefutation:
+    """Functionals φ_n, one per chart vertex n of S, with Σ_{n: n_i = j}
+    ⟨φ_n, x⟩ ≤ 0 at every vertex x of K for every (i, j), and with
+    `pairing(W)` = Σ_n ⟨φ_n, w_n⟩ > 0. No ETB decomposition exists then:
+    w_n = Σ_i ψ^i_{n_i} with every ψ^i_j in V(K)+, the cone of K's
+    vertices, would give Σ_n ⟨φ_n, w_n⟩ = Σ_{i,j} ⟨Σ_{n: n_i = j} φ_n,
+    ψ^i_j⟩ ≤ 0. `check` tests both in exact arithmetic."""
+    phi: dict
+
+    def pairing(self, W: WitnessMap):
+        return sum((la.dot(f, W.vertex_images[n]) for n, f in self.phi.items()), R0)
+
+    def check(self, W: WitnessMap):
+        for i, l in enumerate(W.shape.shape):
+            for j in range(l + 1):
+                tot = la.zeros(W.space.dim)
+                for n, f in self.phi.items():
+                    if n[i] == j:
+                        tot = la.vec_add(tot, f)
+                if any(la.dot(tot, x) > 0 for x in W.space.vertices):
+                    raise AssertionError(f"refutation is positive on K against ψ{(i, j)}")
+        pairing = self.pairing(W)
+        if not pairing > 0:
+            raise AssertionError(f"refutation pairs to {pairing} with the vertex images")
+        return True
+
+
 def _etb_lp(W: WitnessMap):
     """Solve w_n = Σ_i ψ^i_{n_i} with each ψ^i_j a nonnegative
-    combination of K's vertices; returns ψ by (i, j), or None.
+    combination of K's vertices; returns the EtbDecomposition ψ when the
+    LP is feasible, else the EtbRefutation read off its Farkas vector.
 
     Both sides are additive in the chart at the top vertex (the exchange
     equations), so the rows are written only at the chart vertices, top
     and top with one entry changed, and, every term lying in span V(K),
     only at the coordinates coord_idx(K): 9 on the square where the
-    images have 16 entries. `EtbDecomposition.check` re-checks every
-    vertex."""
+    images have 16 entries. A chart vertex's block of Farkas multipliers,
+    placed at coord_idx(K) and 0 elsewhere, is its functional φ_n: the
+    Farkas conditions on the columns of ψ^i_j and on the rhs are the
+    conditions of `EtbRefutation`. `check` re-checks every vertex of S,
+    or every vertex of K."""
     space = W.space
     shape = W.shape
     kc = space.coord_idx
@@ -151,51 +183,47 @@ def _etb_lp(W: WitnessMap):
             for i, l in enumerate(shape.shape) for j in range(l + 1)}
     m = la.transpose(space.vertices)
     m = [m[c] for c in kc]
-    for n in shape.outcomes():
-        if sum(ni != ti for ni, ti in zip(n, shape.top)) > 1:
-            continue
+    chart = [n for n in shape.outcomes()
+             if sum(ni != ti for ni, ti in zip(n, shape.top)) <= 1]
+    for n in chart:
         expr = vec_expr([(R1, beta[(i, ni)]) for i, ni in enumerate(n)])
         img = W.vertex_images[n]
         lp.add_rows(m, expr, "eq", [img[c] for c in kc])
     res = lp.minimize({})
-    if res.status != OPTIMAL:
-        return None
-    return {key: la.combine([res[c] for c in vs], space.vertices)
-            for key, vs in beta.items()}
+    if res.status == OPTIMAL:
+        return EtbDecomposition({key: la.combine([res[c] for c in vs], space.vertices)
+                                 for key, vs in beta.items()})
+    phi = {}
+    for t, n in enumerate(chart):
+        f = [R0] * space.dim
+        for c, y in zip(kc, res.farkas[t * len(kc):(t + 1) * len(kc)]):
+            f[c] = y
+        phi[n] = tuple(f)
+    return EtbRefutation(phi)
 
 
 def is_etb(W: WitnessMap):
-    """LP feasibility for the vertex-sum factorization; returns
-    (bool, EtbDecomposition | None)."""
-    psi = _etb_lp(W)
-    if psi is None:
-        return False, None
-    dec = EtbDecomposition(psi)
-    dec.check(W)
-    return True, dec
+    """One LP for the vertex-sum factorization; returns (True,
+    EtbDecomposition) or (False, EtbRefutation), checked either way."""
+    cert = _etb_lp(W)
+    cert.check(W)
+    return isinstance(cert, EtbDecomposition), cert
 
 
-def trace_pairing(F: MeasurementCollection, W: WitnessMap, base=None):
-    """Tr FW = Σ_i Σ_j ⟨f^i_j, w^i_j⟩ − k⟨1_K, w_base⟩ where w^i_j is the
-    image at `base` (default the top index) with entry i replaced by j;
-    the value is the same for every base (basis independence)."""
+def trace_pairing(F: MeasurementCollection, W: WitnessMap):
+    """Tr FW = Σ_i Σ_j ⟨f^i_j, w^i_j⟩ − k⟨1_K, w_top⟩ where w^i_j is the
+    image at the top index with entry i replaced by j: Tr(F∘W) over the
+    dual bases of the chart at the top vertex."""
     shape = W.shape
     if F.shape != shape:
         raise ValueError("collection and witness have different shapes")
-    base = shape.top if base is None else tuple(base)
     total = R0
     for i, l in enumerate(shape.shape):
         for j in range(l + 1):
-            idx = list(base)
+            idx = list(shape.top)
             idx[i] = j
             total += F.effect_value(i, j, W.vertex_images[tuple(idx)])
-    return total - shape.k * la.dot(F.space.unit, W.vertex_images[base])
-
-
-def map_trace_pairing(F: MeasurementCollection, W: WitnessMap):
-    """Tr(F∘W) summed over an explicit dual-basis pair of V(S)."""
-    m = la.mat_mul(F.as_map_matrix(), W.as_map_matrix())
-    return map_trace(m, W.shape)
+    return total - shape.k * la.dot(F.space.unit, W.top_image)
 
 
 @dataclass

@@ -1,10 +1,16 @@
 """Shared test inputs: the state spaces on which the integer membership
 tests and the tensor LPs on independent coordinates are compared with
-their ambient reference forms."""
+their ambient reference forms, and the builders and reference forms that
+several test modules use."""
 
+import numpy as np
 import pytest
 
+from polybox import linalg as la
 from polybox import serialize as sz
+from polybox.bell import Box, deterministic_box
+from polybox.channels import ChoiMatrix
+from polybox.exact import R0, rat
 from polybox.lp import LpBuilder
 
 #: a pentagon with vertices (0,0), (2,0), (3,2), (1,3), (−1,2) in ambient
@@ -52,3 +58,70 @@ def solved_rows(monkeypatch):
 
     monkeypatch.setattr(LpBuilder, "_solve", recording)
     return rows
+
+
+def dual_bases(shape, base=None):
+    """Biorthogonal bases of A(S) and V(S) anchored at the vertex `base`
+    (default the top): effects (1_S, m^i_j for j ≠ base_i) and vectors
+    (s_base, e^i_j = s_(base with j at i) − s_base), with ⟨f_p, x_q⟩ =
+    δ_pq."""
+    base = shape.top if base is None else tuple(base)
+    effects, vectors = [shape.unit()], [shape.vertex(base)]
+    for i, l in enumerate(shape.shape):
+        for j in range(l + 1):
+            if j != base[i]:
+                idx = base[:i] + (j,) + base[i + 1:]
+                effects.append(shape.m(i, j))
+                vectors.append(la.vec_sub(shape.vertex(idx), shape.vertex(base)))
+    return effects, vectors
+
+
+def map_trace(matrix, shape, base=None):
+    """Trace of a linear map V(S) → V(S) restricted to span V(S),
+    Tr T = Σ_p ⟨f_p, T x_p⟩ over the dual bases at `base`."""
+    effects, vectors = dual_bases(shape, base)
+    return sum((la.dot(f, la.mat_vec(matrix, x)) for f, x in zip(effects, vectors)), R0)
+
+
+def apply_collection(F, x):
+    """F(x) as an ambient vector of the polysimplex: f^i_j(x) in block
+    order."""
+    return tuple(F.effect_value(i, j, x)
+                 for i, l in enumerate(F.shape.shape) for j in range(l + 1))
+
+
+def box_from_tensor(shape_a, shape_b, tensor):
+    """The Box whose probabilities are the entries of an ambient matrix
+    over V(S_A) ⊗ V(S_B), read as `Box.tensor` writes them."""
+    probs = {(ia, ib, ja, jb): tensor[shape_a._offset[ia] + ja][shape_b._offset[ib] + jb]
+             for ia, la_ in enumerate(shape_a.shape) for ib, lb in enumerate(shape_b.shape)
+             for ja in range(la_ + 1) for jb in range(lb + 1)}
+    return Box(shape_a, shape_b, probs)
+
+
+def random_local_box(shape_a, shape_b, rng):
+    """A rational mixture of 2 to 5 deterministic product boxes: local by
+    construction, with the draws of `bell.random_ns_box` minus its PR
+    parts."""
+    parts = []
+    for _ in range(rng.randrange(2, 6)):
+        na = tuple(rng.randrange(0, l + 1) for l in shape_a.shape)
+        nb = tuple(rng.randrange(0, l + 1) for l in shape_b.shape)
+        parts.append(deterministic_box(shape_a, shape_b, na, nb).probs)
+    weights = [rat(rng.randrange(1, 10)) for _ in parts]
+    tot = sum(weights)
+    probs = {}
+    for w, part in zip(weights, parts):
+        for k, v in part.items():
+            probs[k] = probs.get(k, R0) + (w / tot) * v
+    return Box(shape_a, shape_b, probs)
+
+
+def unitary_choi(u):
+    """Choi matrix of σ ↦ UσU†, a dense (float-mode) ChoiMatrix."""
+    u = np.asarray(u, dtype=complex)
+    d = u.shape[0]
+    if u.shape != (d, d) or np.max(np.abs(u @ u.conj().T - np.eye(d))) > 1e-9:
+        raise ValueError("not a unitary matrix")
+    x = np.einsum("ji,kl->jikl", u, u.conj()).reshape(d * d, d * d)
+    return ChoiMatrix(d, d, dense=x)

@@ -18,6 +18,8 @@ from polybox.polysimplex import PolySimplex, square_space
 from polybox.steering import self_dual_state, square_self_dual_iso
 from polybox.witnesses import q_value
 
+from conftest import box_from_tensor, random_local_box
+
 P = PolySimplex((1, 1))
 
 
@@ -72,7 +74,7 @@ class TestBox:
     def test_tensor_round_trip(self):
         rng = random.Random(3)
         box = random_ns_box(P, P, rng)
-        back = Box.from_tensor(P, P, box.tensor())
+        back = box_from_tensor(P, P, box.tensor())
         assert back.probs == box.probs
 
     def test_box_from_pairs_effects(self):
@@ -110,7 +112,7 @@ class TestLocality:
     def test_mixtures_of_deterministic_are_local(self):
         rng = random.Random(5)
         for _ in range(5):
-            box = random_ns_box(P, P, rng, pr_weight=False)
+            box = random_local_box(P, P, rng)
             ok, model = is_local(box)
             assert ok
             assert model.check(box)
@@ -224,7 +226,7 @@ class TestBound:
         rng = random.Random(13)
         for _ in range(3):
             fa = incompatible_draw(rng)
-            con = square_equality_construction(fa, idx=(1, 0, 1))
+            con = square_equality_construction(fa)
             assert con.holds
             assert con.lhs == con.q / 2
 
@@ -280,7 +282,7 @@ class TestLocalityOnIndependentCoordinates:
         assert solved_rows == [9, 17, 9, 17]
 
 
-def deterministic_parts_random_ns_box(shape_a, shape_b, rng, pr_weight=True):
+def deterministic_parts_random_ns_box(shape_a, shape_b, rng):
     """random_ns_box with each deterministic part read off a validated
     deterministic_box."""
     parts = []
@@ -288,7 +290,7 @@ def deterministic_parts_random_ns_box(shape_a, shape_b, rng, pr_weight=True):
         na = tuple(rng.randrange(0, l + 1) for l in shape_a.shape)
         nb = tuple(rng.randrange(0, l + 1) for l in shape_b.shape)
         parts.append(deterministic_box(shape_a, shape_b, na, nb).probs)
-    if pr_weight and all(l == 1 for l in shape_a.shape + shape_b.shape):
+    if all(l == 1 for l in shape_a.shape + shape_b.shape):
         for _ in range(rng.randrange(0, 3)):
             ia_pair = tuple(sorted(rng.sample(range(shape_a.k + 1), 2)))
             ib_pair = tuple(sorted(rng.sample(range(shape_b.k + 1), 2)))

@@ -8,12 +8,19 @@ import pytest
 from polybox.bell import pr_box, random_ns_box
 from polybox.channels import (ChoiMatrix, StochasticMatrix, _bipartite_joint_matrix,
                               _check_local_decomposition, box_to_causal_channel,
-                              cc_channel, channel_projection,
-                              channel_space_max_incompatibility,
-                              point_from_stochastic, retraction_R, section_S,
-                              stochastic_from_point, unitary_choi)
+                              cc_channel, channel_space_max_incompatibility,
+                              retraction_R, section_S, stochastic_from_point)
 from polybox.exact import R0, R1, rat
 from polybox.polysimplex import PolySimplex
+
+from conftest import random_local_box, unitary_choi
+
+
+def tensor(a, b):
+    """The joint device of two stochastic matrices: input (i, i') and
+    output (j, j') flattened row-major."""
+    return StochasticMatrix([tuple(va * vb for va in ra for vb in rb)
+                             for ra in a.rows for rb in b.rows])
 
 
 def random_point(shape, rng):
@@ -48,7 +55,7 @@ class TestStochasticMatrix:
     def test_tensor(self):
         a = StochasticMatrix([(rat(1, 2), rat(1, 2)), (R1, R0)])
         b = StochasticMatrix([(rat(1, 3), rat(2, 3))])
-        t = a.tensor(b)
+        t = tensor(a, b)
         assert t.n_inputs == 2 and t.n_outputs == 4
         for i in range(2):
             for ja in range(2):
@@ -56,18 +63,19 @@ class TestStochasticMatrix:
                     assert t(ja * 2 + jb, i) == a(ja, i) * b(jb, 0)
 
     def test_point_round_trip(self):
+        # T(j|i) = m^i_j(s): the rows read the point back, block by block
         rng = random.Random(3)
         for shape in [PolySimplex((1, 1)), PolySimplex((2, 1))]:
             s = random_point(shape, rng)
             T = stochastic_from_point(shape, s)
-            assert point_from_stochastic(shape, T) == s
+            assert tuple(T(j, i) for i, l in enumerate(shape.shape)
+                         for j in range(l + 1)) == s
 
     def test_padding_must_vanish(self):
+        # the rows are padded to the longest block with zeros
         shape = PolySimplex((2, 1))
-        bad = StochasticMatrix([(rat(1, 3),) * 3,
-                                (rat(1, 3), rat(1, 3), rat(1, 3))])
-        with pytest.raises(ValueError):
-            point_from_stochastic(shape, bad)
+        T = stochastic_from_point(shape, random_point(shape, random.Random(4)))
+        assert T.n_outputs == 3 and T(2, 1) == R0
 
 
 class TestChoi:
@@ -124,10 +132,12 @@ class TestRetractionSection:
                 assert retraction_R(phi, shape) == s
 
     def test_projection_idempotent(self):
+        # P = S∘R projects a channel onto the c-c channel with its statistics
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         phi = unitary_choi(h)
-        p1 = channel_projection(phi)
-        p2 = channel_projection(p1)
+        shape = PolySimplex((1, 1))
+        p1 = section_S(shape, retraction_R(phi, shape))
+        p2 = section_S(shape, retraction_R(p1, shape))
         assert p1.diagonal is not None
         assert [float(v) for v in p1.diagonal] == \
             pytest.approx([float(v) for v in p2.diagonal])
@@ -143,7 +153,7 @@ class TestCausalChannel:
     def test_local_box_decomposes(self):
         rng = random.Random(7)
         P = PolySimplex((1, 1))
-        box = random_ns_box(P, P, rng, pr_weight=False)
+        box = random_local_box(P, P, rng)
         rep = box_to_causal_channel(box)
         assert rep.local_decomposition is not None
         assert sum(w for w, _ta, _tb in rep.local_decomposition) == R1
@@ -152,13 +162,12 @@ class TestCausalChannel:
         # the check sums only the single 1 of each product row; it must
         # agree with Σ w·(ta ⊗ tb) over every entry, and catch a wrong term
         rng = random.Random(11)
-        box = random_ns_box(PolySimplex((2, 1)), PolySimplex((1, 1, 1)), rng,
-                            pr_weight=False)
+        box = random_local_box(PolySimplex((2, 1)), PolySimplex((1, 1, 1)), rng)
         dec = box_to_causal_channel(box).local_decomposition
         T, _dims = _bipartite_joint_matrix(box)
         acc = [[R0] * T.n_outputs for _ in range(T.n_inputs)]
         for w, ta, tb in dec:
-            prod = ta.tensor(tb)
+            prod = tensor(ta, tb)
             for i in range(T.n_inputs):
                 for j in range(T.n_outputs):
                     acc[i][j] += w * prod(j, i)
@@ -188,11 +197,6 @@ class TestChannelSpace:
         assert rep.id_value == rat(1, 2)
         assert rep.certificate.maximal
         assert rep.section.is_retraction
-        T = StochasticMatrix([(rat(1, 4), rat(3, 4)), (rat(2, 3), rat(1, 3))])
-        phi = cc_channel(T)
-        assert rep.effect_value(phi, 0, 0) == rat(1, 4)
-        assert rep.effect_value(phi, 1, 1) == rat(1, 3)
-        assert rep.point(phi) == retraction_R(phi, rep.shape)
 
     def test_three_inputs(self):
         rep = channel_space_max_incompatibility(3, 2)

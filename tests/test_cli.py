@@ -10,7 +10,7 @@ import pytest
 
 from polybox import cli, steering, witnesses
 from polybox import serialize as sz
-from polybox.bell import Box, deterministic_box, pr_box
+from polybox.bell import deterministic_box, pr_box
 from polybox.channels import StochasticMatrix, cc_channel
 from polybox.exact import HAVE_GMPY2, R1, rat
 from polybox.measurements import coin_toss, identity_collection
@@ -18,6 +18,8 @@ from polybox.polysimplex import PolySimplex, square_space
 from polybox.steering import (assemblage_from, self_dual_state, square_self_dual_iso,
                               steering_degree_at)
 from polybox.witnesses import q_value
+
+from conftest import box_from_tensor
 
 SQ = PolySimplex((1, 1))
 
@@ -44,7 +46,7 @@ def files(tmp_path_factory):
     out["pr"] = put("pr.json", sz.box_to_json(pr_box()))
     out["det"] = put("det.json",
                      sz.box_to_json(deterministic_box(SQ, SQ, (0, 0), (0, 0))))
-    out["ybox"] = put("ybox.json", sz.box_to_json(Box.from_tensor(SQ, SQ, y)))
+    out["ybox"] = put("ybox.json", sz.box_to_json(box_from_tensor(SQ, SQ, y)))
     phi = cc_channel(StochasticMatrix([(rat(1, 4), rat(3, 4)), (R1, rat(0))]))
     out["channel"] = put("channel.json", sz.channel_to_json(phi))
     halves = sz.measurement_to_json(ident)
@@ -165,6 +167,20 @@ class TestWitness:
     def test_etb(self, capsys, files):
         code, rep, _ = run(capsys, "witness", "etb", "--witness", files["witness"])
         assert code == 1
+
+    def test_etb_refutation_from_one_lp(self, capsys, files, solved_rows):
+        # the refutation is read off the ETB LP's Farkas vector: no
+        # second solve for the report
+        code, rep, _ = run(capsys, "witness", "etb", "--witness", files["witness"])
+        assert code == 1 and len(solved_rows) == 1
+        cert = rep["certificate"]
+        assert set(cert) == {"refutation", "pairing"}
+        phi = {tuple(int(t) for t in k.split(",")): tuple(sz.scalar_from_json(v) for v in f)
+               for k, f in cert["refutation"].items()}
+        refutation = witnesses.EtbRefutation(phi)
+        with open(files["witness"]) as fh:
+            W = sz.witness_from_json(json.load(fh))
+        assert refutation.check(W) and refutation.pairing(W) == sz.scalar_from_json(cert["pairing"])
 
     def test_maximal(self, capsys, files):
         code, rep, _ = run(capsys, "witness", "maximal", "--meas", files["ident"])

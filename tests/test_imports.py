@@ -76,28 +76,24 @@ def test_detects_fractions_import():
 
 PERFBENCH = SRC.parents[1] / "perfbench"
 
-#: functions and methods that only tests call, kept until each one is
-#: wired into a named cross-check or deleted with its tests
-UNREAD_ALLOWED = {
-    ("bell.py", "Box.from_tensor"),
-    ("channels.py", "channel_projection"),
-    ("channels.py", "point_from_stochastic"),
-    ("channels.py", "unitary_choi"),
-    ("polysimplex.py", "PolySimplex.flip_automorphism"),
-    ("polysimplex.py", "PolySimplex.j_map"),
-    ("qubit.py", "QubitEffect.complement"),
-    ("spaces.py", "membership"),
-    ("witnesses.py", "map_trace_pairing"),
-}
+#: functions and methods that only tests call: none. A test that needs
+#: a reference form or an input builder keeps it in tests/.
+UNREAD_ALLOWED = set()
 
 
-def names_read(tree):
+def names_read(tree, skip=frozenset()):
     """Every name read as a `Name` load or as the attribute of a load,
     and every name a `getattr` call spells out: its literal second
     argument, or, for `getattr(x, "prefix" + ...)`, the prefix followed
-    by "*" (every name with that prefix is read)."""
+    by "*" (every name with that prefix is read). Nodes in `skip` are
+    not entered."""
     out = set()
-    for node in ast.walk(tree):
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node in skip:
+            continue
+        todo.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -127,42 +123,73 @@ def exported_names():
     return set()
 
 
+def definitions(tree):
+    """(name, node) for each module-level function, and ("Class.method",
+    node) for each method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unread_functions(modules, readers, exported):
     """(file name, name) for each module-level function of `modules` that
     no source in `readers` reads and `exported` does not list, and
     (file name, "Class.method") for each method of a module-level class
-    that no reader reads; dunder methods are called by Python itself."""
-    read = set()
-    for source in readers:
-        read |= names_read(ast.parse(source))
-    out = set()
-    for name, source in modules:
-        for node in ast.parse(source).body:
-            if isinstance(node, ast.FunctionDef) and not is_read(node.name, read) \
-                    and node.name not in exported:
-                out.add((name, node.name))
-            elif isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) \
-                            and not item.name.startswith("__") \
-                            and not is_read(item.name, read):
-                        out.add((name, f"{node.name}.{item.name}"))
-    return out
+    that no reader reads; dunder methods are called by Python itself.
+    Modules and readers are (file name, source) pairs. A read inside the
+    body of an unread function does not count: those bodies are dropped
+    from the readers and the scan repeats until nothing new turns up, so
+    a chain of helpers that only an unread function reaches is found
+    whole."""
+    trees = [(name, ast.parse(source)) for name, source in readers]
+    defs = [(name, qual, node) for name, source in modules
+            for qual, node in definitions(ast.parse(source))]
+    unread = set()
+    while True:
+        read = set()
+        for name, tree in trees:
+            read |= names_read(tree, {node for qual, node in definitions(tree)
+                                      if (name, qual) in unread})
+        found = {(name, qual) for name, qual, node in defs
+                 if not is_read(node.name, read)
+                 and (node.name not in exported if qual == node.name
+                      else not node.name.startswith("__"))}
+        if found == unread:
+            return unread
+        unread = found
 
 
 def test_every_function_is_read_or_exported():
     sources = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
     assert len(sources) > len(MODULES)
     unread = unread_functions([(p.name, p.read_text()) for p in MODULES],
-                              [p.read_text() for p in sources], exported_names())
+                              [(p.name, p.read_text()) for p in sources], exported_names())
     assert unread == UNREAD_ALLOWED
 
 
 def test_detects_unread_function():
     module = "def used():\n    pass\n\ndef unused():\n    pass\n\ndef public():\n    pass\n"
     reader = "import m\nm.used()\n"
-    assert unread_functions([("m.py", module)], [module, reader], {"public"}) == \
-        {("m.py", "unused")}
+    assert unread_functions([("m.py", module)], [("m.py", module), ("r.py", reader)],
+                            {"public"}) == {("m.py", "unused")}
+
+
+def test_detects_unread_chain():
+    # unused → link → end, and A.unused → A.link: each link is read only
+    # from the body of an unread function; `kept` is read from `used`
+    module = ("def used():\n    return kept()\n\ndef kept():\n    pass\n"
+              "def unused():\n    return link()\n\ndef link():\n    return end()\n"
+              "def end():\n    pass\n"
+              "class A:\n    def unused(self):\n        return self.link()\n"
+              "    def link(self):\n        pass\n")
+    reader = "import m\nm.used()\nm.A()\n"
+    assert unread_functions([("m.py", module)], [("m.py", module), ("r.py", reader)],
+                            set()) == {("m.py", "unused"), ("m.py", "link"), ("m.py", "end"),
+                                       ("m.py", "A.unused"), ("m.py", "A.link")}
 
 
 def test_detects_unread_method():
@@ -174,8 +201,8 @@ def test_detects_unread_method():
               "    def run(self, kind):\n        return getattr(self, 'add_' + kind)\n"
               "    def named(self):\n        pass\n")
     reader = "import m\nm.A().run('eq')\ngetattr(m.A(), 'named')\n"
-    assert unread_functions([("m.py", module)], [module, reader], {"A"}) == \
-        {("m.py", "A.unused")}
+    assert unread_functions([("m.py", module)], [("m.py", module), ("r.py", reader)],
+                            {"A"}) == {("m.py", "A.unused")}
 
 
 #: parameters a handler must take for its shared call signature

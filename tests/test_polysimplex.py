@@ -1,11 +1,13 @@
-"""Products of simplices: coordinates, dual bases, J map, flip."""
+"""Products of simplices: coordinates, state spaces, and the dual bases
+of the tests' map-trace reference."""
 
 import pytest
 
 from polybox import linalg as la
 from polybox.exact import R0, R1, rat
-from polybox.polysimplex import (PolySimplex, hypercube_space, map_trace,
-                                 polysimplex_space, square_space)
+from polybox.polysimplex import PolySimplex, hypercube_space, polysimplex_space, square_space
+
+from conftest import dual_bases, map_trace
 
 SHAPES = [(1, 1), (2,), (2, 1), (1, 1, 1)]
 
@@ -107,19 +109,19 @@ class TestDualBases:
     def test_biorthogonal(self):
         for shape in SHAPES:
             s = PolySimplex(shape)
-            db = s.dual_bases()
-            assert len(db.effects) == s.dim + 1
-            for p, f in enumerate(db.effects):
-                for q, x in enumerate(db.vectors):
+            effects, vectors = dual_bases(s)
+            assert len(effects) == s.dim + 1
+            for p, f in enumerate(effects):
+                for q, x in enumerate(vectors):
                     want = R1 if p == q else R0
                     assert la.dot(f, x) == want
 
     def test_other_base_point(self):
         s = PolySimplex((1, 1))
-        db = s.dual_bases(base=(0, 0))
-        assert db.vectors[0] == s.vertex((0, 0))
-        for p, f in enumerate(db.effects):
-            for q, x in enumerate(db.vectors):
+        effects, vectors = dual_bases(s, base=(0, 0))
+        assert vectors[0] == s.vertex((0, 0))
+        for p, f in enumerate(effects):
+            for q, x in enumerate(vectors):
                 assert la.dot(f, x) == (R1 if p == q else R0)
 
     def test_map_trace_of_identity(self):
@@ -129,28 +131,3 @@ class TestDualBases:
             eye = la.identity(s.ambient_dim)
             assert map_trace(eye, s) == s.dim + 1
 
-
-class TestJMap:
-    def test_columns_are_vertices(self):
-        s = PolySimplex((2, 1))
-        matrix, order = s.j_map()
-        assert len(order) == len(s.outcome_list())
-        for t, n in enumerate(order):
-            delta = [R0] * len(order)
-            delta[t] = R1
-            assert la.mat_vec(matrix, delta) == s.vertex(n)
-
-
-class TestFlip:
-    def test_hypercube_only(self):
-        with pytest.raises(ValueError):
-            PolySimplex((2, 1)).flip_automorphism()
-
-    def test_swaps_outcomes(self):
-        for shape in [(1, 1), (1, 1, 1)]:
-            s = PolySimplex(shape)
-            u = s.flip_automorphism()
-            assert la.mat_mul(u, u) == la.identity(s.ambient_dim)
-            for n in s.outcomes():
-                flipped = tuple(1 - ni for ni in n)
-                assert la.mat_vec(u, s.vertex(n)) == s.vertex(flipped)

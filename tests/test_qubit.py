@@ -101,15 +101,11 @@ class TestQubitEffect:
         assert np.allclose(m @ m, m)
         assert abs(np.trace(m) - 1.0) < 1e-12
 
-    def test_complement(self):
-        e = QubitEffect(0.3, (0.1, 0.1, 0.2))
-        assert np.allclose(e.matrix() + e.complement().matrix(), np.eye(2))
-
     def test_smear(self):
         e = QubitEffect.sharp((0, 0, 1))
-        lam, c = 0.25, 0.5
-        want = (1 - lam) * e.matrix() + lam * c * np.eye(2)
-        assert np.allclose(e.smear(lam, c).matrix(), want)
+        lam = 0.25
+        want = (1 - lam) * e.matrix() + lam * 0.5 * np.eye(2)
+        assert np.allclose(e.smear(lam).matrix(), want)
 
 
 class TestFeasibility:
@@ -133,11 +129,11 @@ class TestFeasibility:
         for margin in (0.02, 1e-6):
             lam_over = QUBIT_MAX_ID + margin
             lam_under = QUBIT_MAX_ID - margin
-            over = a.smear(lam_over, 0.5), b.smear(lam_over, 0.5)
+            over = a.smear(lam_over), b.smear(lam_over)
             ok, g = joint_povm_feasible(*over)
             assert ok
             assert is_joint_effect(g, *over)
-            ok, _ = joint_povm_feasible(a.smear(lam_under, 0.5), b.smear(lam_under, 0.5))
+            ok, _ = joint_povm_feasible(a.smear(lam_under), b.smear(lam_under))
             assert not ok
 
     def test_regression_pair_compatible(self):
@@ -230,11 +226,6 @@ class TestWitness:
         assert rep.q_hat >= -1e-9
         assert rep.id_lower_bound == 0.0
 
-    def test_interior_s_required(self):
-        a, b = mub_pair()
-        with pytest.raises(ValueError):
-            witness_q(a, b, s=(1.0, 0.5))
-
 
 class TestWitnessEvaluator:
     """The closed Pauli form of witness_q's evaluator against the matrix
@@ -268,12 +259,11 @@ class TestWitnessEvaluator:
                     got = qubit._h(c, d, n, e0, e)
                     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("s", [None, (0.25, 0.35)], ids=["barycenter", "s"])
-    def test_grid_batch_matches_pointwise(self, s):
+    def test_grid_batch_matches_pointwise(self):
         for a, b in self.PAIRS:
             pair = qubit._pair_terms(a, b)
-            batch = qubit._grid_values(pair, s)
-            points = np.array([[qubit._value(pair, s, float(r), tuple(n))[0]
+            batch = qubit._grid_values(pair)
+            points = np.array([[qubit._value(pair, float(r), tuple(n))[0]
                                 for r in qubit._GRID_RADII]
                                for n in qubit._GRID_DIRECTIONS.tolist()])
             assert batch.shape == points.shape == (qubit._WITNESS_GRID ** 2 + 2,
@@ -282,25 +272,21 @@ class TestWitnessEvaluator:
             assert abs(batch.min() - points.min()) <= 1e-15
             assert abs(points.flat[np.argmin(batch)] - points.min()) <= 1e-15
 
-    @pytest.mark.parametrize("s", [(0.5, 0.5), (0.25, 0.35)])
-    def test_value_matches_matrix_route(self, s):
-        p, q = s
+    def test_value_matches_matrix_route(self):
         rng = random.Random(43)
         for a, b in self.PAIRS:
             pair = qubit._pair_terms(a, b)
             for r in (0.0, 0.5, 0.95, qubit._R_MAX):
                 for n in self.directions(rng, 3):
-                    val, u, v = qubit._value(pair, None if s == (0.5, 0.5) else s, r, n)
+                    val, u, v = qubit._value(pair, r, n)
                     params = QubitWitnessParams(r, n, u, v)
                     w = params.vertex_images()
-                    ws = (p * q * w[(0, 0)] + p * (1 - q) * w[(0, 1)]
-                          + (1 - p) * q * w[(1, 0)] + (1 - p) * (1 - q) * w[(1, 1)])
-                    # W(s) is a positive combination of PSD vertex images:
-                    # it stays in the cone, even at r = r_max
+                    # W(s̄), the mean of the PSD vertex images, is a state,
+                    # even at r = r_max
+                    ws = 0.25 * (w[(0, 0)] + w[(0, 1)] + w[(1, 0)] + w[(1, 1)])
                     assert np.linalg.eigvalsh(ws).min() >= -1e-12
-                    tau = np.trace(ws).real
-                    want = trace_pairing_qubit(a, b, params) / tau
-                    assert abs(val - want) <= 1e-12
+                    assert abs(np.trace(ws).real - 1.0) <= 1e-12
+                    assert abs(val - trace_pairing_qubit(a, b, params)) <= 1e-12
 
     def test_round_guard_raises(self, monkeypatch):
         monkeypatch.setattr(qubit, "_WITNESS_ROUND_GUARD", 5)
@@ -321,7 +307,7 @@ class TestPolarStall:
 
     @pytest.mark.parametrize("pair, q_hat", STALL_PAIRS, ids=STALL_IDS)
     def test_polar_search_alone_stalls(self, pair, q_hat, monkeypatch):
-        def no_bloch_search(pair, s, n, at_center):
+        def no_bloch_search(pair, n, at_center):
             return None
 
         monkeypatch.setattr(qubit, "_bloch_search", no_bloch_search)
@@ -342,7 +328,7 @@ class TestPolarStall:
             rep = witness_q(a, b)
             assert rep.params.r == 0.0
             pair = qubit._pair_terms(a, b)
-            assert qubit._bloch_search(pair, None, rep.params.direction, rep.q_hat) is None
+            assert qubit._bloch_search(pair, rep.params.direction, rep.q_hat) is None
 
 
 class TestIdDegree:
@@ -367,11 +353,6 @@ class TestIdDegree:
             rep = qubit_id(a, b)
             assert rep.value <= QUBIT_MAX_ID + 1e-6
             assert rep.dual_bound <= rep.value + 1e-6
-
-    def test_interior_s_required(self):
-        a, b = mub_pair()
-        with pytest.raises(ValueError):
-            qubit_id(a, b, s=(0.5, 0.0))
 
 
 class TestQubitBell:

@@ -10,10 +10,8 @@ from polybox.lp import OPTIMAL, LpBuilder, vec_expr
 from polybox.polysimplex import hypercube_space, polysimplex_space, square_space
 from polybox.serialize import builtin_space
 from polybox.spaces import (StateSpace, base_norm, check_facets_generate, chi,
-                            linear_map_from_vertex_images,
-                            max_tensor_member, membership,
-                            separable_decomposition, simplex_space,
-                            span_inverse)
+                            linear_map_from_vertex_images, max_tensor_member,
+                            separable_decomposition, simplex_space, span_inverse)
 
 SPACES = [simplex_space(2), square_space(), polysimplex_space((2, 1))]
 
@@ -28,6 +26,16 @@ def random_state(space, rng):
     for wi, v in zip(w, space.vertices):
         out = la.vec_add(out, la.vec_scale(wi / tot, v))
     return tuple(out)
+
+
+def membership(space, psi):
+    """The vertex-LP reference form of `is_state`: psi is a convex
+    combination of K's vertices."""
+    b = LpBuilder()
+    w = b.vars(len(space.vertices))
+    b.add_rows(la.transpose(space.vertices), vec_expr([(R1, w)]), "eq", la.vec(psi))
+    b.add_eq({wi: R1 for wi in w}, R1)
+    return b.minimize({}).status == OPTIMAL
 
 
 def random_span_vector(space, rng):
@@ -179,21 +187,15 @@ class TestBaseNorm:
                 assert base_norm(space, random_state(space, rng)) == 1
 
     def test_duality_with_effects(self):
-        # ||psi|| == max over effects e of |<2e - 1, psi>|; the effect LP
-        # route is max_effect_value(psi) + max_effect_value(-psi) - <1,psi>
-        # ... simplest dual check: norm >= |<2e-1, psi>| for facet mixes,
-        # and the decomposition certifies the value from above.
+        # the dual form of the norm: sup_e <e,psi> - inf_e <e,psi> over
+        # effects e in [0,1], each side one effect LP
         rng = random.Random(3)
         for space in SPACES:
             for _ in range(35):
                 psi = random_span_vector(space, rng)
-                val, pos, neg = base_norm(space, psi, with_decomposition=True)
-                assert la.vec_sub(pos, neg) == la.vec(psi)
-                assert space.in_cone(pos) and space.in_cone(neg)
-                assert la.dot(space.unit, pos) + la.dot(space.unit, neg) == val
+                val = base_norm(space, psi)
                 hi = max_effect_value(space, psi)
                 lo = max_effect_value(space, la.vec_scale(-1, psi))
-                # dual form: sup_e <e,psi> - inf_e <e,psi> with e in [0,1]
                 assert hi + lo == val
 
     def test_rejects_off_span(self):
@@ -258,7 +260,8 @@ class TestTensors:
         x = sq.vertices[0]
         t = la.outer(la.vec_scale(2, x), x)
         assert not max_tensor_member(t, sq, sq)
-        assert max_tensor_member(t, sq, sq, normalized=False)
+        # the unit pairing alone fails: the unscaled product is a member
+        assert max_tensor_member(la.outer(x, x), sq, sq)
 
     def test_separable_decomposition_reconstructs(self):
         rng = random.Random(7)
@@ -308,7 +311,7 @@ def expand_is_state(space, psi):
     return expand_in_cone(space, psi) and la.dot(space.unit, psi) == 1
 
 
-def projector_max_tensor_member(tensor, space_a, space_b, normalized=True):
+def projector_max_tensor_member(tensor, space_a, space_b):
     """The projector form: P_A m P_Bᵀ == m, then every facet pair and the
     unit pairing in rationals."""
     m = la.mat(tensor)
@@ -319,7 +322,7 @@ def projector_max_tensor_member(tensor, space_a, space_b, normalized=True):
         gm = la.mat_vec(la.transpose(m), g)
         if any(la.dot(gm, h) < 0 for h in space_b.facets):
             return False
-    return not normalized or la.dot(space_a.unit, la.mat_vec(m, space_b.unit)) == 1
+    return la.dot(space_a.unit, la.mat_vec(m, space_b.unit)) == 1
 
 
 def membership_probes(space, rng):
@@ -426,11 +429,10 @@ class TestIntegerTensorMembership:
         seen = set()
         for sb in (state_space, square_space()):
             for t in tensor_probes(state_space, sb, rng):
-                for normalized in (True, False):
-                    got = max_tensor_member(t, state_space, sb, normalized)
-                    assert got == projector_max_tensor_member(t, state_space, sb, normalized)
-                    seen.add((normalized, got))
-        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+                got = max_tensor_member(t, state_space, sb)
+                assert got == projector_max_tensor_member(t, state_space, sb)
+                seen.add(got)
+        assert seen == {True, False}
 
     def test_entangled_states(self):
         from polybox.bell import pr_box, random_ns_box
@@ -446,9 +448,7 @@ class TestIntegerTensorMembership:
         bad = la.mat([[2 * v - rat(1, 4) for v in row] for row in pr_box().tensor()])
         tensors.append(bad)
         for t in tensors:
-            for normalized in (True, False):
-                assert max_tensor_member(t, sq, sq, normalized) == \
-                    projector_max_tensor_member(t, sq, sq, normalized)
+            assert max_tensor_member(t, sq, sq) == projector_max_tensor_member(t, sq, sq)
         assert max_tensor_member(y, sq, sq) and not max_tensor_member(bad, sq, sq)
         p = sq.span_projector
         assert la.mat_mul(p, la.mat_mul(bad, p)) == bad

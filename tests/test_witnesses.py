@@ -14,15 +14,14 @@ from polybox.measurements import (MeasurementCollection, coin_toss, identity_col
                                   is_compatible, random_collection)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
 from polybox.spaces import simplex_space
-from polybox.witnesses import (EtbDecomposition, WitnessValidationError, _etb_lp,
-                               _min_trace_witness, is_etb, is_witness, make_witness_map,
-                               map_trace_pairing,
-                               maximal_incompatibility_certificate, q_value,
-                               random_witness_map, retraction_check,
+from polybox.witnesses import (EtbDecomposition, EtbRefutation, WitnessValidationError,
+                               _etb_lp, _min_trace_witness, is_etb, is_witness,
+                               make_witness_map, maximal_incompatibility_certificate,
+                               q_value, random_witness_map, retraction_check,
                                square_extremality, trace_pairing,
                                two_outcome_witness_criterion)
 
-from conftest import pentagon_json
+from conftest import apply_collection, map_trace, pentagon_json
 
 SQ = PolySimplex((1, 1))
 SPACES = [simplex_space(2), square_space(), polysimplex_space((2, 1))]
@@ -40,6 +39,13 @@ def square_etb_map():
            for i in range(2) for j in range(2)}
     images = {n: tuple(la.vec_add(psi[(0, n[0])], psi[(1, n[1])])) for n in SQ.outcomes()}
     return make_witness_map(SQ, sp, images)
+
+
+def map_trace_pairing(F, W, base=None):
+    """The reference form of `trace_pairing`: Tr(F∘W) of the composed
+    ambient matrices, summed over the dual bases of S at `base`."""
+    m = la.mat_mul(F.as_map_matrix(), W.as_map_matrix())
+    return map_trace(m, W.shape, base)
 
 
 def square_witness():
@@ -153,20 +159,18 @@ class TestTracePairing:
         W = square_witness()
         with pytest.raises(ValueError):
             trace_pairing(F, W)
-        cube = identity_collection(PolySimplex((1, 1, 1)))
-        for base in SQ.outcomes():
-            with pytest.raises(ValueError):
-                trace_pairing(cube, W, base=base)
+        with pytest.raises(ValueError):
+            trace_pairing(identity_collection(PolySimplex((1, 1, 1))), W)
 
     def test_base_independence(self):
+        # the chart sum at the top vertex is Tr(F∘W) over any dual bases
         rng = random.Random(9)
         for sp in SPACES:
             F = random_collection(sp, (1, 1), rng)
             W = random_witness_map(SQ, sp, rng)
             ref = trace_pairing(F, W)
             for base in SQ.outcomes():
-                assert trace_pairing(F, W, base=base) == ref
-            assert map_trace_pairing(F, W) == ref
+                assert map_trace_pairing(F, W, base) == ref
 
     def test_linearity_in_the_witness(self):
         rng = random.Random(13)
@@ -304,7 +308,7 @@ class TestRetraction:
         rep = retraction_check(F)
         assert rep.is_retraction
         for n in SQ.outcomes():
-            assert F.apply(rep.section_images[n]) == SQ.vertex(n)
+            assert apply_collection(F, rep.section_images[n]) == SQ.vertex(n)
         # S'∘F is idempotent on the span of K
         p = rep.projection
         for v in F.space.vertices:
@@ -437,7 +441,7 @@ class TestPerInputWitnessLp:
         ret = retraction_check(F)
         assert ret.is_retraction
         for n in shape.outcomes():
-            assert F.apply(ret.section_images[n]) == shape.vertex(n)
+            assert apply_collection(F, ret.section_images[n]) == shape.vertex(n)
 
 
 def ambient_etb_lp(W, translate):
@@ -499,9 +503,11 @@ class TestEtbLpOnChartVertices:
         rng = random.Random(str((state_space.label, shape)))
         seen = set()
         for W in etb_probes(P, state_space, rng):
-            ok, dec = is_etb(W)
+            ok, cert = is_etb(W)
             assert ok == (ambient_etb_lp(W, False).status == OPTIMAL)
-            assert ok == (dec is not None)
+            # is_etb checked the certificate: a refutation on every
+            # (False, ·) probe
+            assert isinstance(cert, EtbDecomposition if ok else EtbRefutation)
             shifts = not is_witness(W).is_witness
             assert shifts == (ambient_etb_lp(W, True).status == OPTIMAL)
             seen.add((ok, shifts))
@@ -515,6 +521,32 @@ class TestEtbLpOnChartVertices:
         ambient_etb_lp(W, False)
         ambient_etb_lp(W, True)
         assert solved_rows == [9, 16, 17]
+
+
+class TestEtbRefutation:
+    """A map that does not factor gets the functionals φ_n of the ETB
+    LP's Farkas vector, one per chart vertex, checked in the call."""
+
+    def test_one_solve(self, solved_rows):
+        W = square_witness()
+        del solved_rows[:]
+        ok, ref = is_etb(W)
+        assert not ok and len(solved_rows) == 1
+        assert set(ref.phi) == {(1, 1), (0, 1), (1, 0)}
+        assert ref.pairing(W) > 0 and ref.check(W)
+
+    @pytest.mark.parametrize("doctor", ["one entry", "negate"])
+    def test_doctored_refutation_raises(self, doctor):
+        W = square_witness()
+        _ok, ref = is_etb(W)
+        phi = dict(ref.phi)
+        if doctor == "negate":
+            phi = {n: la.vec_scale(-R1, f) for n, f in phi.items()}
+        else:
+            n, f = next(iter(phi.items()))
+            phi[n] = (f[0] + 1,) + f[1:]
+        with pytest.raises(AssertionError, match="refutation"):
+            EtbRefutation(phi).check(W)
 
 
 def etb_map():
