@@ -22,7 +22,7 @@ from .exact import rat
 from .measurements import (from_functionals, id_degree_at,
                            identity_collection, random_collection)
 from .polysimplex import PolySimplex, polysimplex_space, square_space
-from .qubit import mub_pair, qubit_id, random_effect, tsirelson_box
+from .qubit import QUBIT_MAX_ID, mub_pair, qubit_id, random_effect, tsirelson_box
 from .spaces import chi, separable_decomposition
 from .steering import (assemblage_from, is_separable, self_dual_state,
                        square_self_dual_iso, steering_degree_at)
@@ -30,8 +30,6 @@ from .witnesses import (EtbDecomposition, is_etb, is_witness, q_value,
                         random_witness_map, retraction_check, trace_pairing,
                         two_outcome_witness_criterion)
 from . import linalg as la
-
-QUBIT_MAX = 1.0 - 1.0 / math.sqrt(2.0)
 
 
 @dataclass
@@ -120,16 +118,16 @@ def _row_hypercubes(rng):
 def _row_qubit_max(rng):
     A, B = mub_pair()
     rep = qubit_id(A, B)
-    ok = abs(rep.value - QUBIT_MAX) <= 1e-6
+    ok = abs(rep.value - QUBIT_MAX_ID) <= 1e-6
     ok = ok and abs(rep.q_hat - (1.0 - math.sqrt(2.0))) <= 1e-6
-    ok = ok and abs(rep.dual_bound - QUBIT_MAX) <= 1e-6
+    ok = ok and abs(rep.dual_bound - QUBIT_MAX_ID) <= 1e-6
     worst = 0.0
     for t in range(200):
         sharp = t % 2 == 0
         r2 = qubit_id(random_effect(rng, sharp=sharp),
                       random_effect(rng, sharp=sharp))
         worst = max(worst, r2.value)
-        if r2.value > QUBIT_MAX + 1e-6:
+        if r2.value > QUBIT_MAX_ID + 1e-6:
             ok = False
     detail = (f"MUB ID = {rep.value:.9f} (dual {rep.dual_bound:.9f}), "
               f"largest random ID = {worst:.9f}")

@@ -11,12 +11,12 @@ their first effect; Hermitian 2×2 matrices are handled in the Pauli
 parametrization (t, x, y, z) ↦ t·I + x·σx + y·σy + z·σz, whose
 eigenvalues t ± ‖(x,y,z)‖ are closed-form.
 
-The witness family is evaluated in the same closed form: with
-ρ^{1/2} = cI + d n̂·σ, the vector h(E)_a = Tr[E ρ^{1/2} σ_a ρ^{1/2}]
-is 2[(c²−d²)e + 2cd·e₀n̂ + 2d²(n̂·e)n̂] for E = e₀I + e·σ. witness_q
-evaluates its whole grid as one numpy batch, refines the best grid
-point by a local search on plain floats until the step falls below
-_WITNESS_STEP_STOP, and re-checks the result by 2×2 matrix products.
+The witness is read off the joint effect at the root of that criterion
+by complementary slackness, in closed form and with no search
+(`witness_q` has the derivation). The family is evaluated in closed
+Pauli form as well: with ρ^{1/2} = cI + d n̂·σ, the vector
+h(E)_a = Tr[E ρ^{1/2} σ_a ρ^{1/2}] is 2[(c²−d²)e + 2cd·e₀n̂ + 2d²(n̂·e)n̂]
+for E = e₀I + e·σ; the result is re-checked by 2×2 matrix products.
 """
 from __future__ import annotations
 
@@ -43,21 +43,9 @@ _COEXIST_GUARD = 1e-12
 #: bisection in qubit_id
 _SEARCH_WIDTH = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: witness_q's grid: _WITNESS_GRID radii in [0, _R_MAX] times
-#: _WITNESS_GRID² + 2 directions
-_WITNESS_GRID = 16
-_R_MAX = 1.0 - 2e-8
-#: witness_q's local search stops when its step falls below this. The
-#: round count is only a termination guard: on 2,000 seeded
-#: `random_effect` pairs the search took at most 1,150 rounds
-_WITNESS_STEP_STOP = 1e-12
-_WITNESS_ROUND_GUARD = 100_000
-#: radius at which the Bloch-vector search starts after a polar search
-#: that ended at r = 0
-_BLOCH_START = 1e-3
-#: agreement required of witness_q's closed form with the matrix route,
-#: and of qubit_id's primal value with its dual bound: the witness family
-#: is tight at the barycenter
+#: agreement required of the witness's closed form with the matrix
+#: route, and of qubit_id's primal value with its dual bound: the
+#: witness family is tight at the barycenter
 _CROSS_CHECK_TOL = 1e-9
 #: slack of the incompatibility bound at the Tsirelson box
 _BOUND_TOL = 1e-6
@@ -95,8 +83,7 @@ class QubitEffect:
 
     def smear(self, lam) -> "QubitEffect":
         """(1−λ)·effect + λ·I/2."""
-        return QubitEffect((1.0 - lam) * self.alpha + lam * 0.5,
-                           (1.0 - lam) * self.bloch)
+        return QubitEffect(*_smeared(self, lam))
 
     def __repr__(self):
         return f"QubitEffect(α={self.alpha:.6g}, a={tuple(self.bloch)})"
@@ -127,14 +114,19 @@ def _focal(x, m):
     return f, (min(x * x / (f * f), 1.0) if f > 0.0 else 0.0)
 
 
-def _coexistent(A: QubitEffect, B: QubitEffect) -> bool:
-    """Joint measurability of (A, I−A) and (B, I−B) in closed form (Yu,
-    Liu, Li & Oh, PRA 81 062116 (2010); Busch, PRD 33 2253 (1986) in
-    the unbiased case). With A = ½[(1+x)I + m·σ], B = ½[(1+y)I + n·σ]:
-    coexistent iff (1 − F_x² − F_y²)(1 − x²/F_x² − y²/F_y²) ≤
-    (m·n − xy)²."""
-    x, m = 2.0 * A.alpha - 1.0, 2.0 * A.bloch
-    y, n = 2.0 * B.alpha - 1.0, 2.0 * B.bloch
+def _smeared(E: QubitEffect, lam):
+    """(α, a) of (1−λ)E + λI/2, unvalidated."""
+    return (1.0 - lam) * E.alpha + lam * 0.5, (1.0 - lam) * E.bloch
+
+
+def _coexistent(alpha, a, beta, b) -> bool:
+    """Joint measurability of (A, I−A) and (B, I−B), A = αI + a·σ and
+    B = βI + b·σ, in closed form (Yu, Liu, Li & Oh, PRA 81 062116
+    (2010); Busch, PRD 33 2253 (1986) in the unbiased case). With
+    A = ½[(1+x)I + m·σ], B = ½[(1+y)I + n·σ]: coexistent iff
+    (1 − F_x² − F_y²)(1 − x²/F_x² − y²/F_y²) ≤ (m·n − xy)²."""
+    x, m = 2.0 * alpha - 1.0, 2.0 * a
+    y, n = 2.0 * beta - 1.0, 2.0 * b
     fx, rx = _focal(x, m)
     fy, ry = _focal(y, n)
     lhs = (1.0 - fx * fx - fy * fy) * (1.0 - rx - ry)
@@ -168,7 +160,7 @@ def joint_povm_feasible(A: QubitEffect, B: QubitEffect):
     golden-section searches maximize the width in that plane, and g₀ is
     the window's midpoint there. G, A−G, B−G and I−A−B+G are re-verified
     by their smallest eigenvalues; a failed check raises AssertionError."""
-    if not _coexistent(A, B):
+    if not _coexistent(A.alpha, A.bloch, B.alpha, B.bloch):
         return False, None
     alpha, beta = A.alpha, B.alpha
     basis = np.linalg.svd(np.column_stack([A.bloch, B.bloch]))[0][:, :2]
@@ -200,7 +192,7 @@ def joint_povm_feasible(A: QubitEffect, B: QubitEffect):
 
 def _sqrt_rho_terms(r):
     """c, d of ρ^{1/2} = cI + d n̂·σ for ρ = ½(I + r n̂·σ):
-    c, d = ½(√((1+r)/2) ± √((1−r)/2)). r is a float or an array."""
+    c, d = ½(√((1+r)/2) ± √((1−r)/2))."""
     hi = ((1.0 + r) / 2.0) ** 0.5
     lo = ((1.0 - r) / 2.0) ** 0.5
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -216,8 +208,7 @@ def _sqrt_rho(r, direction):
 def _h(c, d, n, e0, e):
     """h(E)_a = Tr[E ρ^{1/2} σ_a ρ^{1/2}] for E = e₀I + e·σ, in closed
     form: h(E) = 2[(c²−d²)e + 2cd·e₀n̂ + 2d²(n̂·e)n̂], as three
-    components. c, d and the components of n̂ are floats, or arrays
-    that broadcast."""
+    components."""
     k = c * c - d * d
     a = 2.0 * c * d * e0 + 2.0 * d * d * (n[0] * e[0] + n[1] * e[1]
                                           + n[2] * e[2])
@@ -235,8 +226,7 @@ def _value(pair, r, n):
     """The witness value at one point (r, n̂) on plain floats, with its
     Bloch axes u, v. With h₁ = h(A+B−I) and h₂ = h(A−B), Tr FW = 1 +
     h₁·u + h₂·v is least at u = −ĥ₁, v = −ĥ₂, where it is 1 − ‖h₁‖ −
-    ‖h₂‖. W(s̄) = ρ is a state for every point. `_grid_values` is the
-    same evaluator on arrays."""
+    ‖h₂‖. W(s̄) = ρ is a state for every point."""
     c, d = _sqrt_rho_terms(r)
     h1, h2 = (_h(c, d, n, e0, e) for e0, e in pair)
     n1 = math.sqrt(h1[0] * h1[0] + h1[1] * h1[1] + h1[2] * h1[2])
@@ -244,33 +234,6 @@ def _value(pair, r, n):
     u = (-h1[0] / n1, -h1[1] / n1, -h1[2] / n1) if n1 > 1e-15 else (0.0, 0.0, 1.0)
     v = (-h2[0] / n2, -h2[1] / n2, -h2[2] / n2) if n2 > 1e-15 else (1.0, 0.0, 0.0)
     return 1.0 - n1 - n2, u, v
-
-
-def _witness_grid():
-    """witness_q's grid: _WITNESS_GRID² directions, θ-major, then the two
-    poles, as an (N, 3) array, and _WITNESS_GRID radii in [0, _R_MAX]."""
-    i = np.arange(_WITNESS_GRID)
-    th = np.pi * (i + 0.5) / _WITNESS_GRID
-    ph = 2.0 * np.pi * i / _WITNESS_GRID
-    dirs = np.stack([np.outer(np.sin(th), np.cos(ph)),
-                     np.outer(np.sin(th), np.sin(ph)),
-                     np.outer(np.cos(th), np.ones(_WITNESS_GRID))], axis=-1)
-    dirs = np.concatenate([dirs.reshape(-1, 3), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
-    return dirs, _R_MAX * i / (_WITNESS_GRID - 1)
-
-
-_GRID_DIRECTIONS, _GRID_RADII = _witness_grid()
-
-
-def _grid_values(pair):
-    """`_value` on the whole grid as one batch: an array of values,
-    directions × radii."""
-    n = _GRID_DIRECTIONS.T[:, :, None]
-    c, d = _sqrt_rho_terms(_GRID_RADII)
-    h1, h2 = (np.array(_h(c, d, n, e0, e)) for e0, e in pair)
-    n1 = np.sqrt(h1[0] * h1[0] + h1[1] * h1[1] + h1[2] * h1[2])
-    n2 = np.sqrt(h2[0] * h2[0] + h2[1] * h2[1] + h2[2] * h2[2])
-    return 1.0 - n1 - n2
 
 
 @dataclass
@@ -329,99 +292,90 @@ class QubitWitnessReport:
     id_lower_bound: float
 
 
-def _polar(x, n):
-    """(r, n̂) of the Bloch vector x; n̂ = n at x = 0, where it has no
-    effect."""
-    r = math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
-    return r, ((x[0] / r, x[1] / r, x[2] / r) if r > 0.0 else n)
+def _bisect(A: QubitEffect, B: QubitEffect):
+    """(value, hi, iterations) of ID_s̄: the least λ at which the smeared
+    pair ((1−λ)A + λI/2, (1−λ)B + λI/2) is coexistent, bisected on
+    `_coexistent` down to a bracket of _SEARCH_WIDTH. value is the
+    bracket's midpoint and hi its coexistent end; a compatible pair
+    gives (0.0, None, 0)."""
+    if _coexistent(A.alpha, A.bloch, B.alpha, B.bloch):
+        return 0.0, None, 0
+    lo, hi, iters = 0.0, 1.0, 0
+    while hi - lo > _SEARCH_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if _coexistent(*_smeared(A, mid), *_smeared(B, mid)):
+            hi = mid
+        else:
+            lo = mid
+        iters += 1
+    return 0.5 * (lo + hi), hi, iters
 
 
-def _bloch_search(pair, n, at_center):
-    """witness_q's local search continued in the Bloch vector x = r·n̂ of
-    ρ, from x = _BLOCH_START·n̂: each round moves each coordinate of x by
-    ∓step (moves that leave the ball r ≤ _R_MAX refused), and the step
-    halves as in witness_q. Near r = 0, where n̂ hardly matters, (r, n̂)
-    is badly conditioned and the polar search can stop at r = 0 itself;
-    in x every direction stays reachable. The value is smooth in x, so
-    r = 0 is a local minimum when no point ±_BLOCH_START·e_a is below
-    its value `at_center`; then (as for every sharp pair, whose optimum
-    is ρ = I/2) there is no search and the result is None. Else returns
-    (value triple, r, n̂)."""
-    if all(_value(pair, _BLOCH_START, tuple(sign * (a == b) for b in range(3)))[0]
-           >= at_center - 1e-15 for a in range(3) for sign in (1.0, -1.0)):
-        return None
-    x = [_BLOCH_START * c for c in n]
-    best = _value(pair, *_polar(x, n))
-    step = _R_MAX / _WITNESS_GRID
-    for _ in range(_WITNESS_ROUND_GUARD):
-        improved = False
-        for axis in range(3):
-            for dd in (-step, step):
-                xd = list(x)
-                xd[axis] += dd
-                rr, nd = _polar(xd, n)
-                if rr > _R_MAX:
-                    continue
-                cand = _value(pair, rr, nd)
-                if cand[0] < best[0] - 1e-15:
-                    best, x, improved = cand, xd, True
-        if not improved:
-            step *= 0.5
-            if step < _WITNESS_STEP_STOP:
-                return (best, *_polar(x, n))
-    raise AssertionError("witness_q's Bloch-vector search did not converge "
-                         f"in {_WITNESS_ROUND_GUARD} rounds")
+def _critical_elements(A: QubitEffect, B: QubitEffect):
+    """Pauli terms (t, p) of G, A′−G, B′−G and I−A′−B′+G, the POVM
+    elements of vertices (0,0), (0,1), (1,0) and (1,1), for the joint
+    effect G = g₀I + g·σ of a pair A′ = αI + a·σ, B′ = βI + b·σ on the
+    boundary of coexistence, where all four are singular: g₀ = a·b +
+    ½(α² + β² − (1−α−β)²), a·g = ½(|a|² − α² + 2αg₀) and
+    b·g = ½(|b|² − β² + 2βg₀) (derived in `witness_q`), with g in the
+    span of a and b from its 2×2 Gram system. Each element's smallest
+    eigenvalue t − ‖p‖ is re-verified; one below −TOL raises
+    AssertionError."""
+    alpha, a, beta, b = A.alpha, A.bloch, B.alpha, B.bloch
+    aa, ab, bb = float(np.dot(a, a)), float(np.dot(a, b)), float(np.dot(b, b))
+    g0 = ab + 0.5 * (alpha * alpha + beta * beta - (1.0 - alpha - beta) ** 2)
+    ag = 0.5 * (aa - alpha * alpha + 2.0 * alpha * g0)
+    bg = 0.5 * (bb - beta * beta + 2.0 * beta * g0)
+    g = ((ag * bb - bg * ab) * a + (bg * aa - ag * ab) * b) / (aa * bb - ab * ab)
+    elements = ((g0, g), (alpha - g0, a - g), (beta - g0, b - g),
+                (1.0 - alpha - beta + g0, g - a - b))
+    if min(t - np.linalg.norm(p) for t, p in elements) < -TOL:
+        raise AssertionError("the critical joint effect is not a joint "
+                             "effect of the pair at the bisection's end")
+    return elements
 
 
-def witness_q(A: QubitEffect, B: QubitEffect) -> QubitWitnessReport:
-    """Minimize Tr FW over the extremal family (ρ, basis axes), whose
-    image W(s̄) = ρ of the barycenter is a state. Every point is
-    evaluated in closed Pauli form (`_value`): the whole grid of
-    _WITNESS_GRID radii times
-    _WITNESS_GRID² + 2 directions as one numpy batch, then a local
-    search in ρ on plain floats from the grid's best point, whose step
-    halves whenever no move improves, down to _WITNESS_STEP_STOP (a
-    search still running after _WITNESS_ROUND_GUARD rounds raises
-    AssertionError). When that search ends at r = 0, where n̂ has no
-    effect, `_bloch_search` continues it and the lower value is kept.
-    The result is re-checked by the matrix route: `params.check()`, and
-    `trace_pairing_qubit` on the returned parameters must give q̂ within
-    _CROSS_CHECK_TOL. Returns q̂ ≥ q_s̄(F), an upper bound on the true
-    minimum, hence −q̂/(1−q̂) lower-bounds the incompatibility degree."""
+def _kernel_weights(elements):
+    """(c, axes): vertex images w_n = c_n·½(I − p̂_n·σ) on the kernels of
+    the four POVM elements (t_n, p_n) of `_critical_elements`, p̂_n in
+    `axes`. c is the null vector of the affine condition
+    c₀₀P₀₀ + c₁₁P₁₁ − c₀₁P₀₁ − c₁₀P₁₀ = 0 in Pauli components, scaled to
+    Σ c_n = 4, so that Tr W(s̄) = ¼ Σ c_n = 1. A weight that is not
+    positive raises AssertionError."""
+    axes = [p / np.linalg.norm(p) for _, p in elements]
+    rows = [(sign, *(-sign * k)) for sign, k in zip((1.0, -1.0, -1.0, 1.0), axes)]
+    c = np.linalg.svd(np.array(rows).T)[2][-1]
+    if c.sum() < 0.0:
+        c = -c
+    if not c.min() > 0.0:
+        raise AssertionError("the kernels of the critical joint effect "
+                             "admit no witness with positive weights")
+    return 4.0 * c / c.sum(), axes
+
+
+def _witness(A: QubitEffect, B: QubitEffect, hi) -> QubitWitnessReport:
+    """The witness family at ρ = W(s̄) of the complementary-slackness
+    witness of the pair smeared to `hi`, the coexistent end of the
+    bisection: ρ = (c₀₀P₀₀ + c₁₁P₁₁)/(c₀₀ + c₁₁) from
+    `_kernel_weights`, with the axes u, v that `_value` picks there. A
+    compatible pair (hi None) takes ρ = I/2, and its value must not be
+    negative, since every witness pairs non-negatively with a compatible
+    pair. The result is re-checked by the matrix route:
+    `params.check()`, and `trace_pairing_qubit` on the returned
+    parameters must give q̂ within _CROSS_CHECK_TOL; a failed check
+    raises AssertionError."""
+    r, n = 0.0, (0.0, 0.0, 1.0)
+    if hi is not None:
+        c, axes = _kernel_weights(_critical_elements(A.smear(hi), B.smear(hi)))
+        x = -(c[0] * axes[0] + c[3] * axes[3]) / (c[0] + c[3])
+        r = float(np.linalg.norm(x))
+        if r > 0.0:
+            n = tuple((x / r).tolist())
     pair = _pair_terms(A, B)
-    grid = _grid_values(pair)
-    i_dir, i_r = np.unravel_index(np.argmin(grid), grid.shape)
-    r, n = float(_GRID_RADII[i_r]), tuple(_GRID_DIRECTIONS[i_dir].tolist())
-    best = _value(pair, r, n)
-    step = _R_MAX / _WITNESS_GRID
-    for _ in range(_WITNESS_ROUND_GUARD):
-        improved = False
-        for dr in (-step, step):
-            rr = min(max(r + dr, 0.0), _R_MAX)
-            cand = _value(pair, rr, n)
-            if cand[0] < best[0] - 1e-15:
-                best, r, improved = cand, rr, True
-        for axis in range(3):
-            for dd in (-step, step):
-                nd = list(n)
-                nd[axis] += dd
-                norm = math.sqrt(nd[0] * nd[0] + nd[1] * nd[1] + nd[2] * nd[2])
-                nd = (nd[0] / norm, nd[1] / norm, nd[2] / norm)
-                cand = _value(pair, r, nd)
-                if cand[0] < best[0] - 1e-15:
-                    best, n, improved = cand, nd, True
-        if not improved:
-            step *= 0.5
-            if step < _WITNESS_STEP_STOP:
-                break
-    else:
-        raise AssertionError("witness_q's local search did not converge "
-                             f"in {_WITNESS_ROUND_GUARD} rounds")
-    if r == 0.0:
-        cand = _bloch_search(pair, n, best[0])
-        if cand is not None and cand[0][0] < best[0]:
-            best, r, n = cand
-    val, u, v = best
+    val, u, v = _value(pair, r, n)
+    if hi is None and val < -_CROSS_CHECK_TOL:
+        raise AssertionError("a witness detects a pair the coexistence "
+                             "criterion accepts")
     params = QubitWitnessParams(r, n, u, v)
     params.check()
     if abs(trace_pairing_qubit(A, B, params) - val) > _CROSS_CHECK_TOL:
@@ -429,6 +383,31 @@ def witness_q(A: QubitEffect, B: QubitEffect) -> QubitWitnessReport:
                              "matrix trace pairing")
     bound = -val / (1.0 - val) if val < 0.0 else 0.0
     return QubitWitnessReport(float(val), params, float(bound))
+
+
+def witness_q(A: QubitEffect, B: QubitEffect) -> QubitWitnessReport:
+    """q̂ = Tr FW of the witness that certifies the pair's ID_s̄, read off
+    the joint effect at the root λ* that `_bisect` finds, by
+    complementary slackness (Wolf, Perez-Garcia & Fernandez, PRL 103
+    230402 (2009)).
+
+    At λ* the smeared pair A′ = αI + a·σ, B′ = βI + b·σ is on the
+    boundary of coexistence, and all four POVM elements of its joint
+    effect G = g₀I + g·σ are singular: |g| = g₀, |g−a| = α−g₀,
+    |g−b| = β−g₀ and |g−a−b| = 1−α−β+g₀. Subtracting the first squared
+    equation from the other three leaves three linear equations,
+    −2a·g = α² − 2αg₀ − |a|², −2b·g = β² − 2βg₀ − |b|² and
+    −2(a+b)·g = (1−α−β)² + 2(1−α−β)g₀ − |a+b|². The third minus the
+    first two eliminates g and gives g₀ = a·b + ½(α² + β² − (1−α−β)²);
+    the first two then fix a·g and b·g (`_critical_elements`).
+
+    A witness W with Tr F′W = 0 puts each vertex image w_n on the kernel
+    of its element, and the affine condition w₀₀ + w₁₁ = w₀₁ + w₁₀ fixes
+    their weights (`_kernel_weights`), hence ρ = W(s̄). Since F′ =
+    (1−λ*)F + λ*·(coin toss), −q̂/(1−q̂) = λ* at that ρ; in general
+    q̂ ≥ q_s̄(F), hence −q̂/(1−q̂) lower-bounds the incompatibility
+    degree. `_witness` has the checks."""
+    return _witness(A, B, _bisect(A, B)[1])
 
 
 def holder_check(params: QubitWitnessParams):
@@ -465,24 +444,15 @@ class QubitIdReport:
 
 
 def qubit_id(A: QubitEffect, B: QubitEffect) -> QubitIdReport:
-    """ID_s̄ at the barycenter: the least λ at which the smeared pair
-    ((1−λ)A + λI/2, (1−λ)B + λI/2) is coexistent, bisected on
-    `_coexistent` down to a bracket of _SEARCH_WIDTH, together with the
-    witness dual lower bound. The witness family is tight at the
-    barycenter, so the two must agree within _CROSS_CHECK_TOL; a failed
-    check raises AssertionError."""
-    wit = witness_q(A, B)
-    value, iters = 0.0, 0
-    if not _coexistent(A, B):
-        lo, hi = 0.0, 1.0
-        while hi - lo > _SEARCH_WIDTH:
-            mid = 0.5 * (lo + hi)
-            if _coexistent(A.smear(mid), B.smear(mid)):
-                hi = mid
-            else:
-                lo = mid
-            iters += 1
-        value = 0.5 * (lo + hi)
+    """ID_s̄ at the barycenter by `_bisect`, together with the dual lower
+    bound of the witness read off the joint effect G = g₀I + g·σ at the
+    bisection's coexistent end, where all four POVM elements are
+    singular and hence g₀ = a·b + ½(α² + β² − (1−α−β)²) (derived in
+    `witness_q`). One bisection serves both. The witness family is
+    tight at the barycenter, so the two must agree within
+    _CROSS_CHECK_TOL; a failed check raises AssertionError."""
+    value, hi, iters = _bisect(A, B)
+    wit = _witness(A, B, hi)
     if abs(value - wit.id_lower_bound) > _CROSS_CHECK_TOL:
         raise AssertionError("dual bound misses the primal bisection "
                              "value at the barycenter")

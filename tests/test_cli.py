@@ -301,6 +301,20 @@ class TestChannelQubit:
         assert abs(rep["result"]["id"] - 0.2928932188) < 1e-6
         assert set(rep["result"]) == {"id", "q_hat", "witness_params"}
 
+    def test_qubit_feasible_witness_meets_id(self, capsys):
+        # an incompatible sharp×unsharp pair: the refuting witness of
+        # `feasible` certifies the degree that `id` bisects
+        pair = ("--a", "0.500043386903963,-0.1531342671244334,0.32111135187513623,"
+                       "-0.14231329434611023",
+                "--b", "0.5,0.16743927880173756,0.4668572112118132,0.06331218092817935")
+        code, rep, _ = run(capsys, "qubit", "feasible", *pair)
+        assert code == 1
+        q = rep["certificate"]["q_hat"]
+        code, rep, _ = run(capsys, "qubit", "id", *pair)
+        assert code == 0
+        assert rep["result"]["id"] > 0.1
+        assert abs(-q / (1.0 - q) - rep["result"]["id"]) <= 1e-9
+
 
 class TestErrors:
     def test_malformed_json(self, capsys, files):

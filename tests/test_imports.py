@@ -205,6 +205,48 @@ def test_detects_unread_method():
                             {"A"}) == {("m.py", "A.unused")}
 
 
+def module_constants(tree):
+    """Every name that a top-level assignment of the module binds, other
+    than dunders."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        out += [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and not n.id.startswith("__")]
+    return out
+
+
+def unread_constants(modules, readers):
+    """(file name, name) for each module-level constant of `modules` that
+    no source in `readers` reads. Modules and readers are (file name,
+    source) pairs."""
+    read = set()
+    for _name, source in readers:
+        read |= names_read(ast.parse(source))
+    return {(name, const) for name, source in modules
+            for const in module_constants(ast.parse(source)) if not is_read(const, read)}
+
+
+def test_every_constant_is_read():
+    sources = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    unread = unread_constants([(p.name, p.read_text()) for p in MODULES],
+                              [(p.name, p.read_text()) for p in sources])
+    assert unread == set()
+
+
+def test_detects_unread_constant():
+    module = ("A = 1\n_B: int = 2\nC, D = 3, 4\n__all__ = ['f']\n"
+              "def f():\n    E = 5\n    return A + D\n")
+    reader = "import m\nm.C\n"
+    assert unread_constants([("m.py", module)], [("m.py", module), ("r.py", reader)]) \
+        == {("m.py", "_B")}
+
+
 #: parameters a handler must take for its shared call signature
 UNREAD_PARAMS_ALLOWED = {
     ("cli.py", "_cmd_qubit", "load"),

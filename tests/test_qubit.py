@@ -34,9 +34,9 @@ ROW3_PAIR_38 = (
 
 #: three unsharp pairs of the `qubit-pairs` benchmark workload
 #: (perfbench/workloads.py), seed 1311 item 332, seed 5112 item 2405 and
-#: seed 14324 item 1619, with the bisection's q̂ to 1e-7: witness_q's
-#: polar search ends at r = 0 on each, at q̂ = −0.1138048, −0.0993717
-#: and −0.2921146
+#: seed 14324 item 1619, with the bisection's q̂ to 1e-7: a local search
+#: for the witness in polar form (r, n̂) stops at r = 0 on each, at
+#: q̂ = −0.1138048, −0.0993717 and −0.2921146
 STALL_PAIRS = (
     ((QubitEffect(0.506778516787895, (0.13767908898072795, -0.1454044272379637,
                                       -0.2862958670744545)),
@@ -51,6 +51,29 @@ STALL_PAIRS = (
       QubitEffect(0.4967988257870313, (0.2673324840234304, -0.306166201483631,
                                         0.23542690958249254))), -0.2922918))
 STALL_IDS = ["1311-332", "5112-2405", "14324-1619"]
+
+#: sharp×unsharp pairs n = 19, 213 (did not converge) and 202, 224 (dual
+#: bound missed) of a float search for the witness, drawn by
+#: rng = random.Random(20261019); for n = 1, 2, …:
+#: A = random_effect(rng, sharp=True), B = random_effect(rng), swapped
+#: when n is even
+SEARCH_FAILURES = (
+    (QubitEffect(0.5, (0.2096665311476583, 0.4334793483342753, 0.1346684828911356)),
+     QubitEffect(0.6758517074304149, (-0.004055148879734898, 0.004719041050158056,
+                                      0.0018949742466562857))),
+    (QubitEffect(0.5, (0.17530066756896065, 0.41997889755979473, -0.20709273660448893)),
+     QubitEffect(0.19558913427540467, (0.0042569716503099075, -3.0093024585034063e-05,
+                                       -0.0030643425810988004))),
+    (QubitEffect(0.5069273330667539, (-0.010723943375677883, -0.00187803990214558,
+                                      -0.0008303363223043014)),
+     QubitEffect(0.5, (0.4633437690082349, -0.1731907356079399, -0.07292133309823806))),
+    (QubitEffect(0.500043386903963, (-0.1531342671244334, 0.32111135187513623,
+                                     -0.14231329434611023)),
+     QubitEffect(0.5, (0.16743927880173756, 0.4668572112118132, 0.06331218092817935))))
+SEARCH_FAILURE_IDS = ["19", "213", "202", "224"]
+
+#: a Bloch radius next to a pure ρ
+R_NEAR_PURE = 1.0 - 2e-8
 
 SIGMAS = (np.array([[0, 1], [1, 0]], dtype=complex),
           np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -245,7 +268,7 @@ class TestWitnessEvaluator:
 
     def test_h_matches_matrix_sandwich(self):
         rng = random.Random(41)
-        for r in (0.0, 0.35, 0.9, qubit._R_MAX):
+        for r in (0.0, 0.35, 0.9, R_NEAR_PURE):
             for n in self.directions(rng, 4):
                 # √M = (M + √det M·I)/√(Tr M + 2√det M) for a 2×2 M ≥ 0,
                 # independent of the closed form's c and d
@@ -259,24 +282,11 @@ class TestWitnessEvaluator:
                     got = qubit._h(c, d, n, e0, e)
                     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
-    def test_grid_batch_matches_pointwise(self):
-        for a, b in self.PAIRS:
-            pair = qubit._pair_terms(a, b)
-            batch = qubit._grid_values(pair)
-            points = np.array([[qubit._value(pair, float(r), tuple(n))[0]
-                                for r in qubit._GRID_RADII]
-                               for n in qubit._GRID_DIRECTIONS.tolist()])
-            assert batch.shape == points.shape == (qubit._WITNESS_GRID ** 2 + 2,
-                                                   qubit._WITNESS_GRID)
-            assert np.allclose(batch, points, rtol=0.0, atol=1e-14)
-            assert abs(batch.min() - points.min()) <= 1e-15
-            assert abs(points.flat[np.argmin(batch)] - points.min()) <= 1e-15
-
     def test_value_matches_matrix_route(self):
         rng = random.Random(43)
         for a, b in self.PAIRS:
             pair = qubit._pair_terms(a, b)
-            for r in (0.0, 0.5, 0.95, qubit._R_MAX):
+            for r in (0.0, 0.5, 0.95, R_NEAR_PURE):
                 for n in self.directions(rng, 3):
                     val, u, v = qubit._value(pair, r, n)
                     params = QubitWitnessParams(r, n, u, v)
@@ -288,15 +298,10 @@ class TestWitnessEvaluator:
                     assert abs(np.trace(ws).real - 1.0) <= 1e-12
                     assert abs(val - trace_pairing_qubit(a, b, params)) <= 1e-12
 
-    def test_round_guard_raises(self, monkeypatch):
-        monkeypatch.setattr(qubit, "_WITNESS_ROUND_GUARD", 5)
-        with pytest.raises(AssertionError, match="did not converge"):
-            witness_q(*mub_pair())
-
 
 class TestPolarStall:
-    """witness_q continues in the Bloch vector when its polar search ends
-    at r = 0."""
+    """Pairs whose witness has its optimum at a ρ just off I/2, where a
+    polar parametrization (r, n̂) of ρ is badly conditioned."""
 
     @pytest.mark.parametrize("pair, q_hat", STALL_PAIRS, ids=STALL_IDS)
     def test_stalled_pairs_meet_the_bisection_value(self, pair, q_hat):
@@ -305,30 +310,98 @@ class TestPolarStall:
         assert abs(rep.q_hat - q_hat) <= 1e-7
         assert rep.params.r > 0.0
 
-    @pytest.mark.parametrize("pair, q_hat", STALL_PAIRS, ids=STALL_IDS)
-    def test_polar_search_alone_stalls(self, pair, q_hat, monkeypatch):
-        def no_bloch_search(pair, n, at_center):
-            return None
 
-        monkeypatch.setattr(qubit, "_bloch_search", no_bloch_search)
-        rep = witness_q(*pair)
-        assert rep.params.r == 0.0
-        assert rep.q_hat > q_hat + 1e-6
-        with pytest.raises(AssertionError, match="dual bound misses"):
-            qubit_id(*pair)
+def critical_witness(a, b):
+    """The POVM elements at the bisection's coexistent end, and the
+    weights of the vertex images on their kernels."""
+    hi = qubit._bisect(a, b)[1]
+    elements = qubit._critical_elements(a.smear(hi), b.smear(hi))
+    return elements, qubit._kernel_weights(elements)[0]
 
 
-    def test_no_search_when_the_center_is_optimal(self):
-        # sharp pairs have their optimum at ρ = I/2: the polar search ends
-        # at r = 0 and the Bloch search is not run
+def incompatible_pairs():
+    rng = random.Random(47)
+    pairs = [mub_pair(), ROW3_PAIR_38, *(pair for pair, _ in STALL_PAIRS),
+             *SEARCH_FAILURES]
+    pairs += [(random_effect(rng, sharp=True), random_effect(rng, sharp=True))
+              for _ in range(6)]
+    pairs += [(unbiased(rng, 0.9)[0], unbiased(rng, 0.9)[0]) for _ in range(8)]
+    pairs += [(biased(rng), biased(rng)) for _ in range(12)]
+    return [(a, b) for a, b in pairs if qubit._bisect(a, b)[1] is not None]
+
+
+class TestCriticalWitness:
+    """The witness read off the joint effect at the root of the
+    bisection."""
+
+    def test_elements_singular_and_weights_positive(self):
+        pairs = incompatible_pairs()
+        assert len(pairs) >= 20
+        for a, b in pairs:
+            elements, c = critical_witness(a, b)
+            for t, p in elements:
+                low = np.linalg.eigvalsh(pauli_matrix(t, p)).min()
+                assert -1e-9 <= low <= 1e-9
+            assert c.min() > 0.0
+            assert abs(c.sum() - 4.0) <= 1e-12
+
+    @pytest.mark.parametrize("pair", SEARCH_FAILURES, ids=SEARCH_FAILURE_IDS)
+    def test_search_failures_meet_the_bisection_value(self, pair):
+        rep = qubit_id(*pair)
+        assert rep.value > 0.0
+        assert abs(rep.value - rep.dual_bound) <= 1e-9
+
+    def test_sharp_pairs_take_the_center(self):
+        # sharp pairs have their optimum at ρ = I/2
         rng = random.Random(37)
         pairs = [mub_pair()] + [(random_effect(rng, sharp=True), random_effect(rng, sharp=True))
                                 for _ in range(6)]
         for a, b in pairs:
             rep = witness_q(a, b)
-            assert rep.params.r == 0.0
-            pair = qubit._pair_terms(a, b)
-            assert qubit._bloch_search(pair, rep.params.direction, rep.q_hat) is None
+            assert rep.params.r <= 1e-9
+
+    def test_compatible_pair_takes_the_center(self):
+        a, b = REGRESSION_PAIR
+        rep = witness_q(a, b)
+        assert rep.params.r == 0.0
+        assert rep.q_hat >= 0.0
+        assert rep.id_lower_bound == 0.0
+
+    @pytest.mark.parametrize("swap", [(0, 1), (0, 2), (1, 3), (2, 3)],
+                             ids=["00-01", "00-10", "01-11", "10-11"])
+    def test_swapped_vertex_labels_refused(self, swap, monkeypatch):
+        # pairing each element with another vertex across the affine
+        # condition w₀₀ + w₁₁ = w₀₁ + w₁₀ leaves no positive weights
+        def mutant(a, b):
+            elements = list(critical_elements(a, b))
+            i, j = swap
+            elements[i], elements[j] = elements[j], elements[i]
+            return elements
+
+        critical_elements = qubit._critical_elements
+        monkeypatch.setattr(qubit, "_critical_elements", mutant)
+        for a, b in (mub_pair(), ROW3_PAIR_38, SEARCH_FAILURES[3]):
+            with pytest.raises(AssertionError, match="positive weights"):
+                qubit_id(a, b)
+
+    def test_bisection_matches_validated_smear(self):
+        # the bisection smears in plain floats; the same steps on
+        # validated QubitEffect.smear give the same root
+        def reference(a, b):
+            lo, hi, iters = 0.0, 1.0, 0
+            while hi - lo > qubit._SEARCH_WIDTH:
+                mid = 0.5 * (lo + hi)
+                sa, sb = a.smear(mid), b.smear(mid)
+                if qubit._coexistent(sa.alpha, sa.bloch, sb.alpha, sb.bloch):
+                    hi = mid
+                else:
+                    lo = mid
+                iters += 1
+            return 0.5 * (lo + hi), hi, iters
+
+        pairs = incompatible_pairs()
+        for a, b in pairs:
+            assert qubit._bisect(a, b) == reference(a, b)
 
 
 class TestIdDegree:
