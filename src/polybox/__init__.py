@@ -2,11 +2,10 @@
 analysis over polytopic state spaces, with exact rational arithmetic."""
 
 from .exact import approx_eq, rat
-from .spaces import StateSpace, chi, max_tensor_member, simplex_space
-from .polysimplex import (PolySimplex, hypercube_space, polysimplex_space,
-                          square_space)
-from .measurements import (MeasurementCollection, coin_toss, id_degree,
-                           id_degree_at, identity_collection, is_compatible,
+from .spaces import StateSpace, max_tensor_member
+from .polysimplex import PolySimplex, polysimplex_space, square_space
+from .measurements import (MeasurementCollection, id_degree, id_degree_at,
+                           identity_collection, is_compatible,
                            make_collection, random_collection)
 from .witnesses import (WitnessMap, is_etb, is_witness, make_witness_map,
                         maximal_incompatibility_certificate, q_value,
@@ -31,14 +30,14 @@ __all__ = [
     "QubitEffect", "StateSpace", "StochasticMatrix", "WitnessMap",
     "all_chsh_witnesses", "approx_eq", "assemblage_from", "bell_id_bound_check",
     "bell_value", "box_from", "box_to_causal_channel", "cc_channel",
-    "channel_space_max_incompatibility", "chi", "chsh_witness", "coin_toss",
-    "hypercube_space", "id_degree", "id_degree_at", "identity_collection",
+    "channel_space_max_incompatibility", "chsh_witness", "id_degree",
+    "id_degree_at", "identity_collection",
     "is_compatible", "is_etb", "is_local", "is_separable", "is_witness",
     "joint_povm_feasible", "make_collection", "make_witness_map",
     "max_tensor_member", "maximal_incompatibility_certificate", "mub_pair",
     "polysimplex_space", "pr_box", "q_value", "qubit_id", "random_collection",
     "random_ns_box", "rat", "retraction_R", "retraction_check", "section_S",
-    "self_dual_state", "simplex_space", "square_equality_construction",
+    "self_dual_state", "square_equality_construction",
     "square_self_dual_iso", "square_space", "steering_degree",
     "steering_degree_at", "trace_pairing", "tsirelson_box",
     "two_outcome_witness_criterion", "witness_q",

@@ -16,7 +16,7 @@ from .exact import R0, R1, TOL, approx_eq, is_rational, rat
 from .lp import OPTIMAL
 from .measurements import MeasurementCollection, identity_collection, tensor_lp
 from .polysimplex import PolySimplex, square_space
-from .spaces import max_tensor_member, span_inverse
+from .spaces import max_tensor_member
 from .witnesses import q_value
 
 
@@ -258,12 +258,7 @@ def pr_box() -> Box:
     """The no-signalling box with a⊕b = xy⊕x: perfectly correlated
     except anti-correlated at setting (1,0); attains 𝔹 = 4."""
     P = PolySimplex((1, 1))
-    half = rat(1, 2)
-    probs = {}
-    for ia, ib, ja, jb in itertools.product((0, 1), repeat=4):
-        hit = (ja ^ jb) == ((ia & ib) ^ ia)
-        probs[(ia, ib, ja, jb)] = half if hit else R0
-    return Box(P, P, probs)
+    return Box(P, P, _pr_variant_probs(1, 0, 0))
 
 
 def _deterministic_probs(shape_a: PolySimplex, shape_b: PolySimplex, na, nb):
@@ -410,7 +405,7 @@ def square_equality_construction(F_A: MeasurementCollection) -> EqualityConstruc
     X = sq.span_projector
     # Ψ: V(S_A) → A(S_B) with ⟨Ψ(s), s'⟩ = ⟨μ, s⊗s'⟩, canonically X μᵀ X
     Qpsi = la.mat_mul(X, la.mat_mul(la.transpose(mu.tensor), X))
-    Qinv = span_inverse(Qpsi, sq)
+    Qinv = la.linear_map([la.mat_vec(Qpsi, b) for b in sq.basis], sq.basis)
     half = rat(1, 2)
     Y = la.mat_mul(W.as_map_matrix(), la.mat_mul(Qinv, X))
     Y = la.mat([[half * v for v in row] for row in Y])
@@ -428,9 +423,12 @@ def square_equality_construction(F_A: MeasurementCollection) -> EqualityConstruc
 
 def _solve_partner_collection(space, shape, y_from, y_to):
     """F_B with (id ⊗ F_B)(y_from) = y_to, if one exists as a valid
-    collection: M_Bᵀ solves y_from · M_Bᵀ = y_to over the span."""
+    collection: M_Bᵀ solves y_from · M_Bᵀ = y_to over the span, through
+    the inverse of y_from on the span (none when y_from is singular
+    there)."""
     try:
-        z = la.mat_mul(span_inverse(y_from, space), y_to)
+        inv = la.linear_map([la.mat_vec(y_from, b) for b in space.basis], space.basis)
+        z = la.mat_mul(inv, y_to)
     except ValueError:
         return None
     mb = la.transpose(z)

@@ -23,7 +23,7 @@ from .measurements import (from_functionals, id_degree_at,
                            identity_collection, random_collection)
 from .polysimplex import PolySimplex, polysimplex_space, square_space
 from .qubit import QUBIT_MAX_ID, mub_pair, qubit_id, random_effect, tsirelson_box
-from .spaces import chi, separable_decomposition
+from .spaces import separable_decomposition
 from .steering import (assemblage_from, is_separable, self_dual_state,
                        square_self_dual_iso, steering_degree_at)
 from .witnesses import (EtbDecomposition, is_etb, is_witness, q_value,
@@ -53,16 +53,11 @@ def _coordinate_pair_collection(space, src, shape):
     """Binary coarse-grainings of the space's coordinate measurements,
     one per input: sharp, and incompatible whenever two inputs land on
     different blocks."""
-    offs = []
-    off = 0
-    for l in src.shape:
-        offs.append(off)
-        off += l + 1
     funcs = {}
     for i, l in enumerate(shape.shape):
         if l != 1:
             raise ValueError("seed collection is for binary inputs only")
-        f0 = space.facets[offs[i % (src.k + 1)]]
+        f0 = space.facets[src._offset[i % (src.k + 1)]]
         funcs[(i, 0)] = f0
         funcs[(i, 1)] = la.vec_sub(space.unit, f0)
     return from_functionals(space, shape, funcs)
@@ -290,7 +285,7 @@ def _row_etb(rng):
             T = random_witness_map(shape, K, rng)
         etb, _decomp = is_etb(T)
         dom = shape.as_state_space()
-        pushed = chi(dom).push_left(T.as_map_matrix())
+        pushed = la.mat_mul(T.as_map_matrix(), dom.span_projector)
         # (T⊗id)(χ) sits in V(K)⊗A(S): right-hand generators are the
         # canonical representatives of the dual-cone rays m^i_j.
         pt = la.transpose(dom.span_projector)

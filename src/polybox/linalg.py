@@ -16,6 +16,10 @@ length.
 Elimination (`rank`, `independent_rows`, `invert`) is Gaussian with
 first-nonzero pivoting; there are no stability concerns in exact
 arithmetic.
+
+`linear_map` builds the matrix of a linear map from its values on a
+spanning family, zero on the orthogonal complement of the family's
+span (`StateSpace.linear_map` is the case of the vertices of K).
 """
 from __future__ import annotations
 
@@ -165,15 +169,10 @@ def rank(rows) -> int:
 
 
 def independent_rows(rows):
-    """Indices of a maximal linearly independent subset, greedily."""
-    picked = []
-    basis = []
-    for i, row in enumerate(rows):
-        cand = basis + [list(row)]
-        if rank(cand) == len(cand):
-            picked.append(i)
-            basis = cand
-    return picked
+    """Indices of a maximal linearly independent subset, greedily: each
+    row not in the span of the rows before it. These are the pivot
+    columns of the transpose's reduced row echelon form."""
+    return _rref(transpose(rows))[1]
 
 
 def invert(m):
@@ -185,3 +184,19 @@ def invert(m):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(red[i][n:]) for i in range(n))
+
+
+def linear_map(domain, images):
+    """Matrix of the linear map sending each domain vector to its image,
+    zero on the orthogonal complement of their span: Σ_a images[a] ⊗
+    dual_a over an independent subset of the domain, with dual_a its
+    dual basis inside the span. Raises ValueError if the assignment is
+    not linear."""
+    domain, images = mat(domain), mat(images)
+    idx = independent_rows(domain)
+    rows = [domain[i] for i in idx]
+    ginv = invert([[dot(a, b) for b in rows] for a in rows])
+    q = mat_mul(transpose([images[i] for i in idx]), [combine(g, rows) for g in ginv])
+    if any(mat_vec(q, v) != img for v, img in zip(domain, images, strict=True)):
+        raise ValueError("assignment does not extend to a linear map")
+    return q

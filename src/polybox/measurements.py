@@ -109,24 +109,6 @@ def identity_collection(shape: PolySimplex) -> MeasurementCollection:
                              for i, l in enumerate(shape.shape) for j in range(l + 1)})
 
 
-def coin_toss(shape: PolySimplex, s) -> MeasurementCollection:
-    """The constant collection F_s(x) ≡ s on S itself."""
-    return coin_toss_on(shape.as_state_space(), shape, s)
-
-
-def coin_toss_on(space: StateSpace, shape: PolySimplex, s) -> MeasurementCollection:
-    """Constant collection F_s on an arbitrary domain space."""
-    sspace = shape.as_state_space()
-    if not sspace.is_state(s):
-        raise ValueError("coin_toss target is not a state of the polysimplex")
-    eff = {}
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            c = shape.coords(s, i, j)
-            eff[(i, j)] = (c,) * len(space.vertices)
-    return MeasurementCollection(space, shape, eff)
-
-
 @dataclass
 class JointMeasurement:
     """Joint observable with outcomes indexed by tuples (n_0,…,n_k);

@@ -131,10 +131,3 @@ def polysimplex_space(shape) -> StateSpace:
 
 def square_space() -> StateSpace:
     return polysimplex_space((1, 1))
-
-
-def hypercube_space(m) -> StateSpace:
-    """□_m, the state space of m binary inputs."""
-    if m < 1:
-        raise ValueError("hypercube needs at least one input")
-    return polysimplex_space((1,) * m)

@@ -2,8 +2,16 @@
 
 A StateSpace carries the vertices of K (V-rep), the facet effects
 generating A(K)+ (H-rep) and the unit functional. Both representations
-are required; the built-in constructors (simplex, and the polysimplex
-family in polysimplex.py) supply them analytically.
+are required; the built-in constructors (the polysimplex family in
+polysimplex.py, simplices included) supply them analytically.
+
+A linear map on span V(K) is stored as its canonical matrix, the one
+that vanishes on the orthogonal complement of span V(K).
+`StateSpace.linear_map` builds it from the images of the vertices, one
+row per output coordinate through `canonical_functional` (the case of a
+single output, on one cached Gram inverse per space); `span_projector`,
+the ambient matrix of χ_K, is the map that fixes every vertex. A map
+given on any other spanning family is built by `linalg.linear_map`.
 
 Membership tests run on integers. Each space caches one integer table
 (`int_table`): integer vectors z spanning the orthogonal complement of
@@ -18,7 +26,6 @@ time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -196,69 +203,29 @@ class StateSpace:
                 return None
         return r
 
+    def linear_map(self, images):
+        """Canonical matrix M of the map with M·v = image for every vertex
+        v: row p is the canonical functional of the images' p-th
+        coordinates, so M vanishes on the orthogonal complement of span
+        V(K). None if the images are not affinely consistent."""
+        images = la.mat(images)
+        if len(images) != len(self.vertices):
+            raise ValueError("one image per vertex required")
+        rows = []
+        for vals in la.transpose(images):
+            r = self.canonical_functional(vals)
+            if r is None:
+                return None
+            rows.append(r)
+        return tuple(rows)
+
     @cached_property
     def span_projector(self):
         """Matrix of the projection onto span V(K) that is the identity
         there and kills the orthogonal complement; this is also the
-        ambient matrix of χ_K."""
-        dual = self.dual_basis
-        acc = [[R0] * self.dim for _ in range(self.dim)]
-        for x, e in zip(self.basis, dual):
-            for p in range(self.dim):
-                if x[p] == 0:
-                    continue
-                for q in range(self.dim):
-                    acc[p][q] += x[p] * e[q]
-        return la.mat(acc)
-
-    @cached_property
-    def dual_basis(self):
-        """Canonical representatives of the basis dual to the vertex
-        basis (rows of gram_inv recombined)."""
-        return tuple(la.combine(row, self.basis) for row in self._gram_inv)
-
-
-def linear_map_from_vertex_images(space, images, codomain_dim=None):
-    """d'×d matrix M with M·vertex == image for every vertex, or None if
-    the images are not affinely consistent. M vanishes on the orthogonal
-    complement of span V(K), which makes it canonical."""
-    images = [la.vec(im) for im in images]
-    if len(images) != len(space.vertices):
-        raise ValueError("one image per vertex required")
-    if codomain_dim is None:
-        codomain_dim = len(images[0])
-    rows = []
-    for p in range(codomain_dim):
-        vals = [im[p] for im in images]
-        r = space.canonical_functional(vals)
-        if r is None:
-            return None
-        rows.append(r)
-    return la.mat(rows)
-
-
-def span_inverse(m, space):
-    """Inverse of a map span V(K) → span V(K) given by a canonical
-    matrix (one that kills the orthogonal complement): returns m⁻ with
-    m⁻m = mm⁻ = span_projector. Raises when m is singular on the span."""
-    D = space.rank
-    coords = [[la.dot(e, la.mat_vec(m, b)) for b in space.basis]
-              for e in space.dual_basis]
-    try:
-        cinv = la.invert(coords)
-    except ValueError:
-        raise ValueError("map is singular on span V(K)") from None
-    out = [[R0] * space.dim for _ in range(space.dim)]
-    for a in range(D):
-        for b in range(D):
-            c = cinv[a][b]
-            if c:
-                for p in range(space.dim):
-                    if space.basis[a][p]:
-                        for q in range(space.dim):
-                            if space.dual_basis[b][q]:
-                                out[p][q] += c * space.basis[a][p] * space.dual_basis[b][q]
-    return la.mat(out)
+        ambient matrix of χ_K = Σ_i x_i ⊗ e_i (basis x_i, dual basis
+        e_i)."""
+        return self.linear_map(self.vertices)
 
 
 # ----- the base norm and the facet check -----
@@ -328,27 +295,6 @@ def check_facets_generate(space: StateSpace):
                                  "the positive effects")
 
 
-@dataclass(frozen=True)
-class ChiElement:
-    """χ_K = Σ_i x_i ⊗ e_i, stored as the ambient matrix Σ x_i ẽ_iᵀ with
-    canonical dual representatives; literally basis-independent."""
-    space: StateSpace
-    tensor: tuple
-
-    def pair(self, f, y):
-        """⟨χ_K, f⊗y⟩ = f(y) for y ∈ span V(K)."""
-        return la.dot(la.vec(f), la.mat_vec(self.tensor, la.vec(y)))
-
-    def push_left(self, m):
-        """(T⊗id)(χ_K) for the map with ambient matrix m; the result
-        pairs as ⟨g⊗f, ·⟩ = gᵀ · result · f."""
-        return la.mat_mul(m, self.tensor)
-
-
-def chi(space) -> ChiElement:
-    return ChiElement(space, space.span_projector)
-
-
 def separable_decomposition(tensor, gens_left, gens_right):
     """Nonnegative weights λ with tensor == Σ_ab λ_ab · outer(l_a, r_b),
     or None. tensor is a (dim left)×(dim right) matrix."""
@@ -400,12 +346,3 @@ def max_tensor_member(tensor, space_a, space_b) -> bool:
         if any(_idot(h, gm) < 0 for h in tb.facets):
             return False
     return _idot(tb.unit, _icombine(ta.unit, M)) == D * ta.unit_den * tb.unit_den
-
-
-def simplex_space(m) -> StateSpace:
-    """Δ_m with the m+1 point distributions as vertices."""
-    if m < 0:
-        raise ValueError("simplex order must be nonnegative")
-    n = m + 1
-    verts = la.identity(n)
-    return StateSpace(f"delta:{m}", verts, (R1,) * n, verts)

@@ -213,8 +213,7 @@ def self_dual_state(space: StateSpace, iso):
         raise ValueError("iso must pair every facet with a distinct vertex")
     # canonical matrix Q of Ψ: defined on the canonical facet reps
     dom = [la.mat_vec(X, f) for f in space.facets]
-    Q = map_from_spanning_pairs(dom, [targets[r] for r in range(len(space.facets))],
-                                space.dim)
+    Q = la.linear_map(dom, [targets[r] for r in range(len(space.facets))])
     y0 = la.mat_mul(X, la.transpose(Q))
     norm = la.dot(space.unit, la.mat_vec(y0, space.unit))
     if norm <= 0:
@@ -231,34 +230,3 @@ def square_self_dual_iso():
     m^1_0↦s01, m^1_1↦s10 (vertex order 00,01,10,11; facet order
     m00,m01,m10,m11)."""
     return {0: (0, 1), 1: (3, 1), 2: (1, 1), 3: (2, 1)}
-
-
-def map_from_spanning_pairs(domain_vecs, images, codomain_dim):
-    """Matrix of the linear map sending each domain vector to its image,
-    zero on the orthogonal complement of their span; raises if the
-    assignment is not linear."""
-    idx = []
-    rows = []
-    for i, v in enumerate(domain_vecs):
-        if la.rank(rows + [list(v)]) > len(rows):
-            rows.append(list(v))
-            idx.append(i)
-    # Q = Σ images[i] ⊗ dual_i over an independent subset, then verify all
-    gram = [[la.dot(rows[a], rows[b]) for b in range(len(rows))]
-            for a in range(len(rows))]
-    ginv = la.invert(gram)
-    d = len(domain_vecs[0])
-    q = [[R0] * d for _ in range(codomain_dim)]
-    for a, ia in enumerate(idx):
-        dual = la.combine(ginv[a], rows)
-        img = images[ia]
-        for r in range(codomain_dim):
-            if img[r]:
-                for c in range(d):
-                    if dual[c]:
-                        q[r][c] += img[r] * dual[c]
-    qm = la.mat(q)
-    for v, img in zip(domain_vecs, images):
-        if tuple(la.mat_vec(qm, v)) != tuple(img):
-            raise ValueError("assignment does not extend to a linear map")
-    return qm

@@ -16,7 +16,7 @@ from .exact import R0, R1, rat
 from .lp import OPTIMAL, LpBuilder, vec_expr
 from .measurements import MeasurementCollection, make_collection
 from .polysimplex import PolySimplex
-from .spaces import StateSpace, base_norm, linear_map_from_vertex_images
+from .spaces import StateSpace, base_norm
 
 
 class WitnessValidationError(ValueError):
@@ -63,9 +63,8 @@ class WitnessMap:
         return self.apply(self.shape.barycenter())
 
     def as_map_matrix(self):
-        sspace = self.shape.as_state_space()
-        images = [self.vertex_images[n] for n in self.shape.outcomes()]
-        return linear_map_from_vertex_images(sspace, images, self.space.dim)
+        return self.shape.as_state_space().linear_map(
+            [self.vertex_images[n] for n in self.shape.outcomes()])
 
     def translate(self, v):
         """W + L_v with L_v = 1_S(·)v: every vertex image shifts by v."""
@@ -491,8 +490,7 @@ def retraction_check(F: MeasurementCollection) -> RetractionReport:
     if res.status != OPTIMAL:
         return RetractionReport(False, None, None, None)
     images = _chart_images(shape, *_solved_chart(space, res, top, edges))
-    smat = linear_map_from_vertex_images(
-        shape.as_state_space(), [images[n] for n in shape.outcomes()], space.dim)
+    smat = shape.as_state_space().linear_map([images[n] for n in shape.outcomes()])
     proj = la.mat_mul(smat, F.as_map_matrix())
     return RetractionReport(True, images, smat, proj)
 

@@ -1,7 +1,8 @@
 """Shared test inputs: the state spaces on which the integer membership
 tests and the tensor LPs on independent coordinates are compared with
 their ambient reference forms, and the builders and reference forms that
-several test modules use."""
+several test modules use (simplex and hypercube spaces, coin-toss
+collections)."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from polybox import linalg as la
 from polybox import serialize as sz
 from polybox.bell import Box, deterministic_box
 from polybox.channels import ChoiMatrix
-from polybox.exact import R0, rat
+from polybox.exact import R0, R1, rat
 from polybox.lp import LpBuilder
+from polybox.measurements import MeasurementCollection
+from polybox.polysimplex import polysimplex_space
+from polybox.spaces import StateSpace
 
 #: a pentagon with vertices (0,0), (2,0), (3,2), (1,3), (−1,2) in ambient
 #: coordinates (x, y, 2, x + y): rank 3 in dimension 4, so one linear
@@ -43,6 +47,37 @@ def state_space(request):
     if request.param == "pentagon":
         return sz.space_from_json(pentagon_json())
     return sz.builtin_space(request.param)
+
+
+def simplex_space(m):
+    """Δ_m with the m+1 point distributions as vertices, built directly
+    as a StateSpace (the label of `polysimplex_space((m,))`, not the
+    shared instance)."""
+    if m < 0:
+        raise ValueError("simplex order must be nonnegative")
+    verts = la.identity(m + 1)
+    return StateSpace(f"delta:{m}", verts, (R1,) * (m + 1), verts)
+
+
+def hypercube_space(m):
+    """□_m, the state space of m binary inputs."""
+    if m < 1:
+        raise ValueError("hypercube needs at least one input")
+    return polysimplex_space((1,) * m)
+
+
+def coin_toss_on(space, shape, s):
+    """The constant collection F_s(x) ≡ s on an arbitrary domain space."""
+    if not shape.as_state_space().is_state(s):
+        raise ValueError("coin_toss target is not a state of the polysimplex")
+    eff = {(i, j): (shape.coords(s, i, j),) * len(space.vertices)
+           for i, l in enumerate(shape.shape) for j in range(l + 1)}
+    return MeasurementCollection(space, shape, eff)
+
+
+def coin_toss(shape, s):
+    """The constant collection F_s(x) ≡ s on S itself."""
+    return coin_toss_on(shape.as_state_space(), shape, s)
 
 
 @pytest.fixture

@@ -13,12 +13,12 @@ from polybox.bell import (BellWitness, Box, LhvModel, _embedded_pr_probs,
                           square_equality_construction)
 from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL, LpBuilder
-from polybox.measurements import coin_toss, identity_collection, random_collection
+from polybox.measurements import identity_collection, random_collection
 from polybox.polysimplex import PolySimplex, square_space
 from polybox.steering import self_dual_state, square_self_dual_iso
 from polybox.witnesses import q_value
 
-from conftest import box_from_tensor, random_local_box
+from conftest import box_from_tensor, coin_toss, random_local_box
 
 P = PolySimplex((1, 1))
 

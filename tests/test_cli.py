@@ -13,13 +13,13 @@ from polybox import serialize as sz
 from polybox.bell import deterministic_box, pr_box
 from polybox.channels import StochasticMatrix, cc_channel
 from polybox.exact import HAVE_GMPY2, R1, rat
-from polybox.measurements import coin_toss, identity_collection
+from polybox.measurements import identity_collection
 from polybox.polysimplex import PolySimplex, square_space
 from polybox.steering import (assemblage_from, self_dual_state, square_self_dual_iso,
                               steering_degree_at)
 from polybox.witnesses import q_value
 
-from conftest import box_from_tensor
+from conftest import box_from_tensor, coin_toss
 
 SQ = PolySimplex((1, 1))
 

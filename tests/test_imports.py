@@ -82,12 +82,12 @@ UNREAD_ALLOWED = set()
 
 
 def names_read(tree, skip=frozenset()):
-    """Every name read as a `Name` load or as the attribute of a load,
-    and every name a `getattr` call spells out: its literal second
-    argument, or, for `getattr(x, "prefix" + ...)`, the prefix followed
-    by "*" (every name with that prefix is read). Nodes in `skip` are
-    not entered."""
-    out = set()
+    """(names, attributes): every name read as a `Name` load, and every
+    name read as the attribute of a load or spelled out by a `getattr`
+    call: its literal second argument, or, for `getattr(x, "prefix" +
+    ...)`, the prefix followed by "*" (every name with that prefix is
+    read). Nodes in `skip` are not entered."""
+    names, out = set(), set()
     todo = [tree]
     while todo:
         node = todo.pop()
@@ -95,7 +95,7 @@ def names_read(tree, skip=frozenset()):
             continue
         todo.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add(node.attr)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
@@ -107,7 +107,7 @@ def names_read(tree, skip=frozenset()):
                 star = ""
             if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
                 out.add(arg.value + star)
-    return out
+    return names, out
 
 
 def is_read(name, read):
@@ -139,25 +139,33 @@ def unread_functions(modules, readers, exported):
     """(file name, name) for each module-level function of `modules` that
     no source in `readers` reads and `exported` does not list, and
     (file name, "Class.method") for each method of a module-level class
-    that no reader reads; dunder methods are called by Python itself.
-    Modules and readers are (file name, source) pairs. A read inside the
-    body of an unread function does not count: those bodies are dropped
-    from the readers and the scan repeats until nothing new turns up, so
-    a chain of helpers that only an unread function reaches is found
-    whole."""
+    that no reader reads; dunder methods are called by Python itself. A
+    function is read by a `Name` load or an attribute read of its name, a
+    method only by an attribute read or a `getattr` string, so a local
+    variable of the same name does not read it. Modules and readers are
+    (file name, source) pairs. A read inside the body of an unread
+    function does not count: those bodies are dropped from the readers
+    and the scan repeats until nothing new turns up, so a chain of
+    helpers that only an unread function reaches is found whole."""
     trees = [(name, ast.parse(source)) for name, source in readers]
     defs = [(name, qual, node) for name, source in modules
             for qual, node in definitions(ast.parse(source))]
     unread = set()
     while True:
-        read = set()
+        names, attrs = set(), set()
         for name, tree in trees:
-            read |= names_read(tree, {node for qual, node in definitions(tree)
-                                      if (name, qual) in unread})
-        found = {(name, qual) for name, qual, node in defs
-                 if not is_read(node.name, read)
-                 and (node.name not in exported if qual == node.name
-                      else not node.name.startswith("__"))}
+            n, a = names_read(tree, {node for qual, node in definitions(tree)
+                                     if (name, qual) in unread})
+            names |= n
+            attrs |= a
+        found = set()
+        for name, qual, node in defs:
+            if qual == node.name:
+                kept = is_read(node.name, names | attrs) or node.name in exported
+            else:
+                kept = is_read(node.name, attrs) or node.name.startswith("__")
+            if not kept:
+                found.add((name, qual))
         if found == unread:
             return unread
         unread = found
@@ -205,6 +213,19 @@ def test_detects_unread_method():
                             {"A"}) == {("m.py", "A.unused")}
 
 
+def test_detects_method_shadowed_by_a_local():
+    # `pair` and `point` are read only as local variables, never as
+    # methods; `used` is read as an attribute
+    module = ("class A:\n"
+              "    def pair(self):\n        pass\n"
+              "    def point(self):\n        pass\n"
+              "    def used(self):\n        pass\n"
+              "def run(a):\n    pair = point = a.used()\n    return pair, point\n")
+    reader = "import m\nm.run(m.A())\n"
+    assert unread_functions([("m.py", module)], [("m.py", module), ("r.py", reader)],
+                            {"A"}) == {("m.py", "A.pair"), ("m.py", "A.point")}
+
+
 def module_constants(tree):
     """Every name that a top-level assignment of the module binds, other
     than dunders."""
@@ -227,7 +248,7 @@ def unread_constants(modules, readers):
     source) pairs."""
     read = set()
     for _name, source in readers:
-        read |= names_read(ast.parse(source))
+        read = read.union(*names_read(ast.parse(source)))
     return {(name, const) for name, source in modules
             for const in module_constants(ast.parse(source)) if not is_read(const, read)}
 

@@ -145,3 +145,78 @@ def add_rows_against_fraction_rows(rng):
         # the stored rhs is an int when s clears it, else the exact rational
         assert is_integer(brhs) == (F(brhs).denominator == 1)
         assert s == math.lcm(*(c.denominator for c in want.values()))
+
+
+def ref_rank(rows):
+    """Rank by Fraction elimination, written out here."""
+    m = [[F(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def ref_independent_rows(rows):
+    """The greedy reference: keep each row that raises the rank."""
+    picked = []
+    for i, row in enumerate(rows):
+        if ref_rank([rows[j] for j in picked] + [row]) == len(picked) + 1:
+            picked.append(i)
+    return picked
+
+
+def dependent_matrix(rng, n, d):
+    """n rational rows of length d: zero rows, repeats, multiples and
+    combinations of earlier rows among random ones."""
+    rows = []
+    for _ in range(n):
+        kind = rng.randrange(5) if rows else 4
+        if kind == 0:
+            row = la.zeros(d)
+        elif kind == 1:
+            row = rng.choice(rows)
+        elif kind == 2:
+            row = la.vec_scale(rat(rng.randrange(-5, 6), rng.randrange(1, 4)), rng.choice(rows))
+        elif kind == 3:
+            row = la.vec_add(rng.choice(rows), rng.choice(rows))
+        else:
+            row = la.vec(draw(rng) for _ in range(d))
+        rows.append(row)
+    return rows
+
+
+def test_independent_rows_against_greedy_reference():
+    rng = random.Random(24)
+    for _ in range(200):
+        rows = dependent_matrix(rng, rng.randrange(0, 8), rng.randrange(1, 6))
+        assert la.independent_rows(rows) == ref_independent_rows(rows)
+    assert la.independent_rows([]) == []
+
+
+def test_linear_map_reproduces_and_kills_the_complement():
+    rng = random.Random(2024)
+    for _ in range(60):
+        d, c = rng.randrange(1, 6), rng.randrange(1, 5)
+        domain = dependent_matrix(rng, rng.randrange(1, 7), d)
+        if la.is_zero([x for v in domain for x in v]):
+            continue
+        m = la.mat([[draw(rng) for _ in range(d)] for _ in range(c)])
+        images = [la.mat_vec(m, v) for v in domain]
+        q = la.linear_map(domain, images)
+        assert len(q) == c and all(len(row) == d for row in q)
+        for v, img in zip(domain, images):
+            assert la.mat_vec(q, v) == img
+        # a vector orthogonal to the domain's span maps to zero
+        span = [domain[i] for i in la.independent_rows(domain)]
+        inside = la.linear_map(span, span)
+        for z in la.identity(d):
+            perp = la.vec_sub(z, la.mat_vec(inside, z))
+            assert all(la.dot(perp, v) == 0 for v in span)
+            assert la.is_zero(la.mat_vec(q, perp))

@@ -9,16 +9,15 @@ from polybox import linalg as la
 from polybox import measurements
 from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL, LpBuilder, vec_expr
-from polybox.measurements import (DegreeReport, _dual_witness, _joint_lp, coin_toss,
-                                  coin_toss_on, from_functionals, id_degree, id_degree_at,
-                                  identity_collection, is_compatible, least_mixing,
-                                  make_collection, random_collection, scaled_state_vars)
+from polybox.measurements import (DegreeReport, _dual_witness, _joint_lp, from_functionals,
+                                  id_degree, id_degree_at, identity_collection,
+                                  is_compatible, least_mixing, make_collection,
+                                  random_collection, scaled_state_vars)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
 from polybox.serialize import builtin_space
-from polybox.spaces import simplex_space
 from polybox.witnesses import make_witness_map, q_value, trace_pairing
 
-from conftest import apply_collection
+from conftest import apply_collection, coin_toss, coin_toss_on, simplex_space
 
 SQ = PolySimplex((1, 1))
 

@@ -5,9 +5,9 @@ import pytest
 
 from polybox import linalg as la
 from polybox.exact import R0, R1, rat
-from polybox.polysimplex import PolySimplex, hypercube_space, polysimplex_space, square_space
+from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
 
-from conftest import dual_bases, map_trace
+from conftest import dual_bases, hypercube_space, map_trace
 
 SHAPES = [(1, 1), (2,), (2, 1), (1, 1, 1)]
 

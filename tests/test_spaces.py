@@ -1,4 +1,5 @@
-"""State spaces: representations, membership, base norm, chi, tensors."""
+"""State spaces: representations, membership, base norm, canonical maps and
+chi, tensors."""
 
 import random
 
@@ -7,11 +8,12 @@ import pytest
 from polybox import linalg as la
 from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL, LpBuilder, vec_expr
-from polybox.polysimplex import hypercube_space, polysimplex_space, square_space
+from polybox.polysimplex import polysimplex_space, square_space
 from polybox.serialize import builtin_space
-from polybox.spaces import (StateSpace, base_norm, check_facets_generate, chi,
-                            linear_map_from_vertex_images, max_tensor_member,
-                            separable_decomposition, simplex_space, span_inverse)
+from polybox.spaces import (StateSpace, base_norm, check_facets_generate, max_tensor_member,
+                            separable_decomposition)
+
+from conftest import hypercube_space, simplex_space
 
 SPACES = [simplex_space(2), square_space(), polysimplex_space((2, 1))]
 
@@ -207,37 +209,79 @@ class TestBaseNorm:
 
 
 class TestChi:
+    """χ_K is stored as `span_projector` X: ⟨χ_K, f⊗y⟩ = f·(X·y), and
+    pushing χ_K through a map with canonical matrix m is m·X."""
+
     def test_pairing_reproduces_evaluation(self):
         rng = random.Random(4)
         for space in SPACES:
-            c = chi(space)
+            X = space.span_projector
             for _ in range(10):
                 f = random_span_vector(space, rng)
                 y = random_state(space, rng)
-                assert c.pair(f, y) == la.dot(la.vec(f), la.vec(y))
+                assert la.dot(f, la.mat_vec(X, y)) == la.dot(f, y)
 
     def test_push_left_of_identity(self):
         for space in SPACES:
-            c = chi(space)
-            assert c.push_left(space.span_projector) == c.tensor
+            X = space.span_projector
+            assert la.mat_mul(X, X) == X
+
+    def test_projector_fixes_the_span_and_kills_its_complement(self, state_space):
+        X = state_space.span_projector
+        assert all(la.mat_vec(X, v) == v for v in state_space.vertices)
+        for z in state_space.int_table.relations:
+            perp = [0] * state_space.dim
+            for t, c in z:
+                perp[t] = c
+            assert la.is_zero(la.mat_vec(X, la.vec(perp)))
+
+
+def random_affine_images(space, tgt_dim, rng):
+    """The images of K's vertices under a random affine map into
+    dimension tgt_dim: M·v + c."""
+    m = [[rat(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(space.dim)]
+         for _ in range(tgt_dim)]
+    c = la.vec(rat(rng.randrange(-6, 7), 2) for _ in range(tgt_dim))
+    return [la.vec_add(la.mat_vec(m, v), c) for v in space.vertices]
 
 
 class TestLinearMaps:
     def test_map_from_vertex_images_reproduces(self):
         rng = random.Random(5)
+        for space in SPACES + [hypercube_space(3)]:
+            for tgt_dim in (1, 3, space.dim):
+                images = random_affine_images(space, tgt_dim, rng)
+                m = space.linear_map(images)
+                assert m is not None
+                assert [la.mat_vec(m, v) for v in space.vertices] == images
+                # canonical: m vanishes off span V(K)
+                assert la.mat_mul(m, space.span_projector) == m
+        # one image moved off an affinely consistent table: no map
         sq = square_space()
-        tgt = simplex_space(2)
-        images = [random_state(tgt, rng) for _ in sq.vertices]
-        m = linear_map_from_vertex_images(sq, images, tgt.dim)
-        if m is not None:
-            for v, img in zip(sq.vertices, images):
-                assert la.mat_vec(m, v) == la.vec(img)
+        images = random_affine_images(sq, 3, rng)
+        images[0] = la.vec_add(images[0], (R1, R0, R0))
+        assert sq.linear_map(images) is None
+        with pytest.raises(ValueError):
+            sq.linear_map(images[:3])
 
     def test_span_inverse_round_trip(self):
-        sq = square_space()
-        p = sq.span_projector
-        inv = span_inverse(p, sq)
-        assert la.mat_mul(inv, p) == p
+        # the inverse on span V(K) of a span-preserving map m, built from
+        # the pairs m·b ↦ b over the vertex basis
+        rng = random.Random(6)
+        for space in SPACES + [hypercube_space(3)]:
+            X = space.span_projector
+            done = 0
+            while done < 3:
+                r = la.mat([[rng.randrange(-3, 4) for _ in range(space.dim)]
+                            for _ in range(space.dim)])
+                m = la.mat_mul(X, la.mat_mul(r, X))
+                try:
+                    inv = la.linear_map([la.mat_vec(m, b) for b in space.basis], space.basis)
+                except ValueError:
+                    assert la.rank(m) < space.rank
+                    continue
+                assert la.mat_mul(inv, m) == X and la.mat_mul(m, inv) == X
+                done += 1
 
 
 class TestTensors:

@@ -14,8 +14,7 @@ from polybox.measurements import (id_degree, id_degree_at, identity_collection,
 from polybox.polysimplex import PolySimplex, square_space
 from polybox.spaces import max_tensor_member
 from polybox.steering import (Assemblage, _lhs_lp, assemblage_from, is_separable,
-                              map_from_spanning_pairs, self_dual_state,
-                              square_self_dual_iso, steering_degree,
+                              self_dual_state, square_self_dual_iso, steering_degree,
                               steering_degree_at)
 from conftest import pentagon_json
 from test_measurements import mixing_outcome, two_lp_least_mixing
@@ -228,7 +227,9 @@ class TestSelfDual:
         e2 = (R0, R1)
         both = (R1, R1)
         with pytest.raises(ValueError):
-            map_from_spanning_pairs([e1, e2, both], [e1, e2, (R0, R0)], 2)
+            la.linear_map([e1, e2, both], [e1, e2, (R0, R0)])
+        with pytest.raises(ValueError):
+            la.linear_map([e1, e1], [e1, e2])
 
 
 def ambient_lhs_lp(beta, mixing=None):

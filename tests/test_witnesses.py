@@ -10,10 +10,9 @@ from polybox import linalg as la
 from polybox import serialize as sz
 from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL, LpBuilder, vec_expr
-from polybox.measurements import (MeasurementCollection, coin_toss, identity_collection,
+from polybox.measurements import (MeasurementCollection, identity_collection,
                                   is_compatible, random_collection)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
-from polybox.spaces import simplex_space
 from polybox.witnesses import (EtbDecomposition, EtbRefutation, WitnessValidationError,
                                _etb_lp, _min_trace_witness, is_etb, is_witness,
                                make_witness_map, maximal_incompatibility_certificate,
@@ -21,7 +20,7 @@ from polybox.witnesses import (EtbDecomposition, EtbRefutation, WitnessValidatio
                                square_extremality, trace_pairing,
                                two_outcome_witness_criterion)
 
-from conftest import apply_collection, map_trace, pentagon_json
+from conftest import apply_collection, coin_toss, map_trace, pentagon_json, simplex_space
 
 SQ = PolySimplex((1, 1))
 SPACES = [simplex_space(2), square_space(), polysimplex_space((2, 1))]
