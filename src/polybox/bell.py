@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from . import linalg as la
 from .exact import R0, R1, TOL, approx_eq, is_rational, rat
 from .lp import OPTIMAL
-from .measurements import MeasurementCollection, identity_collection, tensor_lp
+from .measurements import (MeasurementCollection, identity_collection, product_functional,
+                           product_lp)
 from .polysimplex import PolySimplex, square_space
-from .spaces import max_tensor_member
+from .spaces import StateSpace, max_tensor_member, product_range
 from .witnesses import q_value
 
 
@@ -135,26 +136,21 @@ class LhvModel:
 
 
 def is_local(box: Box):
-    """Locality LP, exact boxes only: the `tensor_lp` of γ = Σ_na s_na ⊗
-    c_na over S_A, with each c_na a nonnegative combination of S_B's
+    """Locality LP, exact boxes only: the `product_lp` of γ = Σ_na s_na ⊗
+    c_na over S_A and S_B, each c_na a nonnegative combination of S_B's
     vertices s_nb, whose weights are those of the products of
-    deterministic strategies (na, nb). Returns (bool, LhvModel | None).
-
-    A no-signalling box lies in span V(S_A) ⊗ span V(S_B), so the chart
-    rows of S_A are written only at the coordinates coord_idx(S_B): 9
-    rows on the 2222 box where the table has 16 entries. Σ w = 1 is the
-    normalization block paired with 1_{S_B}. `LhvModel.check` re-checks
-    every entry."""
+    deterministic strategies (na, nb): 9 rows on the 2222 box where the
+    table has 16 entries. Returns (True, LhvModel), re-checked on every
+    entry by `LhvModel.check`, or (False, BellWitness): the Bell
+    functional of `separating_witness`, ≥ 0 on every deterministic box
+    and < 0 on γ, read off the same solve."""
     if box.mode != "exact":
         raise ValueError("locality decision needs exact probabilities")
-    space_b = box.shape_b.as_state_space()
-    cb = space_b.coord_idx
-    gens = [[v[c] for v in space_b.vertices] for c in cb]
-    rows = [[row[c] for c in cb] for row in box.tensor()]
-    lp, w, _lam, _t = tensor_lp(box.shape_a, gens, rows)
+    gamma = box.tensor()
+    lp, w, _lam, _t = product_lp(box.shape_a, box.shape_b.as_state_space(), gamma)
     res = lp.minimize({})
     if res.status != OPTIMAL:
-        return False, None
+        return False, separating_witness(box.shape_a, box.shape_b, gamma, res.farkas)
     # S_B's vertices are stored in outcome order
     outs_b = box.shape_b.outcome_list()
     model = LhvModel({(na, nb): res[x] for na, cols in w.items()
@@ -163,36 +159,37 @@ def is_local(box: Box):
     return True, model
 
 
+def _right_space(factor) -> StateSpace:
+    """A BellWitness's right factor as a state space."""
+    return factor if isinstance(factor, StateSpace) else factor.as_state_space()
+
+
 @dataclass(frozen=True)
 class BellWitness:
-    """Element μ ∈ A(S_A)⊗A(S_B), nonnegative on product states, stored
-    as the coefficient matrix against the coordinate effects. Frozen:
+    """Element μ ∈ A(S_A)⊗A(K_B), nonnegative on products of vertices,
+    stored as its ambient matrix. The right factor `shape_b` is a
+    polysimplex S_B, making μ a Bell functional on boxes (its matrix
+    holds the coefficients against the coordinate effects), or a state
+    space K_B, making it a functional on assemblages. `idx` names a CHSH
+    witness, and is None for a functional read off an LP. Frozen:
     `chsh_witness` hands out shared instances."""
-    idx: tuple
+    idx: tuple | None
     tensor: tuple
     shape_a: PolySimplex
-    shape_b: PolySimplex
+    shape_b: PolySimplex | StateSpace
     norm_max: object = field(default=None)
 
     def __post_init__(self):
         if self.norm_max is None:
-            best = None
-            for va in self.shape_a.outcomes():
-                sa = self.shape_a.vertex(va)
-                for vb in self.shape_b.outcomes():
-                    sb = self.shape_b.vertex(vb)
-                    val = la.dot(sa, la.mat_vec(self.tensor, sb))
-                    if val < 0:
-                        raise ValueError("not a Bell witness: negative on a "
-                                         "product vertex")
-                    if best is None or val > best:
-                        best = val
+            low, best = product_range(self.tensor, self.shape_a.as_state_space(),
+                                      _right_space(self.shape_b))
+            if low < 0:
+                raise ValueError("not a Bell witness: negative on a product vertex")
             object.__setattr__(self, "norm_max", best)
 
     def value(self, box: Box):
         """⟨μ, γ⟩ against the box tensor."""
-        if (box.shape_a.shape, box.shape_b.shape) != \
-                (self.shape_a.shape, self.shape_b.shape):
+        if box.shape_a != self.shape_a or box.shape_b != self.shape_b:
             raise ValueError("box scenario does not match the witness")
         return self.pair_tensor(box.tensor())
 
@@ -202,6 +199,25 @@ class BellWitness:
                    for r in range(len(self.tensor))
                    for c in range(len(self.tensor[0]))
                    if self.tensor[r][c])
+
+
+def separating_witness(shape_a: PolySimplex, right, tensor, farkas) -> BellWitness:
+    """The functional μ of `measurements.product_functional`, read off
+    the Farkas multipliers of an infeasible `product_lp` of `tensor`
+    over S_A and the right factor (S_B for a box, K for an assemblage),
+    checked outside the LP: the BellWitness construction visits every
+    product s_n ⊗ v of vertices for ⟨μ, s_n ⊗ v⟩ ≥ 0, and ⟨μ, T⟩ < 0 is
+    paired on the full tensor T. A failed check is an internal error
+    (AssertionError), not a bad input."""
+    mu = product_functional(shape_a, _right_space(right), farkas)
+    try:
+        witness = BellWitness(None, mu, shape_a, right)
+    except ValueError as e:
+        raise AssertionError(f"Farkas functional rejected: {e}") from None
+    value = witness.pair_tensor(tensor)
+    if not value < 0:
+        raise AssertionError(f"Farkas functional pairs to {value} with the tensor, not < 0")
+    return witness
 
 
 @functools.cache

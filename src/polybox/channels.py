@@ -9,6 +9,7 @@ dense complex matrices are float-mode only.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .exact import R0, R1, TOL, approx_eq, is_rational, rat
@@ -274,23 +275,21 @@ def box_to_causal_channel(box) -> CausalChannelReport:
 
 def _is_causal(T: StochasticMatrix, dims) -> bool:
     """Both marginal channels must ignore the remote input; exact for
-    diagonal Choi matrices."""
+    diagonal Choi matrices. Marginals are compared as `Box._validate`
+    compares them: exactly in exact mode, by `approx_eq` in float mode."""
     d_a, d_b, d_ap, d_bp = dims
+    same = operator.eq if T.exact else approx_eq
     for ia in range(d_a):
         for ja in range(d_ap):
-            vals = set()
-            for ib in range(d_b):
-                marg = sum(T(ja * d_bp + jb, ia * d_b + ib) for jb in range(d_bp))
-                vals.add(marg)
-            if len(vals) > 1:
+            margs = [sum(T(ja * d_bp + jb, ia * d_b + ib) for jb in range(d_bp))
+                     for ib in range(d_b)]
+            if not all(same(margs[0], m) for m in margs[1:]):
                 return False
     for ib in range(d_b):
         for jb in range(d_bp):
-            vals = set()
-            for ia in range(d_a):
-                marg = sum(T(ja * d_bp + jb, ia * d_b + ib) for ja in range(d_ap))
-                vals.add(marg)
-            if len(vals) > 1:
+            margs = [sum(T(ja * d_bp + jb, ia * d_b + ib) for ja in range(d_ap))
+                     for ia in range(d_a)]
+            if not all(same(margs[0], m) for m in margs[1:]):
                 return False
     return True
 

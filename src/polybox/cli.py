@@ -221,20 +221,27 @@ def _cmd_witness(args, load: Loader):
     raise CliError(f"unknown witness action {args.action!r}")
 
 
+def _functional_cert(mu, tensor):
+    """The certificate of a "false" locality or separability verdict: the
+    separating functional μ's ambient matrix, already checked ≥ 0 on
+    every product of vertices, and its pairing ⟨μ, T⟩ < 0 with the box
+    or assemblage tensor T."""
+    return {"functional": [sz._vec_to_json(row) for row in mu.tensor],
+            "pairing": sz.scalar_to_json(mu.pair_tensor(tensor))}
+
+
 def _cmd_steer(args, load: Loader):
     beta = load.assemblage(args.assemblage, space=load.space(args.space))
     if args.action == "separable":
-        sep, model = is_separable(beta)
-        cert = {}
+        sep, found = is_separable(beta)
         if sep:
-            cert["model"] = {
+            cert = {"model": {
                 "weights": {",".join(map(str, k)): sz.scalar_to_json(v)
-                            for k, v in sorted(model.weights.items())},
+                            for k, v in sorted(found.weights.items())},
                 "states": {",".join(map(str, k)): sz._vec_to_json(v)
-                           for k, v in sorted(model.states.items())}}
+                           for k, v in sorted(found.states.items())}}}
         else:
-            sd = steering_degree_at(beta, beta.shape.barycenter())
-            cert["sd_at_barycenter"] = sz.scalar_to_json(sd)
+            cert = _functional_cert(found, beta.to_tensor())
         return sep, {"separable": sep}, cert, "exact"
     if args.search:
         rep = steering_degree(beta)
@@ -282,18 +289,14 @@ def _cmd_bell(args, load: Loader):
         return rep.holds, result, cert, "exact"
     box = load.box(args.box)
     if args.action == "check":
-        local, model = is_local(box)
-        cert = {}
+        local, found = is_local(box)
         if local:
-            cert["lhv_weights"] = {
+            cert = {"lhv_weights": {
                 ",".join(map(str, ka)) + ";" + ",".join(map(str, kb)):
                 sz.scalar_to_json(v)
-                for (ka, kb), v in sorted(model.weights.items())}
+                for (ka, kb), v in sorted(found.weights.items())}}
         else:
-            vals = {w.idx: w.value(box) for w in all_chsh_witnesses()}
-            neg = {",".join(map(str, k)): sz.scalar_to_json(v)
-                   for k, v in sorted(vals.items()) if v < 0}
-            cert["violated_witnesses"] = neg
+            cert = _functional_cert(found, box.tensor())
         return local, {"local": local}, cert, box.mode
     if args.action == "chsh":
         b = bell_value(box)

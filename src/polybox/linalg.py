@@ -151,7 +151,7 @@ def _rref(rows):
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
-        inv = 1 / m[r][c]
+        inv = R1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:

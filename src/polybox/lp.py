@@ -96,11 +96,16 @@ elements of span V(S) ⊗ V, over the vertices s_n of a polysimplex S,
 is written by `measurements.tensor_lp` in S's chart: one block of rows
 per functional of the basis {1_S, m^i_j : j < l_i} of A(S), each block
 in the coordinates of V its caller chooses (the basis vertices for the
-joint LP, coord_idx(K) for `steering._lhs_lp`, coord_idx(S_B) for
-`bell.is_local`). An equation that is affine in the vertex of a
-polysimplex is written only at the chart vertices, the top and the top
-with one entry changed (`witnesses._etb_lp`, `retraction_check`). The
-exact re-check of each certificate still reads every coordinate.
+joint LP, coord_idx(K) in `measurements.product_lp`, which writes the
+hidden-state LP of an assemblage and the locality LP of a box, K = S_B).
+Its multipliers have one reader, `measurements.chart_blocks`, which
+splits them into the negated normalization block and the negated edge
+blocks; the witness map of the joint LP and the separating functional
+of `product_lp` are built from those blocks. An equation that is affine
+in the vertex of a polysimplex is written only at the chart vertices,
+the top and the top with one entry changed (`witnesses._etb_lp`,
+`retraction_check`). The exact re-check of each certificate still
+reads every coordinate.
 """
 from __future__ import annotations
 

@@ -1,7 +1,10 @@
 """Measurement collections F = (f^0,…,f^k) on a polytopic state space,
 the joint-measurement LP, coin tosses, and incompatibility degrees;
 `tensor_lp`, the one LP builder of the joint-measurement, hidden-state
-and locality LPs.
+and locality LPs, and `chart_blocks`, the one reader of its row
+multipliers: `_dual_witness` reads a witness map off them, and
+`product_functional` the separating functional of an infeasible
+`product_lp` (the locality and hidden-state LPs).
 
 A collection is an affine map K → S into a polysimplex, stored by the
 effect values f^i_j(x) on the vertices x of K. Values at the basis
@@ -189,6 +192,62 @@ def tensor_lp(shape: PolySimplex, gens, rows, mixing=None):
     return lp, v, lam, t
 
 
+def chart_blocks(shape: PolySimplex, multipliers, size):
+    """The one reader of `tensor_lp`'s row multipliers (Farkas or dual),
+    given from the first chart row on: the edge blocks y_{i,j} (j < l_i)
+    in order, then the normalization block z, each of `size` entries,
+    one per row of gens. Returns (−z, {(i, j): −y_{i,j}}): the top
+    block and the edge blocks, negated, so that the sign condition of
+    the column of c_n reads ⟨(−z) + Σ_{i: n_i<l_i} (−y_{i,n_i}), g⟩ ≥ 0
+    on its generator g. Multipliers after the chart rows are ignored."""
+    rows = iter(multipliers)
+
+    def block():
+        return [-next(rows) for _ in range(size)]
+
+    edges = {(i, j): block() for i, l in enumerate(shape.shape) for j in range(l)}
+    return block(), edges
+
+
+def product_lp(shape: PolySimplex, space: StateSpace, tensor, mixing=None):
+    """The `tensor_lp` of T = Σ_n s_n ⊗ α_n over the vertices s_n of S,
+    each α_n a nonnegative combination of the vertices of K = `space`,
+    so α_n ∈ V(K)+; `tensor` is T's ambient matrix over V(S) ⊗ V(K) and
+    `mixing` is as there. Every term lies in span V(S) ⊗ span V(K), so
+    the chart rows of S are written only at the coordinates
+    coord_idx(K): 9 rows on the square pair where the tensor has 16
+    entries. This is the locality LP of a box (K = S_B) and the
+    hidden-state LP of an assemblage. Returns (lp, v, lam, t) of
+    `tensor_lp`; v[n] holds the vertex weights of α_n."""
+    cols = space.coord_idx
+    gens = [[v[c] for v in space.vertices] for c in cols]
+    rows = [[row[c] for c in cols] for row in tensor]
+    return tensor_lp(shape, gens, rows, mixing)
+
+
+def product_functional(shape: PolySimplex, space: StateSpace, farkas):
+    """The functional μ = −(1_S ⊗ z + Σ_{i,j<l_i} m^i_j ⊗ y_{i,j}) ∈
+    A(S) ⊗ A(K) read by `chart_blocks` off the Farkas multipliers of an
+    infeasible `product_lp` at λ = 0, as its ambient matrix over V(S) ⊗
+    V(K), with the blocks at the columns coord_idx(K). The weight of α_n
+    on a vertex v of K meets exactly the rows paired with s_n ⊗ v, so
+    the Farkas signs give ⟨μ, s_n ⊗ v⟩ ≥ 0, and ⟨μ, T⟩ is minus the
+    multipliers' value on the rhs, < 0. `bell.separating_witness`
+    checks both again on the full tensor, outside the LP."""
+    top, edges = chart_blocks(shape, farkas, space.rank)
+    mu = []
+    for i, l in enumerate(shape.shape):
+        for j in range(l + 1):
+            block = edges.get((i, j))
+            if i == 0:  # 1_S = Σ_j m^0_j
+                block = top if block is None else [a + b for a, b in zip(top, block)]
+            row = [R0] * space.dim
+            for c, a in zip(space.coord_idx, block or ()):
+                row[c] = a
+            mu.append(tuple(row))
+    return tuple(mu)
+
+
 def _joint_lp(F: MeasurementCollection, mixing=None):
     """The joint-measurement LP of (1−λ)F + λF_s: the `tensor_lp` of F's
     tensor Σ_{i,j} e_{ij} ⊗ f^i_j, written at the basis vertices, whose
@@ -313,25 +372,19 @@ def _dual_witness(F: MeasurementCollection, duals, s):
     so that ⟨1_K, W(s)⟩ = 1, and its Tr FW. Raises AssertionError unless
     it is a witness map.
 
-    The chart rows are the marginal rows y_{i,j,a} (rank rows per (i,
-    j < l_i), one per basis vertex b_a), then the normalization rows
-    z_a. Set w_n = −Σ_a (z_a + Σ_{i: n_i<l_i} y_{i,n_i,a}) b_a. The
-    column of facet weight c_{n,f} meets exactly the rows of w_n, with
-    coefficients ⟨g_f, b_a⟩, so its sign condition reads ⟨g_f, w_n⟩ ≥ 0:
-    each w_n lies in V(K)+. The map is affine in the chart at the top
-    vertex by construction.
+    `chart_blocks` reads the blocks, in the basis-vertex coordinates of
+    the joint LP: top = −z and edge (i, j) = −y_{i,j}. Set w_n = Σ_a
+    (top_a + Σ_{i: n_i<l_i} edge_{i,n_i,a}) b_a. The column of facet
+    weight c_{n,f} meets exactly the rows of w_n, with coefficients ⟨g_f,
+    b_a⟩, so its sign condition reads ⟨g_f, w_n⟩ ≥ 0: each w_n lies in
+    V(K)+. The map is affine in the chart at the top vertex by
+    construction.
     """
     from .witnesses import (WitnessValidationError, _chart_images, make_witness_map,
                             trace_pairing)
 
     shape, space = F.shape, F.space
-    rows = iter(duals)
-
-    def block():
-        return [-next(rows) for _ in range(space.rank)]
-
-    edges = {(i, j): block() for i, l in enumerate(shape.shape) for j in range(l)}
-    top = block()
+    top, edges = chart_blocks(shape, duals, space.rank)
     # every b_a is a vertex, so ⟨1_K, Σ_a c_a b_a⟩ = Σ_a c_a
     norm = sum(top) + sum(shape.coords(s, i, j) * sum(e) for (i, j), e in edges.items())
     if norm <= 0:

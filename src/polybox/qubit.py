@@ -262,27 +262,26 @@ class QubitWitnessParams:
                 (0, 1): sandwich(self.v, +1.0), (1, 0): sandwich(self.v, -1.0)}
 
     def check(self):
+        """Check that each basis's two vertex images sum to 2ρ, and return
+        the images, for a caller that pairs them next."""
         w = self.vertex_images()
         rho2 = 2.0 * self.rho()
         for pair in (((0, 0), (1, 1)), ((0, 1), (1, 0))):
             s = w[pair[0]] + w[pair[1]]
             if np.max(np.abs(s - rho2)) > TOL:
                 raise AssertionError("vertex images do not sum to 2ρ")
-        return True
+        return w
 
 
-def _trace_pairing_mats(a, b, w):
+def trace_pairing_qubit(A: QubitEffect, B: QubitEffect, w):
+    """Tr FW over the square from the vertex images w of W (as
+    `QubitWitnessParams.vertex_images` gives them): Σ_{i,j} ⟨f^i_j,
+    W(top with n_i=j)⟩ − ⟨I, w_top⟩ with top = (1,1)."""
+    a, b = A.matrix(), B.matrix()
     val = np.trace(a @ w[(0, 1)]) + np.trace((_I2 - a) @ w[(1, 1)])
     val = val + np.trace(b @ w[(1, 0)]) + np.trace((_I2 - b) @ w[(1, 1)])
     val = val - np.trace(w[(1, 1)])
     return float(val.real)
-
-
-def trace_pairing_qubit(A: QubitEffect, B: QubitEffect,
-                        params: QubitWitnessParams):
-    """Tr FW over the square: Σ_{i,j} ⟨f^i_j, W(top with n_i=j)⟩ −
-    ⟨I, w_top⟩ with top = (1,1)."""
-    return _trace_pairing_mats(A.matrix(), B.matrix(), params.vertex_images())
 
 
 @dataclass
@@ -361,9 +360,9 @@ def _witness(A: QubitEffect, B: QubitEffect, hi) -> QubitWitnessReport:
     compatible pair (hi None) takes ρ = I/2, and its value must not be
     negative, since every witness pairs non-negatively with a compatible
     pair. The result is re-checked by the matrix route:
-    `params.check()`, and `trace_pairing_qubit` on the returned
-    parameters must give q̂ within _CROSS_CHECK_TOL; a failed check
-    raises AssertionError."""
+    `params.check()`, and the trace pairing of the vertex images that
+    it returns (built once for both checks) must give q̂ within
+    _CROSS_CHECK_TOL; a failed check raises AssertionError."""
     r, n = 0.0, (0.0, 0.0, 1.0)
     if hi is not None:
         c, axes = _kernel_weights(_critical_elements(A.smear(hi), B.smear(hi)))
@@ -377,8 +376,8 @@ def _witness(A: QubitEffect, B: QubitEffect, hi) -> QubitWitnessReport:
         raise AssertionError("a witness detects a pair the coexistence "
                              "criterion accepts")
     params = QubitWitnessParams(r, n, u, v)
-    params.check()
-    if abs(trace_pairing_qubit(A, B, params) - val) > _CROSS_CHECK_TOL:
+    w = params.check()
+    if abs(trace_pairing_qubit(A, B, w) - val) > _CROSS_CHECK_TOL:
         raise AssertionError("closed-form witness value disagrees with the "
                              "matrix trace pairing")
     bound = -val / (1.0 - val) if val < 0.0 else 0.0

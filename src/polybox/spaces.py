@@ -21,7 +21,8 @@ psi, D > 0), psi ∈ span V(K) iff z·P = 0 for every z, psi ∈ V(K)+ iff
 moreover g·P ≥ 0 for every facet g, and psi ∈ K iff moreover u·P =
 D·u_den: sign tests on integer dot products, with no rational built.
 `max_tensor_member` tests a matrix the same way, row and column at a
-time.
+time, and `product_range` evaluates a functional on every product of
+two spaces' vertices, from the vertices' integer numerators.
 """
 from __future__ import annotations
 
@@ -39,11 +40,13 @@ class IntTable(NamedTuple):
     tuple of (coordinate, nonzero integer) pairs. `relations` span the
     orthogonal complement of span V(K); `facets` are the facets' integer
     numerators (a positive multiple of each facet); the unit is
-    `unit`/`unit_den`."""
+    `unit`/`unit_den`, and vertex t is `vertices[t]`/`vertex_den`."""
     relations: tuple
     facets: tuple
     unit: tuple
     unit_den: int
+    vertices: tuple
+    vertex_den: int
 
 
 def _sparse(nums):
@@ -108,7 +111,7 @@ class StateSpace:
         first `rank` coordinates, greedily, on which the basis is
         independent. Two vectors of the span that agree there are equal,
         so the LPs write equations between them there only
-        (`steering._lhs_lp`, `bell.is_local`, `witnesses._etb_lp`)."""
+        (`measurements.product_lp`, `witnesses._etb_lp`)."""
         cols = [[v[i] for v in self.basis] for i in range(self.dim)]
         return tuple(la.independent_rows(cols))
 
@@ -134,9 +137,12 @@ class StateSpace:
                 z[p] = -row[f]
             relations.append(_sparse(numerators(z)[0]))
         unit, unit_den = numerators(self.unit)
+        flat, vertex_den = numerators([x for v in self.vertices for x in v])
+        vertices = tuple(_sparse(flat[t:t + self.dim])
+                         for t in range(0, len(flat), self.dim))
         return IntTable(tuple(relations),
                         tuple(_sparse(numerators(g)[0]) for g in self.facets),
-                        _sparse(unit), unit_den)
+                        _sparse(unit), unit_den, vertices, vertex_den)
 
     def _numerators(self, psi):
         """(P, D) with psi = P/D, or None when psi has another length."""
@@ -320,6 +326,17 @@ def separable_decomposition(tensor, gens_left, gens_right):
     return {(a, c): res[v] for (a, c), v in lam.items()}
 
 
+def _int_matrix(tensor, space_a, space_b):
+    """(M, D): the integer numerators of a dim_A × dim_B matrix over one
+    denominator D > 0, as rows; ValueError on another shape."""
+    m = la.mat(tensor)
+    if len(m) != space_a.dim or any(len(row) != space_b.dim for row in m):
+        raise ValueError("tensor shape does not match the two spaces")
+    db = space_b.dim
+    flat, D = numerators([x for row in m for x in row])
+    return [flat[r * db:(r + 1) * db] for r in range(space_a.dim)], D
+
+
 def max_tensor_member(tensor, space_a, space_b) -> bool:
     """tensor ∈ K_A ⊗̂ K_B: lies in span⊗span, pairs nonnegatively with
     all facet⊗facet generators, and has unit pairing 1.
@@ -330,12 +347,7 @@ def max_tensor_member(tensor, space_a, space_b) -> bool:
     span V(K_B): z_aᵀM = 0 and M z_b = 0 for the relations of each
     space. The generators pair as gᵀMh ≥ 0, and the unit pairing is
     u_aᵀM u_b = D·u_den_A·u_den_B."""
-    m = la.mat(tensor)
-    if len(m) != space_a.dim or any(len(row) != space_b.dim for row in m):
-        raise ValueError("tensor shape does not match the two spaces")
-    db = space_b.dim
-    flat, D = numerators([x for row in m for x in row])
-    M = [flat[r * db:(r + 1) * db] for r in range(space_a.dim)]
+    M, D = _int_matrix(tensor, space_a, space_b)
     ta, tb = space_a.int_table, space_b.int_table
     if any(any(_icombine(z, M)) for z in ta.relations):
         return False
@@ -346,3 +358,20 @@ def max_tensor_member(tensor, space_a, space_b) -> bool:
         if any(_idot(h, gm) < 0 for h in tb.facets):
             return False
     return _idot(tb.unit, _icombine(ta.unit, M)) == D * ta.unit_den * tb.unit_den
+
+
+def product_range(tensor, space_a, space_b):
+    """(least, greatest) of ⟨μ, x ⊗ y⟩ over the vertices x of K_A and y
+    of K_B, for μ ∈ V(K_A)* ⊗ V(K_B)* given by its dim_A × dim_B matrix
+    (ValueError on another shape). Runs on integers like
+    `max_tensor_member`: with μ = M/D and the vertices X/E_A and Y/E_B
+    over one denominator per space, ⟨μ, x ⊗ y⟩ = Xᵀ·M·Y/(D·E_A·E_B), so
+    each product costs one integer row Xᵀ·M per x and one sparse dot per
+    y, and only the two extremes are made rational. Every one of the
+    |V(K_A)|·|V(K_B)| products is visited."""
+    M, D = _int_matrix(tensor, space_a, space_b)
+    ta, tb = space_a.int_table, space_b.int_table
+    vals = [_idot(y, xm) for xm in (_icombine(x, M) for x in ta.vertices)
+            for y in tb.vertices]
+    den = D * ta.vertex_den * tb.vertex_den
+    return rat(min(vals), den), rat(max(vals), den)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from . import linalg as la
 from .exact import R0, R1, rat
 from .lp import OPTIMAL
-from .measurements import DegreeReport, MeasurementCollection, least_mixing, tensor_lp
+from .bell import separating_witness
+from .measurements import DegreeReport, MeasurementCollection, least_mixing, product_lp
 from .polysimplex import PolySimplex
 from .spaces import StateSpace, max_tensor_member
 
@@ -125,18 +126,12 @@ class LhsModel:
 
 
 def _lhs_lp(beta: Assemblage, mixing=None):
-    """The hidden-state LP of (1−λ)β + λ s⊗x: the `tensor_lp` of β =
-    Σ_n s_n ⊗ α_n with each α_n a nonnegative combination of K's
-    vertices, so α_n ∈ V(K)+; `mixing` as there, and T̄ = x. Every term
-    lies in span V(S) ⊗ span V(K), so the chart rows of S are written
-    only at the coordinates coord_idx(K): 9 rows on the square where the
-    tensor has 16 entries. `LhsModel.check` re-checks every entry.
+    """The hidden-state LP of (1−λ)β + λ s⊗x: the `product_lp` of β =
+    Σ_n s_n ⊗ α_n over S and K, with α_n ∈ V(K)+; `mixing` as in
+    `tensor_lp`, and T̄ = x. `LhsModel.check` re-checks every entry.
     Returns (lp, avar, lam, t); avar[n] holds the vertex weights of α_n.
     """
-    kc = beta.space.coord_idx
-    gens = [[v[c] for v in beta.space.vertices] for c in kc]
-    rows = [[row[c] for c in kc] for row in beta.to_tensor()]
-    return tensor_lp(beta.shape, gens, rows, mixing)
+    return product_lp(beta.shape, beta.space, beta.to_tensor(), mixing)
 
 
 def _lhs_model(res, avar, beta: Assemblage) -> LhsModel:
@@ -155,12 +150,15 @@ def _lhs_model(res, avar, beta: Assemblage) -> LhsModel:
 
 
 def is_separable(beta: Assemblage):
-    """β separable ⟺ β = Σ_n s_n ⊗ α_n with α_n ∈ V(K)+ (LP).
-    Returns (bool, LhsModel | None)."""
+    """β separable ⟺ β = Σ_n s_n ⊗ α_n with α_n ∈ V(K)+ (LP). Returns
+    (True, LhsModel) or (False, BellWitness): the functional of
+    `bell.separating_witness` over S and K, ≥ 0 on every product s_n ⊗ v
+    of vertices and < 0 on β, read off the same solve."""
     lp, avar, _lam, _t = _lhs_lp(beta)
     res = lp.minimize({})
     if res.status != OPTIMAL:
-        return False, None
+        return False, separating_witness(beta.shape, beta.space, beta.to_tensor(),
+                                         res.farkas)
     model = _lhs_model(res, avar, beta)
     model.check(beta)
     return True, model

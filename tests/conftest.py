@@ -9,12 +9,12 @@ import pytest
 
 from polybox import linalg as la
 from polybox import serialize as sz
-from polybox.bell import Box, deterministic_box
+from polybox.bell import Box, _embedded_pr_probs, deterministic_box
 from polybox.channels import ChoiMatrix
 from polybox.exact import R0, R1, rat
 from polybox.lp import LpBuilder
 from polybox.measurements import MeasurementCollection
-from polybox.polysimplex import polysimplex_space
+from polybox.polysimplex import PolySimplex, polysimplex_space
 from polybox.spaces import StateSpace
 
 #: a pentagon with vertices (0,0), (2,0), (3,2), (1,3), (−1,2) in ambient
@@ -150,6 +150,41 @@ def random_local_box(shape_a, shape_b, rng):
         for k, v in part.items():
             probs[k] = probs.get(k, R0) + (w / tot) * v
     return Box(shape_a, shape_b, probs)
+
+
+def three_input_pr_box():
+    """The PR box on Alice's inputs 0 and 1 with a third input that
+    always answers 0: shapes (1,1,1)|(1,1), nonlocal, and outside the
+    two-binary-inputs scenario of the CHSH witnesses."""
+    A, B = PolySimplex((1, 1, 1)), PolySimplex((1, 1))
+    return Box(A, B, _embedded_pr_probs(A, B, (0, 1), (0, 1), (1, 0, 0)))
+
+
+def box_functional_separates(mu, box):
+    """The re-check of a Bell functional made apart from `BellWitness`:
+    μ, an ambient matrix over V(S_A) ⊗ V(S_B), pairs ≥ 0 with every
+    deterministic box and < 0 with the box, each pairing a sum over the
+    probability table."""
+    A, B = box.shape_a, box.shape_b
+
+    def pair(b):
+        return sum(mu[A._offset[ia] + ja][B._offset[ib] + jb] * p
+                   for (ia, ib, ja, jb), p in b.probs.items())
+
+    return (all(pair(deterministic_box(A, B, na, nb)) >= 0
+                for na in A.outcomes() for nb in B.outcomes())
+            and pair(box) < 0)
+
+
+def assemblage_functional_separates(mu, beta):
+    """The same re-check on an assemblage: ⟨μ, s_n ⊗ v⟩ ≥ 0 for every
+    vertex s_n of S and v of K, and ⟨μ, β⟩ < 0, by `linalg` on rationals."""
+    S = beta.shape
+    products = [la.dot(S.vertex(n), la.mat_vec(mu, v))
+                for n in S.outcomes() for v in beta.space.vertices]
+    tensor = beta.to_tensor()
+    value = sum(la.dot(mu_row, t_row) for mu_row, t_row in zip(mu, tensor))
+    return all(x >= 0 for x in products) and value < 0
 
 
 def unitary_choi(u):

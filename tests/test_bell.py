@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from polybox import bell
 from polybox import linalg as la
 from polybox.bell import (BellWitness, Box, LhvModel, _embedded_pr_probs,
                           all_chsh_witnesses, bell_id_bound_check, bell_value, box_from,
@@ -18,7 +19,8 @@ from polybox.polysimplex import PolySimplex, square_space
 from polybox.steering import self_dual_state, square_self_dual_iso
 from polybox.witnesses import q_value
 
-from conftest import box_from_tensor, coin_toss, random_local_box
+from conftest import (box_from_tensor, box_functional_separates, coin_toss, random_local_box,
+                      three_input_pr_box)
 
 P = PolySimplex((1, 1))
 
@@ -106,8 +108,9 @@ class TestLocality:
             doctored.check(box)
 
     def test_pr_is_not_local(self):
-        ok, model = is_local(pr_box())
-        assert not ok and model is None
+        ok, mu = is_local(pr_box())
+        assert not ok and mu.value(pr_box()) == rat(-1, 2)
+        assert box_functional_separates(mu.tensor, pr_box())
 
     def test_mixtures_of_deterministic_are_local(self):
         rng = random.Random(5)
@@ -268,9 +271,9 @@ class TestLocalityOnIndependentCoordinates:
         rng = random.Random(str((shape_a, shape_b)))
         seen = set()
         for box in seeded_boxes(shape_a, shape_b, rng, 8):
-            ok, model = is_local(box)
+            ok, found = is_local(box)
             assert ok == ambient_is_local(box)
-            assert ok == (model is not None)
+            assert found.check(box) if ok else box_functional_separates(found.tensor, box)
             seen.add(ok)
         if shape_a in ((1, 1), (1, 1, 1)):
             assert seen == {True, False}
@@ -312,3 +315,59 @@ def test_random_ns_box_matches_validated_parts(shape_a, shape_b):
     for seed in range(20):
         box = random_ns_box(A, B, random.Random(seed))
         assert box.probs == deterministic_parts_random_ns_box(A, B, random.Random(seed))
+
+
+class TestSeparatingFunctional:
+    """A "false" locality verdict carries a Bell functional read off its
+    one LP, checked outside it on every product of vertices."""
+
+    def test_three_input_pr_box(self):
+        box = three_input_pr_box()
+        ok, mu = is_local(box)
+        assert not ok and mu.idx is None
+        assert mu.value(box) == rat(-1, 2)
+        assert box_functional_separates(mu.tensor, box)
+
+    def test_nonlocal_draws_on_three_inputs_each(self):
+        A = PolySimplex((1, 1, 1))
+        nonlocal_ = 0
+        for box in seeded_boxes((1, 1, 1), (1, 1, 1), random.Random(11), 6):
+            ok, found = is_local(box)
+            if not ok:
+                assert found.value(box) < 0 and found.shape_a == A
+                assert box_functional_separates(found.tensor, box)
+                nonlocal_ += 1
+        assert nonlocal_ >= 3
+
+    @pytest.mark.parametrize("shapes", [((1, 1), (1, 1)), ((1, 1, 1), (1, 1)),
+                                        ((2, 1), (2,))], ids=str)
+    def test_every_product_vertex_is_visited(self, shapes):
+        # g = Σ_i m^i_{l_i} counts the inputs at their last outcome, so
+        # ⟨c·1⊗1 − g_A⊗g_B, s_n ⊗ s_m⟩ = c − g_A(n)·g_B(m) is least, and
+        # only, at the last pair of the enumeration: both tops
+        A, B = PolySimplex(shapes[0]), PolySimplex(shapes[1])
+
+        def g(S):
+            return la.combine([R1] * (S.k + 1), [S.m(i, l) for i, l in enumerate(S.shape)])
+
+        top = (A.k + 1) * (B.k + 1)
+        for c, rejected in ((top, False), (top - rat(1, 2), True)):
+            mu = la.mat([[c * u * w - x * y for w, y in zip(B.unit(), g(B))]
+                         for u, x in zip(A.unit(), g(A))])
+            values = [la.dot(A.vertex(n), la.mat_vec(mu, B.vertex(m)))
+                      for n in A.outcomes() for m in B.outcomes()]
+            assert min(values[:-1]) > 0 and values[-1] == c - top
+            if rejected:
+                with pytest.raises(ValueError, match="negative on a product vertex"):
+                    BellWitness(None, mu, A, B)
+            else:
+                assert BellWitness(None, mu, A, B).norm_max == max(values)
+
+    def test_a_functional_that_misses_the_tensor_raises(self, monkeypatch):
+        # a checked functional whose pairing with γ is not negative is an
+        # internal error, not a "false" verdict
+        monkeypatch.setattr(bell, "product_functional",
+                            lambda shape, space, farkas: la.mat(
+                                [[R0] * space.dim for _ in range(shape.ambient_dim)]))
+        with pytest.raises(AssertionError, match="not < 0"):
+            is_local(pr_box())

@@ -7,11 +7,12 @@ import pytest
 
 from polybox.bell import pr_box, random_ns_box
 from polybox.channels import (ChoiMatrix, StochasticMatrix, _bipartite_joint_matrix,
-                              _check_local_decomposition, box_to_causal_channel,
+                              _check_local_decomposition, _is_causal, box_to_causal_channel,
                               cc_channel, channel_space_max_incompatibility,
                               retraction_R, section_S, stochastic_from_point)
 from polybox.exact import R0, R1, rat
 from polybox.polysimplex import PolySimplex
+from polybox.qubit import tsirelson_box
 
 from conftest import random_local_box, unitary_choi
 
@@ -189,6 +190,25 @@ class TestCausalChannel:
             rep = box_to_causal_channel(box)
             assert rep.psd and rep.trace_preserving and rep.causal
             assert rep.recovered.probs == box.probs
+
+
+    def test_float_tsirelson_box_is_causal(self):
+        # its float marginals differ in the last bits, which Box._validate
+        # accepts, so the causality check must accept them too
+        box = tsirelson_box()
+        rep = box_to_causal_channel(box)
+        assert rep.causal and rep.psd and rep.trace_preserving
+        assert rep.recovered.probs == box.probs and rep.local_decomposition is None
+
+    @pytest.mark.parametrize("one", [R1, 1.0], ids=["exact", "float"])
+    def test_signalling_is_refused_in_both_modes(self, one):
+        # Alice's outcome is Bob's input: rows (i_a, i_b), columns (j_a, j_b)
+        zero = one - one
+        rows = [[one if col == 2 * ib else zero for col in range(4)]
+                for _ia in range(2) for ib in range(2)]
+        assert not _is_causal(StochasticMatrix(rows), (2, 2, 2, 2))
+        local = [[one if col == 0 else zero for col in range(4)] for _ in range(4)]
+        assert _is_causal(StochasticMatrix(local), (2, 2, 2, 2))
 
 
 class TestChannelSpace:

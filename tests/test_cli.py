@@ -15,11 +15,13 @@ from polybox.channels import StochasticMatrix, cc_channel
 from polybox.exact import HAVE_GMPY2, R1, rat
 from polybox.measurements import identity_collection
 from polybox.polysimplex import PolySimplex, square_space
+from polybox.qubit import tsirelson_box
 from polybox.steering import (assemblage_from, self_dual_state, square_self_dual_iso,
                               steering_degree_at)
 from polybox.witnesses import q_value
 
-from conftest import box_from_tensor, coin_toss
+from conftest import (assemblage_functional_separates, box_from_tensor,
+                      box_functional_separates, coin_toss, three_input_pr_box)
 
 SQ = PolySimplex((1, 1))
 
@@ -44,6 +46,8 @@ def files(tmp_path_factory):
     beta = assemblage_from(ident, y, square_space())
     out["assemblage"] = put("assemblage.json", sz.assemblage_to_json(beta))
     out["pr"] = put("pr.json", sz.box_to_json(pr_box()))
+    out["pr3"] = put("pr3.json", sz.box_to_json(three_input_pr_box()))
+    out["tsirelson"] = put("tsirelson.json", sz.box_to_json(tsirelson_box()))
     out["det"] = put("det.json",
                      sz.box_to_json(deterministic_box(SQ, SQ, (0, 0), (0, 0))))
     out["ybox"] = put("ybox.json", sz.box_to_json(box_from_tensor(SQ, SQ, y)))
@@ -195,11 +199,17 @@ class TestWitness:
 
 
 class TestSteerBellBox:
-    def test_separable(self, capsys, files):
+    def test_separable(self, capsys, files, solved_rows):
+        # the functional is read off the one separability LP
         code, rep, _ = run(capsys, "steer", "separable", "--assemblage",
                            files["assemblage"])
         assert code == 1
         assert rep["verdict"] is False
+        assert len(solved_rows) == 1
+        beta = sz.assemblage_from_json(json.loads(pathlib.Path(files["assemblage"]).read_text()))
+        mu = [[rat(x) for x in row] for row in rep["certificate"]["functional"]]
+        assert assemblage_functional_separates(mu, beta)
+        assert rat(rep["certificate"]["pairing"]) < 0
 
     def test_sd(self, capsys, files):
         code, rep, _ = run(capsys, "steer", "sd", "--assemblage",
@@ -224,10 +234,20 @@ class TestSteerBellBox:
     def test_bell_check(self, capsys, files):
         code, rep, _ = run(capsys, "bell", "check", "--box", files["pr"])
         assert code == 1
-        assert rep["certificate"]["violated_witnesses"]
+        assert rep["certificate"]["pairing"] == "-1/2"
+        mu = [[rat(x) for x in row] for row in rep["certificate"]["functional"]]
+        assert box_functional_separates(mu, pr_box())
         code, rep, _ = run(capsys, "bell", "check", "--box", files["det"])
         assert code == 0
         assert "lhv_weights" in rep["certificate"]
+
+    def test_bell_check_outside_the_chsh_scenario(self, capsys, files):
+        # shapes (1,1,1)|(1,1): no CHSH witness applies, the LP's does
+        code, rep, _ = run(capsys, "bell", "check", "--box", files["pr3"])
+        assert code == 1 and rep["verdict"] is False
+        assert rep["certificate"]["pairing"] == "-1/2"
+        mu = [[rat(x) for x in row] for row in rep["certificate"]["functional"]]
+        assert box_functional_separates(mu, three_input_pr_box())
 
     def test_bell_chsh(self, capsys, files):
         code, rep, _ = run(capsys, "bell", "chsh", "--box", files["pr"])
@@ -256,6 +276,12 @@ class TestSteerBellBox:
         code, rep, _ = run(capsys, "box", "to-channel", "--box", files["pr"])
         assert code == 0
         assert rep["result"]["recovered_exactly"] is True
+
+    def test_float_tsirelson_box_to_channel(self, capsys, files):
+        # its float marginals differ in the last bits; Box accepts it
+        code, rep, _ = run(capsys, "box", "to-channel", "--box", files["tsirelson"])
+        assert code == 0 and rep["mode"] == "float"
+        assert rep["result"]["causal"] is True
 
 
 class TestChannelQubit:

@@ -220,3 +220,12 @@ def test_linear_map_reproduces_and_kills_the_complement():
             perp = la.vec_sub(z, la.mat_vec(inside, z))
             assert all(la.dot(perp, v) == 0 for v in span)
             assert la.is_zero(la.mat_vec(q, perp))
+
+
+def test_elimination_on_bare_ints_stays_exact():
+    # the pivot row is scaled by a rational reciprocal, never 1/int
+    assert la.rank([[1, 10**20], [1, 10**20 + 1]]) == 2
+    inv = la.invert([[2, 1], [1, 1]])
+    assert inv == ((1, -1), (-1, 2))
+    assert all(isinstance(x, Rational) for row in inv for x in row)
+    assert la.independent_rows([[1, 10**20], [1, 10**20 + 1], [0, 1]]) == [0, 1]

@@ -237,8 +237,7 @@ class TestWitness:
         rep = witness_q(a, b)
         assert abs(rep.q_hat - (1.0 - math.sqrt(2.0))) <= 1e-6
         assert abs(rep.id_lower_bound - QUBIT_MAX_ID) <= 1e-6
-        assert rep.params.check()
-        got = trace_pairing_qubit(a, b, rep.params)
+        got = trace_pairing_qubit(a, b, rep.params.check())
         assert abs(got - rep.q_hat) <= 1e-9
         c, d = holder_check(rep.params)
         assert abs(c * c + d * d - 1.0) <= 1e-9
@@ -296,7 +295,7 @@ class TestWitnessEvaluator:
                     ws = 0.25 * (w[(0, 0)] + w[(0, 1)] + w[(1, 0)] + w[(1, 1)])
                     assert np.linalg.eigvalsh(ws).min() >= -1e-12
                     assert abs(np.trace(ws).real - 1.0) <= 1e-12
-                    assert abs(val - trace_pairing_qubit(a, b, params)) <= 1e-12
+                    assert abs(val - trace_pairing_qubit(a, b, w)) <= 1e-12
 
 
 class TestPolarStall:

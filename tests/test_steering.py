@@ -16,7 +16,7 @@ from polybox.spaces import max_tensor_member
 from polybox.steering import (Assemblage, _lhs_lp, assemblage_from, is_separable,
                               self_dual_state, square_self_dual_iso, steering_degree,
                               steering_degree_at)
-from conftest import pentagon_json
+from conftest import assemblage_functional_separates, pentagon_json
 from test_measurements import mixing_outcome, two_lp_least_mixing
 
 SQ = PolySimplex((1, 1))
@@ -132,9 +132,23 @@ class TestSeparability:
 
     def test_identity_on_self_dual_steers(self):
         beta = identity_assemblage()
-        ok, model = is_separable(beta)
-        assert not ok and model is None
+        ok, mu = is_separable(beta)
+        assert not ok and mu.idx is None and mu.shape_b is beta.space
+        assert assemblage_functional_separates(mu.tensor, beta)
         assert steering_degree_at(beta, SQ.barycenter()) > 0
+
+    def test_non_separable_self_dual_draws_are_certified(self):
+        rng = random.Random(7)
+        y, sq = self_dual_square(), square_space()
+        steer = 0
+        for _ in range(20):
+            beta = assemblage_from(random_collection(sq, SQ, rng, bias=rat(3, 4)), y, sq)
+            ok, found = is_separable(beta)
+            if not ok:
+                assert found.pair_tensor(beta.to_tensor()) < 0
+                assert assemblage_functional_separates(found.tensor, beta)
+                steer += 1
+        assert steer >= 15
 
     def test_mixing_to_degree_restores_separability(self):
         beta = identity_assemblage()
@@ -334,9 +348,11 @@ class TestHiddenStateLpOnIndependentCoordinates:
         seen, boundary = set(), 0
         for _ in range(5):
             beta = partition_assemblage(P, state_space, rng)
-            ok, _model = is_separable(beta)
+            ok, found = is_separable(beta)
             ref, _lam, _t = ambient_lhs_lp(beta)
             assert ok == (ref.minimize({}).status == OPTIMAL)
+            assert found.check(beta) if ok else \
+                assemblage_functional_separates(found.tensor, beta)
             seen.add(ok)
             for s in points:
                 ref, lam, _t = ambient_lhs_lp(beta, s)
