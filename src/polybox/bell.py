@@ -171,21 +171,22 @@ class BellWitness:
     polysimplex S_B, making μ a Bell functional on boxes (its matrix
     holds the coefficients against the coordinate effects), or a state
     space K_B, making it a functional on assemblages. `idx` names a CHSH
-    witness, and is None for a functional read off an LP. Frozen:
-    `chsh_witness` hands out shared instances."""
+    witness, and is None for a functional read off an LP. `norm_max`, μ's
+    greatest value on a product of vertices, comes from the same check of
+    every product and is never passed in. Frozen: `chsh_witness` hands
+    out shared instances."""
     idx: tuple | None
     tensor: tuple
     shape_a: PolySimplex
     shape_b: PolySimplex | StateSpace
-    norm_max: object = field(default=None)
+    norm_max: object = field(init=False)
 
     def __post_init__(self):
-        if self.norm_max is None:
-            low, best = product_range(self.tensor, self.shape_a.as_state_space(),
-                                      _right_space(self.shape_b))
-            if low < 0:
-                raise ValueError("not a Bell witness: negative on a product vertex")
-            object.__setattr__(self, "norm_max", best)
+        low, best = product_range(self.tensor, self.shape_a.as_state_space(),
+                                  _right_space(self.shape_b))
+        if low < 0:
+            raise ValueError("not a Bell witness: negative on a product vertex")
+        object.__setattr__(self, "norm_max", best)
 
     def value(self, box: Box):
         """⟨μ, γ⟩ against the box tensor."""

@@ -53,15 +53,6 @@ class StochasticMatrix:
     def __call__(self, j, i):
         return self.rows[i][j]
 
-    @classmethod
-    def deterministic(cls, n_inputs, n_outputs, outcomes):
-        outcomes = tuple(outcomes)
-        if len(outcomes) != n_inputs or any(not 0 <= o < n_outputs for o in outcomes):
-            raise ValueError("one outcome per input, within range")
-        return cls(tuple(tuple(R1 if j == outcomes[i] else R0
-                               for j in range(n_outputs))
-                         for i in range(n_inputs)))
-
     def __eq__(self, other):
         return isinstance(other, StochasticMatrix) and self.rows == other.rows
 
@@ -208,7 +199,7 @@ class CausalChannelReport:
     psd: bool
     trace_preserving: bool
     causal: bool
-    local_decomposition: list | None
+    local_decomposition: object
 
 
 def _bipartite_joint_matrix(box) -> tuple:
@@ -249,11 +240,14 @@ def _recover_box(choi: ChoiMatrix, box):
 
 def box_to_causal_channel(box) -> CausalChannelReport:
     """Φ := Φ_{T_γ}; verifies complete positivity, causality in both
-    directions, the exact recovery (R_A⊗R_B)(Φ) = γ, and for local
-    boxes also produces the product-c-c-channel decomposition."""
+    directions and the exact recovery (R_A⊗R_B)(Φ) = γ. For an exact
+    local box, `local_decomposition` is the LhvModel that `is_local` has
+    checked against every box entry: its weights over pairs (na, nb) of
+    deterministic strategies are those of Φ as a convex combination of
+    the product c-c channels Φ_{T_na} ⊗ Φ_{T_nb}, since T_γ's entries are
+    the box probabilities. None for other boxes."""
     from .bell import is_local
     T, dims = _bipartite_joint_matrix(box)
-    d_a, d_b, d_ap, d_bp = dims
     choi = cc_channel(T)
     psd = choi.is_psd()
     tp = choi.is_trace_preserving()
@@ -265,10 +259,8 @@ def box_to_causal_channel(box) -> CausalChannelReport:
         raise AssertionError("channel does not recover the box")
     decomposition = None
     if box.mode == "exact":
-        local, model = is_local(box)
-        if local:
-            decomposition = _local_decomposition(model, dims)
-            _check_local_decomposition(decomposition, T)
+        local, found = is_local(box)
+        decomposition = found if local else None
     return CausalChannelReport(choi, dims, box, recovered, psd, tp, causal,
                                decomposition)
 
@@ -292,40 +284,6 @@ def _is_causal(T: StochasticMatrix, dims) -> bool:
             if not all(same(margs[0], m) for m in margs[1:]):
                 return False
     return True
-
-
-def _local_decomposition(model, dims):
-    """Convex combination of product deterministic c-c channels from
-    the LHV weights; certifies membership in the minimal tensor
-    product of the two local channel spaces."""
-    d_a, d_b, d_ap, d_bp = dims
-    out = []
-    for (na, nb), w in model.weights.items():
-        ta = StochasticMatrix.deterministic(d_a, d_ap, na)
-        tb = StochasticMatrix.deterministic(d_b, d_bp, nb)
-        out.append((w, ta, tb))
-    return out
-
-
-def _check_local_decomposition(decomposition, T: StochasticMatrix):
-    """Σ w·(ta ⊗ tb) == T entry by entry. The product's entry at input
-    (ia, ib), output (ja, jb) is ta(ja, ia)·tb(jb, ib), at input
-    ia·n_B + ib and output ja·m_B + jb for tb's n_B inputs and m_B
-    outputs; only the nonzero factors are visited, a single 1 per row for
-    deterministic channels."""
-    n_in, n_out = T.n_inputs, T.n_outputs
-    acc = [[R0] * n_out for _ in range(n_in)]
-    for w, ta, tb in decomposition:
-        for ia, ra in enumerate(ta.rows):
-            for ib, rb in enumerate(tb.rows):
-                row = acc[ia * tb.n_inputs + ib]
-                for ja, va in enumerate(ra):
-                    if va:
-                        for jb, vb in enumerate(rb):
-                            if vb:
-                                row[ja * tb.n_outputs + jb] += w * va * vb
-    if any(acc[i][j] != T(j, i) for i in range(n_in) for j in range(n_out)):
-        raise AssertionError("local decomposition does not reproduce the channel")
 
 
 @dataclass

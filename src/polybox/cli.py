@@ -1,9 +1,13 @@
 """Command-line front end: load JSON objects, run the decision
 procedures, print a report carrying the verdict and its certificate.
+Handlers return plain values, and `main` renders each report once
+with `serialize`, the one module that knows the JSON form, in both
+directions: it also reads every input file.
 
 Exit codes: 0 when the verdict is true, 1 when false, 2 on bad input
-(bad JSON, schema mismatches, inexact numbers in exact objects, violated
-preconditions), 3 on an internal error such as a failed self-check.
+(bad JSON, a field of the wrong JSON type, schema mismatches, inexact
+numbers in exact objects, violated preconditions), 3 on an internal
+error such as a failed self-check.
 Reports go to stdout and are byte-identical for fixed inputs and
 --seed; timing and errors go to stderr.
 """
@@ -19,7 +23,7 @@ import time
 import traceback
 
 from . import serialize as sz
-from .exact import HAVE_GMPY2, is_rational, rat
+from .exact import HAVE_GMPY2, rat
 from .measurements import id_degree, is_compatible
 from .polysimplex import PolySimplex
 from .witnesses import (is_etb, is_witness, maximal_incompatibility_certificate,
@@ -38,23 +42,6 @@ from .qubit import (QubitEffect, joint_povm_feasible, mub_pair,
 
 class CliError(Exception):
     """Reported on stderr with exit code 2."""
-
-
-def _clean(v):
-    """Render nested values JSON-ready: rationals as 'p/q' strings,
-    tuple keys as comma strings."""
-    if v is None or isinstance(v, (bool, str, int)):
-        return v
-    if is_rational(v):
-        return sz.scalar_to_json(v)
-    if isinstance(v, float):
-        return v
-    if isinstance(v, dict):
-        return {",".join(map(str, k)) if isinstance(k, tuple) else str(k): _clean(x)
-                for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_clean(x) for x in v]
-    raise TypeError(f"cannot render {type(v).__name__}")
 
 
 class Loader:
@@ -142,7 +129,7 @@ def _cmd_space(args, load: Loader):
         "n_facets": len(space.facets),
     }
     if args.action == "info":
-        result["vertices"] = [sz._vec_to_json(v) for v in space.vertices]
+        result["vertices"] = space.vertices
         return True, result, checks, "exact"
     return all(checks.values()), result, checks, "exact"
 
@@ -151,11 +138,9 @@ def _cmd_compat(args, load: Loader):
     F = load.measurement(args.meas, space=load.space(args.space))
     compatible, found = is_compatible(F)
     if compatible:
-        cert = {"joint": {",".join(map(str, k)): sz._vec_to_json(v)
-                          for k, v in sorted(found.table.items())}}
+        cert = {"joint": found.table}
     else:
-        cert = {"witness": sz.witness_to_json(found),
-                "trace": sz.scalar_to_json(trace_pairing(F, found))}
+        cert = {"witness": found, "trace": trace_pairing(F, found)}
     return compatible, {"compatible": compatible}, cert, "exact"
 
 
@@ -164,16 +149,13 @@ def _cmd_id(args, load: Loader):
     if args.search:
         rep = id_degree(F)
         W, trace = rep.witness, rep.q
-        result = {"id": sz.scalar_to_json(rep.value),
-                  "at": sz._vec_to_json(rep.s),
-                  "evaluations": rep.evaluations}
+        result = {"id": rep.value, "at": rep.s, "evaluations": rep.evaluations}
     else:
         s = _point_arg(args.at, F.shape)
         q, W, lam = q_value(F, s)
         trace = trace_pairing(F, W)
-        result = {"id": sz.scalar_to_json(lam), "at": sz._vec_to_json(s),
-                  "q": sz.scalar_to_json(q)}
-    cert = {"witness": sz.witness_to_json(W), "trace": sz.scalar_to_json(trace)}
+        result = {"id": lam, "at": s, "q": q}
+    cert = {"witness": W, "trace": trace}
     return True, result, cert, "exact"
 
 
@@ -181,40 +163,33 @@ def _cmd_witness(args, load: Loader):
     if args.action == "maximal":
         F = load.measurement(args.meas, space=load.space(args.space))
         rep = maximal_incompatibility_certificate(F)
-        cert = {"value": sz.scalar_to_json(rep.value)}
+        cert = {"value": rep.value}
         if rep.witness is not None:
-            cert["witness"] = sz.witness_to_json(rep.witness)
+            cert["witness"] = rep.witness
             cert["orthogonal"] = rep.orthogonal
         return rep.maximal, {"maximal": rep.maximal}, cert, "exact"
     W = load.witness(args.witness, space=load.space(args.space))
     if args.action == "test":
         d = is_witness(W)
-        cert = {"min_trace": sz.scalar_to_json(d.min_value)}
+        cert = {"min_trace": d.min_value}
         if d.is_witness:
-            cert["violating_collection"] = sz.measurement_to_json(d.minimizer)
+            cert["violating_collection"] = d.minimizer
         else:
-            cert["translation"] = sz._vec_to_json(d.translation)
-            cert["translated_factorization"] = {
-                ",".join(map(str, k)): sz._vec_to_json(v)
-                for k, v in sorted(d.translated_etb.psi.items())}
+            cert["translation"] = d.translation
+            cert["translated_factorization"] = d.translated_etb.psi
         return d.is_witness, {"is_witness": d.is_witness}, cert, "exact"
     if args.action == "etb":
         etb, found = is_etb(W)
         if etb:
-            cert = {"factorization": {",".join(map(str, k)): sz._vec_to_json(v)
-                                      for k, v in sorted(found.psi.items())}}
+            cert = {"factorization": found.psi}
         else:
-            cert = {"refutation": {",".join(map(str, k)): sz._vec_to_json(v)
-                                   for k, v in sorted(found.phi.items())},
-                    "pairing": sz.scalar_to_json(found.pairing(W))}
+            cert = {"refutation": found.phi, "pairing": found.pairing(W)}
         return etb, {"is_etb": etb}, cert, "exact"
     if args.action == "extremal":
         ext = square_extremality(W)
-        tight = {}
-        for n, img in sorted(W.vertex_images.items()):
-            tight[",".join(map(str, n))] = [
-                fi for fi, f in enumerate(W.space.facets)
-                if sum(a * b for a, b in zip(f, img)) == 0]
+        tight = {n: [fi for fi, f in enumerate(W.space.facets)
+                     if sum(a * b for a, b in zip(f, img)) == 0]
+                 for n, img in W.vertex_images.items()}
         cert = {"two_outcome_criterion": two_outcome_witness_criterion(W),
                 "tight_facets": tight}
         return ext, {"extremal": ext}, cert, "exact"
@@ -226,8 +201,7 @@ def _functional_cert(mu, tensor):
     separating functional μ's ambient matrix, already checked ≥ 0 on
     every product of vertices, and its pairing ⟨μ, T⟩ < 0 with the box
     or assemblage tensor T."""
-    return {"functional": [sz._vec_to_json(row) for row in mu.tensor],
-            "pairing": sz.scalar_to_json(mu.pair_tensor(tensor))}
+    return {"functional": mu.tensor, "pairing": mu.pair_tensor(tensor)}
 
 
 def _cmd_steer(args, load: Loader):
@@ -235,24 +209,18 @@ def _cmd_steer(args, load: Loader):
     if args.action == "separable":
         sep, found = is_separable(beta)
         if sep:
-            cert = {"model": {
-                "weights": {",".join(map(str, k)): sz.scalar_to_json(v)
-                            for k, v in sorted(found.weights.items())},
-                "states": {",".join(map(str, k)): sz._vec_to_json(v)
-                           for k, v in sorted(found.states.items())}}}
+            cert = {"model": {"weights": found.weights, "states": found.states}}
         else:
             cert = _functional_cert(found, beta.to_tensor())
         return sep, {"separable": sep}, cert, "exact"
     if args.search:
         rep = steering_degree(beta)
-        result = {"sd": sz.scalar_to_json(rep.value),
-                  "at": sz._vec_to_json(rep.s),
-                  "evaluations": rep.evaluations}
+        result = {"sd": rep.value, "at": rep.s, "evaluations": rep.evaluations}
         sd = rep.value
     else:
         s = _point_arg(args.at, beta.shape)
         sd = steering_degree_at(beta, s)
-        result = {"sd": sz.scalar_to_json(sd), "at": sz._vec_to_json(s)}
+        result = {"sd": sd, "at": s}
     cert = {"separable": sd == 0}
     return True, result, cert, "exact"
 
@@ -262,12 +230,9 @@ def _cmd_bell(args, load: Loader):
         F_A = load.measurement(args.meas_a, space=load.space(args.space))
         if args.equality:
             eq = square_equality_construction(F_A)
-            result = {"lhs": sz.scalar_to_json(eq.lhs),
-                      "q": sz.scalar_to_json(eq.q),
-                      "holds": eq.holds,
+            result = {"lhs": eq.lhs, "q": eq.q, "holds": eq.holds,
                       "self_dual_route": eq.self_dual_route}
-            cert = {"partner_collection": sz.measurement_to_json(eq.f_b),
-                    "witness": sz.witness_to_json(eq.witness)}
+            cert = {"partner_collection": eq.f_b, "witness": eq.witness}
             return eq.holds, result, cert, "exact"
         F_B = load.measurement(args.meas_b, space=load.space(args.space))
         i, j, k = (int(t) for t in args.idx.split(","))
@@ -278,35 +243,26 @@ def _cmd_bell(args, load: Loader):
             y = self_dual_state(F_A.space, square_self_dual_iso())
         s = _point_arg(args.at, F_A.shape)
         rep = bell_id_bound_check(mu, F_A, F_B, y, s)
-        result = {"lhs": sz.scalar_to_json(rep.lhs),
-                  "rhs": sz.scalar_to_json(rep.rhs),
-                  "holds": rep.holds}
-        cert = {"q": sz.scalar_to_json(rep.q),
-                "norm_max": sz.scalar_to_json(rep.norm_max),
-                "equality_value": sz.scalar_to_json(rep.equality_value)
-                if rep.equality_value is not None else None,
+        result = {"lhs": rep.lhs, "rhs": rep.rhs, "holds": rep.holds}
+        cert = {"q": rep.q, "norm_max": rep.norm_max,
+                "equality_value": rep.equality_value,
                 "equality_holds": rep.equality_holds}
         return rep.holds, result, cert, "exact"
     box = load.box(args.box)
     if args.action == "check":
         local, found = is_local(box)
         if local:
-            cert = {"lhv_weights": {
-                ",".join(map(str, ka)) + ";" + ",".join(map(str, kb)):
-                sz.scalar_to_json(v)
-                for (ka, kb), v in sorted(found.weights.items())}}
+            cert = {"lhv_weights": found.weights}
         else:
             cert = _functional_cert(found, box.tensor())
         return local, {"local": local}, cert, box.mode
     if args.action == "chsh":
         b = bell_value(box)
         pair = chsh_witness(0, 1, 0).value(box)
-        corr = {f"{x},{yb}": _clean(correlator(box, x, yb))
-                for x in (0, 1) for yb in (0, 1)}
-        wvals = {",".join(map(str, w.idx)): _clean(w.value(box))
-                 for w in all_chsh_witnesses()}
+        corr = {(x, yb): correlator(box, x, yb) for x in (0, 1) for yb in (0, 1)}
+        wvals = {w.idx: w.value(box) for w in all_chsh_witnesses()}
         local_bound = (b <= 2) if box.mode == "exact" else (float(b) <= 2.0 + 1e-9)
-        result = {"bell": _clean(b), "pairing_010": _clean(pair),
+        result = {"bell": b, "pairing_010": pair,
                   "correlators": corr, "local_bound_satisfied": local_bound}
         return local_bound, result, {"witness_values": wvals}, box.mode
     raise CliError(f"unknown bell action {args.action!r}")
@@ -316,13 +272,13 @@ def _cmd_box(args, load: Loader):
     box = load.box(args.box)
     rep = box_to_causal_channel(box)
     ok = rep.psd and rep.trace_preserving and rep.causal
-    result = {"channel": sz.channel_to_json(rep.choi),
+    result = {"channel": rep.choi,
               "psd": rep.psd, "trace_preserving": rep.trace_preserving,
               "causal": rep.causal,
               "recovered_exactly": rep.recovered.probs == box.probs}
-    cert = {"recovered_box": sz.box_to_json(rep.recovered)}
+    cert = {"recovered_box": rep.recovered}
     if rep.local_decomposition is not None:
-        cert["local_decomposition_terms"] = len(rep.local_decomposition)
+        cert["local_decomposition_terms"] = len(rep.local_decomposition.weights)
     return ok and result["recovered_exactly"], result, cert, box.mode
 
 
@@ -337,8 +293,7 @@ def _cmd_channel(args, load: Loader):
         T = stochastic_from_point(used, s)
         back = section_S(used, s)
         round_trip = retraction_R(back, used) == s
-        result = {"point": sz._vec_to_json(s),
-                  "stochastic_rows": [sz._vec_to_json(r) for r in T.rows]}
+        result = {"point": s, "stochastic_rows": T.rows}
         mode = "exact" if phi.exact else "float"
         return True, result, {"section_round_trip": round_trip}, mode
     if args.action == "section":
@@ -346,7 +301,7 @@ def _cmd_channel(args, load: Loader):
         s = _point_arg(args.at, shape)
         phi = section_S(shape, s)
         round_trip = retraction_R(phi, shape) == tuple(s)
-        result = {"channel": sz.channel_to_json(phi)}
+        result = {"channel": phi}
         mode = "exact" if phi.exact else "float"
         return round_trip, result, {"retracts_back": round_trip}, mode
     raise CliError(f"unknown channel action {args.action!r}")
@@ -358,7 +313,7 @@ def _cmd_qubit(args, load: Loader):
         b = bell_value(box)
         rep = qubit_bound_report()
         ok = abs(b - 2.0 * math.sqrt(2.0)) <= 1e-9
-        result = {"bell": b, "box": sz.box_to_json(box)}
+        result = {"bell": b, "box": box}
         cert = {"bound_lhs": rep.lhs, "bound_rhs": rep.rhs,
                 "q_hat": rep.q_hat, "equality_gap": rep.equality_gap}
         return ok, result, cert, "float"
@@ -508,23 +463,25 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         verdict, result, cert, mode = args.fn(args, load)
-    except (CliError, ValueError, KeyError, OSError) as e:
+        seconds = time.perf_counter() - start
+        report = None
+        if result is not None or cert is not None:
+            report = sz.dumps({"command": args.command + " " + getattr(args, "action", ""),
+                               "inputs": load.digests,
+                               "mode": mode,
+                               "backend": "gmpy2" if HAVE_GMPY2 else "fractions",
+                               "verdict": verdict,
+                               "result": result,
+                               "certificate": cert})
+    except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # a crash must not read as a "false" verdict
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    seconds = time.perf_counter() - start
-    if result is not None or cert is not None:
-        report = {"command": args.command + " " + getattr(args, "action", ""),
-                  "inputs": load.digests,
-                  "mode": mode,
-                  "backend": "gmpy2" if HAVE_GMPY2 else "fractions",
-                  "verdict": verdict,
-                  "result": result,
-                  "certificate": cert}
-        sys.stdout.write(sz.dumps(report))
+    if report is not None:
+        sys.stdout.write(report)
     print(f"{seconds:.3f}s", file=sys.stderr)
     return 0 if verdict else 1
 

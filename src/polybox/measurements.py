@@ -297,7 +297,7 @@ def id_degree_at(F: MeasurementCollection, s, cross_check=False):
     """
     shape = F.shape
     if not shape.interior(s):
-        raise ValueError("id_degree_at needs a strictly interior s; "
+        raise ValueError("id_degree_at needs a strictly interior state s; "
                          "use the boundary-segment bound instead")
     from .witnesses import q_value
 

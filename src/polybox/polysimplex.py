@@ -95,8 +95,15 @@ class PolySimplex:
         return rat(s[self._offset[i] + j])
 
     def interior(self, s) -> bool:
-        return all(self.coords(s, i, j) > 0
-                   for i, l in enumerate(self.shape) for j in range(l + 1))
+        """s is a state of S (one coordinate per ambient entry, each block
+        summing to 1) with every coordinate > 0."""
+        if len(s) != self.ambient_dim:
+            return False
+        for i, l in enumerate(self.shape):
+            block = [self.coords(s, i, j) for j in range(l + 1)]
+            if sum(block) != 1 or any(c <= 0 for c in block):
+                return False
+        return True
 
     def as_state_space(self) -> StateSpace:
         """S as a StateSpace: the one space shared by every PolySimplex of

@@ -31,6 +31,9 @@ class Assemblage:
 
     def _validate(self):
         space = self.space
+        want = {(i, j) for i, l in enumerate(self.shape.shape) for j in range(l + 1)}
+        if set(self.p) != want or set(self.sub_states) != want:
+            raise ValueError("p and sub-state tables do not match the outcome shape")
         if not space.is_state(self.x):
             raise ValueError("assemblage average is not a state")
         for i, l in enumerate(self.shape.shape):

@@ -375,7 +375,7 @@ def q_value(F: MeasurementCollection, s):
     shape = F.shape
     space = F.space
     if not shape.interior(s):
-        raise ValueError("q_value needs a strictly interior s")
+        raise ValueError("q_value needs a strictly interior state s")
     lp, top, edges = _witness_lp(F, states=False)
     # ⟨1_K, W(s)⟩ = 1, with W(s) = w_top + Σ_{i,j<l_i} s^i_j W(e^i_j)
     point = vec_expr([(R1, top)] + [(shape.coords(s, i, j), cols)

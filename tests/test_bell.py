@@ -158,6 +158,12 @@ class TestChsh:
         with pytest.raises(ValueError):
             BellWitness((0, 0, 0), t, P, P)
 
+    def test_norm_max_is_not_an_argument(self):
+        # passing it would skip the product-vertex check
+        t = la.mat([[-R1] * 4 for _ in range(4)])
+        with pytest.raises(TypeError):
+            BellWitness(None, t, P, P, norm_max=R1)
+
     def test_pr_values(self):
         box = pr_box()
         assert bell_value(box) == rat(4)

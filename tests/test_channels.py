@@ -5,11 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from polybox.bell import pr_box, random_ns_box
-from polybox.channels import (ChoiMatrix, StochasticMatrix, _bipartite_joint_matrix,
-                              _check_local_decomposition, _is_causal, box_to_causal_channel,
-                              cc_channel, channel_space_max_incompatibility,
-                              retraction_R, section_S, stochastic_from_point)
+from polybox.bell import is_local, pr_box, random_ns_box
+from polybox.channels import (ChoiMatrix, StochasticMatrix, _is_causal,
+                              box_to_causal_channel, cc_channel,
+                              channel_space_max_incompatibility, retraction_R,
+                              section_S, stochastic_from_point)
 from polybox.exact import R0, R1, rat
 from polybox.polysimplex import PolySimplex
 from polybox.qubit import tsirelson_box
@@ -41,13 +41,6 @@ class TestStochasticMatrix:
             StochasticMatrix([(rat(3, 2), rat(-1, 2))])
         with pytest.raises(ValueError):
             StochasticMatrix([(rat(1, 2), rat(1, 4))])
-
-    def test_deterministic(self):
-        T = StochasticMatrix.deterministic(2, 3, (2, 0))
-        assert T(2, 0) == R1 and T(0, 1) == R1
-        assert T(0, 0) == R0
-        with pytest.raises(ValueError):
-            StochasticMatrix.deterministic(2, 3, (3, 0))
 
     def test_float_mode(self):
         T = StochasticMatrix([(0.5, 0.5)])
@@ -156,30 +149,10 @@ class TestCausalChannel:
         P = PolySimplex((1, 1))
         box = random_local_box(P, P, rng)
         rep = box_to_causal_channel(box)
-        assert rep.local_decomposition is not None
-        assert sum(w for w, _ta, _tb in rep.local_decomposition) == R1
-
-    def test_local_decomposition_check_matches_tensor_sum(self):
-        # the check sums only the single 1 of each product row; it must
-        # agree with Σ w·(ta ⊗ tb) over every entry, and catch a wrong term
-        rng = random.Random(11)
-        box = random_local_box(PolySimplex((2, 1)), PolySimplex((1, 1, 1)), rng)
-        dec = box_to_causal_channel(box).local_decomposition
-        T, _dims = _bipartite_joint_matrix(box)
-        acc = [[R0] * T.n_outputs for _ in range(T.n_inputs)]
-        for w, ta, tb in dec:
-            prod = tensor(ta, tb)
-            for i in range(T.n_inputs):
-                for j in range(T.n_outputs):
-                    acc[i][j] += w * prod(j, i)
-        assert acc == [list(row) for row in T.rows]
-        _check_local_decomposition(dec, T)
-        r, (w, ta, tb) = next((r, t) for r, t in enumerate(dec) if t[0])
-        out = [row.index(R1) for row in tb.rows]
-        out[0] = 1 - out[0]
-        moved = StochasticMatrix.deterministic(tb.n_inputs, tb.n_outputs, out)
-        with pytest.raises(AssertionError):
-            _check_local_decomposition(dec[:r] + [(w, ta, moved)] + dec[r + 1:], T)
+        model = rep.local_decomposition
+        assert model is not None and model.check(box)
+        assert sum(model.weights.values()) == R1
+        assert model.weights == is_local(box)[1].weights
 
     def test_asymmetric_scenario(self):
         rng = random.Random(9)

@@ -35,7 +35,7 @@ def files(tmp_path_factory):
         path.write_text(sz.dumps(obj))
         return str(path)
 
-    out = {}
+    out = {"space": put("space.json", sz.space_to_json(square_space()))}
     ident = identity_collection(SQ)
     out["ident"] = put("ident.json", sz.measurement_to_json(ident))
     out["coin"] = put("coin.json",
@@ -74,6 +74,36 @@ def q_value_calls(monkeypatch):
     monkeypatch.setattr(witnesses, "q_value", counted)
     monkeypatch.setattr(cli, "q_value", counted)
     return calls
+
+
+#: each loader's command, its valid input in `files`, and the JSON kinds
+#: each of its fields may take
+LOADERS = [
+    (("space", "validate", "--space"), "space",
+     {"label": (str,), "dim": (int,), "vertices": (list,), "unit": (list,),
+      "facets": (list,)}),
+    (("compat", "check", "--meas"), "ident",
+     {"space": (str, dict), "shape": (list,), "effects": (dict,)}),
+    (("witness", "extremal", "--witness"), "witness",
+     {"shape": (list,), "space": (str, dict), "vertices": (dict,)}),
+    (("steer", "separable", "--assemblage"), "assemblage",
+     {"shape": (list,), "space": (str, dict), "x": (list,), "p": (dict,),
+      "sub_states": (dict,)}),
+    (("bell", "check", "--box"), "pr",
+     {"shape_a": (list,), "shape_b": (list,), "p": (dict,)}),
+    (("channel", "retract", "--channel"), "channel",
+     {"d_a": (int,), "d_a_prime": (int,), "choi": (list,)}),
+]
+
+
+def wrong_type_swaps():
+    """One case per loader, field and JSON value of another kind."""
+    for argv, base, fields in LOADERS:
+        for field, kinds in fields.items():
+            for value in (5, "x", [1], {"a": 1}, None, True):
+                if type(value) not in kinds:
+                    shown = json.dumps(value, separators=(",", ":"))
+                    yield pytest.param(argv, base, field, value, id=f"{base}-{field}-{shown}")
 
 
 def run(capsys, *argv):
@@ -361,6 +391,37 @@ class TestErrors:
         code, rep, err = run(capsys, *argv)
         assert code == 2 and rep is None
         assert "error: an input file option is missing" in err
+
+    @pytest.mark.parametrize("argv, base, field, value", wrong_type_swaps())
+    def test_field_of_wrong_json_type(self, capsys, files, tmp_path, argv, base, field,
+                                      value):
+        obj = json.loads(pathlib.Path(files[base]).read_text())
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps({**obj, field: value}))
+        code, rep, err = run(capsys, *argv, str(path))
+        assert code == 2 and rep is None
+        assert "error:" in err
+
+    def test_assemblage_tables_must_match_the_shape(self, capsys, files, tmp_path):
+        # one input declared, tables for two; a missing p entry
+        obj = json.loads(pathlib.Path(files["assemblage"]).read_text())
+        short_p = {k: v for k, v in obj["p"].items() if k != "1,1"}
+        path = tmp_path / "assemblage.json"
+        for bad in ({**obj, "shape": [1]}, {**obj, "p": short_p}):
+            path.write_text(json.dumps(bad))
+            code, rep, err = run(capsys, "steer", "separable", "--assemblage", str(path))
+            assert code == 2 and rep is None
+            assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [("id", "compute", "--meas", "ident"),
+                                      ("bell", "bound", "--meas-a", "ident",
+                                       "--meas-b", "ident")], ids=lambda a: a[0])
+    def test_base_point_that_is_not_a_state(self, capsys, files, argv):
+        # every coordinate positive, but each block sums to 2
+        argv = [files.get(a, a) for a in argv]
+        code, rep, err = run(capsys, *argv, "--at", "1,1,1,1")
+        assert code == 2 and rep is None
+        assert "error:" in err and "interior state" in err
 
     def test_float_in_exact_input(self, capsys, files):
         code, rep, err = run(capsys, "compat", "check", "--meas", files["float"])

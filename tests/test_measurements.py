@@ -181,8 +181,10 @@ class TestDegrees:
 
     def test_boundary_point_rejected(self):
         F = identity_collection(SQ)
-        with pytest.raises(ValueError):
-            id_degree_at(F, F.space.vertices[0])
+        # a vertex, a positive point whose blocks sum to 2, a short point
+        for s in (F.space.vertices[0], (R1,) * 4, (R1, R1, R1)):
+            with pytest.raises(ValueError):
+                id_degree_at(F, s)
 
     def test_degree_zero_for_compatible(self):
         F = coin_toss(SQ, SQ.barycenter())

@@ -74,6 +74,9 @@ class TestGeometry:
                     assert s.coords(b, i, j) == rat(1, l + 1)
             assert s.interior(b)
             assert not s.interior(s.vertex(s.top))
+            # positive but not a state: blocks summing to 2, or too short
+            assert not s.interior(tuple(2 * c for c in b))
+            assert not s.interior(b[:-1])
 
 
 class TestStateSpace:

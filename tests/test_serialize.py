@@ -22,9 +22,9 @@ SQ = PolySimplex((1, 1))
 
 class TestScalars:
     def test_rational_renders_as_string(self):
-        assert sz.scalar_to_json(rat(1, 2)) == "1/2"
-        assert sz.scalar_to_json(rat(3)) == "3"
-        assert sz.scalar_to_json(0.25) == 0.25
+        assert sz.to_json(rat(1, 2)) == "1/2"
+        assert sz.to_json(rat(3)) == "3"
+        assert sz.to_json(0.25) == 0.25
 
     def test_loading(self):
         assert sz.scalar_from_json("2/7") == rat(2, 7)
@@ -39,7 +39,7 @@ class TestScalars:
         rng = random.Random(3)
         for _ in range(50):
             v = rat(rng.randrange(-30, 31), rng.randrange(1, 17))
-            assert sz.scalar_from_json(sz.scalar_to_json(v)) == v
+            assert sz.scalar_from_json(sz.to_json(v)) == v
 
 
 class TestSpaces:
@@ -127,7 +127,7 @@ class TestObjects:
         rng = random.Random(7)
         W = random_witness_map(SQ, square_space(), rng)
         obj = sz.witness_to_json(W)
-        obj["vertices"]["1,1"] = sz._vec_to_json(
+        obj["vertices"]["1,1"] = sz.to_json(
             [v + 1 for v in W.vertex_images[(1, 1)]])
         with pytest.raises(ValueError):
             sz.witness_from_json(obj)

@@ -205,8 +205,10 @@ class TestQValue:
 
     def test_boundary_rejected(self):
         F = identity_collection(SQ)
-        with pytest.raises(ValueError):
-            q_value(F, SQ.vertex((0, 0)))
+        # a vertex, a positive point whose blocks sum to 2, a short point
+        for s in (SQ.vertex((0, 0)), (R1,) * 4, (R1, R1, R1)):
+            with pytest.raises(ValueError):
+                q_value(F, s)
 
 
 class TestWitnessDuality:
