@@ -1,7 +1,9 @@
 """Classical channels as polysimplex points, Choi-matrix calculus for
 small quantum channels, the retraction/section pair between channels
 and polysimplices, and the causal-channel realization of no-signalling
-boxes.
+boxes. That realization builds Φ_{T_γ} from the box's table and checks
+the channel; it decides nothing about the box: `Box` checks
+no-signalling, and `bell.is_local` decides locality.
 
 Exact (rational) arithmetic is kept wherever the Choi matrix is
 diagonal, which covers every classical-to-classical construction here;
@@ -9,8 +11,9 @@ dense complex matrices are float-mode only.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exact import R0, R1, TOL, approx_eq, is_rational, rat
 from .measurements import MeasurementCollection, make_collection
@@ -84,7 +87,6 @@ class ChoiMatrix:
             self.diagonal = diagonal
             self.dense = None
         else:
-            import numpy as np
             m = np.asarray(dense, dtype=complex)
             if m.shape != (n, n):
                 raise ValueError(f"dense Choi must be {n}x{n}")
@@ -108,7 +110,6 @@ class ChoiMatrix:
             if self.exact:
                 return all(v >= 0 for v in self.diagonal)
             return all(v >= -TOL for v in self.diagonal)
-        import numpy as np
         w = np.linalg.eigvalsh(self.dense)
         scale = max(1.0, float(np.max(np.abs(self.dense))))
         return bool(w.min() >= -TOL * scale)
@@ -121,7 +122,6 @@ class ChoiMatrix:
                 out[i][i] = sum(self.diagonal[self.index(j, i)]
                                 for j in range(self.d_ap))
             return tuple(tuple(r) for r in out)
-        import numpy as np
         m = self.dense.reshape(self.d_ap, self.d_a, self.d_ap, self.d_a)
         return np.einsum("jajb->ab", m)
 
@@ -130,12 +130,10 @@ class ChoiMatrix:
         if self.exact:
             return all(t[a][b] == (R1 if a == b else R0)
                        for a in range(self.d_a) for b in range(self.d_a))
-        import numpy as np
         return bool(np.max(np.abs(np.asarray(t, dtype=complex)
                                   - np.eye(self.d_a))) <= TOL)
 
     def as_dense(self):
-        import numpy as np
         if self.dense is not None:
             return self.dense
         return np.diag(np.array([float(v) for v in self.diagonal], dtype=complex))
@@ -192,14 +190,17 @@ def section_S(shape: PolySimplex, s) -> ChoiMatrix:
 
 @dataclass
 class CausalChannelReport:
+    """Φ_{T_γ} and its checks. `causal` holds for every box: T_γ's entries
+    are γ's probabilities padded with exact zeros, so both marginal
+    channels ignore the remote input exactly when γ is no-signalling,
+    which `Box` has checked with the same comparator. `recovered` is
+    (R_A⊗R_B)(Φ), equal to γ at every key, so it is γ itself."""
     choi: ChoiMatrix
     dims: tuple
-    box: object
     recovered: object
     psd: bool
     trace_preserving: bool
     causal: bool
-    local_decomposition: object
 
 
 def _bipartite_joint_matrix(box) -> tuple:
@@ -222,68 +223,21 @@ def _bipartite_joint_matrix(box) -> tuple:
     return StochasticMatrix(rows), (d_a, d_b, d_ap, d_bp)
 
 
-def _recover_box(choi: ChoiMatrix, box):
-    """(R_A⊗R_B)(Φ) read off the bipartite Choi diagonal."""
-    from .bell import Box
-    sa, sb = box.shape_a, box.shape_b
-    d_b = sb.k + 1
-    d_bp = max(sb.shape) + 1
-    probs = {}
-    for ia, la_ in enumerate(sa.shape):
-        for ib, lb in enumerate(sb.shape):
-            i = ia * d_b + ib
-            for ja in range(la_ + 1):
-                for jb in range(lb + 1):
-                    probs[(ia, ib, ja, jb)] = choi.diag_entry(ja * d_bp + jb, i)
-    return Box(sa, sb, probs)
-
-
 def box_to_causal_channel(box) -> CausalChannelReport:
-    """Φ := Φ_{T_γ}; verifies complete positivity, causality in both
-    directions and the exact recovery (R_A⊗R_B)(Φ) = γ. For an exact
-    local box, `local_decomposition` is the LhvModel that `is_local` has
-    checked against every box entry: its weights over pairs (na, nb) of
-    deterministic strategies are those of Φ as a convex combination of
-    the product c-c channels Φ_{T_na} ⊗ Φ_{T_nb}, since T_γ's entries are
-    the box probabilities. None for other boxes."""
-    from .bell import is_local
+    """Φ := Φ_{T_γ}, with the Choi matrix's own checks (complete
+    positivity, trace preservation) and the exact recovery (R_A⊗R_B)(Φ)
+    = γ: the Choi diagonal at ((j_A,j_B),(i_A,i_B)) must equal
+    p(j_A,j_B|i_A,i_B) at every key of the box, else AssertionError.
+    Causality in both directions is γ's no-signalling (see
+    `CausalChannelReport`)."""
     T, dims = _bipartite_joint_matrix(box)
     choi = cc_channel(T)
-    psd = choi.is_psd()
-    tp = choi.is_trace_preserving()
-    causal = _is_causal(T, dims)
-    if not causal:
-        raise ValueError("box is signalling; no causal channel exists")
-    recovered = _recover_box(choi, box)
-    if recovered.probs != box.probs:
-        raise AssertionError("channel does not recover the box")
-    decomposition = None
-    if box.mode == "exact":
-        local, found = is_local(box)
-        decomposition = found if local else None
-    return CausalChannelReport(choi, dims, box, recovered, psd, tp, causal,
-                               decomposition)
-
-
-def _is_causal(T: StochasticMatrix, dims) -> bool:
-    """Both marginal channels must ignore the remote input; exact for
-    diagonal Choi matrices. Marginals are compared as `Box._validate`
-    compares them: exactly in exact mode, by `approx_eq` in float mode."""
-    d_a, d_b, d_ap, d_bp = dims
-    same = operator.eq if T.exact else approx_eq
-    for ia in range(d_a):
-        for ja in range(d_ap):
-            margs = [sum(T(ja * d_bp + jb, ia * d_b + ib) for jb in range(d_bp))
-                     for ib in range(d_b)]
-            if not all(same(margs[0], m) for m in margs[1:]):
-                return False
-    for ib in range(d_b):
-        for jb in range(d_bp):
-            margs = [sum(T(ja * d_bp + jb, ia * d_b + ib) for ja in range(d_ap))
-                     for ia in range(d_a)]
-            if not all(same(margs[0], m) for m in margs[1:]):
-                return False
-    return True
+    _d_a, d_b, _d_ap, d_bp = dims
+    for (ia, ib, ja, jb), p in box.probs.items():
+        if choi.diag_entry(ja * d_bp + jb, ia * d_b + ib) != p:
+            raise AssertionError("channel does not recover the box")
+    return CausalChannelReport(choi, dims, box, choi.is_psd(),
+                               choi.is_trace_preserving(), True)
 
 
 @dataclass

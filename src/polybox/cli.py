@@ -36,6 +36,7 @@ from .bell import (all_chsh_witnesses, bell_id_bound_check, bell_value,
                    square_equality_construction)
 from .channels import (box_to_causal_channel, retraction_R, section_S,
                        stochastic_from_point)
+from .demo import run_all
 from .qubit import (QubitEffect, joint_povm_feasible, mub_pair,
                     qubit_bound_report, qubit_id, tsirelson_box, witness_q)
 
@@ -272,14 +273,16 @@ def _cmd_box(args, load: Loader):
     box = load.box(args.box)
     rep = box_to_causal_channel(box)
     ok = rep.psd and rep.trace_preserving and rep.causal
+    # box_to_causal_channel raises unless the channel recovers the box
     result = {"channel": rep.choi,
               "psd": rep.psd, "trace_preserving": rep.trace_preserving,
-              "causal": rep.causal,
-              "recovered_exactly": rep.recovered.probs == box.probs}
+              "causal": rep.causal, "recovered_exactly": True}
     cert = {"recovered_box": rep.recovered}
-    if rep.local_decomposition is not None:
-        cert["local_decomposition_terms"] = len(rep.local_decomposition.weights)
-    return ok and result["recovered_exactly"], result, cert, box.mode
+    if box.mode == "exact":
+        local, found = is_local(box)
+        if local:
+            cert["local_decomposition_terms"] = len(found.weights)
+    return ok, result, cert, box.mode
 
 
 def _cmd_channel(args, load: Loader):
@@ -327,8 +330,7 @@ def _cmd_qubit(args, load: Loader):
         feasible, g = joint_povm_feasible(A, B)
         cert = {}
         if feasible:
-            cert["joint_effect"] = [[float(g[r, c].real), float(g[r, c].imag)]
-                                    for r in range(2) for c in range(2)]
+            cert["joint_effect"] = g
         else:
             w = witness_q(A, B)
             cert["q_hat"] = w.q_hat
@@ -351,7 +353,6 @@ def _witness_params_json(params):
 
 
 def _cmd_demo(args, load: Loader):
-    from .demo import run_all
     rows = run_all(seed=args.seed)
     lines = []
     for row in rows:

@@ -326,8 +326,11 @@ def scaled_state_vars(lp: LpBuilder, lam, shape: PolySimplex):
 
 @dataclass
 class DegreeReport:
-    """A degree, an interior base point s attaining it, the number of LP
-    solves spent (one), the `LpResult` of that solve, and the exact
+    """A degree, a base point s attaining it (interior when some
+    minimizer is, else on the boundary of S, with a zero coordinate;
+    the degree is still the infimum over interior s, since ID_s and
+    SD_s are continuous in s), the number of LP solves spent (one), the
+    `LpResult` of that solve, and the exact
     certificate read off it. For ID(F), `witness` is a witness map W
     with ⟨1_K, W(s)⟩ = 1 and `q` = Tr FW = q_s(F), so that ID = −q/(1−q)
     is a lower bound the LP's least λ meets. For SD(β), `model` is an
@@ -343,14 +346,14 @@ class DegreeReport:
 
 def least_mixing(lp: LpBuilder, lam, t, shape: PolySimplex) -> DegreeReport:
     """The least λ of a mixing LP whose variables t = λs come from
-    `scaled_state_vars`, and an interior s attaining it.
+    `scaled_state_vars`, and an s attaining it.
 
     One solve: least λ, then, among its minimizers, the greatest μ ≤
     every t^i_j, so that s = t/λ* is interior when some optimum is.
-    λ* = 0 returns the barycenter. Raises AssertionError when no optimum
-    is interior (μ* = 0). The report's `solve` is the LpResult, whose
-    primal x and first-stage duals (those of λ) callers read their
-    certificates from.
+    When none is (μ* = 0), s = t/λ* is a boundary point of S that
+    attains λ*. λ* = 0 returns the barycenter. The report's `solve` is
+    the LpResult, whose primal x and first-stage duals (those of λ)
+    callers read their certificates from.
     """
     mu = lp.var(nonneg=True)
     for v in t:
@@ -361,8 +364,6 @@ def least_mixing(lp: LpBuilder, lam, t, shape: PolySimplex) -> DegreeReport:
     lam_star = res.objective
     if lam_star == 0:
         return DegreeReport(R0, shape.barycenter(), 1, res)
-    if res[mu] == 0:
-        raise AssertionError(f"no interior base point attains the least mixing {lam_star}")
     return DegreeReport(lam_star, tuple(res[v] / lam_star for v in t), 1, res)
 
 
@@ -403,7 +404,8 @@ def _dual_witness(F: MeasurementCollection, duals, s):
 
 def id_degree(F: MeasurementCollection) -> DegreeReport:
     """ID(F) = inf over interior s of ID_s(F), exactly: the least λ* of
-    `_joint_lp(F, "free")` with an interior s from `least_mixing`. When
+    `_joint_lp(F, "free")` with an s from `least_mixing` that attains it
+    (on the boundary when no interior s does). When
     λ* > 0 the certificate comes from the same solve: the witness W of
     `_dual_witness`, which must satisfy −q/(1−q) = λ* for q = Tr FW, so
     that ID_s(F) ≥ λ* at the returned s. When λ* = 0 it is the witness

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bell import Box, chsh_witness
 from .exact import TOL
+from .polysimplex import PolySimplex
 
 SQRT2 = math.sqrt(2.0)
 QUBIT_MAX_ID = 1.0 - 1.0 / SQRT2
@@ -478,8 +480,6 @@ def random_effect(rng, sharp=False) -> QubitEffect:
 def born_box(effects_a, effects_b, rho4):
     """Box from a two-qubit state: p(j_a,j_b|i_a,i_b) =
     Tr[ρ (E^{i_a}_{j_a} ⊗ E^{i_b}_{j_b})]."""
-    from .bell import Box
-    from .polysimplex import PolySimplex
     rho4 = np.asarray(rho4, dtype=complex)
     probs = {}
     for ia, ea in enumerate(effects_a):
@@ -524,7 +524,6 @@ def qubit_bound_report() -> QubitBoundReport:
     ⟨μ_{0,1,0}, γ⟩ = ½(1−√2) meets the equality value ½q̂ of the sharp
     MUB pair. The MUB witness also passes `holder_check`, the Hölder
     step of the bound."""
-    from .bell import chsh_witness
     box = tsirelson_box()
     mu = chsh_witness(0, 1, 0)
     lhs = float(mu.value(box))

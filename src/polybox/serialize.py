@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .bell import Box
 from .channels import ChoiMatrix
 from .exact import format_rat, is_rational, rat
@@ -33,7 +35,8 @@ def to_json(v):
     """The JSON form of a value: rationals as "p/q" strings; ints, floats,
     bools, strings and None as themselves; tuples and lists as lists;
     dicts in key order, a tuple key as "0,1" and a pair of tuples as
-    "0,1;1,0"; the core objects through their writers."""
+    "0,1;1,0"; the core objects through their writers, and a numpy
+    matrix as row-major complex [re, im] pairs."""
     if v is None or isinstance(v, (bool, str, int, float)):
         return v
     if is_rational(v):
@@ -259,12 +262,14 @@ def box_from_json(obj) -> Box:
 
 # -- channels --------------------------------------------------------------
 
+def complex_matrix_to_json(m: np.ndarray) -> list:
+    """A complex matrix as its row-major entries, each a [re, im] pair."""
+    return [[z.real, z.imag] for z in map(complex, m.flat)]
+
+
 def channel_to_json(phi: ChoiMatrix) -> dict:
-    x = phi.as_dense()
-    n = x.shape[0]
-    choi = [[float(x[r, c].real), float(x[r, c].imag)]
-            for r in range(n) for c in range(n)]
-    return {"d_a": phi.d_a, "d_a_prime": phi.d_ap, "choi": choi}
+    return {"d_a": phi.d_a, "d_a_prime": phi.d_ap,
+            "choi": complex_matrix_to_json(phi.as_dense())}
 
 
 def _complex_from_json(v):
@@ -282,12 +287,12 @@ def channel_from_json(obj) -> ChoiMatrix:
     entries = _list(obj["choi"], _complex_from_json, "'choi'")
     if len(entries) != n * n:
         raise ValueError(f"choi needs {n * n} row-major entries, got {len(entries)}")
-    import numpy as np
     return ChoiMatrix(d_a, d_ap, dense=np.array(entries, dtype=complex).reshape(n, n))
 
 
 _WRITERS = {MeasurementCollection: measurement_to_json, WitnessMap: witness_to_json,
-            Assemblage: assemblage_to_json, Box: box_to_json, ChoiMatrix: channel_to_json}
+            Assemblage: assemblage_to_json, Box: box_to_json, ChoiMatrix: channel_to_json,
+            np.ndarray: complex_matrix_to_json}
 
 
 def dumps(obj) -> str:

@@ -181,10 +181,11 @@ def steering_degree_at(beta: Assemblage, s):
 
 def steering_degree(beta: Assemblage) -> DegreeReport:
     """SD(β) = inf over interior s of SD_s(β), exactly: the least λ* of
-    `_lhs_lp(beta, "free")` with an interior s from `least_mixing`. The
-    same solve's α_n give the report's `model`, an LHS model that must
-    pass `LhsModel.check` against (1−λ*)β + λ* s⊗x on every coordinate,
-    so that SD_s(β) ≤ λ* at the returned s."""
+    `_lhs_lp(beta, "free")` with an s from `least_mixing` that attains
+    it, interior when some minimizer is and on the boundary otherwise.
+    The same solve's α_n give the report's `model`, an LHS model that
+    must pass `LhsModel.check` against (1−λ*)β + λ* s⊗x on every
+    coordinate, so that SD_s(β) ≤ λ* at the returned s."""
     lp, avar, lam, t = _lhs_lp(beta, "free")
     rep = least_mixing(lp, lam, t, beta.shape)
     rep.model = _lhs_model(rep.solve, avar, beta)
@@ -200,9 +201,13 @@ def self_dual_state(space: StateSpace, iso):
     isomorphism A(K)+ → V(K)+. Returns the ambient matrix of y.
     """
     X = space.span_projector
+    nf, nv = len(space.facets), len(space.vertices)
     targets = {}
     seen = set()
     for r, (t, c) in iso.items():
+        if not (0 <= r < nf and 0 <= t < nv):
+            raise ValueError(f"iso entry {r} ↦ {t} names no facet or no vertex of "
+                             f"a space with {nf} facets and {nv} vertices")
         c = rat(c)
         if c <= 0:
             raise ValueError("iso scales must be positive")
@@ -210,11 +215,11 @@ def self_dual_state(space: StateSpace, iso):
             raise ValueError("iso must map facets onto distinct vertices")
         seen.add(t)
         targets[r] = la.vec_scale(c, space.vertices[t])
-    if len(targets) != len(space.facets) or len(seen) != len(space.vertices):
+    if len(targets) != nf or len(seen) != nv:
         raise ValueError("iso must pair every facet with a distinct vertex")
     # canonical matrix Q of Ψ: defined on the canonical facet reps
     dom = [la.mat_vec(X, f) for f in space.facets]
-    Q = la.linear_map(dom, [targets[r] for r in range(len(space.facets))])
+    Q = la.linear_map(dom, [targets[r] for r in range(nf)])
     y0 = la.mat_mul(X, la.transpose(Q))
     norm = la.dot(space.unit, la.mat_vec(y0, space.unit))
     if norm <= 0:

@@ -1,12 +1,15 @@
 """Stochastic matrices, Choi calculus, retraction/section, causal channels."""
 
+import json
 import random
 
 import numpy as np
 import pytest
 
-from polybox.bell import is_local, pr_box, random_ns_box
-from polybox.channels import (ChoiMatrix, StochasticMatrix, _is_causal,
+from polybox import cli
+from polybox import serialize as sz
+from polybox.bell import Box, is_local, pr_box, random_ns_box
+from polybox.channels import (ChoiMatrix, StochasticMatrix,
                               box_to_causal_channel, cc_channel,
                               channel_space_max_incompatibility, retraction_R,
                               section_S, stochastic_from_point)
@@ -142,17 +145,18 @@ class TestCausalChannel:
         rep = box_to_causal_channel(pr_box())
         assert rep.psd and rep.trace_preserving and rep.causal
         assert rep.recovered.probs == pr_box().probs
-        assert rep.local_decomposition is None
 
-    def test_local_box_decomposes(self):
+    def test_local_box_decomposes(self, capsys, tmp_path):
+        # `box to-channel` counts the weights of the LHV model `is_local` finds
         rng = random.Random(7)
         P = PolySimplex((1, 1))
         box = random_local_box(P, P, rng)
-        rep = box_to_causal_channel(box)
-        model = rep.local_decomposition
-        assert model is not None and model.check(box)
-        assert sum(model.weights.values()) == R1
-        assert model.weights == is_local(box)[1].weights
+        path = tmp_path / "box.json"
+        path.write_text(sz.dumps(box))
+        assert cli.main(["box", "to-channel", "--box", str(path)]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        local, model = is_local(box)
+        assert local and cert["local_decomposition_terms"] == len(model.weights) > 1
 
     def test_asymmetric_scenario(self):
         rng = random.Random(9)
@@ -164,24 +168,40 @@ class TestCausalChannel:
             assert rep.psd and rep.trace_preserving and rep.causal
             assert rep.recovered.probs == box.probs
 
-
     def test_float_tsirelson_box_is_causal(self):
         # its float marginals differ in the last bits, which Box._validate
-        # accepts, so the causality check must accept them too
+        # accepts, and causality is exactly the box's no-signalling
         box = tsirelson_box()
         rep = box_to_causal_channel(box)
         assert rep.causal and rep.psd and rep.trace_preserving
-        assert rep.recovered.probs == box.probs and rep.local_decomposition is None
+        assert rep.recovered.probs == box.probs
+
+    @pytest.mark.parametrize("build", [
+        pr_box, tsirelson_box,
+        lambda: random_local_box(PolySimplex((1, 1)), PolySimplex((1, 1)), random.Random(7))],
+        ids=["pr", "tsirelson", "local"])
+    def test_solves_no_lp(self, build, solved_rows):
+        box = build()
+        assert box_to_causal_channel(box).recovered is box
+        assert solved_rows == []
 
     @pytest.mark.parametrize("one", [R1, 1.0], ids=["exact", "float"])
-    def test_signalling_is_refused_in_both_modes(self, one):
-        # Alice's outcome is Bob's input: rows (i_a, i_b), columns (j_a, j_b)
+    def test_signalling_is_refused_in_both_modes(self, one, capsys, tmp_path):
+        # Alice's outcome is Bob's input: `Box` refuses it, in memory and
+        # as `box to-channel` input, before any channel is built
+        P = PolySimplex((1, 1))
         zero = one - one
-        rows = [[one if col == 2 * ib else zero for col in range(4)]
-                for _ia in range(2) for ib in range(2)]
-        assert not _is_causal(StochasticMatrix(rows), (2, 2, 2, 2))
-        local = [[one if col == 0 else zero for col in range(4)] for _ in range(4)]
-        assert _is_causal(StochasticMatrix(local), (2, 2, 2, 2))
+        probs = {(ia, ib, ja, jb): one if ja == ib and jb == 0 else zero
+                 for ia in range(2) for ib in range(2) for ja in range(2) for jb in range(2)}
+        with pytest.raises(ValueError, match="signalling to A"):
+            Box(P, P, probs)
+        path = tmp_path / "signalling.json"
+        path.write_text(json.dumps({"shape_a": [1, 1], "shape_b": [1, 1],
+                                    "p": {",".join(map(str, k)): sz.to_json(v)
+                                          for k, v in probs.items()}}))
+        assert cli.main(["box", "to-channel", "--box", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
 
 
 class TestChannelSpace:

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -22,6 +23,7 @@ from polybox.witnesses import q_value
 
 from conftest import (assemblage_functional_separates, box_from_tensor,
                       box_functional_separates, coin_toss, three_input_pr_box)
+from test_steering import partition_assemblage
 
 SQ = PolySimplex((1, 1))
 
@@ -261,6 +263,18 @@ class TestSteerBellBox:
         assert code == 0 and rep["result"]["sd"] == "1/2"
         assert calls == [] and len(solved_rows) == 1
 
+    def test_sd_search_on_a_boundary_draw(self, capsys, tmp_path):
+        # only a boundary s attains λ* = 1/17 (exit 3 while the search
+        # raised for want of an interior s)
+        P = PolySimplex((2, 1))
+        rng = random.Random(str(("poly:2,1", (2, 1))))
+        draws = [partition_assemblage(P, sz.builtin_space("poly:2,1"), rng) for _ in range(2)]
+        path = tmp_path / "boundary.json"
+        path.write_text(sz.dumps(draws[1]))
+        code, rep, _ = run(capsys, "steer", "sd", "--assemblage", str(path), "--search")
+        assert code == 0 and rep["result"]["sd"] == "1/17"
+        assert "0" in rep["result"]["at"]
+
     def test_bell_check(self, capsys, files):
         code, rep, _ = run(capsys, "bell", "check", "--box", files["pr"])
         assert code == 1
@@ -300,6 +314,15 @@ class TestSteerBellBox:
         code, _rep, err = run(capsys, "bell", "bound", "--meas-a", files["coin"],
                               "--meas-b", files["coin"], "--y-box", files["ybox"])
         assert code == 2
+        assert "error:" in err
+
+    def test_bell_bound_on_a_three_vertex_space(self, capsys, tmp_path):
+        # the square's self-dual iso names vertex 3, which delta:2 lacks
+        path = tmp_path / "delta2.json"
+        path.write_text(sz.dumps(identity_collection(PolySimplex((2,)))))
+        code, rep, err = run(capsys, "bell", "bound", "--meas-a", str(path),
+                             "--meas-b", str(path))
+        assert code == 2 and rep is None
         assert "error:" in err
 
     def test_box_to_channel(self, capsys, files):

@@ -1,5 +1,6 @@
 """Every name a polybox module imports is read somewhere in that module,
-and only exact.py imports `fractions`.
+only exact.py imports `fractions`, and the only imports inside functions
+are the two that break an import cycle.
 
 A small AST check in place of a linter: an import binds names, and each
 bound name must occur as a `Name` load or as the base of an attribute
@@ -311,3 +312,43 @@ def test_detects_unread_parameter():
     assert unread_params("m.py", module) == {
         ("m.py", "f", "b"), ("m.py", "f", "args"), ("m.py", "f", "c"),
         ("m.py", "m", "y"), ("m.py", "inner", "z")}
+
+
+#: (module, imported module) of the function-level imports: the two that
+#: break an import cycle. Every other import sits at module level.
+FUNCTION_IMPORTS_ALLOWED = {("measurements.py", "witnesses"), ("bell.py", "steering")}
+
+
+def function_imports(name, source):
+    """(file name, imported module) for each import inside a function
+    body, at any depth; a relative import names its module without the
+    dots, and `from . import m` names m."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Import):
+                out |= {(name, alias.name) for alias in inner.names}
+            elif isinstance(inner, ast.ImportFrom):
+                mods = [inner.module] if inner.module else [a.name for a in inner.names]
+                out |= {(name, m) for m in mods}
+    return out
+
+
+def test_function_level_imports_break_a_cycle():
+    found = set()
+    for p in sorted(SRC.glob("*.py")):
+        found |= function_imports(p.name, p.read_text())
+    assert found == FUNCTION_IMPORTS_ALLOWED
+
+
+def test_detects_function_level_import():
+    # a module-level import, inside `try` or not, is not one
+    module = ("try:\n    import gmpy2\nexcept ImportError:\n    gmpy2 = None\n"
+              "import os\n"
+              "def f():\n    import numpy as np\n    return np\n"
+              "class A:\n    def m(self):\n        from .bell import Box\n"
+              "        def inner():\n            from . import lp\n        return Box\n")
+    assert function_imports("m.py", module) == {("m.py", "numpy"), ("m.py", "bell"),
+                                                ("m.py", "lp")}

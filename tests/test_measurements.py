@@ -344,7 +344,8 @@ class TestDualWitness:
 
 def two_lp_least_mixing(lp, lam, t, shape):
     """The two-solve form of `least_mixing`: the least λ*, then, with
-    λ = λ* added, a second LP that maximizes μ ≤ every t^i_j."""
+    λ = λ* added, a second LP that maximizes μ ≤ every t^i_j, and s =
+    t/λ* at its optimum."""
     res = lp.minimize({lam: R1})
     if res.status != OPTIMAL:
         raise AssertionError("mixing LP infeasible at λ=1")
@@ -356,19 +357,15 @@ def two_lp_least_mixing(lp, lam, t, shape):
     for v in t:
         lp.add_le({mu: R1, v: -R1}, R0)
     res = lp.maximize({mu: R1})
-    if res.status != OPTIMAL or res.objective == 0:
-        raise AssertionError(f"no interior base point attains the least mixing {lam_star}")
+    assert res.status == OPTIMAL
     return DegreeReport(lam_star, tuple(res[v] / lam_star for v in t), 2)
 
 
 def mixing_outcome(search, build):
-    """(λ*, smallest entry of s) of search(*build()), or the message of
-    the AssertionError it raises. The smallest entry of s is μ*/λ*, so
-    two searches that agree on it found the same greatest μ."""
-    try:
-        rep = search(*build())
-    except AssertionError as e:
-        return str(e)
+    """(λ*, smallest entry of s) of search(*build()). The smallest entry
+    of s is μ*/λ*, so two searches that agree on it found the same
+    greatest μ; it is 0 when only a boundary s attains λ*."""
+    rep = search(*build())
     return rep.value, min(rep.s)
 
 

@@ -236,6 +236,17 @@ class TestSelfDual:
         with pytest.raises(ValueError):
             self_dual_state(sp, {0: (0, 1), 1: (3, 1)})
 
+    @pytest.mark.parametrize("label, iso", [
+        ("delta:2", square_self_dual_iso()),
+        ("square", {0: (0, 1), 1: (-1, 1), 2: (1, 1), 3: (2, 1)}),
+        ("square", {0: (0, 1), 1: (3, 1), 2: (1, 1), 4: (2, 1)})],
+        ids=["delta:2", "vertex -1", "facet 4"])
+    def test_iso_names_a_facet_and_a_vertex(self, label, iso):
+        # delta:2 has three vertices and facets; the square's vertex -1
+        # would index its last vertex
+        with pytest.raises(ValueError, match="names no facet or no vertex"):
+            self_dual_state(sz.builtin_space(label), iso)
+
     def test_spanning_pairs_reject_nonlinear(self):
         e1 = (R1, R0)
         e2 = (R0, R1)
@@ -322,19 +333,11 @@ def partition_assemblage(shape, space, rng):
     return Assemblage(shape, space, x, p, subs)
 
 
-def value_or_error(f):
-    """f(), or the message of the AssertionError it raises: `least_mixing`
-    raises, naming λ*, when no interior s attains the least mixing, which
-    some of these draws on poly:2,1 and the pentagon hit."""
-    try:
-        return f()
-    except AssertionError as e:
-        return str(e)
-
-
-#: vertex-split draws per (space, shape) on which `least_mixing` raises
-BOUNDARY_DRAWS = {("poly:2,1", (1, 1)): 1, ("poly:2,1", (2, 1)): 1,
-                  ("pentagon", (1, 1)): 1, ("pentagon", (2, 1)): 2}
+#: λ* of the vertex-split draws per (space, shape) that only a boundary s
+#: attains, in draw order
+BOUNDARY_DRAWS = {("poly:2,1", (1, 1)): [rat(3, 11)], ("poly:2,1", (2, 1)): [rat(1, 17)],
+                  ("pentagon", (1, 1)): [rat(121, 751)],
+                  ("pentagon", (2, 1)): [rat(1, 85), rat(1, 169)]}
 
 
 class TestHiddenStateLpOnIndependentCoordinates:
@@ -345,7 +348,7 @@ class TestHiddenStateLpOnIndependentCoordinates:
         # the barycenter, and block entry j weighted j + 1
         points = [P.barycenter(), tuple(rat(j + 1, (l + 1) * (l + 2) // 2)
                                         for l in shape for j in range(l + 1))]
-        seen, boundary = set(), 0
+        seen, boundary = set(), []
         for _ in range(5):
             beta = partition_assemblage(P, state_space, rng)
             ok, found = is_separable(beta)
@@ -358,8 +361,8 @@ class TestHiddenStateLpOnIndependentCoordinates:
                 ref, lam, _t = ambient_lhs_lp(beta, s)
                 assert steering_degree_at(beta, s) == ref.minimize({lam: R1}).objective
             ref, lam, t = ambient_lhs_lp(beta, "free")
-            assert value_or_error(lambda: steering_degree(beta).value) == \
-                value_or_error(lambda: least_mixing(ref, lam, t, P).value)
+            rep = steering_degree(beta)
+            assert rep.value == least_mixing(ref, lam, t, P).value
 
             def build():
                 lp, _avar, lam, t = _lhs_lp(beta, "free")
@@ -367,11 +370,13 @@ class TestHiddenStateLpOnIndependentCoordinates:
 
             got = mixing_outcome(least_mixing, build)
             assert got == mixing_outcome(two_lp_least_mixing, build)
-            boundary += isinstance(got, str)
+            if got[1] == 0:
+                # s is on the boundary, and SD_s attains λ* there
+                assert min(rep.s) == 0 and steering_degree_at(beta, rep.s) == rep.value
+                boundary.append(rep.value)
         if state_space.label in ("square", "pentagon"):
             assert seen == {True, False}
-        # draws whose least mixing is attained only at a boundary s
-        assert boundary == BOUNDARY_DRAWS.get((state_space.label, shape), 0)
+        assert boundary == BOUNDARY_DRAWS.get((state_space.label, shape), [])
 
     def test_square_rows(self):
         beta = identity_assemblage()
@@ -390,6 +395,8 @@ class TestSearchModel:
 
     CASES = {"square": [(1, 1), (2, 1)], "poly:2,1": [(1, 1), (1, 1, 1)],
              "pentagon": [(1, 1), (2, 1)]}
+    #: draws per label whose λ* only a boundary s attains
+    BOUNDARY = {"square": 0, "poly:2,1": 3, "pentagon": 3}
 
     @pytest.mark.parametrize("label", list(CASES))
     def test_model_of_the_mixture(self, label):
@@ -397,24 +404,22 @@ class TestSearchModel:
             space = sz.space_from_json(pentagon_json())
         else:
             space = sz.builtin_space(label)
-        values = []
+        values, boundary = [], 0
         for shape in self.CASES[label]:
             P = PolySimplex(shape)
             rng = random.Random(str(("search model", label, shape)))
             for _ in range(8):
                 beta = partition_assemblage(P, space, rng)
-                rep = value_or_error(lambda: steering_degree(beta))
-                if isinstance(rep, str):  # attained only at a boundary s
-                    continue
+                rep = steering_degree(beta)
                 # the check on (β, (s, λ*)) is the check on the mixture
                 assert rep.model.check(beta, (rep.s, rep.value))
                 assert rep.model.check(mix_with_trivial(beta, rep.s, rep.value))
                 assert steering_degree_at(beta, rep.s) == rep.value
                 assert rep.evaluations == 1
                 values.append(rep.value)
-        assert len(values) >= 12
-        # these pentagon draws are all separable; the others also steer
-        assert any(values) == (label != "pentagon")
+                boundary += min(rep.s) == 0
+        assert len(values) == 16 and any(values)
+        assert boundary == self.BOUNDARY[label]
 
     def test_identity_on_self_dual(self):
         beta = identity_assemblage()
