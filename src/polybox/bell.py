@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import linalg as la
-from .exact import R0, R1, TOL, approx_eq, is_rational, rat
+from .exact import R0, R1, nonneg, rat, same, scalars
 from .lp import OPTIMAL
 from .measurements import (MeasurementCollection, identity_collection, product_functional,
                            product_lp)
@@ -32,60 +32,41 @@ class Box:
     def __init__(self, shape_a: PolySimplex, shape_b: PolySimplex, probs):
         self.shape_a = shape_a
         self.shape_b = shape_b
-        exact = all(is_rational(v) for v in probs.values())
+        values, exact = scalars(probs.values())
         self.mode = "exact" if exact else "float"
-        if exact:
-            self.probs = {k: rat(v) for k, v in probs.items()}
-        else:
-            self.probs = {k: float(v) for k, v in probs.items()}
+        self.probs = dict(zip(probs, values))
         self._validate()
 
     def _keys(self):
-        for ia, la_ in enumerate(self.shape_a.shape):
-            for ib, lb in enumerate(self.shape_b.shape):
-                for ja in range(la_ + 1):
-                    for jb in range(lb + 1):
-                        yield (ia, ib, ja, jb)
-
-    def _eq(self, a, b):
-        if self.mode == "exact":
-            return a == b
-        return approx_eq(a, b)
+        for ia, ja in self.shape_a.keys:
+            for ib, jb in self.shape_b.keys:
+                yield (ia, ib, ja, jb)
 
     def _validate(self):
         want = set(self._keys())
         if set(self.probs) != want:
             raise ValueError("probability table does not match the shapes")
-        zero = R0 if self.mode == "exact" else -TOL
         for k, v in self.probs.items():
-            if v < zero:
+            if not nonneg(v):
                 raise ValueError(f"negative probability at {k}")
-        one = R1 if self.mode == "exact" else 1.0
         for ia, la_ in enumerate(self.shape_a.shape):
             for ib, lb in enumerate(self.shape_b.shape):
                 tot = sum(self.probs[(ia, ib, ja, jb)]
                           for ja in range(la_ + 1) for jb in range(lb + 1))
-                if not self._eq(tot, one):
+                if not same(tot, R1):
                     raise ValueError(f"setting ({ia},{ib}) does not normalize")
-        # no-signalling in both directions
-        for ia, la_ in enumerate(self.shape_a.shape):
-            for ja in range(la_ + 1):
-                ref = None
-                for ib, lb in enumerate(self.shape_b.shape):
-                    marg = sum(self.probs[(ia, ib, ja, jb)] for jb in range(lb + 1))
-                    if ref is None:
-                        ref = marg
-                    elif not self._eq(ref, marg):
-                        raise ValueError(f"signalling to A at input {ia}, outcome {ja}")
-        for ib, lb in enumerate(self.shape_b.shape):
-            for jb in range(lb + 1):
-                ref = None
-                for ia, la_ in enumerate(self.shape_a.shape):
-                    marg = sum(self.probs[(ia, ib, ja, jb)] for ja in range(la_ + 1))
-                    if ref is None:
-                        ref = marg
-                    elif not self._eq(ref, marg):
-                        raise ValueError(f"signalling to B at input {ib}, outcome {jb}")
+        # no-signalling in both directions: each marginal is the same at
+        # every remote input
+        for ia, ja in self.shape_a.keys:
+            margs = [sum(self.probs[(ia, ib, ja, jb)] for jb in range(lb + 1))
+                     for ib, lb in enumerate(self.shape_b.shape)]
+            if not all(same(margs[0], m) for m in margs[1:]):
+                raise ValueError(f"signalling to A at input {ia}, outcome {ja}")
+        for ib, jb in self.shape_b.keys:
+            margs = [sum(self.probs[(ia, ib, ja, jb)] for ja in range(la_ + 1))
+                     for ia, la_ in enumerate(self.shape_a.shape)]
+            if not all(same(margs[0], m) for m in margs[1:]):
+                raise ValueError(f"signalling to B at input {ib}, outcome {jb}")
 
     def tensor(self):
         """γ as an ambient matrix over V(S_A) ⊗ V(S_B): the coordinate at
@@ -94,7 +75,7 @@ class Box:
         cols = self.shape_b.ambient_dim
         t = [[None] * cols for _ in range(rows)]
         for (ia, ib, ja, jb), v in self.probs.items():
-            t[self.shape_a._offset[ia] + ja][self.shape_b._offset[ib] + jb] = v
+            t[self.shape_a.index(ia, ja)][self.shape_b.index(ib, jb)] = v
         return la.mat(t) if self.mode == "exact" else tuple(tuple(r) for r in t)
 
     def __repr__(self):
@@ -106,14 +87,10 @@ def box_from(F_A: MeasurementCollection, F_B: MeasurementCollection, y) -> Box:
     validation doubles as the check that y behaves like a composite
     state with respect to the two collections."""
     probs = {}
-    for ia, la_ in enumerate(F_A.shape.shape):
-        for ja in range(la_ + 1):
-            fa = F_A.effect(ia, ja)
-            row = la.mat_vec(la.transpose(y), fa)
-            for ib, lb in enumerate(F_B.shape.shape):
-                for jb in range(lb + 1):
-                    fb = F_B.effect(ib, jb)
-                    probs[(ia, ib, ja, jb)] = la.dot(row, fb)
+    for ia, ja in F_A.shape.keys:
+        row = la.mat_vec(la.transpose(y), F_A.effect(ia, ja))
+        for ib, jb in F_B.shape.keys:
+            probs[(ia, ib, ja, jb)] = la.dot(row, F_B.effect(ib, jb))
     return Box(F_A.shape, F_B.shape, probs)
 
 
@@ -261,12 +238,8 @@ def bell_value(box: Box):
         raise ValueError("Bell value is defined for the 2-input binary scenario")
     b = (correlator(box, 0, 0) + correlator(box, 0, 1)
          + correlator(box, 1, 1) - correlator(box, 1, 0))
-    mu = chsh_witness(0, 1, 0)
-    ident = 2 - 4 * mu.value(box)
-    if box.mode == "exact":
-        if b != ident:
-            raise AssertionError("Bell identity violated")
-    elif not approx_eq(float(b), float(ident)):
+    ident = 2 - 4 * chsh_witness(0, 1, 0).value(box)
+    if not same(b, ident):
         raise AssertionError("Bell identity violated")
     return b
 
@@ -280,13 +253,8 @@ def pr_box() -> Box:
 
 def _deterministic_probs(shape_a: PolySimplex, shape_b: PolySimplex, na, nb):
     """The table of the box that answers na[i_a] to i_a and nb[i_b] to i_b."""
-    probs = {}
-    for ia, la_ in enumerate(shape_a.shape):
-        for ib, lb in enumerate(shape_b.shape):
-            for ja in range(la_ + 1):
-                for jb in range(lb + 1):
-                    probs[(ia, ib, ja, jb)] = R1 if (na[ia] == ja and nb[ib] == jb) else R0
-    return probs
+    return {(ia, ib, ja, jb): R1 if (na[ia] == ja and nb[ib] == jb) else R0
+            for ia, ja in shape_a.keys for ib, jb in shape_b.keys}
 
 
 def deterministic_box(shape_a: PolySimplex, shape_b: PolySimplex, na, nb) -> Box:
@@ -449,12 +417,8 @@ def _solve_partner_collection(space, shape, y_from, y_to):
     except ValueError:
         return None
     mb = la.transpose(z)
-    effs = {}
-    r = 0
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            effs[(i, j)] = tuple(la.dot(mb[r], v) for v in space.vertices)
-            r += 1
+    effs = {key: tuple(la.dot(row, v) for v in space.vertices)
+            for key, row in zip(shape.keys, mb)}
     try:
         return MeasurementCollection(space, shape, effs)
     except ValueError:

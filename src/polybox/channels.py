@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import R0, R1, TOL, approx_eq, is_rational, rat
+from .exact import R0, R1, TOL, nonneg, rat, same, scalars
 from .measurements import MeasurementCollection, make_collection
 from .polysimplex import PolySimplex, polysimplex_space
 from .witnesses import maximal_incompatibility_certificate, retraction_check
@@ -29,20 +29,13 @@ class StochasticMatrix:
         rows = tuple(tuple(v for v in r) for r in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("rows must be non-empty and rectangular")
-        self.exact = all(is_rational(v) for r in rows for v in r)
-        if self.exact:
-            rows = tuple(tuple(rat(v) for v in r) for r in rows)
-        else:
-            rows = tuple(tuple(float(v) for v in r) for r in rows)
-        self.rows = rows
-        zero = R0 if self.exact else -TOL
-        one = R1 if self.exact else 1.0
-        for i, r in enumerate(rows):
-            if any(v < zero for v in r):
+        values, self.exact = scalars(v for r in rows for v in r)
+        width = len(rows[0])
+        self.rows = tuple(values[r * width:(r + 1) * width] for r in range(len(rows)))
+        for i, r in enumerate(self.rows):
+            if not all(nonneg(v) for v in r):
                 raise ValueError(f"negative entry in row {i}")
-            tot = sum(r)
-            ok = tot == one if self.exact else approx_eq(tot, 1.0)
-            if not ok:
+            if not same(sum(r), R1):
                 raise ValueError(f"row {i} does not sum to 1")
 
     @property
@@ -79,12 +72,7 @@ class ChoiMatrix:
             diagonal = tuple(diagonal)
             if len(diagonal) != n:
                 raise ValueError("diagonal has wrong length")
-            self.exact = all(is_rational(v) for v in diagonal)
-            if self.exact:
-                diagonal = tuple(rat(v) for v in diagonal)
-            else:
-                diagonal = tuple(float(v) for v in diagonal)
-            self.diagonal = diagonal
+            self.diagonal, self.exact = scalars(diagonal)
             self.dense = None
         else:
             m = np.asarray(dense, dtype=complex)
@@ -107,9 +95,7 @@ class ChoiMatrix:
 
     def is_psd(self):
         if self.diagonal is not None:
-            if self.exact:
-                return all(v >= 0 for v in self.diagonal)
-            return all(v >= -TOL for v in self.diagonal)
+            return all(nonneg(v) for v in self.diagonal)
         w = np.linalg.eigvalsh(self.dense)
         scale = max(1.0, float(np.max(np.abs(self.dense))))
         return bool(w.min() >= -TOL * scale)
@@ -161,9 +147,7 @@ def stochastic_from_point(shape: PolySimplex, s) -> StochasticMatrix:
     n_out = max(shape.shape) + 1
     rows = []
     for i, l in enumerate(shape.shape):
-        off = shape._offset[i]
-        row = [s[off + j] if j <= l else R0 for j in range(n_out)]
-        rows.append(row)
+        rows.append([s[shape.index(i, j)] if j <= l else R0 for j in range(n_out)])
     return StochasticMatrix(rows)
 
 
@@ -176,11 +160,7 @@ def retraction_R(phi: ChoiMatrix, shape: PolySimplex | None = None):
         shape = PolySimplex((phi.d_ap - 1,) * phi.d_a)
     if shape.k + 1 != phi.d_a or max(shape.shape) + 1 > phi.d_ap:
         raise ValueError("shape does not fit the channel dimensions")
-    out = []
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            out.append(phi.diag_entry(j, i))
-    return tuple(out)
+    return tuple(phi.diag_entry(j, i) for i, j in shape.keys)
 
 
 def section_S(shape: PolySimplex, s) -> ChoiMatrix:
@@ -266,7 +246,7 @@ def channel_space_max_incompatibility(d_a, d_ap) -> ChannelCollectionReport:
     cube = PolySimplex((1,) * d_a)
     effects = {}
     for i in range(d_a):
-        vals0 = tuple(v[shape._offset[i]] for v in space.vertices)
+        vals0 = tuple(v[shape.index(i, 0)] for v in space.vertices)
         effects[(i, 0)] = vals0
         effects[(i, 1)] = tuple(R1 - v for v in vals0)
     F = make_collection(space, cube, effects)

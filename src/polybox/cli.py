@@ -23,7 +23,7 @@ import time
 import traceback
 
 from . import serialize as sz
-from .exact import HAVE_GMPY2, rat
+from .exact import HAVE_GMPY2, nonneg, rat
 from .measurements import id_degree, is_compatible
 from .polysimplex import PolySimplex
 from .witnesses import (is_etb, is_witness, maximal_incompatibility_certificate,
@@ -262,7 +262,7 @@ def _cmd_bell(args, load: Loader):
         pair = chsh_witness(0, 1, 0).value(box)
         corr = {(x, yb): correlator(box, x, yb) for x in (0, 1) for yb in (0, 1)}
         wvals = {w.idx: w.value(box) for w in all_chsh_witnesses()}
-        local_bound = (b <= 2) if box.mode == "exact" else (float(b) <= 2.0 + 1e-9)
+        local_bound = nonneg(2 - b)
         result = {"bell": b, "pairing_010": pair,
                   "correlators": corr, "local_bound_satisfied": local_bound}
         return local_bound, result, {"witness_values": wvals}, box.mode

@@ -57,7 +57,7 @@ def _coordinate_pair_collection(space, src, shape):
     for i, l in enumerate(shape.shape):
         if l != 1:
             raise ValueError("seed collection is for binary inputs only")
-        f0 = space.facets[src._offset[i % (src.k + 1)]]
+        f0 = space.facets[src.index(i % (src.k + 1), 0)]
         funcs[(i, 0)] = f0
         funcs[(i, 1)] = la.vec_sub(space.unit, f0)
     return from_functionals(space, shape, funcs)
@@ -296,13 +296,11 @@ def _row_etb(rng):
         if etb:
             n_etb += 1
             # third route: weights reassemble into a factorization
-            keys = [(i, j) for i, l in enumerate(shape.shape)
-                    for j in range(l + 1)]
-            psi = {key: la.zeros(K.dim) for key in keys}
+            psi = {key: la.zeros(K.dim) for key in shape.keys}
             for (a, c), w in weights.items():
                 if w:
-                    psi[keys[c]] = la.vec_add(
-                        psi[keys[c]], la.vec_scale(w, K.vertices[a]))
+                    key = shape.keys[c]
+                    psi[key] = la.vec_add(psi[key], la.vec_scale(w, K.vertices[a]))
             EtbDecomposition(psi).check(T)
     return ok, f"all three routes agreed on 50 maps ({n_etb} factorizable)", {
         "etb_count": n_etb}

@@ -39,7 +39,8 @@ TOL = 1e-9
 
 
 def rat(num, den=None):
-    """Coerce to an exact rational. Strings accept 'p/q' and decimals.
+    """Coerce to an exact rational. Strings accept 'p/q' and decimals;
+    a malformed string or a zero denominator is a ValueError.
 
     Non-integral floats are rejected on purpose: silently converting a
     binary float to an exact rational is almost never what a caller of
@@ -52,7 +53,10 @@ def rat(num, den=None):
     if isinstance(num, (int, Fraction)):
         return _mpq(num)
     if isinstance(num, str):
-        return _mpq(Fraction(num))
+        try:
+            return _mpq(Fraction(num))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {num!r}") from None
     if isinstance(num, float):
         if not num.is_integer():
             raise TypeError(f"refusing to coerce non-integral float {num!r}")
@@ -87,3 +91,25 @@ def approx_eq(a, b) -> bool:
     a = float(a)
     b = float(b)
     return abs(a - b) <= TOL * (1.0 + abs(a) + abs(b))
+
+
+def scalars(values):
+    """(values, exact): the values as rationals when every one is
+    rational, else all as floats, and whether they are exact. The one
+    rule by which boxes, stochastic matrices and Choi diagonals pick
+    their mode."""
+    values = tuple(values)
+    exact = all(is_rational(v) for v in values)
+    return tuple(rat(v) if exact else float(v) for v in values), exact
+
+
+def nonneg(v) -> bool:
+    """v ≥ 0 for a rational, v ≥ −TOL for a float."""
+    return v >= 0 if is_rational(v) else v >= -TOL
+
+
+def same(a, b) -> bool:
+    """a == b for two rationals, else approx_eq."""
+    if is_rational(a) and is_rational(b):
+        return a == b
+    return approx_eq(a, b)

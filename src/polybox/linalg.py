@@ -138,7 +138,7 @@ def identity(n):
     return tuple(tuple(R1 if i == j else R0 for j in range(n)) for i in range(n))
 
 
-def _rref(rows):
+def rref(rows):
     """Reduced row echelon form. Returns (rref rows as lists, pivot cols)."""
     m = [list(r) for r in rows]
     if not m:
@@ -165,14 +165,14 @@ def _rref(rows):
 
 
 def rank(rows) -> int:
-    return len(_rref(rows)[1])
+    return len(rref(rows)[1])
 
 
 def independent_rows(rows):
     """Indices of a maximal linearly independent subset, greedily: each
     row not in the span of the rows before it. These are the pivot
     columns of the transpose's reduced row echelon form."""
-    return _rref(transpose(rows))[1]
+    return rref(transpose(rows))[1]
 
 
 def invert(m):
@@ -180,7 +180,7 @@ def invert(m):
     n = len(m)
     aug = [list(row) + [R1 if i == j else R0 for j in range(n)]
            for i, row in enumerate(m)]
-    red, pivots = _rref(aug)
+    red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(red[i][n:]) for i in range(n))

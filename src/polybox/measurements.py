@@ -39,8 +39,7 @@ class MeasurementCollection:
         """Check the table and keep each effect's canonical functional,
         which the consistency check computes anyway."""
         n = len(self.space.vertices)
-        want = {(i, j) for i, l in enumerate(self.shape.shape) for j in range(l + 1)}
-        if set(self.effects) != want:
+        if set(self.effects) != set(self.shape.keys):
             raise ValueError("effect table does not match the outcome shape")
         self._functionals = {}
         for key, vals in self.effects.items():
@@ -69,9 +68,7 @@ class MeasurementCollection:
 
     def as_map_matrix(self):
         """Ambient matrix of F: V(K) → V(S), rows = canonical effects."""
-        return la.mat([self.effect(i, j)
-                       for i, l in enumerate(self.shape.shape)
-                       for j in range(l + 1)])
+        return la.mat([self.effect(i, j) for i, j in self.shape.keys])
 
     def mix(self, other: "MeasurementCollection", lam):
         """(1−λ)·self + λ·other, same space and shape."""
@@ -107,9 +104,7 @@ def from_functionals(space: StateSpace, shape, functionals) -> MeasurementCollec
 def identity_collection(shape: PolySimplex) -> MeasurementCollection:
     """F = (m^0,…,m^k) on K = S itself: the identity map."""
     space = shape.as_state_space()
-    return from_functionals(space, shape,
-                            {(i, j): shape.m(i, j)
-                             for i, l in enumerate(shape.shape) for j in range(l + 1)})
+    return from_functionals(space, shape, {key: shape.m(*key) for key in shape.keys})
 
 
 @dataclass
@@ -130,13 +125,11 @@ class JointMeasurement:
         for t in range(n):
             if sum(vals[t] for vals in self.table.values()) != R1:
                 raise AssertionError(f"joint does not normalize at vertex {t}")
-        for i, l in enumerate(self.shape.shape):
-            for j in range(l + 1):
-                for t in range(n):
-                    marg = sum(vals[t] for key, vals in self.table.items()
-                               if key[i] == j)
-                    if marg != F.effects[(i, j)][t]:
-                        raise AssertionError(f"marginal ({i},{j}) off at vertex {t}")
+        for i, j in self.shape.keys:
+            for t in range(n):
+                marg = sum(vals[t] for key, vals in self.table.items() if key[i] == j)
+                if marg != F.effects[(i, j)][t]:
+                    raise AssertionError(f"marginal ({i},{j}) off at vertex {t}")
         return True
 
 
@@ -173,21 +166,19 @@ def tensor_lp(shape: PolySimplex, gens, rows, mixing=None):
         t = scaled_state_vars(lp, lam, shape)
     gcols = la.transpose(gens)
     tbar = la.combine([R1] * (shape.shape[0] + 1), rows[:shape.shape[0] + 1])
-    for i, l in enumerate(shape.shape):
-        for j in range(l):
-            # Σ_{n_i=j} c_n over the gens columns, then the columns of λ
-            # and t, with t^i_j = λ s^i_j at fixed s
-            r = shape._offset[i] + j
-            expr = vec_expr([(R1, v[n]) for n in outcomes if n[i] == j])
-            cols = list(gcols)
-            if free:
-                cols += [rows[r], la.vec_scale(-R1, tbar)]
-                expr += [{lam: R1}, {t[r]: R1}]
-            elif mixing is not None:
-                cols.append(la.vec_sub(rows[r],
-                                       la.vec_scale(shape.coords(mixing, i, j), tbar)))
-                expr.append({lam: R1})
-            lp.add_rows(la.transpose(cols), expr, "eq", rows[r])
+    for i, j in shape.edges:
+        # Σ_{n_i=j} c_n over the gens columns, then the columns of λ and
+        # t, with t^i_j = λ s^i_j at fixed s
+        r = shape.index(i, j)
+        expr = vec_expr([(R1, v[n]) for n in outcomes if n[i] == j])
+        cols = list(gcols)
+        if free:
+            cols += [rows[r], la.vec_scale(-R1, tbar)]
+            expr += [{lam: R1}, {t[r]: R1}]
+        elif mixing is not None:
+            cols.append(la.vec_sub(rows[r], la.vec_scale(shape.coords(mixing, i, j), tbar)))
+            expr.append({lam: R1})
+        lp.add_rows(la.transpose(cols), expr, "eq", rows[r])
     lp.add_rows(gens, vec_expr([(R1, v[n]) for n in outcomes]), "eq", tbar)
     return lp, v, lam, t
 
@@ -205,7 +196,7 @@ def chart_blocks(shape: PolySimplex, multipliers, size):
     def block():
         return [-next(rows) for _ in range(size)]
 
-    edges = {(i, j): block() for i, l in enumerate(shape.shape) for j in range(l)}
+    edges = {key: block() for key in shape.edges}
     return block(), edges
 
 
@@ -236,15 +227,14 @@ def product_functional(shape: PolySimplex, space: StateSpace, farkas):
     checks both again on the full tensor, outside the LP."""
     top, edges = chart_blocks(shape, farkas, space.rank)
     mu = []
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            block = edges.get((i, j))
-            if i == 0:  # 1_S = Σ_j m^0_j
-                block = top if block is None else [a + b for a, b in zip(top, block)]
-            row = [R0] * space.dim
-            for c, a in zip(space.coord_idx, block or ()):
-                row[c] = a
-            mu.append(tuple(row))
+    for key in shape.keys:
+        block = edges.get(key)
+        if key[0] == 0:  # 1_S = Σ_j m^0_j
+            block = top if block is None else [a + b for a, b in zip(top, block)]
+        row = [R0] * space.dim
+        for c, a in zip(space.coord_idx, block or ()):
+            row[c] = a
+        mu.append(tuple(row))
     return tuple(mu)
 
 
@@ -260,8 +250,7 @@ def _joint_lp(F: MeasurementCollection, mixing=None):
     c[n] holds the facet weights of g_n.
     """
     space = F.space
-    rows = [[F.effects[(i, j)][a] for a in space.basis_idx]
-            for i, l in enumerate(F.shape.shape) for j in range(l + 1)]
+    rows = [[F.effects[key][a] for a in space.basis_idx] for key in F.shape.keys]
     return tensor_lp(F.shape, la.transpose(space.facet_rows), rows, mixing)
 
 
@@ -317,8 +306,7 @@ def scaled_state_vars(lp: LpBuilder, lam, shape: PolySimplex):
     of S, with Σ_j t^i_j = λ for every input: t = λs for a state s."""
     t = lp.vars(shape.ambient_dim, nonneg=True)
     for i, l in enumerate(shape.shape):
-        off = shape._offset[i]
-        row = {t[off + j]: R1 for j in range(l + 1)}
+        row = {t[shape.index(i, j)]: R1 for j in range(l + 1)}
         row[lam] = -R1
         lp.add_eq(row, R0)
     return t
@@ -381,8 +369,7 @@ def _dual_witness(F: MeasurementCollection, duals, s):
     V(K)+. The map is affine in the chart at the top vertex by
     construction.
     """
-    from .witnesses import (WitnessValidationError, _chart_images, make_witness_map,
-                            trace_pairing)
+    from .witnesses import WitnessValidationError, make_witness_map, trace_pairing
 
     shape, space = F.shape, F.space
     top, edges = chart_blocks(shape, duals, space.rank)
@@ -394,7 +381,7 @@ def _dual_witness(F: MeasurementCollection, duals, s):
     def vec(c):
         return la.combine([a / norm for a in c], space.basis)
 
-    images = _chart_images(shape, vec(top), {key: vec(e) for key, e in edges.items()})
+    images = shape.chart_images(vec(top), {key: vec(e) for key, e in edges.items()})
     try:
         W = make_witness_map(shape, space, images)
     except WitnessValidationError as e:

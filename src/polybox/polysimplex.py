@@ -4,7 +4,10 @@ multi-outcome box devices.
 Ambient coordinates concatenate the (l_i+1)-dimensional simplex blocks,
 so the coordinate projections m^i_j are literally coordinate reads; the
 chart at the top vertex (1_S and the m^i_j with j < l_i, against the
-top vertex and the edges e^i_j) is the minimal one.
+top vertex and the edges e^i_j) is the minimal one. PolySimplex is the
+one owner of both: `keys` and `index` give the layout of the ambient
+coordinates, and `edges`, `chart_vertex` and `chart_images` the chart,
+in which every LP over maps from S is written.
 """
 from __future__ import annotations
 
@@ -31,6 +34,10 @@ class PolySimplex:
             self._offset.append(off)
             off += l + 1
         self.top = shape  # the anchor vertex s_{l_0,…,l_k}
+        #: (i, j) of each ambient coordinate, in ambient order
+        self.keys = tuple((i, j) for i, l in enumerate(shape) for j in range(l + 1))
+        #: the chart's edge keys (i, j), j < l_i, in key order
+        self.edges = tuple((i, j) for i, j in self.keys if j < shape[i])
 
     def __repr__(self):
         return f"PolySimplex{self.shape}"
@@ -61,14 +68,18 @@ class PolySimplex:
         for i, (ni, l) in enumerate(zip(n, self.shape)):
             if not 0 <= ni <= l:
                 raise IndexError(f"vertex index {ni} out of range for input {i}")
-            v[self._offset[i] + ni] = R1
+            v[self.index(i, ni)] = R1
         return tuple(v)
+
+    def index(self, i, j):
+        """The ambient coordinate of m^i_j: `keys[index(i, j)] == (i, j)`."""
+        return self._offset[i] + j
 
     def m(self, i, j):
         """The coordinate projection effect m^i_j."""
         self._check_index(i, j)
         v = [R0] * self.ambient_dim
-        v[self._offset[i] + j] = R1
+        v[self.index(i, j)] = R1
         return tuple(v)
 
     def unit(self):
@@ -77,12 +88,27 @@ class PolySimplex:
             v[j] = R1
         return tuple(v)
 
+    def chart_vertex(self, i, j):
+        """The chart vertex s_{l_0,…,j,…,l_k}: the top with entry i set to
+        j; the top itself when j = l_i."""
+        return self.top[:i] + (j,) + self.top[i + 1:]
+
     def edge(self, i, j):
         """e^i_j = s_{l_0,…,j,…,l_k} − s_{l_0,…,l_k}; zero when j = l_i."""
         self._check_index(i, j)
-        idx = list(self.top)
-        idx[i] = j
-        return la.vec_sub(self.vertex(idx), self.vertex(self.top))
+        return la.vec_sub(self.vertex(self.chart_vertex(i, j)), self.vertex(self.top))
+
+    def chart_images(self, top, edges):
+        """Vertex images w_n = w_top + Σ_{i: n_i < l_i} W(e^i_{n_i}) of the
+        affine map with top image `top` and edge images `edges[(i, j)]`."""
+        images = {}
+        for n in self.outcomes():
+            img = top
+            for i, ni in enumerate(n):
+                if ni < self.shape[i]:
+                    img = la.vec_add(img, edges[(i, ni)])
+            images[n] = tuple(img)
+        return images
 
     def barycenter(self):
         v = []
@@ -92,7 +118,7 @@ class PolySimplex:
 
     def coords(self, s, i, j):
         """m^i_j(s) read off the ambient coordinates."""
-        return rat(s[self._offset[i] + j])
+        return rat(s[self.index(i, j)])
 
     def interior(self, s) -> bool:
         """s is a state of S (one coordinate per ambient entry, each block
@@ -125,7 +151,7 @@ def _default_label(shape):
 def _cached_space(shape):
     P = PolySimplex(shape)
     verts = [P.vertex(n) for n in P.outcomes()]
-    facets = [P.m(i, j) for i, l in enumerate(shape) for j in range(l + 1)]
+    facets = [P.m(i, j) for i, j in P.keys]
     return StateSpace(_default_label(shape), verts, P.unit(), facets)
 
 

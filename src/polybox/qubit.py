@@ -54,7 +54,8 @@ _BOUND_TOL = 1e-6
 
 
 class QubitEffect:
-    """αI + a·σ with 0 ≤ effect ≤ I, i.e. ‖a‖ ≤ min(α, 1−α)."""
+    """αI + a·σ with 0 ≤ effect ≤ I, i.e. ‖a‖ ≤ min(α, 1−α); α and a
+    must be finite (every comparison with NaN is false)."""
 
     def __init__(self, alpha, bloch):
         self.alpha = float(alpha)
@@ -62,6 +63,8 @@ class QubitEffect:
         if self.bloch.shape != (3,):
             raise ValueError("bloch part must be a 3-vector")
         r = float(np.linalg.norm(self.bloch))
+        if not (math.isfinite(self.alpha) and math.isfinite(r)):
+            raise ValueError("not an effect: α and the Bloch vector must be finite")
         if r > min(self.alpha, 1.0 - self.alpha) + TOL:
             raise ValueError("not an effect: need ‖a‖ ≤ min(α, 1−α)")
 

@@ -111,10 +111,7 @@ def _shape_field(obj, key="shape") -> PolySimplex:
 
 def scalar_from_json(v):
     if isinstance(v, str):
-        try:
-            return rat(v)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {v!r}") from None
+        return rat(v)
     if isinstance(v, bool):
         raise ValueError(f"expected a number, got {v!r}")
     if isinstance(v, int):

@@ -126,7 +126,7 @@ class StateSpace:
         from the reduced row echelon form of the vertex matrix: one per
         non-pivot coordinate f, z_f = 1 and z_p = −R[r][f] at the pivot
         coordinate p of row r, scaled to integers."""
-        red, pivots = la._rref(self.vertices)
+        red, pivots = la.rref(self.vertices)
         relations = []
         for f in range(self.dim):
             if f in pivots:

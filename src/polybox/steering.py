@@ -31,7 +31,7 @@ class Assemblage:
 
     def _validate(self):
         space = self.space
-        want = {(i, j) for i, l in enumerate(self.shape.shape) for j in range(l + 1)}
+        want = set(self.shape.keys)
         if set(self.p) != want or set(self.sub_states) != want:
             raise ValueError("p and sub-state tables do not match the outcome shape")
         if not space.is_state(self.x):
@@ -57,12 +57,10 @@ class Assemblage:
         """β = s_top ⊗ x + Σ_{i,j<l_i} e^i_j ⊗ p(j|i)x_{j|i}."""
         shape = self.shape
         t = la.outer(shape.vertex(shape.top), self.x)
-        for i, l in enumerate(shape.shape):
-            for j in range(l):
-                w = la.vec_scale(self.p[(i, j)], self.sub_states[(i, j)])
-                e = shape.edge(i, j)
-                t = [[a + e[r] * w[c] for c, a in enumerate(row)]
-                     for r, row in enumerate(t)]
+        for key in shape.edges:
+            w = la.vec_scale(self.p[key], self.sub_states[key])
+            e = shape.edge(*key)
+            t = [[a + e[r] * w[c] for c, a in enumerate(row)] for r, row in enumerate(t)]
         return la.mat(t)
 
     def __repr__(self):
@@ -83,15 +81,11 @@ def assemblage_from(F: MeasurementCollection, y, space_b: StateSpace) -> Assembl
     x = la.mat_vec(yt, space_a.unit)
     p = {}
     subs = {}
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            phi = la.mat_vec(yt, F.effect(i, j))
-            pij = la.dot(space_b.unit, phi)
-            p[(i, j)] = pij
-            if pij:
-                subs[(i, j)] = tuple(la.vec_scale(1 / pij, phi))
-            else:
-                subs[(i, j)] = tuple(x)
+    for key in shape.keys:
+        phi = la.mat_vec(yt, F.effect(*key))
+        pij = la.dot(space_b.unit, phi)
+        p[key] = pij
+        subs[key] = tuple(la.vec_scale(1 / pij, phi)) if pij else tuple(x)
     return Assemblage(shape, space_b, tuple(x), p, subs)
 
 
@@ -113,18 +107,16 @@ class LhsModel:
                 raise AssertionError(f"hidden state of {lam} is not in K")
         shape = beta.shape
         s, mu = mixing if mixing is not None else (None, R0)
-        for i, l in enumerate(shape.shape):
-            for j in range(l + 1):
-                acc = la.zeros(beta.space.dim)
-                for lam, q in self.weights.items():
-                    if lam[i] == j and q:
-                        acc = la.vec_add(acc, la.vec_scale(q, self.states[lam]))
-                want = la.vec_scale((R1 - mu) * beta.p[(i, j)], beta.sub_states[(i, j)])
-                if mu:
-                    want = la.vec_add(want,
-                                      la.vec_scale(mu * shape.coords(s, i, j), beta.x))
-                if tuple(acc) != tuple(want):
-                    raise AssertionError(f"LHS model misses component ({i},{j})")
+        for i, j in shape.keys:
+            acc = la.zeros(beta.space.dim)
+            for lam, q in self.weights.items():
+                if lam[i] == j and q:
+                    acc = la.vec_add(acc, la.vec_scale(q, self.states[lam]))
+            want = la.vec_scale((R1 - mu) * beta.p[(i, j)], beta.sub_states[(i, j)])
+            if mu:
+                want = la.vec_add(want, la.vec_scale(mu * shape.coords(s, i, j), beta.x))
+            if tuple(acc) != tuple(want):
+                raise AssertionError(f"LHS model misses component ({i},{j})")
         return True
 
 

@@ -6,6 +6,9 @@ A map W is stored redundantly by all vertex images; the exchange
 equations w_n + w_n' = w_(n_i↔n'_i) are what makes an arbitrary image
 table the vertex set of a linear map, so they are enforced on
 construction, in the equivalent chart form (see make_witness_map).
+The chart is S's own: its chart vertices, edge keys and the vertex
+images of a map given by its top and edge images all come from
+`PolySimplex`, and every LP here is written in it.
 """
 from __future__ import annotations
 
@@ -42,20 +45,17 @@ class WitnessMap:
 
     def edge_image(self, i, j):
         """W(e^i_j) = w_(top with j at i) − w_top."""
-        idx = list(self.shape.top)
-        idx[i] = j
-        return la.vec_sub(self.vertex_images[tuple(idx)], self.top_image)
+        return la.vec_sub(self.vertex_images[self.shape.chart_vertex(i, j)], self.top_image)
 
     def apply(self, s):
         """W(s) for any s in span V(S), via the dual-basis chart."""
         shape = self.shape
         unit_s = sum(shape.coords(s, 0, j) for j in range(shape.shape[0] + 1))
         out = la.vec_scale(unit_s, self.top_image)
-        for i, l in enumerate(shape.shape):
-            for j in range(l):
-                c = shape.coords(s, i, j)
-                if c:
-                    out = la.vec_add(out, la.vec_scale(c, self.edge_image(i, j)))
+        for i, j in shape.edges:
+            c = shape.coords(s, i, j)
+            if c:
+                out = la.vec_add(out, la.vec_scale(c, self.edge_image(i, j)))
         return out
 
     def bar_image(self):
@@ -97,7 +97,7 @@ def make_witness_map(shape: PolySimplex, space: StateSpace, vertex_images) -> Wi
         raise ValueError("vertex images must be supplied for every outcome tuple")
     top = shape.top
     for n in outs:
-        moved = [top[:i] + (ni,) + top[i + 1:] for i, ni in enumerate(n) if ni != top[i]]
+        moved = [shape.chart_vertex(i, ni) for i, ni in enumerate(n) if ni != top[i]]
         if len(moved) < 2:
             continue
         chart = la.combine([R1 - len(moved)] + [R1] * len(moved),
@@ -146,14 +146,13 @@ class EtbRefutation:
         return sum((la.dot(f, W.vertex_images[n]) for n, f in self.phi.items()), R0)
 
     def check(self, W: WitnessMap):
-        for i, l in enumerate(W.shape.shape):
-            for j in range(l + 1):
-                tot = la.zeros(W.space.dim)
-                for n, f in self.phi.items():
-                    if n[i] == j:
-                        tot = la.vec_add(tot, f)
-                if any(la.dot(tot, x) > 0 for x in W.space.vertices):
-                    raise AssertionError(f"refutation is positive on K against ψ{(i, j)}")
+        for i, j in W.shape.keys:
+            tot = la.zeros(W.space.dim)
+            for n, f in self.phi.items():
+                if n[i] == j:
+                    tot = la.vec_add(tot, f)
+            if any(la.dot(tot, x) > 0 for x in W.space.vertices):
+                raise AssertionError(f"refutation is positive on K against ψ{(i, j)}")
         pairing = self.pairing(W)
         if not pairing > 0:
             raise AssertionError(f"refutation pairs to {pairing} with the vertex images")
@@ -178,8 +177,7 @@ def _etb_lp(W: WitnessMap):
     shape = W.shape
     kc = space.coord_idx
     lp = LpBuilder()
-    beta = {(i, j): lp.vars(len(space.vertices), nonneg=True)
-            for i, l in enumerate(shape.shape) for j in range(l + 1)}
+    beta = {key: lp.vars(len(space.vertices), nonneg=True) for key in shape.keys}
     m = la.transpose(space.vertices)
     m = [m[c] for c in kc]
     chart = [n for n in shape.outcomes()
@@ -217,11 +215,8 @@ def trace_pairing(F: MeasurementCollection, W: WitnessMap):
     if F.shape != shape:
         raise ValueError("collection and witness have different shapes")
     total = R0
-    for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            idx = list(shape.top)
-            idx[i] = j
-            total += F.effect_value(i, j, W.vertex_images[tuple(idx)])
+    for i, j in shape.keys:
+        total += F.effect_value(i, j, W.vertex_images[shape.chart_vertex(i, j)])
     return total - shape.k * la.dot(F.space.unit, W.top_image)
 
 
@@ -248,17 +243,13 @@ def is_witness(W: WitnessMap) -> WitnessDecision:
     shape = W.shape
 
     lp = LpBuilder()
-    phi = {(i, j): lp.vars(len(space.facets))
-           for i, l in enumerate(shape.shape) for j in range(l + 1)}
-    chart = {}
+    phi = {key: lp.vars(len(space.facets)) for key in shape.keys}
+    chart = {key: W.vertex_images[shape.chart_vertex(*key)] for key in shape.keys}
     objective = {}
+    for key, img in chart.items():
+        pairs = la.mat_vec(space.facets, img)
+        objective.update((v, p) for v, p in zip(phi[key], pairs) if p)
     for i, l in enumerate(shape.shape):
-        for j in range(l + 1):
-            idx = list(shape.top)
-            idx[i] = j
-            chart[(i, j)] = W.vertex_images[tuple(idx)]
-            pairs = la.mat_vec(space.facets, chart[(i, j)])
-            objective.update((v, p) for v, p in zip(phi[(i, j)], pairs) if p)
         lp.add_rows(la.transpose(space.facet_rows),
                     vec_expr([(R1, phi[(i, j)]) for j in range(l + 1)]), "eq", R1)
     res = lp.minimize(objective)
@@ -305,8 +296,7 @@ def _witness_lp(F, states):
     nf = len(space.facet_rows)
     lp = LpBuilder()
     top = lp.vars(D, nonneg=False)
-    edges = {(i, j): lp.vars(D, nonneg=False)
-             for i, l in enumerate(shape.shape) for j in range(l)}
+    edges = {key: lp.vars(D, nonneg=False) for key in shape.edges}
     u = [lp.vars(nf) for _ in shape.shape]  # u[i][g] = u_{g,i} >= 0
 
     def bordered(sign):
@@ -325,19 +315,6 @@ def _witness_lp(F, states):
         for cols in edges.values():
             lp.add_rows(unit, vec_expr([(R1, cols)]), "eq", R0)
     return lp, top, edges
-
-
-def _chart_images(shape: PolySimplex, top, edges):
-    """Vertex images w_n = w_top + Σ_{i: n_i < l_i} W(e^i_{n_i}) of the map
-    with top image `top` and edge images `edges[(i, j)]`."""
-    images = {}
-    for n in shape.outcomes():
-        img = top
-        for i, ni in enumerate(n):
-            if ni < shape.shape[i]:
-                img = la.vec_add(img, edges[(i, ni)])
-        images[n] = tuple(img)
-    return images
 
 
 def _solved_chart(space, res, top, edges):
@@ -359,7 +336,7 @@ def _min_trace_witness(F, lp, top, edges):
     res = lp.minimize(objective)
     if res.status != OPTIMAL:
         raise AssertionError("witness LP must be bounded for a polytopic space")
-    images = _chart_images(F.shape, *_solved_chart(space, res, top, edges))
+    images = F.shape.chart_images(*_solved_chart(space, res, top, edges))
     return res.objective, make_witness_map(F.shape, space, images)
 
 
@@ -489,7 +466,7 @@ def retraction_check(F: MeasurementCollection) -> RetractionReport:
     res = lp.minimize({})
     if res.status != OPTIMAL:
         return RetractionReport(False, None, None, None)
-    images = _chart_images(shape, *_solved_chart(space, res, top, edges))
+    images = shape.chart_images(*_solved_chart(space, res, top, edges))
     smat = shape.as_state_space().linear_map([images[n] for n in shape.outcomes()])
     proj = la.mat_mul(smat, F.as_map_matrix())
     return RetractionReport(True, images, smat, proj)
@@ -505,9 +482,7 @@ def random_witness_map(shape: PolySimplex, space: StateSpace, rng) -> WitnessMap
         return la.combine([rat(rng.randrange(-8, 9), 4) for _ in space.basis], space.basis)
 
     w_top = rand_vec()
-    images = _chart_images(shape, w_top, {(i, j): rand_vec()
-                                          for i, l in enumerate(shape.shape)
-                                          for j in range(l)})
+    images = shape.chart_images(w_top, {key: rand_vec() for key in shape.edges})
     need = R0
     for img in images.values():
         for f in space.facets:

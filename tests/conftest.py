@@ -128,7 +128,7 @@ def apply_collection(F, x):
 def box_from_tensor(shape_a, shape_b, tensor):
     """The Box whose probabilities are the entries of an ambient matrix
     over V(S_A) ⊗ V(S_B), read as `Box.tensor` writes them."""
-    probs = {(ia, ib, ja, jb): tensor[shape_a._offset[ia] + ja][shape_b._offset[ib] + jb]
+    probs = {(ia, ib, ja, jb): tensor[shape_a.index(ia, ja)][shape_b.index(ib, jb)]
              for ia, la_ in enumerate(shape_a.shape) for ib, lb in enumerate(shape_b.shape)
              for ja in range(la_ + 1) for jb in range(lb + 1)}
     return Box(shape_a, shape_b, probs)
@@ -168,7 +168,7 @@ def box_functional_separates(mu, box):
     A, B = box.shape_a, box.shape_b
 
     def pair(b):
-        return sum(mu[A._offset[ia] + ja][B._offset[ib] + jb] * p
+        return sum(mu[A.index(ia, ja)][B.index(ib, jb)] * p
                    for (ia, ib, ja, jb), p in b.probs.items())
 
     return (all(pair(deterministic_box(A, B, na, nb)) >= 0

@@ -446,6 +446,24 @@ class TestErrors:
         assert code == 2 and rep is None
         assert "error:" in err and "interior state" in err
 
+    @pytest.mark.parametrize("argv", [("id", "compute", "--meas", "ident"),
+                                      ("channel", "section", "--shape", "1,1"),
+                                      ("steer", "sd", "--assemblage", "assemblage"),
+                                      ("bell", "bound", "--meas-a", "ident",
+                                       "--meas-b", "ident")], ids=lambda a: a[0])
+    def test_base_point_with_a_zero_denominator(self, capsys, files, argv):
+        # a "p/q" with q = 0 is bad input (exit 2), not a crash (exit 3)
+        argv = [*argv[:2], *(files.get(a, a) for a in argv[2:])]
+        code, rep, err = run(capsys, *argv, "--at", "1/0,1,1,1")
+        assert code == 2 and rep is None
+        assert "error: zero denominator in '1/0'" in err
+
+    def test_effect_that_is_not_finite(self, capsys):
+        code, rep, err = run(capsys, "qubit", "feasible", "--a", "nan,0,0,0",
+                             "--b", "0.5,0,0,0.5")
+        assert code == 2 and rep is None
+        assert "error: not an effect: α and the Bloch vector must be finite" in err
+
     def test_float_in_exact_input(self, capsys, files):
         code, rep, err = run(capsys, "compat", "check", "--meas", files["float"])
         assert code == 2 and rep is None

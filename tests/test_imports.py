@@ -1,6 +1,7 @@
 """Every name a polybox module imports is read somewhere in that module,
-only exact.py imports `fractions`, and the only imports inside functions
-are the two that break an import cycle.
+only exact.py imports `fractions`, the only imports inside functions
+are the two that break an import cycle, and no module reads another
+module's underscore names.
 
 A small AST check in place of a linter: an import binds names, and each
 bound name must occur as a `Name` load or as the base of an attribute
@@ -352,3 +353,54 @@ def test_detects_function_level_import():
               "        def inner():\n            from . import lp\n        return Box\n")
     assert function_imports("m.py", module) == {("m.py", "numpy"), ("m.py", "bell"),
                                                 ("m.py", "lp")}
+
+
+def private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def foreign_private_reads(name, source):
+    """(file name, line, name) for each read of an underscore name that
+    the module does not define: an attribute load `x._y`, unless x is
+    `self`, and each `from … import _y`. A name the module defines is one
+    it binds anywhere: a function, a class, an assigned name or an
+    assigned attribute. Dunder names are exempt."""
+    tree = ast.parse(source)
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out |= {(name, node.lineno, a.name) for a in node.names if private(a.name)}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and private(node.attr) and node.attr not in own
+              and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+            out.add((name, node.lineno, node.attr))
+    return out
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = set()
+    for p in sorted(SRC.glob("*.py")):
+        found |= foreign_private_reads(p.name, p.read_text())
+    assert found == set()
+
+
+def test_detects_foreign_private_read():
+    # `_offset` is another module's; `_keys` and `_cache` are this one's
+    module = ("from .polysimplex import PolySimplex, _cached_space\n"
+              "from . import linalg as la\n"
+              "class Box:\n"
+              "    def _keys(self):\n        return self._offset\n"
+              "    def tensor(self, shape):\n"
+              "        self._cache = shape._offset\n"
+              "        return la._rref(self._keys()), shape.__class__\n"
+              "def f(box):\n    return box._keys(), box._cache\n")
+    assert foreign_private_reads("m.py", module) == {
+        ("m.py", 1, "_cached_space"), ("m.py", 7, "_offset"), ("m.py", 8, "_rref")}

@@ -444,7 +444,7 @@ def facet_joint_lp(F, mixing=None):
             cols = list(space.facet_rows)
             if free:
                 cols += [vals, (-R1,) * space.rank]
-                expr += [{lam: R1}, {t[shape._offset[i] + j]: R1}]
+                expr += [{lam: R1}, {t[shape.index(i, j)]: R1}]
             elif mixing is not None:
                 s_ij = shape.coords(mixing, i, j)
                 cols.append([v - s_ij for v in vals])

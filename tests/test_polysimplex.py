@@ -1,11 +1,14 @@
-"""Products of simplices: coordinates, state spaces, and the dual bases
-of the tests' map-trace reference."""
+"""Products of simplices: coordinates, the chart at the top vertex,
+state spaces, and the dual bases of the tests' map-trace reference."""
+
+import random
 
 import pytest
 
 from polybox import linalg as la
 from polybox.exact import R0, R1, rat
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
+from polybox.witnesses import random_witness_map
 
 from conftest import dual_bases, hypercube_space, map_trace
 
@@ -77,6 +80,47 @@ class TestGeometry:
             # positive but not a state: blocks summing to 2, or too short
             assert not s.interior(tuple(2 * c for c in b))
             assert not s.interior(b[:-1])
+
+
+CHART_SHAPES = [(1,), (2,), (1, 1), (2, 1), (1, 1, 1), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("shape", CHART_SHAPES, ids=str)
+class TestLayoutAndChart:
+    """`keys`, `index` and `edges` are the layout of the ambient
+    coordinates; `chart_vertex`, `edge` and `chart_images` the chart at
+    the top vertex."""
+
+    def test_index_is_the_coordinate_of_m(self, shape):
+        s = PolySimplex(shape)
+        assert len(s.keys) == s.ambient_dim
+        for i, j in s.keys:
+            r = s.index(i, j)
+            assert s.keys[r] == (i, j)
+            assert s.m(i, j) == tuple(R1 if c == r else R0 for c in range(s.ambient_dim))
+
+    def test_keys_run_in_block_order(self, shape):
+        s = PolySimplex(shape)
+        assert s.keys == tuple((i, j) for i, l in enumerate(shape) for j in range(l + 1))
+        assert s.edges == tuple((i, j) for i, j in s.keys if j < shape[i])
+        assert len(s.edges) == s.dim
+
+    def test_chart_vertices(self, shape):
+        s = PolySimplex(shape)
+        top = s.vertex(s.top)
+        for i, j in s.keys:
+            n = s.chart_vertex(i, j)
+            assert n[i] == j
+            assert all(n[a] == s.top[a] for a in range(len(shape)) if a != i)
+            assert s.edge(i, j) == la.vec_sub(s.vertex(n), top)
+        for i, l in enumerate(shape):
+            assert s.chart_vertex(i, l) == s.top
+
+    def test_chart_images_rebuild_a_map(self, shape):
+        s = PolySimplex(shape)
+        W = random_witness_map(s, square_space(), random.Random(sum(shape) * 10 + len(shape)))
+        edges = {e: W.edge_image(*e) for e in s.edges}
+        assert s.chart_images(W.top_image, edges) == W.vertex_images
 
 
 class TestStateSpace:

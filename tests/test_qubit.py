@@ -118,6 +118,14 @@ class TestQubitEffect:
         with pytest.raises(ValueError):
             QubitEffect(0.5, (0.1, 0.1))
 
+    @pytest.mark.parametrize("alpha, bloch", [
+        (float("nan"), (0.0, 0.0, 0.0)), (0.5, (float("nan"), 0.0, 0.0)),
+        (float("inf"), (0.0, 0.0, 0.0)), (0.5, (0.0, float("-inf"), 0.0))])
+    def test_refuses_non_finite(self, alpha, bloch):
+        # NaN fails every comparison, so the norm guard alone passes it
+        with pytest.raises(ValueError, match="finite"):
+            QubitEffect(alpha, bloch)
+
     def test_sharp_is_projector(self):
         e = QubitEffect.sharp((3.0, 0.0, 4.0))
         m = e.matrix()

@@ -34,6 +34,8 @@ class TestScalars:
             sz.scalar_from_json(True)
         with pytest.raises(ValueError):
             sz.scalar_from_json(None)
+        with pytest.raises(ValueError, match="zero denominator"):
+            sz.scalar_from_json("1/0")
 
     def test_round_trip(self):
         rng = random.Random(3)

@@ -288,7 +288,7 @@ def ambient_lhs_lp(beta, mixing=None):
 
 def affine_relations(space):
     """Vectors c with Σ_v c_v v = 0 over K's vertices (so Σ_v c_v = 0)."""
-    red, pivots = la._rref(la.transpose(space.vertices))
+    red, pivots = la.rref(la.transpose(space.vertices))
     out = []
     for f in range(len(space.vertices)):
         if f not in pivots:
