@@ -60,7 +60,8 @@ class ChoiMatrix:
     """Choi matrix of a channel A → A', indices ordered A'⊗A: the basis
     vector |j⟩_{A'}|i⟩_A sits at position j·d_a + i. Diagonal matrices
     are stored exactly by their diagonal; anything else is a dense
-    complex matrix in float mode, checked to within TOL."""
+    complex matrix in float mode, finite and checked Hermitian to within
+    TOL (every comparison with NaN is false)."""
 
     def __init__(self, d_a, d_ap, diagonal=None, dense=None):
         if (diagonal is None) == (dense is None):
@@ -78,6 +79,8 @@ class ChoiMatrix:
             m = np.asarray(dense, dtype=complex)
             if m.shape != (n, n):
                 raise ValueError(f"dense Choi must be {n}x{n}")
+            if not np.isfinite(m).all():
+                raise ValueError("Choi matrix entries must be finite")
             if np.max(np.abs(m - m.conj().T)) > TOL * (1.0 + np.max(np.abs(m))):
                 raise ValueError("Choi matrix must be Hermitian")
             self.exact = False
@@ -153,7 +156,10 @@ def stochastic_from_point(shape: PolySimplex, s) -> StochasticMatrix:
 
 def retraction_R(phi: ChoiMatrix, shape: PolySimplex | None = None):
     """R(Φ) ∈ Δ^{d_A}_{d_{A'}−1} with m^i_j R(Φ) = ⟨j|Φ(|i⟩⟨i|)|j⟩, read
-    off the Choi diagonal."""
+    off the Choi diagonal. R is defined on channels: a Choi matrix that
+    is not PSD or not trace-preserving raises ValueError."""
+    if not phi.is_psd():
+        raise ValueError("Choi matrix is not completely positive")
     if not phi.is_trace_preserving():
         raise ValueError("Choi matrix is not trace-preserving")
     if shape is None:

@@ -1,25 +1,25 @@
 """Qubit backend: pairs of two-outcome measurements on the quantum
-state space of C², joint measurability by the closed-form coexistence
-criterion of Yu, Liu, Li & Oh (Busch's in the unbiased case) with a
-verified joint effect, the incompatibility degree at the barycenter
-s̄ = (½, ½) as the root of that criterion along the smearing towards
-I/2, and the extremal witness family whose optimum at s̄ certifies the
-1−1/√2 maximum.
+state space of C², the incompatibility degree at the barycenter
+s̄ = (½, ½) as the least root of the coexistence boundary along the
+smearing towards I/2, an exact integer polynomial, and the extremal
+witness family whose optimum at s̄ certifies the 1−1/√2 maximum.
 
-Everything here is float mode. Two-outcome measurements are stored by
-their first effect; Hermitian 2×2 matrices are handled in the Pauli
-parametrization (t, x, y, z) ↦ t·I + x·σx + y·σy + z·σz, whose
-eigenvalues t ± ‖(x,y,z)‖ are closed-form.
+Apart from that polynomial's exact signs, everything here is float
+mode. Two-outcome measurements are stored by their first effect;
+Hermitian 2×2 matrices are handled in the Pauli parametrization
+(t, x, y, z) ↦ t·I + x·σx + y·σy + z·σz, whose eigenvalues t ± ‖(x,y,z)‖
+are closed-form.
 
-The witness is read off the joint effect at the root of that criterion
-by complementary slackness, in closed form and with no search
-(`witness_q` has the derivation). The family is evaluated in closed
-Pauli form as well: with ρ^{1/2} = cI + d n̂·σ, the vector
-h(E)_a = Tr[E ρ^{1/2} σ_a ρ^{1/2}] is 2[(c²−d²)e + 2cd·e₀n̂ + 2d²(n̂·e)n̂]
-for E = e₀I + e·σ; the result is re-checked by 2×2 matrix products.
+The witness is read off the joint effect at that root by complementary
+slackness, in closed form and with no search (`witness_q` has the
+derivation). The family is evaluated in closed Pauli form as well: with
+ρ^{1/2} = cI + d n̂·σ, the vector h(E)_a = Tr[E ρ^{1/2} σ_a ρ^{1/2}] is
+2[(c²−d²)e + 2cd·e₀n̂ + 2d²(n̂·e)n̂] for E = e₀I + e·σ; the result is
+re-checked by 2×2 matrix products.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,17 +32,9 @@ from .polysimplex import PolySimplex
 SQRT2 = math.sqrt(2.0)
 QUBIT_MAX_ID = 1.0 - 1.0 / SQRT2
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
-_PAULI = (_SX, _SY, _SZ)
 
-#: rounding guard of the coexistence inequality: commuting pairs that
-#: include a sharp effect sit exactly on its boundary
-_COEXIST_GUARD = 1e-12
-#: bracket width of the golden-section joint-effect search and of the
-#: bisection in qubit_id
+#: bracket width of the golden-section joint-effect search
 _SEARCH_WIDTH = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: agreement required of the witness's closed form with the matrix
@@ -81,14 +73,12 @@ class QubitEffect:
         return cls.sharp((math.sin(theta), 0.0, math.cos(theta)))
 
     def matrix(self):
-        m = self.alpha * _I2
-        for c, s in zip(self.bloch, _PAULI):
-            m = m + c * s
-        return m
+        return _pmat((self.alpha, *self.bloch))
 
     def smear(self, lam) -> "QubitEffect":
         """(1−λ)·effect + λ·I/2."""
-        return QubitEffect(*_smeared(self, lam))
+        return QubitEffect((1.0 - lam) * self.alpha + lam * 0.5,
+                           (1.0 - lam) * self.bloch)
 
     def __repr__(self):
         return f"QubitEffect(α={self.alpha:.6g}, a={tuple(self.bloch)})"
@@ -106,36 +96,6 @@ def _pvec(m):
 def _pmat(p):
     t, x, y, z = p
     return np.array([[t + z, x - 1j * y], [x + 1j * y, t - z]], dtype=complex)
-
-
-def _focal(x, m):
-    """F(x, m) = ½[√((1+x)²−|m|²) + √((1−x)²−|m|²)] of the effect
-    ½[(1+x)I + m·σ], and x²/F², taken as 0 for a sharp projector
-    (x = 0, F = 0). F ≥ |x| for every effect; the min keeps rounding
-    from pushing the ratio above 1."""
-    m2 = float(np.dot(m, m))
-    f = 0.5 * (math.sqrt(max((1.0 + x) ** 2 - m2, 0.0))
-               + math.sqrt(max((1.0 - x) ** 2 - m2, 0.0)))
-    return f, (min(x * x / (f * f), 1.0) if f > 0.0 else 0.0)
-
-
-def _smeared(E: QubitEffect, lam):
-    """(α, a) of (1−λ)E + λI/2, unvalidated."""
-    return (1.0 - lam) * E.alpha + lam * 0.5, (1.0 - lam) * E.bloch
-
-
-def _coexistent(alpha, a, beta, b) -> bool:
-    """Joint measurability of (A, I−A) and (B, I−B), A = αI + a·σ and
-    B = βI + b·σ, in closed form (Yu, Liu, Li & Oh, PRA 81 062116
-    (2010); Busch, PRD 33 2253 (1986) in the unbiased case). With
-    A = ½[(1+x)I + m·σ], B = ½[(1+y)I + n·σ]: coexistent iff
-    (1 − F_x² − F_y²)(1 − x²/F_x² − y²/F_y²) ≤ (m·n − xy)²."""
-    x, m = 2.0 * alpha - 1.0, 2.0 * a
-    y, n = 2.0 * beta - 1.0, 2.0 * b
-    fx, rx = _focal(x, m)
-    fy, ry = _focal(y, n)
-    lhs = (1.0 - fx * fx - fy * fy) * (1.0 - rx - ry)
-    return lhs <= (float(np.dot(m, n)) - x * y) ** 2 + _COEXIST_GUARD
 
 
 def _golden_max(f):
@@ -157,7 +117,7 @@ def _golden_max(f):
 
 
 def joint_povm_feasible(A: QubitEffect, B: QubitEffect):
-    """Joint measurability of (A, I−A) and (B, I−B) by `_coexistent`.
+    """Joint measurability of (A, I−A) and (B, I−B) by `_incompatibility`.
     Returns (bool, G matrix | None). G = g₀I + g·σ is a joint effect iff
     g₀ lies in [max(|g|, α+β−1+|g−a−b|), min(α−|g−a|, β−|g−b|)]; the
     width of that window is concave in g, and projecting g onto the
@@ -165,7 +125,7 @@ def joint_povm_feasible(A: QubitEffect, B: QubitEffect):
     golden-section searches maximize the width in that plane, and g₀ is
     the window's midpoint there. G, A−G, B−G and I−A−B+G are re-verified
     by their smallest eigenvalues; a failed check raises AssertionError."""
-    if not _coexistent(A.alpha, A.bloch, B.alpha, B.bloch):
+    if _incompatibility(A, B)[1] is not None:
         return False, None
     alpha, beta = A.alpha, B.alpha
     basis = np.linalg.svd(np.column_stack([A.bloch, B.bloch]))[0][:, :2]
@@ -191,7 +151,7 @@ def joint_povm_feasible(A: QubitEffect, B: QubitEffect):
     # smallest eigenvalue t − ‖(x,y,z)‖ of each POVM element
     if min(p[0] - np.linalg.norm(p[1:]) for p in elements) < -TOL:
         raise AssertionError("joint effect search failed for a pair "
-                             "the coexistence criterion accepts")
+                             "judged compatible")
     return True, _pmat(g)
 
 
@@ -201,13 +161,6 @@ def _sqrt_rho_terms(r):
     hi = ((1.0 + r) / 2.0) ** 0.5
     lo = ((1.0 - r) / 2.0) ** 0.5
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
-
-
-def _sqrt_rho(r, direction):
-    """ρ^{1/2} for ρ = ½(I + r n̂·σ), as a matrix."""
-    c, d = _sqrt_rho_terms(r)
-    return c * _I2 + d * (direction[0] * _SX + direction[1] * _SY
-                          + direction[2] * _SZ)
 
 
 def _h(c, d, n, e0, e):
@@ -252,15 +205,14 @@ class QubitWitnessParams:
     v: tuple
 
     def rho(self):
-        d = np.asarray(self.direction)
-        return 0.5 * (_I2 + self.r * (d[0] * _SX + d[1] * _SY + d[2] * _SZ))
+        return _pmat((0.5, *(0.5 * self.r * np.asarray(self.direction))))
 
     def vertex_images(self):
-        sq = _sqrt_rho(self.r, self.direction)
+        c, d = _sqrt_rho_terms(self.r)
+        sq = _pmat((c, *(d * np.asarray(self.direction))))
 
         def sandwich(axis, sign):
-            n = sign * np.asarray(axis)
-            proj = 0.5 * (_I2 + n[0] * _SX + n[1] * _SY + n[2] * _SZ)
+            proj = _pmat((0.5, *(0.5 * sign * np.asarray(axis))))
             return 2.0 * (sq @ proj @ sq)
 
         return {(0, 0): sandwich(self.u, +1.0), (1, 1): sandwich(self.u, -1.0),
@@ -296,46 +248,80 @@ class QubitWitnessReport:
     id_lower_bound: float
 
 
-def _bisect(A: QubitEffect, B: QubitEffect):
-    """(value, hi, iterations) of ID_s̄: the least λ at which the smeared
-    pair ((1−λ)A + λI/2, (1−λ)B + λI/2) is coexistent, bisected on
-    `_coexistent` down to a bracket of _SEARCH_WIDTH. value is the
-    bracket's midpoint and hi its coexistent end; a compatible pair
-    gives (0.0, None, 0)."""
-    if _coexistent(A.alpha, A.bloch, B.alpha, B.bloch):
-        return 0.0, None, 0
-    lo, hi, iters = 0.0, 1.0, 0
-    while hi - lo > _SEARCH_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if _coexistent(*_smeared(A, mid), *_smeared(B, mid)):
-            hi = mid
-        else:
-            lo = mid
-        iters += 1
-    return 0.5 * (lo + hi), hi, iters
+class _Poly(tuple):
+    """A polynomial with int coefficients, lowest first, under + − ×."""
+
+    def __add__(self, other):
+        return _Poly(x + y for x, y in itertools.zip_longest(self, other, fillvalue=0))
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Poly(x * other for x in self)
+        out = [0] * (len(self) + len(other) - 1)
+        for i, x in enumerate(self):
+            for j, y in enumerate(other):
+                out[i + j] += x * y
+        return _Poly(out)
+
+
+def _critical_terms(one, alpha, beta, aa, ab, bb):
+    """(2g₀, 2a·g, 2b·g) of the critical G = g₀I + g·σ of αI + a·σ,
+    βI + b·σ (derived in `witness_q`), from one = 1 and the Gram entries
+    |a|², a·b, |b|². Homogeneous, so floats, ints and `_Poly`s all fit."""
+    rest = one - alpha - beta
+    g0 = ab + ab + alpha * alpha + beta * beta - rest * rest
+    return g0, one * (aa - alpha * alpha) + alpha * g0, one * (bb - beta * beta) + beta * g0
+
+
+def _gram(A: QubitEffect, B: QubitEffect):
+    """(D, α, β, |a|², a·b, |b|²) of A = αI + a·σ, B = βI + b·σ as exact
+    ints, times D (twice the floats' common denominator) and D²."""
+    ratios = [v.as_integer_ratio() for v in (A.alpha, *A.bloch, B.alpha, *B.bloch)]
+    D = 2 * max(d for _, d in ratios)
+    alpha, a1, a2, a3, beta, b1, b2, b3 = (n * (D // d) for n, d in ratios)
+    return (D, alpha, beta, a1 * a1 + a2 * a2 + a3 * a3,
+            a1 * b1 + a2 * b2 + a3 * b3, b1 * b1 + b2 * b2 + b3 * b3)
+
+
+def _boundary(A: QubitEffect, B: QubitEffect):
+    """Q on the smearing (1−λ)A + λI/2, (1−λ)B + λI/2: with s = 1 − λ,
+    α′ = ½ + s(α − ½), a′ = s·a (β′, b′ likewise) and M₀ the Gram matrix
+    of a and b, |g| = g₀ reads Q = |b|²(a′·g)² − 2(a·b)(a′·g)(b′·g) +
+    |a|²(b′·g)² − s²·det M₀·g₀² = 0. Exact int coefficients in λ, lowest
+    first, factors s divided out; [] if det M₀ = 0 (a ∥ b: they commute)."""
+    D, alpha, beta, aa, ab, bb = _gram(A, B)
+    det = aa * bb - ab * ab
+    if det == 0:
+        return []
+    h, s2 = D // 2, _Poly((1, -2, 1))
+    g0, ag, bg = _critical_terms(_Poly((D,)), _Poly((alpha, h - alpha)),
+                                 _Poly((beta, h - beta)), s2 * aa, s2 * ab, s2 * bb)
+    q = list(ag * ag * bb - ag * bg * (2 * ab) + bg * bg * aa - s2 * g0 * g0 * det)
+    while q and sum(q) == 0:
+        q = list(itertools.accumulate(q[:0:-1]))[::-1]
+    return q
 
 
 def _critical_elements(A: QubitEffect, B: QubitEffect):
-    """Pauli terms (t, p) of G, A′−G, B′−G and I−A′−B′+G, the POVM
-    elements of vertices (0,0), (0,1), (1,0) and (1,1), for the joint
-    effect G = g₀I + g·σ of a pair A′ = αI + a·σ, B′ = βI + b·σ on the
-    boundary of coexistence, where all four are singular: g₀ = a·b +
-    ½(α² + β² − (1−α−β)²), a·g = ½(|a|² − α² + 2αg₀) and
-    b·g = ½(|b|² − β² + 2βg₀) (derived in `witness_q`), with g in the
-    span of a and b from its 2×2 Gram system. Each element's smallest
-    eigenvalue t − ‖p‖ is re-verified; one below −TOL raises
-    AssertionError."""
-    alpha, a, beta, b = A.alpha, A.bloch, B.alpha, B.bloch
-    aa, ab, bb = float(np.dot(a, a)), float(np.dot(a, b)), float(np.dot(b, b))
-    g0 = ab + 0.5 * (alpha * alpha + beta * beta - (1.0 - alpha - beta) ** 2)
-    ag = 0.5 * (aa - alpha * alpha + 2.0 * alpha * g0)
-    bg = 0.5 * (bb - beta * beta + 2.0 * beta * g0)
-    g = ((ag * bb - bg * ab) * a + (bg * aa - ag * ab) * b) / (aa * bb - ab * ab)
-    elements = ((g0, g), (alpha - g0, a - g), (beta - g0, b - g),
-                (1.0 - alpha - beta + g0, g - a - b))
+    """Pauli terms (t, p) of G, A−G, B−G and I−A−B+G, the POVM elements
+    of vertices (0,0), (0,1), (1,0) and (1,1), for the critical G of A, B
+    by `_critical_terms` and the Gram system for g in span(a, b), on
+    exact ints so that nearly parallel a, b lose no digits. None if a ∥ b
+    or an element's least eigenvalue t − ‖p‖ is below −TOL."""
+    D, alpha, beta, aa, ab, bb = _gram(A, B)
+    det = 2 * D * (aa * bb - ab * ab)
+    if det == 0:
+        return None
+    g0, ag, bg = _critical_terms(D, alpha, beta, aa, ab, bb)
+    g0, a, b = g0 / (2 * D * D), A.bloch, B.bloch
+    g = (ag * bb - bg * ab) / det * a + (bg * aa - ag * ab) / det * b
+    elements = ((g0, g), (A.alpha - g0, a - g), (B.alpha - g0, b - g),
+                (1.0 - A.alpha - B.alpha + g0, g - a - b))
     if min(t - np.linalg.norm(p) for t, p in elements) < -TOL:
-        raise AssertionError("the critical joint effect is not a joint "
-                             "effect of the pair at the bisection's end")
+        return None
     return elements
 
 
@@ -344,42 +330,72 @@ def _kernel_weights(elements):
     the four POVM elements (t_n, p_n) of `_critical_elements`, p̂_n in
     `axes`. c is the null vector of the affine condition
     c₀₀P₀₀ + c₁₁P₁₁ − c₀₁P₀₁ − c₁₀P₁₀ = 0 in Pauli components, scaled to
-    Σ c_n = 4, so that Tr W(s̄) = ¼ Σ c_n = 1. A weight that is not
-    positive raises AssertionError."""
+    Σ c_n = 4, so that Tr W(s̄) = ¼ Σ c_n = 1; None unless all positive."""
     axes = [p / np.linalg.norm(p) for _, p in elements]
     rows = [(sign, *(-sign * k)) for sign, k in zip((1.0, -1.0, -1.0, 1.0), axes)]
     c = np.linalg.svd(np.array(rows).T)[2][-1]
     if c.sum() < 0.0:
         c = -c
     if not c.min() > 0.0:
-        raise AssertionError("the kernels of the critical joint effect "
-                             "admit no witness with positive weights")
+        return None
     return 4.0 * c / c.sum(), axes
 
 
-def _witness(A: QubitEffect, B: QubitEffect, hi) -> QubitWitnessReport:
+def _sign(q, lam):
+    """The exact sign of Q at the float λ = n/d: Σ q_k n^k d^(deg−k)."""
+    n, d = lam.as_integer_ratio()
+    acc, dk = 0, 1
+    for c in reversed(q):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _incompatibility(A: QubitEffect, B: QubitEffect):
+    """(λ*, weights, evaluations) of the pair. Seeds are the real parts
+    in (0, 1) of numpy's roots of `_boundary`. The least seed whose
+    relative 2⁻⁴⁴ window holds an exact sign change of Q is bisected to
+    two adjacent floats; λ* is the larger, the root's coexistent end. If
+    `_kernel_weights` exist there, the pair is incompatible with
+    ID_s̄ = λ*: that witness pairs with F to −λ*/(1−λ*) < 0, which no
+    compatible pair allows. Else it is compatible: (0.0, None, …).
+    evaluations counts the exact signs of Q taken."""
+    q, evals = _boundary(A, B), 0
+    scale = 1 << max(max((c.bit_length() for c in q), default=0) - 60, 0)
+    roots = np.roots([c / scale for c in reversed(q)])
+    for x in sorted(float(z.real) for z in roots if 0.0 < z.real < 1.0):
+        lo, hi = x * (1.0 - 2.0 ** -44), min(x * (1.0 + 2.0 ** -44), 1.0)
+        s_lo = _sign(q, lo)
+        evals += 2
+        if s_lo == _sign(q, hi):
+            continue
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            evals += 1
+            lo, hi = (mid, hi) if _sign(q, mid) == s_lo else (lo, mid)
+        elements = _critical_elements(A.smear(hi), B.smear(hi))
+        weights = elements and _kernel_weights(elements)
+        return (hi, weights, evals) if weights else (0.0, None, evals)
+    return 0.0, None, evals
+
+
+def _witness(A: QubitEffect, B: QubitEffect, weights) -> QubitWitnessReport:
     """The witness family at ρ = W(s̄) of the complementary-slackness
-    witness of the pair smeared to `hi`, the coexistent end of the
-    bisection: ρ = (c₀₀P₀₀ + c₁₁P₁₁)/(c₀₀ + c₁₁) from
-    `_kernel_weights`, with the axes u, v that `_value` picks there. A
-    compatible pair (hi None) takes ρ = I/2, and its value must not be
-    negative, since every witness pairs non-negatively with a compatible
-    pair. The result is re-checked by the matrix route:
-    `params.check()`, and the trace pairing of the vertex images that
-    it returns (built once for both checks) must give q̂ within
-    _CROSS_CHECK_TOL; a failed check raises AssertionError."""
+    witness at the root's coexistent end: ρ = (c₀₀P₀₀ + c₁₁P₁₁)/(c₀₀ +
+    c₁₁) from `_kernel_weights`, with the axes u, v that `_value` picks
+    there. A compatible pair (weights None) takes ρ = I/2, and its value
+    must not be negative. The result is re-checked by `params.check()`,
+    and the trace pairing of the vertex images that it returns must give
+    q̂ within _CROSS_CHECK_TOL; a failed check raises AssertionError."""
     r, n = 0.0, (0.0, 0.0, 1.0)
-    if hi is not None:
-        c, axes = _kernel_weights(_critical_elements(A.smear(hi), B.smear(hi)))
+    if weights is not None:
+        c, axes = weights
         x = -(c[0] * axes[0] + c[3] * axes[3]) / (c[0] + c[3])
         r = float(np.linalg.norm(x))
         if r > 0.0:
             n = tuple((x / r).tolist())
-    pair = _pair_terms(A, B)
-    val, u, v = _value(pair, r, n)
-    if hi is None and val < -_CROSS_CHECK_TOL:
-        raise AssertionError("a witness detects a pair the coexistence "
-                             "criterion accepts")
+    val, u, v = _value(_pair_terms(A, B), r, n)
+    if weights is None and val < -_CROSS_CHECK_TOL:
+        raise AssertionError("a witness detects a pair judged compatible")
     params = QubitWitnessParams(r, n, u, v)
     w = params.check()
     if abs(trace_pairing_qubit(A, B, w) - val) > _CROSS_CHECK_TOL:
@@ -391,7 +407,7 @@ def _witness(A: QubitEffect, B: QubitEffect, hi) -> QubitWitnessReport:
 
 def witness_q(A: QubitEffect, B: QubitEffect) -> QubitWitnessReport:
     """q̂ = Tr FW of the witness that certifies the pair's ID_s̄, read off
-    the joint effect at the root λ* that `_bisect` finds, by
+    the joint effect at the root λ* of `_incompatibility`, by
     complementary slackness (Wolf, Perez-Garcia & Fernandez, PRL 103
     230402 (2009)).
 
@@ -403,7 +419,8 @@ def witness_q(A: QubitEffect, B: QubitEffect) -> QubitWitnessReport:
     −2a·g = α² − 2αg₀ − |a|², −2b·g = β² − 2βg₀ − |b|² and
     −2(a+b)·g = (1−α−β)² + 2(1−α−β)g₀ − |a+b|². The third minus the
     first two eliminates g and gives g₀ = a·b + ½(α² + β² − (1−α−β)²);
-    the first two then fix a·g and b·g (`_critical_elements`).
+    the first two then fix a·g and b·g (`_critical_terms`); |g| = g₀ is
+    the polynomial of `_boundary`.
 
     A witness W with Tr F′W = 0 puts each vertex image w_n on the kernel
     of its element, and the affine condition w₀₀ + w₁₁ = w₀₁ + w₁₀ fixes
@@ -411,15 +428,14 @@ def witness_q(A: QubitEffect, B: QubitEffect) -> QubitWitnessReport:
     (1−λ*)F + λ*·(coin toss), −q̂/(1−q̂) = λ* at that ρ; in general
     q̂ ≥ q_s̄(F), hence −q̂/(1−q̂) lower-bounds the incompatibility
     degree. `_witness` has the checks."""
-    return _witness(A, B, _bisect(A, B)[1])
+    return _witness(A, B, _incompatibility(A, B)[1])
 
 
 def holder_check(params: QubitWitnessParams):
     """½‖W(e⁰₀)‖₁ ≤ c and ½‖W(e¹₀)‖₁ ≤ d with c = √(1−|⟨x₀₁|x₁₁⟩|²),
     d = √(1−|⟨x₁₀|x₁₁⟩|²) and c² + d² = 1."""
     w = params.vertex_images()
-    u = np.asarray(params.u)
-    v = np.asarray(params.v)
+    u, v = np.asarray(params.u), np.asarray(params.v)
     # overlap of Bloch-axis pure states: |⟨m|n⟩|² = (1 + m̂·n̂)/2
     c = math.sqrt(1.0 - (1.0 + float(np.dot(v, -u))) / 2.0)
     d = math.sqrt(1.0 - (1.0 + float(np.dot(-v, -u))) / 2.0)
@@ -448,19 +464,17 @@ class QubitIdReport:
 
 
 def qubit_id(A: QubitEffect, B: QubitEffect) -> QubitIdReport:
-    """ID_s̄ at the barycenter by `_bisect`, together with the dual lower
-    bound of the witness read off the joint effect G = g₀I + g·σ at the
-    bisection's coexistent end, where all four POVM elements are
-    singular and hence g₀ = a·b + ½(α² + β² − (1−α−β)²) (derived in
-    `witness_q`). One bisection serves both. The witness family is
+    """ID_s̄ at the barycenter, the root λ* of `_incompatibility`, with
+    the dual lower bound of the witness read off the joint effect at
+    its coexistent end (derived in `witness_q`). The witness family is
     tight at the barycenter, so the two must agree within
-    _CROSS_CHECK_TOL; a failed check raises AssertionError."""
-    value, hi, iters = _bisect(A, B)
-    wit = _witness(A, B, hi)
+    _CROSS_CHECK_TOL; a failed check raises AssertionError. iterations
+    counts the exact signs of the boundary polynomial taken."""
+    value, weights, evals = _incompatibility(A, B)
+    wit = _witness(A, B, weights)
     if abs(value - wit.id_lower_bound) > _CROSS_CHECK_TOL:
-        raise AssertionError("dual bound misses the primal bisection "
-                             "value at the barycenter")
-    return QubitIdReport(value, wit.q_hat, wit.id_lower_bound, wit.params, iters)
+        raise AssertionError("dual bound misses the root at the barycenter")
+    return QubitIdReport(value, wit.q_hat, wit.id_lower_bound, wit.params, evals)
 
 
 def mub_pair():

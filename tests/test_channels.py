@@ -116,6 +116,21 @@ class TestChoi:
         with pytest.raises(ValueError):
             retraction_R(phi)
 
+    @pytest.mark.parametrize("phi", [
+        ChoiMatrix(1, 2, dense=[[0.5, 1.0], [1.0, 0.5]]),
+        ChoiMatrix(1, 2, diagonal=(rat(3, 2), rat(-1, 2)))], ids=["dense", "diagonal"])
+    def test_retraction_needs_complete_positivity(self, phi):
+        # trace-preserving, with eigenvalue −1/2: not a channel
+        assert phi.is_trace_preserving() and not phi.is_psd()
+        with pytest.raises(ValueError, match="not completely positive"):
+            retraction_R(phi)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_dense_choi_refuses_non_finite(self, bad):
+        # NaN fails every comparison, so the Hermitian test alone passes it
+        with pytest.raises(ValueError, match="finite"):
+            ChoiMatrix(1, 2, dense=[[0.5, 0.0], [bad, 0.5]])
+
 
 class TestRetractionSection:
     def test_section_then_retract(self):

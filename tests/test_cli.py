@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report shape, determinism."""
 
 import json
+import math
 import os
 import pathlib
 import random
@@ -380,9 +381,21 @@ class TestChannelQubit:
         assert abs(rep["result"]["id"] - 0.2928932188) < 1e-6
         assert set(rep["result"]) == {"id", "q_hat", "witness_params"}
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_qubit_near_commuting_pair(self, capsys, eps):
+        # σz against σz tilted by ε: incompatible, with ID ≈ ε/2
+        pair = ("--a", "0.5,0,0,0.5",
+                "--b", f"0.5,{0.5 * math.sin(eps)!r},0,{0.5 * math.cos(eps)!r}")
+        code, rep, _ = run(capsys, "qubit", "id", *pair)
+        assert code == 0
+        assert abs(rep["result"]["id"] / (eps / 2.0) - 1.0) <= 2 * eps
+        code, rep, _ = run(capsys, "qubit", "feasible", *pair)
+        assert code == 1
+        assert rep["certificate"]["q_hat"] < 0.0
+
     def test_qubit_feasible_witness_meets_id(self, capsys):
         # an incompatible sharp×unsharp pair: the refuting witness of
-        # `feasible` certifies the degree that `id` bisects
+        # `feasible` certifies the degree that `id` reads off its root
         pair = ("--a", "0.500043386903963,-0.1531342671244334,0.32111135187513623,"
                        "-0.14231329434611023",
                 "--b", "0.5,0.16743927880173756,0.4668572112118132,0.06331218092817935")
@@ -463,6 +476,18 @@ class TestErrors:
                              "--b", "0.5,0,0,0.5")
         assert code == 2 and rep is None
         assert "error: not an effect: α and the Bloch vector must be finite" in err
+
+    @pytest.mark.parametrize("choi, message", [
+        ([[0.5, 0], [float("nan"), 0], [float("nan"), 0], [0.5, 0]], "must be finite"),
+        ([[0.5, 0], [1, 0], [1, 0], [0.5, 0]], "not completely positive")],
+        ids=["nan", "not-cp"])
+    def test_channel_that_is_not_a_channel(self, capsys, tmp_path, choi, message):
+        # both once retracted with verdict true
+        path = tmp_path / "choi.json"
+        path.write_text(json.dumps({"d_a": 1, "d_a_prime": 2, "choi": choi}))
+        code, rep, err = run(capsys, "channel", "retract", "--channel", str(path))
+        assert code == 2 and rep is None
+        assert "error:" in err and message in err
 
     def test_float_in_exact_input(self, capsys, files):
         code, rep, err = run(capsys, "compat", "check", "--meas", files["float"])

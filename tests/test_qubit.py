@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ ROW3_PAIR_38 = (
 
 #: three unsharp pairs of the `qubit-pairs` benchmark workload
 #: (perfbench/workloads.py), seed 1311 item 332, seed 5112 item 2405 and
-#: seed 14324 item 1619, with the bisection's q̂ to 1e-7: a local search
+#: seed 14324 item 1619, with their q̂ to 1e-7: a local search
 #: for the witness in polar form (r, n̂) stops at r = 0 on each, at
 #: q̂ = −0.1138048, −0.0993717 and −0.2921146
 STALL_PAIRS = (
@@ -78,6 +79,78 @@ R_NEAR_PURE = 1.0 - 2e-8
 SIGMAS = (np.array([[0, 1], [1, 0]], dtype=complex),
           np.array([[0, -1j], [1j, 0]], dtype=complex),
           np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def focal(x, m):
+    """F(x, m) = ½[√((1+x)²−|m|²) + √((1−x)²−|m|²)] of the effect
+    ½[(1+x)I + m·σ], and x²/F², taken as 0 for a sharp projector
+    (x = 0, F = 0). F ≥ |x| for every effect; the min keeps rounding
+    from pushing the ratio above 1."""
+    m2 = float(np.dot(m, m))
+    f = 0.5 * (math.sqrt(max((1.0 + x) ** 2 - m2, 0.0))
+               + math.sqrt(max((1.0 - x) ** 2 - m2, 0.0)))
+    return f, (min(x * x / (f * f), 1.0) if f > 0.0 else 0.0)
+
+
+def coexistence_margin(a, b):
+    """The reference criterion of Yu, Liu, Li & Oh, PRA 81 062116 (2010)
+    (Busch, PRD 33 2253 (1986) in the unbiased case), in floats: with
+    A = ½[(1+x)I + m·σ], B = ½[(1+y)I + n·σ], the pair is coexistent iff
+    (1 − F_x² − F_y²)(1 − x²/F_x² − y²/F_y²) − (m·n − xy)² ≤ 0."""
+    x, m = 2.0 * a.alpha - 1.0, 2.0 * a.bloch
+    y, n = 2.0 * b.alpha - 1.0, 2.0 * b.bloch
+    fx, rx = focal(x, m)
+    fy, ry = focal(y, n)
+    return (1.0 - fx * fx - fy * fy) * (1.0 - rx - ry) - (float(np.dot(m, n)) - x * y) ** 2
+
+
+def reference_id(a, b):
+    """ID_s̄ by bisection on `coexistence_margin` down to a bracket of
+    1e-12, its midpoint."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if coexistence_margin(a.smear(mid), b.smear(mid)) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def busch_id(a, b):
+    """1 − 2/(|m+n| + |m−n|) of an unbiased pair ½(I + m·σ), ½(I + n·σ),
+    from the floats' exact values: |m+n| − 2 = (|m+n|² − 4)/(|m+n| + 2)
+    keeps the digits that cancel when m ≈ n."""
+    m = [Fraction(2 * x) for x in a.bloch.tolist()]
+    n = [Fraction(2 * x) for x in b.bloch.tolist()]
+    plus2 = sum((x + y) ** 2 for x, y in zip(m, n))
+    plus, minus = math.sqrt(plus2), math.sqrt(sum((x - y) ** 2 for x, y in zip(m, n)))
+    return (float(plus2 - 4) / (plus + 2.0) + minus) / (plus + minus)
+
+
+def exact_boundary_sign(a, b, lam):
+    """The sign of |b|²(a′·g)² − 2(a·b)(a′·g)(b′·g) + |a|²(b′·g)² −
+    s²·det M₀·g₀² at s = 1 − λ, in Fractions, written out from the
+    critical joint effect's g₀, a′·g and b′·g."""
+    s, half = 1 - Fraction(lam), Fraction(1, 2)
+    al, be = half + s * (Fraction(a.alpha) - half), half + s * (Fraction(b.alpha) - half)
+    av = [Fraction(x) for x in a.bloch.tolist()]
+    bv = [Fraction(x) for x in b.bloch.tolist()]
+    aa, ab, bb = (sum(x * y for x, y in zip(u, v)) for u, v in ((av, av), (av, bv), (bv, bv)))
+    g0 = s * s * ab + (al * al + be * be - (1 - al - be) ** 2) / 2
+    ag = (s * s * aa - al * al + 2 * al * g0) / 2
+    bg = (s * s * bb - be * be + 2 * be * g0) / 2
+    q = bb * ag * ag - 2 * ab * ag * bg + aa * bg * bg - s * s * (aa * bb - ab * ab) * g0 * g0
+    return (q > 0) - (q < 0)
+
+
+def near_commuting(eps):
+    """σz against σz tilted by ε in the x–z plane."""
+    return (QubitEffect.sharp((0.0, 0.0, 1.0)),
+            QubitEffect.sharp((math.sin(eps), 0.0, math.cos(eps))))
+
+
+EPSILONS = (1e-2, 1e-4, 1e-6, 1e-8)
 
 
 def pauli_matrix(t, vec):
@@ -319,9 +392,9 @@ class TestPolarStall:
 
 
 def critical_witness(a, b):
-    """The POVM elements at the bisection's coexistent end, and the
-    weights of the vertex images on their kernels."""
-    hi = qubit._bisect(a, b)[1]
+    """The POVM elements at the root's coexistent end, and the weights
+    of the vertex images on their kernels."""
+    hi = qubit._incompatibility(a, b)[0]
     elements = qubit._critical_elements(a.smear(hi), b.smear(hi))
     return elements, qubit._kernel_weights(elements)[0]
 
@@ -334,12 +407,12 @@ def incompatible_pairs():
               for _ in range(6)]
     pairs += [(unbiased(rng, 0.9)[0], unbiased(rng, 0.9)[0]) for _ in range(8)]
     pairs += [(biased(rng), biased(rng)) for _ in range(12)]
-    return [(a, b) for a, b in pairs if qubit._bisect(a, b)[1] is not None]
+    return [(a, b) for a, b in pairs if qubit._incompatibility(a, b)[1] is not None]
 
 
 class TestCriticalWitness:
-    """The witness read off the joint effect at the root of the
-    bisection."""
+    """The witness read off the joint effect at the root of the boundary
+    polynomial."""
 
     def test_elements_singular_and_weights_positive(self):
         pairs = incompatible_pairs()
@@ -378,7 +451,8 @@ class TestCriticalWitness:
                              ids=["00-01", "00-10", "01-11", "10-11"])
     def test_swapped_vertex_labels_refused(self, swap, monkeypatch):
         # pairing each element with another vertex across the affine
-        # condition w₀₀ + w₁₁ = w₀₁ + w₁₀ leaves no positive weights
+        # condition w₀₀ + w₁₁ = w₀₁ + w₁₀ leaves no positive weights, so
+        # the pair is judged compatible, and the witness at I/2 refutes it
         def mutant(a, b):
             elements = list(critical_elements(a, b))
             i, j = swap
@@ -388,27 +462,53 @@ class TestCriticalWitness:
         critical_elements = qubit._critical_elements
         monkeypatch.setattr(qubit, "_critical_elements", mutant)
         for a, b in (mub_pair(), ROW3_PAIR_38, SEARCH_FAILURES[3]):
-            with pytest.raises(AssertionError, match="positive weights"):
+            with pytest.raises(AssertionError, match="judged compatible"):
                 qubit_id(a, b)
 
-    def test_bisection_matches_validated_smear(self):
-        # the bisection smears in plain floats; the same steps on
-        # validated QubitEffect.smear give the same root
-        def reference(a, b):
-            lo, hi, iters = 0.0, 1.0, 0
-            while hi - lo > qubit._SEARCH_WIDTH:
-                mid = 0.5 * (lo + hi)
-                sa, sb = a.smear(mid), b.smear(mid)
-                if qubit._coexistent(sa.alpha, sa.bloch, sb.alpha, sb.bloch):
-                    hi = mid
-                else:
-                    lo = mid
-                iters += 1
-            return 0.5 * (lo + hi), hi, iters
-
-        pairs = incompatible_pairs()
+    def test_verdicts_match_the_yu_busch_reference(self):
+        # 500 pairs of each kind: sharp×sharp, sharp×unsharp and
+        # unsharp×unsharp of random_effect, and near-bound biased effects
+        rng = random.Random(20261019)
+        pairs = [(random_effect(rng, sharp=True), random_effect(rng, sharp=True))
+                 for _ in range(500)]
+        pairs += [(random_effect(rng, sharp=True), random_effect(rng)) for _ in range(500)]
+        pairs += [(random_effect(rng), random_effect(rng)) for _ in range(500)]
+        pairs += [(biased(rng), biased(rng)) for _ in range(500)]
+        incompatible = 0
         for a, b in pairs:
-            assert qubit._bisect(a, b) == reference(a, b)
+            value = qubit_id(a, b).value
+            margin = coexistence_margin(a, b)
+            if abs(margin) > 1e-9:
+                assert (value > 0.0) == (margin > 0.0)
+            if value > 0.0:
+                incompatible += 1
+                assert abs(value - reference_id(a, b)) <= 1e-10
+        assert 500 < incompatible < 1500
+
+    def test_root_is_bracketed_by_exact_signs(self):
+        # the coexistent end and the float below it straddle the root
+        for a, b in incompatible_pairs():
+            hi = qubit_id(a, b).value
+            below = exact_boundary_sign(a, b, math.nextafter(hi, 0.0))
+            assert below != 0
+            assert exact_boundary_sign(a, b, hi) in (0, -below)
+
+
+class TestNearCommuting:
+    """σz against σz tilted by ε: the ID is ε/2 to first order, and
+    det M₀ ≈ ε²/16 cancels in the boundary polynomial's coefficients."""
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_id_matches_busch(self, eps):
+        a, b = near_commuting(eps)
+        rep = qubit_id(a, b)
+        assert abs(rep.value / busch_id(a, b) - 1.0) <= 1e-9
+        assert abs(rep.value - rep.dual_bound) <= 1e-9
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_infeasible(self, eps):
+        ok, g = joint_povm_feasible(*near_commuting(eps))
+        assert not ok and g is None
 
 
 class TestIdDegree:
