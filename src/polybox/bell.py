@@ -3,7 +3,10 @@ witness-factorization bound linking Bell violations to incompatibility.
 
 Box probability tables are literally the ambient tensor coordinates of
 the corresponding bipartite polysimplex element, so locality questions
-reduce to separability of that tensor.
+reduce to separability of that tensor: a local model is a decomposition
+γ = Σ_n s_n ⊗ c_n with every c_n in the cone of S_B's vertices, the
+`ProductDecomposition` of `measurements`, as a hidden-state model of an
+assemblage is.
 """
 from __future__ import annotations
 
@@ -14,8 +17,8 @@ from dataclasses import dataclass, field
 from . import linalg as la
 from .exact import R0, R1, nonneg, rat, same, scalars
 from .lp import OPTIMAL
-from .measurements import (MeasurementCollection, identity_collection, product_functional,
-                           product_lp)
+from .measurements import (MeasurementCollection, identity_collection,
+                           product_decomposition, product_functional, product_lp)
 from .polysimplex import PolySimplex, square_space
 from .spaces import StateSpace, max_tensor_member, product_range
 from .witnesses import q_value
@@ -94,45 +97,25 @@ def box_from(F_A: MeasurementCollection, F_B: MeasurementCollection, y) -> Box:
     return Box(F_A.shape, F_B.shape, probs)
 
 
-@dataclass
-class LhvModel:
-    """weights over pairs of deterministic strategies (outcome tuples)."""
-    weights: dict
-
-    def check(self, box: Box):
-        for key, w in self.weights.items():
-            if w < 0:
-                raise AssertionError(f"LHV weight of {key} is negative")
-        for key in box._keys():
-            ia, ib, ja, jb = key
-            tot = sum(w for (na, nb), w in self.weights.items()
-                      if na[ia] == ja and nb[ib] == jb)
-            if tot != box.probs[key]:
-                raise AssertionError(f"LHV model misses {key}")
-        return True
-
-
 def is_local(box: Box):
     """Locality LP, exact boxes only: the `product_lp` of γ = Σ_na s_na ⊗
     c_na over S_A and S_B, each c_na a nonnegative combination of S_B's
     vertices s_nb, whose weights are those of the products of
     deterministic strategies (na, nb): 9 rows on the 2222 box where the
-    table has 16 entries. Returns (True, LhvModel), re-checked on every
-    entry by `LhvModel.check`, or (False, BellWitness): the Bell
-    functional of `separating_witness`, ≥ 0 on every deterministic box
-    and < 0 on γ, read off the same solve."""
+    table has 16 entries. Returns (True, ProductDecomposition), re-checked
+    on every entry of γ, or (False, BellWitness): the Bell functional of
+    `separating_witness`, ≥ 0 on every deterministic box and < 0 on γ,
+    read off the same solve."""
     if box.mode != "exact":
         raise ValueError("locality decision needs exact probabilities")
     gamma = box.tensor()
-    lp, w, _lam, _t = product_lp(box.shape_a, box.shape_b.as_state_space(), gamma)
+    space_b = box.shape_b.as_state_space()
+    lp, w, _lam, _t = product_lp(box.shape_a, space_b, gamma)
     res = lp.minimize({})
     if res.status != OPTIMAL:
         return False, separating_witness(box.shape_a, box.shape_b, gamma, res.farkas)
-    # S_B's vertices are stored in outcome order
-    outs_b = box.shape_b.outcome_list()
-    model = LhvModel({(na, nb): res[x] for na, cols in w.items()
-                      for nb, x in zip(outs_b, cols) if res[x]})
-    model.check(box)
+    model = product_decomposition(box.shape_a, space_b, res, w)
+    model.check(gamma)
     return True, model
 
 

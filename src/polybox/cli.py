@@ -22,8 +22,9 @@ import sys
 import time
 import traceback
 
+from . import linalg as la
 from . import serialize as sz
-from .exact import HAVE_GMPY2, nonneg, rat
+from .exact import HAVE_GMPY2, R0, nonneg, rat
 from .measurements import id_degree, is_compatible
 from .polysimplex import PolySimplex
 from .witnesses import (is_etb, is_witness, maximal_incompatibility_certificate,
@@ -205,12 +206,30 @@ def _functional_cert(mu, tensor):
     return {"functional": mu.tensor, "pairing": mu.pair_tensor(tensor)}
 
 
+def _nonzero_weights(model):
+    """{(n, t): w} over the nonzero vertex weights of a
+    `ProductDecomposition`: t indexes the vertices of its right factor."""
+    return {(n, t): w for n, ws in model.weights.items() for t, w in enumerate(ws) if w}
+
+
+def _hidden_state_model(model, x):
+    """A hidden-state model as weights q(n) = Σ_t w_{n,t} = ⟨1_K, α_n⟩
+    (K's vertices have unit value 1) and states α_n/q(n), or the
+    average x where q(n) = 0."""
+    weights, states = {}, {}
+    for n, ws in model.weights.items():
+        q = sum(ws, R0)
+        weights[n] = q
+        states[n] = la.combine([w / q for w in ws], model.space.vertices) if q else x
+    return {"weights": weights, "states": states}
+
+
 def _cmd_steer(args, load: Loader):
     beta = load.assemblage(args.assemblage, space=load.space(args.space))
     if args.action == "separable":
         sep, found = is_separable(beta)
         if sep:
-            cert = {"model": {"weights": found.weights, "states": found.states}}
+            cert = {"model": _hidden_state_model(found, beta.x)}
         else:
             cert = _functional_cert(found, beta.to_tensor())
         return sep, {"separable": sep}, cert, "exact"
@@ -253,7 +272,10 @@ def _cmd_bell(args, load: Loader):
     if args.action == "check":
         local, found = is_local(box)
         if local:
-            cert = {"lhv_weights": found.weights}
+            # S_B's vertices are stored in outcome order
+            outs_b = box.shape_b.outcome_list()
+            cert = {"lhv_weights": {(na, outs_b[t]): w
+                                    for (na, t), w in _nonzero_weights(found).items()}}
         else:
             cert = _functional_cert(found, box.tensor())
         return local, {"local": local}, cert, box.mode
@@ -281,7 +303,7 @@ def _cmd_box(args, load: Loader):
     if box.mode == "exact":
         local, found = is_local(box)
         if local:
-            cert["local_decomposition_terms"] = len(found.weights)
+            cert["local_decomposition_terms"] = len(_nonzero_weights(found))
     return ok, result, cert, box.mode
 
 

@@ -4,7 +4,9 @@ the joint-measurement LP, coin tosses, and incompatibility degrees;
 and locality LPs, and `chart_blocks`, the one reader of its row
 multipliers: `_dual_witness` reads a witness map off them, and
 `product_functional` the separating functional of an infeasible
-`product_lp` (the locality and hidden-state LPs).
+`product_lp` (the locality and hidden-state LPs). The primal side of a
+solved `product_lp` has one reader and one exact check too:
+`product_decomposition` and `ProductDecomposition.check`.
 
 A collection is an affine map K → S into a polysimplex, stored by the
 effect values f^i_j(x) on the vertices x of K. Values at the basis
@@ -14,6 +16,7 @@ linear extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg as la
 from .exact import R0, R1, rat
@@ -101,8 +104,11 @@ def from_functionals(space: StateSpace, shape, functionals) -> MeasurementCollec
     return MeasurementCollection(space, shape, eff)
 
 
+@lru_cache(maxsize=None)
 def identity_collection(shape: PolySimplex) -> MeasurementCollection:
-    """F = (m^0,…,m^k) on K = S itself: the identity map."""
+    """F = (m^0,…,m^k) on K = S itself: the identity map. Built once per
+    shape and shared, like `polysimplex_space`; nothing mutates a
+    collection after construction."""
     space = shape.as_state_space()
     return from_functionals(space, shape, {key: shape.m(*key) for key in shape.keys})
 
@@ -238,6 +244,41 @@ def product_functional(shape: PolySimplex, space: StateSpace, farkas):
     return tuple(mu)
 
 
+@dataclass
+class ProductDecomposition:
+    """T = Σ_n s_n ⊗ α_n over the vertices s_n of S, with α_n = Σ_t
+    weights[n][t]·v_t over the vertices v_t of K = `space`: the feasible
+    certificate of a `product_lp`, a local model of a box (K = S_B) or a
+    hidden-state model of an assemblage."""
+    shape: PolySimplex
+    space: StateSpace
+    weights: dict
+
+    def check(self, tensor):
+        """Every weight is ≥ 0, so α_n ∈ V(K)+, and Σ_{n_i=j} α_n equals
+        T's row (i, j) for every key: the decomposition is exactly T.
+        Returns True or raises."""
+        for n, w in self.weights.items():
+            if any(c < 0 for c in w):
+                raise AssertionError(f"a vertex weight of {n} is negative")
+        alpha = {n: la.combine(w, self.space.vertices) for n, w in self.weights.items()}
+        for (i, j), row in zip(self.shape.keys, tensor, strict=True):
+            acc = la.zeros(self.space.dim)
+            for n, a in alpha.items():
+                if n[i] == j:
+                    acc = la.vec_add(acc, a)
+            if acc != tuple(row):
+                raise AssertionError(f"the decomposition misses row ({i},{j})")
+        return True
+
+
+def product_decomposition(shape: PolySimplex, space: StateSpace, res: LpResult, v):
+    """The decomposition whose vertex weights v[n] of α_n (from
+    `product_lp`) are read off the solved `res`."""
+    return ProductDecomposition(shape, space,
+                                {n: tuple(res[c] for c in cols) for n, cols in v.items()})
+
+
 def _joint_lp(F: MeasurementCollection, mixing=None):
     """The joint-measurement LP of (1−λ)F + λF_s: the `tensor_lp` of F's
     tensor Σ_{i,j} e_{ij} ⊗ f^i_j, written at the basis vertices, whose
@@ -321,8 +362,9 @@ class DegreeReport:
     `LpResult` of that solve, and the exact
     certificate read off it. For ID(F), `witness` is a witness map W
     with ⟨1_K, W(s)⟩ = 1 and `q` = Tr FW = q_s(F), so that ID = −q/(1−q)
-    is a lower bound the LP's least λ meets. For SD(β), `model` is an
-    LHS model of (1−λ)β + λ s⊗x at the reported λ and s."""
+    is a lower bound the LP's least λ meets. For SD(β), `model` is a
+    `ProductDecomposition` of (1−λ)β + λ s⊗x at the reported λ and s: a
+    hidden-state model."""
     value: object
     s: tuple
     evaluations: int

@@ -93,11 +93,6 @@ class PolySimplex:
         j; the top itself when j = l_i."""
         return self.top[:i] + (j,) + self.top[i + 1:]
 
-    def edge(self, i, j):
-        """e^i_j = s_{l_0,…,j,…,l_k} − s_{l_0,…,l_k}; zero when j = l_i."""
-        self._check_index(i, j)
-        return la.vec_sub(self.vertex(self.chart_vertex(i, j)), self.vertex(self.top))
-
     def chart_images(self, top, edges):
         """Vertex images w_n = w_top + Σ_{i: n_i < l_i} W(e^i_{n_i}) of the
         affine map with top image `top` and edge images `edges[(i, j)]`."""

@@ -21,6 +21,7 @@ import json
 
 import numpy as np
 
+from . import linalg as la
 from .bell import Box
 from .channels import ChoiMatrix
 from .exact import format_rat, is_rational, rat
@@ -237,11 +238,26 @@ def assemblage_to_json(beta: Assemblage) -> dict:
 
 
 def assemblage_from_json(obj, space: StateSpace | None = None) -> Assemblage:
+    """The file gives β by x, p(j|i) and x_{j|i}. Checked here, as only
+    that form needs it: both tables match the shape's keys, every
+    sub-state is a state of K (also where p(j|i) = 0), and x is the
+    average of the rows σ_{j|i} = p(j|i)·x_{j|i}, which `Assemblage`
+    checks for the rest."""
     _require(obj, "shape", "x", "p", "sub_states")
     space = _space_field(obj, space)
-    return Assemblage(_shape_field(obj), space, _vec_from_json(obj["x"], "'x'"),
-                      _table(obj["p"], 2, _exact_from_json, "'p'"),
-                      _table(obj["sub_states"], 2, _vec_from_json, "'sub_states'"))
+    shape = _shape_field(obj)
+    x = _vec_from_json(obj["x"], "'x'")
+    p = _table(obj["p"], 2, _exact_from_json, "'p'")
+    subs = _table(obj["sub_states"], 2, _vec_from_json, "'sub_states'")
+    if set(p) != set(shape.keys) or set(subs) != set(shape.keys):
+        raise ValueError("p and sub-state tables do not match the outcome shape")
+    for i, j in shape.keys:
+        if not space.is_state(subs[(i, j)]):
+            raise ValueError(f"sub-state ({i},{j}) is not a state")
+    beta = Assemblage(shape, space, [la.vec_scale(p[key], subs[key]) for key in shape.keys])
+    if x != beta.x:
+        raise ValueError("x is not the average of the assemblage")
+    return beta
 
 
 # -- boxes ----------------------------------------------------------------

@@ -2,169 +2,105 @@
 extraction from a bipartite state, separability (local-hidden-state
 models), steering degrees, and self-dual bipartite states.
 
-Bipartite elements are ambient matrices Y with ⟨f⊗g, y⟩ = fᵀ Y g.
+Bipartite elements are ambient matrices Y with ⟨f⊗g, y⟩ = fᵀ Y g. An
+assemblage is one of them, β = (F⊗id)(y) ∈ S ⊗̂ K, and is stored as
+that matrix. A hidden-state model is a decomposition β = Σ_n s_n ⊗ α_n
+with every α_n ∈ V(K)+: the `product_lp` of `measurements`, whose
+solution `product_decomposition` reads and checks, as it does for the
+locality LP of a box in `bell`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg as la
-from .exact import R0, R1, rat
+from .exact import R1, rat
 from .lp import OPTIMAL
 from .bell import separating_witness
-from .measurements import DegreeReport, MeasurementCollection, least_mixing, product_lp
+from .measurements import (DegreeReport, MeasurementCollection, least_mixing,
+                           product_decomposition, product_lp)
 from .polysimplex import PolySimplex
 from .spaces import StateSpace, max_tensor_member
 
 
 class Assemblage:
-    """Conditional family {p(j|i), x_{j|i}} with a common average x."""
+    """β = Σ_{i,j} e_{ij} ⊗ σ_{j|i} ∈ S ⊗̂ K, stored by its rows: row
+    (i, j), in `shape.keys` order, is σ_{j|i} = p(j|i)·x_{j|i} ∈ V(K)+.
 
-    def __init__(self, shape: PolySimplex, space: StateSpace, x, p, sub_states):
+    The rows form an assemblage iff β lies in the maximal tensor product,
+    one integer test: S's span relations force one average x = Σ_j
+    σ_{j|i} for every input i, the facet pairings m^i_j ⊗ g put each
+    σ_{j|i} in V(K)+, and the unit pairing gives ⟨1_K, x⟩ = 1.
+    """
+
+    def __init__(self, shape: PolySimplex, space: StateSpace, rows):
         self.shape = shape
         self.space = space
-        self.x = tuple(rat(c) for c in x)
-        self.p = {k: rat(v) for k, v in p.items()}
-        self.sub_states = {k: tuple(rat(c) for c in v)
-                           for k, v in sub_states.items()}
-        self._validate()
-
-    def _validate(self):
-        space = self.space
-        want = set(self.shape.keys)
-        if set(self.p) != want or set(self.sub_states) != want:
-            raise ValueError("p and sub-state tables do not match the outcome shape")
-        if not space.is_state(self.x):
-            raise ValueError("assemblage average is not a state")
-        for i, l in enumerate(self.shape.shape):
-            tot = R0
-            avg = la.zeros(space.dim)
-            for j in range(l + 1):
-                pij = self.p[(i, j)]
-                if pij < 0:
-                    raise ValueError(f"p({j}|{i}) negative")
-                xij = self.sub_states[(i, j)]
-                if not space.is_state(xij):
-                    raise ValueError(f"sub-state ({i},{j}) is not a state")
-                tot += pij
-                avg = la.vec_add(avg, la.vec_scale(pij, xij))
-            if tot != R1:
-                raise ValueError(f"p(·|{i}) does not normalize")
-            if tuple(avg) != self.x:
-                raise ValueError(f"input {i} does not average to the barycenter")
+        self.rows = la.mat(rows)
+        if not max_tensor_member(self.rows, shape.as_state_space(), space):
+            raise ValueError("assemblage rows are not a state of S ⊗̂ K")
+        self.x = la.combine([R1] * (shape.shape[0] + 1), self.rows[:shape.shape[0] + 1])
 
     def to_tensor(self):
-        """β = s_top ⊗ x + Σ_{i,j<l_i} e^i_j ⊗ p(j|i)x_{j|i}."""
-        shape = self.shape
-        t = la.outer(shape.vertex(shape.top), self.x)
-        for key in shape.edges:
-            w = la.vec_scale(self.p[key], self.sub_states[key])
-            e = shape.edge(*key)
-            t = [[a + e[r] * w[c] for c, a in enumerate(row)] for r, row in enumerate(t)]
-        return la.mat(t)
+        """β's ambient matrix over V(S) ⊗ V(K): the rows themselves."""
+        return self.rows
+
+    @cached_property
+    def p(self):
+        """p(j|i) = ⟨1_K, σ_{j|i}⟩."""
+        return {key: la.dot(self.space.unit, row)
+                for key, row in zip(self.shape.keys, self.rows)}
+
+    @cached_property
+    def sub_states(self):
+        """x_{j|i} = σ_{j|i}/p(j|i), and the average x where p(j|i) = 0."""
+        return {key: la.vec_scale(1 / self.p[key], row) if self.p[key] else self.x
+                for key, row in zip(self.shape.keys, self.rows)}
 
     def __repr__(self):
         return f"Assemblage({self.shape.shape} ⊗ {self.space.label})"
 
 
 def assemblage_from(F: MeasurementCollection, y, space_b: StateSpace) -> Assemblage:
-    """β = (F ⊗ id)(y): sub-states by conditioning on Alice's outcomes.
+    """β = (F ⊗ id)(y): row (i, j) is ⟨f^i_j ⊗ ·, y⟩.
 
     y is an ambient matrix over V(K_A)⊗V(K_B); it must lie in the
     maximal tensor product of the two spaces.
     """
-    space_a = F.space
-    if not max_tensor_member(y, space_a, space_b):
+    if not max_tensor_member(y, F.space, space_b):
         raise ValueError("y is not a state of the maximal tensor product")
-    shape = F.shape
-    yt = la.transpose(y)
-    x = la.mat_vec(yt, space_a.unit)
-    p = {}
-    subs = {}
-    for key in shape.keys:
-        phi = la.mat_vec(yt, F.effect(*key))
-        pij = la.dot(space_b.unit, phi)
-        p[key] = pij
-        subs[key] = tuple(la.vec_scale(1 / pij, phi)) if pij else tuple(x)
-    return Assemblage(shape, space_b, tuple(x), p, subs)
+    return Assemblage(F.shape, space_b, la.mat_mul(F.as_map_matrix(), y))
 
 
-@dataclass
-class LhsModel:
-    """Hidden-state model: weights q(λ) over deterministic responses
-    q(j|i,λ) = [λ_i = j] with states x_λ."""
-    weights: dict
-    states: dict
-
-    def check(self, beta: Assemblage, mixing=None):
-        """The model reproduces β, or with mixing = (s, μ) the mixture
-        (1−μ)β + μ s⊗x: on every coordinate, Σ_{n_i=j} q(n)·x_n equals
-        (1−μ)p(j|i)x_{j|i} + μ s^i_j x for each (i, j)."""
-        for lam, q in self.weights.items():
-            if q < 0:
-                raise AssertionError(f"LHS weight of {lam} is negative")
-            if not beta.space.is_state(self.states[lam]):
-                raise AssertionError(f"hidden state of {lam} is not in K")
-        shape = beta.shape
-        s, mu = mixing if mixing is not None else (None, R0)
-        for i, j in shape.keys:
-            acc = la.zeros(beta.space.dim)
-            for lam, q in self.weights.items():
-                if lam[i] == j and q:
-                    acc = la.vec_add(acc, la.vec_scale(q, self.states[lam]))
-            want = la.vec_scale((R1 - mu) * beta.p[(i, j)], beta.sub_states[(i, j)])
-            if mu:
-                want = la.vec_add(want, la.vec_scale(mu * shape.coords(s, i, j), beta.x))
-            if tuple(acc) != tuple(want):
-                raise AssertionError(f"LHS model misses component ({i},{j})")
-        return True
-
-
-def _lhs_lp(beta: Assemblage, mixing=None):
-    """The hidden-state LP of (1−λ)β + λ s⊗x: the `product_lp` of β =
-    Σ_n s_n ⊗ α_n over S and K, with α_n ∈ V(K)+; `mixing` as in
-    `tensor_lp`, and T̄ = x. `LhsModel.check` re-checks every entry.
-    Returns (lp, avar, lam, t); avar[n] holds the vertex weights of α_n.
-    """
-    return product_lp(beta.shape, beta.space, beta.to_tensor(), mixing)
-
-
-def _lhs_model(res, avar, beta: Assemblage) -> LhsModel:
-    """The LHS model whose unnormalized hidden states α_n = Σ_v a_{n,v} v
-    are read off the solved `_lhs_lp` variables avar: q(n) = ⟨1_K, α_n⟩
-    and x_n = α_n/q(n) (β's average when q(n) = 0)."""
-    space = beta.space
-    weights = {}
-    states = {}
-    for n, cols in avar.items():
-        vec = la.combine([res[c] for c in cols], space.vertices)
-        q = la.dot(space.unit, vec)
-        weights[n] = q
-        states[n] = tuple(la.vec_scale(1 / q, vec)) if q else beta.x
-    return LhsModel(weights, states)
+def _mixture(beta: Assemblage, s, lam):
+    """The rows of (1−λ)β + λ s⊗x: (1−λ)σ_{j|i} + λ s^i_j x."""
+    lam = rat(lam)
+    return tuple(la.vec_add(la.vec_scale(R1 - lam, row), la.vec_scale(lam * rat(c), beta.x))
+                 for row, c in zip(beta.rows, s))
 
 
 def is_separable(beta: Assemblage):
-    """β separable ⟺ β = Σ_n s_n ⊗ α_n with α_n ∈ V(K)+ (LP). Returns
-    (True, LhsModel) or (False, BellWitness): the functional of
-    `bell.separating_witness` over S and K, ≥ 0 on every product s_n ⊗ v
-    of vertices and < 0 on β, read off the same solve."""
-    lp, avar, _lam, _t = _lhs_lp(beta)
+    """β separable ⟺ β = Σ_n s_n ⊗ α_n with α_n ∈ V(K)+: the hidden-state
+    LP, the `product_lp` of β over S and K. Returns (True,
+    ProductDecomposition), re-checked against β's rows, or (False,
+    BellWitness): the functional of `bell.separating_witness` over S and
+    K, ≥ 0 on every product s_n ⊗ v of vertices and < 0 on β, read off
+    the same solve."""
+    lp, avar, _lam, _t = product_lp(beta.shape, beta.space, beta.rows)
     res = lp.minimize({})
     if res.status != OPTIMAL:
-        return False, separating_witness(beta.shape, beta.space, beta.to_tensor(),
-                                         res.farkas)
-    model = _lhs_model(res, avar, beta)
-    model.check(beta)
+        return False, separating_witness(beta.shape, beta.space, beta.rows, res.farkas)
+    model = product_decomposition(beta.shape, beta.space, res, avar)
+    model.check(beta.rows)
     return True, model
 
 
 def steering_degree_at(beta: Assemblage, s):
     """SD_s(β) = min λ with (1−λ)β + λ s⊗x separable; a single LP since
-    the mixing is linear in λ."""
+    the mixing is linear in λ (T̄ = x in `tensor_lp`)."""
     if not beta.shape.as_state_space().is_state(s):
         raise ValueError("mixing target must be a state of the polysimplex")
-    lp, _avar, lam, _t = _lhs_lp(beta, s)
+    lp, _avar, lam, _t = product_lp(beta.shape, beta.space, beta.rows, s)
     res = lp.minimize({lam: R1})
     if res.status != OPTIMAL:
         raise AssertionError("steering LP infeasible at λ=1: s⊗x is separable")
@@ -173,15 +109,16 @@ def steering_degree_at(beta: Assemblage, s):
 
 def steering_degree(beta: Assemblage) -> DegreeReport:
     """SD(β) = inf over interior s of SD_s(β), exactly: the least λ* of
-    `_lhs_lp(beta, "free")` with an s from `least_mixing` that attains
-    it, interior when some minimizer is and on the boundary otherwise.
-    The same solve's α_n give the report's `model`, an LHS model that
-    must pass `LhsModel.check` against (1−λ*)β + λ* s⊗x on every
-    coordinate, so that SD_s(β) ≤ λ* at the returned s."""
-    lp, avar, lam, t = _lhs_lp(beta, "free")
+    the hidden-state LP with mixing "free" (see `tensor_lp`), with an s
+    from `least_mixing` that attains it, interior when some minimizer is
+    and on the boundary otherwise.
+    The same solve's vertex weights give the report's `model`, a
+    `ProductDecomposition` that must reproduce the rows of `_mixture(β,
+    s, λ*)`, so that SD_s(β) ≤ λ* at the returned s."""
+    lp, avar, lam, t = product_lp(beta.shape, beta.space, beta.rows, "free")
     rep = least_mixing(lp, lam, t, beta.shape)
-    rep.model = _lhs_model(rep.solve, avar, beta)
-    rep.model.check(beta, (rep.s, rep.value))
+    rep.model = product_decomposition(beta.shape, beta.space, rep.solve, avar)
+    rep.model.check(_mixture(beta, rep.s, rep.value))
     return rep
 
 

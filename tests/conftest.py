@@ -2,7 +2,7 @@
 tests and the tensor LPs on independent coordinates are compared with
 their ambient reference forms, and the builders and reference forms that
 several test modules use (simplex and hypercube spaces, coin-toss
-collections)."""
+collections, boxes, assemblage draws)."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from polybox.lp import LpBuilder
 from polybox.measurements import MeasurementCollection
 from polybox.polysimplex import PolySimplex, polysimplex_space
 from polybox.spaces import StateSpace
+from polybox.steering import Assemblage
 
 #: a pentagon with vertices (0,0), (2,0), (3,2), (1,3), (−1,2) in ambient
 #: coordinates (x, y, 2, x + y): rank 3 in dimension 4, so one linear
@@ -195,3 +196,76 @@ def unitary_choi(u):
         raise ValueError("not a unitary matrix")
     x = np.einsum("ji,kl->jikl", u, u.conj()).reshape(d * d, d * d)
     return ChoiMatrix(d, d, dense=x)
+
+
+def affine_relations(space):
+    """Vectors c with Σ_v c_v v = 0 over K's vertices (so Σ_v c_v = 0)."""
+    red, pivots = la.rref(la.transpose(space.vertices))
+    out = []
+    for f in range(len(space.vertices)):
+        if f not in pivots:
+            c = [R0] * len(space.vertices)
+            c[f] = R1
+            for row, p in zip(red, pivots):
+                c[p] = -row[f]
+            out.append(c)
+    return out
+
+
+def partition_assemblage(shape, space, rng):
+    """x = the vertex average. Input i writes x = Σ_v w^i_v v with its own
+    weights (uniform plus a random affine relation among the vertices,
+    pushed up to or halfway to a zero weight), splits the vertices into
+    l_i + 1 random nonempty groups, and takes σ_{j|i} = the part of
+    group j, so p(j|i) = the weight of the group. Different weights per
+    input can steer (the self-dual identity assemblage of the square is
+    one such); on a simplex there are no relations and every draw is
+    separable."""
+    verts = space.vertices
+    n = len(verts)
+    rels = affine_relations(space)
+    rows = []
+    for i, l in enumerate(shape.shape):
+        w = [rat(1, n)] * n
+        if rels:
+            d = la.combine([rat(rng.randrange(-2, 3)) for _ in rels], rels)
+            neg = [-wv / dv for wv, dv in zip(w, d) if dv < 0]
+            if neg:
+                w = la.vec_add(w, la.vec_scale(min(neg) * rng.choice([1, rat(1, 2)]), d))
+        order = list(range(n))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, n), l))
+        for a, b in zip([0] + cuts, cuts + [n]):
+            group = order[a:b]
+            rows.append(la.combine([w[v] for v in group], [verts[v] for v in group]))
+    return Assemblage(shape, space, rows)
+
+
+def edited(obj, x=None, **tables):
+    """An assemblage file with x replaced, and entries of its "p" and
+    "sub_states" tables replaced from dicts keyed "i,j"."""
+    out = {**obj, "x": x or obj["x"]}
+    for field, entries in tables.items():
+        out[field] = {**obj[field], **entries}
+    return out
+
+
+#: input 0 always answers 0: p(0|0) = 1 at x_{0|0} = x, the barycenter
+ZERO_P = {"p": {"0,0": "1", "0,1": "0"}, "sub_states": {"0,0": ["1/2"] * 4}}
+
+#: edits of the file of the identity assemblage on the self-dual state
+#: (p = 1/2 everywhere, x the square's barycenter) that make it
+#: malformed, each in one way
+MALFORMED_ASSEMBLAGES = {
+    "negative-p": {"p": {"0,0": "-1/2", "0,1": "3/2"}},
+    "sub-state-not-a-state": {"sub_states": {"1,0": ["3/2", "0", "0", "3/2"]}},
+    "sub-state-not-a-state-at-p-0": {
+        "p": ZERO_P["p"], "sub_states": {**ZERO_P["sub_states"], "0,1": ["2", "0", "0", "2"]}},
+    # σ_{0|0} = x is valid, but x_{0|0} = 2x is not normalized
+    "half-p-twice-a-state": {"p": {"0,0": "1/2", "0,1": "0"},
+                             "sub_states": {"0,0": ["1"] * 4}},
+    "averages-differ": {"sub_states": {"1,0": ["1", "0", "0", "1"],
+                                       "1,1": ["1", "0", "0", "1"]}},
+    "x-not-the-average": {"x": ["1", "0", "1", "0"]},
+    "sub-state-too-short": {"sub_states": {"0,0": ["1", "0", "1"]}},
+}

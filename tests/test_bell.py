@@ -8,13 +8,13 @@ import pytest
 
 from polybox import bell
 from polybox import linalg as la
-from polybox.bell import (BellWitness, Box, LhvModel, _embedded_pr_probs,
+from polybox.bell import (BellWitness, Box, _embedded_pr_probs,
                           all_chsh_witnesses, bell_id_bound_check, bell_value, box_from,
                           chsh_witness, deterministic_box, is_local, pr_box, random_ns_box,
                           square_equality_construction)
 from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL, LpBuilder
-from polybox.measurements import identity_collection, random_collection
+from polybox.measurements import ProductDecomposition, identity_collection, random_collection
 from polybox.polysimplex import PolySimplex, square_space
 from polybox.steering import self_dual_state, square_self_dual_iso
 from polybox.witnesses import q_value
@@ -95,17 +95,17 @@ class TestLocality:
         box = deterministic_box(P, P, (0, 1), (1, 0))
         ok, model = is_local(box)
         assert ok
-        assert model.check(box)
+        assert model.check(box.tensor())
 
     def test_negative_weights_rejected(self):
-        # +1 on na = 00 and 11, −1 on 01 and 10 (nb = 00) leaves every
-        # marginal of the deterministic box unchanged
+        # +1 on na = 00 and 11, −1 on 01 and 10 (nb = 00, S_B's vertex 0)
+        # leaves every marginal of the deterministic box unchanged
         box = deterministic_box(P, P, (0, 0), (0, 0))
-        nb = (0, 0)
-        doctored = LhvModel({((0, 0), nb): rat(2), ((1, 1), nb): R1,
-                             ((0, 1), nb): -R1, ((1, 0), nb): -R1})
+        doctored = ProductDecomposition(P, P.as_state_space(), {
+            (0, 0): (rat(2), R0, R0, R0), (1, 1): (R1, R0, R0, R0),
+            (0, 1): (-R1, R0, R0, R0), (1, 0): (-R1, R0, R0, R0)})
         with pytest.raises(AssertionError, match="negative"):
-            doctored.check(box)
+            doctored.check(box.tensor())
 
     def test_pr_is_not_local(self):
         ok, mu = is_local(pr_box())
@@ -118,7 +118,7 @@ class TestLocality:
             box = random_local_box(P, P, rng)
             ok, model = is_local(box)
             assert ok
-            assert model.check(box)
+            assert model.check(box.tensor())
 
     def test_float_box_rejected(self):
         probs = {k: float(v) for k, v in pr_box().probs.items()}
@@ -279,7 +279,7 @@ class TestLocalityOnIndependentCoordinates:
         for box in seeded_boxes(shape_a, shape_b, rng, 8):
             ok, found = is_local(box)
             assert ok == ambient_is_local(box)
-            assert found.check(box) if ok else box_functional_separates(found.tensor, box)
+            assert found.check(box.tensor()) if ok else box_functional_separates(found.tensor, box)
             seen.add(ok)
         if shape_a in ((1, 1), (1, 1, 1)):
             assert seen == {True, False}

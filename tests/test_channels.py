@@ -162,7 +162,8 @@ class TestCausalChannel:
         assert rep.recovered.probs == pr_box().probs
 
     def test_local_box_decomposes(self, capsys, tmp_path):
-        # `box to-channel` counts the weights of the LHV model `is_local` finds
+        # `box to-channel` counts the nonzero weights of the local model
+        # `is_local` finds
         rng = random.Random(7)
         P = PolySimplex((1, 1))
         box = random_local_box(P, P, rng)
@@ -171,7 +172,8 @@ class TestCausalChannel:
         assert cli.main(["box", "to-channel", "--box", str(path)]) == 0
         cert = json.loads(capsys.readouterr().out)["certificate"]
         local, model = is_local(box)
-        assert local and cert["local_decomposition_terms"] == len(model.weights) > 1
+        terms = sum(1 for ws in model.weights.values() for w in ws if w)
+        assert local and cert["local_decomposition_terms"] == terms > 1
 
     def test_asymmetric_scenario(self):
         rng = random.Random(9)

@@ -22,9 +22,9 @@ from polybox.steering import (assemblage_from, self_dual_state, square_self_dual
                               steering_degree_at)
 from polybox.witnesses import q_value
 
-from conftest import (assemblage_functional_separates, box_from_tensor,
-                      box_functional_separates, coin_toss, three_input_pr_box)
-from test_steering import partition_assemblage
+from conftest import (MALFORMED_ASSEMBLAGES, ZERO_P, assemblage_functional_separates,
+                      box_from_tensor, box_functional_separates, coin_toss, edited,
+                      partition_assemblage, three_input_pr_box)
 
 SQ = PolySimplex((1, 1))
 
@@ -251,7 +251,8 @@ class TestSteerBellBox:
         assert rep["result"]["sd"] == "1/2"
 
     def test_sd_search_solves_one_lp(self, capsys, files, monkeypatch, solved_rows):
-        # the LHS model is read off the search LP's primal: no fixed-s re-solve
+        # the hidden-state model is read off the search LP's primal: no
+        # fixed-s re-solve
         calls = []
 
         def counted(beta, s):
@@ -448,6 +449,25 @@ class TestErrors:
             code, rep, err = run(capsys, "steer", "separable", "--assemblage", str(path))
             assert code == 2 and rep is None
             assert "error:" in err
+
+    @pytest.mark.parametrize("case", list(MALFORMED_ASSEMBLAGES))
+    def test_malformed_assemblage(self, capsys, files, tmp_path, case):
+        # exit 2, never 3, whether the loader or the rows' membership test
+        # refuses the file
+        obj = json.loads(pathlib.Path(files["assemblage"]).read_text())
+        path = tmp_path / "assemblage.json"
+        path.write_text(json.dumps(edited(obj, **MALFORMED_ASSEMBLAGES[case])))
+        code, rep, err = run(capsys, "steer", "separable", "--assemblage", str(path))
+        assert code == 2 and rep is None
+        assert "error:" in err
+
+    def test_assemblage_with_a_zero_p_loads(self, capsys, files, tmp_path):
+        # the control of the p = 0 cases: with a state at p = 0 it loads
+        obj = json.loads(pathlib.Path(files["assemblage"]).read_text())
+        path = tmp_path / "assemblage.json"
+        path.write_text(json.dumps(edited(obj, **ZERO_P)))
+        code, rep, err = run(capsys, "steer", "separable", "--assemblage", str(path))
+        assert code in (0, 1) and rep is not None, err
 
     @pytest.mark.parametrize("argv", [("id", "compute", "--meas", "ident"),
                                       ("bell", "bound", "--meas-a", "ident",

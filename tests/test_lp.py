@@ -596,3 +596,69 @@ def _cross_check_highs(rng, coeff, rhs_draw):
         seen.add(res.status)
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     assert OPTIMAL in seen_then
+
+
+class TestDecisionLpsAgainstHighs:
+    """The locality, separability and steering-degree LPs, as solved,
+    re-solved by scipy's HiGHS from their stored rows."""
+
+    def test_replay(self, monkeypatch):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        from polybox.bell import is_local, random_ns_box
+        from polybox.serialize import builtin_space
+        from polybox.steering import (assemblage_from, is_separable, self_dual_state,
+                                      square_self_dual_iso, steering_degree,
+                                      steering_degree_at)
+        from conftest import partition_assemblage
+
+        solves = []
+        solve = LpBuilder._solve
+
+        def recording(self, cost, sense, then=None):
+            res = solve(self, cost, sense, then)
+            solves.append((list(self._rows), list(self._vars), dict(cost), sense, res))
+            return res
+        monkeypatch.setattr(LpBuilder, "_solve", recording)
+
+        rng = random.Random(31)
+        P = PolySimplex((1, 1))
+        sq = P.as_state_space()
+        ident = measurements.identity_collection(P)
+        y = self_dual_state(sq, square_self_dual_iso())
+        for _ in range(30):
+            box = random_ns_box(P, P, rng)
+            is_local(box)
+            is_separable(assemblage_from(ident, box.tensor(), sq))
+        for _ in range(25):
+            beta = assemblage_from(measurements.random_collection(sq, P, rng, bias=rat(3, 4)),
+                                   y, sq)
+            is_separable(beta)
+            steering_degree_at(beta, P.barycenter())
+            steering_degree(beta)
+        for shape in ((1, 1), (2, 1)):
+            for _ in range(6):
+                beta = partition_assemblage(PolySimplex(shape), builtin_space("poly:2,1"), rng)
+                is_separable(beta)
+                steering_degree(beta)
+        assert 150 <= len(solves) <= 300
+
+        highs_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+        seen = set()
+        for rows, kinds, cost, sense, res in solves:
+            n = len(kinds)
+            dense = {"eq": ([], []), "le": ([], [])}
+            for coeffs, rhs, s, kind in rows:
+                a, b = dense[kind]
+                a.append([coeffs.get(v, 0) / s for v in range(n)])
+                b.append(float(rat(rhs) / s))
+            ref = linprog([float(cost.get(v, R0)) for v in range(n)],
+                          A_ub=dense["le"][0] or None, b_ub=dense["le"][1] or None,
+                          A_eq=dense["eq"][0] or None, b_eq=dense["eq"][1] or None,
+                          bounds=[(0, None) if k == "nonneg" else (None, None)
+                                  for k in kinds], method="highs")
+            assert res.status == highs_status.get(ref.status), ref.message
+            seen.add(res.status)
+            if res.status == OPTIMAL:
+                # HiGHS minimizes cost·x; the result's objective is sense times that
+                assert abs(float(sense * res.objective) - ref.fun) <= 1e-9
+        assert seen == {OPTIMAL, INFEASIBLE}

@@ -61,13 +61,6 @@ class TestGeometry:
             for n in s.outcomes():
                 assert la.dot(u, s.vertex(n)) == R1
 
-    def test_edges(self):
-        s = PolySimplex((2, 1))
-        top = s.vertex(s.top)
-        assert s.edge(0, 1) == la.vec_sub(s.vertex((1, 1)), top)
-        assert la.is_zero(s.edge(0, 2))
-        assert la.is_zero(s.edge(1, 1))
-
     def test_barycenter(self):
         for shape in SHAPES:
             s = PolySimplex(shape)
@@ -107,12 +100,10 @@ class TestLayoutAndChart:
 
     def test_chart_vertices(self, shape):
         s = PolySimplex(shape)
-        top = s.vertex(s.top)
         for i, j in s.keys:
             n = s.chart_vertex(i, j)
             assert n[i] == j
             assert all(n[a] == s.top[a] for a in range(len(shape)) if a != i)
-            assert s.edge(i, j) == la.vec_sub(s.vertex(n), top)
         for i, l in enumerate(shape):
             assert s.chart_vertex(i, l) == s.top
 

@@ -10,13 +10,14 @@ from polybox import steering
 from polybox.exact import R0, R1, rat
 from polybox.lp import OPTIMAL, LpBuilder, vec_expr
 from polybox.measurements import (id_degree, id_degree_at, identity_collection,
-                                  least_mixing, random_collection, scaled_state_vars)
+                                  least_mixing, product_lp, random_collection,
+                                  scaled_state_vars)
 from polybox.polysimplex import PolySimplex, square_space
 from polybox.spaces import max_tensor_member
-from polybox.steering import (Assemblage, _lhs_lp, assemblage_from, is_separable,
+from polybox.steering import (Assemblage, assemblage_from, is_separable,
                               self_dual_state, square_self_dual_iso, steering_degree,
                               steering_degree_at)
-from conftest import assemblage_functional_separates, pentagon_json
+from conftest import assemblage_functional_separates, partition_assemblage, pentagon_json
 from test_measurements import mixing_outcome, two_lp_least_mixing
 
 SQ = PolySimplex((1, 1))
@@ -27,19 +28,14 @@ def self_dual_square():
 
 
 def mix_with_trivial(beta, s, lam):
-    """(1−λ)β + λ s⊗x as a new assemblage: the reference mixture."""
+    """(1−λ)β + λ s⊗x as a new assemblage, from p(j|i) and x_{j|i}: the
+    reference mixture."""
     lam = rat(lam)
-    p = {}
-    subs = {}
-    for i, l in enumerate(beta.shape.shape):
-        for j in range(l + 1):
-            pij = (R1 - lam) * beta.p[(i, j)] + lam * beta.shape.coords(s, i, j)
-            vec = la.vec_add(
-                la.vec_scale((R1 - lam) * beta.p[(i, j)], beta.sub_states[(i, j)]),
-                la.vec_scale(lam * beta.shape.coords(s, i, j), beta.x))
-            p[(i, j)] = pij
-            subs[(i, j)] = tuple(la.vec_scale(1 / pij, vec)) if pij else beta.x
-    return Assemblage(beta.shape, beta.space, beta.x, p, subs)
+    shape = beta.shape
+    return Assemblage(shape, beta.space, [
+        la.vec_add(la.vec_scale((R1 - lam) * beta.p[key], beta.sub_states[key]),
+                   la.vec_scale(lam * shape.coords(s, *key), beta.x))
+        for key in shape.keys])
 
 
 def identity_assemblage():
@@ -60,19 +56,36 @@ def product_assemblage(rng):
 
 
 class TestAssemblage:
-    def test_validation(self):
+    def test_rows_must_lie_in_the_maximal_tensor_product(self):
+        # the three conditions of S ⊗̂ K, each broken once: one average
+        # over every input, every σ_{j|i} in V(K)+, ⟨1_K, x⟩ = 1
         beta = identity_assemblage()
-        with pytest.raises(ValueError):
-            Assemblage(beta.shape, beta.space, beta.x,
-                       {**beta.p, (0, 0): beta.p[(0, 0)] + rat(1, 3)},
-                       beta.sub_states)
-        with pytest.raises(ValueError):
-            Assemblage(beta.shape, beta.space, la.vec_scale(2, beta.x),
-                       beta.p, beta.sub_states)
-        bad_subs = dict(beta.sub_states)
-        bad_subs[(1, 0)] = la.vec_scale(rat(3, 2), beta.sub_states[(1, 0)])
-        with pytest.raises(ValueError):
-            Assemblage(beta.shape, beta.space, beta.x, beta.p, bad_subs)
+        rows = [list(r) for r in beta.to_tensor()]
+        s00, s10, s11 = rows[0], rows[2], rows[3]
+        assert Assemblage(beta.shape, beta.space, rows).to_tensor() == beta.to_tensor()
+        bad = [
+            [la.vec_add(s00, la.vec_scale(rat(1, 3), beta.x))] + rows[1:],
+            rows[:2] + [la.vec_scale(rat(3, 2), s10), s11],
+            rows[:2] + [la.vec_add(s10, la.vec_scale(2, s11)), la.vec_scale(-1, s11)],
+            [la.vec_scale(2, r) for r in rows]]
+        for b in bad:
+            with pytest.raises(ValueError, match="not a state of S ⊗̂ K"):
+                Assemblage(beta.shape, beta.space, b)
+        with pytest.raises(ValueError, match="shape"):
+            Assemblage(beta.shape, beta.space, rows[:3])
+
+    def test_p_and_sub_states_read_the_rows(self):
+        # p(j|i) = ⟨1_K, σ_{j|i}⟩, x_{j|i} = σ_{j|i}/p(j|i), and x where
+        # p(j|i) = 0
+        sp = square_space()
+        beta = assemblage_from(identity_collection(SQ), la.outer(SQ.vertex((0, 1)),
+                                                                 sp.vertices[2]), sp)
+        assert beta.x == sp.vertices[2]
+        assert beta.p == {(0, 0): R1, (0, 1): R0, (1, 0): R0, (1, 1): R1}
+        assert set(beta.sub_states.values()) == {sp.vertices[2]}
+        beta = identity_assemblage()
+        for key, row in zip(SQ.keys, beta.to_tensor()):
+            assert la.vec_scale(beta.p[key], beta.sub_states[key]) == row
 
     def test_tensor_round_trip(self):
         # β ∈ S ⊗̂ K, and pairing with m^i_j ⊗ · (the identity collection
@@ -115,20 +128,21 @@ class TestSeparability:
         beta = product_assemblage(rng)
         ok, model = is_separable(beta)
         assert ok
-        assert model.check(beta)
+        assert model.check(beta.to_tensor())
         assert steering_degree_at(beta, SQ.barycenter()) == R0
 
-    def test_hidden_state_outside_k_rejected(self):
-        # halving a hidden state and doubling its weight keeps every
-        # component q(n)·x_n, but x_n/2 is not a state
+    def test_negative_vertex_weight_rejected(self):
+        # the square's vertices satisfy v00 + v11 = v01 + v10, so moving
+        # weight along that relation keeps every α_n, but one weight of
+        # α_n turns negative
         beta = product_assemblage(random.Random(7))
         ok, model = is_separable(beta)
         assert ok
-        lam = next(n for n, q in model.weights.items() if q)
-        model.weights[lam] *= 2
-        model.states[lam] = la.vec_scale(rat(1, 2), model.states[lam])
-        with pytest.raises(AssertionError, match="not in K"):
-            model.check(beta)
+        n, ws = next((n, ws) for n, ws in model.weights.items() if any(ws))
+        c = max(ws) + 1
+        model.weights[n] = la.vec_add(ws, (c, -c, -c, c))
+        with pytest.raises(AssertionError, match="negative"):
+            model.check(beta.to_tensor())
 
     def test_identity_on_self_dual_steers(self):
         beta = identity_assemblage()
@@ -156,7 +170,7 @@ class TestSeparability:
         lam = steering_degree_at(beta, s)
         ok, model = is_separable(mix_with_trivial(beta, s, lam))
         assert ok
-        assert model.check(mix_with_trivial(beta, s, lam))
+        assert model.check(mix_with_trivial(beta, s, lam).to_tensor())
         ok, _ = is_separable(mix_with_trivial(beta, s, lam - rat(1, 50)))
         assert not ok
 
@@ -257,6 +271,11 @@ class TestSelfDual:
             la.linear_map([e1, e1], [e1, e2])
 
 
+def hidden_state_lp(beta, mixing=None):
+    """The hidden-state LP as `steering` builds it."""
+    return product_lp(beta.shape, beta.space, beta.to_tensor(), mixing)
+
+
 def ambient_lhs_lp(beta, mixing=None):
     """The ambient form of the hidden-state LP: one row per entry of the
     tensor, every ambient coordinate of S times every one of K."""
@@ -286,53 +305,6 @@ def ambient_lhs_lp(beta, mixing=None):
     return lp, lam, t
 
 
-def affine_relations(space):
-    """Vectors c with Σ_v c_v v = 0 over K's vertices (so Σ_v c_v = 0)."""
-    red, pivots = la.rref(la.transpose(space.vertices))
-    out = []
-    for f in range(len(space.vertices)):
-        if f not in pivots:
-            c = [R0] * len(space.vertices)
-            c[f] = R1
-            for row, p in zip(red, pivots):
-                c[p] = -row[f]
-            out.append(c)
-    return out
-
-
-def partition_assemblage(shape, space, rng):
-    """x = the vertex average. Input i writes x = Σ_v w^i_v v with its own
-    weights (uniform plus a random affine relation among the vertices,
-    pushed up to or halfway to a zero weight), splits the vertices into
-    l_i + 1 random nonempty groups, and takes p(j|i) = the weight of
-    group j and x_{j|i} its normalised part. Different weights per input
-    can steer (the self-dual identity assemblage of the square is one
-    such); on a simplex there are no relations and every draw is
-    separable."""
-    verts = space.vertices
-    n = len(verts)
-    rels = affine_relations(space)
-    x = la.vec_scale(rat(1, n), la.combine([R1] * n, verts))
-    p, subs = {}, {}
-    for i, l in enumerate(shape.shape):
-        w = [rat(1, n)] * n
-        if rels:
-            d = la.combine([rat(rng.randrange(-2, 3)) for _ in rels], rels)
-            neg = [-wv / dv for wv, dv in zip(w, d) if dv < 0]
-            if neg:
-                w = la.vec_add(w, la.vec_scale(min(neg) * rng.choice([1, rat(1, 2)]), d))
-        order = list(range(n))
-        rng.shuffle(order)
-        cuts = sorted(rng.sample(range(1, n), l))
-        for j, (a, b) in enumerate(zip([0] + cuts, cuts + [n])):
-            group = order[a:b]
-            pij = sum((w[v] for v in group), R0)
-            p[(i, j)] = pij
-            part = la.combine([w[v] for v in group], [verts[v] for v in group])
-            subs[(i, j)] = la.vec_scale(1 / pij, part) if pij else x
-    return Assemblage(shape, space, x, p, subs)
-
-
 #: λ* of the vertex-split draws per (space, shape) that only a boundary s
 #: attains, in draw order
 BOUNDARY_DRAWS = {("poly:2,1", (1, 1)): [rat(3, 11)], ("poly:2,1", (2, 1)): [rat(1, 17)],
@@ -354,7 +326,7 @@ class TestHiddenStateLpOnIndependentCoordinates:
             ok, found = is_separable(beta)
             ref, _lam, _t = ambient_lhs_lp(beta)
             assert ok == (ref.minimize({}).status == OPTIMAL)
-            assert found.check(beta) if ok else \
+            assert found.check(beta.to_tensor()) if ok else \
                 assemblage_functional_separates(found.tensor, beta)
             seen.add(ok)
             for s in points:
@@ -365,7 +337,7 @@ class TestHiddenStateLpOnIndependentCoordinates:
             assert rep.value == least_mixing(ref, lam, t, P).value
 
             def build():
-                lp, _avar, lam, t = _lhs_lp(beta, "free")
+                lp, _avar, lam, t = hidden_state_lp(beta, "free")
                 return lp, lam, t, P
 
             got = mixing_outcome(least_mixing, build)
@@ -381,17 +353,17 @@ class TestHiddenStateLpOnIndependentCoordinates:
     def test_square_rows(self):
         beta = identity_assemblage()
         s = SQ.barycenter()
-        assert _lhs_lp(beta)[0].minimize({}).stats.rows == 9
+        assert hidden_state_lp(beta)[0].minimize({}).stats.rows == 9
         assert ambient_lhs_lp(beta)[0].minimize({}).stats.rows == 16
-        lp, _avar, lam, _t = _lhs_lp(beta, s)
+        lp, _avar, lam, _t = hidden_state_lp(beta, s)
         assert lp.minimize({lam: R1}).stats.rows == 10
         ref, lam, _t = ambient_lhs_lp(beta, s)
         assert ref.minimize({lam: R1}).stats.rows == 17
 
 
 class TestSearchModel:
-    """steering_degree reads an LHS model of (1−λ*)β + λ* s⊗x off the
-    primal of its one solve, and checks it on every coordinate."""
+    """steering_degree reads a hidden-state model of (1−λ*)β + λ* s⊗x
+    off the primal of its one solve, and checks it on every row."""
 
     CASES = {"square": [(1, 1), (2, 1)], "poly:2,1": [(1, 1), (1, 1, 1)],
              "pentagon": [(1, 1), (2, 1)]}
@@ -411,9 +383,9 @@ class TestSearchModel:
             for _ in range(8):
                 beta = partition_assemblage(P, space, rng)
                 rep = steering_degree(beta)
-                # the check on (β, (s, λ*)) is the check on the mixture
-                assert rep.model.check(beta, (rep.s, rep.value))
-                assert rep.model.check(mix_with_trivial(beta, rep.s, rep.value))
+                mixed = mix_with_trivial(beta, rep.s, rep.value).to_tensor()
+                assert steering._mixture(beta, rep.s, rep.value) == mixed
+                assert rep.model.check(mixed)
                 assert steering_degree_at(beta, rep.s) == rep.value
                 assert rep.evaluations == 1
                 values.append(rep.value)
@@ -425,20 +397,18 @@ class TestSearchModel:
         beta = identity_assemblage()
         rep = steering_degree(beta)
         assert rep.value == rat(1, 2)
-        assert rep.model.check(mix_with_trivial(beta, rep.s, rep.value))
-        with pytest.raises(AssertionError):
-            rep.model.check(mix_with_trivial(beta, rep.s, rat(1, 3)))
-        with pytest.raises(AssertionError, match="misses component"):
-            rep.model.check(beta, (rep.s, rat(1, 3)))
+        assert rep.model.check(mix_with_trivial(beta, rep.s, rep.value).to_tensor())
+        with pytest.raises(AssertionError, match="misses row"):
+            rep.model.check(mix_with_trivial(beta, rep.s, rat(1, 3)).to_tensor())
 
     def test_a_model_that_misses_the_mixture_raises(self, monkeypatch):
-        read = steering._lhs_model
+        read = steering.product_decomposition
 
-        def moved(res, avar, beta):
-            model = read(res, avar, beta)
-            n = next(n for n, q in model.weights.items() if q)
-            model.weights[n] *= 2
+        def moved(shape, space, res, v):
+            model = read(shape, space, res, v)
+            n = next(n for n, ws in model.weights.items() if any(ws))
+            model.weights[n] = la.vec_scale(2, model.weights[n])
             return model
-        monkeypatch.setattr(steering, "_lhs_model", moved)
-        with pytest.raises(AssertionError, match="LHS model misses"):
+        monkeypatch.setattr(steering, "product_decomposition", moved)
+        with pytest.raises(AssertionError, match="misses row"):
             steering_degree(identity_assemblage())

@@ -1,0 +1,165 @@
+"""Run one corpus of polybox CLI commands on two source trees and list
+every difference in exit code or in the sha256 of stdout.
+
+    python3 tools/cli_corpus.py [--base REV]
+
+Run it from the root of a git checkout. The base tree is `git archive
+REV` (default HEAD, the parent of uncommitted changes) unpacked into a
+temporary directory; the other tree is the working tree. The input files
+are written once, by the working tree, with the builders of
+`tests/conftest.py` (as the `files` fixture of `tests/test_cli.py`
+does), so both trees read the same bytes. Every command runs in a fresh
+`python -m polybox` process per tree, one at a time.
+
+The corpus covers `steer separable`, `steer sd --at barycenter` and
+`steer sd --search` on separable and steering assemblages (the self-dual
+square, product states, partition draws on the square and poly:2,1,
+the pentagon), malformed assemblage files, `bell check` and
+`box to-channel` on local, nonlocal and float boxes, `compat check` on
+compatible and incompatible collections, and `demo` at two seeds.
+
+stderr is not compared, as it carries timings. For a command that exits
+2 on both trees it holds only the error message, and where that differs
+it is listed apart, as a note. Exits 0 when no exit code or stdout
+differs, 1 otherwise.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def write_inputs(d: pathlib.Path):
+    """The input files, and the commands that read them, as argv lists."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from polybox import linalg as la
+    from polybox import serialize as sz
+    from polybox.bell import deterministic_box, pr_box, random_ns_box
+    from polybox.exact import rat
+    from polybox.measurements import identity_collection, random_collection
+    from polybox.polysimplex import PolySimplex, square_space
+    from polybox.qubit import tsirelson_box
+    from polybox.steering import assemblage_from, self_dual_state, square_self_dual_iso
+    from conftest import (MALFORMED_ASSEMBLAGES, ZERO_P, coin_toss, edited,
+                          partition_assemblage, pentagon_json, random_local_box,
+                          three_input_pr_box)
+
+    def put(name, obj):
+        path = d / name
+        path.write_text(obj if isinstance(obj, str) else sz.dumps(obj))
+        return str(path)
+
+    rng = random.Random(0)
+    P, sq = PolySimplex((1, 1)), square_space()
+    ident = identity_collection(P)
+    y = self_dual_state(sq, square_self_dual_iso())
+    assemblages = {"identity": assemblage_from(ident, y, sq)}
+    for t in range(4):
+        F = random_collection(sq, P, rng, bias=rat(3, 4))
+        assemblages[f"self-dual-{t}"] = assemblage_from(F, y, sq)
+    for t in range(2):
+        F = random_collection(sq, P, rng)
+        assemblages[f"product-{t}"] = assemblage_from(
+            F, la.outer(sq.interior_point(), sq.vertices[t + 1]), sq)
+    spaces = {"square": sq, "poly:2,1": sz.builtin_space("poly:2,1"),
+              "pentagon": sz.space_from_json(pentagon_json())}
+    for label, space in spaces.items():
+        for shape in ((1, 1), (2, 1)):
+            draw = random.Random(str(("corpus", label, shape)))
+            for t in range(2):
+                assemblages[f"{label}-{shape}-{t}"] = partition_assemblage(
+                    PolySimplex(shape), space, draw)
+
+    commands = []
+    for name, beta in assemblages.items():
+        path = put(f"assemblage-{name}.json", beta)
+        commands += [["steer", "separable", "--assemblage", path],
+                     ["steer", "sd", "--assemblage", path, "--at", "barycenter"],
+                     ["steer", "sd", "--assemblage", path, "--search"]]
+    base = json.loads(sz.dumps(assemblages["identity"]))
+    for name, case in [*MALFORMED_ASSEMBLAGES.items(), ("zero-p", ZERO_P)]:
+        path = put(f"assemblage-edit-{name}.json", json.dumps(edited(base, **case)))
+        commands.append(["steer", "separable", "--assemblage", path])
+
+    boxes = {"pr": pr_box(), "pr3": three_input_pr_box(), "tsirelson": tsirelson_box(),
+             "det": deterministic_box(P, P, (0, 1), (1, 0))}
+    for t in range(3):
+        boxes[f"ns-{t}"] = random_ns_box(P, P, rng)
+        boxes[f"local-{t}"] = random_local_box(P, P, rng)
+    A = PolySimplex((2, 1))
+    boxes["ns-21"] = random_ns_box(A, P, rng)
+    boxes["local-21"] = random_local_box(A, P, rng)
+    for name, box in boxes.items():
+        path = put(f"box-{name}.json", box)
+        commands += [["bell", "check", "--box", path], ["box", "to-channel", "--box", path]]
+
+    collections = {"identity": ident, "coin": coin_toss(P, P.barycenter())}
+    for t in range(4):
+        collections[f"random-{t}"] = random_collection(sq, P, rng, bias=rat(t, 4))
+    for name, F in collections.items():
+        commands.append(["compat", "check", "--meas", put(f"meas-{name}.json", F)])
+
+    commands += [["--seed", "0", "demo"], ["--seed", "1", "demo"]]
+    return commands
+
+
+def run_tree(src: pathlib.Path, argv, cwd):
+    """(exit code, sha256 of stdout, stderr) of one command on one tree."""
+    proc = subprocess.run([sys.executable, "-m", "polybox", *argv], capture_output=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=600)
+    return (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
+            proc.stderr.decode(errors="replace").strip())
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="git revision of the base tree")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        base, inputs = tmp / "base", tmp / "inputs"
+        base.mkdir()
+        inputs.mkdir()
+        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        commands = write_inputs(inputs)
+        diffs, notes, codes = [], [], Counter()
+        for cmd in commands:
+            old = run_tree(base / "src", cmd, inputs)
+            new = run_tree(ROOT / "src", cmd, inputs)
+            codes[old[0]] += 1
+            shown = " ".join(pathlib.Path(a).name if a.startswith(str(tmp)) else a
+                             for a in cmd)
+            if old[:2] != new[:2]:
+                diffs.append((shown, old, new))
+            elif old[0] == 2 and old[2] != new[2]:
+                notes.append((shown, old[2], new[2]))
+        print(f"{len(commands)} commands on {args.base} and the working tree; exit codes "
+              f"on {args.base}: " + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items())))
+        for shown, old, new in diffs:
+            print(f"DIFF {shown}: exit {old[0]} -> {new[0]}, "
+                  f"stdout {old[1][:12]} -> {new[1][:12]}")
+            for side, err in (("base", old[2]), ("work", new[2])):
+                if err:
+                    print(f"     {side} stderr: {err.splitlines()[-1]}")
+        for shown, old, new in notes:
+            print(f"note {shown}: exit 2 on both; stderr {old!r} -> {new!r}")
+        print(f"{len(diffs)} differ in exit code or stdout; "
+              f"{len(notes)} exit 2 on both with another message")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
