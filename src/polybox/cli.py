@@ -140,7 +140,7 @@ def _cmd_compat(args, load: Loader):
     F = load.measurement(args.meas, space=load.space(args.space))
     compatible, found = is_compatible(F)
     if compatible:
-        cert = {"joint": found.table}
+        cert = {"joint": found.weights}
     else:
         cert = {"witness": found, "trace": trace_pairing(F, found)}
     return compatible, {"compatible": compatible}, cert, "exact"

@@ -4,14 +4,16 @@ the joint-measurement LP, coin tosses, and incompatibility degrees;
 and locality LPs, and `chart_blocks`, the one reader of its row
 multipliers: `_dual_witness` reads a witness map off them, and
 `product_functional` the separating functional of an infeasible
-`product_lp` (the locality and hidden-state LPs). The primal side of a
-solved `product_lp` has one reader and one exact check too:
-`product_decomposition` and `ProductDecomposition.check`.
+`product_lp` (the locality and hidden-state LPs). The primal side has
+one certificate with one exact check, `ProductDecomposition.check`: a
+local or hidden-state model read off `product_lp` by
+`product_decomposition`, and a joint measurement, the split of F's
+value table over the simplex of value tables on K's vertices.
 
 A collection is an affine map K → S into a polysimplex, stored by the
-effect values f^i_j(x) on the vertices x of K. Values at the basis
-vertices determine the rest; validation checks the stored table is the
-linear extension.
+effect values f^i_j(x) on the vertices x of K and validated by two
+tests: every vertex image is a state of S, and the images extend to a
+linear map, whose canonical matrix is kept as the effect functionals.
 """
 from __future__ import annotations
 
@@ -22,48 +24,49 @@ from . import linalg as la
 from .exact import R0, R1, rat
 from .lp import OPTIMAL, LpBuilder, LpResult, vec_expr
 from .polysimplex import PolySimplex
-from .spaces import StateSpace
+from .spaces import StateSpace, simplex_space
 
 
 class MeasurementCollection:
     """Affine map F: K → S given by effect values on K's vertices.
 
     effects[(i, j)] is the tuple (f^i_j(x_0), …, f^i_j(x_{N-1})) over the
-    vertices of `space` in their stored order.
+    vertices of `space` in their stored order. Each vertex image F(x_t),
+    one column of the table in `shape.keys` order, must pass S's integer
+    `is_state`, and `space.linear_map` of the images must exist: its
+    canonical matrix, row (i, j) the functional of f^i_j, is kept.
     """
 
     def __init__(self, space: StateSpace, shape: PolySimplex, effects):
         self.space = space
         self.shape = shape
         self.effects = {k: tuple(rat(v) for v in vals) for k, vals in effects.items()}
-        self._validate()
+        self._matrix = self._validate()
 
     def _validate(self):
-        """Check the table and keep each effect's canonical functional,
-        which the consistency check computes anyway."""
+        """F's canonical matrix, or ValueError. Lengths are checked before
+        the transpose, which would truncate a short effect silently."""
         n = len(self.space.vertices)
         if set(self.effects) != set(self.shape.keys):
             raise ValueError("effect table does not match the outcome shape")
-        self._functionals = {}
         for key, vals in self.effects.items():
             if len(vals) != n:
                 raise ValueError(f"effect {key} has {len(vals)} values, expected {n}")
-            if any(v < 0 for v in vals):
-                raise ValueError(f"effect {key} is negative on a vertex")
-            f = self.space.canonical_functional(vals)
-            if f is None:
-                raise ValueError(f"effect {key} values are not affinely consistent")
-            self._functionals[key] = f
-        for i, l in enumerate(self.shape.shape):
-            for t in range(n):
-                tot = sum(self.effects[(i, j)][t] for j in range(l + 1))
-                if tot != R1:
-                    raise ValueError(f"input {i} does not sum to the unit at vertex {t}")
+        images = la.transpose([self.effects[key] for key in self.shape.keys])
+        target = self.shape.as_state_space()
+        for t, image in enumerate(images):
+            if not target.is_state(image):
+                raise ValueError(f"vertex {t} is not mapped to a state of S: an effect "
+                                 "is negative there or an input does not sum to 1")
+        matrix = self.space.linear_map(images)
+        if matrix is None:
+            raise ValueError("effect values are not affinely consistent")
+        return matrix
 
     def effect(self, i, j):
         """Canonical ambient functional of f^i_j (vanishes off span V(K)),
-        as computed once by validation; `effects` is never mutated."""
-        return self._functionals[(i, j)]
+        kept by validation; `effects` is never mutated."""
+        return self._matrix[self.shape.index(i, j)]
 
     def effect_value(self, i, j, x):
         """f^i_j(x) for any x in span V(K)."""
@@ -71,7 +74,7 @@ class MeasurementCollection:
 
     def as_map_matrix(self):
         """Ambient matrix of F: V(K) → V(S), rows = canonical effects."""
-        return la.mat([self.effect(i, j) for i, j in self.shape.keys])
+        return self._matrix
 
     def mix(self, other: "MeasurementCollection", lam):
         """(1−λ)·self + λ·other, same space and shape."""
@@ -111,32 +114,6 @@ def identity_collection(shape: PolySimplex) -> MeasurementCollection:
     collection after construction."""
     space = shape.as_state_space()
     return from_functionals(space, shape, {key: shape.m(*key) for key in shape.keys})
-
-
-@dataclass
-class JointMeasurement:
-    """Joint observable with outcomes indexed by tuples (n_0,…,n_k);
-    table maps each tuple to the effect's values on K's vertices."""
-    space: StateSpace
-    shape: PolySimplex
-    table: dict
-
-    def check(self, F: MeasurementCollection):
-        """Verify positivity, normalization and the marginal identities
-        against F. Returns True or raises."""
-        n = len(self.space.vertices)
-        for key, vals in self.table.items():
-            if any(v < 0 for v in vals):
-                raise AssertionError(f"joint effect {key} negative")
-        for t in range(n):
-            if sum(vals[t] for vals in self.table.values()) != R1:
-                raise AssertionError(f"joint does not normalize at vertex {t}")
-        for i, j in self.shape.keys:
-            for t in range(n):
-                marg = sum(vals[t] for key, vals in self.table.items() if key[i] == j)
-                if marg != F.effects[(i, j)][t]:
-                    raise AssertionError(f"marginal ({i},{j}) off at vertex {t}")
-        return True
 
 
 def tensor_lp(shape: PolySimplex, gens, rows, mixing=None):
@@ -249,7 +226,9 @@ class ProductDecomposition:
     """T = Σ_n s_n ⊗ α_n over the vertices s_n of S, with α_n = Σ_t
     weights[n][t]·v_t over the vertices v_t of K = `space`: the feasible
     certificate of a `product_lp`, a local model of a box (K = S_B) or a
-    hidden-state model of an assemblage."""
+    hidden-state model of an assemblage, and of `is_compatible`, a joint
+    measurement (K the simplex of value tables, T a collection's value
+    rows, α_n the values of g_n)."""
     shape: PolySimplex
     space: StateSpace
     weights: dict
@@ -298,10 +277,14 @@ def _joint_lp(F: MeasurementCollection, mixing=None):
 def is_compatible(F: MeasurementCollection, want_joint=True):
     """Joint-measurement LP: F is compatible iff there are effects
     g_{n_0,…,n_k} ≥ 0 on K with Σ_n g_n = 1_K whose marginals reproduce
-    every f^i_j. Returns (True, JointMeasurement) or (False, WitnessMap),
-    from one solve: the witness is `_dual_witness` of the Farkas
-    multipliers, with ⟨1_K, W(s̄)⟩ = 1 at the barycenter s̄ and Tr FW < 0.
-    With `want_joint` False the second entry is None.
+    every f^i_j. Returns (True, ProductDecomposition) or (False,
+    WitnessMap), from one solve. The joint measurement is F's value
+    table Σ_{i,j} e_ij ⊗ f^i_j split as Σ_n s_n ⊗ g_n over the simplex
+    of value tables on K's N vertices (vertex t is e_t), so the weights
+    of g_n are its values on the vertices; it is checked against F's
+    value rows. The witness is `_dual_witness` of the Farkas
+    multipliers, with ⟨1_K, W(s̄)⟩ = 1 at the barycenter s̄ and Tr FW <
+    0. With `want_joint` False the second entry is None.
     """
     lp, c, _lam, _t = _joint_lp(F)
     res = lp.minimize({})
@@ -312,10 +295,11 @@ def is_compatible(F: MeasurementCollection, want_joint=True):
         if trace >= 0:
             raise AssertionError(f"Farkas witness has Tr FW = {trace}")
         return False, W
-    table = {n: la.mat_vec(F.space.facet_values, [res[v] for v in c[n]])
-             for n in F.shape.outcomes()}
-    joint = JointMeasurement(F.space, F.shape, table)
-    joint.check(F)
+    values = simplex_space(len(F.space.vertices) - 1)
+    joint = ProductDecomposition(
+        F.shape, values, {n: la.mat_vec(F.space.facet_values, [res[v] for v in c[n]])
+                          for n in F.shape.outcomes()})
+    joint.check([F.effects[key] for key in F.shape.keys])
     return True, joint
 
 

@@ -9,9 +9,11 @@ A linear map on span V(K) is stored as its canonical matrix, the one
 that vanishes on the orthogonal complement of span V(K).
 `StateSpace.linear_map` builds it from the images of the vertices, one
 row per output coordinate through `canonical_functional` (the case of a
-single output, on one cached Gram inverse per space); `span_projector`,
-the ambient matrix of χ_K, is the map that fixes every vertex. A map
-given on any other spanning family is built by `linalg.linear_map`.
+single output, on one cached Gram inverse per space). Its callers are
+the validation of a measurement collection, whose functional table is
+the matrix of F: K → S, a witness map's matrix, and `span_projector`,
+the ambient matrix of χ_K, the map that fixes every vertex. A map given
+on any other spanning family is built by `linalg.linear_map`.
 
 Membership tests run on integers. Each space caches one integer table
 (`int_table`): integer vectors z spanning the orthogonal complement of
@@ -27,7 +29,7 @@ two spaces' vertices, from the vertices' integer numerators.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import linalg as la
@@ -232,6 +234,18 @@ class StateSpace:
         ambient matrix of χ_K = Σ_i x_i ⊗ e_i (basis x_i, dual basis
         e_i)."""
         return self.linear_map(self.vertices)
+
+
+@lru_cache(maxsize=None)
+def simplex_space(m) -> StateSpace:
+    """Δ_m, with the point distributions e_t as vertices and facets,
+    built once per m: the space of value tables on m+1 points, over
+    which `is_compatible` writes a joint measurement. Unlike
+    `polysimplex_space((m,))` it allows m = 0."""
+    if m < 0:
+        raise ValueError("simplex order must be nonnegative")
+    verts = la.identity(m + 1)
+    return StateSpace(f"delta:{m}", verts, (R1,) * (m + 1), verts)
 
 
 # ----- the base norm and the facet check -----

@@ -1,7 +1,7 @@
 """Shared test inputs: the state spaces on which the integer membership
 tests and the tensor LPs on independent coordinates are compared with
 their ambient reference forms, and the builders and reference forms that
-several test modules use (simplex and hypercube spaces, coin-toss
+several test modules use (hypercube spaces, coin-toss
 collections, boxes, assemblage draws)."""
 
 import numpy as np
@@ -15,7 +15,6 @@ from polybox.exact import R0, R1, rat
 from polybox.lp import LpBuilder
 from polybox.measurements import MeasurementCollection
 from polybox.polysimplex import PolySimplex, polysimplex_space
-from polybox.spaces import StateSpace
 from polybox.steering import Assemblage
 
 #: a pentagon with vertices (0,0), (2,0), (3,2), (1,3), (−1,2) in ambient
@@ -48,16 +47,6 @@ def state_space(request):
     if request.param == "pentagon":
         return sz.space_from_json(pentagon_json())
     return sz.builtin_space(request.param)
-
-
-def simplex_space(m):
-    """Δ_m with the m+1 point distributions as vertices, built directly
-    as a StateSpace (the label of `polysimplex_space((m,))`, not the
-    shared instance)."""
-    if m < 0:
-        raise ValueError("simplex order must be nonnegative")
-    verts = la.identity(m + 1)
-    return StateSpace(f"delta:{m}", verts, (R1,) * (m + 1), verts)
 
 
 def hypercube_space(m):

@@ -173,6 +173,26 @@ class TestCompat:
         assert code == 0
         assert "joint" in rep["certificate"]
 
+    def test_one_vertex_space(self, capsys, tmp_path):
+        # K a point (N = 1): the value simplex is Δ_0, which no PolySimplex
+        # gives; every collection is compatible and its ID is 0
+        point = {"label": "point", "dim": 1, "vertices": [["1"]], "unit": ["1"],
+                 "facets": [["1"]]}
+        effects = {"0,0": ["1/3"], "0,1": ["2/3"], "1,0": ["1/2"], "1,1": ["1/4"],
+                   "1,2": ["1/4"]}
+        path = tmp_path / "meas.json"
+        path.write_text(json.dumps({"space": point, "shape": [1, 2], "effects": effects}))
+        code, rep, err = run(capsys, "compat", "check", "--meas", str(path))
+        assert code == 0, err
+        joint = {tuple(map(int, k.split(","))): rat(g) for k, (g,) in
+                 rep["certificate"]["joint"].items()}
+        assert len(joint) == 6 and min(joint.values()) >= 0
+        for key, (value,) in effects.items():
+            i, j = map(int, key.split(","))
+            assert sum(g for n, g in joint.items() if n[i] == j) == rat(value)
+        code, rep, err = run(capsys, "id", "compute", "--meas", str(path), "--search")
+        assert code == 0 and rep["result"]["id"] == "0", err
+
     def test_id_compute(self, capsys, files):
         code, rep, _ = run(capsys, "id", "compute", "--meas", files["ident"],
                            "--at", "barycenter")
@@ -560,3 +580,92 @@ class TestErrors:
         finally:
             cli._parser.cache_clear()
         assert len(built) == 1
+
+
+#: the inputs of the mutation pass, each with the commands that read it
+MUTATED_INPUTS = {
+    "space": [("space", "validate", "--space")],
+    "ident": [("compat", "check", "--meas"), ("id", "compute", "--search", "--meas")],
+    "coin": [("compat", "check", "--meas")],
+    "witness": [("witness", "test", "--witness"), ("witness", "etb", "--witness")],
+    "assemblage": [("steer", "separable", "--assemblage")],
+    "pr": [("bell", "check", "--box")],
+    "tsirelson": [("bell", "check", "--box"), ("box", "to-channel", "--box")],
+    "channel": [("channel", "retract", "--channel")],
+}
+
+#: the values a leaf mutation writes
+LEAF_VALUES = [float("nan"), float("inf"), float("-inf"), 1e40, "1/0", "-1/3", "abc",
+               5e-324, [], {}]
+
+
+def json_paths(obj, path=()):
+    """(path, value) of every entry below a JSON object, depth first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, path + (key,))
+
+
+def at(obj, path):
+    """The entry of obj at a path of `json_paths`."""
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def leaf_mutation(obj, rng):
+    """A copy of obj with one or two leaves set to values of LEAF_VALUES."""
+    obj = json.loads(json.dumps(obj))
+    leaves = [p for p, v in json_paths(obj) if not isinstance(v, (dict, list))]
+    for path in rng.sample(leaves, rng.choice((1, 2))):
+        at(obj, path[:-1])[path[-1]] = rng.choice(LEAF_VALUES)
+    return obj
+
+
+def structural_edit(obj, rng):
+    """A copy of obj with a dropped key, a foreign key, or a list of the
+    wrong shape (an entry dropped or repeated, or the list unwrapped or
+    wrapped once more)."""
+    obj = json.loads(json.dumps(obj))
+    dicts = [()] + [p for p, v in json_paths(obj) if isinstance(v, dict) and v]
+    lists = [p for p, v in json_paths(obj) if isinstance(v, list) and v]
+    kind = rng.choice(("drop", "foreign", "shape"))
+    if kind == "shape" and lists:
+        path = rng.choice(lists)
+        parent, key, value = at(obj, path[:-1]), path[-1], at(obj, path)
+        parent[key] = rng.choice((value[:-1], value + value[-1:], value[0], [value]))
+        return obj
+    target = at(obj, rng.choice(dicts))
+    if kind == "drop":
+        del target[rng.choice(list(target))]
+    else:
+        target[rng.choice(("extra", "9,9", "0"))] = target[rng.choice(list(target))]
+    return obj
+
+
+class TestMutations:
+    """Seeded value mutations and structural edits of every loader's
+    input, run in-process: each run ends with a verdict or a refusal
+    (exit 0, 1 or 2), never with an internal error (exit 3)."""
+
+    DRAWS = 60
+
+    def test_no_mutation_crashes(self, capsys, files, tmp_path):
+        rng = random.Random("cli mutations")
+        path = tmp_path / "mutated.json"
+        codes, crashes = {}, []
+        for name, commands in MUTATED_INPUTS.items():
+            obj = json.loads(pathlib.Path(files[name]).read_text())
+            for argv in commands:
+                for mutate in (leaf_mutation, structural_edit) * self.DRAWS:
+                    text = json.dumps(mutate(obj, rng))
+                    path.write_text(text)
+                    code = cli.main([*argv, str(path)])
+                    err = capsys.readouterr().err
+                    codes[code] = codes.get(code, 0) + 1
+                    if code not in (0, 1, 2):
+                        crashes.append((argv, text, err.splitlines()[-1:]))
+        assert not crashes, crashes[:3]
+        assert codes.get(2) and codes.get(0, 0) + codes.get(1, 0), codes

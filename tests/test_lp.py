@@ -598,27 +598,62 @@ def _cross_check_highs(rng, coeff, rhs_draw):
     assert OPTIMAL in seen_then
 
 
-class TestDecisionLpsAgainstHighs:
-    """The locality, separability and steering-degree LPs, as solved,
-    re-solved by scipy's HiGHS from their stored rows."""
+@pytest.fixture
+def recorded_solves(monkeypatch):
+    """(rows, variable kinds, cost, sense, result) of every LP solved from
+    here on, for a replay by HiGHS."""
+    solves = []
+    solve = LpBuilder._solve
 
-    def test_replay(self, monkeypatch):
-        linprog = pytest.importorskip("scipy.optimize").linprog
+    def recording(self, cost, sense, then=None):
+        res = solve(self, cost, sense, then)
+        solves.append((list(self._rows), list(self._vars), dict(cost), sense, res))
+        return res
+    monkeypatch.setattr(LpBuilder, "_solve", recording)
+    return solves
+
+
+def replay_against_highs(solves):
+    """Re-solve each recorded LP with scipy's HiGHS from its stored rows
+    (a/s_r, b/s_r): the status must be the same and an optimum's
+    objective within 1e-9 (a two-stage solve's first stage). Returns the
+    set of statuses seen."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    highs_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    seen = set()
+    for rows, kinds, cost, sense, res in solves:
+        n = len(kinds)
+        dense = {"eq": ([], []), "le": ([], [])}
+        for coeffs, rhs, s, kind in rows:
+            a, b = dense[kind]
+            a.append([coeffs.get(v, 0) / s for v in range(n)])
+            b.append(float(rat(rhs) / s))
+        ref = linprog([float(cost.get(v, R0)) for v in range(n)],
+                      A_ub=dense["le"][0] or None, b_ub=dense["le"][1] or None,
+                      A_eq=dense["eq"][0] or None, b_eq=dense["eq"][1] or None,
+                      bounds=[(0, None) if k == "nonneg" else (None, None)
+                              for k in kinds], method="highs")
+        assert res.status == highs_status.get(ref.status), ref.message
+        seen.add(res.status)
+        if res.status == OPTIMAL:
+            # HiGHS minimizes cost·x; the result's objective is sense times that
+            assert abs(float(sense * res.objective) - ref.fun) <= 1e-9
+    return seen
+
+
+class TestDecisionLpsAgainstHighs:
+    """The decision LPs, as solved, re-solved by scipy's HiGHS from their
+    stored rows: locality, separability and the steering degree; the
+    joint-measurement LP and the incompatibility degree's free-mixing
+    LP."""
+
+    def test_replay(self, recorded_solves):
         from polybox.bell import is_local, random_ns_box
         from polybox.serialize import builtin_space
         from polybox.steering import (assemblage_from, is_separable, self_dual_state,
                                       square_self_dual_iso, steering_degree,
                                       steering_degree_at)
         from conftest import partition_assemblage
-
-        solves = []
-        solve = LpBuilder._solve
-
-        def recording(self, cost, sense, then=None):
-            res = solve(self, cost, sense, then)
-            solves.append((list(self._rows), list(self._vars), dict(cost), sense, res))
-            return res
-        monkeypatch.setattr(LpBuilder, "_solve", recording)
 
         rng = random.Random(31)
         P = PolySimplex((1, 1))
@@ -640,25 +675,21 @@ class TestDecisionLpsAgainstHighs:
                 beta = partition_assemblage(PolySimplex(shape), builtin_space("poly:2,1"), rng)
                 is_separable(beta)
                 steering_degree(beta)
-        assert 150 <= len(solves) <= 300
+        assert 150 <= len(recorded_solves) <= 300
+        assert replay_against_highs(recorded_solves) == {OPTIMAL, INFEASIBLE}
 
-        highs_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
-        seen = set()
-        for rows, kinds, cost, sense, res in solves:
-            n = len(kinds)
-            dense = {"eq": ([], []), "le": ([], [])}
-            for coeffs, rhs, s, kind in rows:
-                a, b = dense[kind]
-                a.append([coeffs.get(v, 0) / s for v in range(n)])
-                b.append(float(rat(rhs) / s))
-            ref = linprog([float(cost.get(v, R0)) for v in range(n)],
-                          A_ub=dense["le"][0] or None, b_ub=dense["le"][1] or None,
-                          A_eq=dense["eq"][0] or None, b_eq=dense["eq"][1] or None,
-                          bounds=[(0, None) if k == "nonneg" else (None, None)
-                                  for k in kinds], method="highs")
-            assert res.status == highs_status.get(ref.status), ref.message
-            seen.add(res.status)
-            if res.status == OPTIMAL:
-                # HiGHS minimizes cost·x; the result's objective is sense times that
-                assert abs(float(sense * res.objective) - ref.fun) <= 1e-9
-        assert seen == {OPTIMAL, INFEASIBLE}
+    def test_joint_and_degree_lps(self, recorded_solves):
+        # is_compatible on square and (2,1) collections, both verdicts, and
+        # id_degree's free-mixing LP (with q_value's LP where λ* = 0)
+        rng = random.Random(32)
+        verdicts = []
+        for shape in ((1, 1), (2, 1)):
+            P = PolySimplex(shape)
+            for t in range(12):
+                F = measurements.random_collection(P.as_state_space(), P, rng,
+                                                   bias=rat(3, 4) if t % 2 else None)
+                verdicts.append(measurements.is_compatible(F)[0])
+                measurements.id_degree(F)
+        assert set(verdicts) == {True, False}
+        assert 50 <= len(recorded_solves) <= 100
+        assert replay_against_highs(recorded_solves) == {OPTIMAL, INFEASIBLE}

@@ -15,11 +15,18 @@ from polybox.measurements import (DegreeReport, _dual_witness, _joint_lp, from_f
                                   random_collection, scaled_state_vars)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
 from polybox.serialize import builtin_space
+from polybox.spaces import simplex_space
 from polybox.witnesses import make_witness_map, q_value, trace_pairing
 
-from conftest import apply_collection, coin_toss, coin_toss_on, simplex_space
+from conftest import apply_collection, coin_toss, coin_toss_on
 
 SQ = PolySimplex((1, 1))
+
+
+def value_rows(F):
+    """F's value table, one row per key in `shape.keys` order: the tensor
+    that a joint measurement of F decomposes."""
+    return [F.effects[key] for key in F.shape.keys]
 
 
 def square_values(f):
@@ -37,12 +44,23 @@ class TestValidation:
             make_collection(sp, (1, 1), eff)
 
     def test_negative_effect(self):
+        # the second table is affinely consistent, so only the sign refuses it
         sp = square_space()
-        eff = {(0, 0): (rat(-1, 4), R0, R0, R0),
-               (0, 1): (rat(5, 4), R1, R1, R1),
-               (1, 0): square_values(SQ.m(1, 0)),
-               (1, 1): square_values(SQ.m(1, 1))}
-        with pytest.raises(ValueError):
+        for low in ((rat(-1, 4), R0, R0, R0), (rat(-1, 4), R0, R0, rat(1, 4))):
+            eff = {(0, 0): low,
+                   (0, 1): tuple(R1 - v for v in low),
+                   (1, 0): square_values(SQ.m(1, 0)),
+                   (1, 1): square_values(SQ.m(1, 1))}
+            with pytest.raises(ValueError):
+                make_collection(sp, (1, 1), eff)
+
+    def test_short_effect(self):
+        # the length is checked before the table is transposed, which
+        # would drop the last vertex silently
+        sp = square_space()
+        eff = {key: square_values(SQ.m(*key)) for key in SQ.keys}
+        eff[(1, 1)] = eff[(1, 1)][:3]
+        with pytest.raises(ValueError, match="has 3 values, expected 4"):
             make_collection(sp, (1, 1), eff)
 
     def test_not_normalized(self):
@@ -139,9 +157,10 @@ class TestCompatibility:
         assert is_compatible(F, want_joint=False) == (False, None)
 
     def test_coin_toss_compatible(self):
-        ok, joint = is_compatible(coin_toss(SQ, SQ.barycenter()))
+        F = coin_toss(SQ, SQ.barycenter())
+        ok, joint = is_compatible(F)
         assert ok
-        assert joint.check(coin_toss(SQ, SQ.barycenter()))
+        assert joint.check(value_rows(F))
 
     def test_product_collection_compatible(self):
         # one sharp input plus one trivial input always has a joint
@@ -152,7 +171,23 @@ class TestCompatibility:
                                           (1, 0): half, (1, 1): half})
         ok, joint = is_compatible(F)
         assert ok
-        assert joint.check(F)
+        assert joint.check(value_rows(F))
+
+    def test_a_joint_that_misses_the_marginals_raises(self, monkeypatch):
+        # the solved weights read for the wrong outcomes: (n_0, n_1) and
+        # (1 − n_0, 1 − n_1) swap, so the sharp input's marginals swap
+        build = measurements._joint_lp
+
+        def swapped(F, mixing=None):
+            lp, c, lam, t = build(F, mixing)
+            return lp, dict(zip(c, reversed(list(c.values())))), lam, t
+        monkeypatch.setattr(measurements, "_joint_lp", swapped)
+        half = la.vec_scale(rat(1, 2), square_space().unit)
+        F = from_functionals(square_space(), (1, 1), {(0, 0): SQ.m(0, 0),
+                                                      (0, 1): SQ.m(0, 1),
+                                                      (1, 0): half, (1, 1): half})
+        with pytest.raises(AssertionError, match="misses row"):
+            is_compatible(F)
 
     def test_simplex_domain_always_compatible(self):
         # classical systems admit no incompatibility
@@ -167,10 +202,10 @@ class TestCompatibility:
         F = coin_toss(SQ, SQ.barycenter())
         ok, joint = is_compatible(F)
         assert ok
-        key = next(iter(joint.table))
-        joint.table[key] = tuple(v + rat(1, 7) for v in joint.table[key])
+        key = next(iter(joint.weights))
+        joint.weights[key] = tuple(v + rat(1, 7) for v in joint.weights[key])
         with pytest.raises(AssertionError):
-            joint.check(F)
+            joint.check(value_rows(F))
 
 
 class TestDegrees:
@@ -214,7 +249,7 @@ class TestDegrees:
         mixed = F.mix(coin_toss_on(F.space, SQ, s), lam)
         ok, joint = is_compatible(mixed)
         assert ok
-        assert joint.check(mixed)
+        assert joint.check(value_rows(mixed))
         # any smaller mixing weight leaves it incompatible
         under = F.mix(coin_toss_on(F.space, SQ, s), lam - rat(1, 100))
         ok, _ = is_compatible(under, want_joint=False)

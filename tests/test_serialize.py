@@ -12,10 +12,11 @@ from polybox.channels import StochasticMatrix, cc_channel
 from polybox.exact import R0, R1, rat
 from polybox.measurements import identity_collection, random_collection
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
+from polybox.spaces import simplex_space
 from polybox.steering import assemblage_from, self_dual_state, square_self_dual_iso
 from polybox.witnesses import q_value, random_witness_map
 
-from conftest import simplex_space, unitary_choi
+from conftest import unitary_choi
 
 SQ = PolySimplex((1, 1))
 

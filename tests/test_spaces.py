@@ -11,9 +11,9 @@ from polybox.lp import OPTIMAL, LpBuilder, vec_expr
 from polybox.polysimplex import polysimplex_space, square_space
 from polybox.serialize import builtin_space
 from polybox.spaces import (StateSpace, base_norm, check_facets_generate, max_tensor_member,
-                            separable_decomposition)
+                            separable_decomposition, simplex_space)
 
-from conftest import hypercube_space, simplex_space
+from conftest import hypercube_space
 
 SPACES = [simplex_space(2), square_space(), polysimplex_space((2, 1))]
 

@@ -13,6 +13,7 @@ from polybox.lp import OPTIMAL, LpBuilder, vec_expr
 from polybox.measurements import (MeasurementCollection, identity_collection,
                                   is_compatible, random_collection)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
+from polybox.spaces import simplex_space
 from polybox.witnesses import (EtbDecomposition, EtbRefutation, WitnessValidationError,
                                _etb_lp, _min_trace_witness, is_etb, is_witness,
                                make_witness_map, maximal_incompatibility_certificate,
@@ -20,7 +21,7 @@ from polybox.witnesses import (EtbDecomposition, EtbRefutation, WitnessValidatio
                                square_extremality, trace_pairing,
                                two_outcome_witness_criterion)
 
-from conftest import apply_collection, coin_toss, map_trace, pentagon_json, simplex_space
+from conftest import apply_collection, coin_toss, map_trace, pentagon_json
 
 SQ = PolySimplex((1, 1))
 SPACES = [simplex_space(2), square_space(), polysimplex_space((2, 1))]

@@ -11,12 +11,25 @@ are written once, by the working tree, with the builders of
 does), so both trees read the same bytes. Every command runs in a fresh
 `python -m polybox` process per tree, one at a time.
 
-The corpus covers `steer separable`, `steer sd --at barycenter` and
-`steer sd --search` on separable and steering assemblages (the self-dual
-square, product states, partition draws on the square and poly:2,1,
-the pentagon), malformed assemblage files, `bell check` and
-`box to-channel` on local, nonlocal and float boxes, `compat check` on
-compatible and incompatible collections, and `demo` at two seeds.
+The corpus covers every command that reads a collection, a witness, an
+assemblage, a box or a channel:
+- `compat check`, `id compute` (`--at barycenter`, `--at` with
+  coordinates, `--search`) and `witness maximal` on compatible and
+  incompatible collections on the square, poly:2,1, the pentagon and a
+  one-vertex space, and `compat check` on five malformed collection
+  files (a missing key, a short value list, a negative value, an input
+  that does not sum to 1, an affinely inconsistent table);
+- `witness test`, `witness etb` and `witness extremal` on witness maps
+  read off collections and on random maps;
+- `bell bound` (plain, `--y-box` and `--equality`), `bell check` and
+  `box to-channel` on local, nonlocal and float boxes;
+- `steer separable`, `steer sd --at barycenter` and `steer sd --search`
+  on separable and steering assemblages (the self-dual square, product
+  states, partition draws on the square, poly:2,1 and the pentagon),
+  and on malformed assemblage files;
+- `space info` and `space validate` on built-in and JSON spaces,
+  `channel retract` and `channel section`, `qubit id`, `qubit feasible`
+  and `qubit tsirelson`, and `demo` at two seeds.
 
 stderr is not compared, as it carries timings. For a command that exits
 2 on both trees it holds only the error message, and where that differs
@@ -45,14 +58,16 @@ def write_inputs(d: pathlib.Path):
     from polybox import linalg as la
     from polybox import serialize as sz
     from polybox.bell import deterministic_box, pr_box, random_ns_box
-    from polybox.exact import rat
+    from polybox.channels import StochasticMatrix, cc_channel, section_S
+    from polybox.exact import R1, rat
     from polybox.measurements import identity_collection, random_collection
     from polybox.polysimplex import PolySimplex, square_space
     from polybox.qubit import tsirelson_box
     from polybox.steering import assemblage_from, self_dual_state, square_self_dual_iso
-    from conftest import (MALFORMED_ASSEMBLAGES, ZERO_P, coin_toss, edited,
-                          partition_assemblage, pentagon_json, random_local_box,
-                          three_input_pr_box)
+    from polybox.witnesses import q_value, random_witness_map
+    from conftest import (MALFORMED_ASSEMBLAGES, ZERO_P, box_from_tensor, coin_toss,
+                          edited, partition_assemblage, pentagon_json, random_local_box,
+                          three_input_pr_box, unitary_choi)
 
     def put(name, obj):
         path = d / name
@@ -103,12 +118,87 @@ def write_inputs(d: pathlib.Path):
         path = put(f"box-{name}.json", box)
         commands += [["bell", "check", "--box", path], ["box", "to-channel", "--box", path]]
 
+    point = {"label": "point", "dim": 1, "vertices": [["1"]], "unit": ["1"],
+             "facets": [["1"]]}
+    for ref in ("square", "cube:3", "delta:2", "poly:2,1", put("space-point.json", point),
+                put("space-pentagon.json", pentagon_json())):
+        commands += [["space", action, "--space", ref] for action in ("info", "validate")]
+
     collections = {"identity": ident, "coin": coin_toss(P, P.barycenter())}
     for t in range(4):
         collections[f"random-{t}"] = random_collection(sq, P, rng, bias=rat(t, 4))
+    for label in ("poly:2,1", "pentagon"):
+        for t in range(2):
+            collections[f"{label}-{t}"] = random_collection(spaces[label], A, rng,
+                                                            bias=rat(t, 2))
+    meas, witnesses = {}, {}
     for name, F in collections.items():
-        commands.append(["compat", "check", "--meas", put(f"meas-{name}.json", F)])
+        meas[name] = path = put(f"meas-{name}.json", F)
+        commands += [["compat", "check", "--meas", path],
+                     ["id", "compute", "--meas", path, "--at", "barycenter"],
+                     ["id", "compute", "--meas", path, "--search"],
+                     ["witness", "maximal", "--meas", path]]
+        witnesses[f"q-{name}"] = q_value(F, F.shape.barycenter())[1]
+    commands.append(["id", "compute", "--meas", meas["identity"],
+                     "--at", "1/3,2/3,1/4,3/4"])
+    point_meas = {"space": point, "shape": [1, 2],
+                  "effects": {"0,0": ["1/3"], "0,1": ["2/3"], "1,0": ["1/2"],
+                              "1,1": ["1/4"], "1,2": ["1/4"]}}
+    path = put("meas-point.json", json.dumps(point_meas))
+    commands += [["compat", "check", "--meas", path],
+                 ["id", "compute", "--meas", path, "--search"],
+                 ["id", "compute", "--meas", path, "--at", "barycenter"]]
+    # the square's vertices in outcome order: (0,0), (0,1), (1,0), (1,1)
+    base = json.loads(sz.dumps(ident))
+    effects = base["effects"]
+    malformed = {"missing-key": {k: v for k, v in effects.items() if k != "1,1"},
+                 "short-values": {**effects, "0,0": effects["0,0"][:3]},
+                 "negative-value": {**effects, "0,0": ["-1/2", "1", "0", "1"],
+                                    "0,1": ["3/2", "0", "1", "0"]},
+                 "input-sum-not-1": {**effects, "0,0": ["1/2"] * 4, "0,1": ["1/4"] * 4},
+                 "not-affine": {**effects, "0,0": ["1", "0", "0", "0"],
+                                "0,1": ["0", "1", "1", "1"]}}
+    for name, table in malformed.items():
+        path = put(f"meas-edit-{name}.json", json.dumps({**base, "effects": table}))
+        commands.append(["compat", "check", "--meas", path])
 
+    for t in range(3):
+        witnesses[f"random-{t}"] = random_witness_map(P, sq, rng)
+    witnesses["random-21"] = random_witness_map(A, spaces["poly:2,1"], rng)
+    for name, W in witnesses.items():
+        path = put(f"witness-{name}.json", W)
+        commands += [["witness", action, "--witness", path]
+                     for action in ("test", "etb", "extremal")]
+
+    ybox = put("box-y.json", box_from_tensor(P, P, y))
+    pairs = [("identity", "identity"), ("identity", "random-1"), ("coin", "identity"),
+             ("random-3", "random-2")]
+    prbox = put("box-pr-y.json", pr_box())
+    for a, b in pairs:
+        pair = ["--meas-a", meas[a], "--meas-b", meas[b]]
+        commands += [["bell", "bound", *pair], ["bell", "bound", *pair, "--y-box", ybox],
+                     ["bell", "bound", *pair, "--y-box", prbox, "--idx", "1,0,1"]]
+    for name in ("identity", "random-3", "coin"):
+        commands.append(["bell", "bound", "--meas-a", meas[name], "--equality"])
+
+    channels = {"cc": cc_channel(StochasticMatrix([(rat(1, 4), rat(3, 4)), (R1, rat(0))])),
+                "section": section_S(A, A.barycenter()),
+                "hadamard": unitary_choi([[2 ** -0.5, 2 ** -0.5], [2 ** -0.5, -2 ** -0.5]])}
+    for name, phi in channels.items():
+        path = put(f"channel-{name}.json", phi)
+        commands.append(["channel", "retract", "--channel", path])
+    commands += [["channel", "retract", "--channel", put("channel-section-11.json",
+                                                        section_S(P, P.barycenter())),
+                  "--shape", "1,1"],
+                 ["channel", "section", "--shape", "1,1"],
+                 ["channel", "section", "--shape", "2,1", "--at", "1/2,1/4,1/4,1/3,2/3"],
+                 ["channel", "section", "--shape", "2"]]
+
+    commands += [["qubit", "tsirelson"], ["qubit", "id", "--mub"],
+                 ["qubit", "feasible", "--mub"],
+                 ["qubit", "id", "--a", "0.5,0.3,0,0.2", "--b", "0.5,0,0.4,0.1"],
+                 ["qubit", "feasible", "--a", "0.5,0.3,0,0.2", "--b", "0.5,0,0.4,0.1"],
+                 ["qubit", "feasible", "--a", "0.5,0.1,0,0", "--b", "0.5,0,0.1,0"]]
     commands += [["--seed", "0", "demo"], ["--seed", "1", "demo"]]
     return commands
 
