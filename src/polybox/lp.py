@@ -74,6 +74,28 @@ c1·x' = c1·x has c2·x' >= c2·x. A ray found in the second stage
 improves c2 and keeps c1·x. `LpStats.phase2_pivots` counts the pivots
 of both stages.
 
+Templates. Phase 1 reads only the rows and the rhs, so a builder
+solved again for another cost needs only phase 2. From its second
+solve on the same variables, rows and rhs, a builder keeps the tableau
+at the end of phase 1 (artificials driven out, redundant rows dropped,
+no cost row) with its column layout, and each later `minimize` or
+`maximize` runs phase 2 on a copy of it. That copy is entry for entry
+the tableau a cold solve reaches at the end of phase 1, and phase 2
+depends on nothing else, so the pivots, x, duals, Farkas vector and
+`LpStats` equal a cold solve's whatever was solved before, and every
+exact check runs on every solve. A builder solved once copies nothing,
+an infeasible one keeps nothing, and adding a variable or a row drops
+what was kept. `with_rhs(rhs)` returns a builder with the same
+variables and stored integer rows (the coefficient dicts, s_r and the
+signs of `>=` rows are shared) and rhs[r] as the rhs of row r, stored
+as `add_eq`, `add_le` or `add_ge` would store it. The decision
+procedures hold such builders in `lru_cache`d functions, built once: the
+LP of q_s per (K, S, s) (`witnesses._q_lp`) and that of `is_witness`
+per (K, S) (`witnesses._collection_lp`) take each call's data as their
+cost; `measurements._tensor_template` per (S, generators), behind
+`is_compatible`, `is_local` and `is_separable`, and `spaces.base_norm`'s
+LP per K take it as their rhs, through `with_rhs`.
+
 Cone-valued unknowns are written with a small row vocabulary: a vector
 unknown is a list of variables, one per coordinate; `vec_expr` turns a
 linear combination of such vectors into one expression {var: coeff} per
@@ -109,6 +131,7 @@ reads every coordinate.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -161,6 +184,14 @@ class _Tableau:
         self.rhs_scale = rhs_scale
         self.d = 1
         self.pivots = 0
+
+    def copy(self):
+        """An independent tableau with the same rows, basis, d and pivot
+        count: `pivot` edits rows in place."""
+        T = _Tableau([dict(row) for row in self.rows], list(self.basis), self.rhs,
+                     self.rhs_scale)
+        T.d, T.pivots = self.d, self.pivots
+        return T
 
     def pivot(self, r, c):
         """Fraction-free pivot on p = rows[r][c]: every other row becomes
@@ -242,6 +273,26 @@ class _Tableau:
         return max(big, self.d).bit_length()
 
 
+@dataclass
+class _Start:
+    """Where phase 2 starts: the tableau at the end of phase 1, with the
+    artificials driven out, the rows whose artificial stayed basic
+    dropped and no cost row, and the column layout phase 2 reads."""
+    T: _Tableau
+    col_of: list       # per variable: its column, or its two if free
+    ncols: int
+    nsplit: int
+    slack_col: dict    # <= row -> its slack column
+    art0: int          # the first artificial column
+    flipped: list      # per row: negated for its negative rhs
+    start: list        # per row: its starting unit column
+    scale: list        # per row: s_r
+    dropped: set       # rows dropped as redundant
+
+    def copy(self):
+        return dataclasses.replace(self, T=self.T.copy())
+
+
 def vec_expr(terms):
     """Σ c·cols over terms (c, cols), where cols holds one variable per
     coordinate: one linear expression {var: coeff} per coordinate."""
@@ -253,6 +304,14 @@ def vec_expr(terms):
             for e, v in zip(expr, cols, strict=True):
                 e[v] = e[v] + c if v in e else c
     return expr
+
+
+def _stored_rhs(rhs, s, sign):
+    """sign·rhs·s_r, the rhs of a stored row: an int when s_r clears rhs's
+    denominator q, else that rational."""
+    rhs = rat(rhs)
+    b, q = sign * rhs.numerator * s, rhs.denominator
+    return rat(b, q) if b % q else b // q
 
 
 def _int_expr(coeffs):
@@ -277,13 +336,37 @@ class LpBuilder:
     def __init__(self):
         self._vars = []            # "nonneg" | "free"
         self._rows = []            # (int coeffs dict, int rhs, s_r, kind)
+        self._signs = []           # per row: 1, or -1 for a ">=" row stored negated
+        self._start = None         # a kept `_Start`: phase 1's end, for later costs
+        self._solved = False       # solved on these rows and rhs before
+
+    def _changed(self):
+        """A variable or row was added: phase 1 must run again."""
+        self._start = None
+        self._solved = False
 
     def var(self, nonneg=True) -> int:
+        self._changed()
         self._vars.append("nonneg" if nonneg else "free")
         return len(self._vars) - 1
 
     def vars(self, n, nonneg=True):
         return [self.var(nonneg) for _ in range(n)]
+
+    def with_rhs(self, rhs):
+        """A builder with this one's variables and stored integer rows, and
+        rhs[r] (in the caller's units) as the rhs of row r: row r is
+        stored as if added with that rhs, so the builder equals one built
+        row by row with it. It shares the coefficient dicts, which no
+        builder edits, and keeps no phase-1 tableau."""
+        if len(rhs) != len(self._rows):
+            raise ValueError(f"{len(rhs)} rhs values for {len(self._rows)} rows")
+        lp = LpBuilder()
+        lp._vars = list(self._vars)
+        lp._signs = list(self._signs)
+        lp._rows = [(coeffs, _stored_rhs(b, s, sign), s, kind)
+                    for (coeffs, _, s, kind), sign, b in zip(self._rows, self._signs, rhs)]
+        return lp
 
     def add_eq(self, coeffs, rhs, den=None):
         """Σ_v c_v·x_v == rhs for coeffs {v: c_v}. With den, the c_v are
@@ -332,12 +415,12 @@ class LpBuilder:
         denominator q, else that rational."""
         if den is None:
             coeffs, den = _int_expr(coeffs)
-        rhs = rat(rhs)
         g = math.gcd(den, *coeffs.values())
         s = den // g
-        b, q = sign * rhs.numerator * s, rhs.denominator
-        b = rat(b, q) if b % q else b // q
-        self._rows.append(({v: sign * (a // g) for v, a in coeffs.items()}, b, s, kind))
+        self._changed()
+        self._rows.append(({v: sign * (a // g) for v, a in coeffs.items()},
+                           _stored_rhs(rhs, s, sign), s, kind))
+        self._signs.append(sign)
 
     def minimize(self, coeffs):
         """min coeffs·x for coeffs {var: c}. For a pair (c1, c2) of such
@@ -355,6 +438,56 @@ class LpBuilder:
     # ----- internals -----
 
     def _solve(self, cost, sense, then=None):
+        # phase 1 reads only the rows and the rhs; from the second solve on
+        # the same ones, its end is kept, and each solve runs phase 2 on a
+        # copy of it, so the result is the cold solve's
+        if self._start is not None:
+            st = self._start.copy()
+        else:
+            st = self._phase1()
+            if isinstance(st, LpResult):
+                return st
+            if self._solved:
+                self._start = st.copy()
+            self._solved = True
+        T = st.T
+        phase1 = T.pivots
+
+        # phase 2 on the cost row; with `then`, a second stage on its own
+        # row below it, where only columns of zero first reduced cost enter
+        row, cost_scale = self._cost_row(T, cost, st.col_of)
+        T.rows.append(row)
+        enter = T.run(st.art0)
+        second = enter < 0 and then is not None
+        if second:
+            row, then_scale = self._cost_row(T, then, st.col_of)
+            T.rows.append(row)
+            enter = T.run(st.art0, lex=True)
+        stats = self._stats(T, st.ncols, st.nsplit, phase1, T.pivots - phase1)
+        if enter >= 0:
+            # a slack column is scaled by its row's scale; others by 1
+            enter_scale = next((st.scale[r] for r, j in st.slack_col.items()
+                                if j == enter), 1)
+            improve, fixed = (then, cost) if second else (cost, None)
+            return self._extract_ray(T, enter, enter_scale, st.col_of, improve, stats,
+                                     fixed)
+        first = T.rows[len(T.basis)]
+        y1 = self._duals(T, first, cost_scale, st)
+        res = self._extract_optimal(T, st.col_of, cost, sense, y1, cost_scale, stats)
+        if second:
+            # the second stage pivots only where first is 0, so first keeps
+            # its true values and y1 its meaning
+            y2 = self._duals(T, T.rows[-1], then_scale, st)
+            theta = max((rat(-T.rows[-1].get(j, 0) * cost_scale, a * then_scale)
+                         for j, a in first.items() if j < st.art0 and a > 0),
+                        default=R0)
+            self._check_then(res.x, cost, y1, then, y2, max(theta, R0))
+        return res
+
+    def _phase1(self):
+        """Build the start tableau and run phase 1 on it. Returns the
+        INFEASIBLE LpResult with its checked Farkas vector, or the
+        `_Start` of phase 2."""
         # column layout: per-variable columns, then one slack per <= row,
         # then one artificial per row that cannot start on its slack (an
         # == row, or a row negated for its negative rhs), then the rhs.
@@ -423,45 +556,15 @@ class LpBuilder:
         if T.rows[-1].get(rhs_col):
             return self._extract_farkas(T, flipped, start, art0, scale, p1_scale,
                                         self._stats(T, ncols, nsplit, T.pivots, 0))
-
+        T.rows.pop()
         self._drive_out_artificials(T, art0)
-        phase1 = T.pivots
         dropped = {i for i, b in enumerate(T.basis) if b >= art0}
         if dropped:
             keep = [i for i in range(len(T.basis)) if i not in dropped]
-            T.rows = [T.rows[i] for i in keep] + [T.rows[-1]]
+            T.rows = [T.rows[i] for i in keep]
             T.basis = [T.basis[i] for i in keep]
-
-        # phase 2 on the cost row; with `then`, a second stage on its own
-        # row below it, where only columns of zero first reduced cost enter
-        T.rows[-1], cost_scale = self._cost_row(T, cost, col_of)
-        enter = T.run(art0)
-        second = enter < 0 and then is not None
-        if second:
-            row, then_scale = self._cost_row(T, then, col_of)
-            T.rows.append(row)
-            enter = T.run(art0, lex=True)
-        stats = self._stats(T, ncols, nsplit, phase1, T.pivots - phase1)
-        if enter >= 0:
-            # a slack column is scaled by its row's scale; others by 1
-            enter_scale = next((scale[r] for r, j in slack_col.items()
-                                if j == enter), 1)
-            improve, fixed = (then, cost) if second else (cost, None)
-            return self._extract_ray(T, enter, enter_scale, col_of, improve, stats,
-                                     fixed)
-        first = T.rows[len(T.basis)]
-        y1 = self._duals(T, first, cost_scale, flipped, start, dropped, scale)
-        res = self._extract_optimal(T, col_of, cost, sense, y1, cost_scale, stats)
-        if second:
-            # the second stage pivots only where first is 0, so first keeps
-            # its true values and y1 its meaning
-            y2 = self._duals(T, T.rows[-1], then_scale, flipped, start, dropped,
-                             scale)
-            theta = max((rat(-T.rows[-1].get(j, 0) * cost_scale, a * then_scale)
-                         for j, a in first.items() if j < art0 and a > 0),
-                        default=R0)
-            self._check_then(res.x, cost, y1, then, y2, max(theta, R0))
-        return res
+        return _Start(T, col_of, ncols, nsplit, slack_col, art0, flipped, start, scale,
+                      dropped)
 
     def _stats(self, T, ncols, nsplit, phase1, phase2):
         return LpStats(rows=len(self._rows), columns=ncols, split_columns=nsplit,
@@ -490,18 +593,18 @@ class LpBuilder:
         return {j: a for j, a in obj.items() if a}, cost_scale
 
     @staticmethod
-    def _duals(T, obj, cost_scale, flipped, start, dropped, scale):
+    def _duals(T, obj, cost_scale, st):
         """Min-form duals from the reduced costs `obj` under each row's
         starting unit column, unscaled: y_r = −scale[r]·obj[s] /
         (d·cost_scale), negated on flipped rows, 0 on dropped rows."""
         den = T.d * cost_scale
         duals = []
-        for r, s in enumerate(start):
-            if r in dropped:
+        for r, s in enumerate(st.start):
+            if r in st.dropped:
                 duals.append(R0)
                 continue
-            y = -scale[r] * obj.get(s, 0)
-            duals.append(rat(-y if flipped[r] else y, den))
+            y = -st.scale[r] * obj.get(s, 0)
+            duals.append(rat(-y if st.flipped[r] else y, den))
         return duals
 
     @staticmethod

@@ -133,9 +133,31 @@ def tensor_lp(shape: PolySimplex, gens, rows, mixing=None):
     `mixing` is None for λ = 0, a state s for λ ∈ [0, 1] at that fixed
     s, or "free" for t = λs variable too (see `scaled_state_vars`): the
     mixture is linear in (λ, t), so the least λ over all s is one LP.
-    Returns (lp, v, lam, t): v[n] holds the weights of c_n on the columns
-    of gens; lam and t are None when not variables.
+    At λ = 0 the matrix depends on S and gens (a tuple of tuples) only:
+    it is `_tensor_template`'s, built once, and T enters as the rhs
+    through `LpBuilder.with_rhs`. Returns (lp, v, lam, t): v[n] holds the
+    weights of c_n on the columns of gens; lam and t are None when not
+    variables.
     """
+    if mixing is None:
+        template, v = _tensor_template(shape, gens)
+        rhs = [b for i, j in shape.edges for b in rows[shape.index(i, j)]]
+        rhs += la.combine([R1] * (shape.shape[0] + 1), rows[:shape.shape[0] + 1])
+        return template.with_rhs(rhs), v, None, None
+    return _write_tensor_lp(shape, gens, rows, mixing)
+
+
+@lru_cache(maxsize=64)
+def _tensor_template(shape: PolySimplex, gens):
+    """`tensor_lp`'s LP at λ = 0 with T = 0, and v. Built once per (S,
+    gens); callers take `with_rhs` of it and never change it."""
+    lp, v, _lam, _t = _write_tensor_lp(shape, gens, ((R0,) * len(gens),) * shape.ambient_dim,
+                                       None)
+    return lp, v
+
+
+def _write_tensor_lp(shape: PolySimplex, gens, rows, mixing):
+    """`tensor_lp`'s LP, written row by row with T's rows in the rhs."""
     outcomes = shape.outcome_list()
     free = mixing == "free"
 
@@ -194,7 +216,7 @@ def product_lp(shape: PolySimplex, space: StateSpace, tensor, mixing=None):
     hidden-state LP of an assemblage. Returns (lp, v, lam, t) of
     `tensor_lp`; v[n] holds the vertex weights of α_n."""
     cols = space.coord_idx
-    gens = [[v[c] for v in space.vertices] for c in cols]
+    gens = tuple(tuple(v[c] for v in space.vertices) for c in cols)
     rows = [[row[c] for c in cols] for row in tensor]
     return tensor_lp(shape, gens, rows, mixing)
 
@@ -282,9 +304,11 @@ def is_compatible(F: MeasurementCollection, want_joint=True):
     table Σ_{i,j} e_ij ⊗ f^i_j split as Σ_n s_n ⊗ g_n over the simplex
     of value tables on K's N vertices (vertex t is e_t), so the weights
     of g_n are its values on the vertices; it is checked against F's
-    value rows. The witness is `_dual_witness` of the Farkas
-    multipliers, with ⟨1_K, W(s̄)⟩ = 1 at the barycenter s̄ and Tr FW <
-    0. With `want_joint` False the second entry is None.
+    value rows, and `F.space.linear_map` of its per-vertex values must
+    exist, so that each g_n is affine on K. The witness is
+    `_dual_witness` of the Farkas multipliers, with ⟨1_K, W(s̄)⟩ = 1 at
+    the barycenter s̄ and Tr FW < 0. With `want_joint` False the second
+    entry is None.
     """
     lp, c, _lam, _t = _joint_lp(F)
     res = lp.minimize({})
@@ -300,6 +324,10 @@ def is_compatible(F: MeasurementCollection, want_joint=True):
         F.shape, values, {n: la.mat_vec(F.space.facet_values, [res[v] for v in c[n]])
                           for n in F.shape.outcomes()})
     joint.check([F.effects[key] for key in F.shape.keys])
+    # check holds for any nonnegative table with F's marginals; an effect
+    # g_n is moreover affine on K, its values those of a linear map
+    if F.space.linear_map(la.transpose(list(joint.weights.values()))) is None:
+        raise AssertionError("a joint effect is not affine on K")
     return True, joint
 
 

@@ -259,15 +259,24 @@ def base_norm(space, psi):
         return R0
     if not space.in_span(psi):
         raise ValueError("psi outside span V(K)")
-    b = LpBuilder()
-    n = len(space.vertices)
-    c = b.vars(n)
-    d = b.vars(n)
-    b.add_rows(la.transpose(space.vertices), vec_expr([(R1, c), (-R1, d)]), "eq", psi)
-    res = b.minimize({i: R1 for i in c + d})
+    lp, cost = _base_norm_lp(space)
+    res = lp.with_rhs(psi).minimize(cost)
     if res.status != OPTIMAL:
         raise ValueError("psi outside span V(K)")
     return res.objective
+
+
+@lru_cache(maxsize=32)
+def _base_norm_lp(space):
+    """`base_norm`'s LP with rhs 0, and its cost Σ(c + d): psi = Σ_t
+    (c_t − d_t) x_t at every coordinate, with c, d ≥ 0. Built once per
+    space; each psi is its rhs (`LpBuilder.with_rhs`)."""
+    lp = LpBuilder()
+    n = len(space.vertices)
+    c = lp.vars(n)
+    d = lp.vars(n)
+    lp.add_rows(la.transpose(space.vertices), vec_expr([(R1, c), (-R1, d)]), "eq", R0)
+    return lp, {i: R1 for i in c + d}
 
 
 def check_facets_generate(space: StateSpace):

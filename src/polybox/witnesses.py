@@ -13,6 +13,7 @@ images of a map given by its top and edge images all come from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg as la
 from .exact import R0, R1, rat
@@ -242,16 +243,12 @@ def is_witness(W: WitnessMap) -> WitnessDecision:
     space = W.space
     shape = W.shape
 
-    lp = LpBuilder()
-    phi = {key: lp.vars(len(space.facets)) for key in shape.keys}
+    lp, phi = _collection_lp(space, shape)
     chart = {key: W.vertex_images[shape.chart_vertex(*key)] for key in shape.keys}
     objective = {}
     for key, img in chart.items():
         pairs = la.mat_vec(space.facets, img)
         objective.update((v, p) for v, p in zip(phi[key], pairs) if p)
-    for i, l in enumerate(shape.shape):
-        lp.add_rows(la.transpose(space.facet_rows),
-                    vec_expr([(R1, phi[(i, j)]) for j in range(l + 1)]), "eq", R1)
     res = lp.minimize(objective)
     if res.status != OPTIMAL:
         raise AssertionError("minimizing-F LP must be bounded and feasible")
@@ -275,7 +272,21 @@ def is_witness(W: WitnessMap) -> WitnessDecision:
     return WitnessDecision(False, min_value, minimizer, tuple(v), etb)
 
 
-def _witness_lp(F, states):
+@lru_cache(maxsize=32)
+def _collection_lp(space, shape):
+    """`is_witness`'s LP over collections K → S, without an objective:
+    each f^i_j a nonnegative facet combination, phi[(i, j)] its weights,
+    with Σ_j f^i_j = 1_K at the basis vertices. Its rows and rhs depend on
+    (K, S) only, so it is built once per pair, and each W is a cost on it."""
+    lp = LpBuilder()
+    phi = {key: lp.vars(len(space.facets)) for key in shape.keys}
+    for i, l in enumerate(shape.shape):
+        lp.add_rows(la.transpose(space.facet_rows),
+                    vec_expr([(R1, phi[(i, j)]) for j in range(l + 1)]), "eq", R1)
+    return lp, phi
+
+
+def _witness_lp(shape, space, states):
     """LP over witness maps in chart coordinates: basis coordinates of
     w_top and of each edge image W(e^i_j), j < l_i. Returns (lp, top,
     edges).
@@ -290,8 +301,6 @@ def _witness_lp(F, states):
     vertex would take Π_i (l_i + 1). The feasible (w_top, edges) are the
     same. With `states` every w_n is moreover in K, which is affine in
     n: ⟨1_K, w_top⟩ = 1 and ⟨1_K, W(e^i_j)⟩ = 0."""
-    shape = F.shape
-    space = F.space
     D = space.rank
     nf = len(space.facet_rows)
     lp = LpBuilder()
@@ -340,6 +349,19 @@ def _min_trace_witness(F, lp, top, edges):
     return res.objective, make_witness_map(F.shape, space, images)
 
 
+@lru_cache(maxsize=32)
+def _q_lp(space, shape, s):
+    """q_s's LP for every collection K → S, without an objective: rows
+    and rhs depend on (K, S, s) only, so it is built once per triple and
+    each F is a cost on it (`_min_trace_witness`)."""
+    lp, top, edges = _witness_lp(shape, space, states=False)
+    # ⟨1_K, W(s)⟩ = 1, with W(s) = w_top + Σ_{i,j<l_i} s^i_j W(e^i_j)
+    point = vec_expr([(R1, top)] + [(shape.coords(s, i, j), cols)
+                                    for (i, j), cols in edges.items()])
+    lp.add_rows([(R1,) * space.rank], point, "eq", R1)
+    return lp, top, edges
+
+
 def q_value(F: MeasurementCollection, s):
     """q_s(F) = min Tr FW over W ∈ A(S,V(K)+) with W(s) ∈ K, and the
     incompatibility degree ID_s = −q/(1−q) for q ≤ 0 (else 0). Returns
@@ -349,15 +371,9 @@ def q_value(F: MeasurementCollection, s):
     ⟨1_K, W(s)⟩ = 1. W(s) needs no facet rows: s is a convex combination
     of the vertices of S, so W(s) is the same combination of the vertex
     images and lies in V(K)+ with them."""
-    shape = F.shape
-    space = F.space
-    if not shape.interior(s):
+    if not F.shape.interior(s):
         raise ValueError("q_value needs a strictly interior state s")
-    lp, top, edges = _witness_lp(F, states=False)
-    # ⟨1_K, W(s)⟩ = 1, with W(s) = w_top + Σ_{i,j<l_i} s^i_j W(e^i_j)
-    point = vec_expr([(R1, top)] + [(shape.coords(s, i, j), cols)
-                                    for (i, j), cols in edges.items()])
-    lp.add_rows([(R1,) * space.rank], point, "eq", R1)
+    lp, top, edges = _q_lp(F.space, F.shape, tuple(rat(c) for c in s))
     q, W = _min_trace_witness(F, lp, top, edges)
     lam = (-q) / (R1 - q) if q <= 0 else R0
     return q, W, lam
@@ -426,7 +442,7 @@ def maximal_incompatibility_certificate(F: MeasurementCollection) -> MaximalRepo
     values are bounded per input, and their unit values, affine in the
     vertex, are fixed on w_top and the edge images."""
     shape = F.shape
-    lp, top, edges = _witness_lp(F, states=True)
+    lp, top, edges = _witness_lp(shape, F.space, states=True)
     value, W = _min_trace_witness(F, lp, top, edges)
     if value != -shape.k:
         return MaximalReport(False, value, None, None)
@@ -456,7 +472,7 @@ def retraction_check(F: MeasurementCollection) -> RetractionReport:
         raise ValueError("retraction test applies to hypercube shapes only")
     effects = [[F.effects[(i, 0)][x] for x in space.basis_idx]
                for i in range(shape.k + 1)]
-    lp, top, edges = _witness_lp(F, states=True)
+    lp, top, edges = _witness_lp(shape, space, states=True)
     # F(σ_n) = s_n at every vertex n, affine in n: F(σ_top) = s_top, whose
     # 0-outcome probabilities all vanish, and F(σ(e^i_0)) = e_i
     lp.add_rows(effects, vec_expr([(R1, top)]), "eq", R0)

@@ -600,14 +600,16 @@ def _cross_check_highs(rng, coeff, rhs_draw):
 
 @pytest.fixture
 def recorded_solves(monkeypatch):
-    """(rows, variable kinds, cost, sense, result) of every LP solved from
-    here on, for a replay by HiGHS."""
+    """(rows, variable kinds, cost, sense, result, warm) of every LP solved
+    from here on, for a replay by HiGHS; warm: the solve started from the
+    builder's kept phase-1 tableau."""
     solves = []
     solve = LpBuilder._solve
 
     def recording(self, cost, sense, then=None):
+        warm = self._start is not None
         res = solve(self, cost, sense, then)
-        solves.append((list(self._rows), list(self._vars), dict(cost), sense, res))
+        solves.append((list(self._rows), list(self._vars), dict(cost), sense, res, warm))
         return res
     monkeypatch.setattr(LpBuilder, "_solve", recording)
     return solves
@@ -621,7 +623,7 @@ def replay_against_highs(solves):
     linprog = pytest.importorskip("scipy.optimize").linprog
     highs_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
     seen = set()
-    for rows, kinds, cost, sense, res in solves:
+    for rows, kinds, cost, sense, res, _warm in solves:
         n = len(kinds)
         dense = {"eq": ([], []), "le": ([], [])}
         for coeffs, rhs, s, kind in rows:
@@ -693,3 +695,223 @@ class TestDecisionLpsAgainstHighs:
         assert set(verdicts) == {True, False}
         assert 50 <= len(recorded_solves) <= 100
         assert replay_against_highs(recorded_solves) == {OPTIMAL, INFEASIBLE}
+
+    def test_templated_lps(self, recorded_solves):
+        # the templates: q_value's LP per (K, S, s) and is_witness's per
+        # (K, S), whose costs change, and base_norm's per K, whose rhs
+        # changes; most solves start from a kept phase-1 tableau
+        from polybox.serialize import builtin_space
+        from polybox.witnesses import is_witness, q_value, two_outcome_witness_criterion
+
+        rng = random.Random(33)
+        for label, shape in (("square", (1, 1)), ("cube:3", (1, 1, 1))):
+            P, space = PolySimplex(shape), builtin_space(label)
+            off = tuple(rat(j + 1, 3) for _ in shape for j in range(2))
+            xbar = space.interior_point()
+            for t in range(4):
+                F = measurements.random_collection(space, P, rng, bias=rat(t, 4))
+                for s in (P.barycenter(), off):
+                    W = q_value(F, s)[1]
+                    two_outcome_witness_criterion(W)
+                    for c in (rat(1, 2), rat(3, 2), rat(2)):
+                        for shift in (R0, rat(1, 4)):
+                            is_witness(W.scale(c).translate(tuple(shift * x for x in xbar)))
+        # per shape 8 q_value and 48 is_witness solves, and up to (k + 1)·8
+        # of base_norm (none for a zero edge image); a cost-only template's
+        # first two solves are cold (fewer if an earlier test built it),
+        # and so is every with_rhs copy
+        warm = sum(rec[-1] for rec in recorded_solves)
+        assert 2 * (8 + 48) < len(recorded_solves) <= 2 * (8 + 48) + 8 * (2 + 3)
+        assert 2 * (8 + 48) - 2 * 3 * 2 <= warm <= 2 * (8 + 48)
+        assert replay_against_highs(recorded_solves) == {OPTIMAL}
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """(builder, cost, result) of every LP solved from here on."""
+    out = []
+    solve = LpBuilder._solve
+
+    def recording(self, cost, sense, then=None):
+        res = solve(self, cost, sense, then)
+        out.append((self, cost, res))
+        return res
+    monkeypatch.setattr(LpBuilder, "_solve", recording)
+    return out
+
+
+def cold_tensor_lp(shape, gens, rows):
+    """`tensor_lp` at λ = 0 as one fresh builder, each block added with
+    its rhs, T's rows at the edges and then T̄."""
+    lp = LpBuilder()
+    outcomes = shape.outcome_list()
+    v = {n: lp.vars(len(gens[0])) for n in outcomes}
+    for i, j in shape.edges:
+        lp.add_rows(gens, vec_expr([(R1, v[n]) for n in outcomes if n[i] == j]), "eq",
+                    rows[shape.index(i, j)])
+    tbar = combine([R1] * (shape.shape[0] + 1), rows[:shape.shape[0] + 1])
+    lp.add_rows(gens, vec_expr([(R1, v[n]) for n in outcomes]), "eq", tbar)
+    return lp
+
+
+def witness_template():
+    """A fresh `is_witness` LP on the square, 6 == rows over 16 facet
+    weights, and the costs of two witness maps on it."""
+    from polybox import witnesses
+    from polybox.polysimplex import square_space
+
+    P, sq = PolySimplex((1, 1)), square_space()
+    lp, phi = witnesses._collection_lp.__wrapped__(sq, P)
+    rng = random.Random(34)
+    costs = []
+    for _ in range(2):
+        W = witnesses.random_witness_map(P, sq, rng)
+        cost = {}
+        for key, cols in phi.items():
+            img = W.vertex_images[P.chart_vertex(*key)]
+            cost.update(zip(cols, (sum(a * b for a, b in zip(f, img)) for f in sq.facets)))
+        costs.append(cost)
+    return lp, phi, costs
+
+
+class TestTemplates:
+    """A builder kept per (space, shape, s) and solved for many costs, or
+    a `with_rhs` copy of one, gives what a freshly built builder gives on
+    the same data: status, objective, x, duals, Farkas vector and stats."""
+
+    DRAWS = (("square", (1, 1)), ("poly:2,1", (2, 1)), ("cube:3", (1, 1, 1)))
+
+    def test_cost_only_sites_equal_cold_solves(self, solved):
+        from polybox import witnesses
+        from polybox.serialize import builtin_space
+
+        rng = random.Random(35)
+        for label, shape in self.DRAWS:
+            P, space = PolySimplex(shape), builtin_space(label)
+            off = tuple(rat(j + 1, (l + 1) * (l + 2) // 2) for l in shape for j in range(l + 1))
+            for t in range(3):
+                F = measurements.random_collection(space, P, rng, bias=rat(t, 3))
+                for s in (P.barycenter(), off):
+                    W = witnesses.q_value(F, s)[1]
+                    _lp, cost, res = solved[-1]
+                    fresh = witnesses._q_lp.__wrapped__(space, P, s)[0]
+                    assert fresh.minimize(cost) == res
+                    witnesses.is_witness(W.scale(rat(3, 2)))
+                    _lp, cost, res = solved[-1]
+                    fresh = witnesses._collection_lp.__wrapped__(space, P)[0]
+                    assert fresh.minimize(cost) == res
+
+    def test_rhs_only_sites_equal_cold_solves(self, solved):
+        # each template is first solved twice itself, so that it keeps a
+        # phase-1 tableau (of rhs 0) that its with_rhs copies must not use
+        from polybox import bell, spaces, steering
+        from polybox.linalg import transpose
+        from polybox.serialize import builtin_space
+        from conftest import partition_assemblage
+
+        rng = random.Random(36)
+        Q = PolySimplex((1, 1))
+        for label, shape in self.DRAWS:
+            P, space = PolySimplex(shape), builtin_space(label)
+            qspace = Q.as_state_space()
+            joint_gens = transpose(space.facet_rows)
+            box_gens = tuple(tuple(v[c] for v in qspace.vertices) for c in qspace.coord_idx)
+            lhs_gens = tuple(tuple(v[c] for v in space.vertices) for c in space.coord_idx)
+            norm_lp, norm_cost = spaces._base_norm_lp(space)
+            for template, cost in ((measurements._tensor_template(P, joint_gens)[0], {}),
+                                   (measurements._tensor_template(P, box_gens)[0], {}),
+                                   (measurements._tensor_template(P, lhs_gens)[0], {}),
+                                   (norm_lp, norm_cost)):
+                template.minimize(cost)
+                template.minimize(cost)
+                assert template._start is not None
+            for t in range(3):
+                F = measurements.random_collection(space, P, rng, bias=rat(t, 3))
+                measurements.is_compatible(F)
+                res = solved[-1][2]
+                rows = [[F.effects[key][a] for a in space.basis_idx] for key in P.keys]
+                assert cold_tensor_lp(P, joint_gens, rows).minimize({}) == res
+
+                box = bell.random_ns_box(P, Q, rng)
+                bell.is_local(box)
+                res = solved[-1][2]
+                rows = [[row[c] for c in qspace.coord_idx] for row in box.tensor()]
+                assert cold_tensor_lp(P, box_gens, rows).minimize({}) == res
+
+                beta = partition_assemblage(P, space, rng)
+                steering.is_separable(beta)
+                res = solved[-1][2]
+                rows = [[row[c] for c in space.coord_idx] for row in beta.rows]
+                assert cold_tensor_lp(P, lhs_gens, rows).minimize({}) == res
+
+                psi = combine([rat(rng.randrange(-4, 5), 3) for _ in space.vertices],
+                              space.vertices)
+                spaces.base_norm(space, psi)
+                res = solved[-1][2]
+                fresh = LpBuilder()
+                c, d = fresh.vars(len(space.vertices)), fresh.vars(len(space.vertices))
+                fresh.add_rows(transpose(space.vertices), vec_expr([(R1, c), (-R1, d)]),
+                               "eq", psi)
+                assert fresh.minimize(dict.fromkeys(c + d, R1)) == res
+            statuses = {res.status for _lp, _cost, res in solved}
+        assert statuses == {OPTIMAL, INFEASIBLE}
+
+    def test_costs_a_b_a(self):
+        # the second solve keeps phase 1's end; the third starts from a copy
+        # of it, not from B's optimal tableau
+        lp, _phi, (a, b) = witness_template()
+        first = lp.minimize(a)
+        assert lp.minimize(b) != first and lp._start is not None
+        assert lp.minimize(a) == first
+        assert lp.minimize(a) == first
+        assert first.stats.phase1_pivots > 0
+
+    def test_a_row_or_variable_after_a_solve(self):
+        # the kept tableau is dropped: the solve is the cold one with the
+        # new row, or with the new variable
+        lp, phi, (a, b) = witness_template()
+        lp.minimize(a)
+        lp.minimize(b)
+        row = {phi[(0, 0)][0]: R1, phi[(1, 0)][1]: R1}
+        lp.add_ge(row, rat(1, 3))
+        assert lp._start is None
+        ref, _phi, _costs = witness_template()
+        ref.add_ge(row, rat(1, 3))
+        want = ref.minimize(a)
+        assert lp.minimize(a) == want and lp.minimize(b) == ref.minimize(b)
+        assert lp.minimize(a) == want and want.stats.rows == 7
+        y = lp.var()
+        ref.var()
+        assert lp._start is None
+        lp.add_le({y: R1, phi[(0, 1)][0]: R1}, rat(1, 2))
+        ref.add_le({y: R1, phi[(0, 1)][0]: R1}, rat(1, 2))
+        assert lp.minimize(b) == ref.minimize(b)
+
+    def test_a_doctored_kept_tableau_trips_a_check(self):
+        lp, _phi, (a, b) = witness_template()
+        lp.minimize(a)
+        lp.minimize(b)
+        T = lp._start.T
+        # one more unit of a basic facet weight: the point leaves the rows
+        i = next(i for i, c in enumerate(T.basis) if c < len(lp._vars))
+        T.rows[i][T.rhs] = T.rows[i].get(T.rhs, 0) + T.d * T.rhs_scale
+        with pytest.raises(AssertionError):
+            lp.minimize(a)
+
+    def test_with_rhs_stores_the_rows_of_a_fresh_build(self):
+        # a >= row keeps its sign: its rhs is stored negated, as add_ge does
+        b = LpBuilder()
+        x, y = b.var(), b.var(nonneg=False)
+        b.add_eq({x: rat(1, 2), y: rat(2, 3)}, 0)
+        b.add_ge({x: 1, y: -1}, 0)
+        b.add_le({y: rat(3, 4)}, 0)
+        c = b.with_rhs([rat(5, 6), rat(-1, 3), 2])
+        ref = LpBuilder()
+        x, y = ref.var(), ref.var(nonneg=False)
+        ref.add_eq({x: rat(1, 2), y: rat(2, 3)}, rat(5, 6))
+        ref.add_ge({x: 1, y: -1}, rat(-1, 3))
+        ref.add_le({y: rat(3, 4)}, 2)
+        assert (c._vars, c._rows) == (ref._vars, ref._rows)
+        assert c.minimize({x: 1}) == ref.minimize({x: 1})
+        with pytest.raises(ValueError, match="2 rhs values for 3 rows"):
+            b.with_rhs([R0, R0])

@@ -189,6 +189,30 @@ class TestCompatibility:
         with pytest.raises(AssertionError, match="misses row"):
             is_compatible(F)
 
+    def test_a_joint_that_is_not_affine_raises(self, monkeypatch):
+        # the identity pair's table g_n(x_t) = 1 where F(x_t) = s_n, else
+        # 0: nonnegative, with F's marginals, so `check` passes, but g_00
+        # reads 1, 0, 0, 0 on the vertices 00, 01, 10, 11, whose affine
+        # relation x_00 + x_11 = x_01 + x_10 it breaks. A feasible joint LP
+        # (of a compatible collection) lets is_compatible reach the table.
+        F = identity_collection(SQ)
+        table = {n: tuple(R1 if tuple(F.effects[key][t] for key in SQ.keys) == SQ.vertex(n)
+                          else R0 for t in range(4))
+                 for n in SQ.outcomes()}
+        half = la.vec_scale(rat(1, 2), square_space().unit)
+        G = from_functionals(square_space(), (1, 1), {(0, 0): SQ.m(0, 0),
+                                                      (0, 1): SQ.m(0, 1),
+                                                      (1, 0): half, (1, 1): half})
+        build = measurements._joint_lp
+        joint = measurements.ProductDecomposition
+        monkeypatch.setattr(measurements, "_joint_lp", lambda F, mixing=None: build(G, mixing))
+        monkeypatch.setattr(measurements, "ProductDecomposition",
+                            lambda shape, space, weights: joint(shape, space, table))
+        assert joint(SQ, simplex_space(3), table).check(value_rows(F))
+        assert F.space.linear_map(la.transpose(list(table.values()))) is None
+        with pytest.raises(AssertionError, match="not affine on K"):
+            is_compatible(F)
+
     def test_simplex_domain_always_compatible(self):
         # classical systems admit no incompatibility
         rng = random.Random(3)

@@ -33,8 +33,16 @@ assemblage, a box or a channel:
 
 stderr is not compared, as it carries timings. For a command that exits
 2 on both trees it holds only the error message, and where that differs
-it is listed apart, as a note. Exits 0 when no exit code or stdout
-differs, 1 otherwise.
+it is listed apart, as a note.
+
+`cli_corpus_exits.json`, next to this script, holds the expected exit
+code of every command, keyed by the command as printed (input files by
+their names). The working tree's exit code must equal it. A change that
+alters a command's exit code on purpose edits its entry, and a change
+to the corpus adds or removes entries with its commands.
+
+Exits 0 when no exit code or stdout differs between the trees and every
+working-tree exit code is the expected one, 1 otherwise.
 """
 from __future__ import annotations
 
@@ -50,6 +58,7 @@ import tempfile
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+EXITS = pathlib.Path(__file__).with_name("cli_corpus_exits.json")
 
 
 def write_inputs(d: pathlib.Path):
@@ -225,17 +234,23 @@ def main(argv=None):
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
         commands = write_inputs(inputs)
-        diffs, notes, codes = [], [], Counter()
+        expected = json.loads(EXITS.read_text())
+        diffs, notes, wrong, codes = [], [], [], Counter()
+        shown_all = []
         for cmd in commands:
             old = run_tree(base / "src", cmd, inputs)
             new = run_tree(ROOT / "src", cmd, inputs)
             codes[old[0]] += 1
             shown = " ".join(pathlib.Path(a).name if a.startswith(str(tmp)) else a
                              for a in cmd)
+            shown_all.append(shown)
             if old[:2] != new[:2]:
                 diffs.append((shown, old, new))
             elif old[0] == 2 and old[2] != new[2]:
                 notes.append((shown, old[2], new[2]))
+            if expected.get(shown) != new[0]:
+                wrong.append((shown, expected.get(shown), new[0]))
+        unused = sorted(set(expected) - set(shown_all))
         print(f"{len(commands)} commands on {args.base} and the working tree; exit codes "
               f"on {args.base}: " + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items())))
         for shown, old, new in diffs:
@@ -246,9 +261,14 @@ def main(argv=None):
                     print(f"     {side} stderr: {err.splitlines()[-1]}")
         for shown, old, new in notes:
             print(f"note {shown}: exit 2 on both; stderr {old!r} -> {new!r}")
+        for shown, want, got in wrong:
+            print(f"EXIT {shown}: expected {want}, working tree {got}")
+        for shown in unused:
+            print(f"UNUSED {shown}: in {EXITS.name} but not in the corpus")
         print(f"{len(diffs)} differ in exit code or stdout; "
-              f"{len(notes)} exit 2 on both with another message")
-    return 1 if diffs else 0
+              f"{len(notes)} exit 2 on both with another message; "
+              f"{len(wrong)} differ from {EXITS.name}, {len(unused)} entries unused")
+    return 1 if diffs or wrong or unused else 0
 
 
 if __name__ == "__main__":
