@@ -304,11 +304,10 @@ def is_compatible(F: MeasurementCollection, want_joint=True):
     table Σ_{i,j} e_ij ⊗ f^i_j split as Σ_n s_n ⊗ g_n over the simplex
     of value tables on K's N vertices (vertex t is e_t), so the weights
     of g_n are its values on the vertices; it is checked against F's
-    value rows, and `F.space.linear_map` of its per-vertex values must
-    exist, so that each g_n is affine on K. The witness is
-    `_dual_witness` of the Farkas multipliers, with ⟨1_K, W(s̄)⟩ = 1 at
-    the barycenter s̄ and Tr FW < 0. With `want_joint` False the second
-    entry is None.
+    value rows, and each g_n affine on K by `F.space.failed_dependency`.
+    The witness is `_dual_witness` of the Farkas multipliers, with
+    ⟨1_K, W(s̄)⟩ = 1 at the barycenter s̄ and Tr FW < 0. With
+    `want_joint` False the second entry is None.
     """
     lp, c, _lam, _t = _joint_lp(F)
     res = lp.minimize({})
@@ -326,7 +325,7 @@ def is_compatible(F: MeasurementCollection, want_joint=True):
     joint.check([F.effects[key] for key in F.shape.keys])
     # check holds for any nonnegative table with F's marginals; an effect
     # g_n is moreover affine on K, its values those of a linear map
-    if F.space.linear_map(la.transpose(list(joint.weights.values()))) is None:
+    if F.space.failed_dependency(la.transpose(list(joint.weights.values()))) is not None:
         raise AssertionError("a joint effect is not affine on K")
     return True, joint
 

@@ -22,6 +22,9 @@ facets and of the unit. With psi = P/D (P the integer numerators of
 psi, D > 0), psi ∈ span V(K) iff z·P = 0 for every z, psi ∈ V(K)+ iff
 moreover g·P ≥ 0 for every facet g, and psi ∈ K iff moreover u·P =
 D·u_den: sign tests on integer dot products, with no rational built.
+Values on the vertices extend to a linear map iff every vertex dependency
+c (Σ_t c_t x_t = 0, so Σ_t c_t = 0) annihilates them: `failed_dependency`,
+which runs before a functional is built, so no vertex is re-checked.
 `max_tensor_member` tests a matrix the same way, row and column at a
 time, and `product_range` evaluates a functional on every product of
 two spaces' vertices, from the vertices' integer numerators.
@@ -38,12 +41,13 @@ from .lp import OPTIMAL, LpBuilder, vec_expr
 
 
 class IntTable(NamedTuple):
-    """Integer forms of a space's linear data, each vector sparse: a
-    tuple of (coordinate, nonzero integer) pairs. `relations` span the
-    orthogonal complement of span V(K); `facets` are the facets' integer
-    numerators (a positive multiple of each facet); the unit is
-    `unit`/`unit_den`, and vertex t is `vertices[t]`/`vertex_den`."""
+    """Integer forms of a space's linear data, each vector sparse: a tuple
+    of (coordinate, nonzero integer) pairs. `relations` span the orthogonal
+    complement of span V(K), `dependencies` the c with Σ_t c_t x_t = 0;
+    `facets` are the facets' integer numerators (positive multiples); the
+    unit is `unit`/`unit_den`, and vertex t is `vertices[t]`/`vertex_den`."""
     relations: tuple
+    dependencies: tuple
     facets: tuple
     unit: tuple
     unit_den: int
@@ -58,6 +62,19 @@ def _sparse(nums):
 def _idot(sparse, nums):
     """Σ_t c_t·nums[t] over a sparse integer vector."""
     return sum(c * nums[t] for t, c in sparse)
+
+
+def _int_kernel(rows):
+    """Sparse integer vectors spanning {z : r·z = 0 for every row r}: z_f = 1
+    per non-pivot column f of the RREF R, z_p = −R[r][f] at row r's pivot."""
+    red, pivots = la.rref(rows)
+    out = []
+    for f in (f for f in range(len(rows[0])) if f not in pivots):
+        z = [R1 if t == f else R0 for t in range(len(rows[0]))]
+        for row, p in zip(red, pivots):
+            z[p] = -row[f]
+        out.append(_sparse(numerators(z)[0]))
+    return tuple(out)
 
 
 def _icombine(sparse, rows):
@@ -124,25 +141,14 @@ class StateSpace:
 
     @cached_property
     def int_table(self) -> IntTable:
-        """The integer table of the module docstring. The relations come
-        from the reduced row echelon form of the vertex matrix: one per
-        non-pivot coordinate f, z_f = 1 and z_p = −R[r][f] at the pivot
-        coordinate p of row r, scaled to integers."""
-        red, pivots = la.rref(self.vertices)
-        relations = []
-        for f in range(self.dim):
-            if f in pivots:
-                continue
-            z = [R0] * self.dim
-            z[f] = R1
-            for row, p in zip(red, pivots):
-                z[p] = -row[f]
-            relations.append(_sparse(numerators(z)[0]))
+        """Relations: the vertex matrix's kernel; dependencies: its transpose's."""
+        relations = _int_kernel(self.vertices)
+        dependencies = _int_kernel(la.transpose(self.vertices))
         unit, unit_den = numerators(self.unit)
         flat, vertex_den = numerators([x for v in self.vertices for x in v])
         vertices = tuple(_sparse(flat[t:t + self.dim])
                          for t in range(0, len(flat), self.dim))
-        return IntTable(tuple(relations),
+        return IntTable(relations, dependencies,
                         tuple(_sparse(numerators(g)[0]) for g in self.facets),
                         _sparse(unit), unit_den, vertices, vertex_den)
 
@@ -198,34 +204,38 @@ class StateSpace:
             acc = la.vec_add(acc, v)
         return la.vec_scale(rat(1, len(self.vertices)), acc)
 
+    def failed_dependency(self, table):
+        """The one affinity test: the first dependency c with Σ_t c_t·T_t ≠
+        0 in some column of the table T (one row per vertex, on its integer
+        numerators), or None when T extends to a linear map on span V(K)."""
+        table = la.mat(table)
+        if len(table) != len(self.vertices) or len({len(r) for r in table}) != 1:
+            raise ValueError("one row per vertex, all of one length, required")
+        width = len(table[0])
+        flat = numerators([x for row in table for x in row])[0]
+        cols = [flat[p::width] for p in range(width)]
+        return next((c for c in self.int_table.dependencies
+                     if any(_idot(c, col) for col in cols)), None)
+
     def canonical_functional(self, values):
         """Ambient representative in span V(K) of the functional taking
-        the given values on the vertices; None if no functional does."""
+        the given values on the vertices, by the Gram inverse; None if no
+        functional takes them."""
         values = la.vec(values)
-        if len(values) != len(self.vertices):
-            raise ValueError("one value per vertex required")
+        if self.failed_dependency([(t,) for t in values]) is not None:
+            return None
         y = tuple(values[i] for i in self.basis_idx)
-        r = la.combine(la.mat_vec(self._gram_inv, y), self.basis)
-        for v, t in zip(self.vertices, values):
-            if la.dot(r, v) != t:
-                return None
-        return r
+        return la.combine(la.mat_vec(self._gram_inv, y), self.basis)
 
     def linear_map(self, images):
         """Canonical matrix M of the map with M·v = image for every vertex
         v: row p is the canonical functional of the images' p-th
         coordinates, so M vanishes on the orthogonal complement of span
         V(K). None if the images are not affinely consistent."""
-        images = la.mat(images)
         if len(images) != len(self.vertices):
             raise ValueError("one image per vertex required")
-        rows = []
-        for vals in la.transpose(images):
-            r = self.canonical_functional(vals)
-            if r is None:
-                return None
-            rows.append(r)
-        return tuple(rows)
+        rows = tuple(self.canonical_functional(vals) for vals in la.transpose(images))
+        return None if None in rows else rows
 
     @cached_property
     def span_projector(self):

@@ -4,8 +4,8 @@ measurement collections, and the dual degree q_s.
 
 A map W is stored redundantly by all vertex images; the exchange
 equations w_n + w_n' = w_(n_i↔n'_i) are what makes an arbitrary image
-table the vertex set of a linear map, so they are enforced on
-construction, in the equivalent chart form (see make_witness_map).
+table the vertex set of a linear map: they span S's integer vertex
+dependencies, tested on construction (see make_witness_map).
 The chart is S's own: its chart vertices, edge keys and the vertex
 images of a map given by its top and edge images all come from
 `PolySimplex`, and every LP here is written in it.
@@ -87,26 +87,17 @@ def make_witness_map(shape: PolySimplex, space: StateSpace, vertex_images) -> Wi
     """Validate the exchange equations and cone positivity; raises
     WitnessValidationError naming the first violation found.
 
-    The exchange equations hold iff the table is additive in the chart
-    at the top vertex: w_n = w_top + Σ_{i: n_i ≠ top_i} (w_(top with n_i
-    at i) − w_top) for every n. That is one combination per outcome with
-    two or more entries off the top, where every pairwise exchange
-    equation would be one per pair of outcomes and input."""
+    The exchange equations span S's vertex dependencies Σ_n c_n s_n = 0,
+    so they hold iff Σ_n c_n w_n = 0 for each; the detail names the first
+    dependency that fails (`StateSpace.failed_dependency`)."""
     W = WitnessMap(shape, space, vertex_images)
     outs = shape.outcome_list()
     if set(W.vertex_images) != set(outs):
         raise ValueError("vertex images must be supplied for every outcome tuple")
-    top = shape.top
-    for n in outs:
-        moved = [shape.chart_vertex(i, ni) for i, ni in enumerate(n) if ni != top[i]]
-        if len(moved) < 2:
-            continue
-        chart = la.combine([R1 - len(moved)] + [R1] * len(moved),
-                           [W.vertex_images[top]] + [W.vertex_images[m] for m in moved])
-        if chart != W.vertex_images[n]:
-            raise WitnessValidationError(
-                "CONSISTENCY_VIOLATION",
-                f"w{n} != w{top} + " + " + ".join(f"(w{m} - w{top})" for m in moved))
+    dep = shape.as_state_space().failed_dependency([W.vertex_images[n] for n in outs])
+    if dep is not None:
+        terms = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}·w{outs[t]}" for t, c in dep)
+        raise WitnessValidationError("CONSISTENCY_VIOLATION", f"{terms.lstrip('+ ')} != 0")
     for n in outs:
         if not space.in_cone(W.vertex_images[n]):
             raise WitnessValidationError("NOT_POSITIVE",

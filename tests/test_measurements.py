@@ -14,13 +14,22 @@ from polybox.measurements import (DegreeReport, _dual_witness, _joint_lp, from_f
                                   is_compatible, least_mixing, make_collection,
                                   random_collection, scaled_state_vars)
 from polybox.polysimplex import PolySimplex, polysimplex_space, square_space
-from polybox.serialize import builtin_space
+from polybox.serialize import builtin_space, space_from_json
 from polybox.spaces import simplex_space
 from polybox.witnesses import make_witness_map, q_value, trace_pairing
 
-from conftest import apply_collection, coin_toss, coin_toss_on
+from conftest import apply_collection, coin_toss, coin_toss_on, pentagon_json
 
 SQ = PolySimplex((1, 1))
+
+#: two binary effects on the pentagon whose ID = 1/5 no interior base
+#: point attains: `id_degree` returns s = (1, 0, ½, ½). A seeded search
+#: of asymmetric facet-combination collections on the square, poly:2,1,
+#: cube:3 and the pentagon found such draws on the pentagon only.
+PENTAGON_BOUNDARY = {(0, 0): ("3/5", "3/4", "3/8", "0", "3/40"),
+                     (0, 1): ("2/5", "1/4", "5/8", "1", "37/40"),
+                     (1, 0): ("1", "1/2", "0", "3/8", "1"),
+                     (1, 1): ("0", "1/2", "1", "5/8", "0")}
 
 
 def value_rows(F):
@@ -362,6 +371,23 @@ class TestDualWitness:
             q, _W, lam = q_value(F, rep.s)
             assert rep.q == q and lam == rep.value
             assert -q / (R1 - q) == rep.value
+
+    def test_boundary_base_point(self):
+        # least_mixing's boundary branch: the witness is normalized at an s
+        # with a zero coordinate, and interior points approach its degree
+        F = make_collection(space_from_json(pentagon_json()), (1, 1),
+                            {k: tuple(map(rat, v)) for k, v in PENTAGON_BOUNDARY.items()})
+        rep = id_degree(F)
+        half = rat(1, 2)
+        assert rep.value == rat(1, 5) and rep.s == (R1, R0, half, half)
+        assert not F.shape.interior(rep.s)
+        W = rep.witness
+        assert make_witness_map(F.shape, F.space, W.vertex_images).vertex_images == \
+            W.vertex_images
+        assert la.dot(F.space.unit, W.apply(rep.s)) == R1
+        assert trace_pairing(F, W) == rep.q and -rep.q / (R1 - rep.q) == rep.value
+        near = [id_degree_at(F, (R1 - e, e, half, half)) for e in (rat(1, 10), rat(1, 1000))]
+        assert near[0] > near[1] > rep.value
 
     def test_reads_the_solve_of_the_report(self):
         # the witness is a function of the returned duals alone

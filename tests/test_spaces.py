@@ -284,6 +284,76 @@ class TestLinearMaps:
                 done += 1
 
 
+def gram_reference(space, values):
+    """The per-vertex re-check through the Gram inverse: the functional r
+    with ⟨r, b⟩ = value at each basis vertex b takes every given value."""
+    basis = space.basis
+    ginv = la.invert([[la.dot(a, b) for b in basis] for a in basis])
+    r = la.combine(la.mat_vec(ginv, [values[i] for i in space.basis_idx]), basis)
+    return all(la.dot(r, v) == t for v, t in zip(space.vertices, values))
+
+
+def dense(space, c):
+    """A sparse dependency as one integer per vertex."""
+    out = [0] * len(space.vertices)
+    for t, x in c:
+        out[t] = x
+    return out
+
+
+class TestVertexDependencies:
+    def test_dependencies_span_the_vertex_kernel(self, state_space):
+        deps = [dense(state_space, c) for c in state_space.int_table.dependencies]
+        assert len(deps) == len(state_space.vertices) - state_space.rank
+        for c in deps:
+            assert all(type(x) is int for x in c) and any(c)
+            assert la.is_zero(la.combine(la.vec(c), state_space.vertices))
+            assert sum(c) == 0
+        assert not deps or la.rank(la.mat(deps)) == len(deps)
+
+    def test_failed_dependency_matches_the_gram_reference(self, state_space):
+        # consistent tables pass; with one entry moved, the dependency
+        # test, linear_map and canonical_functional all agree with the
+        # reference (on delta:2, with no dependency, every table passes)
+        rng = random.Random(str(state_space.label))
+        seen = set()
+        for _ in range(3):
+            images = random_affine_images(state_space, 2, rng)
+            assert state_space.failed_dependency(images) is None
+            assert all(gram_reference(state_space, col) for col in la.transpose(images))
+            for t in range(len(images)):
+                moved = list(images)
+                moved[t] = la.vec_add(images[t], (R0, rat(rng.randrange(1, 5), 3)))
+                want = gram_reference(state_space, [img[1] for img in moved])
+                assert (state_space.linear_map(moved) is None) == (not want)
+                assert (state_space.canonical_functional([img[1] for img in moved])
+                        is None) == (not want)
+                dep = state_space.failed_dependency(moved)
+                assert (dep is None) == want
+                if dep is not None:
+                    assert dense(state_space, dep)[t] != 0
+                seen.add(want)
+        assert seen == ({True} if state_space.label == "delta:2" else {False})
+
+    @pytest.mark.parametrize("name", ["cube:3", "poly:2,1"])
+    def test_every_moved_value_is_refused(self, name):
+        space = builtin_space(name)
+        images = random_affine_images(space, 2, random.Random(name))
+        for t in range(len(images)):
+            moved = list(images)
+            moved[t] = la.vec_add(images[t], (rat(1, 3), R0))
+            assert space.linear_map(moved) is None
+            assert space.canonical_functional([img[0] for img in moved]) is None
+            assert space.canonical_functional([img[1] for img in moved]) is not None
+
+    def test_table_shape_is_checked(self):
+        sq = square_space()
+        with pytest.raises(ValueError):
+            sq.failed_dependency([(R1,)] * 3)
+        with pytest.raises(ValueError):
+            sq.failed_dependency([(R1,), (R1,), (R1,), (R1, R0)])
+
+
 class TestTensors:
     def test_product_states_in_max_tensor(self):
         rng = random.Random(6)

@@ -72,6 +72,14 @@ class TestConstruction:
             make_witness_map(SQ, sp, images)
         assert err.value.code == "CONSISTENCY_VIOLATION"
 
+    def test_violation_names_the_dependency(self):
+        sp = square_space()
+        images = constant_map(SQ, sp, sp.interior_point())
+        images[(1, 1)] = la.vec_scale(2, sp.interior_point())
+        with pytest.raises(WitnessValidationError) as err:
+            make_witness_map(SQ, sp, images)
+        assert err.value.detail == "1·w(0, 0) - 1·w(0, 1) - 1·w(1, 0) + 1·w(1, 1) != 0"
+
     @pytest.mark.parametrize("shape", [PolySimplex((1, 1, 1)), PolySimplex((2, 1))],
                              ids=["cube:3", "(2,1)"])
     def test_chart_check_catches_each_single_image(self, shape):

@@ -16,11 +16,14 @@ assemblage, a box or a channel:
 - `compat check`, `id compute` (`--at barycenter`, `--at` with
   coordinates, `--search`) and `witness maximal` on compatible and
   incompatible collections on the square, poly:2,1, the pentagon and a
-  one-vertex space, and `compat check` on five malformed collection
+  one-vertex space, and `compat check` on six malformed collection
   files (a missing key, a short value list, a negative value, an input
-  that does not sum to 1, an affinely inconsistent table);
+  that does not sum to 1, an affinely inconsistent table on the square
+  and on cube:3);
 - `witness test`, `witness etb` and `witness extremal` on witness maps
-  read off collections and on random maps;
+  read off collections and on random maps, and `witness test` on a
+  random map on the square and on poly:2,1 with one vertex image moved
+  inside the cone, off the exchange equations;
 - `bell bound` (plain, `--y-box` and `--equality`), `bell check` and
   `box to-channel` on local, nonlocal and float boxes;
 - `steer separable`, `steer sd --at barycenter` and `steer sd --search`
@@ -73,7 +76,7 @@ def write_inputs(d: pathlib.Path):
     from polybox.polysimplex import PolySimplex, square_space
     from polybox.qubit import tsirelson_box
     from polybox.steering import assemblage_from, self_dual_state, square_self_dual_iso
-    from polybox.witnesses import q_value, random_witness_map
+    from polybox.witnesses import WitnessMap, q_value, random_witness_map
     from conftest import (MALFORMED_ASSEMBLAGES, ZERO_P, box_from_tensor, coin_toss,
                           edited, partition_assemblage, pentagon_json, random_local_box,
                           three_input_pr_box, unitary_choi)
@@ -170,6 +173,13 @@ def write_inputs(d: pathlib.Path):
     for name, table in malformed.items():
         path = put(f"meas-edit-{name}.json", json.dumps({**base, "effects": table}))
         commands.append(["compat", "check", "--meas", path])
+    # cube:3's vertices in outcome order, (0,0,0) first: input 0 reads 1
+    # at (0,0,0) alone, a state at every vertex but not affine on K
+    cube = json.loads(sz.dumps(identity_collection(PolySimplex((1, 1, 1)))))
+    cube["effects"] = {**cube["effects"], "0,0": ["1"] + ["0"] * 7,
+                       "0,1": ["0"] + ["1"] * 7}
+    commands.append(["compat", "check", "--meas",
+                     put("meas-edit-cube-not-affine.json", json.dumps(cube))])
 
     for t in range(3):
         witnesses[f"random-{t}"] = random_witness_map(P, sq, rng)
@@ -178,6 +188,13 @@ def write_inputs(d: pathlib.Path):
         path = put(f"witness-{name}.json", W)
         commands += [["witness", action, "--witness", path]
                      for action in ("test", "etb", "extremal")]
+    for name in ("random-0", "random-21"):
+        W = witnesses[name]
+        top = W.shape.top
+        moved = {**W.vertex_images,
+                 top: la.vec_add(W.top_image, W.space.interior_point())}
+        path = put(f"witness-moved-{name}.json", WitnessMap(W.shape, W.space, moved))
+        commands.append(["witness", "test", "--witness", path])
 
     ybox = put("box-y.json", box_from_tensor(P, P, y))
     pairs = [("identity", "identity"), ("identity", "random-1"), ("coin", "identity"),
