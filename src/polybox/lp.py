@@ -83,12 +83,22 @@ no cost row) with its column layout, and each later `minimize` or
 the tableau a cold solve reaches at the end of phase 1, and phase 2
 depends on nothing else, so the pivots, x, duals, Farkas vector and
 `LpStats` equal a cold solve's whatever was solved before, and every
-exact check runs on every solve. A builder solved once copies nothing,
-an infeasible one keeps nothing, and adding a variable or a row drops
-what was kept. `with_rhs(rhs)` returns a builder with the same
+computed result passes every exact check. A builder solved once copies
+nothing, an infeasible one keeps nothing, and adding a variable or a
+row drops what was kept. `with_rhs(rhs)` returns a builder with the same
 variables and stored integer rows (the coefficient dicts, s_r and the
 signs of `>=` rows are shared) and rhs[r] as the rhs of row r, stored
-as `add_eq`, `add_le` or `add_ge` would store it. The decision
+as `add_eq`, `add_le` or `add_ge` would store it. A builder and its
+`with_rhs` copies form a family, which also shares the results it
+computes: from the family's second solve on, each computed result is
+stored under (stored rhs, cost, second cost, sense), the last
+`STORED_RESULTS` of them, and a later solve with an equal key returns
+the stored `LpResult` (frozen, so shared safely) without building a
+tableau. The key is only ever looked up on the same stored rows, so a
+stored result is the one a cold solve gives. A family solved once
+stores nothing, and adding a variable or a row gives that builder an
+empty store of its own; copies made before keep the old one, which
+matches their rows. The decision
 procedures hold such builders in `lru_cache`d functions, built once: the
 LP of q_s per (K, S, s) (`witnesses._q_lp`) and that of `is_witness`
 per (K, S) (`witnesses._collection_lp`) take each call's data as their
@@ -141,6 +151,8 @@ OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
 
+STORED_RESULTS = 16  # results a family of builders keeps, the oldest dropped first
+
 
 @dataclass(frozen=True)
 class LpStats:
@@ -153,7 +165,7 @@ class LpStats:
     bits: int           # largest bit length of |T| or d in the final tableau
 
 
-@dataclass
+@dataclass(frozen=True)
 class LpResult:
     status: str
     objective: object | None = None
@@ -293,6 +305,36 @@ class _Start:
         return dataclasses.replace(self, T=self.T.copy())
 
 
+class _Results:
+    """The results computed by one family of builders, a builder and its
+    `with_rhs` copies, which share their variables and integer rows:
+    `by_key` maps the `_Key` of (stored rhs, cost, then, sense) to a
+    result, oldest first; `solved`: the family was solved before, so
+    later results are stored."""
+    __slots__ = ("solved", "by_key")
+
+    def __init__(self):
+        self.solved = False
+        self.by_key = {}
+
+
+class _Key:
+    """A tuple as a dict key, hashed once. A miss looks its key up, stores
+    it and later drops it, and a tuple of rationals would be hashed again
+    each time, at about the cost of all the rest of the store."""
+    __slots__ = ("items", "h")
+
+    def __init__(self, items):
+        self.items = items
+        self.h = hash(items)
+
+    def __hash__(self):
+        return self.h
+
+    def __eq__(self, other):
+        return self.items == other.items
+
+
 def vec_expr(terms):
     """Σ c·cols over terms (c, cols), where cols holds one variable per
     coordinate: one linear expression {var: coeff} per coordinate."""
@@ -339,11 +381,16 @@ class LpBuilder:
         self._signs = []           # per row: 1, or -1 for a ">=" row stored negated
         self._start = None         # a kept `_Start`: phase 1's end, for later costs
         self._solved = False       # solved on these rows and rhs before
+        self._results = None       # a `_Results`, shared with the with_rhs copies
 
     def _changed(self):
-        """A variable or row was added: phase 1 must run again."""
+        """A variable or row was added: phase 1 must run again, and the
+        family's stored results no longer apply to this builder, which
+        starts a family of its own (its store is made when first needed:
+        a builder adds rows and variables by the hundred)."""
         self._start = None
         self._solved = False
+        self._results = None
 
     def var(self, nonneg=True) -> int:
         self._changed()
@@ -358,7 +405,9 @@ class LpBuilder:
         rhs[r] (in the caller's units) as the rhs of row r: row r is
         stored as if added with that rhs, so the builder equals one built
         row by row with it. It shares the coefficient dicts, which no
-        builder edits, and keeps no phase-1 tableau."""
+        builder edits, and this builder's store of results, so a solve
+        of the copy with rhs and cost that the family solved before
+        returns the stored result; it keeps no phase-1 tableau."""
         if len(rhs) != len(self._rows):
             raise ValueError(f"{len(rhs)} rhs values for {len(self._rows)} rows")
         lp = LpBuilder()
@@ -366,6 +415,9 @@ class LpBuilder:
         lp._signs = list(self._signs)
         lp._rows = [(coeffs, _stored_rhs(b, s, sign), s, kind)
                     for (coeffs, _, s, kind), sign, b in zip(self._rows, self._signs, rhs)]
+        if self._results is None:
+            self._results = _Results()
+        lp._results = self._results
         return lp
 
     def add_eq(self, coeffs, rhs, den=None):
@@ -438,6 +490,26 @@ class LpBuilder:
     # ----- internals -----
 
     def _solve(self, cost, sense, then=None):
+        # a family's first solve stores nothing; from its second on, every
+        # computed result is stored, and returned for an equal rhs, cost,
+        # then and sense
+        store = self._results
+        if store is None:
+            store = self._results = _Results()
+        if not store.solved:
+            store.solved = True
+            return self._compute(cost, sense, then)
+        key = _Key((tuple(b for _, b, _, _ in self._rows), tuple(cost.items()),
+                    None if then is None else tuple(then.items()), sense))
+        res = store.by_key.get(key)
+        if res is None:
+            res = self._compute(cost, sense, then)
+            if len(store.by_key) == STORED_RESULTS:
+                del store.by_key[next(iter(store.by_key))]
+            store.by_key[key] = res
+        return res
+
+    def _compute(self, cost, sense, then):
         # phase 1 reads only the rows and the rhs; from the second solve on
         # the same ones, its end is kept, and each solve runs phase 2 on a
         # copy of it, so the result is the cold solve's

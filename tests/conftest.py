@@ -4,6 +4,9 @@ their ambient reference forms, and the builders and reference forms that
 several test modules use (hypercube spaces, coin-toss
 collections, boxes, assemblage draws)."""
 
+import sys
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from polybox import serialize as sz
 from polybox.bell import Box, _embedded_pr_probs, deterministic_box
 from polybox.channels import ChoiMatrix
 from polybox.exact import R0, R1, rat
-from polybox.lp import LpBuilder
+from polybox.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBuilder
 from polybox.measurements import MeasurementCollection
 from polybox.polysimplex import PolySimplex, polysimplex_space
 from polybox.steering import Assemblage
@@ -83,6 +86,79 @@ def solved_rows(monkeypatch):
 
     monkeypatch.setattr(LpBuilder, "_solve", recording)
     return rows
+
+
+class Solve(NamedTuple):
+    """One LP solve as `record_solves` records it: the function that
+    called `minimize` or `maximize`, the builder's stored rows and
+    variable kinds, the cost and sense `LpBuilder._solve` got, the
+    result; stored: the result was a stored one, so no tableau was
+    built; warm: the solve found a kept phase-1 tableau."""
+    site: str
+    rows: list
+    kinds: list
+    cost: dict
+    sense: object
+    result: object
+    stored: bool
+    warm: bool
+
+
+def record_solves(monkeypatch):
+    """Wrap `LpBuilder._solve` through monkeypatch (a pytest fixture or
+    `pytest.MonkeyPatch.context()`): every LP solved from then on is
+    appended, as a `Solve`, to the list returned. A solve that computed
+    no result returned a stored one."""
+    solves = []
+    solve, compute = LpBuilder._solve, LpBuilder._compute
+    computed = [0]
+
+    def counting(self, *args):
+        computed[0] += 1
+        return compute(self, *args)
+
+    def recording(self, cost, sense, then=None):
+        warm, before = self._start is not None, computed[0]
+        res = solve(self, cost, sense, then)
+        # frame 1 is minimize or maximize, frame 2 their caller
+        solves.append(Solve(sys._getframe(2).f_code.co_name, list(self._rows),
+                            list(self._vars), dict(cost), sense, res,
+                            computed[0] == before, warm))
+        return res
+
+    monkeypatch.setattr(LpBuilder, "_compute", counting)
+    monkeypatch.setattr(LpBuilder, "_solve", recording)
+    return solves
+
+
+#: scipy's `linprog` status codes, by the status they mean
+HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+def replay_on_highs(solves, linprog):
+    """Re-solve each recorded `Solve` with scipy's HiGHS (`linprog`, from
+    `scipy.optimize`) from its stored rows (a/s_r, b/s_r). Yields per
+    solve (the solve, HiGHS's status or None, HiGHS's message, gap): gap
+    is |objective − HiGHS's| when both are optimal, the objective read as
+    sense times the minimum of the cost (a two-stage solve's first
+    stage), else None."""
+    for rec in solves:
+        n = len(rec.kinds)
+        dense = {"eq": ([], []), "le": ([], [])}
+        for coeffs, rhs, s, kind in rec.rows:
+            a, b = dense[kind]
+            a.append([coeffs.get(v, 0) / s for v in range(n)])
+            b.append(float(rat(rhs) / s))
+        ref = linprog([float(rec.cost.get(v, R0)) for v in range(n)],
+                      A_ub=dense["le"][0] or None, b_ub=dense["le"][1] or None,
+                      A_eq=dense["eq"][0] or None, b_eq=dense["eq"][1] or None,
+                      bounds=[(0, None) if k == "nonneg" else (None, None)
+                              for k in rec.kinds], method="highs")
+        status = HIGHS_STATUS.get(ref.status)
+        gap = None
+        if status == OPTIMAL and rec.result.status == OPTIMAL:
+            gap = abs(float(rec.sense * rec.result.objective) - ref.fun)
+        yield rec, status, ref.message, gap
 
 
 def dual_bases(shape, base=None):

@@ -1,5 +1,6 @@
 """Exact rational scalars and the two-phase simplex solver."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from polybox.exact import R0, R1, approx_eq, format_rat, is_rational, rat
 from polybox.linalg import combine
 from polybox.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpBuilder, LpStats, vec_expr
 from polybox.polysimplex import PolySimplex
+from conftest import HIGHS_STATUS, record_solves, replay_on_highs
 
 
 def rational_rows(b):
@@ -527,7 +529,6 @@ def _cross_check_highs(rng, coeff, rhs_draw):
     among the minimizers, against HiGHS on the LP with the row
     cost·x == the first optimum added."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    highs_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
     then_rng = random.Random(0)
     seen, seen_then = set(), set()
     for _ in range(150):
@@ -567,7 +568,7 @@ def _cross_check_highs(rng, coeff, rhs_draw):
                       b_eq=[float(c) for c in b_eq] or None,
                       bounds=[(None, None) if f else (0, None) for f in free],
                       method="highs")
-        assert res.status == highs_status.get(ref.status), ref.message
+        assert res.status == HIGHS_STATUS.get(ref.status), ref.message
         if res.status == OPTIMAL:
             assert abs(float(res.objective) - ref.fun) <= 1e-7 * (1 + abs(ref.fun))
             # dual feasibility of the stored rows: y <= 0 on <= rows, and
@@ -587,7 +588,7 @@ def _cross_check_highs(rng, coeff, rhs_draw):
                           b_eq=[float(c) for c in b_eq + [res.objective]],
                           bounds=[(None, None) if f else (0, None) for f in free],
                           method="highs")
-            assert lex.status == highs_status.get(ref.status), ref.message
+            assert lex.status == HIGHS_STATUS.get(ref.status), ref.message
             if lex.status == OPTIMAL:
                 assert (lex.objective, lex.duals) == (res.objective, res.duals)
                 value = sum(c * v for c, v in zip(then, lex.x))
@@ -600,46 +601,22 @@ def _cross_check_highs(rng, coeff, rhs_draw):
 
 @pytest.fixture
 def recorded_solves(monkeypatch):
-    """(rows, variable kinds, cost, sense, result, warm) of every LP solved
-    from here on, for a replay by HiGHS; warm: the solve started from the
-    builder's kept phase-1 tableau."""
-    solves = []
-    solve = LpBuilder._solve
-
-    def recording(self, cost, sense, then=None):
-        warm = self._start is not None
-        res = solve(self, cost, sense, then)
-        solves.append((list(self._rows), list(self._vars), dict(cost), sense, res, warm))
-        return res
-    monkeypatch.setattr(LpBuilder, "_solve", recording)
-    return solves
+    """Every LP solved from here on, as a `conftest.Solve`, for a replay
+    by HiGHS."""
+    return record_solves(monkeypatch)
 
 
 def replay_against_highs(solves):
     """Re-solve each recorded LP with scipy's HiGHS from its stored rows
-    (a/s_r, b/s_r): the status must be the same and an optimum's
-    objective within 1e-9 (a two-stage solve's first stage). Returns the
-    set of statuses seen."""
+    (`conftest.replay_on_highs`): the status must be the same and an
+    optimum's objective within 1e-9 (a two-stage solve's first stage).
+    Returns the set of statuses seen."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    highs_status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
     seen = set()
-    for rows, kinds, cost, sense, res, _warm in solves:
-        n = len(kinds)
-        dense = {"eq": ([], []), "le": ([], [])}
-        for coeffs, rhs, s, kind in rows:
-            a, b = dense[kind]
-            a.append([coeffs.get(v, 0) / s for v in range(n)])
-            b.append(float(rat(rhs) / s))
-        ref = linprog([float(cost.get(v, R0)) for v in range(n)],
-                      A_ub=dense["le"][0] or None, b_ub=dense["le"][1] or None,
-                      A_eq=dense["eq"][0] or None, b_eq=dense["eq"][1] or None,
-                      bounds=[(0, None) if k == "nonneg" else (None, None)
-                              for k in kinds], method="highs")
-        assert res.status == highs_status.get(ref.status), ref.message
-        seen.add(res.status)
-        if res.status == OPTIMAL:
-            # HiGHS minimizes cost·x; the result's objective is sense times that
-            assert abs(float(sense * res.objective) - ref.fun) <= 1e-9
+    for rec, status, message, gap in replay_on_highs(solves, linprog):
+        assert rec.result.status == status, message
+        seen.add(status)
+        assert gap is None or gap <= 1e-9
     return seen
 
 
@@ -725,6 +702,38 @@ class TestDecisionLpsAgainstHighs:
         assert 2 * (8 + 48) - 2 * 3 * 2 <= warm <= 2 * (8 + 48)
         assert replay_against_highs(recorded_solves) == {OPTIMAL}
 
+    def test_stored_results(self, recorded_solves):
+        # repeats that return a stored result: q_value's LP again in
+        # bell_id_bound_check, the locality LP of a box again as the
+        # separability LP of its identity assemblage, and base norms of
+        # the same vectors again
+        from polybox.bell import bell_id_bound_check, chsh_witness, is_local, random_ns_box
+        from polybox.spaces import base_norm
+        from polybox.steering import (assemblage_from, is_separable, self_dual_state,
+                                      square_self_dual_iso)
+        from polybox.witnesses import q_value
+
+        rng = random.Random(37)
+        P = PolySimplex((1, 1))
+        sq = P.as_state_space()
+        ident = measurements.identity_collection(P)
+        y = self_dual_state(sq, square_self_dual_iso())
+        for _ in range(20):
+            F = measurements.random_collection(sq, P, rng, bias=rat(3, 4))
+            if q_value(F, P.barycenter())[0] < 0:
+                bell_id_bound_check(chsh_witness(0, 1, 0), F, ident, y, P.barycenter())
+            box = random_ns_box(P, P, rng)
+            is_local(box)
+            is_separable(assemblage_from(ident, box.tensor(), sq))
+            psi = combine([rat(rng.randrange(-4, 5), 3) for _ in sq.vertices], sq.vertices)
+            base_norm(sq, psi)
+            base_norm(sq, psi)
+        stored = [rec for rec in recorded_solves if rec.stored]
+        assert len(stored) >= 50
+        assert {rec.site for rec in stored} >= {"_min_trace_witness", "is_separable",
+                                                 "base_norm"}
+        assert replay_against_highs(stored) == {OPTIMAL, INFEASIBLE}
+
 
 @pytest.fixture
 def solved(monkeypatch):
@@ -774,10 +783,28 @@ def witness_template():
     return lp, phi, costs
 
 
+def small_lp(rhs=(R1, rat(1, 3))):
+    """x + y + z == rhs[0], x − y <= rhs[1] over x, y, z >= 0, built row
+    by row."""
+    b = LpBuilder()
+    x, y, z = b.vars(3)
+    b.add_eq({x: 1, y: 1, z: 1}, rhs[0])
+    b.add_le({x: 1, y: -1}, rhs[1])
+    return b
+
+
+#: two costs on `small_lp`: A's minimizers are the edge x = 0, of value 1,
+#: on which B picks another vertex than A alone
+A, B = {0: rat(2), 1: R1, 2: R1}, {1: -R1, 2: R1}
+
+
 class TestTemplates:
     """A builder kept per (space, shape, s) and solved for many costs, or
     a `with_rhs` copy of one, gives what a freshly built builder gives on
-    the same data: status, objective, x, duals, Farkas vector and stats."""
+    the same data: status, objective, x, duals, Farkas vector and stats.
+    From a family's second solve on, a builder and its `with_rhs` copies
+    return the stored result of an equal rhs, cost, second cost and
+    sense, which is the cold solve's."""
 
     DRAWS = (("square", (1, 1)), ("poly:2,1", (2, 1)), ("cube:3", (1, 1, 1)))
 
@@ -803,12 +830,16 @@ class TestTemplates:
 
     def test_rhs_only_sites_equal_cold_solves(self, solved):
         # each template is first solved twice itself, so that it keeps a
-        # phase-1 tableau (of rhs 0) that its with_rhs copies must not use
+        # phase-1 tableau (of rhs 0) that its with_rhs copies must not use;
+        # the templates are built afresh, as an earlier test may have
+        # stored their rhs-0 result, which a solve would return instead
         from polybox import bell, spaces, steering
         from polybox.linalg import transpose
         from polybox.serialize import builtin_space
         from conftest import partition_assemblage
 
+        measurements._tensor_template.cache_clear()
+        spaces._base_norm_lp.cache_clear()
         rng = random.Random(36)
         Q = PolySimplex((1, 1))
         for label, shape in self.DRAWS:
@@ -915,3 +946,91 @@ class TestTemplates:
         assert c.minimize({x: 1}) == ref.minimize({x: 1})
         with pytest.raises(ValueError, match="2 rhs values for 3 rows"):
             b.with_rhs([R0, R0])
+
+    def test_a_result_is_frozen(self):
+        # a stored result is shared by every solve that returns it
+        res = witness_template()[0].minimize({})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.objective = R1
+
+    def test_a_hit_is_the_cold_solve(self, monkeypatch):
+        solves = record_solves(monkeypatch)
+        lp, _phi, (a, b) = witness_template()
+        lp.minimize(a)
+        stored = lp.minimize(b)
+        assert lp.minimize(b) is stored and solves[-1].stored
+        assert stored == witness_template()[0].minimize(b)
+        base = small_lp()
+        base.with_rhs([rat(2), R1]).minimize(A)
+        stored = base.with_rhs([rat(2), R1]).minimize(A)
+        assert base.with_rhs([rat(2), R1]).minimize(A) is stored and solves[-1].stored
+        assert stored == small_lp((rat(2), R1)).minimize(A)
+        # the cold solves are recorded too
+        assert [rec.stored for rec in solves] == [False, False, True, False] * 2
+
+    @pytest.mark.parametrize("case", ["rhs", "cost", "then", "sense"])
+    def test_a_miss_differs_in_one_part_of_the_key(self, monkeypatch, case):
+        solve = {"rhs": lambda b: b.with_rhs([rat(2), rat(1, 3)]).minimize(A),
+                 "cost": lambda b: b.minimize(B),
+                 "then": lambda b: b.minimize((A, B)),
+                 "sense": lambda b: b.maximize({v: -c for v, c in A.items()})}[case]
+        solves = record_solves(monkeypatch)
+        base = small_lp()
+        base.minimize(A)
+        stored = base.minimize(A)
+        got = solve(base)
+        assert not solves[-1].stored and got == solve(small_lp()) != stored
+        assert base.minimize(A) is stored and solve(base) is got
+
+    def test_a_builder_solved_once_stores_nothing(self, monkeypatch):
+        solves = record_solves(monkeypatch)
+        b = small_lp()
+        first = b.minimize(A)
+        assert b._results.by_key == {}
+        second = b.minimize(A)
+        assert second == first and second is not first
+        assert b.minimize(A) is second
+        assert [rec.stored for rec in solves] == [False, False, True]
+
+    def test_a_new_row_or_variable_drops_the_store_but_not_a_copys(self, monkeypatch):
+        solves = record_solves(monkeypatch)
+        for grow in (lambda b: b.add_le({0: 1}, rat(-1, 4)), lambda b: b.var()):
+            b = small_lp()
+            b.minimize(A)
+            stored = b.minimize(A)
+            copy = b.with_rhs([R1, rat(1, 3)])
+            grow(b)
+            ref = small_lp()
+            grow(ref)
+            got = b.minimize(A)
+            assert not solves[-1].stored and got == ref.minimize(A) != stored
+            assert copy.minimize(A) is stored
+        # the row makes the LP infeasible, the variable lengthens x
+        assert [rec.result.status for rec in solves[2::5]] == [INFEASIBLE, OPTIMAL]
+
+    def test_two_templates_never_share_a_store(self, monkeypatch):
+        # equal rhs and cost on other rows: no hit, and each its own optimum
+        solves = record_solves(monkeypatch)
+        b, c = small_lp(), LpBuilder()
+        x, y, z = c.vars(3)
+        c.add_eq({x: 1, y: 2, z: 2}, R1)
+        c.add_le({x: -1, y: 1}, rat(1, 3))
+        for lp_ in (b, c, b, c):
+            lp_.minimize(B)
+        assert [rec.stored for rec in solves] == [False] * 4
+        assert solves[-1].result != solves[-2].result
+        # the cached templates of q_s at two s, of is_witness and of the
+        # base norm, each after a call that solves it
+        from polybox import spaces, witnesses
+
+        P = PolySimplex((1, 1))
+        F, off = measurements.identity_collection(P), (rat(1, 3), rat(2, 3), rat(1, 4), rat(3, 4))
+        for s in (P.barycenter(), off):
+            W = witnesses.q_value(F, s)[1]
+        witnesses.is_witness(W)
+        spaces.base_norm(F.space, F.space.vertices[0])
+        templates = [witnesses._q_lp(F.space, P, P.barycenter())[0],
+                     witnesses._q_lp(F.space, P, off)[0],
+                     witnesses._collection_lp(F.space, P)[0], spaces._base_norm_lp(F.space)[0]]
+        stores = {id(t._results) for t in templates if t._results is not None}
+        assert len(stores) == len(templates)
